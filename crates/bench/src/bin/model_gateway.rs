@@ -54,7 +54,7 @@ const TENANTS: [&str; 4] = ["noc-east", "noc-west", "core-eng", "dashboards"];
 const PARAPHRASE_SUFFIXES: [&str; 3] = [" ?", " ??", " ???"];
 /// Deadline-drill calibration (same scheme as `overload_drill`).
 const DEADLINE_MULT: u32 = 3;
-const DEADLINE_FLOOR: Duration = Duration::from_millis(40);
+const DEADLINE_FLOOR: Duration = Duration::from_millis(5);
 const AUDIT_GRACE_MICROS: u64 = 25_000;
 
 /// One schedule entry: a question text plus the unique it derives from

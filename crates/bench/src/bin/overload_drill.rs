@@ -43,9 +43,11 @@ use std::time::{Duration, Instant};
 /// 8-deep/2-worker queue full, so a typical accepted request waits
 /// ~4 service times before pickup (~5 end to end): a 3x-mean deadline
 /// lets the early pickups answer while the saturated tail provably
-/// lapses, at any world size or machine speed.
+/// lapses, at any world size or machine speed. The floor only keeps
+/// scheduler jitter from deciding the drill; it has to stay below
+/// 3x an ask (~2 ms each on a quick world) or nothing ever lapses.
 const DEADLINE_MULT: u32 = 3;
-const DEADLINE_FLOOR: Duration = Duration::from_millis(40);
+const DEADLINE_FLOOR: Duration = Duration::from_millis(5);
 const PROBE_ASKS: usize = 8;
 /// Injected (virtual, never slept) read latency on the slow node.
 const SLOW_READ_MICROS: u64 = 50_000;

@@ -203,43 +203,6 @@ impl ContextExtractor {
         self.len() == 0
     }
 
-    fn raw_search(&self, q: &dio_embed::Vector, k: usize) -> Vec<(SearchHit, &DocSample)> {
-        match &self.index {
-            IndexKind::Flat(i) => i
-                .search(q, k)
-                .into_iter()
-                .map(|h| {
-                    let doc = i.get(h.id).expect("indexed");
-                    (SearchHit { id: h.id, score: h.score }, doc)
-                })
-                .collect(),
-            IndexKind::Ivf(i) => i
-                .search(q, k)
-                .into_iter()
-                .map(|h| {
-                    let doc = i.get(h.id).expect("indexed");
-                    (SearchHit { id: h.id, score: h.score }, doc)
-                })
-                .collect(),
-            IndexKind::Hnsw(i) => i
-                .search(q, k)
-                .into_iter()
-                .map(|h| {
-                    let doc = i.get(h.id).expect("indexed");
-                    (SearchHit { id: h.id, score: h.score }, doc)
-                })
-                .collect(),
-            IndexKind::Random { .. } => Vec::new(),
-        }
-    }
-
-    fn get_vector(&self, id: usize) -> Option<&dio_embed::Vector> {
-        match &self.index {
-            IndexKind::Flat(i) => i.index().get(id),
-            IndexKind::Ivf(_) | IndexKind::Hnsw(_) | IndexKind::Random { .. } => None,
-        }
-    }
-
     /// Top-k samples for a question, diversified with maximal marginal
     /// relevance (MMR).
     ///
@@ -267,96 +230,7 @@ impl ContextExtractor {
         qvec: Option<&dio_embed::Vector>,
         k: usize,
     ) -> Vec<Retrieved> {
-        const LAMBDA: f32 = 0.75;
-        const PREFETCH_FACTOR: usize = 4;
-        if k == 0 {
-            return Vec::new();
-        }
-
-        // Degenerate random mode: deterministic pseudo-random picks.
-        if let IndexKind::Random { samples, seed } = &self.index {
-            if samples.is_empty() {
-                return Vec::new();
-            }
-            let mut out = Vec::with_capacity(k);
-            let mut h = *seed;
-            for b in question.as_bytes() {
-                h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            let mut picked = std::collections::HashSet::new();
-            while out.len() < k.min(samples.len()) {
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                h ^= h >> 29;
-                let idx = (h % samples.len() as u64) as usize;
-                if picked.insert(idx) {
-                    out.push(Retrieved {
-                        sample: samples[idx].clone(),
-                        score: 0.0,
-                    });
-                }
-            }
-            return out;
-        }
-
-        let owned = match qvec {
-            Some(_) => None,
-            None => Some(self.embedder.embed(question)),
-        };
-        let q = qvec.unwrap_or_else(|| owned.as_ref().expect("embedded above"));
-        let prefetch = self.raw_search(q, k.saturating_mul(PREFETCH_FACTOR).max(k));
-        if prefetch.is_empty() {
-            return Vec::new();
-        }
-
-        // MMR diversification when doc vectors are available (flat
-        // index); approximate indexes fall back to plain top-k.
-        let can_mmr = self.get_vector(prefetch[0].0.id).is_some();
-        if !can_mmr {
-            return prefetch
-                .into_iter()
-                .take(k)
-                .map(|(h, doc)| Retrieved {
-                    sample: doc.clone(),
-                    score: h.score,
-                })
-                .collect();
-        }
-
-        let mut remaining: Vec<(usize, f32, &DocSample)> = prefetch
-            .iter()
-            .map(|(h, doc)| (h.id, h.score, *doc))
-            .collect();
-        let mut selected: Vec<(usize, f32, &DocSample)> = Vec::with_capacity(k);
-        while selected.len() < k && !remaining.is_empty() {
-            let mut best_pos = 0;
-            let mut best_val = f32::NEG_INFINITY;
-            for (pos, &(id, qsim, _)) in remaining.iter().enumerate() {
-                let max_red = selected
-                    .iter()
-                    .map(|&(sid, _, _)| {
-                        dio_embed::cosine(
-                            self.get_vector(id).expect("flat"),
-                            self.get_vector(sid).expect("flat"),
-                        )
-                    })
-                    .fold(0.0f32, f32::max);
-                let val = LAMBDA * qsim - (1.0 - LAMBDA) * max_red;
-                if val > best_val {
-                    best_val = val;
-                    best_pos = pos;
-                }
-            }
-            selected.push(remaining.remove(best_pos));
-        }
-
-        selected
-            .into_iter()
-            .map(|(_, score, doc)| Retrieved {
-                sample: doc.clone(),
-                score,
-            })
-            .collect()
+        self.retrieve_with_stats_vec(question, qvec, k).0
     }
 
     /// Embed a question with this extractor's fitted embedder. The
@@ -375,9 +249,10 @@ impl ContextExtractor {
     }
 
     /// [`ContextExtractor::retrieve_with_stats`] with an optional
-    /// precomputed question embedding. The vector is computed at most
-    /// once here and shared between the stats probe and the search
-    /// proper (the old path embedded twice for IVF).
+    /// precomputed question embedding. The question is embedded at most
+    /// once and the index searched exactly once; the flat index
+    /// diversifies its hits with MMR, the approximate ones (which keep
+    /// no row matrix) return plain top-k.
     pub fn retrieve_with_stats_vec(
         &self,
         question: &str,
@@ -385,36 +260,125 @@ impl ContextExtractor {
         k: usize,
     ) -> (Vec<Retrieved>, RetrievalStats) {
         if k == 0 {
-            return (Vec::new(), RetrievalStats { candidates_scanned: 0 });
+            return (Vec::new(), RetrievalStats::default());
         }
-        if matches!(self.index, IndexKind::Random { .. }) {
-            return (
-                self.retrieve_vec(question, None, k),
-                RetrievalStats { candidates_scanned: 0 },
-            );
+        match &self.index {
+            IndexKind::Flat(i) => self.search_docs(i, question, qvec, k, mmr),
+            IndexKind::Ivf(i) => self.search_docs(i, question, qvec, k, |_, hits, _| hits),
+            IndexKind::Hnsw(i) => self.search_docs(i, question, qvec, k, |_, hits, _| hits),
+            IndexKind::Random { samples, seed } => (
+                random_context(samples, *seed, question, k),
+                RetrievalStats::default(),
+            ),
         }
-        let owned = match qvec {
-            Some(_) => None,
-            None => Some(self.embedder.embed(question)),
+    }
+
+    /// One search of any index backend: prefetch `4k` hits, let
+    /// `rerank` order them, and clone the payloads of the first `k`. An
+    /// id the payload store does not hold yields no hit.
+    fn search_docs<I: VectorIndex>(
+        &self,
+        index: &DocIndex<I, DocSample>,
+        question: &str,
+        qvec: Option<&dio_embed::Vector>,
+        k: usize,
+        rerank: impl FnOnce(&I, Vec<SearchHit>, usize) -> Vec<SearchHit>,
+    ) -> (Vec<Retrieved>, RetrievalStats) {
+        const PREFETCH_FACTOR: usize = 4;
+        let embedded;
+        let q = match qvec {
+            Some(q) => q,
+            None => {
+                embedded = self.embedder.embed(question);
+                &embedded
+            }
         };
-        let q = qvec.unwrap_or_else(|| owned.as_ref().expect("embedded above"));
-        let candidates_scanned = match &self.index {
-            IndexKind::Flat(i) => i.len(),
-            IndexKind::Hnsw(i) => i.len(),
-            IndexKind::Ivf(i) => i.index().search_with_stats(q, k).1.candidates_scanned,
-            IndexKind::Random { .. } => unreachable!("handled above"),
-        };
+        let (hits, stats) = index
+            .index()
+            .search_with_stats(q, k.saturating_mul(PREFETCH_FACTOR));
+        let retrieved = rerank(index.index(), hits, k)
+            .into_iter()
+            .take(k)
+            .filter_map(|hit| {
+                Some(Retrieved {
+                    sample: index.get(hit.id)?.clone(),
+                    score: hit.score,
+                })
+            })
+            .collect();
         (
-            self.retrieve_vec(question, Some(q), k),
-            RetrievalStats { candidates_scanned },
+            retrieved,
+            RetrievalStats {
+                candidates_scanned: stats.candidates_scanned,
+            },
         )
     }
+}
+
+/// Greedy MMR over prefetched `hits`, at most `k` picks in pick order.
+///
+/// Each remaining candidate carries the running maximum of its
+/// similarity to the picks so far; a pick folds in only its own
+/// similarity to every candidate left. The running fold applies
+/// `f32::max` to the same values in the same (pick) order as taking the
+/// maximum over all picks afresh each round, so the picks are the same.
+fn mmr(flat: &FlatIndex, mut remaining: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+    const LAMBDA: f32 = 0.75;
+    let mut max_red = vec![0.0f32; remaining.len()];
+    let mut selected = Vec::with_capacity(k.min(remaining.len()));
+    while selected.len() < k && !remaining.is_empty() {
+        let mut best_pos = 0;
+        let mut best_val = f32::NEG_INFINITY;
+        for (pos, (hit, red)) in remaining.iter().zip(&max_red).enumerate() {
+            let val = LAMBDA * hit.score - (1.0 - LAMBDA) * red;
+            if val > best_val {
+                best_val = val;
+                best_pos = pos;
+            }
+        }
+        let pick = remaining.remove(best_pos);
+        max_red.remove(best_pos);
+        for (hit, red) in remaining.iter().zip(&mut max_red) {
+            // A row the index does not hold is redundant with nothing.
+            *red = red.max(flat.similarity(hit.id, pick.id).unwrap_or(0.0));
+        }
+        selected.push(pick);
+    }
+    selected
+}
+
+/// Degenerate random mode: deterministic pseudo-random picks.
+fn random_context(samples: &[DocSample], seed: u64, question: &str, k: usize) -> Vec<Retrieved> {
+    if samples.is_empty() {
+        return Vec::new();
+    }
+    let mut out = Vec::with_capacity(k.min(samples.len()));
+    let mut h = seed;
+    for b in question.as_bytes() {
+        h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut picked = std::collections::HashSet::new();
+    while out.len() < k.min(samples.len()) {
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 29;
+        let idx = (h % samples.len() as u64) as usize;
+        if picked.insert(idx) {
+            out.push(Retrieved {
+                sample: samples[idx].clone(),
+                score: 0.0,
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dio_catalog::generator::{generate_catalog, CatalogConfig};
+    use dio_embed::Vector;
+    use proptest::prelude::*;
 
     fn db() -> DomainDb {
         DomainDb::from_catalog(generate_catalog(&CatalogConfig {
@@ -541,6 +505,130 @@ mod tests {
             random.retrieve_with_stats("paging attempts", 10).1.candidates_scanned,
             0
         );
+    }
+
+    /// The O(k²·prefetch) MMR loop `retrieve_vec` ran before picks
+    /// became incremental, kept verbatim as the reference: every round
+    /// recomputes each candidate's similarity to every pick so far.
+    fn reference_mmr(flat: &FlatIndex, prefetch: &[SearchHit], k: usize) -> Vec<SearchHit> {
+        const LAMBDA: f32 = 0.75;
+        let get_vector = |id: usize| flat.row(id);
+        let mut remaining: Vec<(usize, f32)> = prefetch.iter().map(|h| (h.id, h.score)).collect();
+        let mut selected: Vec<(usize, f32)> = Vec::with_capacity(k.min(prefetch.len()));
+        while selected.len() < k && !remaining.is_empty() {
+            let mut best_pos = 0;
+            let mut best_val = f32::NEG_INFINITY;
+            for (pos, &(id, qsim)) in remaining.iter().enumerate() {
+                let max_red = selected
+                    .iter()
+                    .map(|&(sid, _)| {
+                        dio_embed::cosine(
+                            get_vector(id).expect("flat"),
+                            get_vector(sid).expect("flat"),
+                        )
+                    })
+                    .fold(0.0f32, f32::max);
+                let val = LAMBDA * qsim - (1.0 - LAMBDA) * max_red;
+                if val > best_val {
+                    best_val = val;
+                    best_pos = pos;
+                }
+            }
+            selected.push(remaining.remove(best_pos));
+        }
+        selected
+            .into_iter()
+            .map(|(id, score)| SearchHit { id, score })
+            .collect()
+    }
+
+    fn id_and_bits(hits: &[SearchHit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn incremental_mmr_matches_the_reference_on_all_benchmark_questions() {
+        // `dio_bench::BENCHMARK_SEED`: the 200 questions every table
+        // and `perf/` evaluate with, on the full default catalog.
+        const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
+        const K: usize = 29;
+        let world = dio_benchmark::OperatorWorld::build(dio_benchmark::WorldConfig::default());
+        let questions = dio_benchmark::generate_benchmark(&world, 200, BENCHMARK_SEED);
+        assert_eq!(questions.len(), 200);
+        let ex = ContextExtractor::build(&world.domain_db(), true);
+        let IndexKind::Flat(docs) = &ex.index else {
+            panic!("default build is flat");
+        };
+        for q in &questions {
+            let qvec = ex.embed_question(&q.text);
+            let prefetch = docs.index().search(&qvec, 4 * K);
+            let want: Vec<(&str, u32)> = reference_mmr(docs.index(), &prefetch, K)
+                .iter()
+                .map(|h| (docs.get(h.id).unwrap().name.as_str(), h.score.to_bits()))
+                .collect();
+            // The production path: names, order and score bits.
+            let retrieved = ex.retrieve_vec(&q.text, Some(&qvec), K);
+            let got: Vec<(&str, u32)> = retrieved
+                .iter()
+                .map(|r| (r.sample.name.as_str(), r.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "retrieval diverged for {:?}", q.text);
+        }
+    }
+
+    proptest! {
+        /// Random corpora with an exact duplicate and a zero row, and
+        /// every regime of `k`: above the corpus size, 1, and prefetch
+        /// lists shorter than `k`.
+        #[test]
+        fn incremental_mmr_matches_the_reference_on_random_corpora(
+            rows in prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 9..10), 2..20),
+            query in prop::collection::vec(-1.0f32..1.0, 9..10),
+            dup in 0usize..20,
+            zero in 0usize..20,
+            k in prop::sample::select(vec![1usize, 2, 5, 19, 20, 64]),
+            prefetch in 1usize..30,
+        ) {
+            let mut vectors: Vec<Vector> = rows.into_iter().map(Vector).collect();
+            vectors.push(vectors[dup % vectors.len()].clone());
+            let zero = zero % vectors.len();
+            vectors[zero] = Vector::zeros(9);
+            let flat = FlatIndex::from_vectors(9, vectors);
+            let hits = flat.search(&Vector(query), prefetch);
+            let want = reference_mmr(&flat, &hits, k);
+            prop_assert_eq!(want.len(), k.min(hits.len()));
+            prop_assert_eq!(id_and_bits(&mmr(&flat, hits, k)), id_and_bits(&want));
+        }
+    }
+
+    #[test]
+    fn a_hit_the_index_does_not_hold_is_dropped_not_a_panic() {
+        let flat = FlatIndex::from_vectors(2, vec![Vector(vec![1.0, 0.0])]);
+        let hits = vec![
+            SearchHit { id: 0, score: 0.9 },
+            SearchHit { id: 7, score: 0.8 },
+        ];
+        assert_eq!(
+            id_and_bits(&mmr(&flat, hits.clone(), 2)),
+            id_and_bits(&hits)
+        );
+        let mut docs = DocIndex::new(FlatIndex::new(2));
+        docs.add(
+            Vector(vec![1.0, 0.0]),
+            DocSample {
+                name: "only".into(),
+                text: String::new(),
+            },
+        );
+        let ex = ContextExtractor {
+            embedder: Embedder::fit(&EmbedderConfig::generic(), ["only"]),
+            index: IndexKind::Flat(docs.clone()),
+            rebuild: Vec::new(),
+        };
+        let qvec = Vector(vec![1.0, 0.0]);
+        let (retrieved, _) = ex.search_docs(&docs, "q", Some(&qvec), 2, |_, _, _| hits.clone());
+        assert_eq!(retrieved.len(), 1);
+        assert_eq!(retrieved[0].sample.name, "only");
     }
 
     #[test]

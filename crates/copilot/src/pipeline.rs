@@ -601,13 +601,13 @@ impl DioCopilot {
         let gen_context = if selected_items.is_empty() {
             // Merged mode, or an empty two-stage selection: use the
             // full retrieved context.
-            context_items.clone()
+            context_items
         } else {
             selected_items
         };
         let mut gen_builder = PromptBuilder::new()
             .system(SYSTEM_PROMPT)
-            .context(gen_context.clone())
+            .context(gen_context.iter().cloned())
             .examples(
                 self.exemplars
                     .iter()

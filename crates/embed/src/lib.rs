@@ -49,5 +49,5 @@ pub mod vector;
 
 pub use embedder::{Embedder, EmbedderConfig};
 pub use lexicon::Lexicon;
-pub use similarity::{cosine, dot, euclidean, top_k_cosine};
+pub use similarity::{cosine, cosine_with_norms, dot, euclidean, top_k_cosine};
 pub use vector::Vector;

@@ -1,29 +1,64 @@
 //! Vector similarity measures and top-k helpers.
+//!
+//! Everything here works on `&[f32]`; a [`Vector`] derefs to its slice,
+//! so owned vectors and rows of a contiguous matrix share one kernel.
 
 use crate::vector::Vector;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Independent partial sums kept by [`dot`].
+const LANES: usize = 8;
+
 /// Dot product. Panics if dimensions differ.
-pub fn dot(a: &Vector, b: &Vector) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "vector dimension mismatch");
-    a.0.iter().zip(b.0.iter()).map(|(x, y)| x * y).sum()
+///
+/// The one kernel every similarity in the workspace goes through:
+/// `LANES` independent accumulators over lane-sized chunks, a fixed
+/// pairwise reduction, then a scalar tail. The lane count and the
+/// reduction order are constants rather than CPU-dispatched, so the
+/// result is the same bits on every host, and the independent lanes
+/// let the compiler vectorise what a single running sum serialises.
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "vector dimension mismatch");
+    let mut acc = [0.0f32; LANES];
+    let mut xs = a.chunks_exact(LANES);
+    let mut ys = b.chunks_exact(LANES);
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        for lane in 0..LANES {
+            acc[lane] += x[lane] * y[lane];
+        }
+    }
+    let mut sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    for (x, y) in xs.remainder().iter().zip(ys.remainder()) {
+        sum += x * y;
+    }
+    sum
+}
+
+/// Euclidean (L2) norm.
+pub fn norm(a: &[f32]) -> f32 {
+    a.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 /// Cosine similarity in `[-1, 1]`. Zero vectors yield 0.
-pub fn cosine(a: &Vector, b: &Vector) -> f32 {
-    let (na, nb) = (a.norm(), b.norm());
-    if na == 0.0 || nb == 0.0 {
+pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+    cosine_with_norms(a, norm(a), b, norm(b))
+}
+
+/// [`cosine`] for callers that cached `norm(a)` and `norm(b)`: the same
+/// arithmetic, so the result is bit-equal to `cosine(a, b)`.
+pub fn cosine_with_norms(a: &[f32], norm_a: f32, b: &[f32], norm_b: f32) -> f32 {
+    if norm_a == 0.0 || norm_b == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot(a, b) / (norm_a * norm_b)).clamp(-1.0, 1.0)
 }
 
 /// Euclidean distance.
-pub fn euclidean(a: &Vector, b: &Vector) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "vector dimension mismatch");
-    a.0.iter()
-        .zip(b.0.iter())
+pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "vector dimension mismatch");
+    a.iter()
+        .zip(b.iter())
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f32>()
         .sqrt()
@@ -74,15 +109,19 @@ where
     if k == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(k + 1);
+    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(k);
     for index in 0..n {
         let score = score_fn(index);
         if score.is_nan() {
             continue;
         }
-        heap.push(HeapItem(Scored { index, score }));
-        if heap.len() > k {
-            heap.pop();
+        if heap.len() < k {
+            heap.push(HeapItem(Scored { index, score }));
+        } else if let Some(mut worst) = heap.peek_mut() {
+            // `index` is higher than every kept one, so a tie loses.
+            if score > worst.0.score {
+                *worst = HeapItem(Scored { index, score });
+            }
         }
     }
     let mut out: Vec<Scored> = heap.into_iter().map(|h| h.0).collect();
@@ -96,16 +135,75 @@ where
 }
 
 /// Top-k most cosine-similar vectors to `query` among `candidates`.
-pub fn top_k_cosine(query: &Vector, candidates: &[Vector], k: usize) -> Vec<Scored> {
+pub fn top_k_cosine(query: &[f32], candidates: &[Vector], k: usize) -> Vec<Scored> {
     top_k_by(candidates.len(), k, |i| cosine(query, &candidates[i]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(x: &[f32]) -> Vector {
         Vector(x.to_vec())
+    }
+
+    /// A unit vector of `dims` components drawn from `raw` (cycled).
+    fn unit(raw: &[f32], dims: usize, phase: usize) -> Vector {
+        Vector((0..dims).map(|i| raw[(i + phase) % raw.len()]).collect()).normalized()
+    }
+
+    proptest! {
+        /// Chunked body, scalar tail and both together (dims below, at
+        /// and above one lane chunk) against an `f64` reference.
+        #[test]
+        fn dot_matches_f64_reference_on_unit_vectors(
+            raw in prop::collection::vec(-1.0f32..1.0, 16..64),
+            phase in 1usize..16,
+        ) {
+            for dims in [1usize, 7, 8, 9, 384, 385] {
+                let (a, b) = (unit(&raw, dims, 0), unit(&raw, dims, phase));
+                let reference: f64 = a.iter().zip(b.iter()).map(|(x, y)| f64::from(*x) * f64::from(*y)).sum();
+                let got = dot(&a, &b);
+                prop_assert!(
+                    (f64::from(got) - reference).abs() <= 1e-5,
+                    "dims {}: dot {} vs f64 reference {}", dims, got, reference
+                );
+                prop_assert_eq!(got.to_bits(), dot(&b, &a).to_bits());
+            }
+        }
+
+        /// Cached norms change where the norms come from, not one bit
+        /// of the result.
+        #[test]
+        fn cosine_with_cached_norms_is_bit_equal_to_cosine(
+            raw in prop::collection::vec(-4.0f32..4.0, 16..64),
+            phase in 1usize..16,
+            dims in prop::sample::select(vec![1usize, 7, 8, 9, 384, 385]),
+        ) {
+            let a = Vector((0..dims).map(|i| raw[i % raw.len()]).collect());
+            let b = Vector((0..dims).map(|i| raw[(i + phase) % raw.len()]).collect());
+            let cached = cosine_with_norms(&a, a.norm(), &b, b.norm());
+            prop_assert_eq!(cached.to_bits(), cosine(&a, &b).to_bits());
+            prop_assert!((-1.0..=1.0).contains(&cached));
+        }
+
+        /// Skipping candidates that cannot beat the worst kept hit
+        /// keeps exactly what a full stable sort keeps, ties included.
+        #[test]
+        fn top_k_by_matches_a_full_stable_sort(
+            scores in prop::collection::vec(prop::sample::select(vec![-1.0f32, -0.0, 0.0, 0.25, 0.5, 0.5, 1.0, f32::NAN]), 0..40),
+            k in 0usize..12,
+        ) {
+            let mut want: Vec<(usize, f32)> = scores.iter().copied().enumerate().filter(|(_, s)| !s.is_nan()).collect();
+            want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            want.truncate(k);
+            let got: Vec<(usize, f32)> = top_k_by(scores.len(), k, |i| scores[i])
+                .into_iter()
+                .map(|s| (s.index, s.score))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl Vector {
 
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f32 {
-        self.0.iter().map(|x| x * x).sum::<f32>().sqrt()
+        crate::similarity::norm(&self.0)
     }
 
     /// Scale every component in place.
@@ -68,6 +68,16 @@ impl Vector {
 impl From<Vec<f32>> for Vector {
     fn from(v: Vec<f32>) -> Self {
         Vector(v)
+    }
+}
+
+/// A `&Vector` is accepted wherever the slice-level kernels in
+/// [`crate::similarity`] take `&[f32]`.
+impl std::ops::Deref for Vector {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
     }
 }
 

@@ -88,6 +88,9 @@ struct Entry<V> {
     ts: i64,
     generation: u64,
     vector: Arc<Vector>,
+    /// `vector.norm()`, computed once at insert so a probe costs one
+    /// dot product per candidate.
+    norm: f32,
     value: V,
     /// Monotone use stamp for LRU eviction.
     used: u64,
@@ -164,12 +167,13 @@ impl<V: Clone> SemanticCache<V> {
         inner.clock += 1;
         let clock = inner.clock;
         let dropped = drop_stale(&mut inner.entries, generation);
+        let qnorm = qvec.norm();
         let mut best: Option<(usize, f32)> = None;
         for (i, e) in inner.entries.iter().enumerate() {
             if e.ts != ts {
                 continue;
             }
-            let sim = dio_embed::cosine(&e.vector, qvec);
+            let sim = dio_embed::cosine_with_norms(&e.vector, e.norm, qvec, qnorm);
             if best.map(|(_, b)| sim > b).unwrap_or(true) {
                 best = Some((i, sim));
             }
@@ -218,6 +222,7 @@ impl<V: Clone> SemanticCache<V> {
         let clock = inner.clock;
         let dropped = drop_stale(&mut inner.entries, generation);
         let mut evicted = 0u64;
+        let norm = vector.norm();
         if let Some(e) = inner
             .entries
             .iter_mut()
@@ -225,6 +230,7 @@ impl<V: Clone> SemanticCache<V> {
         {
             e.value = value;
             e.vector = vector;
+            e.norm = norm;
             e.used = clock;
         } else {
             if self.config.capacity > 0 && inner.entries.len() >= self.config.capacity {
@@ -244,6 +250,7 @@ impl<V: Clone> SemanticCache<V> {
                 ts,
                 generation,
                 vector,
+                norm,
                 value,
                 used: clock,
             });
@@ -328,6 +335,30 @@ mod tests {
         }
         assert_eq!(c.stats().rejects, 1);
         assert_eq!(c.stats().hits, 0);
+    }
+
+    #[test]
+    fn probe_similarity_is_bit_equal_to_cosine_even_after_a_refresh() {
+        // Unnormalized on purpose: a norm left over from the vector a
+        // key was first inserted with would scale the similarity.
+        let c = cache(0.5);
+        let first = Arc::new(Vector(vec![3.0, 0.0, 0.0]));
+        let second = Arc::new(Vector(vec![0.0, 0.5, 0.5]));
+        let query = Vector(vec![0.1, 0.7, 0.6]);
+        c.insert(100, 1, "k", first, "A".into());
+        c.insert(100, 1, "k", Arc::clone(&second), "B".into());
+        match c.probe(100, 1, &query) {
+            Probe::Hit {
+                value, similarity, ..
+            } => {
+                assert_eq!(value, "B");
+                assert_eq!(
+                    similarity.to_bits(),
+                    dio_embed::cosine(&second, &query).to_bits()
+                );
+            }
+            other => panic!("expected hit, got {other:?}"),
+        }
     }
 
     #[test]
