@@ -16,10 +16,12 @@
 //! whichever copy survives has every acked record.
 //!
 //! **Failover.** Primary liveness is checked on access. A dead primary
-//! promotes the replica after an integrity scan of its WAL; the old
-//! primary's durable bytes stay around so a restart can rebuild the
-//! copy, catch up the missing suffix from the promoted primary, and
-//! rejoin as the new replica.
+//! promotes the replica once whatever lies past its verified watermark
+//! scans clean — every byte below it was checked when it entered the
+//! copy, so the promotion does not re-read the log; the old primary's
+//! durable bytes stay around so a restart can rebuild the copy, catch
+//! up the missing suffix from the promoted primary, and rejoin as the
+//! new replica.
 //!
 //! **Read path.** [`Cluster`] implements `dio_sandbox::StoreResolver`:
 //! queries naming families on one shard are pushed down (an `Arc`
@@ -36,6 +38,7 @@ use dio_obs::{Buckets, Counter, Gauge, Histogram, Registry, SpanContext, Tracer}
 use dio_sandbox::StoreResolver;
 use dio_tsdb::series::AppendError;
 use dio_tsdb::{Labels, MetricStore, Sample};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -158,7 +161,7 @@ pub const SHARD_READ_SPAN: &str = "shard_read";
 pub const WAL_SHIP_SPAN: &str = "wal_ship";
 
 /// Rolling window of served read latencies the hedge delay derives
-/// from.
+/// from; undrained failover latencies are bounded by it too.
 const READ_LATENCY_WINDOW: usize = 256;
 /// Served-latency samples required before hedging arms: a cold window
 /// has no p99 worth trusting.
@@ -263,8 +266,9 @@ struct Inner {
     shards: Vec<ShardState>,
     /// Chaos on the replication link.
     link: Option<Injector>,
-    /// Detection-to-takeover times (µs), drained by the bench.
-    failover_latencies: Vec<u64>,
+    /// Detection-to-takeover times (µs), drained by the bench; the
+    /// newest [`READ_LATENCY_WINDOW`] are kept.
+    failover_latencies: VecDeque<u64>,
     /// Simulated per-read latency by node (µs). Recorded, never slept:
     /// the hedging policy reasons about these virtual latencies
     /// deterministically.
@@ -274,6 +278,37 @@ struct Inner {
     read_latency_window: VecDeque<u64>,
     /// Total virtual read latency accounted so far (µs).
     injected_read_micros: u64,
+}
+
+/// Push onto a rolling window, dropping the oldest entry once it holds
+/// [`READ_LATENCY_WINDOW`].
+fn push_bounded(window: &mut VecDeque<u64>, value: u64) {
+    if window.len() == READ_LATENCY_WINDOW {
+        window.pop_front();
+    }
+    window.push_back(value);
+}
+
+/// Borrow two of a shard's copies at once: `from` to read its WAL,
+/// `to` to append what it is missing. Shipping borrows the source's
+/// bytes instead of copying them out first.
+fn ship_pair(
+    copies: &mut BTreeMap<usize, ShardCopy>,
+    from: usize,
+    to: usize,
+) -> (&ShardCopy, &mut ShardCopy) {
+    let (mut source, mut dest) = (None, None);
+    for (&node, copy) in copies.iter_mut() {
+        if node == from {
+            source = Some(&*copy);
+        } else if node == to {
+            dest = Some(copy);
+        }
+    }
+    (
+        source.expect("source copy exists"),
+        dest.expect("destination copy exists"),
+    )
 }
 
 /// A simulated shard-per-node cluster with WAL-shipping replication.
@@ -317,7 +352,7 @@ impl Cluster {
                 up: vec![true; n],
                 shards,
                 link,
-                failover_latencies: Vec::new(),
+                failover_latencies: VecDeque::new(),
                 read_latency_micros: vec![0; n],
                 read_latency_window: VecDeque::new(),
                 injected_read_micros: 0,
@@ -420,9 +455,10 @@ impl Cluster {
         self.metrics.reships.value() as u64
     }
 
-    /// Drain recorded detection-to-takeover latencies (µs).
+    /// Drain recorded detection-to-takeover latencies (µs): the newest
+    /// [`READ_LATENCY_WINDOW`] since the last drain.
     pub fn take_failover_latencies(&self) -> Vec<u64> {
-        std::mem::take(&mut self.inner.lock().unwrap().failover_latencies)
+        std::mem::take(&mut self.inner.lock().unwrap().failover_latencies).into()
     }
 
     /// Set node `node`'s simulated per-read latency (µs). The latency
@@ -573,14 +609,10 @@ impl Cluster {
                 continue;
             }
             // Crash-consistent rebuild from the node's own durable log.
-            let old = inner.shards[shard]
-                .copies
-                .get(&node)
-                .expect("checked above");
-            let bytes = old.wal_bytes().to_vec();
-            let (rebuilt, _recovery) = ShardCopy::recover_from_bytes(&bytes);
+            let durable = inner.shards[shard].copies[&node].wal_bytes();
+            let (rebuilt, _) = ShardCopy::recover_from_bytes(durable);
             report.recovered_copies += 1;
-            report.replayed_wal_bytes += bytes.len();
+            report.replayed_wal_bytes += durable.len();
             inner.shards[shard].copies.insert(node, rebuilt);
 
             // If the shard's primary seat is dead, settle it first so
@@ -604,17 +636,11 @@ impl Cluster {
             // Catch up the suffix it missed from the current primary,
             // then take (or retake) the replica seat.
             let primary = inner.shards[shard].primary_node;
-            let from = inner.shards[shard].copies[&node].records();
-            let chunk = inner.shards[shard].copies[&primary]
-                .bytes_from(from)
-                .to_vec();
+            let (source, copy) = ship_pair(&mut inner.shards[shard].copies, primary, node);
+            let chunk = source.bytes_from(copy.records());
             if !chunk.is_empty() {
-                let copy = inner.shards[shard]
-                    .copies
-                    .get_mut(&node)
-                    .expect("just inserted");
                 let apply = copy
-                    .apply_shipped(&chunk)
+                    .apply_shipped(chunk)
                     .expect("reliable catch-up channel delivers pristine bytes");
                 report.caught_up_records += apply.applied + apply.rejected;
                 report.caught_up_bytes += chunk.len();
@@ -702,15 +728,7 @@ impl Cluster {
             // The old replica's WAL no longer matches; re-seed it from
             // the rebuilt primary over the reliable channel.
             if let Some(r) = inner.shards[src].replica_node {
-                let image = inner.shards[src].copies[&src_primary]
-                    .bytes_from(0)
-                    .to_vec();
-                let mut fresh = ShardCopy::new();
-                if !image.is_empty() {
-                    fresh
-                        .apply_shipped(&image)
-                        .expect("reliable re-seed delivers pristine bytes");
-                }
+                let fresh = Self::seeded_from(&inner.shards[src].copies[&src_primary]);
                 inner.shards[src].copies.insert(r, fresh);
             }
         }
@@ -718,13 +736,7 @@ impl Cluster {
         // Stand up the new shard's replica on the next node.
         if replication {
             let r = (node + 1) % inner.up.len();
-            let image = inner.shards[shard].copies[&node].bytes_from(0).to_vec();
-            let mut fresh = ShardCopy::new();
-            if !image.is_empty() {
-                fresh
-                    .apply_shipped(&image)
-                    .expect("reliable re-seed delivers pristine bytes");
-            }
+            let fresh = Self::seeded_from(&inner.shards[shard].copies[&node]);
             inner.shards[shard].copies.insert(r, fresh);
             inner.shards[shard].replica_node = Some(r);
         }
@@ -737,6 +749,16 @@ impl Cluster {
             moved_families,
             moved_samples,
         }
+    }
+
+    /// A fresh replica holding all of `primary`'s log, shipped over the
+    /// reliable channel.
+    fn seeded_from(primary: &ShardCopy) -> ShardCopy {
+        let mut fresh = ShardCopy::new();
+        fresh
+            .apply_shipped(primary.bytes_from(0))
+            .expect("reliable re-seed delivers pristine bytes");
+        fresh
     }
 
     fn note_unavailable(&self, e: ClusterError) -> ClusterError {
@@ -765,18 +787,17 @@ impl Cluster {
         let Some(replica) = inner.shards[shard].replica_node.filter(|r| inner.up[*r]) else {
             return Err(ClusterError::Unavailable { shard });
         };
-        // Takeover: verify the replica's log integrity before serving
-        // from it (a real promotion replays/validates its WAL).
-        let scan = dio_tsdb::wal::recover(inner.shards[shard].copies[&replica].wal_bytes());
-        debug_assert!(
-            scan.is_clean(),
-            "replica WAL must be clean: replication never applies damaged chunks"
-        );
+        // Takeover: the replica's log was verified as it arrived, so
+        // only bytes past its watermark are still owed a scan. Damage
+        // there means the copy cannot be trusted to serve.
+        if !inner.shards[shard].copies[&replica].unverified_suffix_is_clean() {
+            return Err(ClusterError::Unavailable { shard });
+        }
         inner.shards[shard].primary_node = replica;
         inner.shards[shard].replica_node = None;
         self.metrics.failovers.inc();
         let micros = detected.elapsed().as_micros() as u64;
-        inner.failover_latencies.push(micros);
+        push_bounded(&mut inner.failover_latencies, micros);
         if let Some((tracer, ctx)) = trace {
             let child = tracer.child_of(ctx);
             tracer.record_span(
@@ -809,41 +830,31 @@ impl Cluster {
             return Ok(false); // degraded window: ack on primary alone
         }
         let primary = inner.shards[shard].primary_node;
+        let (source, copy) = ship_pair(&mut inner.shards[shard].copies, primary, replica);
         let mut attempts = 0usize;
-        loop {
-            let from = inner.shards[shard].copies[&replica].records();
-            let chunk = {
-                let p = &inner.shards[shard].copies[&primary];
-                if from >= p.records() {
-                    return Ok(true);
-                }
-                p.bytes_from(from).to_vec()
-            };
-            // Pass the chunk through the (possibly chaotic) link.
-            let delivered = if attempts < self.cfg.max_reships {
-                match inner.link.as_mut().and_then(|l| l.decide()) {
-                    Some(fault) => damage_chunk(fault, &chunk),
-                    None => Some(chunk.clone()),
-                }
+        while copy.records() < source.records() {
+            let chunk = source.bytes_from(copy.records());
+            // Pass the chunk through the (possibly chaotic) link; past
+            // `max_reships` it goes over the reliable recovery channel.
+            let fault = if attempts < self.cfg.max_reships {
+                inner.link.as_mut().and_then(|l| l.decide())
             } else {
-                Some(chunk.clone()) // reliable recovery channel
+                None
+            };
+            let delivered = match fault {
+                Some(fault) => damage_chunk(fault, chunk),
+                None => Some(Cow::Borrowed(chunk)),
             };
             let outcome = match delivered {
                 None => Err(ShipReject::Lost),
-                Some(bytes) => inner.shards[shard]
-                    .copies
-                    .get_mut(&replica)
-                    .expect("replica copy exists")
-                    .apply_shipped(&bytes),
+                Some(bytes) => copy.apply_shipped(&bytes),
             };
-            match outcome {
-                Ok(_) => continue, // loop re-checks the gap and returns
-                Err(_reject) => {
-                    attempts += 1;
-                    self.metrics.reships.inc();
-                }
+            if outcome.is_err() {
+                attempts += 1;
+                self.metrics.reships.inc();
             }
         }
+        Ok(true)
     }
 
     /// Refresh the worst-shard replication lag gauge and feed each
@@ -898,15 +909,6 @@ impl Cluster {
         Some(v[(n - 1) * 99 / 100].max(HEDGE_FLOOR_MICROS))
     }
 
-    /// Feed one served read latency into the rolling window, bounded at
-    /// [`READ_LATENCY_WINDOW`] observations.
-    fn note_read_latency(inner: &mut Inner, micros: u64) {
-        if inner.read_latency_window.len() == READ_LATENCY_WINDOW {
-            inner.read_latency_window.pop_front();
-        }
-        inner.read_latency_window.push_back(micros);
-    }
-
     /// Touch `shard` under a per-shard [`SHARD_READ_SPAN`]: ensure a
     /// live primary (recording any promotion on the trace) and hand out
     /// a store. The span covers detection/promotion plus the store
@@ -947,16 +949,14 @@ impl Cluster {
                         // The replica starts `delay` after the primary.
                         let lat_r = delay + inner.read_latency_micros[r];
                         // Serve the replica only when its image is
-                        // CRC-clean AND caught up to the primary —
-                        // byte-identical by construction, so a hedge
+                        // caught up to the primary AND clean — verified
+                        // as it arrived, so only bytes past the
+                        // watermark are scanned here. It is then
+                        // byte-identical by construction, and a hedge
                         // win can never diverge from the unhedged read.
-                        let caught_up = inner.shards[shard].copies[&r].records()
-                            == inner.shards[shard].copies[&p].records();
-                        let clean = caught_up
-                            && dio_tsdb::wal::recover(
-                                inner.shards[shard].copies[&r].wal_bytes(),
-                            )
-                            .is_clean();
+                        let copies = &inner.shards[shard].copies;
+                        let clean = copies[&r].records() == copies[&p].records()
+                            && copies[&r].unverified_suffix_is_clean();
                         if clean && lat_r < lat_p {
                             self.metrics.hedge_win.inc();
                             hedge = Some("win");
@@ -971,7 +971,7 @@ impl Cluster {
                 }
             }
             inner.injected_read_micros += chosen.1;
-            Self::note_read_latency(inner, chosen.1);
+            push_bounded(&mut inner.read_latency_window, chosen.1);
             serving = Some(chosen.0);
         }
         if let Some((tracer, ctx, start, t0)) = span {
@@ -1209,6 +1209,136 @@ mod tests {
             let (p, r) = cluster.shard_wal_images(shard);
             assert_eq!(Some(p), r, "shard {shard} diverged under link chaos");
         }
+    }
+
+    /// What promotion used to re-derive on every takeover, checked
+    /// here instead: every copy's WAL is verified to its end, scans
+    /// clean in full, and replicas equal their primaries byte for byte
+    /// (a dead replica's durable log is a prefix of its primary's).
+    fn assert_every_copy_verified_and_converged(cluster: &Cluster, after: &str) {
+        let inner = cluster.inner.lock().unwrap();
+        for (shard, s) in inner.shards.iter().enumerate() {
+            for (node, copy) in &s.copies {
+                assert_eq!(
+                    copy.verified_len(),
+                    copy.wal_len(),
+                    "shard {shard} copy on node {node} after {after}"
+                );
+                assert!(
+                    dio_tsdb::wal::recover(copy.wal_bytes()).is_clean(),
+                    "shard {shard} copy on node {node} after {after}"
+                );
+            }
+            if let Some(r) = s.replica_node {
+                let (p, r_bytes) = (
+                    s.copies[&s.primary_node].wal_bytes(),
+                    s.copies[&r].wal_bytes(),
+                );
+                assert!(
+                    if inner.up[r] {
+                        p == r_bytes
+                    } else {
+                        p.starts_with(r_bytes)
+                    },
+                    "shard {shard} replica diverged after {after}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_copy_stays_verified_through_load_chaos_restarts_and_add_node() {
+        let chaos = ChaosConfig::with_probability(41, 0.5);
+        let cluster = Cluster::new(ClusterConfig::with_link_chaos(3, chaos));
+        cluster.load_from(&seed_store(&FAMILIES, 6)).unwrap();
+        assert_every_copy_verified_and_converged(&cluster, "load_from");
+        let mut ts = 7_000;
+        let mut burst = |after: &str| {
+            for f in FAMILIES {
+                for _ in 0..4 {
+                    ts += 1_000;
+                    cluster
+                        .append(labels(f, "amf-0"), Sample::new(ts, 1.0))
+                        .unwrap();
+                }
+            }
+            assert_every_copy_verified_and_converged(&cluster, after);
+        };
+        burst("a chaotic-link burst");
+        assert!(cluster.reships() > 0, "p=0.5 link chaos caused no reships");
+        for victim in 0..3 {
+            cluster.kill_node(victim);
+            burst(&format!("appends with node {victim} down"));
+            cluster.restart_node(victim);
+            assert_every_copy_verified_and_converged(&cluster, &format!("restart of {victim}"));
+        }
+        assert!(cluster.failovers() > 0, "kills never triggered a failover");
+        cluster.add_node();
+        assert_every_copy_verified_and_converged(&cluster, "add_node");
+        burst("a burst on four nodes");
+    }
+
+    #[test]
+    fn damage_past_the_watermark_refuses_promotion_and_loses_the_hedge() {
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        cluster.load_from(&seed_store(&FAMILIES, 4)).unwrap();
+        let f = FAMILIES[0];
+        let shard = cluster.shard_for(f);
+        let (primary, replica) = (
+            cluster.primary_of(shard),
+            cluster.replica_of(shard).unwrap(),
+        );
+        for _ in 0..20 {
+            cluster.resolve(&[f.to_string()], false).unwrap();
+        }
+        // A torn frame lands on the replica's WAL behind the watermark.
+        cluster.inner.lock().unwrap().shards[shard]
+            .copies
+            .get_mut(&replica)
+            .unwrap()
+            .append_unverified(&dio_faults::MAGIC);
+
+        // Slow primary, fast replica: the hedge fires, but the replica
+        // is not clean, so the primary serves.
+        cluster.set_read_latency(primary, 50_000);
+        cluster.resolve(&[f.to_string()], false).unwrap();
+        let (wins, losses, _) = cluster.hedge_outcomes();
+        assert_eq!(
+            (wins, losses),
+            (0, 1),
+            "a damaged replica must lose the hedge"
+        );
+
+        // Dead primary: the damaged replica is not promoted.
+        cluster.kill_node(primary);
+        assert!(cluster.resolve(&[f.to_string()], false).is_err());
+        assert_eq!(
+            cluster
+                .append(labels(f, "amf-0"), Sample::new(9_000, 1.0))
+                .unwrap_err(),
+            ClusterError::Unavailable { shard }
+        );
+        assert_eq!(cluster.failovers(), 0);
+        assert_eq!(cluster.primary_of(shard), primary);
+    }
+
+    #[test]
+    fn undrained_failover_latencies_are_bounded() {
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        let f = FAMILIES[0];
+        cluster
+            .append(labels(f, "amf-0"), Sample::new(1_000, 1.0))
+            .unwrap();
+        let shard = cluster.shard_for(f);
+        for _ in 0..READ_LATENCY_WINDOW + 10 {
+            let victim = cluster.primary_of(shard);
+            cluster.kill_node(victim);
+            cluster.resolve(&[f.to_string()], false).unwrap();
+            cluster.restart_node(victim);
+        }
+        assert!(cluster.failovers() as usize >= READ_LATENCY_WINDOW + 10);
+        assert_eq!(cluster.take_failover_latencies().len(), READ_LATENCY_WINDOW);
+        assert!(cluster.take_failover_latencies().is_empty());
     }
 
     #[test]

@@ -8,16 +8,26 @@
 //! primary sends the replica the framed byte range it has not applied
 //! yet, the replica CRC-validates the chunk and either applies it or
 //! rejects the whole shipment (never a partial apply), and the primary
-//! re-ships pristine bytes on rejection. Because framing is
-//! deterministic, primary and replica WALs are byte-identical up to
-//! the replica's applied offset — which is what lets a restarted node
-//! catch up from any copy.
+//! re-ships pristine bytes on rejection. A validated chunk is adopted
+//! verbatim — the received bytes themselves go onto the replica's WAL —
+//! so primary and replica WALs are byte-identical up to the replica's
+//! applied offset, which is what lets a restarted node catch up from
+//! any copy.
+//!
+//! **Verify once, at ingest.** Every WAL byte is checked exactly once,
+//! on its way into the copy: framed here ([`ShardCopy::append_local`])
+//! or CRC-checked and parsed before adoption
+//! ([`ShardCopy::apply_shipped`], [`ShardCopy::recover_from_bytes`]).
+//! Each path advances the copy's verified watermark to the end of what
+//! it took in, so a promotion or a hedged read has only the bytes past
+//! the watermark left to scan — none, under these three paths — instead
+//! of the whole log.
 
-use dio_faults::{DataFaultKind, PlannedFault};
-use dio_tsdb::wal::{recover, Wal, WalRecord, WalRecovery};
-use dio_faults::MemMedium;
+use dio_faults::{DataFaultKind, MemMedium, PlannedFault};
 use dio_tsdb::series::AppendError;
+use dio_tsdb::wal::{entries, Wal, WalEntry, WalRecord};
 use dio_tsdb::{Labels, MetricStore, Sample};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Why a shipped chunk was rejected by the receiving copy.
@@ -63,6 +73,8 @@ pub struct ShardCopy {
     wal: Wal<MemMedium>,
     /// Byte offset of the end of each framed record, in append order.
     boundaries: Vec<usize>,
+    /// WAL bytes below this offset were verified on their way in.
+    verified_len: usize,
 }
 
 impl Default for ShardCopy {
@@ -78,6 +90,7 @@ impl ShardCopy {
             store: Arc::new(MetricStore::new()),
             wal: Wal::new(MemMedium::new()),
             boundaries: Vec::new(),
+            verified_len: 0,
         }
     }
 
@@ -96,6 +109,30 @@ impl ShardCopy {
     /// Bytes currently in this copy's WAL.
     pub fn wal_len(&self) -> usize {
         self.wal.len()
+    }
+
+    /// The verified watermark: how many WAL bytes were checked on
+    /// their way into this copy.
+    pub fn verified_len(&self) -> usize {
+        self.verified_len
+    }
+
+    /// Whatever lies past the verified watermark scans clean — the
+    /// whole integrity check a promotion or a hedged read still owes.
+    /// The suffix is empty under every ingest path, so this costs
+    /// nothing unless bytes reached the WAL some other way.
+    pub fn unverified_suffix_is_clean(&self) -> bool {
+        entries(&self.wal_bytes()[self.verified_len..])
+            .all(|entry| matches!(entry, WalEntry::Record { .. }))
+    }
+
+    /// Put bytes on the WAL behind the watermark's back, as no ingest
+    /// path does: what the suffix check exists to catch.
+    #[cfg(test)]
+    pub(crate) fn append_unverified(&mut self, bytes: &[u8]) {
+        self.wal
+            .adopt_frames(bytes, 0)
+            .expect("in-memory WAL append cannot fail");
     }
 
     /// Newest sample timestamp in the store, for replication lag.
@@ -136,6 +173,7 @@ impl ShardCopy {
         };
         self.wal.append(&record)?;
         self.boundaries.push(self.wal.len());
+        self.verified_len = self.wal.len();
         Ok(Arc::make_mut(&mut self.store).append(labels, sample))
     }
 
@@ -143,23 +181,36 @@ impl ShardCopy {
     /// failure, torn tail, or unparsable payload rejects the whole
     /// shipment without touching this copy, so a damaged ship can never
     /// leave the replica silently diverged — the primary just re-ships.
+    /// A clean chunk is whole frames end to end, so its bytes go onto
+    /// the WAL as received.
     pub fn apply_shipped(&mut self, chunk: &[u8]) -> Result<ShipApply, ShipReject> {
-        let scan = recover(chunk);
-        if scan.corrupt_frames > 0 || scan.unparsable > 0 {
-            return Err(ShipReject::CorruptFrame {
-                frames: scan.corrupt_frames + scan.unparsable,
-            });
+        let mut records = Vec::new();
+        let mut damaged = 0usize;
+        let mut torn = false;
+        for entry in entries(chunk) {
+            match entry {
+                WalEntry::Record { record, end } => records.push((record, end)),
+                WalEntry::Corrupt | WalEntry::Unparsable => damaged += 1,
+                WalEntry::TornTail => torn = true,
+            }
         }
-        if scan.truncated_tail {
+        if damaged > 0 {
+            return Err(ShipReject::CorruptFrame { frames: damaged });
+        }
+        if torn {
             return Err(ShipReject::TornTail);
         }
+        let base = self.wal.len();
+        self.wal
+            .adopt_frames(chunk, records.len())
+            .expect("in-memory WAL append cannot fail");
+        self.verified_len = self.wal.len();
+        self.boundaries.reserve(records.len());
+        let store = Arc::make_mut(&mut self.store);
         let mut out = ShipApply::default();
-        for rec in scan.records {
-            self.wal
-                .append(&rec)
-                .expect("in-memory WAL append cannot fail");
-            self.boundaries.push(self.wal.len());
-            match Arc::make_mut(&mut self.store).append(rec.labels, rec.sample) {
+        for (rec, end) in records {
+            self.boundaries.push(base + end);
+            match store.append(rec.labels, rec.sample) {
                 Ok(()) => out.applied += 1,
                 Err(_) => out.rejected += 1,
             }
@@ -168,49 +219,67 @@ impl ShardCopy {
     }
 
     /// Rebuild a copy from the durable WAL bytes a crashed node left
-    /// behind. Volatile state (the store) is reconstructed by replaying
-    /// every intact record; a torn tail (kill mid-write) is cleanly
-    /// truncated, so the rebuilt copy is the longest acknowledged
-    /// prefix and catch-up from a surviving copy resumes at
-    /// `records()`.
-    pub fn recover_from_bytes(bytes: &[u8]) -> (Self, WalRecovery) {
-        let recovery = recover(bytes);
+    /// behind, in one pass: each frame is verified, parsed and replayed
+    /// into the (volatile) store as it is scanned. The pass stops at
+    /// the first damage — a torn tail (kill mid-write) or a rotted
+    /// frame — and adopts the clean bytes before it verbatim, so the
+    /// rebuilt copy is the longest acknowledged prefix and catch-up
+    /// from a surviving copy resumes at `records()`. Records behind a
+    /// rotted frame are not kept: they would sit at the wrong record
+    /// index and catch-up would duplicate the tail. The second value
+    /// says why the prefix stops short of the end of `bytes`, if it
+    /// does.
+    pub fn recover_from_bytes(bytes: &[u8]) -> (Self, Option<ShipReject>) {
         let mut copy = ShardCopy::new();
-        for rec in &recovery.records {
-            copy.wal
-                .append(rec)
-                .expect("in-memory WAL append cannot fail");
-            copy.boundaries.push(copy.wal.len());
-            let _ = Arc::make_mut(&mut copy.store).append(rec.labels.clone(), rec.sample);
+        let store = Arc::make_mut(&mut copy.store);
+        let mut stopped_by = None;
+        for entry in entries(bytes) {
+            match entry {
+                WalEntry::Record { record, end } => {
+                    copy.boundaries.push(end);
+                    let _ = store.append(record.labels, record.sample);
+                }
+                WalEntry::Corrupt | WalEntry::Unparsable => {
+                    stopped_by = Some(ShipReject::CorruptFrame { frames: 1 });
+                    break;
+                }
+                WalEntry::TornTail => stopped_by = Some(ShipReject::TornTail),
+            }
         }
-        (copy, recovery)
+        let clean = copy.boundaries.last().copied().unwrap_or(0);
+        copy.wal
+            .adopt_frames(&bytes[..clean], copy.boundaries.len())
+            .expect("in-memory WAL append cannot fail");
+        copy.verified_len = clean;
+        (copy, stopped_by)
     }
 }
 
 /// Apply a planned link fault to a shipped chunk. Returns the bytes
-/// the receiver sees, or `None` when the shipment is lost outright.
-/// Deterministic in `(fault, chunk)` — the damage position comes from
-/// the fault's pre-drawn `aux` entropy.
-pub fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Vec<u8>> {
+/// the receiver sees — borrowed unless the fault altered them — or
+/// `None` when the shipment is lost outright. Deterministic in
+/// `(fault, chunk)` — the damage position comes from the fault's
+/// pre-drawn `aux` entropy.
+pub fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, [u8]>> {
     match fault.kind {
         // A slow link still delivers intact bytes.
-        DataFaultKind::LatencySpike => Some(chunk.to_vec()),
+        DataFaultKind::LatencySpike => Some(Cow::Borrowed(chunk)),
         DataFaultKind::TransientIo => None,
         DataFaultKind::TruncatedRead => {
             if chunk.is_empty() {
-                return Some(Vec::new());
+                return Some(Cow::Borrowed(chunk));
             }
             let cut = (fault.aux % chunk.len() as u64) as usize;
-            Some(chunk[..cut].to_vec())
+            Some(Cow::Borrowed(&chunk[..cut]))
         }
         DataFaultKind::BitFlip => {
             if chunk.is_empty() {
-                return Some(Vec::new());
+                return Some(Cow::Borrowed(chunk));
             }
             let mut out = chunk.to_vec();
             let bit = fault.aux % (chunk.len() as u64 * 8);
             out[(bit / 8) as usize] ^= 1 << (bit % 8);
-            Some(out)
+            Some(Cow::Owned(out))
         }
     }
 }
@@ -293,15 +362,60 @@ mod tests {
         let bytes = primary.wal_bytes();
         // Kill mid-write of the 4th record: cut inside the last frame.
         let cut = primary.boundaries[2] + 4;
-        let (copy, recovery) = ShardCopy::recover_from_bytes(&bytes[..cut]);
+        let (copy, stopped_by) = ShardCopy::recover_from_bytes(&bytes[..cut]);
         assert_eq!(copy.records(), 3);
-        assert!(recovery.truncated_tail);
-        assert_eq!(recovery.corrupt_frames, 0);
+        assert_eq!(stopped_by, Some(ShipReject::TornTail));
         assert_eq!(copy.store().sample_count(), 3);
         // Catch-up from the survivor resumes exactly at the gap.
         let mut copy = copy;
         copy.apply_shipped(primary.bytes_from(copy.records())).unwrap();
         assert_eq!(copy.wal_bytes(), primary.wal_bytes());
+    }
+
+    #[test]
+    fn every_ingest_path_verifies_up_to_the_end_of_the_wal() {
+        let primary = filled(4);
+        assert_eq!(primary.verified_len(), primary.wal_len());
+        let mut replica = ShardCopy::new();
+        replica.apply_shipped(primary.bytes_from(0)).unwrap();
+        assert_eq!(replica.verified_len(), replica.wal_len());
+        // A rejected shipment moves neither the WAL nor the watermark.
+        let chunk = primary.bytes_from(2);
+        assert!(replica.apply_shipped(&chunk[..chunk.len() - 1]).is_err());
+        assert_eq!(replica.verified_len(), primary.wal_len());
+        assert_eq!(replica.wal_len(), primary.wal_len());
+        // A rebuild verifies exactly the prefix it adopts.
+        let torn = &primary.wal_bytes()[..primary.wal_len() - 1];
+        let (rebuilt, _) = ShardCopy::recover_from_bytes(torn);
+        assert_eq!(rebuilt.wal_len(), primary.boundaries[2]);
+        assert_eq!(rebuilt.verified_len(), rebuilt.wal_len());
+        assert!(rebuilt.unverified_suffix_is_clean());
+    }
+
+    #[test]
+    fn only_the_suffix_past_the_watermark_is_scanned() {
+        let mut copy = filled(3);
+        let (l, s) = rec("auth_req", 3);
+        let frame = filled(4).bytes_from(3).to_vec();
+        // Intact frames past the watermark scan clean ...
+        copy.append_unverified(&frame);
+        assert!(copy.verified_len() < copy.wal_len());
+        assert!(copy.unverified_suffix_is_clean());
+        // ... a torn or rotted one does not ...
+        let mut torn = filled(3);
+        torn.append_unverified(&frame[..frame.len() - 2]);
+        assert!(!torn.unverified_suffix_is_clean());
+        let mut rotted = filled(3);
+        let mut bad = frame.clone();
+        bad[frame.len() / 2] ^= 0x04;
+        rotted.append_unverified(&bad);
+        assert!(!rotted.unverified_suffix_is_clean());
+        // ... and nothing below the watermark is looked at again.
+        let mut below = filled(3);
+        below.wal = Wal::new(MemMedium::from(vec![0u8; below.wal_len()]));
+        assert!(below.unverified_suffix_is_clean());
+        below.append_local(l, s).unwrap().unwrap();
+        assert_eq!(below.verified_len(), below.wal_len());
     }
 
     #[test]

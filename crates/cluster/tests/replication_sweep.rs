@@ -82,3 +82,36 @@ fn every_single_bit_flip_in_flight_is_detected() {
         assert_eq!(replica.wal_bytes(), primary.wal_bytes(), "bit {bit}");
     }
 }
+
+#[test]
+fn rot_anywhere_in_a_dead_nodes_wal_rejoins_as_the_clean_prefix() {
+    // A node dies, one bit of its durable WAL rots while it is down —
+    // in every frame in turn, mid-log included — and it restarts. The
+    // rebuild must keep exactly the frames before the rotted one: a
+    // later frame kept behind a skipped one would sit at the wrong
+    // record index, and catch-up from `records()` would then re-apply
+    // the primary's tail on top of it.
+    let (primary, boundaries) = primary_with(6);
+    let durable = primary.wal_bytes();
+    for bit in 0..durable.len() * 8 {
+        let mut rotted = durable.to_vec();
+        rotted[bit / 8] ^= 1 << (bit % 8);
+        let (mut copy, _) = ShardCopy::recover_from_bytes(&rotted);
+        let frame = boundaries.iter().filter(|&&b| b <= bit / 8).count();
+        assert_eq!(copy.records(), frame, "bit {bit} (frame {frame})");
+        assert_eq!(copy.wal_bytes(), &durable[..copy.wal_len()], "bit {bit}");
+        // One pristine catch-up ship from the primary converges.
+        copy.apply_shipped(primary.bytes_from(copy.records()))
+            .unwrap();
+        assert_eq!(
+            copy.wal_bytes(),
+            primary.wal_bytes(),
+            "bit {bit} (frame {frame})"
+        );
+        assert_eq!(
+            copy.store().sample_count(),
+            primary.store().sample_count(),
+            "bit {bit} (frame {frame})"
+        );
+    }
+}

@@ -8,13 +8,15 @@
 //! +------+------+----------------+----------------+---------+
 //! ```
 //!
-//! [`decode_all`] scans a byte stream frame by frame and classifies
-//! every anomaly instead of aborting: a frame whose checksum fails (or
-//! whose header is garbled) is *quarantined* and the scan resynchronises
-//! on the next magic marker; a final frame cut short by a torn write is
-//! reported as clean truncation. Payloads are expected to be text
-//! (JSON): the magic byte `0xD1` cannot appear inside UTF-8 encoded
-//! ASCII, which keeps resynchronisation free of false positives.
+//! [`frames`] scans a byte stream frame by frame, borrowing each
+//! payload, and classifies every anomaly instead of aborting
+//! ([`decode_all`] is the same scan collected into owned records): a
+//! frame whose checksum fails (or whose header is garbled) is
+//! *quarantined* and the scan resynchronises on the next magic marker; a
+//! final frame cut short by a torn write is reported as clean
+//! truncation. Payloads are expected to be text (JSON): the magic byte
+//! `0xD1` cannot appear inside UTF-8 encoded ASCII, which keeps
+//! resynchronisation free of false positives.
 
 use crate::crc32::crc32;
 
@@ -70,72 +72,114 @@ fn find_magic(bytes: &[u8], from: usize) -> Option<usize> {
         .map(|p| from + p)
 }
 
-/// Scan `bytes` into records, quarantining corruption and detecting a
-/// torn tail. Never panics, never loses an intact record that precedes
-/// the damage.
-pub fn decode_all(bytes: &[u8]) -> ScanReport {
-    let mut report = ScanReport::default();
-    let mut pos = 0usize;
-    let mut frame_idx = 0usize;
-    while pos < bytes.len() {
-        // Not at a magic marker: quarantine the garbage run and resync.
-        if bytes[pos..].len() < MAGIC.len() || bytes[pos..pos + MAGIC.len()] != MAGIC {
-            match find_magic(bytes, pos + 1) {
-                Some(next) => {
-                    report.corrupt_at.push(frame_idx);
-                    frame_idx += 1;
-                    pos = next;
-                    continue;
-                }
-                None => {
-                    // Garbage to end of stream. If it is shorter than a
-                    // magic marker it may be a torn header byte.
-                    if bytes.len() - pos < MAGIC.len() {
-                        report.truncated_tail = true;
-                    } else {
-                        report.corrupt_at.push(frame_idx);
-                    }
-                    return report;
-                }
+/// One step of a frame scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A frame that passed its checksum.
+    Record {
+        /// The frame's payload, borrowed from the scanned bytes.
+        payload: &'a [u8],
+        /// Offset just past the frame. Frames scanned without an
+        /// intervening [`Frame::Corrupt`] are contiguous, so this is
+        /// also where the next one starts.
+        end: usize,
+    },
+    /// A bad magic, bad length or checksum mismatch: the region is
+    /// quarantined and the scan resynchronises on the next magic
+    /// marker.
+    Corrupt,
+    /// The stream ended inside a frame — a torn final write. Always the
+    /// last item.
+    TornTail,
+}
+
+/// Borrowing frame-by-frame scan of a byte stream; see [`frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+/// Scan `bytes` frame by frame without copying a payload. Never
+/// panics, never skips an intact frame that precedes the damage.
+pub fn frames(bytes: &[u8]) -> Frames<'_> {
+    Frames { bytes, pos: 0 }
+}
+
+impl<'a> Frames<'a> {
+    /// Quarantine the region at the cursor and resynchronise on the
+    /// next magic marker at or after `search_from`. With no marker left
+    /// the scan ends, on `at_end`.
+    fn resync(&mut self, search_from: usize, at_end: Frame<'a>) -> Frame<'a> {
+        match find_magic(self.bytes, search_from) {
+            Some(next) => {
+                self.pos = next;
+                Frame::Corrupt
             }
+            None => {
+                self.pos = self.bytes.len();
+                at_end
+            }
+        }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let (bytes, pos) = (self.bytes, self.pos);
+        if pos >= bytes.len() {
+            return None;
+        }
+        // Not at a magic marker: quarantine the garbage run and resync.
+        // Garbage to the end of the stream that is shorter than a
+        // marker may be a torn header byte.
+        if !bytes[pos..].starts_with(&MAGIC) {
+            let at_end = if bytes.len() - pos < MAGIC.len() {
+                Frame::TornTail
+            } else {
+                Frame::Corrupt
+            };
+            return Some(self.resync(pos + 1, at_end));
         }
         // Header incomplete: torn write at the end of the stream.
         if bytes.len() - pos < FRAME_HEADER_LEN {
-            report.truncated_tail = true;
-            return report;
+            self.pos = bytes.len();
+            return Some(Frame::TornTail);
         }
-        let len = u32::from_le_bytes(bytes[pos + 2..pos + 6].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 6..pos + 10].try_into().unwrap());
+        let field = |at: usize| [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
+        let len = u32::from_le_bytes(field(pos + 2)) as usize;
+        let crc = u32::from_le_bytes(field(pos + 6));
         let payload_start = pos + FRAME_HEADER_LEN;
-        if payload_start + len > bytes.len() {
-            // Frame extends past the end: either a torn final write or a
-            // corrupted length field. A later magic marker means more
+        let Some(payload) = bytes.get(payload_start..payload_start + len) else {
+            // Frame extends past the end: either a torn final write or
+            // a corrupted length field. A later magic marker means more
             // data follows, so it must be corruption.
-            match find_magic(bytes, pos + MAGIC.len()) {
-                Some(next) => {
-                    report.corrupt_at.push(frame_idx);
-                    frame_idx += 1;
-                    pos = next;
-                    continue;
-                }
-                None => {
-                    report.truncated_tail = true;
-                    return report;
-                }
-            }
-        }
-        let payload = &bytes[payload_start..payload_start + len];
+            return Some(self.resync(pos + MAGIC.len(), Frame::TornTail));
+        };
         if crc32(payload) == crc {
-            report.records.push(payload.to_vec());
-            pos = payload_start + len;
+            self.pos = payload_start + len;
+            Some(Frame::Record {
+                payload,
+                end: self.pos,
+            })
         } else {
-            report.corrupt_at.push(frame_idx);
-            pos = match find_magic(bytes, pos + MAGIC.len()) {
-                Some(next) => next,
-                None => return report,
-            };
+            Some(self.resync(pos + MAGIC.len(), Frame::Corrupt))
         }
-        frame_idx += 1;
+    }
+}
+
+/// Scan `bytes` into records, quarantining corruption and detecting a
+/// torn tail: [`frames`] collected, with every payload copied out.
+pub fn decode_all(bytes: &[u8]) -> ScanReport {
+    let mut report = ScanReport::default();
+    for (frame_idx, frame) in frames(bytes).enumerate() {
+        match frame {
+            Frame::Record { payload, .. } => report.records.push(payload.to_vec()),
+            Frame::Corrupt => report.corrupt_at.push(frame_idx),
+            Frame::TornTail => report.truncated_tail = true,
+        }
     }
     report
 }
@@ -143,11 +187,12 @@ pub fn decode_all(bytes: &[u8]) -> ScanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn stream(payloads: &[&str]) -> Vec<u8> {
+    fn stream<P: AsRef<[u8]>>(payloads: &[P]) -> Vec<u8> {
         let mut out = Vec::new();
         for p in payloads {
-            out.extend_from_slice(&encode_record(p.as_bytes()));
+            out.extend_from_slice(&encode_record(p.as_ref()));
         }
         out
     }
@@ -234,5 +279,137 @@ mod tests {
         let r = decode_all(&garbage);
         assert!(r.records.is_empty());
         assert!(r.corrupt_frames() > 0 || r.truncated_tail);
+    }
+
+    /// The scanner as it was before [`frames`] existed, kept verbatim:
+    /// the oracle [`decode_all`] must keep matching byte for byte.
+    fn decode_all_oracle(bytes: &[u8]) -> ScanReport {
+        let mut report = ScanReport::default();
+        let mut pos = 0usize;
+        let mut frame_idx = 0usize;
+        while pos < bytes.len() {
+            // Not at a magic marker: quarantine the garbage run and resync.
+            if bytes[pos..].len() < MAGIC.len() || bytes[pos..pos + MAGIC.len()] != MAGIC {
+                match find_magic(bytes, pos + 1) {
+                    Some(next) => {
+                        report.corrupt_at.push(frame_idx);
+                        frame_idx += 1;
+                        pos = next;
+                        continue;
+                    }
+                    None => {
+                        // Garbage to end of stream. If it is shorter than a
+                        // magic marker it may be a torn header byte.
+                        if bytes.len() - pos < MAGIC.len() {
+                            report.truncated_tail = true;
+                        } else {
+                            report.corrupt_at.push(frame_idx);
+                        }
+                        return report;
+                    }
+                }
+            }
+            // Header incomplete: torn write at the end of the stream.
+            if bytes.len() - pos < FRAME_HEADER_LEN {
+                report.truncated_tail = true;
+                return report;
+            }
+            let len = u32::from_le_bytes(bytes[pos + 2..pos + 6].try_into().unwrap()) as usize;
+            let crc = u32::from_le_bytes(bytes[pos + 6..pos + 10].try_into().unwrap());
+            let payload_start = pos + FRAME_HEADER_LEN;
+            if payload_start + len > bytes.len() {
+                // Frame extends past the end: either a torn final write or a
+                // corrupted length field. A later magic marker means more
+                // data follows, so it must be corruption.
+                match find_magic(bytes, pos + MAGIC.len()) {
+                    Some(next) => {
+                        report.corrupt_at.push(frame_idx);
+                        frame_idx += 1;
+                        pos = next;
+                        continue;
+                    }
+                    None => {
+                        report.truncated_tail = true;
+                        return report;
+                    }
+                }
+            }
+            let payload = &bytes[payload_start..payload_start + len];
+            if crc32(payload) == crc {
+                report.records.push(payload.to_vec());
+                pos = payload_start + len;
+            } else {
+                report.corrupt_at.push(frame_idx);
+                pos = match find_magic(bytes, pos + MAGIC.len()) {
+                    Some(next) => next,
+                    None => return report,
+                };
+            }
+            frame_idx += 1;
+        }
+        report
+    }
+
+    /// Bytes that make framing interesting: both magic bytes (so
+    /// payloads and garbage hold false markers), header-looking zeros
+    /// and ordinary text.
+    fn byte() -> proptest::strategy::Select<u8> {
+        prop::sample::select(vec![0xD1, 0x0C, 0x00, 0x01, 0xFF, b'a', b'{', b'"'])
+    }
+
+    proptest! {
+        #[test]
+        fn frames_match_the_old_scanner_under_truncation_at_every_offset(
+            payloads in prop::collection::vec(prop::collection::vec(byte(), 0..24), 0..8),
+        ) {
+            let s = stream(&payloads);
+            for cut in 0..=s.len() {
+                prop_assert_eq!(decode_all(&s[..cut]), decode_all_oracle(&s[..cut]), "cut {}", cut);
+            }
+        }
+
+        #[test]
+        fn frames_match_the_old_scanner_under_every_single_bit_flip(
+            payloads in prop::collection::vec(prop::collection::vec(byte(), 0..24), 1..8),
+        ) {
+            let s = stream(&payloads);
+            for bit in 0..s.len() * 8 {
+                let mut damaged = s.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(decode_all(&damaged), decode_all_oracle(&damaged), "bit {}", bit);
+            }
+        }
+
+        #[test]
+        fn frames_match_the_old_scanner_under_injected_garbage(
+            payloads in prop::collection::vec(prop::collection::vec(byte(), 0..24), 0..8),
+            garbage in prop::collection::vec(byte(), 1..16),
+            at in any::<usize>(),
+            cut in any::<usize>(),
+        ) {
+            let mut s = stream(&payloads);
+            let at = at % (s.len() + 1);
+            s.splice(at..at, garbage);
+            let cut = cut % (s.len() + 1);
+            for stream in [&s[..], &s[..cut], &s[cut..]] {
+                prop_assert_eq!(decode_all(stream), decode_all_oracle(stream));
+            }
+        }
+
+        #[test]
+        fn record_ends_are_the_frame_boundaries(
+            payloads in prop::collection::vec(prop::collection::vec(byte(), 0..24), 0..8),
+        ) {
+            let s = stream(&payloads);
+            let mut boundary = 0;
+            let mut seen = 0;
+            for (frame, want) in frames(&s).zip(&payloads) {
+                boundary += FRAME_HEADER_LEN + want.len();
+                prop_assert_eq!(frame, Frame::Record { payload: want, end: boundary });
+                seen += 1;
+            }
+            prop_assert_eq!(seen, payloads.len());
+            prop_assert_eq!(boundary, s.len());
+        }
     }
 }

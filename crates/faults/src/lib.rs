@@ -34,6 +34,8 @@ pub mod medium;
 
 pub use crash::{CrashSchedule, NodeFault, NodeFaultEvent};
 pub use crc32::crc32;
-pub use framing::{decode_all, encode_record, ScanReport, FRAME_HEADER_LEN, MAGIC};
+pub use framing::{
+    decode_all, encode_record, frames, Frame, Frames, ScanReport, FRAME_HEADER_LEN, MAGIC,
+};
 pub use injector::{ChaosConfig, DataFaultEvent, DataFaultKind, Injector, PlannedFault};
 pub use medium::{ChaosMedium, MemMedium, Medium};

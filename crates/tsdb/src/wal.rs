@@ -10,7 +10,7 @@
 
 use crate::labels::Labels;
 use crate::sample::Sample;
-use dio_faults::{decode_all, encode_record, Medium};
+use dio_faults::{encode_record, frames, Frame, Medium};
 use serde::{Deserialize, Serialize};
 
 /// One logged append: the series identity and the sample.
@@ -73,6 +73,18 @@ impl<M: Medium> Wal<M> {
         Ok(())
     }
 
+    /// Append `records` already-framed records in one medium write.
+    /// `framed` must be whole frames the caller has verified (every
+    /// checksum checked, every payload parsed — [`entries`] yielding
+    /// nothing but records): the bytes are adopted as they are, not
+    /// re-encoded, so this log stays byte-identical to the one they
+    /// came from.
+    pub fn adopt_frames(&mut self, framed: &[u8], records: usize) -> std::io::Result<()> {
+        self.medium.append(framed)?;
+        self.appended += records;
+        Ok(())
+    }
+
     /// Records acknowledged through this handle.
     pub fn appended(&self) -> usize {
         self.appended
@@ -110,21 +122,50 @@ impl<M: Medium> Wal<M> {
     }
 }
 
-/// Scan raw WAL bytes into records, quarantining damage. Never panics.
-pub fn recover(bytes: &[u8]) -> WalRecovery {
-    let scan = decode_all(bytes);
-    let mut out = WalRecovery {
-        corrupt_frames: scan.corrupt_frames(),
-        truncated_tail: scan.truncated_tail,
-        ..WalRecovery::default()
-    };
-    for payload in &scan.records {
-        match std::str::from_utf8(payload)
+/// One step of a WAL scan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WalEntry {
+    /// An intact record.
+    Record {
+        /// The parsed record.
+        record: WalRecord,
+        /// Offset just past its frame (see [`Frame::Record`]).
+        end: usize,
+    },
+    /// A frame quarantined for checksum/framing damage.
+    Corrupt,
+    /// A frame that passed its checksum but did not parse as a
+    /// [`WalRecord`].
+    Unparsable,
+    /// The log ended mid-frame. Always the last item.
+    TornTail,
+}
+
+/// Scan raw WAL bytes one frame at a time, parsing each record straight
+/// from the scanned bytes. Never panics.
+pub fn entries(bytes: &[u8]) -> impl Iterator<Item = WalEntry> + '_ {
+    frames(bytes).map(|frame| match frame {
+        Frame::Record { payload, end } => std::str::from_utf8(payload)
             .ok()
             .and_then(|s| serde_json::from_str::<WalRecord>(s).ok())
-        {
-            Some(rec) => out.records.push(rec),
-            None => out.unparsable += 1,
+            .map_or(WalEntry::Unparsable, |record| WalEntry::Record {
+                record,
+                end,
+            }),
+        Frame::Corrupt => WalEntry::Corrupt,
+        Frame::TornTail => WalEntry::TornTail,
+    })
+}
+
+/// Scan raw WAL bytes into records, quarantining damage. Never panics.
+pub fn recover(bytes: &[u8]) -> WalRecovery {
+    let mut out = WalRecovery::default();
+    for entry in entries(bytes) {
+        match entry {
+            WalEntry::Record { record, .. } => out.records.push(record),
+            WalEntry::Corrupt => out.corrupt_frames += 1,
+            WalEntry::Unparsable => out.unparsable += 1,
+            WalEntry::TornTail => out.truncated_tail = true,
         }
     }
     out
@@ -157,6 +198,35 @@ mod tests {
         let rec = recover(wal.medium().bytes());
         assert!(rec.is_clean());
         assert_eq!(rec.records, recs);
+    }
+
+    #[test]
+    fn adopted_frames_equal_appended_ones() {
+        let mut source = Wal::new(MemMedium::new());
+        for i in 0..4 {
+            source.append(&record(i)).unwrap();
+        }
+        let mut ends = Vec::new();
+        for entry in entries(source.medium().bytes()) {
+            match entry {
+                WalEntry::Record { end, .. } => ends.push(end),
+                other => panic!("clean log scanned as {other:?}"),
+            }
+        }
+        assert_eq!(ends.last(), Some(&source.len()));
+        // Adopt the log in two shipments split at a frame boundary.
+        let mut wal = Wal::new(MemMedium::new());
+        let (head, tail) = source.medium().bytes().split_at(ends[1]);
+        wal.adopt_frames(head, 2).unwrap();
+        wal.adopt_frames(tail, 2).unwrap();
+        assert_eq!(wal.appended(), 4);
+        assert_eq!(wal.medium().bytes(), source.medium().bytes());
+        // ... and keep appending behind them.
+        wal.append(&record(4)).unwrap();
+        assert_eq!(
+            recover(wal.medium().bytes()).records,
+            (0..5).map(record).collect::<Vec<_>>()
+        );
     }
 
     #[test]
