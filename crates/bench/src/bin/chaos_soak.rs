@@ -16,7 +16,7 @@
 //! EX band or a crash-consistency invariant is violated.
 
 use dio_bench::artifact::{stage_latencies, StageLatency, SystemResult};
-use dio_bench::Experiment;
+use dio_bench::{quick_flag, Experiment};
 use dio_benchmark::{evaluate, EvalReport, WorldConfig};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot, RetrievalMode};
 use dio_faults::{ChaosConfig, MemMedium};
@@ -283,7 +283,7 @@ fn journal_crash_sweep() -> (usize, usize, usize) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     eprintln!("building world ({})…", if quick { "quick" } else { "full" });
     let exp = if quick {
         Experiment::with_config(WorldConfig::small(), 40)

@@ -33,7 +33,7 @@
 //!
 //! Writes `results/BENCH_gateway.json`.
 
-use dio_bench::Experiment;
+use dio_bench::{flag_value, percentile, quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::WorldConfig;
 use dio_llm::{BatchExpander, FoundationModel, ModelProfile, SimulatedModel};
@@ -167,18 +167,6 @@ struct GatewayArtifact {
     model_call_reduction: f64,
     cost_per_answer_reduction: f64,
     ex_delta_gateway_vs_baseline: i64,
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
-}
-
-fn percentile(sorted_micros: &[f64], q: f64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_micros.len() - 1) as f64 * q).round() as usize;
-    sorted_micros[idx]
 }
 
 fn upstream() -> Box<dyn FoundationModel> {
@@ -329,7 +317,7 @@ fn open_config(workers: usize, depth: usize) -> ServeConfig {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     let concurrency: usize = flag_value("concurrency")
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);

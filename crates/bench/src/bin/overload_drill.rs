@@ -22,7 +22,7 @@
 //!
 //! Writes `results/BENCH_overload_drill.json`.
 
-use dio_bench::Experiment;
+use dio_bench::{flag_value, quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_cluster::{Cluster, ClusterConfig};
 use dio_llm::{FaultConfig, FaultyModel, FoundationModel, ModelProfile, SimulatedModel};
@@ -58,11 +58,6 @@ const FAULT_P: f64 = 0.2;
 /// land a context-switch after a check that passed just under the
 /// wire. The event-order audit below has no such slack.
 const AUDIT_GRACE_MICROS: u64 = 25_000;
-
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
-}
 
 #[derive(Debug, Clone, Serialize)]
 struct ParityResult {
@@ -266,7 +261,7 @@ fn overload_pass(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     let seed: u64 = flag_value("seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xd3ad_11fe);

@@ -23,7 +23,7 @@
 //!
 //! Writes `results/BENCH_serve.json`.
 
-use dio_bench::Experiment;
+use dio_bench::{flag_value, percentile, quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::{BenchmarkQuestion, WorldConfig};
 use dio_serve::{BrownoutConfig, QueryRequest, QueryService, ServeConfig, ServeOutcome, TenantPolicy};
@@ -104,19 +104,6 @@ struct ServeArtifact {
     /// Spans unreachable from their trace root across every finished
     /// trace (must be 0; gated below).
     orphan_spans: usize,
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
-}
-
-fn percentile(sorted_micros: &[f64], q: f64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_micros.len() - 1) as f64 * q).round() as usize;
-    sorted_micros[idx]
 }
 
 /// Replay `questions` through the service, one submission per entry,
@@ -211,7 +198,7 @@ fn run_pass(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     let concurrency: usize = flag_value("concurrency")
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);

@@ -27,7 +27,7 @@
 //!
 //! Writes `results/BENCH_shard_failover.json`.
 
-use dio_bench::Experiment;
+use dio_bench::{flag_value, percentile, quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::WorldConfig;
 use dio_cluster::{Cluster, ClusterConfig, ClusterError};
@@ -127,22 +127,9 @@ struct ShardFailoverArtifact {
     trace_dump_path: String,
 }
 
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
-}
-
 /// Bound on detection→takeover p99 (µs): a promotion checks only the
 /// replica's WAL past its verified watermark, never the whole log.
 const TAKEOVER_P99_LIMIT_MICROS: f64 = 100_000.0;
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
 
 /// Counter value for one `path` label of `dio_cluster_routes_total`.
 fn route_count(cluster: &Cluster, path: &str) -> u64 {
@@ -199,7 +186,7 @@ fn score(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     let seed: u64 = flag_value("seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xfa11_07e5);

@@ -25,7 +25,7 @@
 //! Flags: `--quick` (smaller smoke burst). Writes
 //! `results/BENCH_slo_drill.json`.
 
-use dio_bench::Experiment;
+use dio_bench::{quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::WorldConfig;
 use dio_catalog::DomainDb;
@@ -117,7 +117,7 @@ fn slo_exemplars() -> Vec<FewShotExample> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
 
     // ---- Phase 1: real-service smoke burst -------------------------
     let smoke_n = if quick { 12 } else { 24 };

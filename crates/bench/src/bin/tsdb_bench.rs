@@ -28,6 +28,7 @@
 //! (quick mode: compression ≥ 2.5x, range-scan speedup ≥ 3x; full
 //! mode: ≥ 10x) so CI catches regressions, not just drift.
 
+use dio_bench::{flag_value, quick_flag};
 use dio_promql::{Engine, EngineOptions, ExecutorKind, Value};
 use dio_tsdb::{Labels, MetricStore, Sample};
 use serde::Serialize;
@@ -74,12 +75,6 @@ struct TsdbArtifact {
     range_scan: ScanResult,
     aggregation: ScanResult,
     instant: ScanResult,
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args()
-        .find(|a| a.starts_with(&format!("--{name}=")))
-        .map(|a| a.split_once('=').expect("has =").1.to_string())
 }
 
 /// Deterministic value stream (SplitMix64 → unit floats).
@@ -260,7 +255,7 @@ fn run_panel(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag();
     let seed: u64 = flag_value("seed")
         .map(|s| s.parse().expect("--seed=N"))
         .unwrap_or(0x75db);

@@ -1,7 +1,8 @@
 //! # dio-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md's experiment index) plus Criterion microbenches.
+//! (see DESIGN.md's experiment index) and the drill binaries CI runs
+//! with `--quick`. Performance is measured by `perf/`, not here.
 //!
 //! Binaries:
 //!
@@ -34,6 +35,26 @@ pub const SCHEMA_SEED: u64 = 0x5c83_a001;
 pub const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
 /// Benchmark size (the paper's 200).
 pub const BENCHMARK_SIZE: usize = 200;
+
+/// True when the binary was run with `--quick` (the CI smoke size).
+pub fn quick_flag() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// The value of a `--name=value` command-line flag, if given.
+pub fn flag_value(name: &str) -> Option<String> {
+    std::env::args().find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
+}
+
+/// The `q`-quantile (`q` in 0..=1) of an ascending slice, at the
+/// rounded rank `(n-1)·q`; 0 for an empty slice.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
+}
 
 /// The shared experiment setup: world + questions + exemplars.
 pub struct Experiment {

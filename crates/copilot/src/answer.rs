@@ -5,6 +5,7 @@ use crate::recovery::DegradationLevel;
 use crate::trace::PipelineTrace;
 use dio_dashboard::Dashboard;
 use dio_llm::TokenUsage;
+use dio_obs::TraceStatus;
 use dio_sandbox::DataCompleteness;
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +53,31 @@ pub struct CopilotResponse {
     pub trace: PipelineTrace,
 }
 
+/// The status an ask's trace closes with. A lapsed budget gets its own
+/// class so the flight recorder retains deadline aborts separately from
+/// ordinary errors; a degraded answer outranks the error that forced it.
+pub(crate) fn trace_status(
+    error: Option<&CopilotError>,
+    degradation: DegradationLevel,
+) -> TraceStatus {
+    if matches!(error, Some(CopilotError::DeadlineExceeded { .. })) {
+        TraceStatus::DeadlineExceeded
+    } else if degradation == DegradationLevel::Degraded {
+        TraceStatus::Degraded
+    } else if error.is_some() {
+        TraceStatus::Error
+    } else {
+        TraceStatus::Ok
+    }
+}
+
 impl CopilotResponse {
+    /// The status this response's trace closes with — stamped by the
+    /// copilot on a trace it opened, by the caller on one it owns.
+    pub fn trace_status(&self) -> TraceStatus {
+        trace_status(self.error.as_ref(), self.degradation)
+    }
+
     /// Render a Figure-1b-style textual response.
     pub fn render(&self) -> String {
         let mut out = String::new();

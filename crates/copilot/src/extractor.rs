@@ -240,19 +240,13 @@ impl ContextExtractor {
         self.embedder.embed(question)
     }
 
-    /// [`ContextExtractor::retrieve`] plus work accounting. For exact
-    /// indexes (flat, HNSW) the scan count is the store size — HNSW's
-    /// graph walk touches fewer, so this is an upper bound; IVF reports
-    /// exactly the probed-list candidates.
-    pub fn retrieve_with_stats(&self, question: &str, k: usize) -> (Vec<Retrieved>, RetrievalStats) {
-        self.retrieve_with_stats_vec(question, None, k)
-    }
-
-    /// [`ContextExtractor::retrieve_with_stats`] with an optional
-    /// precomputed question embedding. The question is embedded at most
-    /// once and the index searched exactly once; the flat index
-    /// diversifies its hits with MMR, the approximate ones (which keep
-    /// no row matrix) return plain top-k.
+    /// [`ContextExtractor::retrieve_vec`] plus work accounting. For
+    /// exact indexes (flat, HNSW) the scan count is the store size —
+    /// HNSW's graph walk touches fewer, so this is an upper bound; IVF
+    /// reports exactly the probed-list candidates. The question is
+    /// embedded at most once and the index searched exactly once; the
+    /// flat index diversifies its hits with MMR, the approximate ones
+    /// (which keep no row matrix) return plain top-k.
     pub fn retrieve_with_stats_vec(
         &self,
         question: &str,
@@ -486,25 +480,24 @@ mod tests {
         let d = db();
         let n = d.text_samples().len();
         let flat = ContextExtractor::build(&d, true);
-        let (hits, stats) = flat.retrieve_with_stats("paging attempts", 10);
+        let (hits, stats) = flat.retrieve_with_stats_vec("paging attempts", None, 10);
         assert_eq!(hits, flat.retrieve("paging attempts", 10));
         assert_eq!(stats.candidates_scanned, n);
-        assert_eq!(flat.retrieve_with_stats("q", 0).1.candidates_scanned, 0);
+        let (_, none_stats) = flat.retrieve_with_stats_vec("q", None, 0);
+        assert_eq!(none_stats.candidates_scanned, 0);
 
         let ivf = ContextExtractor::build_with_mode(
             &d,
             true,
             RetrievalMode::Ivf { nlist: 16, nprobe: 2 },
         );
-        let (_, ivf_stats) = ivf.retrieve_with_stats("paging attempts", 10);
+        let (_, ivf_stats) = ivf.retrieve_with_stats_vec("paging attempts", None, 10);
         assert!(ivf_stats.candidates_scanned > 0);
         assert!(ivf_stats.candidates_scanned < n, "2/16 probes scanned everything");
 
         let random = ContextExtractor::build_with_mode(&d, true, RetrievalMode::Random { seed: 7 });
-        assert_eq!(
-            random.retrieve_with_stats("paging attempts", 10).1.candidates_scanned,
-            0
-        );
+        let (_, random_stats) = random.retrieve_with_stats_vec("paging attempts", None, 10);
+        assert_eq!(random_stats.candidates_scanned, 0);
     }
 
     /// The O(k²·prefetch) MMR loop `retrieve_vec` ran before picks

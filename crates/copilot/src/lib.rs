@@ -46,7 +46,7 @@ pub use answer::{CopilotResponse, RelevantMetric};
 pub use config::CopilotConfig;
 pub use error::CopilotError;
 pub use extractor::{ContextExtractor, RetrievalMode, RetrievalStats};
-pub use pipeline::{CopilotBuilder, DioCopilot};
+pub use pipeline::{AskRequest, CopilotBuilder, DioCopilot};
 pub use recovery::{
     BreakerState, CircuitBreaker, DegradationLevel, RecoveryPolicy, RecoveryStats,
 };

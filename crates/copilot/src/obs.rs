@@ -9,7 +9,6 @@
 
 use crate::recovery::BreakerState;
 use dio_obs::{Buckets, ObsHub, Registry, SpanContext};
-use std::time::Instant;
 
 /// Questions the copilot was asked.
 pub const ASKS_NAME: &str = "dio_copilot_asks_total";
@@ -87,35 +86,6 @@ pub(crate) fn breaker_slug(state: BreakerState) -> &'static str {
         BreakerState::Open => "open",
         BreakerState::HalfOpen => "half_open",
     }
-}
-
-/// Time `f` as a child span of `parent` named `stage`, and observe the
-/// duration in the per-stage latency histogram. `f` receives the stage
-/// span's own context so it can parent further children (the execute
-/// stage hands its context to the store resolver, which records one
-/// span per shard touched).
-pub(crate) fn time_stage<T>(
-    obs: &ObsHub,
-    parent: &SpanContext,
-    stage: &str,
-    f: impl FnOnce(&SpanContext) -> T,
-) -> T {
-    let tracer = obs.tracer();
-    let ctx = tracer.child_of(parent);
-    let start_offset = tracer.clock_micros(&ctx);
-    let start = Instant::now();
-    let out = f(&ctx);
-    let micros = dio_obs::micros_u64(start.elapsed());
-    tracer.record_span(&ctx, stage, start_offset, micros, &[]);
-    obs.registry()
-        .histogram_with(
-            STAGE_DURATION_NAME,
-            STAGE_DURATION_HELP,
-            &Buckets::latency_micros(),
-            &[("stage", stage)],
-        )
-        .observe(micros as f64);
-    out
 }
 
 /// Count and trace a breaker transition, if one happened.

@@ -4,7 +4,7 @@ use crate::answer::{CopilotResponse, RelevantMetric};
 use crate::config::CopilotConfig;
 use crate::error::CopilotError;
 use crate::extractor::ContextExtractor;
-use crate::obs::{note_breaker_transition, register_zero_instruments, time_stage};
+use crate::obs::{note_breaker_transition, register_zero_instruments};
 use crate::recovery::{CircuitBreaker, DegradationLevel, RecoveryPolicy, RecoveryStats};
 use crate::trace::PipelineTrace;
 use dio_catalog::DomainDb;
@@ -146,6 +146,109 @@ pub struct DioCopilot {
     obs: ObsHub,
 }
 
+/// One ask: the question, when to evaluate it, and how much of the
+/// pipeline this request may spend. [`DioCopilot::ask`] is
+/// [`AskRequest::new`] unchanged; a serving tier fills in the rest per
+/// request (its brownout ladder lowers the three fidelity fields under
+/// load). The copilot stores none of it.
+#[derive(Debug, Clone)]
+pub struct AskRequest<'a> {
+    /// The natural-language question.
+    pub question: &'a str,
+    /// Evaluation timestamp (ms) the question is asked as of.
+    pub ts: i64,
+    /// A precomputed question embedding, so retrieval skips
+    /// re-embedding (the serving layer's embedding cache). It must come
+    /// from this pipeline's extractor
+    /// ([`ContextExtractor::embed_question`]).
+    pub qvec: Option<&'a dio_embed::Vector>,
+    /// A caller-owned trace: every pipeline stage span parents under
+    /// it and the caller finishes the trace (the serving tier owns the
+    /// request trace: queue wait, cache probes, and this ask all hang
+    /// off one root). With `None` the copilot opens and finishes its
+    /// own trace, stamping its status from the outcome.
+    pub parent: Option<SpanContext>,
+    /// Deadline and cancellation for this ask.
+    pub budget: Budget,
+    /// Upper bound on the retrieval top-k; the configured top-k
+    /// applies when it is smaller.
+    pub top_k_cap: usize,
+    /// Upper bound on repair rounds; the recovery policy's applies
+    /// when it is smaller.
+    pub repair_round_cap: usize,
+    /// `false` spends no model call at all: every stage that would
+    /// consult the model takes the breaker-open path (generation lands
+    /// on the degraded direct-lookup fallback) while the real breaker
+    /// — including any cooldown in flight — is left as it was.
+    pub model: bool,
+}
+
+impl<'a> AskRequest<'a> {
+    /// The full-fidelity request: embed the question here, own the
+    /// trace, no deadline, the configured top-k and repair rounds, the
+    /// model on.
+    pub fn new(question: &'a str, ts: i64) -> Self {
+        AskRequest {
+            question,
+            ts,
+            qvec: None,
+            parent: None,
+            budget: Budget::unbounded(),
+            top_k_cap: usize::MAX,
+            repair_round_cap: usize::MAX,
+            model: true,
+        }
+    }
+}
+
+/// What one ask carries from stage to stage, so the stages take it
+/// instead of a dozen loose arguments: the request, where its spans
+/// go, and what it has spent so far.
+struct Ask<'a> {
+    req: AskRequest<'a>,
+    obs: ObsHub,
+    /// The span every stage parents under (the request's, or the root
+    /// of the trace this ask opened).
+    span: SpanContext,
+    ask_start: Instant,
+    /// Breaker trips before this ask, to report the ones it caused.
+    trips_before: usize,
+    usage: TokenUsage,
+    stats: RecoveryStats,
+    /// The model's context window and the completion room reserved in
+    /// it, for every prompt this ask builds.
+    window: usize,
+    reserved: usize,
+}
+
+impl Ask<'_> {
+    /// Time `f` as a child span named `stage`, and observe the duration
+    /// in the per-stage latency histogram. `f` receives the stage
+    /// span's own context so it can parent further children (the
+    /// execute stage hands its context to the store resolver, which
+    /// records one span per shard touched).
+    fn stage<T>(&mut self, stage: &str, f: impl FnOnce(&mut Self, &SpanContext) -> T) -> T {
+        let ctx = self.obs.tracer().child_of(&self.span);
+        let start_offset = self.obs.tracer().clock_micros(&ctx);
+        let start = Instant::now();
+        let out = f(self, &ctx);
+        let micros = dio_obs::micros_u64(start.elapsed());
+        self.obs
+            .tracer()
+            .record_span(&ctx, stage, start_offset, micros, &[]);
+        self.obs
+            .registry()
+            .histogram_with(
+                crate::obs::STAGE_DURATION_NAME,
+                crate::obs::STAGE_DURATION_HELP,
+                &Buckets::latency_micros(),
+                &[("stage", stage)],
+            )
+            .observe(micros as f64);
+        out
+    }
+}
+
 /// Outcome of the execute-with-repair stage.
 struct ExecResolution {
     /// The query that was last attempted.
@@ -250,31 +353,6 @@ impl DioCopilot {
         self.config.recovery = policy;
     }
 
-    /// The retrieval top-k currently in effect.
-    pub fn top_k(&self) -> usize {
-        self.config.top_k
-    }
-
-    /// Override the retrieval top-k. The serving tier's brownout
-    /// ladder shrinks it under load and restores it as pressure
-    /// clears; a floor of 1 keeps retrieval (and with it the degraded
-    /// fallback) functional.
-    pub fn set_top_k(&mut self, k: usize) {
-        self.config.top_k = k.max(1);
-    }
-
-    /// The repair-round cap currently in effect.
-    pub fn max_repair_rounds(&self) -> usize {
-        self.config.recovery.max_repair_rounds
-    }
-
-    /// Override the repair-round cap without touching the circuit
-    /// breaker (unlike [`DioCopilot::set_recovery`], which resets it) —
-    /// the brownout ladder flips this per request.
-    pub fn set_max_repair_rounds(&mut self, rounds: usize) {
-        self.config.recovery.max_repair_rounds = rounds;
-    }
-
     /// Number of expert-knowledge updates applied so far (via
     /// [`DioCopilot::resolve_issue`]) across this copilot and every
     /// fork sharing its state. Serving-layer answer caches key entries
@@ -325,123 +403,67 @@ impl DioCopilot {
         }
     }
 
-    /// Answer a question, evaluating data at timestamp `ts`.
+    /// Answer a question, evaluating data at timestamp `ts`:
+    /// [`DioCopilot::ask_with`] on the defaults of [`AskRequest::new`].
+    pub fn ask(&mut self, question: &str, ts: i64) -> CopilotResponse {
+        self.ask_with(AskRequest::new(question, ts))
+    }
+
+    /// Answer one [`AskRequest`] — the only way into the pipeline.
     ///
     /// The model and sandbox are both treated as fallible: transient
     /// model failures are retried (bounded, recorded backoff), sandbox
     /// rejections trigger repair rounds under
     /// [`TaskKind::RepairPromql`], and when recovery is exhausted — or
-    /// the circuit breaker is open — the copilot degrades to a direct
-    /// lookup of the top retrieved metric rather than returning
-    /// nothing. See [`RecoveryPolicy`].
-    pub fn ask(&mut self, question: &str, ts: i64) -> CopilotResponse {
-        self.ask_prepared(question, ts, None)
-    }
-
-    /// [`DioCopilot::ask`] with an optional precomputed question
-    /// embedding. The serving layer's embedding cache passes vectors
-    /// for repeated (normalized-equal) questions here so the retrieval
-    /// stage skips re-embedding; `None` embeds as usual. The vector
-    /// must come from this pipeline's extractor
-    /// ([`ContextExtractor::embed_question`]).
-    pub fn ask_prepared(
-        &mut self,
-        question: &str,
-        ts: i64,
-        qvec: Option<&dio_embed::Vector>,
-    ) -> CopilotResponse {
-        self.ask_in_context(question, ts, qvec, None)
-    }
-
-    /// [`DioCopilot::ask_prepared`] running inside a caller-owned
-    /// trace. With `parent: Some(ctx)` every pipeline stage span
-    /// parents under `ctx` and the caller finishes the trace (the
-    /// serving tier owns the request trace: queue wait, cache probes,
-    /// and this ask all hang off one root). With `None` the copilot
-    /// opens and finishes its own trace, stamping its status from the
-    /// outcome (degraded → `Degraded`, error → `Error`).
-    pub fn ask_in_context(
-        &mut self,
-        question: &str,
-        ts: i64,
-        qvec: Option<&dio_embed::Vector>,
-        parent: Option<&SpanContext>,
-    ) -> CopilotResponse {
-        self.ask_budgeted(question, ts, qvec, parent, &Budget::unbounded())
-    }
-
-    /// Answer without spending a single model call: the ask runs with
-    /// the circuit breaker latched open
-    /// ([`CircuitBreaker::latched_open`]), so every stage that would
-    /// consult the model takes its existing breaker-open path and
-    /// generation lands on the degraded direct-lookup fallback
-    /// (labelled [`DegradationLevel::Degraded`]). The real breaker —
-    /// including any in-flight cooldown — is restored afterwards. This
-    /// is the serving tier's brownout hook for its
-    /// answer-cache-or-degraded level.
-    pub fn ask_degraded(
-        &mut self,
-        question: &str,
-        ts: i64,
-        qvec: Option<&dio_embed::Vector>,
-        parent: Option<&SpanContext>,
-        budget: &Budget,
-    ) -> CopilotResponse {
-        let saved = std::mem::replace(&mut self.breaker, CircuitBreaker::latched_open());
-        let response = self.ask_budgeted(question, ts, qvec, parent, budget);
-        self.breaker = saved;
-        response
-    }
-
-    /// [`DioCopilot::ask_in_context`] under an explicit request
-    /// [`Budget`]. The budget is checked cooperatively between pipeline
-    /// stages, before every model call, and before every retry or
-    /// repair round; each model call carries a per-call timeout derived
-    /// from the remaining budget, and recorded backoff intervals are
-    /// capped by it. When the budget lapses (deadline passed or the
-    /// token cancelled) the ask aborts with
+    /// the circuit breaker is open, or the request switched the model
+    /// off — the copilot degrades to a direct lookup of the top
+    /// retrieved metric rather than returning nothing. See
+    /// [`RecoveryPolicy`].
+    ///
+    /// The request's [`Budget`] is checked cooperatively between
+    /// pipeline stages, before every model call, and before every retry
+    /// or repair round; each model call carries a per-call timeout
+    /// derived from the remaining budget, and recorded backoff
+    /// intervals are capped by it. When the budget lapses (deadline
+    /// passed or the token cancelled) the ask aborts with
     /// [`CopilotError::DeadlineExceeded`] — no degraded fallback, no
     /// further model calls — and a standalone trace closes with
     /// [`TraceStatus::DeadlineExceeded`] so the flight recorder retains
-    /// it under its own outcome class. An unbounded budget reproduces
-    /// [`DioCopilot::ask_in_context`] exactly.
-    pub fn ask_budgeted(
-        &mut self,
-        question: &str,
-        ts: i64,
-        qvec: Option<&dio_embed::Vector>,
-        parent: Option<&SpanContext>,
-        budget: &Budget,
-    ) -> CopilotResponse {
+    /// it under its own outcome class.
+    ///
+    /// Nothing the request asks for is stored on the copilot: the next
+    /// ask starts from the configured fidelity whatever this one did,
+    /// and however it ended.
+    pub fn ask_with(&mut self, req: AskRequest<'_>) -> CopilotResponse {
         let obs = self.obs.clone();
-        let owns_trace = parent.is_none();
-        let ctx = match parent {
-            Some(p) => *p,
-            None => obs.tracer().begin_trace(question),
+        let span = req
+            .parent
+            .unwrap_or_else(|| obs.tracer().begin_trace(req.question));
+        let window = self.model.context_window();
+        let mut ask = Ask {
+            span,
+            ask_start: Instant::now(),
+            trips_before: self.breaker.trips(),
+            usage: TokenUsage::default(),
+            stats: RecoveryStats::default(),
+            window,
+            // Reserve completion room, but never starve the prompt on a
+            // small-window model (text-curie-001 still needs its
+            // truncated context to see *something*).
+            reserved: self.config.max_output_tokens.min(window / 4),
+            obs,
+            req,
         };
-        let ask_start = Instant::now();
-        obs.registry()
+        ask.obs
+            .registry()
             .counter(crate::obs::ASKS_NAME, crate::obs::ASKS_HELP)
             .inc();
-        let mut usage = TokenUsage::default();
-        let mut stats = RecoveryStats::default();
-        let trips_before = self.breaker.trips();
+        let (question, ts) = (ask.req.question, ask.req.ts);
 
         // Dead on arrival: a request whose budget already lapsed (queue
         // wait ate it, or the caller cancelled) does no work at all.
-        if budget.expired() {
-            return self.deadline_abort(
-                question,
-                String::new(),
-                "retrieve",
-                usage,
-                stats,
-                trips_before,
-                &obs,
-                &ctx,
-                owns_trace,
-                ask_start,
-            );
+        if ask.req.budget.expired() {
+            return self.deadline_abort(ask, String::new(), "retrieve");
         }
 
         // Stage 0 (chaos runs only): the retrieval index is a data
@@ -452,8 +474,9 @@ impl DioCopilot {
         if let Some(mut injector) = self.retrieval_chaos.take() {
             let mut retries = 0usize;
             while let Some(fault) = injector.decide() {
-                stats.data_faults += 1;
-                obs.registry()
+                ask.stats.data_faults += 1;
+                ask.obs
+                    .registry()
                     .counter_with(
                         crate::obs::DATA_FAULTS_NAME,
                         crate::obs::DATA_FAULTS_HELP,
@@ -472,16 +495,17 @@ impl DioCopilot {
                         // splits off its own extractor; unshared
                         // extractors demote in place.
                         if let Some((from, to)) = Arc::make_mut(&mut self.extractor).demote() {
-                            stats.index_demotions += 1;
-                            obs.registry()
+                            ask.stats.index_demotions += 1;
+                            ask.obs
+                                .registry()
                                 .counter_with(
                                     crate::obs::DEMOTIONS_NAME,
                                     crate::obs::DEMOTIONS_HELP,
                                     &[("to", to)],
                                 )
                                 .inc();
-                            obs.tracer().event(
-                                &ctx,
+                            ask.obs.tracer().event(
+                                &ask.span,
                                 "index_demotion",
                                 &[("from", from), ("to", to)],
                             );
@@ -498,15 +522,19 @@ impl DioCopilot {
         }
 
         // Stage 1: context extraction (offline index, online search).
-        let (hits, retrieval) = time_stage(&obs, &ctx, "retrieve", |_| {
+        // A floor of 1 under the request's cap keeps retrieval (and
+        // with it the degraded fallback) functional.
+        let top_k = self.config.top_k.min(ask.req.top_k_cap.max(1));
+        let (hits, retrieval) = ask.stage("retrieve", |ask, _| {
             self.extractor
-                .retrieve_with_stats_vec(question, qvec, self.config.top_k)
+                .retrieve_with_stats_vec(question, ask.req.qvec, top_k)
         });
-        obs.registry()
+        ask.obs
+            .registry()
             .counter(crate::obs::CANDIDATES_NAME, crate::obs::CANDIDATES_HELP)
             .add(retrieval.candidates_scanned as f64);
         {
-            let sim = obs.registry().histogram(
+            let sim = ask.obs.registry().histogram(
                 crate::obs::SIMILARITY_NAME,
                 crate::obs::SIMILARITY_HELP,
                 &Buckets::unit_fractions(),
@@ -528,57 +556,27 @@ impl DioCopilot {
         // Budget checkpoint between retrieval and generation: the model
         // stages are the expensive ones, so lapse here rather than
         // start a call that cannot finish in time.
-        if budget.expired() {
-            return self.deadline_abort(
-                question,
-                String::new(),
-                "generate",
-                usage,
-                stats,
-                trips_before,
-                &obs,
-                &ctx,
-                owns_trace,
-                ask_start,
-            );
+        if ask.req.budget.expired() {
+            return self.deadline_abort(ask, String::new(), "generate");
         }
 
         // Stage 2: relevant-metric identification. By default this is
         // folded into the generation prompt (one inference, §4.2.5 cost
         // envelope); `two_stage: true` issues the explicit
         // identify-then-generate calls.
-        let window = self.model.context_window();
-        // Reserve completion room, but never starve the prompt on a
-        // small-window model (text-curie-001 still needs its truncated
-        // context to see *something*).
-        let reserved = self.config.max_output_tokens.min(window / 4);
         let identified: Vec<String> = if self.config.two_stage {
-            let identify_prompt = PromptBuilder::new()
-                .system(SYSTEM_PROMPT)
-                .context(context_items.clone())
-                .question(question)
-                .task(TaskKind::IdentifyMetrics)
-                .build(window, reserved);
-            let request = CompletionRequest {
-                prompt: identify_prompt,
-                max_tokens: self.config.max_output_tokens,
-                temperature: self.config.temperature,
-                timeout_ms: budget_timeout_ms(budget),
-            };
-            time_stage(&obs, &ctx, "identify", |_| {
+            let request = self.model_request(
+                &ask,
+                PromptBuilder::new()
+                    .system(SYSTEM_PROMPT)
+                    .context(context_items.clone())
+                    .question(question)
+                    .task(TaskKind::IdentifyMetrics),
+            );
+            ask.stage("identify", |ask, _| {
                 // Identification is best-effort: on failure the merged
                 // full-context prompt covers for the missing selection.
-                match Self::call_model(
-                    self.model.as_ref(),
-                    &mut self.breaker,
-                    &self.config.recovery,
-                    &request,
-                    budget,
-                    &mut usage,
-                    &mut stats,
-                    &obs,
-                    &ctx,
-                ) {
+                match self.call_model(ask, &request) {
                     Ok(text) => text
                         .split(',')
                         .map(|s| s.trim().to_string())
@@ -605,61 +603,15 @@ impl DioCopilot {
         } else {
             selected_items
         };
-        let mut gen_builder = PromptBuilder::new()
-            .system(SYSTEM_PROMPT)
-            .context(gen_context.iter().cloned())
-            .examples(
-                self.exemplars
-                    .iter()
-                    .take(self.config.max_exemplars)
-                    .cloned(),
-            )
-            .question(question)
-            .task(TaskKind::GeneratePromql);
-        for f in self.db.functions().take(4) {
-            gen_builder = gen_builder.function(&f.name, first_sentence(&f.description));
-        }
-        let gen_prompt = gen_builder.build(window, reserved);
-        let gen_request = CompletionRequest {
-            prompt: gen_prompt,
-            max_tokens: self.config.max_output_tokens,
-            temperature: self.config.temperature,
-            timeout_ms: budget_timeout_ms(budget),
-        };
-        let generated: Result<String, CopilotError> = time_stage(&obs, &ctx, "generate", |_| {
-            Self::call_model(
-                self.model.as_ref(),
-                &mut self.breaker,
-                &self.config.recovery,
-                &gen_request,
-                budget,
-                &mut usage,
-                &mut stats,
-                &obs,
-                &ctx,
-            )
-            .map(|t| t.trim().to_string())
-        });
+        let gen_request =
+            self.codegen_request(&ask, SYSTEM_PROMPT, &gen_context, TaskKind::GeneratePromql);
+        let generated = self.generate(&mut ask, &gen_request);
 
         // Stage 4: sandboxed execution with self-repair. A model error
         // is NOT executed as a query (it used to be pasted in as
         // `# model error: …`); it goes straight to the recovery path.
         // Each sandbox execution and repair re-generation records its
         // own span, so repair rounds are visible per-invocation.
-        let resolution = self.execute_with_repair(
-            generated,
-            question,
-            &gen_context,
-            &hits,
-            ts,
-            window,
-            reserved,
-            budget,
-            &mut usage,
-            &mut stats,
-            &obs,
-            &ctx,
-        );
         let ExecResolution {
             query,
             canonical,
@@ -668,24 +620,14 @@ impl DioCopilot {
             error,
             degradation,
             completeness,
-        } = resolution;
+        } = self.execute_with_repair(&mut ask, generated, &gen_context, &hits);
         if let Some(CopilotError::DeadlineExceeded { stage }) = &error {
             let stage = stage.clone();
-            return self.deadline_abort(
-                question,
-                query,
-                &stage,
-                usage,
-                stats,
-                trips_before,
-                &obs,
-                &ctx,
-                owns_trace,
-                ask_start,
-            );
+            return self.deadline_abort(ask, query, &stage);
         }
-        stats.degraded = degradation == DegradationLevel::Degraded;
-        obs.registry()
+        ask.stats.degraded = degradation == DegradationLevel::Degraded;
+        ask.obs
+            .registry()
             .counter_with(
                 crate::obs::COMPLETENESS_NAME,
                 crate::obs::COMPLETENESS_HELP,
@@ -695,7 +637,7 @@ impl DioCopilot {
 
         // Relevant metrics for the rendered response: the identified
         // set, falling back to whatever the query references.
-        let mut shown = identified.clone();
+        let mut shown = identified;
         if shown.is_empty() {
             if let Ok(expr) = dio_promql::parse(&query) {
                 shown = expr.metric_names();
@@ -723,48 +665,27 @@ impl DioCopilot {
                 })
                 .collect();
             let range = TimeRange::last(ts, self.config.dashboard_span_ms, 60);
-            Some(time_stage(&obs, &ctx, "dashboard", |_| {
+            Some(ask.stage("dashboard", |_, _| {
                 generate_dashboard(question, &hints, canonical.as_deref(), range)
             }))
         } else {
             None
         };
 
-        let cost_cents = self.model.pricing().cost_cents(usage);
-        self.meter.record(usage, self.model.pricing());
-
-        stats.breaker_trips = self.breaker.trips().saturating_sub(trips_before);
         let degradation_slug = degradation.to_string();
-        obs.registry()
+        ask.obs
+            .registry()
             .counter_with(
                 crate::obs::ANSWERS_NAME,
                 crate::obs::ANSWERS_HELP,
                 &[("degradation", &degradation_slug)],
             )
             .inc();
-        obs.tracer()
-            .event(&ctx, "answered", &[("degradation", &degradation_slug)]);
-        obs.registry()
-            .histogram(
-                crate::obs::ASK_DURATION_NAME,
-                crate::obs::ASK_DURATION_HELP,
-                &Buckets::latency_micros(),
-            )
-            .observe(dio_obs::micros_u64(ask_start.elapsed()) as f64);
-        let trace = PipelineTrace::from_spans(&obs.tracer().spans(ctx.trace_id), stats);
-        if owns_trace {
-            // Standalone ask: close the trace we opened. Under a
-            // serving tier the caller owns the root and stamps the
-            // status after its own bookkeeping (cache fill, reply).
-            let status = if degradation == DegradationLevel::Degraded {
-                TraceStatus::Degraded
-            } else if error.is_some() {
-                TraceStatus::Error
-            } else {
-                TraceStatus::Ok
-            };
-            obs.tracer().finish_trace(&ctx, status);
-        }
+        ask.obs
+            .tracer()
+            .event(&ask.span, "answered", &[("degradation", &degradation_slug)]);
+        let status = crate::answer::trace_status(error.as_ref(), degradation);
+        let (usage, cost_cents, trace) = self.wind_down(ask, status);
 
         let final_query = canonical.unwrap_or(query);
         CopilotResponse {
@@ -784,139 +705,62 @@ impl DioCopilot {
         }
     }
 
-    /// Place one model call under the recovery policy: the circuit
-    /// breaker gates the call, transient failures are retried up to the
-    /// policy bound, and the deterministic backoff schedule is recorded
-    /// (never slept). The request `budget` gates every attempt — a
-    /// lapsed budget aborts before the model is touched — and caps each
-    /// recorded backoff interval by the time actually left. Every
-    /// admitted call stamps a `model_call` event carrying its
-    /// trace-clock offset, so a post-mortem can prove no call started
-    /// after the deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn call_model(
-        model: &dyn FoundationModel,
-        breaker: &mut CircuitBreaker,
-        policy: &RecoveryPolicy,
-        request: &CompletionRequest,
-        budget: &Budget,
-        usage: &mut TokenUsage,
-        stats: &mut RecoveryStats,
-        obs: &ObsHub,
-        ctx: &SpanContext,
-    ) -> Result<String, CopilotError> {
-        let mut retry = 0usize;
-        loop {
-            if budget.expired() {
-                return Err(CopilotError::DeadlineExceeded {
-                    stage: "model".into(),
-                });
-            }
-            let gate = breaker.state();
-            let admitted = breaker.allow();
-            note_breaker_transition(obs, ctx, gate, breaker.state());
-            if !admitted {
-                return Err(CopilotError::ModelUnavailable {
-                    message: "circuit breaker open; model call skipped".into(),
-                    attempts: stats.attempts,
-                });
-            }
-            stats.attempts += 1;
-            let at = obs.tracer().clock_micros(ctx).to_string();
-            obs.tracer().event(ctx, "model_call", &[("at_micros", &at)]);
-            match model.complete(request) {
-                Ok(c) => {
-                    usage.add(c.usage);
-                    let before = breaker.state();
-                    breaker.record_success();
-                    note_breaker_transition(obs, ctx, before, breaker.state());
-                    return Ok(c.text);
-                }
-                Err(e) => {
-                    let before = breaker.state();
-                    breaker.record_failure();
-                    note_breaker_transition(obs, ctx, before, breaker.state());
-                    if policy.enabled && e.is_transient() && retry < policy.max_retries {
-                        stats.retries += 1;
-                        // Backoff is recorded, never slept; cap the
-                        // recorded interval by the budget actually
-                        // left so the schedule stays honest about what
-                        // a real sleep could have been.
-                        let backoff = budget
-                            .cap(std::time::Duration::from_millis(policy.backoff_ms(retry)))
-                            .as_millis() as u64;
-                        stats.backoff_schedule_ms.push(backoff);
-                        obs.registry()
-                            .counter(crate::obs::RETRIES_NAME, crate::obs::RETRIES_HELP)
-                            .inc();
-                        obs.registry()
-                            .counter(crate::obs::BACKOFF_NAME, crate::obs::BACKOFF_HELP)
-                            .add(backoff as f64);
-                        obs.tracer().event(
-                            ctx,
-                            "model_retry",
-                            &[("backoff_ms", &backoff.to_string())],
-                        );
-                        retry += 1;
-                        continue;
-                    }
-                    return Err(CopilotError::from_model(&e, stats.attempts));
-                }
-            }
+    /// What every ask does last, answered or aborted: observe its
+    /// duration, bill the tokens it spent, project its spans into a
+    /// [`PipelineTrace`] and — for a standalone ask — close the trace
+    /// it opened as `status`. Under a serving tier the caller owns the
+    /// root and stamps the status after its own bookkeeping (cache
+    /// fill, reply).
+    fn wind_down(
+        &mut self,
+        mut ask: Ask<'_>,
+        status: TraceStatus,
+    ) -> (TokenUsage, f64, PipelineTrace) {
+        ask.stats.breaker_trips = self.breaker.trips().saturating_sub(ask.trips_before);
+        ask.obs
+            .registry()
+            .histogram(
+                crate::obs::ASK_DURATION_NAME,
+                crate::obs::ASK_DURATION_HELP,
+                &Buckets::latency_micros(),
+            )
+            .observe(dio_obs::micros_u64(ask.ask_start.elapsed()) as f64);
+        let cost_cents = self.model.pricing().cost_cents(ask.usage);
+        self.meter.record(ask.usage, self.model.pricing());
+        let trace =
+            PipelineTrace::from_spans(&ask.obs.tracer().spans(ask.span.trace_id), ask.stats);
+        if ask.req.parent.is_none() {
+            ask.obs.tracer().finish_trace(&ask.span, status);
         }
+        (ask.usage, cost_cents, trace)
     }
 
     /// Wind down an ask whose budget lapsed: count it (labelled by the
     /// stage that observed the lapse), stamp a `deadline_exceeded`
-    /// event carrying the trace-clock offset, record the ask duration
-    /// and any cost already incurred, and — for standalone asks — close
-    /// the trace as [`TraceStatus::DeadlineExceeded`] so the flight
+    /// event carrying the trace-clock offset, and close a standalone
+    /// trace as [`TraceStatus::DeadlineExceeded`] so the flight
     /// recorder retains it under its own outcome class. No answer
     /// counter and no `answered` event: a deadline abort is not an
     /// answer.
-    #[allow(clippy::too_many_arguments)]
-    fn deadline_abort(
-        &mut self,
-        question: &str,
-        query: String,
-        stage: &str,
-        usage: TokenUsage,
-        mut stats: RecoveryStats,
-        trips_before: usize,
-        obs: &ObsHub,
-        ctx: &SpanContext,
-        owns_trace: bool,
-        ask_start: Instant,
-    ) -> CopilotResponse {
-        obs.registry()
+    fn deadline_abort(&mut self, ask: Ask<'_>, query: String, stage: &str) -> CopilotResponse {
+        ask.obs
+            .registry()
             .counter_with(
                 crate::obs::DEADLINE_NAME,
                 crate::obs::DEADLINE_HELP,
                 &[("stage", stage)],
             )
             .inc();
-        let at = obs.tracer().clock_micros(ctx).to_string();
-        obs.tracer().event(
-            ctx,
+        let at = ask.obs.tracer().clock_micros(&ask.span).to_string();
+        ask.obs.tracer().event(
+            &ask.span,
             "deadline_exceeded",
             &[("stage", stage), ("at_micros", &at)],
         );
-        stats.breaker_trips = self.breaker.trips().saturating_sub(trips_before);
-        obs.registry()
-            .histogram(
-                crate::obs::ASK_DURATION_NAME,
-                crate::obs::ASK_DURATION_HELP,
-                &Buckets::latency_micros(),
-            )
-            .observe(dio_obs::micros_u64(ask_start.elapsed()) as f64);
-        let cost_cents = self.model.pricing().cost_cents(usage);
-        self.meter.record(usage, self.model.pricing());
-        let trace = PipelineTrace::from_spans(&obs.tracer().spans(ctx.trace_id), stats);
-        if owns_trace {
-            obs.tracer().finish_trace(ctx, TraceStatus::DeadlineExceeded);
-        }
+        let question = ask.req.question.to_string();
+        let (usage, cost_cents, trace) = self.wind_down(ask, TraceStatus::DeadlineExceeded);
         CopilotResponse {
-            question: question.to_string(),
+            question,
             relevant_metrics: Vec::new(),
             explanation: String::new(),
             query,
@@ -934,26 +778,153 @@ impl DioCopilot {
         }
     }
 
+    /// Render `prompt` into a model request for this ask: the ask's
+    /// window budget, the configured sampling, and a per-call timeout
+    /// of whatever the request budget has left (unbounded: no cap).
+    fn model_request(&self, ask: &Ask<'_>, prompt: PromptBuilder) -> CompletionRequest {
+        let timeout_ms = ask.req.budget.remaining().map(|left| left.as_millis() as u64);
+        CompletionRequest {
+            prompt: prompt.build(ask.window, ask.reserved),
+            max_tokens: self.config.max_output_tokens,
+            temperature: self.config.temperature,
+            timeout_ms,
+        }
+    }
+
+    /// The code-generation request, first try and repair alike: same
+    /// context, exemplars, expert functions and question; only the
+    /// system section and the task differ.
+    fn codegen_request(
+        &self,
+        ask: &Ask<'_>,
+        system: impl Into<String>,
+        context: &[ContextItem],
+        task: TaskKind,
+    ) -> CompletionRequest {
+        let mut prompt = PromptBuilder::new()
+            .system(system)
+            .context(context.iter().cloned())
+            .examples(
+                self.exemplars
+                    .iter()
+                    .take(self.config.max_exemplars)
+                    .cloned(),
+            )
+            .question(ask.req.question)
+            .task(task);
+        for f in self.db.functions().take(4) {
+            prompt = prompt.function(&f.name, first_sentence(&f.description));
+        }
+        self.model_request(ask, prompt)
+    }
+
+    /// One `generate` stage: a model call under the recovery policy,
+    /// yielding the trimmed query text.
+    fn generate(
+        &mut self,
+        ask: &mut Ask<'_>,
+        request: &CompletionRequest,
+    ) -> Result<String, CopilotError> {
+        ask.stage("generate", |ask, _| self.call_model(ask, request))
+            .map(|text| text.trim().to_string())
+    }
+
+    /// Place one model call under the recovery policy: the circuit
+    /// breaker gates the call, transient failures are retried up to the
+    /// policy bound, and the deterministic backoff schedule is recorded
+    /// (never slept). The request budget gates every attempt — a
+    /// lapsed budget aborts before the model is touched — and caps each
+    /// recorded backoff interval by the time actually left. Every
+    /// admitted call stamps a `model_call` event carrying its
+    /// trace-clock offset, so a post-mortem can prove no call started
+    /// after the deadline.
+    fn call_model(
+        &mut self,
+        ask: &mut Ask<'_>,
+        request: &CompletionRequest,
+    ) -> Result<String, CopilotError> {
+        let mut retry = 0usize;
+        loop {
+            if ask.req.budget.expired() {
+                return Err(CopilotError::DeadlineExceeded {
+                    stage: "model".into(),
+                });
+            }
+            // A model-off ask is refused the way an open breaker
+            // refuses, without consulting (or moving) the real one.
+            let admitted = ask.req.model && {
+                let gate = self.breaker.state();
+                let admitted = self.breaker.allow();
+                note_breaker_transition(&ask.obs, &ask.span, gate, self.breaker.state());
+                admitted
+            };
+            if !admitted {
+                return Err(CopilotError::ModelUnavailable {
+                    message: "circuit breaker open; model call skipped".into(),
+                    attempts: ask.stats.attempts,
+                });
+            }
+            ask.stats.attempts += 1;
+            let at = ask.obs.tracer().clock_micros(&ask.span).to_string();
+            ask.obs
+                .tracer()
+                .event(&ask.span, "model_call", &[("at_micros", &at)]);
+            let result = self.model.complete(request);
+            let before = self.breaker.state();
+            if result.is_ok() {
+                self.breaker.record_success();
+            } else {
+                self.breaker.record_failure();
+            }
+            note_breaker_transition(&ask.obs, &ask.span, before, self.breaker.state());
+            let e = match result {
+                Ok(c) => {
+                    ask.usage.add(c.usage);
+                    return Ok(c.text);
+                }
+                Err(e) => e,
+            };
+            let policy = &self.config.recovery;
+            if !(policy.enabled && e.is_transient() && retry < policy.max_retries) {
+                return Err(CopilotError::from_model(&e, ask.stats.attempts));
+            }
+            ask.stats.retries += 1;
+            // Backoff is recorded, never slept; cap the recorded
+            // interval by the budget actually left so the schedule
+            // stays honest about what a real sleep could have been.
+            let backoff = ask
+                .req
+                .budget
+                .cap(std::time::Duration::from_millis(policy.backoff_ms(retry)))
+                .as_millis() as u64;
+            ask.stats.backoff_schedule_ms.push(backoff);
+            ask.obs
+                .registry()
+                .counter(crate::obs::RETRIES_NAME, crate::obs::RETRIES_HELP)
+                .inc();
+            ask.obs
+                .registry()
+                .counter(crate::obs::BACKOFF_NAME, crate::obs::BACKOFF_HELP)
+                .add(backoff as f64);
+            ask.obs.tracer().event(
+                &ask.span,
+                "model_retry",
+                &[("backoff_ms", &backoff.to_string())],
+            );
+            retry += 1;
+        }
+    }
+
     /// Execute the generated query, running bounded repair rounds on
     /// sandbox rejection and falling back to a degraded direct metric
     /// lookup when recovery is exhausted (or generation itself failed).
-    #[allow(clippy::too_many_arguments)]
     fn execute_with_repair(
         &mut self,
+        ask: &mut Ask<'_>,
         generated: Result<String, CopilotError>,
-        question: &str,
         gen_context: &[ContextItem],
         hits: &[crate::extractor::Retrieved],
-        ts: i64,
-        window: usize,
-        reserved: usize,
-        budget: &Budget,
-        usage: &mut TokenUsage,
-        stats: &mut RecoveryStats,
-        obs: &ObsHub,
-        ctx: &SpanContext,
     ) -> ExecResolution {
-        let policy = self.config.recovery.clone();
         let mut query = match generated {
             Ok(q) => q,
             // A lapsed budget is not a failure to recover from: running
@@ -962,18 +933,21 @@ impl DioCopilot {
             Err(e @ CopilotError::DeadlineExceeded { .. }) => {
                 return ExecResolution::deadline(String::new(), e);
             }
-            Err(e) => {
-                // Satellite of the recovery design: a model failure used
-                // to be executed as a fake `# model error: …` query.
-                // Now it skips execution and degrades.
-                return self.degraded_fallback(String::new(), e, hits, ts, stats, obs, ctx);
-            }
+            // A model failure is not executed as a fake
+            // `# model error: …` query: it skips execution and degrades.
+            Err(e) => return self.degraded_fallback(ask, String::new(), e, hits),
         };
 
+        let enabled = self.config.recovery.enabled;
+        let max_rounds = self
+            .config
+            .recovery
+            .max_repair_rounds
+            .min(ask.req.repair_round_cap);
         let mut rounds = 0usize;
         let mut storage_retries = 0usize;
         let error = loop {
-            if budget.expired() {
+            if ask.req.budget.expired() {
                 return ExecResolution::deadline(
                     query,
                     CopilotError::DeadlineExceeded {
@@ -984,11 +958,11 @@ impl DioCopilot {
             // The execute span's own context rides into the sandbox so
             // the store resolver can hang one child span per shard it
             // touches under this invocation.
-            let executed = time_stage(obs, ctx, "execute", |sctx| {
+            let executed = ask.stage("execute", |ask, sctx| {
                 self.sandbox
-                    .execute_traced(&query, ts, Some((obs.tracer(), sctx)))
+                    .execute_traced(&query, ask.req.ts, Some((ask.obs.tracer(), sctx)))
             });
-            match executed {
+            let sandbox_err = match executed {
                 Ok(out) => {
                     return ExecResolution {
                         query,
@@ -1004,90 +978,62 @@ impl DioCopilot {
                         completeness: out.completeness,
                     };
                 }
-                Err(sandbox_err) => {
-                    // A storage fault is the store's failure, not the
-                    // query's: retry the same query unchanged (bounded)
-                    // instead of burning a model repair round on it.
-                    if sandbox_err.is_storage_fault() {
-                        stats.data_faults += 1;
-                        obs.registry()
-                            .counter_with(
-                                crate::obs::DATA_FAULTS_NAME,
-                                crate::obs::DATA_FAULTS_HELP,
-                                &[("layer", "tsdb"), ("kind", "transient_io")],
-                            )
-                            .inc();
-                        obs.tracer().event(
-                            ctx,
-                            "storage_retry",
-                            &[("error", &sandbox_err.to_string())],
-                        );
-                        if policy.enabled && storage_retries < policy.max_retries {
-                            storage_retries += 1;
-                            continue;
-                        }
-                        break CopilotError::from_sandbox(&sandbox_err);
-                    }
-                    let classified = CopilotError::from_sandbox(&sandbox_err);
-                    if !policy.enabled || rounds >= policy.max_repair_rounds {
-                        break classified;
-                    }
-                    rounds += 1;
-                    stats.repairs += 1;
-                    obs.registry()
-                        .counter(crate::obs::REPAIRS_NAME, crate::obs::REPAIRS_HELP)
-                        .inc();
-                    obs.tracer().event(
-                        ctx,
-                        "repair_round",
-                        &[("round", &rounds.to_string()), ("error", &sandbox_err.to_string())],
-                    );
-                    // Re-prompt with the failed query and the sandbox's
-                    // structured hint riding in the system section; the
-                    // question/context/examples stay identical.
-                    let hint = sandbox_err.repair_hint(&query);
-                    let mut repair_builder = PromptBuilder::new()
-                        .system(format!(
-                            "{SYSTEM_PROMPT}\nThe previous query failed in the sandbox.\n\
-                             Failed query: {query}\nSandbox: {sandbox_err}\nFix: {hint}"
-                        ))
-                        .context(gen_context.to_vec())
-                        .examples(
-                            self.exemplars
-                                .iter()
-                                .take(self.config.max_exemplars)
-                                .cloned(),
-                        )
-                        .question(question)
-                        .task(TaskKind::RepairPromql);
-                    for f in self.db.functions().take(4) {
-                        repair_builder =
-                            repair_builder.function(&f.name, first_sentence(&f.description));
-                    }
-                    let repair_request = CompletionRequest {
-                        prompt: repair_builder.build(window, reserved),
-                        max_tokens: self.config.max_output_tokens,
-                        temperature: self.config.temperature,
-                        timeout_ms: budget_timeout_ms(budget),
-                    };
-                    let repaired = time_stage(obs, ctx, "generate", |_| {
-                        Self::call_model(
-                            self.model.as_ref(),
-                            &mut self.breaker,
-                            &policy,
-                            &repair_request,
-                            budget,
-                            usage,
-                            stats,
-                            obs,
-                            ctx,
-                        )
-                    });
-                    match repaired {
-                        Ok(fixed) => query = fixed.trim().to_string(),
-                        Err(model_err) => break model_err,
-                    }
+                Err(e) => e,
+            };
+            // A storage fault is the store's failure, not the query's:
+            // retry the same query unchanged (bounded) instead of
+            // burning a model repair round on it.
+            if sandbox_err.is_storage_fault() {
+                ask.stats.data_faults += 1;
+                ask.obs
+                    .registry()
+                    .counter_with(
+                        crate::obs::DATA_FAULTS_NAME,
+                        crate::obs::DATA_FAULTS_HELP,
+                        &[("layer", "tsdb"), ("kind", "transient_io")],
+                    )
+                    .inc();
+                ask.obs.tracer().event(
+                    &ask.span,
+                    "storage_retry",
+                    &[("error", &sandbox_err.to_string())],
+                );
+                if enabled && storage_retries < self.config.recovery.max_retries {
+                    storage_retries += 1;
+                    continue;
                 }
+                break CopilotError::from_sandbox(&sandbox_err);
+            }
+            if !enabled || rounds >= max_rounds {
+                break CopilotError::from_sandbox(&sandbox_err);
+            }
+            rounds += 1;
+            ask.stats.repairs += 1;
+            ask.obs
+                .registry()
+                .counter(crate::obs::REPAIRS_NAME, crate::obs::REPAIRS_HELP)
+                .inc();
+            ask.obs.tracer().event(
+                &ask.span,
+                "repair_round",
+                &[("round", &rounds.to_string()), ("error", &sandbox_err.to_string())],
+            );
+            // Re-prompt with the failed query and the sandbox's
+            // structured hint riding in the system section; the
+            // question/context/examples stay identical.
+            let hint = sandbox_err.repair_hint(&query);
+            let repair_request = self.codegen_request(
+                ask,
+                format!(
+                    "{SYSTEM_PROMPT}\nThe previous query failed in the sandbox.\n\
+                     Failed query: {query}\nSandbox: {sandbox_err}\nFix: {hint}"
+                ),
+                gen_context,
+                TaskKind::RepairPromql,
+            );
+            match self.generate(ask, &repair_request) {
+                Ok(fixed) => query = fixed,
+                Err(model_err) => break model_err,
             }
         };
 
@@ -1095,8 +1041,8 @@ impl DioCopilot {
             // Same rule as above: the deadline forbids the fallback.
             return ExecResolution::deadline(query, error);
         }
-        if policy.enabled {
-            self.degraded_fallback(query, error, hits, ts, stats, obs, ctx)
+        if enabled {
+            self.degraded_fallback(ask, query, error, hits)
         } else {
             // Ablation baseline: surface the failure as-is.
             ExecResolution {
@@ -1115,27 +1061,27 @@ impl DioCopilot {
     /// of the best retrieved metric that actually executes, labelled
     /// [`DegradationLevel::Degraded`] and carrying the error that
     /// forced the fallback.
-    #[allow(clippy::too_many_arguments)]
     fn degraded_fallback(
         &mut self,
+        ask: &mut Ask<'_>,
         failed_query: String,
         error: CopilotError,
         hits: &[crate::extractor::Retrieved],
-        ts: i64,
-        stats: &mut RecoveryStats,
-        obs: &ObsHub,
-        ctx: &SpanContext,
     ) -> ExecResolution {
-        stats.degraded = true;
-        obs.tracer()
-            .event(ctx, "degraded_fallback", &[("error", &error.to_string())]);
-        time_stage(obs, ctx, "fallback", |sctx| {
+        ask.stats.degraded = true;
+        ask.obs.tracer().event(
+            &ask.span,
+            "degraded_fallback",
+            &[("error", &error.to_string())],
+        );
+        ask.stage("fallback", |ask, sctx| {
             for h in hits.iter().take(5) {
                 let candidate = h.sample.name.clone();
-                if let Ok(out) = self
-                    .sandbox
-                    .execute_traced(&candidate, ts, Some((obs.tracer(), sctx)))
-                {
+                if let Ok(out) = self.sandbox.execute_traced(
+                    &candidate,
+                    ask.req.ts,
+                    Some((ask.obs.tracer(), sctx)),
+                ) {
                     return ExecResolution {
                         query: candidate,
                         canonical: Some(out.canonical_query),
@@ -1209,12 +1155,6 @@ impl DioCopilot {
 /// System prompt shared by both stages.
 const SYSTEM_PROMPT: &str = "You are DIO copilot, a natural language interface for retrieval \
 and analytics tasks on 5G operator data. Use only metrics from CONTEXT. Answer with PromQL.";
-
-/// Per-call model timeout derived from the remaining budget, in whole
-/// milliseconds. Unbounded budgets impose no cap.
-fn budget_timeout_ms(budget: &Budget) -> Option<u64> {
-    budget.remaining().map(|left| left.as_millis() as u64)
-}
 
 /// First sentence of a description (keeps prompts within the paper's
 /// cost envelope while preserving the discriminative tokens).
@@ -1860,7 +1800,10 @@ mod tests {
         let (mut cp, ts) = copilot();
         let q = "How many paging attempts were there?";
         let vec = cp.extractor().embed_question(q);
-        let prepared = cp.ask_prepared(q, ts, Some(&vec));
+        let prepared = cp.ask_with(AskRequest {
+            qvec: Some(&vec),
+            ..AskRequest::new(q, ts)
+        });
         let plain = cp.ask(q, ts);
         assert_eq!(prepared.query, plain.query);
         assert_eq!(prepared.numeric_answer, plain.numeric_answer);
@@ -1869,8 +1812,10 @@ mod tests {
     #[test]
     fn lapsed_budget_aborts_before_any_model_call() {
         let (mut cp, ts) = copilot();
-        let budget = Budget::within(std::time::Duration::ZERO);
-        let r = cp.ask_budgeted("How many paging attempts?", ts, None, None, &budget);
+        let r = cp.ask_with(AskRequest {
+            budget: Budget::within(std::time::Duration::ZERO),
+            ..AskRequest::new("How many paging attempts?", ts)
+        });
         assert!(
             matches!(r.error, Some(CopilotError::DeadlineExceeded { .. })),
             "{:?}",
@@ -1898,19 +1843,80 @@ mod tests {
     fn brownout_ask_degrades_without_any_model_call() {
         let (mut cp, ts) = copilot();
         let q = "How many paging attempts?";
-        let r = cp.ask_degraded(q, ts, None, None, &Budget::unbounded());
+        let breaker_before = cp.breaker().clone();
+        let r = cp.ask_with(AskRequest {
+            model: false,
+            ..AskRequest::new(q, ts)
+        });
         assert_eq!(r.degradation, DegradationLevel::Degraded);
+        assert!(matches!(
+            r.error,
+            Some(CopilotError::ModelUnavailable { attempts: 0, .. })
+        ));
+        assert_eq!(r.trace.recovery.attempts, 0);
+        assert_eq!(r.trace.recovery.breaker_trips, 0);
         let snap = cp.obs().registry().snapshot();
         assert_eq!(
             snap.total("dio_llm_model_calls_total"),
             0.0,
             "cache-only brownout must not touch the model"
         );
-        // The real breaker came back: the next plain ask runs the full
-        // pipeline again.
-        assert_eq!(cp.breaker().state(), crate::BreakerState::Closed);
+        // The real breaker was never consulted: the next plain ask runs
+        // the full pipeline.
+        assert_eq!(cp.breaker(), &breaker_before);
         let full = cp.ask(q, ts);
         assert_eq!(full.degradation, DegradationLevel::Full);
+    }
+
+    #[test]
+    fn model_off_ask_leaves_an_open_breakers_cooldown_untouched() {
+        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+            inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+            remaining: std::cell::RefCell::new(usize::MAX),
+        }));
+        cp.ask("How many paging attempts?", ts);
+        assert_eq!(cp.breaker().state(), crate::BreakerState::Open);
+        let open = cp.breaker().clone();
+        let r = cp.ask_with(AskRequest {
+            model: false,
+            ..AskRequest::new("How many service requests?", ts)
+        });
+        assert_eq!(r.degradation, DegradationLevel::Degraded);
+        // Not one cooldown tick spent, no transition counted.
+        assert_eq!(cp.breaker(), &open);
+    }
+
+    #[test]
+    fn request_fidelity_caps_apply_to_one_ask_only() {
+        let (mut cp, ts) = copilot_with_model(Box::new(CorruptFirst {
+            inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+            corrupted: std::cell::RefCell::new(false),
+        }));
+        let q = "How many initial registration attempts did the AMF handle?";
+        let capped = cp.ask_with(AskRequest {
+            top_k_cap: 3,
+            repair_round_cap: 0,
+            ..AskRequest::new(q, ts)
+        });
+        // No repair round allowed: the malformed first try degrades.
+        assert_eq!(capped.trace.recovery.repairs, 0);
+        assert_eq!(capped.degradation, DegradationLevel::Degraded);
+        let sim = |cp: &DioCopilot| {
+            let snap = cp.obs().registry().snapshot();
+            let fam = snap.family(crate::obs::SIMILARITY_NAME).unwrap();
+            fam.series
+                .iter()
+                .map(|s| match &s.value {
+                    dio_obs::SeriesValue::Histogram(h) => h.count,
+                    _ => 0,
+                })
+                .sum::<u64>()
+        };
+        assert_eq!(sim(&cp), 3, "top-k cap bounds the retrieved context");
+        // The next plain ask is back at the configured fidelity.
+        let full = cp.ask(q, ts);
+        assert_eq!(full.degradation, DegradationLevel::Full);
+        assert_eq!(sim(&cp), 3 + CopilotConfig::default().top_k as u64);
     }
 
     #[test]
@@ -1918,7 +1924,10 @@ mod tests {
         let (mut cp, ts) = copilot();
         let budget = Budget::unbounded();
         budget.cancel();
-        let r = cp.ask_budgeted("How many paging attempts?", ts, None, None, &budget);
+        let r = cp.ask_with(AskRequest {
+            budget,
+            ..AskRequest::new("How many paging attempts?", ts)
+        });
         assert!(matches!(
             r.error,
             Some(CopilotError::DeadlineExceeded { .. })
@@ -1933,23 +1942,26 @@ mod tests {
         let (mut cp2, _) = copilot();
         let q = "How many initial registration attempts did the AMF handle?";
         let a = cp1.ask(q, ts);
-        let b = cp2.ask_budgeted(q, ts, None, None, &Budget::unbounded());
+        let b = cp2.ask_with(AskRequest {
+            budget: Budget::unbounded(),
+            ..AskRequest::new(q, ts)
+        });
         assert_eq!(a.query, b.query);
         assert_eq!(a.numeric_answer, b.numeric_answer);
+        assert_eq!(a.usage, b.usage);
         assert!(b.error.is_none());
     }
 
     #[test]
     fn generous_budget_caps_model_calls_without_changing_answers() {
         let (mut cp, ts) = copilot();
-        let budget = Budget::within(std::time::Duration::from_secs(3600));
-        let r = cp.ask_budgeted(
-            "How many initial registration attempts did the AMF handle?",
-            ts,
-            None,
-            None,
-            &budget,
-        );
+        let r = cp.ask_with(AskRequest {
+            budget: Budget::within(std::time::Duration::from_secs(3600)),
+            ..AskRequest::new(
+                "How many initial registration attempts did the AMF handle?",
+                ts,
+            )
+        });
         assert!(r.error.is_none(), "{:?}", r.error);
         assert!(r.numeric_answer.is_some());
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Full);

@@ -152,24 +152,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// A breaker latched open: every call is refused and the cooldown
-    /// never elapses, so an ask spends zero model calls and lands on
-    /// the degraded direct-lookup fallback. The serving tier swaps
-    /// this in for the brownout ladder's cache-or-degraded level
-    /// ([`crate::DioCopilot::ask_degraded`]) and restores the real
-    /// breaker afterwards.
-    pub fn latched_open() -> Self {
-        CircuitBreaker {
-            state: BreakerState::Open,
-            consecutive_failures: 0,
-            cooldown_remaining: usize::MAX,
-            trips: 0,
-            threshold: usize::MAX,
-            cooldown: usize::MAX,
-            current_cooldown: usize::MAX,
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -408,17 +390,6 @@ mod tests {
         b.record_success();
         assert_eq!(b.current_cooldown(), 2);
         assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn latched_open_breaker_never_admits() {
-        let mut b = CircuitBreaker::latched_open();
-        for _ in 0..1_000 {
-            assert!(!b.allow());
-            b.record_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 0, "a latched breaker never counts trips");
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl IdfTable {
         self.doc_count
     }
 
-    /// Number of distinct tokens observed.
-    pub fn vocab_size(&self) -> usize {
-        self.doc_freq.len()
-    }
-
     /// Smoothed IDF: `ln((1 + N) / (1 + df)) + 1`.
     ///
     /// Unseen tokens get the highest weight (df = 0) — exactly what the

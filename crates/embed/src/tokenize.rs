@@ -56,11 +56,6 @@ pub fn content_words(text: &str) -> Vec<String> {
     }
 }
 
-/// True when `word` is a stopword.
-pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.contains(&word)
-}
-
 /// Character n-grams of a single token, fastText style: the token is
 /// wrapped in boundary markers (`<` and `>`) and every n-gram with
 /// `min <= n <= max` is emitted. Tokens shorter than `min` are emitted

@@ -47,22 +47,9 @@ impl IssueTracker {
         }
     }
 
-    /// Tracker with a caller-supplied registry.
-    pub fn with_experts(experts: ExpertRegistry) -> Self {
-        IssueTracker {
-            issues: Vec::new(),
-            experts,
-        }
-    }
-
     /// The expert registry.
     pub fn experts(&self) -> &ExpertRegistry {
         &self.experts
-    }
-
-    /// Mutable registry access (to expand the pool, §3.4 future work).
-    pub fn experts_mut(&mut self) -> &mut ExpertRegistry {
-        &mut self.experts
     }
 
     /// File an issue from a copilot interaction (the raise-hand button).

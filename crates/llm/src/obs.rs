@@ -59,11 +59,6 @@ impl ObservedModel {
     pub fn inner(&self) -> &dyn FoundationModel {
         self.inner.as_ref()
     }
-
-    /// Swap the wrapped model, keeping the registry.
-    pub fn replace_inner(&mut self, inner: Box<dyn FoundationModel>) {
-        self.inner = inner;
-    }
 }
 
 impl FoundationModel for ObservedModel {

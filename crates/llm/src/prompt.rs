@@ -106,12 +106,6 @@ impl PromptBuilder {
         self
     }
 
-    /// Add one context item.
-    pub fn context_item(mut self, item: ContextItem) -> Self {
-        self.context.push(item);
-        self
-    }
-
     /// Add many context items.
     pub fn context(mut self, items: impl IntoIterator<Item = ContextItem>) -> Self {
         self.context.extend(items);

@@ -36,6 +36,7 @@ pub mod exporter;
 pub mod expo;
 pub mod recorder;
 pub mod registry;
+pub mod rolling;
 pub mod scrape;
 pub mod slo;
 pub mod span;
@@ -49,6 +50,7 @@ pub use registry::{
     Buckets, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, InstrumentKind,
     Registry, SeriesSnapshot, SeriesValue, Snapshot,
 };
+pub use rolling::RollingQuantile;
 pub use scrape::{ObsScraper, ScrapeStats};
 pub use slo::{Objective, Selector, SloEngine, SloSpec, SloState, WindowBurn, PAGE_BURN,
     TICKET_BURN, WINDOWS};
@@ -84,18 +86,6 @@ impl ObsHub {
     /// A fresh hub.
     pub fn new() -> Self {
         ObsHub::default()
-    }
-
-    /// A hub whose flight recorder uses `cfg`.
-    pub fn with_recorder_config(cfg: RecorderConfig) -> Self {
-        let tracer = Tracer::new();
-        let recorder = FlightRecorder::with_config(cfg);
-        tracer.attach_recorder(recorder.clone());
-        ObsHub {
-            registry: Registry::new(),
-            tracer,
-            recorder,
-        }
     }
 
     /// The metrics registry.

@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
+use crate::rolling::RollingQuantile;
 use crate::span::TraceStatus;
 use crate::tracer::TraceRecord;
 
@@ -65,32 +66,36 @@ pub struct RetainedTrace {
     pub record: TraceRecord,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecorderInner {
     cfg: RecorderConfig,
     retained: VecDeque<RetainedTrace>,
     bytes_used: usize,
-    durations: VecDeque<u64>,
+    durations: RollingQuantile,
     offered: u64,
     rejected_partial: u64,
 }
 
 impl RecorderInner {
+    /// The slow threshold; `None` until the window is warm.
     fn rolling_p99(&self) -> Option<u64> {
         if self.durations.len() < self.cfg.min_samples {
             return None;
         }
-        let mut sorted: Vec<u64> = self.durations.iter().copied().collect();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64) * 0.99).ceil() as usize;
-        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+        self.durations.quantile(0.99)
     }
 }
 
 /// Shared flight recorder. Cheap to clone; clones share the ring.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        FlightRecorder::with_config(RecorderConfig::default())
+    }
 }
 
 impl FlightRecorder {
@@ -103,8 +108,12 @@ impl FlightRecorder {
     pub fn with_config(cfg: RecorderConfig) -> Self {
         FlightRecorder {
             inner: Arc::new(Mutex::new(RecorderInner {
+                durations: RollingQuantile::new(cfg.window),
                 cfg,
-                ..RecorderInner::default()
+                retained: VecDeque::new(),
+                bytes_used: 0,
+                offered: 0,
+                rejected_partial: 0,
             })),
         }
     }
@@ -126,10 +135,7 @@ impl FlightRecorder {
             return None;
         }
         let p99 = inner.rolling_p99();
-        inner.durations.push_back(record.total_micros);
-        if inner.durations.len() > inner.cfg.window {
-            inner.durations.pop_front();
-        }
+        inner.durations.push(record.total_micros);
         let reason = match record.status {
             TraceStatus::Error => Some("error"),
             TraceStatus::Shed => Some("shed"),

@@ -263,6 +263,25 @@ impl Tracer {
         out
     }
 
+    /// [`Tracer::time_with`] for attributes only `f` can know — a cache
+    /// probe's hit or miss, a wait's outcome: `f` returns them beside
+    /// its output.
+    pub fn time_learned<T>(
+        &self,
+        parent: &SpanContext,
+        name: &str,
+        f: impl FnOnce(&SpanContext) -> (T, Vec<(&'static str, String)>),
+    ) -> T {
+        let child = self.child_of(parent);
+        let start = self.clock_micros(&child);
+        let t0 = Instant::now();
+        let (out, attrs) = f(&child);
+        let micros = micros_u64(t0.elapsed());
+        let attrs: Vec<(&str, &str)> = attrs.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        self.record_span(&child, name, start, micros, &attrs);
+        out
+    }
+
     /// Close the trace: record the whole-request root span (offset 0 →
     /// now), stamp `status` and the total duration, and offer the
     /// finished record to the attached flight recorder. Returns the
@@ -421,6 +440,23 @@ mod tests {
         assert_eq!(tree.root.children[0].span.name, "outer");
         assert_eq!(tree.root.children[0].span.span_id, inner_ctx.span_id);
         assert_eq!(tree.root.children[0].children[0].span.name, "inner");
+    }
+
+    #[test]
+    fn learned_attributes_land_on_the_timed_span() {
+        let t = Tracer::new();
+        let root = t.begin_trace("probe");
+        let hit = t.time_learned(&root, "cache_lookup", |_| {
+            let attrs = vec![("cache", "answer".into()), ("result", "hit".into())];
+            (true, attrs)
+        });
+        assert!(hit);
+        let spans = t.spans(root.trace_id);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "cache_lookup");
+        assert_eq!(spans[0].parent_span_id, Some(root.span_id));
+        assert_eq!(spans[0].attr("cache"), Some("answer"));
+        assert_eq!(spans[0].attr("result"), Some("hit"));
     }
 
     #[test]

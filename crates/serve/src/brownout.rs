@@ -25,8 +25,7 @@
 //! `dio_serve_brownout_transitions_total{to=...}`, and recorded as a
 //! span event on the trace of the request whose pickup triggered it.
 
-use dio_obs::{Counter, Gauge, Registry};
-use std::collections::VecDeque;
+use dio_obs::{Counter, Gauge, Registry, RollingQuantile};
 use std::time::Duration;
 
 /// Degradation rungs, mildest first. Ordered: a higher level implies
@@ -144,7 +143,7 @@ pub struct BrownoutController {
     cfg: BrownoutConfig,
     queue_capacity: usize,
     deadline: Duration,
-    waits_micros: VecDeque<u64>,
+    waits_micros: RollingQuantile,
     level: usize,
     pressured_streak: usize,
     clear_streak: usize,
@@ -178,7 +177,7 @@ impl BrownoutController {
             cfg,
             queue_capacity: queue_capacity.max(1),
             deadline,
-            waits_micros: VecDeque::new(),
+            waits_micros: RollingQuantile::new(cfg.window),
             level: 0,
             pressured_streak: 0,
             clear_streak: 0,
@@ -200,15 +199,14 @@ impl BrownoutController {
         queue_len: usize,
         queue_wait: Duration,
     ) -> (BrownoutLevel, Option<BrownoutTransition>) {
-        if self.waits_micros.len() == self.cfg.window.max(1) {
-            self.waits_micros.pop_front();
-        }
-        self.waits_micros
-            .push_back(queue_wait.as_micros() as u64);
+        self.waits_micros.push(queue_wait.as_micros() as u64);
 
         let occupancy = queue_len as f64 / self.queue_capacity as f64;
         let wait_limit = self.deadline.as_micros() as f64 * self.cfg.wait_budget;
-        let wait_p = self.wait_percentile_micros();
+        let wait_p = self
+            .waits_micros
+            .quantile(self.cfg.wait_percentile)
+            .unwrap_or(0) as f64;
         let pressured = occupancy >= self.cfg.queue_high || wait_p > wait_limit;
         // Clear needs both signals quiet, and the wait percentile well
         // under the limit (half), so the ladder does not oscillate
@@ -241,17 +239,6 @@ impl BrownoutController {
             (BrownoutLevel::from_index(from), level)
         });
         (level, transition)
-    }
-
-    fn wait_percentile_micros(&self) -> f64 {
-        let n = self.waits_micros.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut v: Vec<u64> = self.waits_micros.iter().copied().collect();
-        v.sort_unstable();
-        let idx = ((n - 1) as f64 * self.cfg.wait_percentile).round() as usize;
-        v[idx.min(n - 1)] as f64
     }
 }
 

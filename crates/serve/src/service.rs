@@ -17,7 +17,7 @@
 //!    `(eval_ts, normalized question)`; a hit skips the pipeline
 //!    entirely. On a miss it consults the embedding cache for the
 //!    question vector before falling back to embedding, then runs
-//!    [`DioCopilot::ask_prepared`] with the shared vector. Both caches
+//!    [`DioCopilot::ask_with`] with the shared vector. Both caches
 //!    are stamped with the copilot's knowledge generation so
 //!    feedback-loop catalog updates invalidate them atomically.
 //! 3. **Reply** — every *accepted* request receives exactly one
@@ -31,7 +31,7 @@ use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
 use crate::cache::{CacheStats, TtlLru};
 use crate::normalize::normalize_question;
 use crate::tenant::{tenant_class, RateLimiter, TenantPolicy, TENANT_CLASSES};
-use dio_copilot::{CopilotError, CopilotResponse, DegradationLevel, DioCopilot};
+use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
 use dio_gateway::{
     BatchConfig, FlushRecord, FollowerOutcome, Join, ModelGateway, Probe, SemanticCache,
     SemanticConfig, SemanticStats, Singleflight,
@@ -402,6 +402,33 @@ struct Core {
     gateway: Option<GatewayPlane>,
 }
 
+impl Core {
+    /// Refuse a request: advise a backoff from the live backlog (the
+    /// queue drains at the worker pool's rate, so the hint grows with
+    /// it; `floor` is the minimum), count the shed, and close the
+    /// request's trace as `status` behind a `shed` event.
+    fn refuse(
+        &self,
+        tenant: &str,
+        ctx: &SpanContext,
+        reason: ShedReason,
+        floor: Duration,
+        status: TraceStatus,
+    ) -> Shed {
+        let retry_after = retry_hint(self.queue.len(), self.config.workers, floor);
+        self.metrics.count_shed(reason);
+        self.metrics.count_class(tenant, "shed");
+        self.obs
+            .tracer()
+            .event(ctx, "shed", &[("reason", reason.label())]);
+        self.obs.tracer().finish_trace(ctx, status);
+        Shed {
+            reason,
+            retry_after,
+        }
+    }
+}
+
 /// The span-context cell a gateway-backed worker shares with its boxed
 /// model handle (set per job so batch spans land under the right
 /// trace).
@@ -529,28 +556,24 @@ impl QueryService {
         if self.core.brownout.lock().unwrap().level() == BrownoutLevel::Shed
             && !self.core.queue.is_empty()
         {
-            let shed = Shed {
-                reason: ShedReason::Brownout,
-                retry_after: self.retry_hint(Duration::ZERO),
-            };
-            self.core.metrics.count_shed(shed.reason);
-            self.core.metrics.count_class(&req.tenant, "shed");
-            tracer.event(&ctx, "shed", &[("reason", shed.reason.label())]);
-            tracer.finish_trace(&ctx, TraceStatus::Shed);
-            return Err(shed);
+            return Err(self.core.refuse(
+                &req.tenant,
+                &ctx,
+                ShedReason::Brownout,
+                Duration::ZERO,
+                TraceStatus::Shed,
+            ));
         }
         if let Err(refill) = self.core.limiter.try_acquire_at(&req.tenant, now) {
-            let shed = Shed {
-                reason: ShedReason::TenantThrottle,
-                // The refill time floors the hint; a backed-up queue
-                // raises it further.
-                retry_after: self.retry_hint(refill),
-            };
-            self.core.metrics.count_shed(shed.reason);
-            self.core.metrics.count_class(&req.tenant, "shed");
-            tracer.event(&ctx, "shed", &[("reason", shed.reason.label())]);
-            tracer.finish_trace(&ctx, TraceStatus::Shed);
-            return Err(shed);
+            // The refill time floors the hint; a backed-up queue
+            // raises it further.
+            return Err(self.core.refuse(
+                &req.tenant,
+                &ctx,
+                ShedReason::TenantThrottle,
+                refill,
+                TraceStatus::Shed,
+            ));
         }
         let (tx, rx) = mpsc::channel();
         let job = Job {
@@ -575,17 +598,13 @@ impl QueryService {
                 // backup (say, mid-failover) throttles the tenant's
                 // retries on top of shedding them.
                 self.core.limiter.refund(&job.req.tenant);
-                let shed = Shed {
+                Err(self.core.refuse(
+                    &job.req.tenant,
+                    &job.ctx,
                     reason,
-                    // The queue drains at the worker pool's rate, so
-                    // the advised backoff grows with the backlog.
-                    retry_after: self.retry_hint(Duration::ZERO),
-                };
-                self.core.metrics.count_shed(shed.reason);
-                self.core.metrics.count_class(&job.req.tenant, "shed");
-                tracer.event(&job.ctx, "shed", &[("reason", shed.reason.label())]);
-                tracer.finish_trace(&job.ctx, TraceStatus::Shed);
-                Err(shed)
+                    Duration::ZERO,
+                    TraceStatus::Shed,
+                ))
             }
         }
     }
@@ -593,14 +612,6 @@ impl QueryService {
     /// The current brownout-ladder position.
     pub fn brownout_level(&self) -> BrownoutLevel {
         self.core.brownout.lock().unwrap().level()
-    }
-
-    fn retry_hint(&self, floor: Duration) -> Duration {
-        retry_hint(
-            self.core.queue.len(),
-            self.core.config.workers,
-            floor,
-        )
     }
 
     /// Submit and block for the outcome (convenience for tests and
@@ -646,11 +657,6 @@ impl QueryService {
         })
     }
 
-    /// The shared batching gateway, when present.
-    pub fn gateway_model(&self) -> Option<Arc<ModelGateway>> {
-        self.core.gateway.as_ref().map(|gw| Arc::clone(&gw.model))
-    }
-
     /// Requests currently queued.
     pub fn queue_len(&self) -> usize {
         self.core.queue.len()
@@ -681,22 +687,6 @@ impl Drop for QueryService {
     }
 }
 
-/// Trace status a finished pipeline response maps to (mirrors the
-/// copilot's own mapping for self-owned traces). A lapsed budget gets
-/// its own class so the flight recorder retains deadline aborts
-/// separately from ordinary errors.
-fn response_status(response: &CopilotResponse) -> TraceStatus {
-    if matches!(response.error, Some(CopilotError::DeadlineExceeded { .. })) {
-        TraceStatus::DeadlineExceeded
-    } else if response.degradation == DegradationLevel::Degraded {
-        TraceStatus::Degraded
-    } else if response.error.is_some() {
-        TraceStatus::Error
-    } else {
-        TraceStatus::Ok
-    }
-}
-
 /// Backoff hint derived from live pressure instead of a constant: the
 /// queue drains at the worker pool's rate, so the advised wait grows
 /// with the queued-requests-per-worker backlog; `floor` (the tenant
@@ -716,9 +706,6 @@ fn worker_loop(
     worker: usize,
     ctx_cell: Option<CtxCell>,
 ) {
-    // The full-fidelity knobs, restored whenever the ladder is at
-    // normal; brownout levels shrink them per request.
-    let base_knobs = (copilot.top_k(), copilot.max_repair_rounds());
     while let Some((job, deadline)) = core.queue.pop() {
         core.metrics.queue_depth.set(core.queue.len() as f64);
         let picked_up = Instant::now();
@@ -754,70 +741,68 @@ fn worker_loop(
                 &[("from", from.label()), ("to", to.label()), ("at_micros", &at)],
             );
         }
+        let tenant = &job.req.tenant;
         if picked_up >= deadline || job.budget.expired() {
-            let shed = Shed {
-                reason: ShedReason::DeadlineExpired,
-                retry_after: retry_hint(core.queue.len(), core.config.workers, Duration::ZERO),
-            };
-            core.metrics.count_shed(shed.reason);
-            core.metrics.count_class(&job.req.tenant, "shed");
-            tracer.event(&job.ctx, "shed", &[("reason", shed.reason.label())]);
-            tracer.finish_trace(&job.ctx, TraceStatus::Shed);
+            let shed = core.refuse(
+                tenant,
+                &job.ctx,
+                ShedReason::DeadlineExpired,
+                Duration::ZERO,
+                TraceStatus::Shed,
+            );
             let _ = job.reply.send(ServeOutcome::Shed(shed));
             continue;
         }
-        let reply = job.reply.clone();
-        let root = job.ctx;
         // Thread this job's trace context into the gateway handle so
         // batch_flush spans and `batched` events parent correctly.
         if let Some(cell) = &ctx_cell {
             *cell.lock().unwrap() = Some(job.ctx);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_one(
-                &core, &mut copilot, &job, queue_wait, picked_up, worker, level, base_knobs,
-            )
-        }));
+        let pickup = Pickup {
+            core: &core,
+            job: &job,
+            queue_wait,
+            picked_up,
+            worker,
+            level,
+        };
+        let served = catch_unwind(AssertUnwindSafe(|| pickup.serve(&mut copilot)));
         if let Some(cell) = &ctx_cell {
             *cell.lock().unwrap() = None;
         }
-        match outcome {
+        let outcome = match served {
             Ok(Ok(answer)) => {
                 core.metrics.answered.inc();
-                core.metrics.count_class(&job.req.tenant, "answered");
+                core.metrics.count_class(tenant, "answered");
                 core.metrics.observe_class_latency(
-                    &job.req.tenant,
+                    tenant,
                     (queue_wait + answer.service_time).as_micros() as f64,
                 );
-                tracer.finish_trace(&root, response_status(&answer.response));
-                let _ = reply.send(ServeOutcome::Answered(Box::new(answer)));
+                tracer.finish_trace(&job.ctx, answer.response.trace_status());
+                ServeOutcome::Answered(Box::new(answer))
             }
-            Ok(Err(shed)) => {
-                // The budget lapsed between stages: abandon the rest
-                // of the work cooperatively.
-                core.metrics.count_shed(shed.reason);
-                core.metrics.count_class(&job.req.tenant, "shed");
-                tracer.event(&root, "shed", &[("reason", shed.reason.label())]);
-                tracer.finish_trace(&root, TraceStatus::DeadlineExceeded);
-                let _ = reply.send(ServeOutcome::Shed(shed));
-            }
+            // The budget lapsed between stages: the rest of the work
+            // was abandoned cooperatively.
+            Ok(Err(Lapsed)) => ServeOutcome::Shed(core.refuse(
+                tenant,
+                &job.ctx,
+                ShedReason::DeadlineExpired,
+                Duration::ZERO,
+                TraceStatus::DeadlineExceeded,
+            )),
             Err(_) => {
                 core.metrics.worker_panics.inc();
-                let shed = Shed {
+                core.metrics.count_shed(ShedReason::WorkerPanic);
+                core.metrics.count_class(tenant, "shed");
+                tracer.event(&job.ctx, "worker_panic", &[]);
+                tracer.finish_trace(&job.ctx, TraceStatus::Error);
+                ServeOutcome::Shed(Shed {
                     reason: ShedReason::WorkerPanic,
-                    retry_after: retry_hint(
-                        core.queue.len(),
-                        core.config.workers,
-                        Duration::ZERO,
-                    ),
-                };
-                core.metrics.count_shed(shed.reason);
-                core.metrics.count_class(&job.req.tenant, "shed");
-                tracer.event(&root, "worker_panic", &[]);
-                tracer.finish_trace(&root, TraceStatus::Error);
-                let _ = reply.send(ServeOutcome::Shed(shed));
+                    retry_after: retry_hint(core.queue.len(), core.config.workers, Duration::ZERO),
+                })
             }
-        }
+        };
+        let _ = job.reply.send(outcome);
     }
 }
 
@@ -825,283 +810,244 @@ fn worker_loop(
 /// onward.
 const BROWNOUT_TOP_K: usize = 8;
 
-/// The shed a worker reports when it observes a lapsed budget between
-/// stages.
-fn deadline_shed(core: &Core) -> Shed {
-    Shed {
-        reason: ShedReason::DeadlineExpired,
-        retry_after: retry_hint(core.queue.len(), core.config.workers, Duration::ZERO),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    core: &Core,
-    copilot: &mut DioCopilot,
-    job: &Job,
-    queue_wait: Duration,
-    picked_up: Instant,
-    worker: usize,
-    level: BrownoutLevel,
-    base_knobs: (usize, usize),
-) -> Result<ServedAnswer, Shed> {
-    let generation = core.generation.load(Ordering::Acquire);
-    let tracer = core.obs.tracer();
-    // The answer depends on both the question and the as-of timestamp.
-    let answer_key = format!("{}\u{1f}{}", job.req.ts, job.key);
-    let lookup_ctx = tracer.child_of(&job.ctx);
-    let lookup_start = tracer.clock_micros(&lookup_ctx);
-    let lookup_t0 = Instant::now();
-    let cached = core.answers.get(&answer_key, generation);
-    tracer.record_span(
-        &lookup_ctx,
-        "cache_lookup",
-        lookup_start,
-        dio_obs::micros_u64(lookup_t0.elapsed()),
-        &[
-            ("cache", "answer"),
-            ("result", if cached.is_some() { "hit" } else { "miss" }),
-        ],
-    );
-    if let Some(response) = cached {
-        let service_time = picked_up.elapsed();
-        core.metrics
-            .duration_hit
-            .observe((queue_wait + service_time).as_micros() as f64);
-        return Ok(ServedAnswer {
-            response,
-            answer_cache_hit: true,
-            semantic_cache_hit: false,
-            coalesced: false,
-            queue_wait,
-            service_time,
-            worker,
-        });
-    }
-    // Budget checkpoint between the cache and embed stages: a request
-    // whose deadline lapsed during the lookup does no further work.
-    if job.budget.expired() {
-        return Err(deadline_shed(core));
-    }
-    let embed_ctx = tracer.child_of(&job.ctx);
-    let embed_start = tracer.clock_micros(&embed_ctx);
-    let embed_t0 = Instant::now();
-    let (qvec, embed_cached) = match core.embeds.get(&job.key, generation) {
-        Some(v) => (v, true),
-        None => {
-            let v = Arc::new(copilot.extractor().embed_question(&job.req.question));
-            core.embeds.insert(job.key.clone(), Arc::clone(&v), generation);
-            (v, false)
-        }
-    };
-    tracer.record_span(
-        &embed_ctx,
-        "embed",
-        embed_start,
-        dio_obs::micros_u64(embed_t0.elapsed()),
-        &[
-            ("cache", "embed"),
-            ("result", if embed_cached { "hit" } else { "miss" }),
-        ],
-    );
-    // Budget checkpoint between the embed and pipeline stages.
-    if job.budget.expired() {
-        return Err(deadline_shed(core));
-    }
-    let mut semantic_cache_hit = false;
-    let mut coalesced = false;
-    let response = 'resp: {
-        // The gateway plane serves full-fidelity answers only: under a
-        // CacheOnly-or-worse brownout the request degrades below
-        // instead, and neither the semantic cache nor the coalescer
-        // should publish degraded results.
-        if let Some(gw) = core
-            .gateway
-            .as_ref()
-            .filter(|_| level < BrownoutLevel::CacheOnly)
-        {
-            // Semantic probe: serve a near-duplicate's answer when a
-            // cached neighbor clears the similarity floor.
-            if let Some(sem) = &gw.semantic {
-                let probe_ctx = tracer.child_of(&job.ctx);
-                let probe_start = tracer.clock_micros(&probe_ctx);
-                let probe_t0 = Instant::now();
-                let probe = sem.probe(job.req.ts, generation, &qvec);
-                let similarity = match &probe {
-                    Probe::Hit { similarity, .. } | Probe::Reject { similarity } => {
-                        format!("{similarity:.4}")
-                    }
-                    Probe::Miss => String::new(),
-                };
-                tracer.record_span(
-                    &probe_ctx,
-                    "semantic_probe",
-                    probe_start,
-                    dio_obs::micros_u64(probe_t0.elapsed()),
-                    &[("result", probe.event()), ("similarity", &similarity)],
-                );
-                if let Probe::Hit { value, .. } = probe {
-                    semantic_cache_hit = true;
-                    break 'resp value;
-                }
-            }
-            if job.budget.expired() {
-                return Err(deadline_shed(core));
-            }
-            if gw.coalesce {
-                // Singleflight: identical normalized questions at the
-                // same (generation, ts) share one pipeline run. The
-                // generation in the key means a knowledge bump opens a
-                // fresh epoch rather than sharing a stale answer.
-                let sf_key = format!("{}\u{1f}{}", generation, answer_key);
-                let mut rejoins = 0;
-                loop {
-                    match gw.flights.join(&sf_key) {
-                        Join::Leader(guard) => {
-                            gw.role_leader.inc();
-                            let response =
-                                run_pipeline(copilot, job, &qvec, level, base_knobs);
-                            // Deadline-aborted answers are never
-                            // shared: dropping the guard abandons the
-                            // epoch and followers recompute with their
-                            // own (possibly healthier) budgets.
-                            if matches!(
-                                response.error,
-                                Some(CopilotError::DeadlineExceeded { .. })
-                            ) {
-                                drop(guard);
-                            } else {
-                                guard.publish(response.clone());
-                            }
-                            break 'resp response;
-                        }
-                        Join::Follower(h) => {
-                            gw.role_follower.inc();
-                            let wait_ctx = tracer.child_of(&job.ctx);
-                            let wait_start = tracer.clock_micros(&wait_ctx);
-                            let wait_t0 = Instant::now();
-                            let out = h.wait(&job.budget);
-                            let outcome_label = match &out {
-                                FollowerOutcome::Ready(_) => "ready",
-                                FollowerOutcome::Abandoned => "abandoned",
-                                FollowerOutcome::TimedOut => "timeout",
-                            };
-                            tracer.record_span(
-                                &wait_ctx,
-                                "coalesce_wait",
-                                wait_start,
-                                dio_obs::micros_u64(wait_t0.elapsed()),
-                                &[("outcome", outcome_label)],
-                            );
-                            match out {
-                                FollowerOutcome::Ready(v) => {
-                                    coalesced = true;
-                                    break 'resp v;
-                                }
-                                FollowerOutcome::Abandoned => {
-                                    gw.role_abandoned.inc();
-                                    rejoins += 1;
-                                    if rejoins >= MAX_REJOINS {
-                                        // Pathological abandon churn:
-                                        // stop following, run solo.
-                                        break;
-                                    }
-                                }
-                                FollowerOutcome::TimedOut => {
-                                    gw.role_timeout.inc();
-                                    return Err(deadline_shed(core));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        run_pipeline(copilot, job, &qvec, level, base_knobs)
-    };
-    // Browned-out and deadline-aborted responses stay out of the
-    // answer cache: once pressure clears (or the client retries with
-    // budget to spare) the question deserves a full-fidelity answer.
-    // Coalesced and semantic hits skip insertion too — their leader or
-    // neighbor already populated both caches under the same keys.
-    let deadline_abort = matches!(response.error, Some(CopilotError::DeadlineExceeded { .. }));
-    if level < BrownoutLevel::CacheOnly && !deadline_abort && !coalesced && !semantic_cache_hit {
-        core.answers
-            .insert(answer_key, response.clone(), generation);
-        if let Some(sem) = core.gateway.as_ref().and_then(|gw| gw.semantic.as_ref()) {
-            // Only healthy answers become semantic neighbors: serving
-            // a paraphrase an *errored* answer would trade EX for
-            // latency in exactly the wrong direction.
-            if response.error.is_none() {
-                sem.insert(
-                    job.req.ts,
-                    generation,
-                    &job.key,
-                    Arc::clone(&qvec),
-                    response.clone(),
-                );
-            }
-        }
-    }
-    let service_time = picked_up.elapsed();
-    core.metrics
-        .duration_miss
-        .observe((queue_wait + service_time).as_micros() as f64);
-    Ok(ServedAnswer {
-        response,
-        answer_cache_hit: false,
-        semantic_cache_hit,
-        coalesced,
-        queue_wait,
-        service_time,
-        worker,
-    })
-}
-
 /// Bounded abandon-rejoin attempts before a follower gives up on
 /// coalescing and computes solo.
 const MAX_REJOINS: usize = 3;
 
-/// Run the pipeline under the brownout rung's knobs, restoring the
-/// worker's full-fidelity knobs afterwards. Shared by the solo path
-/// and the singleflight leader path.
-fn run_pipeline(
-    copilot: &mut DioCopilot,
-    job: &Job,
-    qvec: &Arc<dio_embed::Vector>,
+/// The job's budget lapsed between serving stages.
+struct Lapsed;
+
+/// Where a served response came from.
+#[derive(Clone, Copy, PartialEq)]
+enum Source {
+    AnswerCache,
+    SemanticCache,
+    Coalesced,
+    Pipeline,
+}
+
+/// Span attributes of one exact-cache probe.
+fn cache_attrs(cache: &str, hit: bool) -> Vec<(&'static str, String)> {
+    let result = if hit { "hit" } else { "miss" };
+    vec![("cache", cache.into()), ("result", result.into())]
+}
+
+/// One job a worker picked up, and what the worker learned on the way:
+/// how long it queued and the brownout rung it is served at.
+struct Pickup<'a> {
+    core: &'a Core,
+    job: &'a Job,
+    queue_wait: Duration,
+    picked_up: Instant,
+    worker: usize,
     level: BrownoutLevel,
-    base_knobs: (usize, usize),
-) -> CopilotResponse {
-    // Apply the brownout rung: shrink retrieval, drop repair rounds,
-    // or skip the model entirely — then restore the worker's
-    // full-fidelity knobs for the next request.
-    let (top_k, repairs) = match level {
-        BrownoutLevel::Normal => base_knobs,
-        BrownoutLevel::ReducedRetrieval => (base_knobs.0.min(BROWNOUT_TOP_K), base_knobs.1),
-        _ => (base_knobs.0.min(BROWNOUT_TOP_K), 0),
-    };
-    copilot.set_top_k(top_k);
-    copilot.set_max_repair_rounds(repairs);
-    let response = if level >= BrownoutLevel::CacheOnly {
-        copilot.ask_degraded(
-            &job.req.question,
-            job.req.ts,
-            Some(qvec),
-            Some(&job.ctx),
-            &job.budget,
-        )
-    } else {
-        copilot.ask_budgeted(
-            &job.req.question,
-            job.req.ts,
-            Some(qvec),
-            Some(&job.ctx),
-            &job.budget,
-        )
-    };
-    copilot.set_top_k(base_knobs.0);
-    copilot.set_max_repair_rounds(base_knobs.1);
-    response
+}
+
+impl Pickup<'_> {
+    fn serve(&self, copilot: &mut DioCopilot) -> Result<ServedAnswer, Lapsed> {
+        let (core, job) = (self.core, self.job);
+        let generation = core.generation.load(Ordering::Acquire);
+        let tracer = core.obs.tracer();
+        // The answer depends on both the question and the as-of timestamp.
+        let answer_key = format!("{}\u{1f}{}", job.req.ts, job.key);
+        let cached = tracer.time_learned(&job.ctx, "cache_lookup", |_| {
+            let cached = core.answers.get(&answer_key, generation);
+            let attrs = cache_attrs("answer", cached.is_some());
+            (cached, attrs)
+        });
+        if let Some(response) = cached {
+            return Ok(self.answered(response, Source::AnswerCache));
+        }
+        // Budget checkpoint between the cache and embed stages: a request
+        // whose deadline lapsed during the lookup does no further work.
+        if job.budget.expired() {
+            return Err(Lapsed);
+        }
+        let qvec = tracer.time_learned(&job.ctx, "embed", |_| {
+            let cached = core.embeds.get(&job.key, generation);
+            let attrs = cache_attrs("embed", cached.is_some());
+            let qvec = cached.unwrap_or_else(|| {
+                let v = Arc::new(copilot.extractor().embed_question(&job.req.question));
+                core.embeds
+                    .insert(job.key.clone(), Arc::clone(&v), generation);
+                v
+            });
+            (qvec, attrs)
+        });
+        // Budget checkpoint between the embed and pipeline stages.
+        if job.budget.expired() {
+            return Err(Lapsed);
+        }
+        let (response, source) = 'resp: {
+            // The gateway plane serves full-fidelity answers only: under a
+            // CacheOnly-or-worse brownout the request degrades below
+            // instead, and neither the semantic cache nor the coalescer
+            // should publish degraded results.
+            if let Some(gw) = core
+                .gateway
+                .as_ref()
+                .filter(|_| self.level < BrownoutLevel::CacheOnly)
+            {
+                // Semantic probe: serve a near-duplicate's answer when a
+                // cached neighbor clears the similarity floor.
+                if let Some(sem) = &gw.semantic {
+                    let probe = tracer.time_learned(&job.ctx, "semantic_probe", |_| {
+                        let probe = sem.probe(job.req.ts, generation, &qvec);
+                        let similarity = match &probe {
+                            Probe::Hit { similarity, .. } | Probe::Reject { similarity } => {
+                                format!("{similarity:.4}")
+                            }
+                            Probe::Miss => String::new(),
+                        };
+                        let attrs =
+                            vec![("result", probe.event().into()), ("similarity", similarity)];
+                        (probe, attrs)
+                    });
+                    if let Probe::Hit { value, .. } = probe {
+                        break 'resp (value, Source::SemanticCache);
+                    }
+                }
+                if job.budget.expired() {
+                    return Err(Lapsed);
+                }
+                if gw.coalesce {
+                    // Singleflight: identical normalized questions at the
+                    // same (generation, ts) share one pipeline run. The
+                    // generation in the key means a knowledge bump opens a
+                    // fresh epoch rather than sharing a stale answer.
+                    let sf_key = format!("{}\u{1f}{}", generation, answer_key);
+                    let mut rejoins = 0;
+                    loop {
+                        match gw.flights.join(&sf_key) {
+                            Join::Leader(guard) => {
+                                gw.role_leader.inc();
+                                let response = self.run_pipeline(copilot, &qvec);
+                                // Deadline-aborted answers are never
+                                // shared: dropping the guard abandons the
+                                // epoch and followers recompute with their
+                                // own (possibly healthier) budgets.
+                                if matches!(
+                                    response.error,
+                                    Some(CopilotError::DeadlineExceeded { .. })
+                                ) {
+                                    drop(guard);
+                                } else {
+                                    guard.publish(response.clone());
+                                }
+                                break 'resp (response, Source::Pipeline);
+                            }
+                            Join::Follower(h) => {
+                                gw.role_follower.inc();
+                                let out = tracer.time_learned(&job.ctx, "coalesce_wait", |_| {
+                                    let out = h.wait(&job.budget);
+                                    let outcome = match &out {
+                                        FollowerOutcome::Ready(_) => "ready",
+                                        FollowerOutcome::Abandoned => "abandoned",
+                                        FollowerOutcome::TimedOut => "timeout",
+                                    };
+                                    (out, vec![("outcome", outcome.into())])
+                                });
+                                match out {
+                                    FollowerOutcome::Ready(v) => {
+                                        break 'resp (v, Source::Coalesced);
+                                    }
+                                    FollowerOutcome::Abandoned => {
+                                        gw.role_abandoned.inc();
+                                        rejoins += 1;
+                                        if rejoins >= MAX_REJOINS {
+                                            // Pathological abandon churn:
+                                            // stop following, run solo.
+                                            break;
+                                        }
+                                    }
+                                    FollowerOutcome::TimedOut => {
+                                        gw.role_timeout.inc();
+                                        return Err(Lapsed);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (self.run_pipeline(copilot, &qvec), Source::Pipeline)
+        };
+        // Browned-out and deadline-aborted responses stay out of the
+        // answer cache: once pressure clears (or the client retries with
+        // budget to spare) the question deserves a full-fidelity answer.
+        // Coalesced and semantic hits skip insertion too — their leader or
+        // neighbor already populated both caches under the same keys.
+        let deadline_abort = matches!(response.error, Some(CopilotError::DeadlineExceeded { .. }));
+        if self.level < BrownoutLevel::CacheOnly && !deadline_abort && source == Source::Pipeline {
+            core.answers
+                .insert(answer_key, response.clone(), generation);
+            if let Some(sem) = core.gateway.as_ref().and_then(|gw| gw.semantic.as_ref()) {
+                // Only healthy answers become semantic neighbors: serving
+                // a paraphrase an *errored* answer would trade EX for
+                // latency in exactly the wrong direction.
+                if response.error.is_none() {
+                    sem.insert(
+                        job.req.ts,
+                        generation,
+                        &job.key,
+                        Arc::clone(&qvec),
+                        response.clone(),
+                    );
+                }
+            }
+        }
+        Ok(self.answered(response, source))
+    }
+
+    /// Stamp a response with this job's serving telemetry and observe
+    /// its submit-to-reply latency.
+    fn answered(&self, response: CopilotResponse, source: Source) -> ServedAnswer {
+        let service_time = self.picked_up.elapsed();
+        let metrics = &self.core.metrics;
+        let duration = if source == Source::AnswerCache {
+            &metrics.duration_hit
+        } else {
+            &metrics.duration_miss
+        };
+        duration.observe((self.queue_wait + service_time).as_micros() as f64);
+        ServedAnswer {
+            response,
+            answer_cache_hit: source == Source::AnswerCache,
+            semantic_cache_hit: source == Source::SemanticCache,
+            coalesced: source == Source::Coalesced,
+            queue_wait: self.queue_wait,
+            service_time,
+            worker: self.worker,
+        }
+    }
+
+    /// Run the pipeline at the fidelity the brownout rung allows: shrink
+    /// retrieval, drop repair rounds, or skip the model entirely. The
+    /// rung rides in the request and the worker's copilot is never
+    /// written to, so however this ask ends — a panic included — the
+    /// next one starts at full fidelity. Shared by the solo path and the
+    /// singleflight leader path.
+    fn run_pipeline(&self, copilot: &mut DioCopilot, qvec: &dio_embed::Vector) -> CopilotResponse {
+        let (job, level) = (self.job, self.level);
+        copilot.ask_with(AskRequest {
+            question: &job.req.question,
+            ts: job.req.ts,
+            qvec: Some(qvec),
+            parent: Some(job.ctx),
+            budget: job.budget.clone(),
+            top_k_cap: if level >= BrownoutLevel::ReducedRetrieval {
+                BROWNOUT_TOP_K
+            } else {
+                usize::MAX
+            },
+            repair_round_cap: if level >= BrownoutLevel::NoRepair {
+                0
+            } else {
+                usize::MAX
+            },
+            model: level < BrownoutLevel::CacheOnly,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -360,3 +360,176 @@ fn shutdown_drains_accepted_requests() {
         );
     }
 }
+
+/// The GPT-4 simulation with three scripted behaviours, keyed on a
+/// marker in the question: `[hold]` parks the call until the test opens
+/// the gate, `[panic]` panics inside the model call, and `[arm]` makes
+/// the model's *next* window lookup panic — the one part of the model an
+/// ask still touches once the brownout ladder has switched the model
+/// off.
+struct Scripted {
+    inner: SimulatedModel,
+    gate: std::sync::Arc<Gate>,
+    armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// `(a call is parked, the gate is open)`.
+    state: std::sync::Mutex<(bool, bool)>,
+    changed: std::sync::Condvar,
+}
+
+impl FoundationModel for Scripted {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn context_window(&self) -> usize {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("scripted panic in the window lookup");
+        }
+        self.inner.context_window()
+    }
+    fn pricing(&self) -> dio_llm::Pricing {
+        self.inner.pricing()
+    }
+    fn complete(
+        &self,
+        request: &dio_llm::CompletionRequest,
+    ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
+        let text = &request.prompt.text;
+        if text.contains("[hold]") {
+            let mut state = self.gate.state.lock().unwrap();
+            state.0 = true;
+            self.gate.changed.notify_all();
+            while !state.1 {
+                state = self.gate.changed.wait(state).unwrap();
+            }
+        }
+        if text.contains("[panic]") {
+            panic!("scripted panic in the model call");
+        }
+        if text.contains("[arm]") {
+            self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+        self.inner.complete(request)
+    }
+}
+
+/// Observations in the retrieval-similarity histogram: one per
+/// retrieved context sample.
+fn retrieved_samples(service: &QueryService) -> u64 {
+    let snap = service.obs().registry().snapshot();
+    let family = snap.family(dio_copilot::obs::SIMILARITY_NAME).unwrap();
+    family
+        .series
+        .iter()
+        .map(|s| match &s.value {
+            dio_obs::SeriesValue::Histogram(h) => h.count,
+            _ => 0,
+        })
+        .sum()
+}
+
+#[test]
+fn worker_that_panicked_while_browned_out_serves_the_next_normal_request_at_full_fidelity() {
+    use dio_serve::{BrownoutConfig, BrownoutLevel};
+    let s = setup();
+    let ts = s.world.eval_ts;
+    // One worker, and a ladder that steps down a rung on every pickup
+    // that leaves a backlog behind it and back up on every pickup that
+    // leaves none.
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 64,
+        tenant: TenantPolicy::unlimited(),
+        answer_cache_capacity: 0,
+        brownout: BrownoutConfig {
+            queue_high: 0.001,
+            queue_low: 0.0,
+            step_up_after: 1,
+            step_down_after: 1,
+            ..BrownoutConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let gate = std::sync::Arc::new(Gate::default());
+    let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let service = QueryService::spawn(
+        &prototype(),
+        || {
+            Box::new(Scripted {
+                inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+                gate: gate.clone(),
+                armed: armed.clone(),
+            })
+        },
+        config,
+    );
+    let submit = |q: &str| {
+        service
+            .submit(QueryRequest::new("t", q, ts))
+            .expect("admitted")
+    };
+
+    // Park the worker inside a model call, queue four requests behind
+    // it, then let it go: the three pickups that leave a backlog walk
+    // the ladder ReducedRetrieval → NoRepair → CacheOnly.
+    let held = submit(&format!("{} [hold]", s.questions[0].text));
+    {
+        let mut state = gate.state.lock().unwrap();
+        while !state.0 {
+            state = gate.changed.wait(state).unwrap();
+        }
+    }
+    let panics_in_call = submit(&format!("{} [panic]", s.questions[1].text));
+    let arms = submit(&format!("{} [arm]", s.questions[2].text));
+    let panics_model_off = submit(&s.questions[3].text);
+    let trailer = submit(&s.questions[4].text);
+    gate.state.lock().unwrap().1 = true;
+    gate.changed.notify_all();
+
+    assert!(held.wait().answer().is_some());
+    // ReducedRetrieval: the pipeline panics inside the model call.
+    assert_eq!(
+        panics_in_call.wait().shed().map(|s| s.reason),
+        Some(ShedReason::WorkerPanic)
+    );
+    assert!(arms.wait().answer().is_some());
+    // CacheOnly: the model is off, the pipeline panics all the same.
+    assert_eq!(
+        panics_model_off.wait().shed().map(|s| s.reason),
+        Some(ShedReason::WorkerPanic)
+    );
+    assert!(trailer.wait().answer().is_some());
+
+    // Every pickup from the trailer on found an empty queue; two more
+    // bring the ladder home.
+    for q in &s.questions[5..7] {
+        assert!(service.ask("t", &q.text, ts).answer().is_some());
+    }
+    assert_eq!(service.brownout_level(), BrownoutLevel::Normal);
+
+    // The same worker, at the Normal rung, against a service that
+    // never saw pressure or a panic.
+    let fresh = QueryService::spawn(&prototype(), || model(), open_config(1));
+    let probe = &s.questions[7].text;
+    let answer_and_context = |service: &QueryService| {
+        let before = retrieved_samples(service);
+        let outcome = service.ask("t", probe, ts);
+        let response = outcome.answer().expect("answered").response.clone();
+        (response, retrieved_samples(service) - before)
+    };
+    let (got, got_context) = answer_and_context(&service);
+    let (want, want_context) = answer_and_context(&fresh);
+    assert_eq!(service.brownout_level(), BrownoutLevel::Normal);
+    assert_eq!(got.degradation, want.degradation);
+    assert_eq!(got.error, want.error);
+    assert_eq!(got.query, want.query);
+    assert_eq!(got.numeric_answer, want.numeric_answer);
+    assert_eq!(got.values, want.values);
+    assert_eq!(got.usage, want.usage);
+    assert_eq!(got_context, want_context);
+    service.shutdown();
+    fresh.shutdown();
+}

@@ -114,12 +114,6 @@ impl<M: Medium> Wal<M> {
     pub fn into_medium(self) -> M {
         self.medium
     }
-
-    /// Read and scan the medium's current contents.
-    pub fn recover_from_medium(&mut self) -> std::io::Result<WalRecovery> {
-        let bytes = self.medium.load()?;
-        Ok(recover(&bytes))
-    }
 }
 
 /// One step of a WAL scan.

@@ -109,11 +109,6 @@ impl<I: VectorIndex, T> DocIndex<I, T> {
         &self.index
     }
 
-    /// Mutable access to the underlying index (e.g. to tune `nprobe`).
-    pub fn index_mut(&mut self) -> &mut I {
-        &mut self.index
-    }
-
     /// Iterate payloads in id order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.docs.iter()
