@@ -18,7 +18,7 @@
 use dio_bench::artifact::{stage_latencies, StageLatency, SystemResult};
 use dio_bench::{quick_flag, Experiment};
 use dio_benchmark::{evaluate, EvalReport, WorldConfig};
-use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot, RetrievalMode};
+use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio_faults::{ChaosConfig, MemMedium};
 use dio_llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
 use dio_obs::{ObsHub, SeriesValue};
@@ -85,8 +85,6 @@ struct ChaosSoakArtifact {
 fn soak_config(chaos: bool) -> CopilotConfig {
     CopilotConfig {
         generate_dashboards: false,
-        // HNSW so the demotion ladder (hnsw → ivf → flat) is exercised.
-        retrieval: RetrievalMode::Hnsw { ef_search: 64 },
         data_chaos: chaos.then(|| ChaosConfig::with_probability(seed(), FAULT_P)),
         ..CopilotConfig::default()
     }

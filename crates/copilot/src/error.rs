@@ -194,8 +194,8 @@ mod tests {
             message: "crc mismatch".into(),
         };
         assert_eq!(e.to_string(), "storage fault in vecstore: crc mismatch");
-        let e = CopilotError::IndexQuarantined { index: "hnsw".into() };
-        assert_eq!(e.to_string(), "index quarantined: hnsw");
+        let e = CopilotError::IndexQuarantined { index: "ivf".into() };
+        assert_eq!(e.to_string(), "index quarantined: ivf");
         let e = CopilotError::DeadlineExceeded {
             stage: "generate".into(),
         };

@@ -6,9 +6,7 @@
 
 use dio_catalog::{DocSample, DomainDb};
 use dio_embed::{Embedder, EmbedderConfig};
-use dio_vecstore::{
-    DocIndex, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex,
-};
+use dio_vecstore::{DocIndex, FlatIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex};
 use serde::{Deserialize, Serialize};
 
 /// A retrieved context sample with its similarity score.
@@ -34,17 +32,13 @@ pub struct RetrievalStats {
 pub enum RetrievalMode {
     /// Exact brute-force cosine search (FAISS `IndexFlatIP`), default.
     Flat,
-    /// Approximate IVF search (FAISS `IndexIVFFlat`).
+    /// Approximate IVF search (FAISS `IndexIVFFlat`); both widths are
+    /// clamped to `1..=corpus size`.
     Ivf {
         /// Inverted lists.
         nlist: usize,
         /// Lists probed per query.
         nprobe: usize,
-    },
-    /// Graph-based approximate search (FAISS `IndexHNSWFlat`).
-    Hnsw {
-        /// Search-time candidate width.
-        ef_search: usize,
     },
     /// Pseudo-random context (no semantic search) — the degenerate
     /// baseline showing retrieval is load-bearing.
@@ -58,7 +52,6 @@ pub enum RetrievalMode {
 enum IndexKind {
     Flat(DocIndex<FlatIndex, DocSample>),
     Ivf(DocIndex<IvfIndex, DocSample>),
-    Hnsw(DocIndex<HnswIndex, DocSample>),
     Random { samples: Vec<DocSample>, seed: u64 },
 }
 
@@ -72,10 +65,6 @@ enum IndexKind {
 pub struct ContextExtractor {
     embedder: Embedder,
     index: IndexKind,
-    /// The embedded corpus, retained so a quarantined index can be
-    /// rebuilt at a lower tier (HNSW → IVF → flat) without the
-    /// original `DomainDb`.
-    rebuild: Vec<(DocSample, String)>,
 }
 
 impl ContextExtractor {
@@ -96,52 +85,26 @@ impl ContextExtractor {
         };
         let texts: Vec<String> = samples.iter().map(|s| s.embedding_text()).collect();
         let embedder = Embedder::fit(&config, texts.iter().map(|s| s.as_str()));
-        let rebuild: Vec<(DocSample, String)> = samples
-            .iter()
-            .cloned()
-            .zip(texts.iter().cloned())
-            .collect();
+        let dims = embedder.dims();
+        let vectors = || embedder.embed_batch(texts.iter().map(|s| s.as_str()));
         let index = match mode {
-            RetrievalMode::Flat => {
-                let mut index = DocIndex::new(FlatIndex::new(embedder.dims()));
-                for (sample, text) in samples.into_iter().zip(texts.iter()) {
-                    index.add(embedder.embed(text), sample);
-                }
-                IndexKind::Flat(index)
-            }
-            RetrievalMode::Ivf { nlist, nprobe } => {
-                let vectors: Vec<_> = texts.iter().map(|t| embedder.embed(t)).collect();
-                let ivf = IvfIndex::train(
-                    embedder.dims(),
-                    IvfConfig {
-                        nlist,
-                        nprobe,
-                        ..IvfConfig::default()
-                    },
-                    vectors,
-                );
+            RetrievalMode::Random { seed } => IndexKind::Random { samples, seed },
+            // An empty corpus has nothing to train a quantiser on.
+            RetrievalMode::Ivf { nlist, nprobe } if !samples.is_empty() => {
+                let config = IvfConfig {
+                    nlist,
+                    nprobe,
+                    ..IvfConfig::default()
+                };
+                let ivf = IvfIndex::train(dims, config, vectors());
                 IndexKind::Ivf(DocIndex::from_parts(ivf, samples))
             }
-            RetrievalMode::Hnsw { ef_search } => {
-                let mut index = DocIndex::new(HnswIndex::new(
-                    embedder.dims(),
-                    HnswConfig {
-                        ef_search,
-                        ..HnswConfig::default()
-                    },
-                ));
-                for (sample, text) in samples.into_iter().zip(texts.iter()) {
-                    index.add(embedder.embed(text), sample);
-                }
-                IndexKind::Hnsw(index)
+            RetrievalMode::Flat | RetrievalMode::Ivf { .. } => {
+                let flat = FlatIndex::from_vectors(dims, vectors());
+                IndexKind::Flat(DocIndex::from_parts(flat, samples))
             }
-            RetrievalMode::Random { seed } => IndexKind::Random { samples, seed },
         };
-        ContextExtractor {
-            embedder,
-            index,
-            rebuild,
-        }
+        ContextExtractor { embedder, index }
     }
 
     /// Slug of the active index tier, for metrics and reports.
@@ -149,43 +112,38 @@ impl ContextExtractor {
         match &self.index {
             IndexKind::Flat(_) => "flat",
             IndexKind::Ivf(_) => "ivf",
-            IndexKind::Hnsw(_) => "hnsw",
             IndexKind::Random { .. } => "random",
         }
     }
 
-    /// Quarantine the active index and fall back one tier:
-    /// HNSW → IVF → flat scan; a damaged flat index is rebuilt from the
-    /// retained corpus (flat → flat). Returns `(from, to)` slugs, or
-    /// `None` for the random baseline (nothing to rebuild). The
-    /// embedder is unaffected, so retrieval quality degrades gracefully
-    /// along the recall/latency curve instead of failing.
+    /// Quarantine the active index and fall back to the exact tier:
+    /// IVF → flat drops the quantiser and keeps the matrix (a move: no
+    /// embedding, no training); a damaged flat index is re-embedded
+    /// from the samples it holds (flat → flat). Returns `(from, to)`
+    /// slugs, or `None` for the random baseline (nothing to rebuild).
     pub fn demote(&mut self) -> Option<(&'static str, &'static str)> {
-        let (from, to) = match &self.index {
-            IndexKind::Hnsw(_) => ("hnsw", "ivf"),
-            IndexKind::Ivf(_) => ("ivf", "flat"),
-            IndexKind::Flat(_) => ("flat", "flat"),
-            IndexKind::Random { .. } => return None,
-        };
-        self.index = if to == "ivf" {
-            let vectors: Vec<_> = self
-                .rebuild
-                .iter()
-                .map(|(_, t)| self.embedder.embed(t))
-                .collect();
-            let ivf = IvfIndex::train(self.embedder.dims(), IvfConfig::default(), vectors);
-            IndexKind::Ivf(DocIndex::from_parts(
-                ivf,
-                self.rebuild.iter().map(|(s, _)| s.clone()).collect(),
-            ))
-        } else {
-            let mut index = DocIndex::new(FlatIndex::new(self.embedder.dims()));
-            for (sample, text) in &self.rebuild {
-                index.add(self.embedder.embed(text), sample.clone());
+        let dims = self.embedder.dims();
+        let nothing = IndexKind::Flat(DocIndex::new(FlatIndex::new(dims)));
+        let (from, flat, samples) = match std::mem::replace(&mut self.index, nothing) {
+            IndexKind::Ivf(index) => {
+                let (ivf, samples) = index.into_parts();
+                ("ivf", ivf.into_flat(), samples)
             }
-            IndexKind::Flat(index)
+            IndexKind::Flat(index) => {
+                let samples = index.into_parts().1;
+                let vectors = samples
+                    .iter()
+                    .map(|s| self.embedder.embed(&s.embedding_text()))
+                    .collect();
+                ("flat", FlatIndex::from_vectors(dims, vectors), samples)
+            }
+            random @ IndexKind::Random { .. } => {
+                self.index = random;
+                return None;
+            }
         };
-        Some((from, to))
+        self.index = IndexKind::Flat(DocIndex::from_parts(flat, samples));
+        Some((from, "flat"))
     }
 
     /// Number of indexed samples.
@@ -193,7 +151,6 @@ impl ContextExtractor {
         match &self.index {
             IndexKind::Flat(i) => i.len(),
             IndexKind::Ivf(i) => i.len(),
-            IndexKind::Hnsw(i) => i.len(),
             IndexKind::Random { samples, .. } => samples.len(),
         }
     }
@@ -240,13 +197,11 @@ impl ContextExtractor {
         self.embedder.embed(question)
     }
 
-    /// [`ContextExtractor::retrieve_vec`] plus work accounting. For
-    /// exact indexes (flat, HNSW) the scan count is the store size —
-    /// HNSW's graph walk touches fewer, so this is an upper bound; IVF
-    /// reports exactly the probed-list candidates. The question is
-    /// embedded at most once and the index searched exactly once; the
-    /// flat index diversifies its hits with MMR, the approximate ones
-    /// (which keep no row matrix) return plain top-k.
+    /// [`ContextExtractor::retrieve_vec`] plus work accounting: the
+    /// flat index scans the whole store, IVF reports exactly the
+    /// probed-list candidates. The question is embedded at most once and
+    /// the index searched exactly once; either index's hits are
+    /// diversified with MMR.
     pub fn retrieve_with_stats_vec(
         &self,
         question: &str,
@@ -257,9 +212,8 @@ impl ContextExtractor {
             return (Vec::new(), RetrievalStats::default());
         }
         match &self.index {
-            IndexKind::Flat(i) => self.search_docs(i, question, qvec, k, mmr),
-            IndexKind::Ivf(i) => self.search_docs(i, question, qvec, k, |_, hits, _| hits),
-            IndexKind::Hnsw(i) => self.search_docs(i, question, qvec, k, |_, hits, _| hits),
+            IndexKind::Flat(i) => self.search_docs(i, question, qvec, k),
+            IndexKind::Ivf(i) => self.search_docs(i, question, qvec, k),
             IndexKind::Random { samples, seed } => (
                 random_context(samples, *seed, question, k),
                 RetrievalStats::default(),
@@ -267,16 +221,15 @@ impl ContextExtractor {
         }
     }
 
-    /// One search of any index backend: prefetch `4k` hits, let
-    /// `rerank` order them, and clone the payloads of the first `k`. An
-    /// id the payload store does not hold yields no hit.
+    /// One search of any index backend: prefetch `4k` hits, let MMR pick
+    /// `k` of them, and clone their payloads. An id the payload store
+    /// does not hold yields no hit.
     fn search_docs<I: VectorIndex>(
         &self,
         index: &DocIndex<I, DocSample>,
         question: &str,
         qvec: Option<&dio_embed::Vector>,
         k: usize,
-        rerank: impl FnOnce(&I, Vec<SearchHit>, usize) -> Vec<SearchHit>,
     ) -> (Vec<Retrieved>, RetrievalStats) {
         const PREFETCH_FACTOR: usize = 4;
         let embedded;
@@ -290,9 +243,8 @@ impl ContextExtractor {
         let (hits, stats) = index
             .index()
             .search_with_stats(q, k.saturating_mul(PREFETCH_FACTOR));
-        let retrieved = rerank(index.index(), hits, k)
+        let retrieved = mmr(index.index(), hits, k)
             .into_iter()
-            .take(k)
             .filter_map(|hit| {
                 Some(Retrieved {
                     sample: index.get(hit.id)?.clone(),
@@ -316,7 +268,7 @@ impl ContextExtractor {
 /// similarity to every candidate left. The running fold applies
 /// `f32::max` to the same values in the same (pick) order as taking the
 /// maximum over all picks afresh each round, so the picks are the same.
-fn mmr(flat: &FlatIndex, mut remaining: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+fn mmr(index: &impl VectorIndex, mut remaining: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
     const LAMBDA: f32 = 0.75;
     let mut max_red = vec![0.0f32; remaining.len()];
     let mut selected = Vec::with_capacity(k.min(remaining.len()));
@@ -334,7 +286,7 @@ fn mmr(flat: &FlatIndex, mut remaining: Vec<SearchHit>, k: usize) -> Vec<SearchH
         max_red.remove(best_pos);
         for (hit, red) in remaining.iter().zip(&mut max_red) {
             // A row the index does not hold is redundant with nothing.
-            *red = red.max(flat.similarity(hit.id, pick.id).unwrap_or(0.0));
+            *red = red.max(index.similarity(hit.id, pick.id).unwrap_or(0.0));
         }
         selected.push(pick);
     }
@@ -605,23 +557,101 @@ mod tests {
             id_and_bits(&mmr(&flat, hits.clone(), 2)),
             id_and_bits(&hits)
         );
-        let mut docs = DocIndex::new(FlatIndex::new(2));
-        docs.add(
-            Vector(vec![1.0, 0.0]),
-            DocSample {
-                name: "only".into(),
-                text: String::new(),
-            },
-        );
+        /// Answers every search with the same hits, held or not.
+        struct Canned(FlatIndex, Vec<SearchHit>);
+        impl VectorIndex for Canned {
+            fn add(&mut self, vector: Vector) -> usize {
+                self.0.add(vector)
+            }
+            fn search(&self, _: &Vector, _: usize) -> Vec<SearchHit> {
+                self.1.clone()
+            }
+            fn similarity(&self, a: usize, b: usize) -> Option<f32> {
+                self.0.similarity(a, b)
+            }
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn dims(&self) -> usize {
+                self.0.dims()
+            }
+        }
+        let only = DocSample {
+            name: "only".into(),
+            text: String::new(),
+        };
         let ex = ContextExtractor {
             embedder: Embedder::fit(&EmbedderConfig::generic(), ["only"]),
-            index: IndexKind::Flat(docs.clone()),
-            rebuild: Vec::new(),
+            index: IndexKind::Random {
+                samples: Vec::new(),
+                seed: 0,
+            },
         };
+        let docs = DocIndex::from_parts(Canned(flat, hits), vec![only]);
         let qvec = Vector(vec![1.0, 0.0]);
-        let (retrieved, _) = ex.search_docs(&docs, "q", Some(&qvec), 2, |_, _, _| hits.clone());
+        let (retrieved, _) = ex.search_docs(&docs, "q", Some(&qvec), 2);
         assert_eq!(retrieved.len(), 1);
         assert_eq!(retrieved[0].sample.name, "only");
+    }
+
+    fn names_and_bits(retrieved: &[Retrieved]) -> Vec<(&str, u32)> {
+        retrieved
+            .iter()
+            .map(|r| (r.sample.name.as_str(), r.score.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn full_probe_ivf_retrieves_exactly_what_flat_does_on_all_benchmark_questions() {
+        // Probing every list is exact by construction, so the only
+        // thing this can differ from flat in is the path after the
+        // prefetch: same MMR, same names, order and score bits.
+        const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
+        const K: usize = 29;
+        let world = dio_benchmark::OperatorWorld::build(dio_benchmark::WorldConfig::default());
+        let questions = dio_benchmark::generate_benchmark(&world, 200, BENCHMARK_SEED);
+        assert_eq!(questions.len(), 200);
+        let db = world.domain_db();
+        let flat = ContextExtractor::build(&db, true);
+        let (nlist, nprobe) = (64, 64);
+        let ivf =
+            ContextExtractor::build_with_mode(&db, true, RetrievalMode::Ivf { nlist, nprobe });
+        assert_eq!((flat.mode_slug(), ivf.mode_slug()), ("flat", "ivf"));
+        for q in &questions {
+            let (got, stats) = ivf.retrieve_with_stats_vec(&q.text, None, K);
+            assert_eq!(stats.candidates_scanned, flat.len());
+            let want = flat.retrieve(&q.text, K);
+            assert_eq!(names_and_bits(&got), names_and_bits(&want), "{:?}", q.text);
+        }
+    }
+
+    /// `RetrievalMode` is `Deserialize`: no value of it may panic a build.
+    fn builds_and_retrieves(db: &DomainDb, nlist: usize, nprobe: usize) -> ContextExtractor {
+        let ex = ContextExtractor::build_with_mode(db, true, RetrievalMode::Ivf { nlist, nprobe });
+        assert_eq!(ex.retrieve("paging attempts", 5).len(), ex.len().min(5));
+        ex
+    }
+
+    #[test]
+    fn ivf_with_zero_nprobe_probes_one_list() {
+        assert_eq!(builds_and_retrieves(&db(), 16, 0).mode_slug(), "ivf");
+    }
+
+    #[test]
+    fn ivf_with_zero_nlist_trains_one_list() {
+        let d = db();
+        let ex = builds_and_retrieves(&d, 0, 4);
+        // One list, probed: the exact scan.
+        let (_, stats) = ex.retrieve_with_stats_vec("paging attempts", None, 5);
+        assert_eq!(stats.candidates_scanned, d.text_samples().len());
+    }
+
+    #[test]
+    fn ivf_over_an_empty_corpus_builds_the_flat_tier() {
+        let empty =
+            DomainDb::from_json(r#"{"metrics":{},"functions":{},"groups":[],"notes":[]}"#).unwrap();
+        assert!(empty.text_samples().is_empty());
+        assert_eq!(builds_and_retrieves(&empty, 64, 16).mode_slug(), "flat");
     }
 
     #[test]

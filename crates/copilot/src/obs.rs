@@ -67,7 +67,7 @@ pub(crate) const DATA_FAULTS_HELP: &str =
 /// Vector-index demotions, labelled by destination tier.
 pub const DEMOTIONS_NAME: &str = "dio_copilot_index_demotions_total";
 pub(crate) const DEMOTIONS_HELP: &str =
-    "Vector-index fallbacks after corruption, by destination tier (ivf, flat).";
+    "Vector-index fallbacks after corruption, by destination tier (flat).";
 
 /// Answers by data-completeness level.
 pub const COMPLETENESS_NAME: &str = "dio_copilot_data_completeness_total";

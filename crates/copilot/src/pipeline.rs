@@ -469,8 +469,9 @@ impl DioCopilot {
         // Stage 0 (chaos runs only): the retrieval index is a data
         // plane too. A transient read fault is retried in place (the
         // schedule decides again); a corrupt read quarantines the
-        // index tier and falls back HNSW → IVF → flat; a latency spike
-        // is recorded, never slept.
+        // index and falls back to the exact tier (IVF → flat keeps the
+        // matrix, flat → flat re-embeds it); a latency spike is
+        // recorded, never slept.
         if let Some(mut injector) = self.retrieval_chaos.take() {
             let mut retries = 0usize;
             while let Some(fault) = injector.decide() {
@@ -1702,20 +1703,31 @@ mod tests {
     }
 
     #[test]
-    fn index_corruption_demotes_hnsw_to_ivf_to_flat() {
+    fn index_corruption_demotes_ivf_to_flat_then_rebuilds_flat() {
         // Every vecstore read is a bit flip: each ask quarantines the
-        // current tier and falls back one level, and the sandbox's
+        // index and falls back to the exact tier, and the sandbox's
         // corrupt reads mark answers partial instead of failing them.
-        let (mut cp, ts) =
-            chaos_copilot([0, 0, 0, 1], RetrievalMode::Hnsw { ef_search: 32 });
-        assert_eq!(cp.extractor().mode_slug(), "hnsw");
-        let r1 = cp.ask("How many paging attempts?", ts);
+        let mode = RetrievalMode::Ivf { nlist: 16, nprobe: 2 };
+        let (mut cp, ts) = chaos_copilot([0, 0, 0, 1], mode);
         assert_eq!(cp.extractor().mode_slug(), "ivf");
+        let r1 = cp.ask("How many paging attempts?", ts);
+        assert_eq!(cp.extractor().mode_slug(), "flat");
         assert_eq!(r1.trace.recovery.index_demotions, 1);
         assert_eq!(r1.data_completeness, dio_sandbox::DataCompleteness::Partial);
+        // What demotion leaves is the index a fresh flat build makes:
+        // names, order and score bits.
+        let fresh = ContextExtractor::build(&world().0, true);
+        let retrieve = |ex: &ContextExtractor| -> Vec<(String, u32)> {
+            ex.retrieve_vec("How many service requests?", None, 29)
+                .into_iter()
+                .map(|r| (r.sample.name, r.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(retrieve(cp.extractor()), retrieve(&fresh));
         let r2 = cp.ask("How many service requests?", ts);
         assert_eq!(cp.extractor().mode_slug(), "flat");
         assert_eq!(r2.trace.recovery.index_demotions, 1);
+        assert_eq!(retrieve(cp.extractor()), retrieve(&fresh));
         let snap = cp.obs().registry().snapshot();
         assert_eq!(snap.total(crate::obs::DEMOTIONS_NAME), 2.0);
         assert!(snap.total(crate::obs::DATA_FAULTS_NAME) >= 2.0);

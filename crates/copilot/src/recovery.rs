@@ -267,7 +267,7 @@ pub struct RecoveryStats {
     /// Data-plane faults (storage, retrieval index) absorbed during
     /// this ask.
     pub data_faults: usize,
-    /// Vector-index fallbacks (HNSW → IVF → flat) taken after index
+    /// Vector-index fallbacks (IVF → flat, flat → flat) taken after index
     /// corruption.
     pub index_demotions: usize,
 }

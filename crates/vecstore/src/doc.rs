@@ -48,6 +48,12 @@ impl<I: VectorIndex, T> DocIndex<I, T> {
         DocIndex { index, docs }
     }
 
+    /// The index and the payloads, for re-wrapping the payloads around
+    /// another index over the same ids.
+    pub fn into_parts(self) -> (I, Vec<T>) {
+        (self.index, self.docs)
+    }
+
     /// Insert a (vector, payload) pair.
     pub fn add(&mut self, vector: dio_embed::Vector, doc: T) -> usize {
         let id = self.index.add(vector);

@@ -85,20 +85,34 @@ impl FlatIndex {
         self.data.get(start..start.checked_add(self.dims)?)
     }
 
-    /// Cosine similarity of two stored rows from their cached norms,
-    /// bit-equal to `dio_embed::cosine(row(a), row(b))`.
-    pub fn similarity(&self, a: usize, b: usize) -> Option<f32> {
-        Some(cosine_with_norms(
-            self.row(a)?,
-            self.norms[a],
-            self.row(b)?,
-            self.norms[b],
-        ))
-    }
-
     /// Iterate over all stored rows in id order.
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.dims)
+    }
+
+    /// Top-`k` of the `n` stored rows `id_of(0..n)` names — the one scan
+    /// every search runs: one norm for the query, one dot product per
+    /// row. Ties break on position, so `id_of` must be ascending for
+    /// them to break on id.
+    pub(crate) fn scan(
+        &self,
+        query: &Vector,
+        n: usize,
+        k: usize,
+        id_of: impl Fn(usize) -> usize,
+    ) -> Vec<SearchHit> {
+        let query_norm = query.norm();
+        top_k_by(n, k, |i| {
+            let id = id_of(i);
+            let row = &self.data[id * self.dims..(id + 1) * self.dims];
+            cosine_with_norms(query, query_norm, row, self.norms[id])
+        })
+        .into_iter()
+        .map(|s| SearchHit {
+            id: id_of(s.index),
+            score: s.score,
+        })
+        .collect()
     }
 }
 
@@ -117,17 +131,18 @@ impl VectorIndex for FlatIndex {
     }
 
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
-        let query_norm = query.norm();
-        top_k_by(self.len(), k, |i| {
-            let row = &self.data[i * self.dims..(i + 1) * self.dims];
-            cosine_with_norms(query, query_norm, row, self.norms[i])
-        })
-        .into_iter()
-        .map(|s| SearchHit {
-            id: s.index,
-            score: s.score,
-        })
-        .collect()
+        self.scan(query, self.len(), k, |id| id)
+    }
+
+    /// From the cached norms, bit-equal to
+    /// `dio_embed::cosine(row(a), row(b))`.
+    fn similarity(&self, a: usize, b: usize) -> Option<f32> {
+        Some(cosine_with_norms(
+            self.row(a)?,
+            self.norms[a],
+            self.row(b)?,
+            self.norms[b],
+        ))
     }
 
     fn len(&self) -> usize {

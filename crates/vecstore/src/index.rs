@@ -50,6 +50,10 @@ pub trait VectorIndex {
         )
     }
 
+    /// Cosine similarity of two stored vectors, `None` when either id
+    /// is not held — what MMR reranks any index's prefetch with.
+    fn similarity(&self, a: usize, b: usize) -> Option<f32>;
+
     /// Number of stored vectors.
     fn len(&self) -> usize;
 

@@ -1,14 +1,14 @@
 //! Inverted-file approximate index (FAISS `IndexIVFFlat` analogue).
 //!
-//! Vectors are partitioned by a k-means coarse quantiser into `nlist`
-//! cells. A query probes only the `nprobe` cells whose centroids are
-//! most similar, scanning a fraction of the data. `nprobe == nlist`
-//! degenerates to exact search.
+//! A k-means coarse quantiser partitions the rows of a [`FlatIndex`]
+//! into `nlist` cells. A query probes only the `nprobe` cells whose
+//! centroids are most similar and scans their rows in the shared
+//! matrix. `nprobe == nlist` degenerates to exact search.
 
+use crate::flat::FlatIndex;
 use crate::index::{SearchHit, SearchStats, VectorIndex};
-use crate::kmeans::{kmeans, nearest_centroid, KMeansConfig};
-use dio_embed::similarity::top_k_by;
-use dio_embed::{cosine, Vector};
+use crate::kmeans::{kmeans, KMeansConfig};
+use dio_embed::Vector;
 use serde::{Deserialize, Serialize};
 
 /// IVF hyper-parameters.
@@ -35,133 +35,131 @@ impl Default for IvfConfig {
     }
 }
 
-/// An IVF index. Built in one shot from training data with
-/// [`IvfIndex::train`]; further vectors can be added afterwards and are
-/// routed to their nearest cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// An IVF index: centroids and id-only inverted lists over the
+/// [`FlatIndex`] that owns the rows. Built in one shot from training
+/// data with [`IvfIndex::train`]; further vectors can be added
+/// afterwards and are routed to their nearest cell.
+#[derive(Debug, Clone, Serialize)]
 pub struct IvfIndex {
-    dims: usize,
-    config: IvfConfig,
-    centroids: Vec<Vector>,
-    /// `lists[cell]` holds (id, vector) pairs.
-    lists: Vec<Vec<(usize, Vector)>>,
-    len: usize,
+    nprobe: usize,
+    /// One row per cell.
+    centroids: FlatIndex,
+    /// `lists[cell]` holds the ids of the cell's rows.
+    lists: Vec<Vec<usize>>,
+    rows: FlatIndex,
+}
+
+/// The persisted shape, checked on load so that a search never
+/// indexes a list or a row that is not there.
+#[derive(Deserialize)]
+struct IvfWire {
+    nprobe: usize,
+    centroids: FlatIndex,
+    lists: Vec<Vec<usize>>,
+    rows: FlatIndex,
+}
+
+impl<'de> Deserialize<'de> for IvfIndex {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire = IvfWire::from_value(value)?;
+        let fits = !wire.lists.is_empty()
+            && wire.lists.len() == wire.centroids.len()
+            && wire.centroids.dims() == wire.rows.dims()
+            && wire.lists.iter().flatten().all(|&id| id < wire.rows.len());
+        if !fits {
+            return Err(serde::Error::msg("IVF lists do not fit the centroids and rows"));
+        }
+        Ok(IvfIndex {
+            nprobe: wire.nprobe.max(1),
+            centroids: wire.centroids,
+            lists: wire.lists,
+            rows: wire.rows,
+        })
+    }
 }
 
 impl IvfIndex {
     /// Train the coarse quantiser on `data` and index all of it.
+    /// `nlist` and `nprobe` are clamped to `1..=data.len()`.
     pub fn train(dims: usize, config: IvfConfig, data: Vec<Vector>) -> Self {
-        assert!(dims > 0, "dims must be positive");
         assert!(!data.is_empty(), "IVF training needs data");
-        assert!(config.nprobe >= 1, "nprobe must be >= 1");
-        for d in &data {
-            assert_eq!(d.dims(), dims, "vector dims mismatch");
-        }
         let km = kmeans(
             &data,
             &KMeansConfig {
-                k: config.nlist.min(data.len()),
+                k: config.nlist.clamp(1, data.len()),
                 max_iters: config.train_iters,
                 seed: config.seed,
             },
         );
         let mut lists = vec![Vec::new(); km.centroids.len()];
-        for (id, (v, &cell)) in data.into_iter().zip(km.assignments.iter()).enumerate() {
-            lists[cell].push((id, v));
+        for (id, &cell) in km.assignments.iter().enumerate() {
+            lists[cell].push(id);
         }
-        let len = lists.iter().map(|l| l.len()).sum();
         IvfIndex {
-            dims,
-            config,
-            centroids: km.centroids,
+            nprobe: config.nprobe.clamp(1, data.len()),
+            centroids: FlatIndex::from_vectors(dims, km.centroids),
             lists,
-            len,
+            rows: FlatIndex::from_vectors(dims, data),
         }
+    }
+
+    /// Drop the quantiser and keep the matrix: the exact index over the
+    /// same rows, with no embedding and no training.
+    pub fn into_flat(self) -> FlatIndex {
+        self.rows
     }
 
     /// Number of inverted lists actually created.
     pub fn nlist(&self) -> usize {
-        self.centroids.len()
+        self.lists.len()
     }
 
-    /// Change the probe width at query time.
+    /// Change the probe width at query time (at least one list).
     pub fn set_nprobe(&mut self, nprobe: usize) {
-        assert!(nprobe >= 1, "nprobe must be >= 1");
-        self.config.nprobe = nprobe;
-    }
-
-    /// Current probe width.
-    pub fn nprobe(&self) -> usize {
-        self.config.nprobe
-    }
-
-    /// The cells that would be probed for `query`.
-    fn probe_cells(&self, query: &Vector) -> Vec<usize> {
-        top_k_by(self.centroids.len(), self.config.nprobe, |i| {
-            cosine(query, &self.centroids[i])
-        })
-        .into_iter()
-        .map(|s| s.index)
-        .collect()
+        self.nprobe = nprobe.max(1);
     }
 }
 
 impl VectorIndex for IvfIndex {
     fn add(&mut self, vector: Vector) -> usize {
-        assert_eq!(vector.dims(), self.dims, "vector dims mismatch");
-        let cell = nearest_centroid(&vector, &self.centroids);
-        let id = self.len;
-        self.lists[cell].push((id, vector));
-        self.len += 1;
+        let nearest = self.centroids.search(&vector, 1);
+        let id = self.rows.add(vector);
+        self.lists[nearest.first().map_or(0, |cell| cell.id)].push(id);
         id
     }
 
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut candidates: Vec<&(usize, Vector)> = Vec::new();
-        for cell in self.probe_cells(query) {
-            candidates.extend(self.lists[cell].iter());
-        }
-        let mut hits: Vec<SearchHit> = top_k_by(candidates.len(), k, |i| {
-            cosine(query, &candidates[i].1)
-        })
-        .into_iter()
-        .map(|s| SearchHit {
-            id: candidates[s.index].0,
-            score: s.score,
-        })
-        .collect();
-        // top_k_by tie-breaks on candidate position; re-sort so ties
-        // break on id for parity with FlatIndex.
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        hits
+        self.search_with_stats(query, k).0
     }
 
     fn search_with_stats(&self, query: &Vector, k: usize) -> (Vec<SearchHit>, SearchStats) {
-        let candidates_scanned = if k == 0 {
-            0
-        } else {
-            self.probe_cells(query)
-                .into_iter()
-                .map(|cell| self.lists[cell].len())
-                .sum()
+        if k == 0 {
+            return (Vec::new(), SearchStats::default());
+        }
+        let mut ids: Vec<usize> = self
+            .centroids
+            .search(query, self.nprobe)
+            .into_iter()
+            .flat_map(|cell| self.lists[cell.id].iter().copied())
+            .collect();
+        // Ascending ids, so the scan breaks ties as `FlatIndex` does.
+        ids.sort_unstable();
+        let stats = SearchStats {
+            candidates_scanned: ids.len(),
         };
-        (self.search(query, k), SearchStats { candidates_scanned })
+        (self.rows.scan(query, ids.len(), k, |i| ids[i]), stats)
+    }
+
+    fn similarity(&self, a: usize, b: usize) -> Option<f32> {
+        self.rows.similarity(a, b)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     fn dims(&self) -> usize {
-        self.dims
+        self.rows.dims()
     }
 }
 

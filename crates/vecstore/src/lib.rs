@@ -7,22 +7,22 @@
 //! is a C++/GPU library; this crate provides the same capability natively:
 //!
 //! * [`FlatIndex`] — exact brute-force cosine search (FAISS `IndexFlatIP`
-//!   over normalised vectors),
-//! * [`IvfIndex`] — inverted-file approximate search with a k-means
-//!   coarse quantiser (FAISS `IndexIVFFlat`), trading recall for speed
-//!   via the `nprobe` parameter,
-//! * [`HnswIndex`] — hierarchical navigable-small-world graph search
-//!   (FAISS `IndexHNSWFlat`), sub-linear queries without training,
+//!   over normalised vectors) and the only owner of rows and their
+//!   cached norms,
+//! * [`IvfIndex`] — a k-means coarse quantiser and id-only inverted
+//!   lists over a `FlatIndex` (FAISS `IndexIVFFlat`), trading recall for
+//!   rows scanned via `nprobe`; [`IvfIndex::into_flat`] drops the
+//!   quantiser and leaves the exact index,
 //! * [`DocIndex`] — an index paired with owned document payloads, the
 //!   form the copilot's context extractor actually uses,
-//! * JSON persistence for every index type (FAISS `write_index`).
+//! * one CRC-segmented on-disk format for every index type (FAISS
+//!   `write_index`).
 //!
 //! All search paths are deterministic: equal scores tie-break on insert
 //! order.
 
 pub mod doc;
 pub mod flat;
-pub mod hnsw;
 pub mod index;
 pub mod ivf;
 pub mod kmeans;
@@ -30,7 +30,6 @@ pub mod persist;
 
 pub use doc::DocIndex;
 pub use flat::FlatIndex;
-pub use hnsw::{HnswConfig, HnswIndex};
 pub use index::{SearchHit, SearchStats, VectorIndex};
 pub use ivf::{IvfConfig, IvfIndex};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};

@@ -5,17 +5,13 @@
 //! into word embeddings"), so persistence lets the copilot skip that
 //! step on restart.
 //!
-//! Two formats:
-//!
-//! * the legacy plain-JSON format (`to_json`/`from_json`,
-//!   `save`/`load`), which detects truncation only as far as the JSON
-//!   parser happens to notice it;
-//! * the checked format (`to_bytes_checked`/`from_bytes_checked`,
-//!   `save_checked`/`load_checked`), which chunks the JSON into
-//!   CRC-framed segments (see `dio_faults::framing`) so *any*
-//!   truncation or bit flip is reported as a structured
-//!   [`PersistError::Corrupt`] naming the damaged segment — an index is
-//!   never silently rebuilt smaller than it was saved.
+//! One on-disk format (`save_checked`/`load_checked`, in memory
+//! `to_bytes_checked`/`from_bytes_checked`): the index's JSON
+//! (`to_json`/`from_json`, the codec) chunked into CRC-framed segments
+//! (see `dio_faults::framing`), so *any* truncation or bit flip is
+//! reported as a structured [`PersistError::Corrupt`] naming the
+//! damaged segment — an index is never silently rebuilt smaller than it
+//! was saved.
 
 use dio_faults::{decode_all, encode_record};
 use serde::de::DeserializeOwned;
@@ -81,18 +77,6 @@ pub fn to_json<T: Serialize>(value: &T) -> Result<String, PersistError> {
 /// Deserialise an index from a JSON string.
 pub fn from_json<T: DeserializeOwned>(json: &str) -> Result<T, PersistError> {
     Ok(serde_json::from_str(json)?)
-}
-
-/// Write an index to a file.
-pub fn save<T: Serialize, P: AsRef<Path>>(value: &T, path: P) -> Result<(), PersistError> {
-    fs::write(path, to_json(value)?)?;
-    Ok(())
-}
-
-/// Read an index back from a file.
-pub fn load<T: DeserializeOwned, P: AsRef<Path>>(path: P) -> Result<T, PersistError> {
-    let data = fs::read_to_string(path)?;
-    from_json(&data)
 }
 
 /// Serialise an index in the checked format: JSON chunked into
@@ -178,6 +162,12 @@ mod tests {
         Vector(x.to_vec()).normalized()
     }
 
+    /// The IVF shape: a probe width, centroids, ids per list, and the
+    /// rows once.
+    const IVF_SNAPSHOT: &str =
+        "{\"nprobe\":1,\"centroids\":{\"dims\":2,\"vectors\":[[1,0],[0,1]]},\
+\"lists\":[[0,2],[1]],\"rows\":{\"dims\":2,\"vectors\":[[1,0],[0,1],[1,0]]}}";
+
     #[test]
     fn flat_roundtrips_through_json() {
         let mut idx = FlatIndex::new(3);
@@ -200,19 +190,39 @@ mod tests {
         let back: IvfIndex = from_json(&json).unwrap();
         let q = v(&[2.0, 3.0, 1.0]);
         assert_eq!(idx.search(&q, 5), back.search(&q, 5));
+
+        let data = vec![v(&[1.0, 0.0]), v(&[0.0, 1.0]), v(&[1.0, 0.0])];
+        let config = IvfConfig {
+            nlist: 2,
+            nprobe: 1,
+            ..IvfConfig::default()
+        };
+        let json = to_json(&IvfIndex::train(2, config, data)).unwrap();
+        assert_eq!(json, IVF_SNAPSHOT);
+        let back: IvfIndex = from_json(IVF_SNAPSHOT).unwrap();
+        assert_eq!(to_json(&back).unwrap(), IVF_SNAPSHOT);
     }
 
     #[test]
-    fn save_and_load_file() {
-        let dir = std::env::temp_dir().join("dio_vecstore_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flat.json");
-        let mut idx = FlatIndex::new(2);
-        idx.add(v(&[1.0, 0.0]));
-        save(&idx, &path).unwrap();
-        let back: FlatIndex = load(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        std::fs::remove_file(&path).ok();
+    fn ivf_snapshot_naming_a_missing_row_or_list_is_an_error_not_a_panic() {
+        // One cell over two 2-d rows; each case breaks one field.
+        let snapshot = |centroids: &str, lists: &str, rows: &str| {
+            let json = format!(
+                r#"{{"nprobe":1,"centroids":{{"dims":2,"vectors":[{centroids}]}},"lists":[{lists}],"rows":{{"dims":{rows}}}}}"#
+            );
+            from_json::<IvfIndex>(&json)
+        };
+        let rows = r#"2,"vectors":[[1,0],[0,1]]"#;
+        for (centroids, lists, rows) in [
+            ("[1,0]", "[0,2]", rows),
+            ("[1,0]", "[0],[1]", rows),
+            ("[1,0]", "[0,1]", r#"3,"vectors":[[1,0,0],[0,1,0]]"#),
+            ("", "", r#"2,"vectors":[]"#),
+        ] {
+            assert!(snapshot(centroids, lists, rows).is_err(), "{centroids} {lists} {rows} loaded");
+        }
+        let idx = snapshot("[1,0]", "[0,1]", rows).unwrap();
+        assert_eq!(idx.search(&v(&[0.0, 1.0]), 1)[0].id, 1);
     }
 
     #[test]
@@ -224,7 +234,7 @@ mod tests {
 
     #[test]
     fn missing_file_reports_io_error() {
-        let err = load::<FlatIndex, _>("/nonexistent/dir/idx.json").unwrap_err();
+        let err = load_checked::<FlatIndex, _>("/nonexistent/dir/idx.dio").unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 

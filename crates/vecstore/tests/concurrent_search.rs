@@ -1,10 +1,11 @@
 //! Concurrent-read correctness: the serving tier runs many worker
-//! threads doing top-k searches over one shared HNSW index. Search is
-//! `&self` with no interior mutability, so concurrent results must be
-//! bit-identical to sequential ones — this test pins that contract.
+//! threads doing top-k searches over one index shared behind an `Arc` —
+//! a `FlatIndex`, or an `IvfIndex` over one. Search is `&self` with no
+//! interior mutability, so concurrent results must be bit-identical to
+//! sequential ones — this test pins that contract.
 
 use dio_embed::Vector;
-use dio_vecstore::{HnswConfig, HnswIndex, VectorIndex};
+use dio_vecstore::{FlatIndex, IvfConfig, IvfIndex, VectorIndex};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,24 +23,33 @@ fn dataset(n: usize, seed: u64) -> Vec<Vector> {
     (0..n).map(|_| random_unit(&mut rng, DIMS)).collect()
 }
 
+fn flat(n: usize, seed: u64) -> FlatIndex {
+    FlatIndex::from_vectors(DIMS, dataset(n, seed))
+}
+
+fn ivf(n: usize, seed: u64) -> IvfIndex {
+    IvfIndex::train(DIMS, IvfConfig::default(), dataset(n, seed))
+}
+
 #[test]
 fn parallel_topk_matches_sequential() {
-    let index = Arc::new(HnswIndex::from_vectors(
-        DIMS,
-        HnswConfig::default(),
-        dataset(400, 0xfeed),
-    ));
+    parallel_topk_matches_sequential_on(flat(400, 0xfeed));
+    parallel_topk_matches_sequential_on(ivf(400, 0xfeed));
+}
+
+fn parallel_topk_matches_sequential_on(index: impl VectorIndex + Send + Sync + 'static) {
+    let index = Arc::new(index);
     let queries = Arc::new(dataset(64, 0xbeef));
     let k = 10;
 
-    // Sequential reference: (id, score) per query, in order.
-    let expected: Vec<Vec<(usize, f32)>> = queries
+    // Sequential reference: (id, score bits) per query, in order.
+    let expected: Vec<Vec<(usize, u32)>> = queries
         .iter()
         .map(|q| {
             index
                 .search(q, k)
                 .into_iter()
-                .map(|h| (h.id, h.score))
+                .map(|h| (h.id, h.score.to_bits()))
                 .collect()
         })
         .collect();
@@ -57,7 +67,7 @@ fn parallel_topk_matches_sequential() {
                         index
                             .search(q, k)
                             .into_iter()
-                            .map(|h| (h.id, h.score))
+                            .map(|h| (h.id, h.score.to_bits()))
                             .collect::<Vec<_>>()
                     })
                     .collect::<Vec<_>>()
@@ -73,11 +83,12 @@ fn parallel_topk_matches_sequential() {
 
 #[test]
 fn search_with_stats_is_stable_across_threads() {
-    let index = Arc::new(HnswIndex::from_vectors(
-        DIMS,
-        HnswConfig::default(),
-        dataset(300, 0xabba),
-    ));
+    search_with_stats_is_stable_across_threads_on(flat(300, 0xabba));
+    search_with_stats_is_stable_across_threads_on(ivf(300, 0xabba));
+}
+
+fn search_with_stats_is_stable_across_threads_on(index: impl VectorIndex + Send + Sync + 'static) {
+    let index = Arc::new(index);
     let query = Arc::new(dataset(1, 0xd00d).remove(0));
     let (ref_hits, ref_stats) = index.search_with_stats(&query, 5);
 

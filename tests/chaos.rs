@@ -3,7 +3,7 @@
 //! durable store's crash/corruption recovery contract.
 
 use dio::benchmark::{fewshot_exemplars, OperatorWorld, WorldConfig};
-use dio::copilot::{CopilotBuilder, CopilotConfig, DioCopilot, RetrievalMode};
+use dio::copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio::faults::{ChaosConfig, MemMedium};
 use dio::llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
 use dio::tsdb::{DurableStore, Labels, Sample};
@@ -22,7 +22,6 @@ fn chaos_copilot(p: f64) -> (DioCopilot, OperatorWorld) {
         .model(Box::new(model))
         .config(CopilotConfig {
             generate_dashboards: false,
-            retrieval: RetrievalMode::Hnsw { ef_search: 32 },
             data_chaos: Some(ChaosConfig::with_probability(SEED, p)),
             ..CopilotConfig::default()
         })
