@@ -1214,7 +1214,8 @@ mod tests {
     /// What promotion used to re-derive on every takeover, checked
     /// here instead: every copy's WAL is verified to its end, scans
     /// clean in full, and replicas equal their primaries byte for byte
-    /// (a dead replica's durable log is a prefix of its primary's).
+    /// and sample for sample (a dead replica's durable log is a prefix
+    /// of its primary's).
     fn assert_every_copy_verified_and_converged(cluster: &Cluster, after: &str) {
         let inner = cluster.inner.lock().unwrap();
         for (shard, s) in inner.shards.iter().enumerate() {
@@ -1230,13 +1231,12 @@ mod tests {
                 );
             }
             if let Some(r) = s.replica_node {
-                let (p, r_bytes) = (
-                    s.copies[&s.primary_node].wal_bytes(),
-                    s.copies[&r].wal_bytes(),
-                );
+                let (primary, replica) = (&s.copies[&s.primary_node], &s.copies[&r]);
+                let (p, r_bytes) = (primary.wal_bytes(), replica.wal_bytes());
                 assert!(
                     if inner.up[r] {
                         p == r_bytes
+                            && primary.store().sample_count() == replica.store().sample_count()
                     } else {
                         p.starts_with(r_bytes)
                     },
@@ -1253,29 +1253,43 @@ mod tests {
         cluster.load_from(&seed_store(&FAMILIES, 6)).unwrap();
         assert_every_copy_verified_and_converged(&cluster, "load_from");
         let mut ts = 7_000;
-        let mut burst = |after: &str| {
+        // Four appends to every family: to the series the load created,
+        // or — `instance` naming a new one — to a series whose first
+        // record whichever copy is primary right now has to write.
+        let mut burst = |instance: &str, after: &str| {
             for f in FAMILIES {
                 for _ in 0..4 {
                     ts += 1_000;
                     cluster
-                        .append(labels(f, "amf-0"), Sample::new(ts, 1.0))
+                        .append(labels(f, instance), Sample::new(ts, 1.0))
                         .unwrap();
                 }
             }
             assert_every_copy_verified_and_converged(&cluster, after);
         };
-        burst("a chaotic-link burst");
+        burst("amf-0", "a chaotic-link burst");
         assert!(cluster.reships() > 0, "p=0.5 link chaos caused no reships");
         for victim in 0..3 {
             cluster.kill_node(victim);
-            burst(&format!("appends with node {victim} down"));
+            // The promoted replicas go on where the dead primaries
+            // stopped: known series by the references they were shipped,
+            // new series under the numbers the old primary would have
+            // used, so the old node's log stays a prefix of theirs.
+            burst("amf-0", &format!("appends with node {victim} down"));
+            burst(
+                &format!("amf-{}", victim + 1),
+                &format!("new series with node {victim} down"),
+            );
             cluster.restart_node(victim);
             assert_every_copy_verified_and_converged(&cluster, &format!("restart of {victim}"));
+            burst("amf-0", &format!("appends after {victim} rejoined"));
         }
         assert!(cluster.failovers() > 0, "kills never triggered a failover");
         cluster.add_node();
         assert_every_copy_verified_and_converged(&cluster, "add_node");
-        burst("a burst on four nodes");
+        burst("amf-0", "a burst on four nodes");
+        burst("amf-9", "new series on four nodes");
+        assert!(cluster.down_nodes().is_empty());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! One copy of one shard: a metric store fed through a local WAL.
 //!
 //! Both the primary and the replica of a shard are a [`ShardCopy`].
-//! Every append is framed into the copy's WAL first (the same
-//! CRC-framed format as `dio_tsdb::wal`), then applied to the
-//! published store, so the WAL is always a byte-accurate durable
-//! transcript of the copy's state. Replication is WAL shipping: the
+//! Every append is framed into the copy's WAL first (a `dio_tsdb::wal`
+//! log: one frame per record, a series' labels carried by its first
+//! record only), then applied to the published store, so the WAL is
+//! always a byte-accurate durable transcript of the copy's state.
+//! Replication is WAL shipping: the
 //! primary sends the replica the framed byte range it has not applied
 //! yet, the replica CRC-validates the chunk and either applies it or
 //! rejects the whole shipment (never a partial apply), and the primary
@@ -12,7 +13,10 @@
 //! verbatim — the received bytes themselves go onto the replica's WAL —
 //! so primary and replica WALs are byte-identical up to the replica's
 //! applied offset, which is what lets a restarted node catch up from
-//! any copy.
+//! any copy. A copy learns the log's series numbering from the frames
+//! it takes in, so whichever copy is promoted goes on numbering where
+//! the old primary stopped, and a shipped suffix only makes sense to a
+//! copy holding the prefix before it.
 //!
 //! **Verify once, at ingest.** Every WAL byte is checked exactly once,
 //! on its way into the copy: framed here ([`ShardCopy::append_local`])
@@ -25,7 +29,7 @@
 
 use dio_faults::{DataFaultKind, MemMedium, PlannedFault};
 use dio_tsdb::series::AppendError;
-use dio_tsdb::wal::{entries, Wal, WalEntry, WalRecord};
+use dio_tsdb::wal::{Wal, WalEntry, WalRecord};
 use dio_tsdb::{Labels, MetricStore, Sample};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -33,7 +37,9 @@ use std::sync::Arc;
 /// Why a shipped chunk was rejected by the receiving copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShipReject {
-    /// A frame failed its CRC (bit flip in flight).
+    /// A frame failed its CRC (bit flip in flight), or is not a record
+    /// that follows this copy's log (it names a series the log never
+    /// bound).
     CorruptFrame {
         /// How many frames failed.
         frames: usize,
@@ -48,7 +54,7 @@ impl std::fmt::Display for ShipReject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShipReject::CorruptFrame { frames } => {
-                write!(f, "{frames} frame(s) failed CRC validation")
+                write!(f, "{frames} frame(s) failed validation")
             }
             ShipReject::TornTail => write!(f, "chunk ended mid-frame"),
             ShipReject::Lost => write!(f, "chunk lost in transit"),
@@ -122,7 +128,8 @@ impl ShardCopy {
     /// The suffix is empty under every ingest path, so this costs
     /// nothing unless bytes reached the WAL some other way.
     pub fn unverified_suffix_is_clean(&self) -> bool {
-        entries(&self.wal_bytes()[self.verified_len..])
+        self.wal
+            .scan_next(&self.wal_bytes()[self.verified_len..])
             .all(|entry| matches!(entry, WalEntry::Record { .. }))
     }
 
@@ -131,7 +138,7 @@ impl ShardCopy {
     #[cfg(test)]
     pub(crate) fn append_unverified(&mut self, bytes: &[u8]) {
         self.wal
-            .adopt_frames(bytes, 0)
+            .adopt_frames(bytes, dio_tsdb::wal::Scanned::default())
             .expect("in-memory WAL append cannot fail");
     }
 
@@ -187,7 +194,8 @@ impl ShardCopy {
         let mut records = Vec::new();
         let mut damaged = 0usize;
         let mut torn = false;
-        for entry in entries(chunk) {
+        let mut scan = self.wal.scan_next(chunk);
+        for entry in &mut scan {
             match entry {
                 WalEntry::Record { record, end } => records.push((record, end)),
                 WalEntry::Corrupt | WalEntry::Unparsable => damaged += 1,
@@ -200,9 +208,10 @@ impl ShardCopy {
         if torn {
             return Err(ShipReject::TornTail);
         }
+        let scanned = scan.finish();
         let base = self.wal.len();
         self.wal
-            .adopt_frames(chunk, records.len())
+            .adopt_frames(chunk, scanned)
             .expect("in-memory WAL append cannot fail");
         self.verified_len = self.wal.len();
         self.boundaries.reserve(records.len());
@@ -233,7 +242,8 @@ impl ShardCopy {
         let mut copy = ShardCopy::new();
         let store = Arc::make_mut(&mut copy.store);
         let mut stopped_by = None;
-        for entry in entries(bytes) {
+        let mut scan = copy.wal.scan_next(bytes);
+        for entry in &mut scan {
             match entry {
                 WalEntry::Record { record, end } => {
                     copy.boundaries.push(end);
@@ -246,9 +256,10 @@ impl ShardCopy {
                 WalEntry::TornTail => stopped_by = Some(ShipReject::TornTail),
             }
         }
+        let scanned = scan.finish();
         let clean = copy.boundaries.last().copied().unwrap_or(0);
         copy.wal
-            .adopt_frames(&bytes[..clean], copy.boundaries.len())
+            .adopt_frames(&bytes[..clean], scanned)
             .expect("in-memory WAL append cannot fail");
         copy.verified_len = clean;
         (copy, stopped_by)
@@ -329,6 +340,74 @@ mod tests {
         assert!(gap.len() < primary.wal_len());
         replica.apply_shipped(gap).unwrap();
         assert_eq!(replica.wal_bytes(), primary.wal_bytes());
+    }
+
+    #[test]
+    fn a_suffix_applies_only_behind_the_prefix_that_names_its_series() {
+        let primary = filled(5);
+        // Records 1.. name their series by a reference record 0 bound.
+        let suffix = primary.bytes_from(3);
+        let mut replica = ShardCopy::new();
+        replica.apply_shipped(&primary.wal_bytes()[..primary.boundaries[2]]).unwrap();
+        assert_eq!(replica.apply_shipped(suffix), Ok(ShipApply { applied: 2, rejected: 0 }));
+        assert_eq!(replica.wal_bytes(), primary.wal_bytes());
+        assert_eq!(replica.store().sample_count(), 5);
+        // Offered to a copy without that prefix, the same bytes name
+        // nothing: rejected whole, nothing learned from them.
+        let mut empty = ShardCopy::new();
+        assert_eq!(
+            empty.apply_shipped(suffix),
+            Err(ShipReject::CorruptFrame { frames: 2 })
+        );
+        assert_eq!((empty.records(), empty.wal_len()), (0, 0));
+        assert_eq!(empty.store().series_count(), 0);
+        empty.apply_shipped(primary.bytes_from(0)).unwrap();
+        assert_eq!(empty.wal_bytes(), primary.wal_bytes());
+    }
+
+    #[test]
+    fn a_rejected_shipment_binds_no_series() {
+        // The chunk opens with a new series' first record and is torn
+        // after it: had the rejected scan's binding stuck, the pristine
+        // re-ship would find the reference taken.
+        let mut primary = filled(2);
+        let mut replica = ShardCopy::new();
+        replica.apply_shipped(primary.bytes_from(0)).unwrap();
+        for i in 2..4 {
+            let (l, s) = rec("pdu_est", i);
+            primary.append_local(l, s).unwrap().unwrap();
+        }
+        let chunk = primary.bytes_from(2);
+        assert_eq!(
+            replica.apply_shipped(&chunk[..chunk.len() - 1]),
+            Err(ShipReject::TornTail)
+        );
+        replica.apply_shipped(chunk).unwrap();
+        assert_eq!(replica.wal_bytes(), primary.wal_bytes());
+        assert_eq!(replica.store().series_count(), 2);
+    }
+
+    #[test]
+    fn a_promoted_or_rebuilt_copy_numbers_series_as_the_primary_would_have() {
+        let mut primary = filled(3);
+        let mut replica = ShardCopy::new();
+        replica.apply_shipped(primary.bytes_from(0)).unwrap();
+        let (mut rebuilt, _) = ShardCopy::recover_from_bytes(primary.wal_bytes());
+        // The same appends — a known series, then a new one — yield the
+        // same bytes on the copy that wrote the log, the copy that was
+        // shipped it and the copy rebuilt from it.
+        for copy in [&mut primary, &mut replica, &mut rebuilt] {
+            for (name, i) in [("auth_req", 3), ("pdu_est", 4), ("pdu_est", 5)] {
+                let (l, s) = rec(name, i);
+                copy.append_local(l, s).unwrap().unwrap();
+            }
+        }
+        assert_eq!(replica.wal_bytes(), primary.wal_bytes());
+        assert_eq!(rebuilt.wal_bytes(), primary.wal_bytes());
+        let (reread, stopped_by) = ShardCopy::recover_from_bytes(replica.wal_bytes());
+        assert_eq!(stopped_by, None);
+        assert_eq!(reread.store().sample_count(), 6);
+        assert_eq!(reread.store().series_count(), 2);
     }
 
     #[test]

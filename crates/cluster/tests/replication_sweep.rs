@@ -9,6 +9,8 @@ use dio_cluster::{ShardCopy, ShipReject};
 use dio_tsdb::labels::NAME_LABEL;
 use dio_tsdb::{Labels, Sample};
 
+/// Two interleaved series; every value holds the frame marker pair in
+/// its bytes, so a cut or a flip lands among false markers.
 fn primary_with(records: usize) -> (ShardCopy, Vec<usize>) {
     let mut primary = ShardCopy::new();
     let mut boundaries = Vec::new();
@@ -17,8 +19,10 @@ fn primary_with(records: usize) -> (ShardCopy, Vec<usize>) {
             (NAME_LABEL, "amf_registration_total"),
             ("instance", &format!("amf-{}", i % 2)),
         ]);
+        let [m0, m1] = dio_faults::MAGIC;
+        let value = f64::from_bits(u64::from_le_bytes([i as u8, m0, m1, 1, m0, m1, 0xF0, 0x3F]));
         primary
-            .append_local(labels, Sample::new(1_000 * (i as i64 + 1), i as f64))
+            .append_local(labels, Sample::new(1_000 * (i as i64 + 1), value))
             .unwrap()
             .unwrap();
         boundaries.push(primary.wal_len());

@@ -12,7 +12,7 @@ use crate::sample::Sample;
 use crate::series::AppendError;
 use crate::snapshot::{fsck_snapshot, write_snapshot, FsckReport};
 use crate::storage::MetricStore;
-use crate::wal::{recover, Wal, WalRecord, WalRecovery};
+use crate::wal::{Wal, WalRecord};
 use dio_faults::Medium;
 
 /// Error from [`DurableStore::append`].
@@ -88,11 +88,10 @@ impl<M: Medium> DurableStore<M> {
     /// medium refusing to be read at all (retryable under chaos).
     pub fn recover(
         snapshot_bytes: &[u8],
-        mut wal_medium: M,
+        wal_medium: M,
     ) -> std::io::Result<(Self, RecoveryReport)> {
         let (mut store, snap_report) = fsck_snapshot(snapshot_bytes);
-        let wal_bytes = wal_medium.load()?;
-        let wal_rec: WalRecovery = recover(&wal_bytes);
+        let (wal, wal_rec) = Wal::open(wal_medium)?;
         let mut report = RecoveryReport {
             snapshot: snap_report,
             wal_corrupt_frames: wal_rec.corrupt_frames,
@@ -106,11 +105,7 @@ impl<M: Medium> DurableStore<M> {
                 Err(_) => report.wal_rejected += 1,
             }
         }
-        let durable = DurableStore {
-            store,
-            wal: Wal::new(wal_medium),
-        };
-        Ok((durable, report))
+        Ok((DurableStore { store, wal }, report))
     }
 
     /// Append WAL-first: `Ok` means the sample is durable *and*
@@ -197,6 +192,35 @@ mod tests {
         assert_eq!(report.snapshot.samples_recovered, 4);
         assert_eq!(report.wal_replayed, 2);
         assert_eq!(back.store().sample_count(), 6);
+    }
+
+    #[test]
+    fn a_recovered_store_keeps_logging_for_the_next_recovery() {
+        let mut ds = DurableStore::new(MemMedium::new());
+        for k in 0..3 {
+            ds.append(labels(k % 2), Sample::new(1_000 * (k as i64 + 1), k as f64))
+                .unwrap();
+        }
+        let snapshot = ds.checkpoint().unwrap();
+        // The log starts over after the checkpoint: the next record of
+        // a series it had logged before carries the labels again.
+        ds.append(labels(0), Sample::new(10_000, 1.0)).unwrap();
+        let (_, medium) = ds.into_parts(); // crash
+        let (mut back, report) = DurableStore::recover(&snapshot, medium).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.wal_replayed, 1);
+        assert_eq!(back.store().sample_count(), 4);
+        // The recovered store logs on — to a series the log knows, to
+        // one only the snapshot knows, to a new one ...
+        for (i, ts) in [(0, 11_000), (1, 12_000), (7, 13_000), (7, 14_000)] {
+            back.append(labels(i), Sample::new(ts, 2.0)).unwrap();
+        }
+        let (_, medium) = back.into_parts(); // ... and crashes again.
+        let (again, report) = DurableStore::recover(&snapshot, medium).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.wal_replayed, 5);
+        assert_eq!(again.store().sample_count(), 8);
+        assert_eq!(again.store().series_count(), 3);
     }
 
     #[test]

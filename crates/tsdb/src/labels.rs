@@ -29,7 +29,8 @@ impl Serialize for Labels {
 impl<'de> Deserialize<'de> for Labels {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let pairs = <Vec<(String, String)> as Deserialize>::from_value(value)?;
-        Ok(Labels(Arc::new(pairs)))
+        Labels::from_sorted_pairs(pairs)
+            .ok_or_else(|| serde::Error::msg("label names must be sorted and unique"))
     }
 }
 
@@ -51,6 +52,17 @@ impl Labels {
             labels = labels.with(k.into(), v.into());
         }
         labels
+    }
+
+    /// Wrap pairs that are already in canonical order, checking that
+    /// they are: `None` unless names are strictly increasing. The way
+    /// in for pairs decoded from bytes (WAL records, snapshots), where
+    /// silently reordering or dropping a duplicate would be a guess.
+    pub fn from_sorted_pairs(pairs: Vec<(String, String)>) -> Option<Self> {
+        pairs
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0)
+            .then(|| Labels(Arc::new(pairs)))
     }
 
     /// A label set containing only the metric name.
@@ -251,6 +263,26 @@ mod tests {
             sample().with("instance", "amf-1").signature()
         );
         assert_eq!(sample().signature(), sample().signature());
+    }
+
+    #[test]
+    fn decoded_pairs_must_already_be_canonical() {
+        let pair = |n: &str, v: &str| (n.to_string(), v.to_string());
+        let sorted = vec![pair("a", "1"), pair("b", "2")];
+        assert_eq!(
+            Labels::from_sorted_pairs(sorted),
+            Some(Labels::from_pairs([("a", "1"), ("b", "2")]))
+        );
+        assert_eq!(Labels::from_sorted_pairs(Vec::new()), Some(Labels::empty()));
+        let swapped = vec![pair("b", "2"), pair("a", "1")];
+        assert_eq!(Labels::from_sorted_pairs(swapped), None);
+        let repeated = vec![pair("a", "1"), pair("a", "2")];
+        assert_eq!(Labels::from_sorted_pairs(repeated), None);
+        // Deserialization goes through the same check.
+        let back: Labels = serde_json::from_str(r#"[["a","1"],["b","2"]]"#).unwrap();
+        assert_eq!(back.get("b"), Some("2"));
+        assert!(serde_json::from_str::<Labels>(r#"[["b","2"],["a","1"]]"#).is_err());
+        assert!(serde_json::from_str::<Labels>(r#"[["a","1"],["a","2"]]"#).is_err());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod chunk;
 pub mod compress;
+mod cursor;
 pub mod durable;
 pub mod generator;
 pub mod labels;

@@ -26,6 +26,7 @@
 //! compressed in the rebuilt store.
 
 use crate::chunk::Chunk;
+use crate::cursor::Cursor;
 use crate::labels::Labels;
 use crate::sample::Sample;
 use crate::series::Series;
@@ -77,44 +78,10 @@ fn series_payload(series: &Series) -> Vec<u8> {
     p
 }
 
-/// Bounds-checked little-endian cursor over an untrusted payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 /// Parse and validate one v2 payload back into a series. `None` means
 /// the frame is quarantined.
 fn parse_series_payload(payload: &[u8]) -> Option<Series> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     if c.u8()? != SNAPSHOT_VERSION {
         return None;
     }
@@ -325,6 +292,35 @@ mod tests {
         let (_, report) = fsck_snapshot(&bytes);
         assert_eq!(report.series_recovered, 0);
         assert_eq!(report.quarantined, 1);
+    }
+
+    #[test]
+    fn label_names_out_of_order_or_repeated_are_quarantined() {
+        // `Labels` binary-searches its pairs: a CRC-clean frame whose
+        // names are swapped or repeated must not become a series whose
+        // `name()` misses and that `by_name` never indexes.
+        let mut series = Series::new(Labels::from_pairs([(NAME_LABEL, "m"), ("instance", "a")]));
+        series.append(Sample::new(1_000, 1.0)).unwrap();
+        let good = series_payload(&series);
+        let old_len = u32::from_le_bytes(good[1..5].try_into().unwrap()) as usize;
+        let with_labels = |json: &str| {
+            let mut p = vec![SNAPSHOT_VERSION];
+            p.extend_from_slice(&(json.len() as u32).to_le_bytes());
+            p.extend_from_slice(json.as_bytes());
+            p.extend_from_slice(&good[5 + old_len..]);
+            encode_record(&p)
+        };
+        let (store, report) = fsck_snapshot(&with_labels(r#"[["__name__","m"],["instance","a"]]"#));
+        assert!(report.is_clean());
+        assert!(store.has_metric("m"));
+        for bad in [
+            r#"[["instance","a"],["__name__","m"]]"#,
+            r#"[["__name__","m"],["__name__","n"]]"#,
+        ] {
+            let (store, report) = fsck_snapshot(&with_labels(bad));
+            assert_eq!((report.series_recovered, report.quarantined), (0, 1), "{bad}");
+            assert_eq!(store.series_count(), 0, "{bad}");
+        }
     }
 
     #[test]
