@@ -36,6 +36,7 @@
 use dio_bench::{flag_value, percentile, quick_flag, Experiment};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::WorldConfig;
+use dio_gateway::FlushTrigger;
 use dio_llm::{BatchExpander, FoundationModel, ModelProfile, SimulatedModel};
 use dio_obs::{TraceRecord, TraceStatus};
 use dio_serve::{
@@ -99,6 +100,11 @@ struct BatchingPanel {
     flush_full: usize,
     flush_due: usize,
     flush_deadline: usize,
+    flush_assembled: usize,
+    /// Longest queue wait among each flush's items
+    /// (`FlushRecord::waited_micros`), over the pass's flushes.
+    flush_waited_p50_micros: f64,
+    flush_waited_p95_micros: f64,
     prefix_tokens_saved: usize,
     prefix_saved_cents: f64,
 }
@@ -514,26 +520,30 @@ fn main() {
     gateway_service.shutdown();
     let flushes = stats.flush_log.len();
     let flushed_items: usize = stats.flush_log.iter().map(|f| f.size).sum();
+    let flushed_by = |trigger: FlushTrigger| {
+        stats
+            .flush_log
+            .iter()
+            .filter(|f| f.trigger == trigger)
+            .count()
+    };
+    let mut flush_waits: Vec<f64> = stats
+        .flush_log
+        .iter()
+        .map(|f| f.waited_micros as f64)
+        .collect();
+    flush_waits.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let batching = BatchingPanel {
         upstream_calls: gateway.model_calls,
         batches: stats.ledger.batches(),
         flushes,
         mean_flush_size: flushed_items as f64 / flushes.max(1) as f64,
-        flush_full: stats
-            .flush_log
-            .iter()
-            .filter(|f| f.trigger.label() == "full")
-            .count(),
-        flush_due: stats
-            .flush_log
-            .iter()
-            .filter(|f| f.trigger.label() == "due")
-            .count(),
-        flush_deadline: stats
-            .flush_log
-            .iter()
-            .filter(|f| f.trigger.label() == "deadline")
-            .count(),
+        flush_full: flushed_by(FlushTrigger::Full),
+        flush_due: flushed_by(FlushTrigger::Due),
+        flush_deadline: flushed_by(FlushTrigger::Deadline),
+        flush_assembled: flushed_by(FlushTrigger::Assembled),
+        flush_waited_p50_micros: percentile(&flush_waits, 0.50),
+        flush_waited_p95_micros: percentile(&flush_waits, 0.95),
         prefix_tokens_saved: stats.ledger.prefix_tokens_saved(),
         prefix_saved_cents: stats
             .ledger
@@ -542,7 +552,7 @@ fn main() {
     };
     let semantic = stats.semantic.expect("semantic layer on by default");
     eprintln!(
-        "  gateway: EX {}/{}, {:.0} upstream calls, {:.2}¢, {:.2}s ({} semantic hits, {} coalesced, mean flush {:.2})",
+        "  gateway: EX {}/{}, {:.0} upstream calls, {:.2}¢, {:.2}s ({} semantic hits, {} coalesced, mean flush {:.2}, flush wait p50 {:.0}µs)",
         gateway.correct,
         n,
         gateway.model_calls,
@@ -550,7 +560,8 @@ fn main() {
         gateway.wall_seconds,
         gateway.semantic_hits,
         gateway.coalesced,
-        batching.mean_flush_size
+        batching.mean_flush_size,
+        batching.flush_waited_p50_micros
     );
 
     // Phase 4: tight-deadline burst through an undersized gateway

@@ -20,7 +20,8 @@
 //! 3. [`model`] — what still reaches the model is **batched**: a
 //!    bounded-delay, bounded-size, deadline-aware accumulator answers K
 //!    queued prompts in one combined call, pricing the shared prefix
-//!    once per batch.
+//!    once per batch. Callers announce their jobs, so the accumulator
+//!    never holds a request for a companion that cannot come.
 //!
 //! [`normalize`] hosts the question normalizer both the serve-tier
 //! answer cache and the singleflight keyer share (serve re-exports it),
@@ -31,7 +32,7 @@ pub mod normalize;
 pub mod semantic;
 pub mod singleflight;
 
-pub use model::{BatchConfig, FlushRecord, FlushTrigger, GatewayHandle, ModelGateway};
+pub use model::{BatchConfig, FlushRecord, FlushTrigger, GatewayHandle, ModelGateway, OpenJob};
 pub use normalize::normalize_question;
 pub use semantic::{Probe, SemanticCache, SemanticConfig, SemanticStats};
 pub use singleflight::{FollowerHandle, FollowerOutcome, Join, LeaderGuard, Singleflight};

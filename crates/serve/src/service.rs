@@ -33,8 +33,8 @@ use crate::normalize::normalize_question;
 use crate::tenant::{tenant_class, RateLimiter, TenantPolicy, TENANT_CLASSES};
 use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
 use dio_gateway::{
-    BatchConfig, FlushRecord, FollowerOutcome, Join, ModelGateway, Probe, SemanticCache,
-    SemanticConfig, SemanticStats, Singleflight,
+    BatchConfig, FlushRecord, FollowerOutcome, GatewayHandle, Join, ModelGateway, OpenJob, Probe,
+    SemanticCache, SemanticConfig, SemanticStats, Singleflight,
 };
 use dio_llm::{CostLedger, FoundationModel};
 use dio_obs::{Buckets, Budget, Counter, Gauge, Histogram, ObsHub, SpanContext, TraceStatus};
@@ -129,6 +129,9 @@ struct GatewayPlane {
     flights: Singleflight<CopilotResponse>,
     semantic: Option<SemanticCache<CopilotResponse>>,
     model: Arc<ModelGateway>,
+    /// One handle per worker, by worker index: the worker opens each
+    /// job on its own, and its pipeline owns that handle's boxed facade.
+    handles: Vec<GatewayHandle>,
     coalesce: bool,
     role_leader: Counter,
     role_follower: Counter,
@@ -137,7 +140,7 @@ struct GatewayPlane {
 }
 
 impl GatewayPlane {
-    fn new(obs: &ObsHub, config: &GatewayConfig, model: Arc<ModelGateway>) -> Self {
+    fn new(obs: &ObsHub, config: &GatewayConfig, model: Arc<ModelGateway>, workers: usize) -> Self {
         let r = obs.registry();
         let role = |role: &str| {
             r.counter_with(
@@ -151,6 +154,7 @@ impl GatewayPlane {
             semantic: config
                 .semantic
                 .map(|sc| SemanticCache::new(r, sc)),
+            handles: (0..workers).map(|_| model.handle()).collect(),
             model,
             coalesce: config.coalesce,
             role_leader: role("leader"),
@@ -429,11 +433,6 @@ impl Core {
     }
 }
 
-/// The span-context cell a gateway-backed worker shares with its boxed
-/// model handle (set per job so batch spans land under the right
-/// trace).
-type CtxCell = Arc<Mutex<Option<SpanContext>>>;
-
 /// The concurrent multi-tenant query service.
 pub struct QueryService {
     core: Arc<Core>,
@@ -447,11 +446,11 @@ impl QueryService {
     /// can keep serving as a sequential baseline or feedback-loop
     /// writer; its knowledge-generation bumps invalidate this
     /// service's caches.
-    pub fn spawn<F>(prototype: &DioCopilot, mut make_model: F, config: ServeConfig) -> Self
+    pub fn spawn<F>(prototype: &DioCopilot, make_model: F, config: ServeConfig) -> Self
     where
         F: FnMut() -> Box<dyn FoundationModel>,
     {
-        Self::spawn_inner(prototype, config, None, move |_| (make_model(), None))
+        Self::spawn_inner(prototype, config, None, std::iter::repeat_with(make_model))
     }
 
     /// Launch the service with the **model-plane gateway** between the
@@ -475,19 +474,17 @@ impl QueryService {
             obs.registry(),
             Some(obs.tracer().clone()),
         );
-        let plane = GatewayPlane::new(&obs, &gateway, Arc::clone(&model));
-        Self::spawn_inner(prototype, config, Some(plane), move |_| {
-            let handle = model.handle();
-            let cell = handle.ctx_cell();
-            (Box::new(handle) as Box<dyn FoundationModel>, Some(cell))
-        })
+        let plane = GatewayPlane::new(&obs, &gateway, model, config.workers.max(1));
+        let models: Vec<_> = plane.handles.iter().map(GatewayHandle::boxed).collect();
+        Self::spawn_inner(prototype, config, Some(plane), models.into_iter())
     }
 
+    /// `models` yields each worker's model, in worker-index order.
     fn spawn_inner(
         prototype: &DioCopilot,
         config: ServeConfig,
         gateway: Option<GatewayPlane>,
-        mut make_worker: impl FnMut(usize) -> (Box<dyn FoundationModel>, Option<CtxCell>),
+        models: impl Iterator<Item = Box<dyn FoundationModel>>,
     ) -> Self {
         let obs = prototype.obs().clone();
         let brownout = Mutex::new(BrownoutController::new(
@@ -514,13 +511,13 @@ impl QueryService {
             gateway,
         });
         let workers = (0..config.workers.max(1))
-            .map(|idx| {
-                let (model, ctx_cell) = make_worker(idx);
+            .zip(models)
+            .map(|(idx, model)| {
                 let copilot = prototype.fork_with_model(model);
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("dio-serve-{idx}"))
-                    .spawn(move || worker_loop(core, copilot, idx, ctx_cell))
+                    .spawn(move || worker_loop(core, copilot, idx))
                     .expect("spawn dio-serve worker")
             })
             .collect();
@@ -700,13 +697,19 @@ fn retry_hint(queue_len: usize, workers: usize, floor: Duration) -> Duration {
     floor.max(Duration::from_millis(backlog_ms.min(CAP_MS)))
 }
 
-fn worker_loop(
-    core: Arc<Core>,
-    mut copilot: DioCopilot,
-    worker: usize,
-    ctx_cell: Option<CtxCell>,
-) {
-    while let Some((job, deadline)) = core.queue.pop() {
+fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
+    let gateway_handle = core.gateway.as_ref().map(|gw| &gw.handles[worker]);
+    // This worker's job on the model gateway: while it is open the
+    // gateway holds queued model calls for this worker. It is opened at
+    // pickup and stays open for as long as the worker has a request in
+    // hand or had the next one waiting when it finished; a worker that
+    // goes idle closes it, so nobody waits for a companion that cannot
+    // come. (Closing it between two requests of a backlog would release
+    // whatever is queued into every such gap, one small batch at a
+    // time.)
+    let mut gateway_job: Option<OpenJob<'_>> = None;
+    let mut next = None;
+    while let Some((job, deadline)) = next.take().or_else(|| core.queue.pop()) {
         core.metrics.queue_depth.set(core.queue.len() as f64);
         let picked_up = Instant::now();
         let queue_wait = picked_up.duration_since(job.submitted);
@@ -742,36 +745,51 @@ fn worker_loop(
             );
         }
         let tenant = &job.req.tenant;
-        if picked_up >= deadline || job.budget.expired() {
-            let shed = core.refuse(
+        // `None`: the deadline lapsed in the queue, nothing is served.
+        let served = if picked_up >= deadline || job.budget.expired() {
+            None
+        } else {
+            // The request's trace context rides on the gateway job so
+            // batch_flush spans and `batched` events parent correctly.
+            if let Some(handle) = gateway_handle {
+                gateway_job = Some(match gateway_job.take() {
+                    Some(open) => open.continue_with(Some(job.ctx)),
+                    None => handle.open_job(Some(job.ctx)),
+                });
+            }
+            let pickup = Pickup {
+                core: &core,
+                job: &job,
+                queue_wait,
+                picked_up,
+                worker,
+                level,
+                gateway_job: gateway_job.as_ref(),
+            };
+            Some(catch_unwind(AssertUnwindSafe(|| {
+                pickup.serve(&mut copilot)
+            })))
+        };
+        // Whether the gateway keeps counting this worker is settled as
+        // soon as the work is done and before the reply goes out: a
+        // request that is waiting now is a backlog and the worker is on
+        // its way back to the model; one that the client woken by this
+        // reply submits a moment later is not, and must not keep
+        // another worker's call queued while this one goes through it
+        // (a run of cache hits, say).
+        next = core.queue.try_pop();
+        if next.is_none() {
+            gateway_job = None;
+        }
+        let outcome = match served {
+            None => ServeOutcome::Shed(core.refuse(
                 tenant,
                 &job.ctx,
                 ShedReason::DeadlineExpired,
                 Duration::ZERO,
                 TraceStatus::Shed,
-            );
-            let _ = job.reply.send(ServeOutcome::Shed(shed));
-            continue;
-        }
-        // Thread this job's trace context into the gateway handle so
-        // batch_flush spans and `batched` events parent correctly.
-        if let Some(cell) = &ctx_cell {
-            *cell.lock().unwrap() = Some(job.ctx);
-        }
-        let pickup = Pickup {
-            core: &core,
-            job: &job,
-            queue_wait,
-            picked_up,
-            worker,
-            level,
-        };
-        let served = catch_unwind(AssertUnwindSafe(|| pickup.serve(&mut copilot)));
-        if let Some(cell) = &ctx_cell {
-            *cell.lock().unwrap() = None;
-        }
-        let outcome = match served {
-            Ok(Ok(answer)) => {
+            )),
+            Some(Ok(Ok(answer))) => {
                 core.metrics.answered.inc();
                 core.metrics.count_class(tenant, "answered");
                 core.metrics.observe_class_latency(
@@ -783,14 +801,14 @@ fn worker_loop(
             }
             // The budget lapsed between stages: the rest of the work
             // was abandoned cooperatively.
-            Ok(Err(Lapsed)) => ServeOutcome::Shed(core.refuse(
+            Some(Ok(Err(Lapsed))) => ServeOutcome::Shed(core.refuse(
                 tenant,
                 &job.ctx,
                 ShedReason::DeadlineExpired,
                 Duration::ZERO,
                 TraceStatus::DeadlineExceeded,
             )),
-            Err(_) => {
+            Some(Err(_)) => {
                 core.metrics.worker_panics.inc();
                 core.metrics.count_shed(ShedReason::WorkerPanic);
                 core.metrics.count_class(tenant, "shed");
@@ -841,6 +859,8 @@ struct Pickup<'a> {
     picked_up: Instant,
     worker: usize,
     level: BrownoutLevel,
+    /// The worker's open job on the model gateway, when there is one.
+    gateway_job: Option<&'a OpenJob<'a>>,
 }
 
 impl Pickup<'_> {
@@ -939,7 +959,15 @@ impl Pickup<'_> {
                             Join::Follower(h) => {
                                 gw.role_follower.inc();
                                 let out = tracer.time_learned(&job.ctx, "coalesce_wait", |_| {
-                                    let out = h.wait(&job.budget);
+                                    // Parked on the leader's flight, this
+                                    // worker cannot reach the model: the
+                                    // gateway must not hold the leader's
+                                    // own request for it.
+                                    let wait = || h.wait(&job.budget);
+                                    let out = match self.gateway_job {
+                                        Some(open) => open.parked(wait),
+                                        None => wait(),
+                                    };
                                     let outcome = match &out {
                                         FollowerOutcome::Ready(_) => "ready",
                                         FollowerOutcome::Abandoned => "abandoned",

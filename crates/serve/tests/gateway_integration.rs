@@ -1,21 +1,23 @@
 //! End-to-end tests of the query service spawned with the model-plane
-//! gateway: cold-pass answer parity through the batching front-end,
-//! singleflight coalescing under concurrent duplicates, semantic
-//! serving of punctuation paraphrases, and generation invalidation of
-//! the semantic layer.
+//! gateway: cold-pass answer parity through the batching front-end, a
+//! lone client never sitting out the batch delay, singleflight
+//! coalescing under concurrent duplicates, semantic serving of
+//! punctuation paraphrases, and generation invalidation of the semantic
+//! layer.
 
 use dio_benchmark::{
     fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
 };
 use dio_copilot::{CopilotBuilder, DioCopilot};
+use dio_gateway::{BatchConfig, FlushTrigger};
 use dio_llm::{
     BatchExpander, Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile,
     Pricing, SimulatedModel,
 };
 use dio_serve::{GatewayConfig, QueryRequest, QueryService, ServeConfig, TenantPolicy};
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 struct Setup {
     world: OperatorWorld,
@@ -54,6 +56,21 @@ fn open_config(workers: usize) -> ServeConfig {
     }
 }
 
+/// A batch delay long enough that sitting it out even once fails the
+/// test that uses it: only a flush that did not wait for the timer
+/// finishes in time.
+const PATIENT_DELAY: Duration = Duration::from_secs(2);
+
+fn patient_gateway() -> GatewayConfig {
+    GatewayConfig {
+        batch: BatchConfig {
+            max_delay: PATIENT_DELAY,
+            ..BatchConfig::default()
+        },
+        ..GatewayConfig::default()
+    }
+}
+
 /// A model that holds every completion for a fixed pause — long enough
 /// that concurrent duplicates reliably overlap in flight.
 struct SlowModel {
@@ -73,6 +90,42 @@ impl FoundationModel for SlowModel {
     }
     fn complete(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
         std::thread::sleep(self.pause);
+        self.inner.complete(request)
+    }
+}
+
+/// An upstream that parks whatever call reaches it until the test opens
+/// it, and tells the test when a call has.
+struct GatedModel {
+    inner: Box<dyn FoundationModel>,
+    gate: Arc<Gate>,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// `(a call is parked, the gate is open)`.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl FoundationModel for GatedModel {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+    fn pricing(&self) -> Pricing {
+        self.inner.pricing()
+    }
+    fn complete(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
+        let mut state = self.gate.state.lock().unwrap();
+        while !state.1 {
+            state.0 = true;
+            self.gate.changed.notify_all();
+            state = self.gate.changed.wait(state).unwrap();
+        }
+        drop(state);
         self.inner.complete(request)
     }
 }
@@ -115,6 +168,96 @@ fn gateway_cold_pass_matches_the_sequential_pipeline() {
 }
 
 #[test]
+fn a_lone_client_never_waits_for_companions_that_cannot_come() {
+    let s = setup();
+    let mut sequential = prototype();
+    let expected: Vec<_> = s
+        .questions
+        .iter()
+        .map(|q| sequential.ask(&q.text, s.world.eval_ts).numeric_answer)
+        .collect();
+
+    // Four workers, one operator: three workers are idle, so nobody
+    // can ever join the one ask's model call.
+    let service =
+        QueryService::spawn_gateway(&prototype(), upstream(), open_config(4), patient_gateway());
+    let started = Instant::now();
+    let got: Vec<_> = s
+        .questions
+        .iter()
+        .map(|q| {
+            let outcome = service.ask("ops-a", &q.text, s.world.eval_ts);
+            outcome.answer().expect("answered").response.numeric_answer
+        })
+        .collect();
+    let elapsed = started.elapsed();
+    assert_eq!(got, expected);
+    assert!(
+        elapsed < PATIENT_DELAY,
+        "ten sequential asks took {elapsed:?}: one of them sat out the batch delay"
+    );
+    let flushes = service.gateway_stats().unwrap().flush_log;
+    assert!(!flushes.is_empty());
+    for f in &flushes {
+        assert_eq!((f.size, f.trigger), (1, FlushTrigger::Assembled), "{f:?}");
+    }
+    service.shutdown();
+}
+
+#[test]
+fn a_worker_with_its_next_request_waiting_stays_counted_between_the_two() {
+    let s = setup();
+    let gate = Arc::new(Gate::default());
+    let service = QueryService::spawn_gateway(
+        &prototype(),
+        Box::new(GatedModel {
+            inner: upstream(),
+            gate: gate.clone(),
+        }),
+        open_config(2),
+        patient_gateway(),
+    );
+    let submit = |q: &BenchmarkQuestion| {
+        service
+            .submit(QueryRequest::new("ops-a", &q.text, s.world.eval_ts))
+            .expect("admitted")
+    };
+    let started = Instant::now();
+    // The first ask is alone, so its model call leaves at once — and
+    // parks upstream, which keeps its worker busy while two more asks
+    // arrive: one for the idle worker, one that has to wait its turn.
+    let mut tickets = vec![submit(&s.questions[0])];
+    {
+        let mut state = gate.state.lock().unwrap();
+        while !state.0 {
+            state = gate.changed.wait(state).unwrap();
+        }
+    }
+    tickets.push(submit(&s.questions[1]));
+    tickets.push(submit(&s.questions[2]));
+    // Not a hand-over: long enough for the second worker's model call
+    // to be sitting in the gateway queue behind the parked flush.
+    std::thread::sleep(Duration::from_millis(20));
+    gate.state.lock().unwrap().1 = true;
+    gate.changed.notify_all();
+    for t in tickets {
+        assert!(t.wait().answer().is_some());
+    }
+    // When the first worker finishes, its next ask is already waiting:
+    // it is on its way back to the model, so the second worker's queued
+    // call must wait for it and share a batch — not be released alone
+    // into the gap between the two asks, and not sit out the delay.
+    assert!(started.elapsed() < PATIENT_DELAY, "{:?}", started.elapsed());
+    let flushes = service.gateway_stats().unwrap().flush_log;
+    assert!(flushes.iter().any(|f| f.size == 2), "{flushes:?}");
+    assert!(
+        flushes.iter().all(|f| f.trigger == FlushTrigger::Assembled),
+        "{flushes:?}"
+    );
+    service.shutdown();
+}
+
+#[test]
 fn concurrent_duplicates_coalesce_onto_one_computation() {
     let s = setup();
     let question = &s.questions[0].text;
@@ -125,7 +268,7 @@ fn concurrent_duplicates_coalesce_onto_one_computation() {
             pause: Duration::from_millis(40),
         }),
         open_config(4),
-        GatewayConfig::default(),
+        patient_gateway(),
     );
     let tickets: Vec<_> = (0..8)
         .map(|i| {
@@ -163,6 +306,17 @@ fn concurrent_duplicates_coalesce_onto_one_computation() {
         "expected singleflight followers, got {stats:?}"
     );
     assert_eq!(stats.timeouts, 0);
+    // The followers are parked on the leader's flight, not on their way
+    // to the model: the leader's call must not sit out the delay bound
+    // waiting for them.
+    assert!(
+        stats
+            .flush_log
+            .iter()
+            .all(|f| f.trigger != FlushTrigger::Due),
+        "{:?}",
+        stats.flush_log
+    );
     service.shutdown();
 }
 

@@ -245,17 +245,37 @@ fn sustained_overload_engages_the_brownout_ladder() {
         tenant: TenantPolicy::unlimited(),
         ..ServeConfig::default()
     };
-    let service = QueryService::spawn(&prototype(), || model(), config);
-    // Hammer until 40 requests are accepted, retrying each refusal:
-    // the queue stays saturated, so every worker pickup observes high
-    // occupancy and the ladder must engage.
+    let gate = std::sync::Arc::new(Gate::default());
+    let service = QueryService::spawn(
+        &prototype(),
+        || Box::new(Scripted::new(&gate, &Default::default())),
+        config,
+    );
+    // Every request parks the one worker inside its model call, so the
+    // test — not a race against the worker — decides what each pickup
+    // finds: while the worker is parked the queue is topped up to its
+    // 4, then the call is let go, so every pickup leaves 3 of 4 behind
+    // it. That is sustained pressure; the ladder must step within a
+    // few pickups (the bound only keeps a broken ladder from hanging
+    // the test).
     let mut tickets = Vec::new();
-    while tickets.len() < 40 {
+    let mut submit_held = || {
         let q = &s.questions[tickets.len() % s.questions.len()].text;
-        if let Ok(t) = service.submit(QueryRequest::new("burst", q, s.world.eval_ts)) {
-            tickets.push(t);
+        let req = QueryRequest::new("burst", format!("{q} [hold]"), s.world.eval_ts);
+        tickets.push(service.submit(req).expect("room in the queue"));
+    };
+    submit_held();
+    for parked in 1..=64 {
+        gate.await_parked(parked);
+        if service.brownout_level() != dio_serve::BrownoutLevel::Normal {
+            break;
         }
+        while service.queue_len() < 4 {
+            submit_held();
+        }
+        gate.release(parked);
     }
+    gate.release(usize::MAX);
     for t in tickets {
         // Accepted requests still resolve — degraded under brownout,
         // never lost.
@@ -362,22 +382,66 @@ fn shutdown_drains_accepted_requests() {
 }
 
 /// The GPT-4 simulation with three scripted behaviours, keyed on a
-/// marker in the question: `[hold]` parks the call until the test opens
-/// the gate, `[panic]` panics inside the model call, and `[arm]` makes
-/// the model's *next* window lookup panic — the one part of the model an
-/// ask still touches once the brownout ladder has switched the model
-/// off.
+/// marker in the question: `[hold]` parks the call until the test lets
+/// it through the gate, `[panic]` panics inside the model call, and
+/// `[arm]` makes the model's *next* window lookup panic — the one part
+/// of the model an ask still touches once the brownout ladder has
+/// switched the model off.
 struct Scripted {
     inner: SimulatedModel,
     gate: std::sync::Arc<Gate>,
     armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
+impl Scripted {
+    fn new(
+        gate: &std::sync::Arc<Gate>,
+        armed: &std::sync::Arc<std::sync::atomic::AtomicBool>,
+    ) -> Self {
+        Scripted {
+            inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+            gate: gate.clone(),
+            armed: armed.clone(),
+        }
+    }
+}
+
+/// Where `[hold]` calls park. Both counters only grow, so the test and
+/// the worker hand over to each other without sleeping or racing.
 #[derive(Default)]
 struct Gate {
-    /// `(a call is parked, the gate is open)`.
-    state: std::sync::Mutex<(bool, bool)>,
+    /// `(calls that have parked, calls let through)`: the n-th call to
+    /// park proceeds once n have been let through.
+    state: std::sync::Mutex<(usize, usize)>,
     changed: std::sync::Condvar,
+}
+
+impl Gate {
+    /// Park the calling `[hold]` call until it is let through.
+    fn park(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        let mine = state.0;
+        self.changed.notify_all();
+        while state.1 < mine {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Block until `n` calls have parked.
+    fn await_parked(&self, n: usize) {
+        let mut state = self.state.lock().unwrap();
+        while state.0 < n {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Let the first `n` calls to park through (`usize::MAX`: all,
+    /// including those yet to come).
+    fn release(&self, n: usize) {
+        self.state.lock().unwrap().1 = n;
+        self.changed.notify_all();
+    }
 }
 
 impl FoundationModel for Scripted {
@@ -399,12 +463,7 @@ impl FoundationModel for Scripted {
     ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
         let text = &request.prompt.text;
         if text.contains("[hold]") {
-            let mut state = self.gate.state.lock().unwrap();
-            state.0 = true;
-            self.gate.changed.notify_all();
-            while !state.1 {
-                state = self.gate.changed.wait(state).unwrap();
-            }
+            self.gate.park();
         }
         if text.contains("[panic]") {
             panic!("scripted panic in the model call");
@@ -457,13 +516,7 @@ fn worker_that_panicked_while_browned_out_serves_the_next_normal_request_at_full
     let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let service = QueryService::spawn(
         &prototype(),
-        || {
-            Box::new(Scripted {
-                inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-                gate: gate.clone(),
-                armed: armed.clone(),
-            })
-        },
+        || Box::new(Scripted::new(&gate, &armed)),
         config,
     );
     let submit = |q: &str| {
@@ -476,18 +529,12 @@ fn worker_that_panicked_while_browned_out_serves_the_next_normal_request_at_full
     // it, then let it go: the three pickups that leave a backlog walk
     // the ladder ReducedRetrieval → NoRepair → CacheOnly.
     let held = submit(&format!("{} [hold]", s.questions[0].text));
-    {
-        let mut state = gate.state.lock().unwrap();
-        while !state.0 {
-            state = gate.changed.wait(state).unwrap();
-        }
-    }
+    gate.await_parked(1);
     let panics_in_call = submit(&format!("{} [panic]", s.questions[1].text));
     let arms = submit(&format!("{} [arm]", s.questions[2].text));
     let panics_model_off = submit(&s.questions[3].text);
     let trailer = submit(&s.questions[4].text);
-    gate.state.lock().unwrap().1 = true;
-    gate.changed.notify_all();
+    gate.release(usize::MAX);
 
     assert!(held.wait().answer().is_some());
     // ReducedRetrieval: the pipeline panics inside the model call.
