@@ -55,32 +55,6 @@ pub struct QueryStats {
     pub samples_visited: usize,
 }
 
-/// Multiply-shift hasher for pointer keys: on the per-sample
-/// accumulation path the default SipHash costs more than the lookup it
-/// guards, and the keys are already well-distributed addresses.
-#[derive(Default, Clone, Copy)]
-struct PtrHasher(u64);
-
-impl std::hash::Hasher for PtrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        let mut h = (n as u64 ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 31;
-        self.0 = h;
-    }
-}
-
-type PtrMap = std::collections::HashMap<usize, usize, std::hash::BuildHasherDefault<PtrHasher>>;
-
 /// One series of a range-query result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RangeResult {
@@ -234,8 +208,9 @@ impl Engine {
             )
         });
 
-        // Fused-kernel roots (`rate(m[5m])` panels) take a whole-range
-        // fast path that accumulates per-series points directly.
+        // Selector, fused-kernel and plain-aggregation roots (every
+        // time-series panel a dashboard generates) evaluate whole-range:
+        // grouped once, points accumulated per output series directly.
         if let Some(ctx) = &ctx {
             let grid = crate::exec::StepGrid {
                 start,
@@ -249,7 +224,6 @@ impl Engine {
 
         let mut series: Vec<RangeResult> = Vec::new();
         let mut index: std::collections::HashMap<Labels, usize> = std::collections::HashMap::new();
-        let mut by_ptr: PtrMap = PtrMap::default();
         for k in 0..steps {
             let ts = start + k as i64 * step_ms;
             let value = match &ctx {
@@ -272,33 +246,19 @@ impl Engine {
                 }
             };
             for (labels, v) in samples {
-                // Pointer fast path: the vectorized executor emits the
-                // same shared `Labels` allocation every step, so equal
-                // pointers prove equal content without hashing the
-                // strings. Fresh allocations (the interpreter path)
-                // fall back to the content map.
-                let idx = match by_ptr.get(&labels.ptr_id()) {
-                    Some(&i) => i,
-                    None => match index.get(&labels) {
-                        // Same content in a different allocation (the
-                        // interpreter mints fresh labels per step);
-                        // registering its transient pointer would risk
-                        // a reused address aliasing, so don't.
-                        Some(&i) => i,
-                        None => {
-                            let i = series.len();
-                            // Pinned for the query's lifetime by the
-                            // clone stored in `series` below.
-                            by_ptr.insert(labels.ptr_id(), i);
-                            index.insert(labels.clone(), i);
-                            series.push(RangeResult {
-                                labels,
-                                points: Vec::new(),
-                            });
-                            i
-                        }
-                    },
-                };
+                // A label set carries its signature, so this lookup
+                // reads strings only to tell apart equal signatures in
+                // different allocations (the interpreter mints fresh
+                // sets every step); clones of one allocation, which the
+                // executor passes through from the store, match by
+                // pointer.
+                let idx = *index.entry(labels).or_insert_with_key(|labels| {
+                    series.push(RangeResult {
+                        labels: labels.clone(),
+                        points: Vec::new(),
+                    });
+                    series.len() - 1
+                });
                 series[idx].points.push(Sample::new(ts, v));
             }
         }

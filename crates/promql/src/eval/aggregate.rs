@@ -25,19 +25,12 @@ pub fn eval_aggregate(
         }
     };
 
-    // Group samples.
-    let mut groups: Vec<(Labels, Vec<VectorSample>)> = Vec::new();
-    let mut index: HashMap<Labels, usize> = HashMap::new();
-    for s in vector {
-        let key = group_key(&s.labels, grouping);
-        match index.get(&key) {
-            Some(&i) => groups[i].1.push(s),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, vec![s]));
-            }
-        }
-    }
+    let groups = match grouping {
+        // All one group, and no key is made or hashed per sample to
+        // find that out.
+        Grouping::None if !vector.is_empty() => vec![(Labels::empty(), vector)],
+        _ => group_by(vector, |s| group_key(&s.labels, grouping)),
+    };
 
     let mut out: Vec<VectorSample> = Vec::new();
     match op {
@@ -66,40 +59,21 @@ pub fn eval_aggregate(
                     ))
                 }
             };
-            let mut counts: Vec<(Labels, f64)> = Vec::new();
-            let mut cidx: HashMap<Labels, usize> = HashMap::new();
-            for (key, members) in groups {
-                for m in members {
-                    let value_str = format_value(m.value);
-                    let k = key.with(label.clone(), value_str);
-                    match cidx.get(&k) {
-                        Some(&i) => counts[i].1 += 1.0,
-                        None => {
-                            cidx.insert(k.clone(), counts.len());
-                            counts.push((k, 1.0));
-                        }
-                    }
-                }
-            }
-            out.extend(counts.into_iter().map(|(labels, value)| VectorSample { labels, value }));
+            let valued = groups
+                .iter()
+                .flat_map(|(key, members)| members.iter().map(move |m| (key, m.value)));
+            let counted = group_by(valued, |(key, v)| key.with(label.clone(), format_value(*v)));
+            out.extend(counted.into_iter().map(|(labels, hits)| VectorSample {
+                labels,
+                value: hits.len() as f64,
+            }));
         }
         _ => {
             for (key, members) in groups {
                 let values: Vec<f64> = members.iter().map(|m| m.value).collect();
                 let value = match op {
-                    AggOp::Sum => values.iter().sum(),
-                    AggOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
-                    AggOp::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-                    AggOp::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    AggOp::Count => values.len() as f64,
-                    AggOp::Group => 1.0,
-                    AggOp::Stddev => variance(&values).sqrt(),
-                    AggOp::Stdvar => variance(&values),
-                    AggOp::Quantile => {
-                        let phi = param_scalar(&param, op)?;
-                        quantile(phi, &values)
-                    }
-                    AggOp::Topk | AggOp::Bottomk | AggOp::CountValues => unreachable!(),
+                    AggOp::Quantile => quantile(param_scalar(&param, op)?, &values),
+                    _ => fold(op, &values),
                 };
                 out.push(VectorSample { labels: key, value });
             }
@@ -109,7 +83,46 @@ pub fn eval_aggregate(
     Ok(Value::Vector(out))
 }
 
-fn group_key(labels: &Labels, grouping: &Grouping) -> Labels {
+/// Sort `items` into groups by `key`; groups stand in order of first
+/// appearance and members in the order they came.
+pub(crate) fn group_by<T>(
+    items: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> Labels,
+) -> Vec<(Labels, Vec<T>)> {
+    let mut groups: Vec<(Labels, Vec<T>)> = Vec::new();
+    let mut index: HashMap<Labels, usize> = HashMap::new();
+    for item in items {
+        let g = *index.entry(key(&item)).or_insert_with_key(|key| {
+            groups.push((key.clone(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(item);
+    }
+    groups
+}
+
+/// One group's values, in the order the vector lists its members,
+/// reduced by an operator that takes no parameter. The per-step
+/// aggregation above and the executor's whole-range path both end
+/// here, so they add the same floats in the same order.
+pub(crate) fn fold(op: AggOp, values: &[f64]) -> f64 {
+    match op {
+        AggOp::Sum => values.iter().sum(),
+        AggOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
+        AggOp::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        AggOp::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        AggOp::Count => values.len() as f64,
+        AggOp::Group => 1.0,
+        AggOp::Stddev => variance(values).sqrt(),
+        AggOp::Stdvar => variance(values),
+        AggOp::Topk | AggOp::Bottomk | AggOp::Quantile | AggOp::CountValues => {
+            unreachable!("{} takes a parameter", op.as_str())
+        }
+    }
+}
+
+/// The output labels of the group `labels` falls in.
+pub(crate) fn group_key(labels: &Labels, grouping: &Grouping) -> Labels {
     match grouping {
         Grouping::None => Labels::empty(),
         Grouping::By(names) => {

@@ -15,12 +15,14 @@
 use crate::batch::SeriesBatch;
 use crate::engine::RangeResult;
 use crate::error::EvalError;
-use crate::eval::kernels::ParamPos;
+use crate::ast::{AggOp, Grouping};
+use crate::eval::kernels::{ParamPos, RangeKernel};
+use crate::eval::aggregate::{self, group_by, group_key};
 use crate::eval::{binop, Evaluator};
 use crate::plan::{PhysicalPlan, PlanNode};
 use crate::value::{RangeSeries, Value, VectorSample};
 use dio_tsdb::{Labels, MetricStore, Sample};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 /// One selector's materialised batches plus everything about the
@@ -35,32 +37,40 @@ use std::rc::Rc;
 ///   instant and matrix scans emit in ([`crate::eval::sort_vector`] is
 ///   a stable sort, so sorting any present-subset of an already-sorted
 ///   sequence reproduces the induced order);
+/// * `dropped` — per-batch name-dropped labels, cloned per step as a
+///   reference-count bump;
 /// * `order_fused` — indices sorted by (name-dropped labels, full
 ///   labels): the order that replays the interpreter's
 ///   sort-by-full-labels → kernel → drop names → stable re-sort
-///   sequence for fused range kernels;
-/// * `dropped` — per-batch name-dropped labels, cloned per step as a
-///   reference-count bump.
+///   sequence for fused range kernels.
+///
+/// Only fused kernels read the last two, so they are built when the
+/// first one asks: a stat panel's `sum(a) / sum(b)` never does.
 struct ScanData {
     batches: Vec<SeriesBatch>,
     order_full: Vec<usize>,
-    order_fused: Vec<usize>,
-    dropped: Vec<Labels>,
+    fused: OnceCell<(Vec<Labels>, Vec<usize>)>,
 }
 
 impl ScanData {
     fn build(batches: Vec<SeriesBatch>) -> ScanData {
-        let dropped: Vec<Labels> = batches.iter().map(|b| b.labels.drop_name()).collect();
         let mut order_full: Vec<usize> = (0..batches.len()).collect();
         order_full.sort_by(|&a, &b| batches[a].labels.cmp(&batches[b].labels));
-        let mut order_fused = order_full.clone();
-        order_fused.sort_by(|&a, &b| dropped[a].cmp(&dropped[b]));
         ScanData {
             batches,
             order_full,
-            order_fused,
-            dropped,
+            fused: OnceCell::new(),
         }
+    }
+
+    /// `(dropped, order_fused)`.
+    fn fused(&self) -> &(Vec<Labels>, Vec<usize>) {
+        self.fused.get_or_init(|| {
+            let dropped: Vec<Labels> = self.batches.iter().map(|b| b.labels.drop_name()).collect();
+            let mut order_fused = self.order_full.clone();
+            order_fused.sort_by(|&a, &b| dropped[a].cmp(&dropped[b]));
+            (dropped, order_fused)
+        })
     }
 }
 
@@ -181,146 +191,136 @@ impl<'a> ExecCtx<'a> {
         rc
     }
 
-    /// Whole-range fast path: when the plan root is a fused range
-    /// kernel, evaluate every step in one pass per series, pushing
-    /// points straight into per-series buffers. This skips the
-    /// per-step `Value::Vector` allocation and the label-keyed
-    /// accumulation the generic range loop needs, which is most of the
-    /// per-step overhead for `rate(m[5m])`-shaped panel queries.
-    /// Returns `None` when the root isn't a fused kernel (the caller
-    /// falls back to the step loop).
+    /// Whole-range evaluation for a root that is a bare selector, a
+    /// fused range kernel, or a parameterless aggregation over one of
+    /// those: every step in one pass, points pushed straight into
+    /// per-output buffers. Which batches feed which output series is
+    /// resolved **once** — a fixed store gives a fixed series set per
+    /// selector for the query's lifetime, so the grouping the step loop
+    /// re-derives at every step cannot change between steps. `None` for
+    /// any other root (parameterised aggregations, binary operators,
+    /// `Interp`): the caller runs the step loop.
     ///
     /// Everything observable matches the step loop: per-step budget
-    /// reset and storage-order charging, param evaluation order, and
-    /// the output — batches sharing name-dropped labels merge into one
-    /// series in emission order, exactly as the generic loop's
-    /// label-keyed accumulator merges them, and `order_fused` keeps the
-    /// result label-sorted.
-    pub fn eval_range(
-        &self,
-        grid: StepGrid,
-    ) -> Option<Result<Vec<RangeResult>, EvalError>> {
-        match &self.plan.root {
+    /// reset, storage-order charging, param evaluation order, and the
+    /// output — a group's members stand in the order the per-step
+    /// vector lists them, so a fold adds the same floats in the same
+    /// order; batches sharing name-dropped labels merge into one series
+    /// in emission order; a group absent at a step emits no point; and
+    /// groups come out label-sorted.
+    pub fn eval_range(&self, grid: StepGrid) -> Option<Result<Vec<RangeResult>, EvalError>> {
+        let (reduce, source) = match &self.plan.root {
+            PlanNode::Aggregate {
+                op,
+                param: None,
+                input,
+                grouping,
+            } if !op.takes_param() => (Some((*op, grouping)), input.as_ref()),
+            root => (None, root),
+        };
+        match source {
+            PlanNode::InstantScan { scan } => Some(self.range_whole(*scan, None, reduce, grid)),
             PlanNode::FusedRange {
                 scan,
                 range_ms,
                 kernel,
                 param,
-            } => Some(self.range_fused(*scan, *range_ms, kernel, param, grid)),
-            PlanNode::InstantScan { scan } => Some(self.range_instant(*scan, grid)),
+            } => Some(self.range_whole(*scan, Some((*range_ms, kernel, param)), reduce, grid)),
             _ => None,
         }
     }
 
-    /// Whole-range fast path for a bare selector root — plotting raw
-    /// series over time. Full labels are unique per store, so each
-    /// batch maps to exactly one output series; per step this is a
-    /// cursor advance and a lookback check per series.
-    fn range_instant(&self, scan: usize, grid: StepGrid) -> Result<Vec<RangeResult>, EvalError> {
-        let StepGrid { start, steps, step_ms } = grid;
-        let data = self.scan_data(scan, start);
-        let offset_ms = self.plan.scans[scan].offset_ms;
-        let n = data.batches.len();
-        let mut points: Vec<Vec<Sample>> = vec![Vec::new(); n];
-        // First column index with ts > at, advanced monotonically.
-        let mut cursors: Vec<usize> = vec![0; n];
-        for k in 0..steps {
-            let ts = start + k as i64 * step_ms;
-            self.reset_samples();
-            let at = ts - offset_ms;
-            for (i, batch) in data.batches.iter().enumerate() {
-                let mut c = cursors[i];
-                while c < batch.ts.len() && batch.ts[c] <= at {
-                    c += 1;
-                }
-                cursors[i] = c;
-                if c > 0 && at - batch.ts[c - 1] <= self.lookback_ms {
-                    self.charge(1)?;
-                    points[i].push(Sample::new(ts, batch.vals[c - 1]));
-                }
-            }
-        }
-        Ok(data
-            .order_full
-            .iter()
-            .filter_map(|&i| {
-                if points[i].is_empty() {
-                    return None;
-                }
-                Some(RangeResult {
-                    labels: data.batches[i].labels.clone(),
-                    points: std::mem::take(&mut points[i]),
-                })
-            })
-            .collect())
-    }
-
-    fn range_fused(
+    /// [`ExecCtx::eval_range`]'s one routine. A batch's value at a step
+    /// is `fused`'s kernel over its advancing window, or without one
+    /// its instant sample; `reduce` folds a group's present values into
+    /// one point, and without it each present member emits its own.
+    fn range_whole(
         &self,
         scan: usize,
-        range_ms: i64,
-        kernel: &crate::eval::kernels::RangeKernel,
-        param: &Option<Box<PlanNode>>,
+        fused: Option<(i64, &RangeKernel, &Option<Box<PlanNode>>)>,
+        reduce: Option<(AggOp, &Grouping)>,
         grid: StepGrid,
     ) -> Result<Vec<RangeResult>, EvalError> {
         let StepGrid { start, steps, step_ms } = grid;
         let data = self.scan_data(scan, start);
         let offset_ms = self.plan.scans[scan].offset_ms;
-        let n = data.batches.len();
-        // Runs of equal dropped labels are consecutive in `order_fused`
-        // (it is sorted by them); each run becomes one output series.
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && data.dropped[data.order_fused[j]] == data.dropped[data.order_fused[i]] {
-                j += 1;
+        // The order and labels the per-step vector lists batches in.
+        let (order, dropped) = match fused {
+            Some(_) => (&data.fused().1, Some(&data.fused().0)),
+            None => (&data.order_full, None),
+        };
+        let labels = |i: usize| dropped.map_or(&data.batches[i].labels, |dropped| &dropped[i]);
+        let mut groups = group_by(order.iter().copied(), |&i| match reduce {
+            Some((_, grouping)) => group_key(labels(i), grouping),
+            None => labels(i).clone(),
+        });
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+
+        // Argument-resolution order mirrors the interpreter: φ of
+        // `quantile_over_time(φ, m[r])` before the windows are charged,
+        // the horizon of `predict_linear(m[r], h)` after.
+        let param_at = |pos, ts, p: &mut f64| match fused {
+            Some((_, kernel, param)) if kernel.param_pos() == Some(pos) => {
+                self.param_scalar(kernel.name(), param, ts).map(|v| *p = v)
             }
-            groups.push((i, j));
-            i = j;
-        }
+            _ => Ok(()),
+        };
         let mut points: Vec<Vec<Sample>> = vec![Vec::new(); groups.len()];
-        let mut windows: Vec<(usize, usize)> = vec![(0, 0); n];
+        let mut windows: Vec<(usize, usize)> = vec![(0, 0); data.batches.len()];
+        let mut values: Vec<Option<f64>> = vec![None; data.batches.len()];
+        let mut folded: Vec<f64> = Vec::new();
         for k in 0..steps {
             let ts = start + k as i64 * step_ms;
             self.reset_samples();
             let mut p = 0.0;
-            if kernel.param_pos() == Some(ParamPos::BeforeMatrix) {
-                p = self.param_scalar(kernel.name(), param, ts)?;
-            }
+            param_at(ParamPos::BeforeMatrix, ts, &mut p)?;
             let at = ts - offset_ms;
-            for (i, batch) in data.batches.iter().enumerate() {
+            for (batch, window) in data.batches.iter().zip(&mut windows) {
                 // Steps ascend, so last step's bounds are valid hints.
-                let (lo, hi) = batch.window_from(at - range_ms, at, windows[i]);
+                let (lo, hi) = match fused {
+                    Some((range_ms, ..)) => batch.window_from(at - range_ms, at, *window),
+                    // An instant lookup's window is the one sample it
+                    // returns, when that is within the lookback.
+                    None => {
+                        let (_, hi) = batch.window_from(i64::MIN, at, *window);
+                        let live = hi > 0 && at - batch.ts[hi - 1] <= self.lookback_ms;
+                        (hi - live as usize, hi)
+                    }
+                };
                 if hi > lo {
                     self.charge(hi - lo)?;
                 }
-                windows[i] = (lo, hi);
+                *window = (lo, hi);
             }
-            if kernel.param_pos() == Some(ParamPos::AfterMatrix) {
-                p = self.param_scalar(kernel.name(), param, ts)?;
+            param_at(ParamPos::AfterMatrix, ts, &mut p)?;
+            // Each batch's value, still in storage order — the order
+            // the columns lie in memory — then out by group.
+            for ((batch, &(lo, hi)), value) in data.batches.iter().zip(&windows).zip(&mut values) {
+                *value = match fused {
+                    _ if hi <= lo => None,
+                    Some((_, kernel, _)) => kernel.apply(p, &batch.ts[lo..hi], &batch.vals[lo..hi]),
+                    None => Some(batch.vals[hi - 1]),
+                };
             }
-            for (g, &(g_lo, g_hi)) in groups.iter().enumerate() {
-                for &i in &data.order_fused[g_lo..g_hi] {
-                    let (lo, hi) = windows[i];
-                    if hi <= lo {
-                        continue;
-                    }
-                    let batch = &data.batches[i];
-                    if let Some(value) = kernel.apply(p, &batch.ts[lo..hi], &batch.vals[lo..hi]) {
-                        points[g].push(Sample::new(ts, value));
+            for ((_, members), points) in groups.iter().zip(&mut points) {
+                let present = members.iter().filter_map(|&i| values[i]);
+                match reduce {
+                    None => points.extend(present.map(|v| Sample::new(ts, v))),
+                    Some((op, _)) => {
+                        folded.clear();
+                        folded.extend(present);
+                        if !folded.is_empty() {
+                            points.push(Sample::new(ts, aggregate::fold(op, &folded)));
+                        }
                     }
                 }
             }
         }
         Ok(groups
-            .iter()
+            .into_iter()
             .zip(points)
-            .filter(|(_, pts)| !pts.is_empty())
-            .map(|(&(g_lo, _), pts)| RangeResult {
-                labels: data.dropped[data.order_fused[g_lo]].clone(),
-                points: pts,
-            })
+            .filter(|(_, points)| !points.is_empty())
+            .map(|((labels, _), points)| RangeResult { labels, points })
             .collect())
     }
 
@@ -414,8 +414,9 @@ impl<'a> ExecCtx<'a> {
                 // dropped labels. `order_fused` is that exact composed
                 // permutation, precomputed once — per step this is just
                 // the kernel arithmetic plus refcount bumps.
+                let (dropped, order_fused) = data.fused();
                 let mut out = Vec::with_capacity(data.batches.len());
-                for &i in &data.order_fused {
+                for &i in order_fused {
                     let (lo, hi) = windows[i];
                     if hi <= lo {
                         continue;
@@ -425,7 +426,7 @@ impl<'a> ExecCtx<'a> {
                         kernel.apply(p, &batch.ts[lo..hi], &batch.vals[lo..hi])
                     {
                         out.push(VectorSample {
-                            labels: data.dropped[i].clone(),
+                            labels: dropped[i].clone(),
                             value,
                         });
                     }
@@ -551,6 +552,47 @@ mod tests {
         ] {
             let (v, i) = both(q, 600_000);
             assert_eq!(v, i, "{q}");
+        }
+    }
+
+    #[test]
+    fn whole_range_takes_selector_kernel_and_plain_aggregate_roots() {
+        let st = store();
+        let grid = StepGrid {
+            start: 0,
+            steps: 11,
+            step_ms: 60_000,
+        };
+        for (q, whole) in [
+            ("reqs_total", true),
+            ("rate(reqs_total[5m])", true),
+            ("quantile_over_time(0.5, reqs_total[10m])", true),
+            ("sum(rate(reqs_total[5m]))", true),
+            ("avg by (i) (reqs_total offset 1m)", true),
+            ("stddev without (i) (reqs_total)", true),
+            // Parameterised aggregates, anything under a second
+            // operator, and the interpreter's shapes keep stepping.
+            ("topk(1, reqs_total)", false),
+            ("quantile(0.5, reqs_total)", false),
+            ("sum(reqs_total) / 2", false),
+            ("sum(-reqs_total)", false),
+            ("sum(sum by (i) (reqs_total))", false),
+            ("max_over_time(sum(reqs_total)[5m:1m])", false),
+        ] {
+            let plan = crate::plan::plan(&parse(q).unwrap());
+            let ctx = ExecCtx::new(&st, &plan, 300_000, 0);
+            assert_eq!(ctx.eval_range(grid).is_some(), whole, "{q}");
+        }
+        // A fused kernel's scan builds its name-dropped view; a scan
+        // read only by instant selectors never does.
+        for (q, builds) in [("sum(rate(reqs_total[5m]))", true), ("sum(reqs_total)", false)] {
+            let plan = crate::plan::plan(&parse(q).unwrap());
+            let ctx = ExecCtx::new(&st, &plan, 300_000, 0);
+            ctx.eval(600_000).unwrap();
+            ctx.eval_range(grid).unwrap().unwrap();
+            let scans = ctx.scans.borrow();
+            let (_, data) = scans[0].as_ref().unwrap();
+            assert_eq!(data.fused.get().is_some(), builds, "{q}");
         }
     }
 

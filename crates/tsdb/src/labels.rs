@@ -15,14 +15,48 @@ pub const NAME_LABEL: &str = "__name__";
 /// equality, hashing, and display are canonical. The pairs live behind
 /// an [`Arc`], so cloning — which query engines do once per series per
 /// evaluation step — is a reference-count bump, not a deep copy of
-/// every string. Comparison, hashing, and serde all see through the
-/// pointer to the content.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Labels(Arc<Vec<(String, String)>>);
+/// every string. Comparison, `Debug`, `Display` and serde see the pairs
+/// (equality pointer-first); hashing feeds the [`Labels::signature`]
+/// the allocation was built with, so label-keyed maps read a set's
+/// strings once however often it is cloned and looked up.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Labels(Arc<Shared>);
+
+/// Field order is comparison order: the derives reach `signature` only
+/// between equal `pairs`, where it is equal too.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Shared {
+    pairs: Vec<(String, String)>,
+    /// Content hash of `pairs`, computed when the set is built: a pure
+    /// function of them, so clones on any thread agree and sets built
+    /// apart from equal pairs carry equal signatures.
+    signature: u64,
+}
+
+impl Default for Labels {
+    fn default() -> Self {
+        Labels::empty()
+    }
+}
+
+impl Hash for Labels {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.signature);
+    }
+}
+
+impl fmt::Debug for Labels {
+    /// What the derive printed when the pairs were the only field: both
+    /// query engines' results are compared by their `{:?}` renderings,
+    /// which must keep showing the pairs and nothing else.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Labels").field(&self.0.pairs).finish()
+    }
+}
 
 impl Serialize for Labels {
     fn to_value(&self) -> serde::Value {
-        self.0.as_slice().to_value()
+        self.0.pairs.to_value()
     }
 }
 
@@ -35,9 +69,16 @@ impl<'de> Deserialize<'de> for Labels {
 }
 
 impl Labels {
+    fn new(pairs: Vec<(String, String)>) -> Self {
+        let mut h = DefaultHasher::new();
+        pairs.hash(&mut h);
+        let signature = h.finish();
+        Labels(Arc::new(Shared { pairs, signature }))
+    }
+
     /// Empty label set.
     pub fn empty() -> Self {
-        Labels(Arc::new(Vec::new()))
+        Labels::new(Vec::new())
     }
 
     /// Build from pairs; later duplicates overwrite earlier ones.
@@ -47,11 +88,16 @@ impl Labels {
         S1: Into<String>,
         S2: Into<String>,
     {
-        let mut labels = Labels::empty();
-        for (k, v) in pairs {
-            labels = labels.with(k.into(), v.into());
-        }
-        labels
+        let mut pairs: Vec<(String, String)> = pairs
+            .into_iter()
+            .map(|(k, v)| (k.into(), v.into()))
+            .collect();
+        // Latest first, then a stable sort: the first of each run of
+        // equal names is the last one written, and `dedup_by` keeps it.
+        pairs.reverse();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|a, b| a.0 == b.0);
+        Labels::new(pairs)
     }
 
     /// Wrap pairs that are already in canonical order, checking that
@@ -62,42 +108,48 @@ impl Labels {
         pairs
             .windows(2)
             .all(|w| w[0].0 < w[1].0)
-            .then(|| Labels(Arc::new(pairs)))
+            .then(|| Labels::new(pairs))
     }
 
     /// A label set containing only the metric name.
     pub fn name_only(name: &str) -> Self {
-        Labels(Arc::new(vec![(NAME_LABEL.to_string(), name.to_string())]))
+        Labels::new(vec![(NAME_LABEL.to_string(), name.to_string())])
     }
 
     /// Return a copy with `name=value` set (replacing any existing value).
     pub fn with(&self, name: impl Into<String>, value: impl Into<String>) -> Self {
         let (name, value) = (name.into(), value.into());
-        let mut pairs = (*self.0).clone();
+        let mut pairs = self.0.pairs.clone();
         match pairs.binary_search_by(|(n, _)| n.as_str().cmp(name.as_str())) {
             Ok(i) => pairs[i].1 = value,
             Err(i) => pairs.insert(i, (name, value)),
         }
-        Labels(Arc::new(pairs))
+        Labels::new(pairs)
+    }
+
+    /// The pairs whose name passes `keep`, as a new set.
+    fn filtered(&self, keep: impl Fn(&str) -> bool) -> Self {
+        Labels::new(
+            self.0.pairs
+                .iter()
+                .filter(|(n, _)| keep(n))
+                .cloned()
+                .collect(),
+        )
     }
 
     /// Return a copy with `name` removed (no-op when absent).
     pub fn without(&self, name: &str) -> Self {
-        Labels(Arc::new(
-            self.0
-                .iter()
-                .filter(|(n, _)| n != name)
-                .cloned()
-                .collect(),
-        ))
+        self.filtered(|n| n != name)
     }
 
     /// Value of a label, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.0
+        let pairs = &self.0.pairs;
+        pairs
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
-            .map(|i| self.0[i].1.as_str())
+            .map(|i| pairs[i].1.as_str())
     }
 
     /// The metric name (`__name__`), if present.
@@ -114,55 +166,41 @@ impl Labels {
     /// Keep only the listed label names (always drops `__name__` unless
     /// listed) — PromQL `by (…)` semantics.
     pub fn keep_only(&self, names: &[&str]) -> Self {
-        Labels(Arc::new(
-            self.0
-                .iter()
-                .filter(|(n, _)| names.contains(&n.as_str()))
-                .cloned()
-                .collect(),
-        ))
+        self.filtered(|n| names.contains(&n))
     }
 
     /// Drop the listed label names and `__name__` — PromQL
     /// `without (…)` semantics.
     pub fn drop_listed_and_name(&self, names: &[&str]) -> Self {
-        Labels(Arc::new(
-            self.0
-                .iter()
-                .filter(|(n, _)| n != NAME_LABEL && !names.contains(&n.as_str()))
-                .cloned()
-                .collect(),
-        ))
+        self.filtered(|n| n != NAME_LABEL && !names.contains(&n))
     }
 
     /// Iterate `(name, value)` pairs in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.0.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.0.pairs.iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
 
     /// Number of labels.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.pairs.len()
     }
 
     /// True when there are no labels.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.pairs.is_empty()
     }
 
     /// Address of the shared pair list — equal pointers imply equal
-    /// content (the converse is false). Lets hot accumulation paths
-    /// skip content hashing when the same `Labels` clone flows through
-    /// every evaluation step.
+    /// content (the converse is false).
     pub fn ptr_id(&self) -> usize {
         Arc::as_ptr(&self.0) as usize
     }
 
-    /// A stable 64-bit signature of the full label set.
+    /// A stable 64-bit signature of the full label set — what `Hash`
+    /// feeds, so a set already in some label-keyed map (every stored
+    /// series' is) is found again without touching its strings.
     pub fn signature(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.0.hash(&mut h);
-        h.finish()
+        self.0.signature
     }
 }
 
@@ -254,6 +292,53 @@ mod tests {
         );
         assert_eq!(Labels::name_only("up").to_string(), "up");
         assert_eq!(Labels::empty().to_string(), "{}");
+    }
+
+    impl Labels {
+        /// A separately allocated copy that claims `signature` as its
+        /// own: real `DefaultHasher` collisions cannot be produced in a
+        /// test, so the collision tests inject them here.
+        pub(crate) fn forced_signature(&self, signature: u64) -> Labels {
+            let pairs = self.0.pairs.clone();
+            Labels(Arc::new(Shared { pairs, signature }))
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_pairs_and_nothing_else() {
+        let l = Labels::from_pairs([("b", "2"), ("a", "1")]);
+        assert_eq!(format!("{l:?}"), r#"Labels([("a", "1"), ("b", "2")])"#);
+        assert_eq!(format!("{:?}", Labels::empty()), "Labels([])");
+        assert_eq!(
+            format!("{:#?}", Labels::name_only("up")),
+            "Labels(\n    [\n        (\n            \"__name__\",\n            \"up\",\n        ),\n    ],\n)"
+        );
+    }
+
+    #[test]
+    fn a_clone_on_another_thread_hashes_equal() {
+        use std::collections::hash_map::RandomState;
+        use std::hash::BuildHasher;
+        let hasher = RandomState::new();
+        let (here, apart) = (sample(), sample());
+        let clone = here.clone();
+        let there = std::thread::scope(|scope| {
+            let hasher = &hasher;
+            let thread = scope.spawn(move || (hasher.hash_one(&clone), clone.signature()));
+            thread.join().unwrap()
+        });
+        assert_eq!(there, (hasher.hash_one(&here), here.signature()));
+        // And so does an equal set built elsewhere.
+        assert_eq!(there, (hasher.hash_one(&apart), apart.signature()));
+    }
+
+    #[test]
+    fn equality_reads_content_when_signatures_collide() {
+        let a = sample().forced_signature(7);
+        let b = sample().with("instance", "amf-1").forced_signature(7);
+        assert_eq!(a.signature(), b.signature());
+        assert_ne!(a, b);
+        assert_eq!(a, sample().forced_signature(7));
     }
 
     #[test]

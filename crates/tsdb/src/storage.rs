@@ -19,10 +19,11 @@ use std::sync::Arc;
 pub struct MetricStore {
     series: Vec<Series>,
     by_name: HashMap<String, Vec<usize>>,
-    /// Signature → candidate series ids. A `Vec` because 64-bit label
-    /// signatures can collide: every candidate is probed against the
-    /// full label set before a hit is declared.
-    by_signature: HashMap<u64, Vec<usize>>,
+    /// Label set → series id. A lookup hashes the signature the set
+    /// carries and compares pointer-first, so a caller holding a clone
+    /// of the stored set touches no string; two sets that share a
+    /// signature are told apart by the map's own `Eq` probe.
+    by_labels: HashMap<Labels, usize>,
     page_cache: Arc<PageCache>,
 }
 
@@ -31,7 +32,7 @@ impl Default for MetricStore {
         MetricStore {
             series: Vec::new(),
             by_name: HashMap::new(),
-            by_signature: HashMap::new(),
+            by_labels: HashMap::new(),
             page_cache: Arc::new(PageCache::new()),
         }
     }
@@ -77,31 +78,14 @@ impl MetricStore {
 
     /// True when a series with exactly these labels exists.
     pub fn has_series(&self, labels: &Labels) -> bool {
-        self.by_signature
-            .get(&labels.signature())
-            .is_some_and(|ids| ids.iter().any(|&id| self.series[id].labels() == labels))
+        self.by_labels.contains_key(labels)
     }
 
     /// Get or create the series with exactly these labels, returning its
     /// internal id.
     pub fn ensure_series(&mut self, labels: Labels) -> usize {
-        let sig = labels.signature();
-        self.ensure_series_with_signature(sig, labels)
-    }
-
-    /// [`MetricStore::ensure_series`] with the signature supplied by
-    /// the caller. Real `DefaultHasher` collisions cannot be forced in
-    /// a test, so the collision regression test injects them here.
-    fn ensure_series_with_signature(&mut self, sig: u64, labels: Labels) -> usize {
-        // Probe every candidate sharing this signature: a collision
-        // must not alias two distinct label sets onto one series, nor
-        // evict the earlier one from the index.
-        if let Some(ids) = self.by_signature.get(&sig) {
-            for &id in ids {
-                if self.series[id].labels() == &labels {
-                    return id;
-                }
-            }
+        if let Some(&id) = self.by_labels.get(&labels) {
+            return id;
         }
         let id = self.series.len();
         if let Some(name) = labels.name() {
@@ -110,7 +94,7 @@ impl MetricStore {
                 .or_default()
                 .push(id);
         }
-        self.by_signature.entry(sig).or_default().push(id);
+        self.by_labels.insert(labels.clone(), id);
         self.series.push(Series::new(labels));
         id
     }
@@ -162,14 +146,14 @@ impl MetricStore {
         let name_eq = matchers
             .iter()
             .find(|m| m.name == crate::labels::NAME_LABEL && m.op == MatchOp::Eq);
-        let candidates: Vec<usize> = match name_eq {
-            Some(m) => self.by_name.get(&m.value).cloned().unwrap_or_default(),
-            None => (0..self.series.len()).collect(),
-        };
-        candidates
-            .into_iter()
-            .filter(|&i| all_match(matchers, self.series[i].labels()))
-            .collect()
+        let matching = |&i: &usize| all_match(matchers, self.series[i].labels());
+        match name_eq {
+            Some(m) => self
+                .by_name
+                .get(&m.value)
+                .map_or_else(Vec::new, |ids| ids.iter().copied().filter(matching).collect()),
+            None => (0..self.series.len()).filter(matching).collect(),
+        }
     }
 
     /// The series with internal id `id`.
@@ -292,28 +276,48 @@ mod tests {
 
     #[test]
     fn signature_collisions_probe_instead_of_aliasing() {
-        // Two distinct label sets forced onto ONE signature. Before the
-        // probing fix, the second `ensure_series` fell through the
-        // labels-differ check and *overwrote* `by_signature[sig]`,
-        // so a third call with the first label set minted a duplicate
-        // series and split its samples across two ids.
+        // Two distinct label sets forced onto ONE signature. The index
+        // once kept a single id per signature, so the second
+        // `ensure_series` overwrote the first and a third call with the
+        // first label set minted a duplicate series and split its
+        // samples across two ids. The label-keyed map must tell them
+        // apart by content.
         let mut st = MetricStore::new();
-        let a = Labels::from_pairs([(NAME_LABEL, "m"), ("instance", "a")]);
-        let b = Labels::from_pairs([(NAME_LABEL, "m"), ("instance", "b")]);
         const SIG: u64 = 0xDEAD_BEEF;
-        let id_a = st.ensure_series_with_signature(SIG, a.clone());
-        let id_b = st.ensure_series_with_signature(SIG, b.clone());
+        let forced = |inst: &str| {
+            Labels::from_pairs([(NAME_LABEL, "m"), ("instance", inst)]).forced_signature(SIG)
+        };
+        let (a, b) = (forced("a"), forced("b"));
+        assert_eq!(a.signature(), b.signature());
+        let id_a = st.ensure_series(a.clone());
+        let id_b = st.ensure_series(b.clone());
         assert_ne!(id_a, id_b, "colliding labels must not alias one series");
-        // Re-resolving either label set finds its original id — no
+        // Re-resolving either label set — the stored allocation or an
+        // equal one made elsewhere — finds its original id: no
         // duplicate series minted, no samples split.
-        assert_eq!(st.ensure_series_with_signature(SIG, a), id_a);
-        assert_eq!(st.ensure_series_with_signature(SIG, b), id_b);
+        assert_eq!(st.ensure_series(a), id_a);
+        assert_eq!(st.ensure_series(b), id_b);
+        assert_eq!(st.ensure_series(forced("a")), id_a);
+        assert_eq!(st.ensure_series(forced("b")), id_b);
         assert_eq!(st.series_count(), 2);
         // A third distinct label set on the same signature still probes.
-        let c = Labels::from_pairs([(NAME_LABEL, "m"), ("instance", "c")]);
-        let id_c = st.ensure_series_with_signature(SIG, c.clone());
-        assert_eq!(st.ensure_series_with_signature(SIG, c), id_c);
+        let id_c = st.ensure_series(forced("c"));
+        assert_eq!(st.ensure_series(forced("c")), id_c);
         assert_eq!(st.series_count(), 3);
+        assert!(st.has_series(&forced("a")) && !st.has_series(&forced("d")));
+    }
+
+    #[test]
+    fn append_finds_the_series_by_content_not_allocation() {
+        let mut st = MetricStore::new();
+        let labels = || Labels::from_pairs([(NAME_LABEL, "m"), ("instance", "a")]);
+        let (first, second) = (labels(), labels());
+        assert_ne!(first.ptr_id(), second.ptr_id());
+        st.append(first.clone(), Sample::new(1_000, 1.0)).unwrap();
+        st.append(second, Sample::new(2_000, 2.0)).unwrap();
+        st.append(first, Sample::new(3_000, 3.0)).unwrap();
+        assert_eq!(st.series_count(), 1);
+        assert_eq!(st.series_for("m")[0].len(), 3);
     }
 
     #[test]
