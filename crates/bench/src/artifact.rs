@@ -10,8 +10,7 @@
 use dio_benchmark::EvalReport;
 use dio_obs::{SeriesValue, Snapshot};
 use serde::Serialize;
-use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// One evaluated system's headline numbers.
 #[derive(Debug, Clone, Serialize)]
@@ -130,15 +129,9 @@ impl BenchArtifact {
         self.stage_latency_micros = stage_latencies(snapshot);
     }
 
-    /// Write `results/BENCH_<bench>.json` (creating `results/`),
-    /// returning the path.
-    pub fn write(&self) -> PathBuf {
-        let path = PathBuf::from("results").join(format!("BENCH_{}.json", self.bench));
-        fs::create_dir_all("results").expect("create results dir");
-        let json = serde_json::to_string_pretty(self).expect("serialise artifact");
-        fs::write(&path, json).expect("write artifact");
-        eprintln!("wrote {}", path.display());
-        path
+    /// Write `results/BENCH_<bench>.json`.
+    pub fn write(&self) {
+        crate::drill::write_artifact(Path::new(crate::drill::RESULTS_DIR), &self.bench, self)
     }
 }
 

@@ -12,11 +12,12 @@
 //! Writes `results/BENCH_ablation_retrieval.json`.
 
 use dio_bench::artifact::SystemResult;
-use dio_bench::{percentile, Experiment};
+use dio_bench::drill::{write_artifact, Latency, RESULTS_DIR};
+use dio_bench::Experiment;
 use dio_benchmark::evaluate;
 use dio_copilot::{ContextExtractor, CopilotConfig, RetrievalMode};
 use serde::Serialize;
-use std::fs;
+use std::path::Path;
 use std::time::Instant;
 
 /// One retrieval mode's accuracy and cost.
@@ -92,14 +93,13 @@ fn main() {
             std::hint::black_box(hits);
             scanned += stats.candidates_scanned;
         }
-        micros.sort_by(f64::total_cmp);
 
         let mut dio = exp.copilot_with_config(Experiment::gpt4(), config);
         let report = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
 
         let row = ModeResult {
             result: SystemResult::from_report(label, &report),
-            retrieve_p50_us: percentile(&micros, 0.5),
+            retrieve_p50_us: Latency::of(micros).p50,
             candidates_scanned_per_ask: scanned as f64 / exp.questions.len() as f64,
             index_build_s,
         };
@@ -114,8 +114,5 @@ fn main() {
         artifact.modes.push(row);
     }
 
-    fs::create_dir_all("results").expect("create results dir");
-    let json = serde_json::to_string_pretty(&artifact).expect("serialise artifact");
-    fs::write("results/BENCH_ablation_retrieval.json", json).expect("write artifact");
-    eprintln!("wrote results/BENCH_ablation_retrieval.json");
+    write_artifact(Path::new(RESULTS_DIR), "ablation_retrieval", &artifact);
 }

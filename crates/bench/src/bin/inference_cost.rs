@@ -8,8 +8,8 @@
 //! cargo run --release -p dio-bench --bin inference_cost
 //! ```
 
-use dio_baselines::NlQuerySystem;
 use dio_bench::Experiment;
+use dio_benchmark::evaluate;
 
 fn main() {
     eprintln!("building world…");
@@ -27,19 +27,7 @@ fn main() {
         ("GPT-3.5-turbo sim", Experiment::gpt35()),
     ] {
         let mut dio = exp.copilot(model);
-        let mut correct = 0usize;
-        for q in &exp.questions {
-            let a = dio.answer(&q.text, exp.world.eval_ts);
-            if a.numeric_answer
-                .map(|v| {
-                    (v - q.reference.numeric).abs()
-                        <= 1e-9 * q.reference.numeric.abs().max(1e-300)
-                })
-                .unwrap_or(false)
-            {
-                correct += 1;
-            }
-        }
+        let report = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
         let meter = dio.meter();
         let n = meter.queries() as f64;
         println!(
@@ -48,7 +36,7 @@ fn main() {
             meter.mean_cents_per_query(),
             meter.usage().prompt_tokens as f64 / n,
             meter.usage().completion_tokens as f64 / n,
-            correct as f64 * 100.0 / exp.questions.len() as f64,
+            report.ex_percent,
         );
     }
     println!(

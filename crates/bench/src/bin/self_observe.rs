@@ -11,15 +11,27 @@
 //! cargo run --release -p dio-bench --bin self_observe
 //! ```
 //!
-//! Exits non-zero if the exposition fails to round-trip, any instrument
-//! lacks a catalog description, or fewer than three self-directed
-//! questions verify.
+//! Writes `results/BENCH_self_observe.json`, then exits non-zero if the
+//! exposition fails to round-trip, any instrument lacks a catalog
+//! description, or fewer than three self-directed questions verify.
 
-use dio_bench::artifact::BenchArtifact;
-use dio_bench::selfobs::run_self_observation;
+use dio_bench::artifact::{stage_latencies, StageLatency, SystemResult};
+use dio_bench::drill::Drill;
+use dio_bench::selfobs::{print_qa, run_self_observation, SelfQa};
 use dio_obs::parse_exposition;
+use serde::Serialize;
+use std::process::ExitCode;
 
-fn main() {
+#[derive(Serialize)]
+struct SelfObserveArtifact {
+    /// One row per evaluated chunk of the observed benchmark run.
+    systems: Vec<SystemResult>,
+    stage_latency_micros: Vec<StageLatency>,
+    qa: Vec<SelfQa>,
+}
+
+fn main() -> ExitCode {
+    let mut drill = Drill::from_args("self_observe", 0);
     eprintln!("running instrumented benchmark slice (60 questions, p-fault 0.25)…");
     let outcome = run_self_observation(60, 0.25);
 
@@ -37,49 +49,36 @@ fn main() {
     );
 
     // Exposition must survive its own parser.
-    let families = parse_exposition(&outcome.exposition)
-        .expect("exporter output must round-trip through the exposition parser");
-    println!(
-        "exposition: {} families, {} bytes, round-trips cleanly",
-        families.len(),
-        outcome.exposition.len()
+    let families = parse_exposition(&outcome.exposition);
+    drill.gate(
+        "exposition_round_trips",
+        families.is_ok(),
+        match &families {
+            Ok(f) => format!("{} families, {} bytes", f.len(), outcome.exposition.len()),
+            Err(e) => format!("exporter output does not parse: {e:?}"),
+        },
     );
-
-    assert!(
+    drill.gate(
+        "every_instrument_documented",
         outcome.undocumented.is_empty(),
-        "exported instruments without catalog descriptions: {:?}",
-        outcome.undocumented
+        format!("exported instruments without catalog descriptions: {:?}", outcome.undocumented),
     );
 
-    println!("\n{:<72} | {:>12} | {:>12} | ok", "question", "answer", "truth");
-    println!("{}", "-".repeat(110));
-    for qa in &outcome.qa {
-        println!(
-            "{:<72} | {:>12} | {:>12.1} | {}",
-            qa.question,
-            qa.answered
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or_else(|| "—".into()),
-            qa.expected,
-            if qa.correct { "yes" } else { "NO" },
-        );
-    }
-    let correct = outcome.qa_correct();
-    println!(
-        "\n{}/{} self-directed questions verified against the registry",
-        correct,
-        outcome.qa.len()
-    );
-
-    let mut artifact = BenchArtifact::new("self_observe");
-    for r in &outcome.chunk_reports {
-        artifact.push(&format!("chunk_{}", artifact.systems.len()), r);
-    }
-    artifact.set_stages(&outcome.final_snapshot);
-    artifact.write();
-
-    assert!(
+    let correct = print_qa(&outcome.qa);
+    drill.gate(
+        "three_self_directed_answers_verify",
         correct >= 3,
-        "need at least 3 verified self-directed answers, got {correct}"
+        format!("{correct} of {} answers match the registry", outcome.qa.len()),
     );
+
+    drill.finish(&SelfObserveArtifact {
+        systems: outcome
+            .chunk_reports
+            .iter()
+            .enumerate()
+            .map(|(i, r)| SystemResult::from_report(&format!("chunk_{i}"), r))
+            .collect(),
+        stage_latency_micros: stage_latencies(&outcome.final_snapshot),
+        qa: outcome.qa,
+    })
 }

@@ -27,19 +27,19 @@
 //!
 //! Writes `results/BENCH_shard_failover.json`.
 
-use dio_bench::{flag_value, percentile, quick_flag, Experiment};
-use dio_benchmark::eval::numeric_match;
-use dio_benchmark::WorldConfig;
+use dio_bench::drill::{audit_traces, requests, sequential, Burst, Drill, Latency, Tally};
+use dio_bench::Experiment;
 use dio_cluster::{Cluster, ClusterConfig, ClusterError};
 use dio_copilot::ShardTiming;
 use dio_faults::{ChaosConfig, CrashSchedule, NodeFault};
 use dio_sandbox::StoreResolver;
-use dio_serve::{QueryRequest, QueryService, ServeConfig, ServeOutcome, TenantPolicy};
+use dio_serve::{QueryService, ServeConfig, ShedReason, TenantPolicy};
 use dio_tsdb::labels::NAME_LABEL;
 use dio_tsdb::{Labels, Sample};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, Serialize)]
 struct SweepResult {
@@ -78,11 +78,7 @@ struct WriteDrill {
 #[derive(Debug, Clone, Serialize)]
 struct QueryDrill {
     nodes: usize,
-    submitted: usize,
-    accepted: usize,
-    answered: usize,
-    shed: usize,
-    all_accepted_resolved: bool,
+    tally: Tally,
     failovers: u64,
     /// Complete span trees the flight recorder retained because the
     /// request paid for a shard promotion mid-flight.
@@ -103,17 +99,12 @@ struct RejoinDrill {
 #[derive(Debug, Clone, Serialize)]
 struct FailoverLatency {
     count: usize,
-    p50_micros: f64,
-    p99_micros: f64,
+    micros: Latency,
     max_micros: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
 struct ShardFailoverArtifact {
-    bench: String,
-    quick: bool,
-    seed: u64,
-    available_parallelism: usize,
     questions: usize,
     baseline_correct: usize,
     baseline_ex_percent: f64,
@@ -133,21 +124,8 @@ const TAKEOVER_P99_LIMIT_MICROS: f64 = 100_000.0;
 
 /// Counter value for one `path` label of `dio_cluster_routes_total`.
 fn route_count(cluster: &Cluster, path: &str) -> u64 {
-    cluster
-        .registry()
-        .snapshot()
-        .family("dio_cluster_routes_total")
-        .map(|f| {
-            f.series
-                .iter()
-                .filter(|s| s.labels.iter().any(|(k, v)| k == "path" && v == path))
-                .map(|s| match s.value {
-                    dio_obs::SeriesValue::Counter(v) | dio_obs::SeriesValue::Gauge(v) => v as u64,
-                    _ => 0,
-                })
-                .sum()
-        })
-        .unwrap_or(0)
+    let routes = dio_obs::Selector::new("dio_cluster_routes_total", &[("path", path)]);
+    routes.sum(&cluster.registry().snapshot()) as u64
 }
 
 /// Ask every question through `copilot`, counting EX-correct answers
@@ -158,16 +136,8 @@ fn score(
     copilot: &mut dio_copilot::DioCopilot,
 ) -> (usize, f64, Vec<ShardTiming>) {
     let started = Instant::now();
-    let mut correct = 0;
     let mut breakdown: Vec<ShardTiming> = Vec::new();
-    for q in &exp.questions {
-        let r = copilot.ask(&q.text, exp.world.eval_ts);
-        if r.numeric_answer
-            .map(|v| numeric_match(v, q.reference.numeric))
-            .unwrap_or(false)
-        {
-            correct += 1;
-        }
+    let correct = sequential(copilot, &exp.questions, exp.world.eval_ts, |r| {
         for shard in r.trace.shard_breakdown() {
             match breakdown
                 .iter_mut()
@@ -180,26 +150,24 @@ fn score(
                 None => breakdown.push(shard),
             }
         }
-    }
+    });
+    let correct = correct.iter().filter(|ok| **ok).count();
     breakdown.sort_by(|a, b| a.shard.cmp(&b.shard).then(a.path.cmp(&b.path)));
     (correct, started.elapsed().as_secs_f64(), breakdown)
 }
 
-fn main() {
-    let quick = quick_flag();
-    let seed: u64 = flag_value("seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xfa11_07e5);
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+/// Whether `family`'s series in `store` hold a sample `(ts, value)`.
+fn holds(store: &dio_tsdb::MetricStore, family: &str, ts: i64, value: f64) -> bool {
+    store
+        .series_for(family)
+        .iter()
+        .any(|s| s.samples().iter().any(|p| p.timestamp_ms == ts && p.value == value))
+}
 
-    eprintln!("building world ({})…", if quick { "quick" } else { "full" });
-    let exp = if quick {
-        Experiment::with_config(WorldConfig::small(), 40)
-    } else {
-        Experiment::standard()
-    };
+fn main() -> ExitCode {
+    let mut drill = Drill::from_args("shard_failover", 0xfa11_07e5);
+    let (quick, seed) = (drill.quick, drill.seed);
+    let exp = drill.experiment(40);
     let n_questions = exp.questions.len();
 
     // ---- Phase 1: single-node sequential baseline ------------------
@@ -226,9 +194,10 @@ fn main() {
             "  {shards} shard(s): EX {correct}/{n_questions} (Δ{delta:+}) in {wall:.2}s ({:.1} qps)",
             n_questions as f64 / wall.max(1e-9)
         );
-        assert!(
+        drill.gate(
+            &format!("ex_parity_at_{shards}_shards"),
             delta.abs() <= 1,
-            "EX parity broken at {shards} shards: {correct} vs baseline {baseline_correct}"
+            format!("{correct} vs baseline {baseline_correct} of {n_questions} (±1 allowed)"),
         );
         sweep.push(SweepResult {
             shards,
@@ -256,37 +225,28 @@ fn main() {
     )));
     cluster.load_from(&exp.world.store).expect("cluster load");
     let base_ts = exp.world.store.max_timestamp().unwrap_or(0);
-    let families: Vec<String> = {
-        let mut names: Vec<String> = exp
-            .world
-            .store
-            .metric_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        names.sort();
-        names.truncate(24);
-        names
-    };
+    let mut families: Vec<String> =
+        exp.world.store.metric_names().into_iter().map(str::to_string).collect();
+    families.sort();
+    families.truncate(24);
     let mut schedule = CrashSchedule::new(seed, 0.05, drill_nodes);
     let mut acked: Vec<(String, i64, f64)> = Vec::new();
     let mut attempted = 0usize;
     let mut refused = 0usize;
     let mut crashes = 0usize;
-    let mut restarts = 0usize;
-    let mut replayed_wal_bytes = 0usize;
-    let mut caught_up_records = 0usize;
+    let (mut restarts, mut replayed_wal_bytes, mut caught_up_records) = (0usize, 0usize, 0usize);
+    let mut restart = |node| {
+        let report = cluster.restart_node(node);
+        restarts += 1;
+        replayed_wal_bytes += report.replayed_wal_bytes;
+        caught_up_records += report.caught_up_records;
+    };
     let mut max_lag = 0.0f64;
     for round in 0..rounds {
         match schedule.decide() {
             Some(NodeFault::Crash { node }) if cluster.kill_node(node) => crashes += 1,
             Some(NodeFault::Crash { .. }) => {}
-            Some(NodeFault::Restart { node }) => {
-                let report = cluster.restart_node(node);
-                replayed_wal_bytes += report.replayed_wal_bytes;
-                caught_up_records += report.caught_up_records;
-                restarts += 1;
-            }
+            Some(NodeFault::Restart { node }) => restart(node),
             None => {}
         }
         let ts = base_ts + 1_000 * (round as i64 + 1);
@@ -302,32 +262,27 @@ fn main() {
         max_lag = max_lag.max(cluster.replication_lag_seconds());
     }
     // Bring every node back (replaying durable WALs) before auditing.
-    for node in cluster.down_nodes() {
-        let report = cluster.restart_node(node);
-        replayed_wal_bytes += report.replayed_wal_bytes;
-        caught_up_records += report.caught_up_records;
-        restarts += 1;
-    }
-    let mut verified = 0usize;
-    for (family, ts, value) in &acked {
-        let store = cluster
-            .resolve(std::slice::from_ref(family), false)
-            .expect("post-drill resolve");
-        let found = store
-            .series_for(family)
-            .iter()
-            .any(|s| s.samples().iter().any(|p| p.timestamp_ms == *ts && p.value == *value));
-        if found {
-            verified += 1;
-        }
-    }
+    cluster.down_nodes().into_iter().for_each(restart);
+    let verified = acked
+        .iter()
+        .filter(|(family, ts, value)| {
+            let store = cluster
+                .resolve(std::slice::from_ref(family), false)
+                .expect("post-drill resolve");
+            holds(&store, family, *ts, *value)
+        })
+        .count();
     let lost = acked.len() - verified;
     eprintln!(
         "  {} acked / {attempted} attempted ({refused} refused), {crashes} crashes, {restarts} restarts, {} reships — {lost} lost",
         acked.len(),
         cluster.reships()
     );
-    assert_eq!(lost, 0, "acked-write loss: {lost} acknowledged writes unreadable");
+    drill.gate(
+        "zero_acked_writes_lost",
+        lost == 0,
+        format!("{verified} of {} acknowledged writes readable after the chaos", acked.len()),
+    );
     let write_drill = WriteDrill {
         nodes: drill_nodes,
         attempted,
@@ -347,8 +302,8 @@ fn main() {
 
     // ---- Phase 4: query drill (kill a primary mid-burst, drain) ----
     let qnodes = 3;
-    let burst = (n_questions * 2).min(48);
-    eprintln!("phase 4: query drill — {burst}-request burst on {qnodes} nodes, kill mid-burst…");
+    let burst_len = (n_questions * 2).min(48);
+    eprintln!("phase 4: query drill — {burst_len}-request burst on {qnodes} nodes, kill mid-burst…");
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(qnodes)));
     cluster.load_from(&exp.world.store).expect("cluster load");
     let mut prototype = exp.copilot(Experiment::gpt4());
@@ -357,77 +312,52 @@ fn main() {
         &prototype,
         Experiment::gpt4,
         ServeConfig {
-            workers: 2.min(parallelism),
-            queue_depth: burst,
+            workers: 2,
+            queue_depth: burst_len,
             tenant: TenantPolicy::unlimited(),
             ..ServeConfig::default()
         },
     );
-    let mut tickets = Vec::new();
-    let mut shed_sync = 0usize;
-    for (i, q) in exp.questions.iter().cycle().take(burst).enumerate() {
-        match service.submit(QueryRequest::new(
-            format!("tenant-{}", i % 3),
-            &q.text,
-            exp.world.eval_ts,
-        )) {
-            Ok(t) => tickets.push(t),
-            Err(_) => shed_sync += 1,
-        }
-        if i == burst / 3 {
+    let mut burst = Burst::start();
+    // The primary dies a third of the way into the burst.
+    let killing = requests(&exp.questions, exp.world.eval_ts).cycle().take(burst_len).enumerate().map(|(i, r)| {
+        if i == burst_len / 3 + 1 {
             cluster.kill_node(0);
         }
-    }
-    let accepted = tickets.len();
+        r
+    });
+    burst.submit_all(&service, killing);
     let drill_obs = service.obs().clone();
     service.shutdown(); // drain-not-drop: every accepted ticket resolves
-    let mut answered = 0usize;
-    let mut shed_late = 0usize;
-    for t in tickets {
-        match t.wait() {
-            ServeOutcome::Answered(_) => answered += 1,
-            ServeOutcome::Shed(_) => shed_late += 1,
-        }
-    }
-    let all_resolved = answered + shed_late == accepted;
+    let tally = burst.finish();
     eprintln!(
-        "  accepted {accepted}, answered {answered}, shed {} — all resolved: {all_resolved}",
-        shed_sync + shed_late
+        "  accepted {}, answered {}, shed {:?}",
+        tally.accepted, tally.answered, tally.shed
     );
-    assert!(all_resolved, "drain dropped accepted tickets");
-    assert!(answered > 0, "no accepted request produced an answer");
+    drill.gate(
+        "drain_resolves_every_accepted_ticket",
+        tally.shed_for(ShedReason::WorkerPanic) == 0,
+        format!("{} accepted, {} answered, shed {:?}", tally.accepted, tally.answered, tally.shed),
+    );
+    drill.gate("burst_produced_an_answer", tally.answered > 0, format!("{} answered", tally.answered));
     // Every trace the drill finished must assemble into one rooted
     // tree, and the request that paid for the mid-burst promotion must
     // have been tail-sampled by the flight recorder.
-    let orphan_spans: usize = drill_obs
-        .tracer()
-        .recent(burst * 2)
-        .iter()
-        .filter(|t| t.finished)
-        .map(|t| t.orphan_count())
-        .sum();
-    assert_eq!(orphan_spans, 0, "query drill produced orphan spans");
+    let orphan_spans = audit_traces(drill_obs.tracer(), Duration::MAX).orphan_spans;
+    drill.gate("no_orphan_spans", orphan_spans == 0, format!("{orphan_spans} spans unreachable from their root"));
     let retained_failed_over = drill_obs.recorder().retained_for("failed_over").len();
-    assert!(
+    drill.gate(
+        "failed_over_trace_retained",
         retained_failed_over >= 1,
-        "no failed-over trace retained: the mid-burst kill left no span evidence"
+        format!("{retained_failed_over} failed-over trees in the flight recorder"),
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    let trace_dump_path = "results/TRACES_shard_failover.json".to_string();
-    let dumped = drill_obs
-        .recorder()
-        .dump(std::path::Path::new(&trace_dump_path))
-        .expect("dump trace trees");
+    let (dumped, trace_dump_path) = drill.dump_traces(drill_obs.recorder());
     eprintln!(
         "  flight recorder: {dumped} trace trees retained ({retained_failed_over} failed-over) -> {trace_dump_path}"
     );
     let query_drill = QueryDrill {
         nodes: qnodes,
-        submitted: burst,
-        accepted,
-        answered,
-        shed: shed_sync + shed_late,
-        all_accepted_resolved: all_resolved,
+        tally,
         failovers: cluster.failovers(),
         retained_failed_over,
         orphan_spans,
@@ -441,7 +371,8 @@ fn main() {
     let family = families.first().expect("drill family").clone();
     let shard = cluster.shard_for(&family);
     let old_primary = cluster.primary_of(shard);
-    assert!(cluster.kill_node(old_primary));
+    let killed = cluster.kill_node(old_primary);
+    drill.gate("rejoin:old_primary_killed", killed, format!("node {old_primary}"));
     let writes_while_down = if quick { 16 } else { 64 };
     let mut rejoin_acked = Vec::new();
     for i in 0..writes_while_down {
@@ -454,33 +385,38 @@ fn main() {
     }
     failover_latencies.extend(cluster.take_failover_latencies().iter().map(|&m| m as f64));
     let report = cluster.restart_node(old_primary);
-    assert!(
+    drill.gate(
+        "rejoin:replayed_durable_wal",
         report.replayed_wal_bytes > 0,
-        "rejoin replayed no durable WAL bytes"
+        format!("{} WAL bytes replayed", report.replayed_wal_bytes),
     );
-    assert!(
+    drill.gate(
+        "rejoin:caught_up_the_writes_it_missed",
         report.caught_up_records >= writes_while_down,
-        "rejoin caught up {} records, expected at least {writes_while_down}",
-        report.caught_up_records
+        format!("caught up {} records of {writes_while_down} written while down", report.caught_up_records),
     );
     // Fail back: kill the promoted successor; the rejoined node must
     // serve the shard with every write intact.
     let successor = cluster.primary_of(shard);
-    assert_ne!(successor, old_primary, "failover never moved the primary");
-    assert!(cluster.kill_node(successor));
+    drill.gate(
+        "rejoin:failover_moved_the_primary",
+        successor != old_primary,
+        format!("primary {old_primary} -> {successor}"),
+    );
+    let killed = cluster.kill_node(successor);
+    drill.gate("rejoin:successor_killed", killed, format!("node {successor}"));
     let store = cluster
         .resolve(std::slice::from_ref(&family), false)
         .expect("fail-back resolve");
-    let failback_verified = rejoin_acked.iter().all(|(ts, value)| {
-        store
-            .series_for(&family)
-            .iter()
-            .any(|s| s.samples().iter().any(|p| p.timestamp_ms == *ts && p.value == *value))
-    });
-    assert!(failback_verified, "fail-back lost writes made while the old primary was down");
+    let failback_verified = rejoin_acked.iter().all(|(ts, value)| holds(&store, &family, *ts, *value));
+    drill.gate(
+        "rejoin:fail_back_kept_every_write",
+        failback_verified,
+        format!("{writes_while_down} writes made while the old primary was down"),
+    );
     failover_latencies.extend(cluster.take_failover_latencies().iter().map(|&m| m as f64));
     eprintln!(
-        "  rejoin replayed {} WAL bytes, caught up {} records, fail-back verified",
+        "  rejoin replayed {} WAL bytes, caught up {} records, fail-back verified: {failback_verified}",
         report.replayed_wal_bytes, report.caught_up_records
     );
     let rejoin = RejoinDrill {
@@ -490,27 +426,27 @@ fn main() {
         failback_verified,
     };
 
-    failover_latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    assert!(
-        !failover_latencies.is_empty(),
-        "the drill never exercised a failover"
-    );
     let failover_latency = FailoverLatency {
         count: failover_latencies.len(),
-        p50_micros: percentile(&failover_latencies, 0.50),
-        p99_micros: percentile(&failover_latencies, 0.99),
-        max_micros: failover_latencies.last().copied().unwrap_or(0.0),
+        max_micros: failover_latencies.iter().copied().fold(0.0, f64::max),
+        micros: Latency::of(failover_latencies),
     };
     eprintln!(
         "failover detection→takeover: {} events, p50 {:.0}µs, p99 {:.0}µs",
-        failover_latency.count, failover_latency.p50_micros, failover_latency.p99_micros
+        failover_latency.count, failover_latency.micros.p50, failover_latency.micros.p99
+    );
+    drill.gate(
+        "a_failover_was_exercised",
+        failover_latency.count > 0,
+        format!("{} detection→takeover events", failover_latency.count),
+    );
+    drill.gate(
+        "takeover_p99_under_100ms",
+        failover_latency.micros.p99 < TAKEOVER_P99_LIMIT_MICROS,
+        format!("p99 {:.0}µs, limit {TAKEOVER_P99_LIMIT_MICROS:.0}µs", failover_latency.micros.p99),
     );
 
-    let artifact = ShardFailoverArtifact {
-        bench: "shard_failover".to_string(),
-        quick,
-        seed,
-        available_parallelism: parallelism,
+    drill.finish(&ShardFailoverArtifact {
         questions: n_questions,
         baseline_correct,
         baseline_ex_percent: 100.0 * baseline_correct as f64 / n_questions.max(1) as f64,
@@ -521,18 +457,5 @@ fn main() {
         rejoin,
         failover_latency,
         trace_dump_path,
-    };
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = "results/BENCH_shard_failover.json";
-    std::fs::write(path, serde_json::to_string_pretty(&artifact).unwrap()).expect("write artifact");
-    eprintln!("wrote {path}");
-    println!("{}", serde_json::to_string_pretty(&artifact).unwrap());
-
-    // Gated after the artifact is on disk, so a failing run leaves its
-    // numbers behind.
-    assert!(
-        artifact.failover_latency.p99_micros < TAKEOVER_P99_LIMIT_MICROS,
-        "failover detection→takeover p99 {:.0}µs is not under {TAKEOVER_P99_LIMIT_MICROS:.0}µs",
-        artifact.failover_latency.p99_micros
-    );
+    })
 }

@@ -25,16 +25,18 @@
 //! Flags: `--quick` (smaller smoke burst). Writes
 //! `results/BENCH_slo_drill.json`.
 
-use dio_bench::{quick_flag, Experiment};
-use dio_benchmark::eval::numeric_match;
+use dio_bench::drill::{audit_traces, Burst, Drill, Tally};
+use dio_bench::selfobs::{ask_about, meta_copilot, print_qa, SelfQa};
+use dio_bench::Experiment;
 use dio_benchmark::WorldConfig;
-use dio_catalog::DomainDb;
 use dio_copilot::{CopilotBuilder, CopilotConfig};
 use dio_llm::FewShotExample;
 use dio_obs::{Objective, ObsHub, ObsScraper, Selector, SloEngine, SloSpec};
-use dio_serve::{QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy};
+use dio_serve::{QueryRequest, QueryService, ServeConfig, ShedReason, TenantPolicy};
 use dio_tsdb::MetricStore;
 use serde::Serialize;
+use std::process::ExitCode;
+use std::time::Duration;
 
 /// One simulated-clock tick of the burn drill.
 const TICK_MS: u64 = 60_000;
@@ -44,9 +46,7 @@ const LATENCY_THRESHOLD_MICROS: f64 = 102_400.0;
 
 #[derive(Debug, Clone, Serialize)]
 struct SmokeResult {
-    submitted: usize,
-    answered: usize,
-    shed: usize,
+    tally: Tally,
     orphan_spans: usize,
 }
 
@@ -66,19 +66,7 @@ struct SloGroundTruth {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct QaResult {
-    question: String,
-    metric: String,
-    expected: f64,
-    answered: Option<f64>,
-    query: String,
-    correct: bool,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct SloDrillArtifact {
-    bench: String,
-    quick: bool,
     smoke: SmokeResult,
     healthy_ticks: u64,
     incident_ticks: u64,
@@ -89,7 +77,7 @@ struct SloDrillArtifact {
     slos: Vec<SloGroundTruth>,
     scrapes: usize,
     samples_appended: usize,
-    qa: Vec<QaResult>,
+    qa: Vec<SelfQa>,
     qa_correct: usize,
 }
 
@@ -116,11 +104,11 @@ fn slo_exemplars() -> Vec<FewShotExample> {
     ]
 }
 
-fn main() {
-    let quick = quick_flag();
+fn main() -> ExitCode {
+    let mut drill = Drill::from_args("slo_drill", 0);
 
     // ---- Phase 1: real-service smoke burst -------------------------
-    let smoke_n = if quick { 12 } else { 24 };
+    let smoke_n = if drill.quick { 12 } else { 24 };
     eprintln!("phase 1: serve smoke burst ({smoke_n} questions, premium + standard)…");
     let exp = Experiment::with_config(WorldConfig::small(), smoke_n);
     let hub = ObsHub::new();
@@ -143,104 +131,60 @@ fn main() {
             ..ServeConfig::default()
         },
     );
-    let mut tickets = Vec::new();
-    for (i, q) in exp.questions.iter().enumerate() {
-        let tenant = if i % 2 == 0 { "premium-0" } else { "tenant-0" };
-        if let Ok(t) = service.submit(QueryRequest::new(tenant, &q.text, exp.world.eval_ts)) {
-            tickets.push(t);
-        }
-    }
-    let submitted = tickets.len();
+    let mut burst = Burst::start();
+    burst.submit_all(
+        &service,
+        exp.questions.iter().enumerate().map(|(i, q)| {
+            let tenant = if i % 2 == 0 { "premium-0" } else { "tenant-0" };
+            (QueryRequest::new(tenant, &q.text, exp.world.eval_ts), q.reference.numeric)
+        }),
+    );
     service.shutdown();
-    let mut answered = 0usize;
-    let mut shed = 0usize;
-    for t in tickets {
-        match t.wait() {
-            ServeOutcome::Answered(_) => answered += 1,
-            ServeOutcome::Shed(_) => shed += 1,
-        }
-    }
-    let orphan_spans: usize = hub
-        .tracer()
-        .recent(smoke_n * 2)
-        .iter()
-        .filter(|t| t.finished)
-        .map(|t| t.orphan_count())
-        .sum();
-    eprintln!("  {answered} answered, {shed} shed, {orphan_spans} orphan spans");
-    assert!(answered > 0, "smoke burst produced no answers");
-    assert_eq!(orphan_spans, 0, "smoke burst left orphan spans behind");
-    let smoke = SmokeResult {
-        submitted,
-        answered,
-        shed,
-        orphan_spans,
-    };
+    let tally = burst.finish();
+    let orphan_spans = audit_traces(hub.tracer(), Duration::MAX).orphan_spans;
+    eprintln!("  {} answered, shed {:?}, {orphan_spans} orphan spans", tally.answered, tally.shed);
+    drill.gate("smoke:burst_produced_an_answer", tally.answered > 0, format!("{} answered", tally.answered));
+    drill.gate(
+        "smoke:no_orphan_spans",
+        orphan_spans == 0,
+        format!("{orphan_spans} spans unreachable from their root"),
+    );
+    let smoke = SmokeResult { tally, orphan_spans };
 
     // ---- Phase 2: the burn drill on a simulated clock --------------
     // Same registry, same instruments the service just populated; the
     // drill compresses four hours of class traffic into one process.
     let registry = hub.registry().clone();
-    let premium_ok = registry.counter_with(
-        "dio_serve_class_requests_total",
-        "requests resolved by the query service, by tenant class and outcome",
-        &[("class", "premium"), ("outcome", "answered")],
-    );
-    let standard_ok = registry.counter_with(
-        "dio_serve_class_requests_total",
-        "requests resolved by the query service, by tenant class and outcome",
-        &[("class", "standard"), ("outcome", "answered")],
-    );
-    let standard_shed = registry.counter_with(
-        "dio_serve_class_requests_total",
-        "requests resolved by the query service, by tenant class and outcome",
-        &[("class", "standard"), ("outcome", "shed")],
-    );
-    let answered_total = registry.counter_with(
-        "dio_serve_requests_total",
-        "requests resolved by the query service, by outcome",
-        &[("outcome", "answered")],
-    );
-    let shed_total = registry.counter_with(
-        "dio_serve_requests_total",
-        "requests resolved by the query service, by outcome",
-        &[("outcome", "shed")],
-    );
-    let shed_throttle = registry.counter_with(
-        "dio_serve_shed_total",
-        "requests shed by the query service, by reason",
-        &[("reason", ShedReason::TenantThrottle.label())],
-    );
+    // The service registered every one of these families in phase 1
+    // (a family keeps its first help text); the drill only takes
+    // handles on their series.
+    let counter = |name: &str, labels: &[(&str, &str)]| registry.counter_with(name, "", labels);
+    const CLASS_REQUESTS: &str = "dio_serve_class_requests_total";
+    let premium_ok = counter(CLASS_REQUESTS, &[("class", "premium"), ("outcome", "answered")]);
+    let standard_ok = counter(CLASS_REQUESTS, &[("class", "standard"), ("outcome", "answered")]);
+    let standard_shed = counter(CLASS_REQUESTS, &[("class", "standard"), ("outcome", "shed")]);
+    let answered_total = counter("dio_serve_requests_total", &[("outcome", "answered")]);
+    let shed_total = counter("dio_serve_requests_total", &[("outcome", "shed")]);
+    let shed_throttle =
+        counter("dio_serve_shed_total", &[("reason", ShedReason::TenantThrottle.label())]);
     let premium_latency = registry.histogram_with(
         "dio_serve_class_latency_micros",
-        "submit-to-reply latency of answered requests, by tenant class",
+        "",
         &dio_obs::Buckets::latency_micros(),
         &[("class", "premium")],
     );
 
     let mut engine = SloEngine::new(registry.clone());
-    engine.add(SloSpec {
-        name: "availability-premium".into(),
-        target: 0.999,
-        objective: Objective::Availability {
-            total: Selector::new("dio_serve_class_requests_total", &[("class", "premium")]),
-            bad: vec![Selector::new(
-                "dio_serve_class_requests_total",
-                &[("class", "premium"), ("outcome", "shed")],
-            )],
-        },
-    });
-    engine.add(SloSpec {
-        name: "availability-standard".into(),
-        target: 0.99,
-        objective: Objective::Availability {
-            total: Selector::new("dio_serve_class_requests_total", &[("class", "standard")]),
-            bad: vec![Selector::new(
-                "dio_serve_class_requests_total",
-                &[("class", "standard"), ("outcome", "shed")],
-            )],
-        },
-    });
+    for (class, target) in [("premium", 0.999), ("standard", 0.99)] {
+        engine.add(SloSpec {
+            name: format!("availability-{class}"),
+            target,
+            objective: Objective::Availability {
+                total: Selector::new(CLASS_REQUESTS, &[("class", class)]),
+                bad: vec![Selector::new(CLASS_REQUESTS, &[("class", class), ("outcome", "shed")])],
+            },
+        });
+    }
     engine.add(SloSpec {
         name: "latency-premium".into(),
         target: 0.95,
@@ -302,19 +246,8 @@ fn main() {
     let last_ts = ((total_ticks - 1) * TICK_MS) as i64;
 
     let snap = registry.snapshot();
-    let page_for = |slo: &str| {
-        Selector::new(
-            "dio_slo_alerts_total",
-            &[("slo", slo), ("severity", "page")],
-        )
-        .sum(&snap)
-    };
-    let ticket_for = |slo: &str| {
-        Selector::new(
-            "dio_slo_alerts_total",
-            &[("slo", slo), ("severity", "ticket")],
-        )
-        .sum(&snap)
+    let alerts = |slo: &str, severity: &str| {
+        Selector::new("dio_slo_alerts_total", &[("slo", slo), ("severity", severity)]).sum(&snap)
     };
     let slos: Vec<SloGroundTruth> = engine
         .states()
@@ -322,8 +255,8 @@ fn main() {
         .map(|s| SloGroundTruth {
             slo: s.name.clone(),
             target: s.target,
-            page_activations: page_for(&s.name),
-            ticket_activations: ticket_for(&s.name),
+            page_activations: alerts(&s.name, "page"),
+            ticket_activations: alerts(&s.name, "ticket"),
             page_active: s.page,
             ticket_active: s.ticket,
             burn_5m: s.burn_for("5m"),
@@ -340,22 +273,26 @@ fn main() {
             s.burn_3d, s.budget_remaining_ratio
         );
     }
-    assert!(
+    drill.gate(
+        "burn:standard_paged_during_incident",
         standard_paged_during_incident,
-        "the standard class burned half its traffic and nothing paged"
+        "the standard class shed half its traffic for an hour",
     );
-    assert!(
+    drill.gate(
+        "burn:premium_never_paged",
         !premium_ever_paged,
-        "the premium class stayed healthy but paged anyway"
+        "the premium class stayed healthy throughout",
     );
     let final_standard = engine.state("availability-standard").expect("state");
-    assert!(
+    drill.gate(
+        "burn:page_cleared_in_recovery",
         !final_standard.page,
-        "page failed to clear after two clean recovery hours"
+        "two clean recovery hours after the incident",
     );
-    assert!(
+    drill.gate(
+        "burn:slow_window_ticket_still_burning",
         final_standard.ticket,
-        "the slow-window ticket forgot the incident too quickly"
+        "the 6h/3d windows must remember the incident",
     );
 
     // ---- Phase 3: the copilot explains the burn --------------------
@@ -365,75 +302,26 @@ fn main() {
         .scrape(&registry, last_ts, &mut obs_store)
         .expect("final scrape must round-trip");
     samples_appended += stats.appended;
-    let catalog = scraper.catalog(&registry);
-    let mut meta = CopilotBuilder::new(DomainDb::from_catalog(catalog), obs_store)
-        .model(Experiment::gpt4())
-        .config(CopilotConfig {
-            generate_dashboards: false,
-            ..CopilotConfig::default()
-        })
-        .exemplars(slo_exemplars())
-        .build();
-    let cases: Vec<(String, String)> = vec![
+    let mut meta = meta_copilot(scraper.catalog(&registry), obs_store, slo_exemplars());
+    let cases = [
+        ("How many burn-rate alert activations were counted in total?", "dio_slo_alerts_total"),
+        ("How many burn-rate alerts are active right now?", "dio_slo_alert_active"),
+        ("How many requests were shed by the query service?", "dio_serve_shed_total"),
+        ("How many requests did the query service resolve in total?", "dio_serve_requests_total"),
         (
-            "How many burn-rate alert activations were counted in total?".into(),
-            "dio_slo_alerts_total".into(),
-        ),
-        (
-            "How many burn-rate alerts are active right now?".into(),
-            "dio_slo_alert_active".into(),
-        ),
-        (
-            "How many requests were shed by the query service?".into(),
-            "dio_serve_shed_total".into(),
-        ),
-        (
-            "How many requests did the query service resolve in total?".into(),
-            "dio_serve_requests_total".into(),
-        ),
-        (
-            "How much error budget is remaining across every SLO?".into(),
-            "dio_slo_error_budget_remaining_ratio".into(),
+            "How much error budget is remaining across every SLO?",
+            "dio_slo_error_budget_remaining_ratio",
         ),
     ];
-    let qa: Vec<QaResult> = cases
-        .into_iter()
-        .map(|(question, metric)| {
-            let expected = snap.total(&metric);
-            let r = meta.ask(&question, last_ts);
-            let correct = r
-                .numeric_answer
-                .map(|v| numeric_match(v, expected))
-                .unwrap_or(false);
-            QaResult {
-                question,
-                metric,
-                expected,
-                answered: r.numeric_answer,
-                query: r.query,
-                correct,
-            }
-        })
-        .collect();
-    println!("\n{:<64} | {:>12} | {:>12} | ok", "question", "answer", "truth");
-    println!("{}", "-".repeat(100));
-    for qa in &qa {
-        println!(
-            "{:<64} | {:>12} | {:>12.2} | {}",
-            qa.question,
-            qa.answered
-                .map(|v| format!("{v:.2}"))
-                .unwrap_or_else(|| "—".into()),
-            qa.expected,
-            if qa.correct { "yes" } else { "NO" },
-        );
-    }
-    let qa_correct = qa.iter().filter(|q| q.correct).count();
-    eprintln!("\n{qa_correct}/{} burn-state questions verified against the engine", qa.len());
+    let qa = ask_about(&mut meta, &snap, &cases, last_ts);
+    let qa_correct = print_qa(&qa);
+    drill.gate(
+        "meta_copilot_verifies_4_of_5",
+        qa_correct >= 4,
+        format!("{qa_correct} of {} burn-state answers match the engine", qa.len()),
+    );
 
-    let artifact = SloDrillArtifact {
-        bench: "slo_drill".to_string(),
-        quick,
+    drill.finish(&SloDrillArtifact {
         smoke,
         healthy_ticks: healthy,
         incident_ticks: incident,
@@ -446,14 +334,5 @@ fn main() {
         samples_appended,
         qa,
         qa_correct,
-    };
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = "results/BENCH_slo_drill.json";
-    std::fs::write(path, serde_json::to_string_pretty(&artifact).unwrap()).expect("write artifact");
-    eprintln!("wrote {path}");
-
-    assert!(
-        qa_correct >= 4,
-        "need at least 4/5 verified burn-state answers, got {qa_correct}"
-    );
+    })
 }

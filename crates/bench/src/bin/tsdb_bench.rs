@@ -32,10 +32,11 @@
 //! aggregation ≥ 3x; full mode: ≥ 2.5x, ≥ 10x, ≥ 5x) so CI catches
 //! regressions, not just drift.
 
-use dio_bench::{flag_value, quick_flag};
+use dio_bench::drill::Drill;
 use dio_promql::{Engine, EngineOptions, ExecutorKind, Value};
 use dio_tsdb::{Labels, MetricStore, Sample};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
@@ -72,9 +73,6 @@ struct ScanResult {
 
 #[derive(Debug, Clone, Serialize)]
 struct TsdbArtifact {
-    bench: String,
-    quick: bool,
-    seed: u64,
     ingest: IngestResult,
     range_scan: ScanResult,
     aggregation: ScanResult,
@@ -171,24 +169,27 @@ fn fingerprint(v: &Value) -> String {
     }
 }
 
-/// Best-of-`reps` wall time for one range query (one unmeasured warmup
-/// pass first), plus the result fingerprint.
-fn time_range(
-    engine: &Engine,
-    query: &str,
+/// The shared range-query measurement protocol: evaluation window,
+/// step, and repetitions per query.
+#[derive(Clone, Copy)]
+struct Protocol {
     start: i64,
     end: i64,
     step: i64,
     reps: usize,
-) -> (f64, String) {
+}
+
+/// Best-of-`reps` wall time for one range query (one unmeasured warmup
+/// pass first), plus the result fingerprint.
+fn time_range(engine: &Engine, query: &str, proto: Protocol) -> (f64, String) {
     let run = || {
         engine
-            .range_query(query, start, end, step)
+            .range_query(query, proto.start, proto.end, proto.step)
             .unwrap_or_else(|e| panic!("range query `{query}` failed: {e}"))
     };
     let result = run(); // warmup: decode chunks into the page cache
     let mut best = f64::INFINITY;
-    for _ in 0..reps {
+    for _ in 0..proto.reps {
         let t0 = Instant::now();
         let r = run();
         best = best.min(t0.elapsed().as_secs_f64());
@@ -205,43 +206,42 @@ fn time_range(
     (best, fp)
 }
 
-/// The shared range-query measurement protocol: evaluation window,
-/// step, and repetitions per query.
-#[derive(Clone, Copy)]
-struct Protocol {
-    start: i64,
-    end: i64,
-    step: i64,
-    reps: usize,
+/// Total wall time of `iters` instant queries at `ts`, plus the result
+/// fingerprint.
+fn time_instant(engine: &Engine, query: &str, ts: i64, iters: usize) -> (f64, String) {
+    let fp = fingerprint(&engine.instant_query(query, ts).expect("instant"));
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(engine.instant_query(query, ts).expect("instant"));
+    }
+    (t0.elapsed().as_secs_f64(), fp)
 }
 
-/// Diff one panel of range queries through both executors, asserting
-/// byte-identical results and returning grouped timings.
+/// Diff one panel of queries through both executors with `measure`
+/// (wall seconds and a result fingerprint), recording per query whether
+/// the results are byte-identical, and returning grouped timings.
 fn run_panel(
     name: &str,
     panel: &[&str],
-    interp: &Engine,
-    vectorized: &Engine,
-    proto: Protocol,
+    steps: usize,
+    (interp, vectorized): (&Engine, &Engine),
+    measure: impl Fn(&Engine, &str) -> (f64, String),
 ) -> ScanResult {
-    let Protocol { start, end, step, reps } = proto;
-    let n_steps = ((end - start) / step) as usize + 1;
-    eprintln!("{name}: {} queries x {} steps…", panel.len(), n_steps);
+    eprintln!("{name}: {} queries x {steps} steps…", panel.len());
     let mut per_query = Vec::new();
     let (mut interp_total, mut vec_total) = (0.0, 0.0);
     for &query in panel {
-        let (iw, ifp) = time_range(interp, query, start, end, step, reps);
-        let (vw, vfp) = time_range(vectorized, query, start, end, step, reps);
-        assert_eq!(ifp, vfp, "range results diverged for `{query}`");
+        let (iw, ifp) = measure(interp, query);
+        let (vw, vfp) = measure(vectorized, query);
         interp_total += iw;
         vec_total += vw;
         per_query.push(QueryTiming {
             query: query.to_string(),
-            steps: n_steps,
+            steps,
             interpreter_seconds: iw,
             vectorized_seconds: vw,
             speedup: iw / vw.max(1e-9),
-            identical: true,
+            identical: ifp == vfp,
         });
     }
     let result = ScanResult {
@@ -252,17 +252,15 @@ fn run_panel(
         per_query,
     };
     eprintln!(
-        "{name}: interpreter {:.2}s, vectorized {:.2}s — {:.1}x",
+        "{name}: interpreter {:.3}s, vectorized {:.3}s — {:.1}x",
         result.interpreter_seconds, result.vectorized_seconds, result.speedup
     );
     result
 }
 
-fn main() {
-    let quick = quick_flag();
-    let seed: u64 = flag_value("seed")
-        .map(|s| s.parse().expect("--seed=N"))
-        .unwrap_or(0x75db);
+fn main() -> ExitCode {
+    let mut drill = Drill::from_args("tsdb", 0x75db);
+    let (quick, seed) = (drill.quick, drill.seed);
 
     let (series_count, steps) = if quick { (240, 500) } else { (1200, 900) };
     eprintln!(
@@ -274,9 +272,13 @@ fn main() {
     );
     let (store, ingest_wall) = build_store(series_count, steps, seed);
     let samples = store.sample_count();
-    assert_eq!(samples, series_count * steps);
+    drill.gate(
+        "every_append_stored",
+        samples == series_count * steps,
+        format!("{samples} samples stored of {} appended", series_count * steps),
+    );
     if !quick {
-        assert!(samples >= 1_000_000, "full mode must ingest ≥1M samples");
+        drill.gate("full_mode_ingests_1m_samples", samples >= 1_000_000, format!("{samples} samples"));
     }
     let compressed = store.compressed_bytes();
     let sealed: usize = store
@@ -322,7 +324,10 @@ fn main() {
         "bench_metric_7{zone=\"east\"}",
     ];
     let proto = Protocol { start, end, step, reps };
-    let range_scan = run_panel("range scan", &scan_panel, &interp, &vectorized, proto);
+    let n_steps = ((end - start) / step) as usize + 1;
+    let engines = (&interp, &vectorized);
+    let range = |engine: &Engine, query: &str| time_range(engine, query, proto);
+    let range_scan = run_panel("range scan", &scan_panel, n_steps, engines, range);
 
     // Aggregation panel: grouped reductions on top of the scans. The
     // first three evaluate whole-range on the vectorized engine
@@ -336,95 +341,56 @@ fn main() {
         "sum(rate(bench_metric_4[5m])) / sum(rate(bench_metric_0[5m]))",
         "topk(3, sum by (instance) (rate(bench_metric_5[5m])))",
     ];
-    let aggregation = run_panel("aggregation", &agg_panel, &interp, &vectorized, proto);
+    let aggregation = run_panel("aggregation", &agg_panel, n_steps, engines, range);
 
-    eprintln!("instant queries…");
     let iters = if quick { 10 } else { 40 };
-    let mut per_instant = Vec::new();
-    let (mut i_total, mut v_total) = (0.0, 0.0);
-    for query in scan_panel.iter().chain(&agg_panel) {
-        let ifp = fingerprint(&interp.instant_query(query, end).expect("instant"));
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(interp.instant_query(query, end).expect("instant"));
-        }
-        let iw = t0.elapsed().as_secs_f64();
-        let vfp = fingerprint(&vectorized.instant_query(query, end).expect("instant"));
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(vectorized.instant_query(query, end).expect("instant"));
-        }
-        let vw = t0.elapsed().as_secs_f64();
-        assert_eq!(ifp, vfp, "instant results diverged for `{query}`");
-        i_total += iw;
-        v_total += vw;
-        per_instant.push(QueryTiming {
-            query: query.to_string(),
-            steps: iters,
-            interpreter_seconds: iw,
-            vectorized_seconds: vw,
-            speedup: iw / vw.max(1e-9),
-            identical: true,
-        });
+    let every_query: Vec<&str> = scan_panel.iter().chain(&agg_panel).copied().collect();
+    let instant = run_panel("instant", &every_query, iters, engines, |engine, query| {
+        time_instant(engine, query, end, iters)
+    });
+
+    for (panel, result) in [("range_scan", &range_scan), ("aggregation", &aggregation), ("instant", &instant)] {
+        let diverged: Vec<&str> =
+            result.per_query.iter().filter(|q| !q.identical).map(|q| q.query.as_str()).collect();
+        drill.gate(
+            &format!("{panel}:byte_identical_on_every_query"),
+            diverged.is_empty(),
+            format!("{} of {} queries diverged {diverged:?}", diverged.len(), result.queries),
+        );
     }
-    let instant = ScanResult {
-        queries: per_instant.len(),
-        interpreter_seconds: i_total,
-        vectorized_seconds: v_total,
-        speedup: i_total / v_total.max(1e-9),
-        per_query: per_instant,
-    };
-    eprintln!(
-        "instant: interpreter {:.3}s, vectorized {:.3}s — {:.1}x",
-        instant.interpreter_seconds, instant.vectorized_seconds, instant.speedup
-    );
-
-    let artifact = TsdbArtifact {
-        bench: "tsdb".to_string(),
-        quick,
-        seed,
-        ingest: ingest.clone(),
-        range_scan: range_scan.clone(),
-        aggregation,
-        instant,
-    };
-    // Write the artifact before gating so a failed run still leaves
-    // its evidence on disk.
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = "results/BENCH_tsdb.json";
-    std::fs::write(path, serde_json::to_string_pretty(&artifact).unwrap()).expect("write artifact");
-    eprintln!("wrote {path}");
-    println!("{}", serde_json::to_string_pretty(&artifact).unwrap());
-
     // Floors: CI runs --quick on shared hardware, so the quick gates
     // are deliberately conservative; the full run must hit the
     // tentpole's ≥10x range-scan target.
     let min_speedup = if quick { 3.0 } else { 10.0 };
-    assert!(
+    drill.gate(
+        "range_scan_speedup",
         range_scan.speedup >= min_speedup,
-        "range-scan speedup {:.2}x below the {:.1}x floor",
-        range_scan.speedup,
-        min_speedup
+        format!("{:.2}x, floor {min_speedup:.1}x", range_scan.speedup),
     );
     let min_agg_speedup = if quick { 3.0 } else { 5.0 };
-    assert!(
-        artifact.aggregation.speedup >= min_agg_speedup,
-        "aggregation speedup {:.2}x below the {:.1}x floor",
-        artifact.aggregation.speedup,
-        min_agg_speedup
+    drill.gate(
+        "aggregation_speedup",
+        aggregation.speedup >= min_agg_speedup,
+        format!("{:.2}x, floor {min_agg_speedup:.1}x", aggregation.speedup),
     );
     // Quick mode seals fewer, shorter chunk runs (more codec headers
     // per sample), so its compression floor is lower.
     let min_ratio = if quick { 2.0 } else { 2.5 };
-    assert!(
+    drill.gate(
+        "compression_ratio",
         ingest.compression_ratio >= min_ratio,
-        "compression ratio {:.2}x below the {:.1}x floor",
-        ingest.compression_ratio,
-        min_ratio
+        format!("{:.2}x, floor {min_ratio:.1}x", ingest.compression_ratio),
     );
-    assert!(
+    drill.gate(
+        "write_throughput",
         ingest.samples_per_second >= 100_000.0,
-        "write throughput {:.0} samples/s below the 100k floor",
-        ingest.samples_per_second
+        format!("{:.0} samples/s, floor 100k", ingest.samples_per_second),
     );
+
+    drill.finish(&TsdbArtifact {
+        ingest,
+        range_scan,
+        aggregation,
+        instant,
+    })
 }

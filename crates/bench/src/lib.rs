@@ -1,24 +1,19 @@
 //! # dio-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md's experiment index) and the drill binaries CI runs
-//! with `--quick`. Performance is measured by `perf/`, not here.
+//! (`table_3a`, `table_3b`, `inference_cost`, `figure_*`, `ablation_*`,
+//! `dataset_export`; see DESIGN.md's experiment index) and the seven
+//! gated drills CI runs with `--quick` (`chaos_soak`, `model_gateway`,
+//! `overload_drill`, `shard_failover`, `slo_drill`, `tsdb_bench`, and
+//! `self_observe`). Performance is measured by `perf/`, not here.
 //!
-//! Binaries:
-//!
-//! * `table_3a` — end-to-end EX: DIO copilot vs DIN-SQL vs bare model;
-//! * `table_3b` — foundation-model sweep inside DIO;
-//! * `inference_cost` — §4.2.5 mean cents/query;
-//! * `figure_1` — side-by-side bare-chat vs copilot responses;
-//! * `figure_2_pipeline` — per-stage latency through the architecture;
-//! * `ablation_*` — context size, few-shot count, retrieval quality,
-//!   feedback loop, embedding model.
-//!
-//! This library crate holds the shared experiment plumbing, the JSON
-//! artifact writer ([`artifact`]), and the self-observation loop
-//! ([`selfobs`]).
+//! This library crate holds the shared experiment setup
+//! ([`Experiment`]), the drill harness ([`drill`]: sizing, scoring,
+//! bursts, trace audit, write-then-gate), the table artifact
+//! ([`artifact`]), and the self-observation loop ([`selfobs`]).
 
 pub mod artifact;
+pub mod drill;
 pub mod selfobs;
 
 use dio_baselines::{sample_schema, DinSqlBaseline, DirectModelBaseline};
@@ -35,16 +30,6 @@ pub const SCHEMA_SEED: u64 = 0x5c83_a001;
 pub const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
 /// Benchmark size (the paper's 200).
 pub const BENCHMARK_SIZE: usize = 200;
-
-/// True when the binary was run with `--quick` (the CI smoke size).
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// The value of a `--name=value` command-line flag, if given.
-pub fn flag_value(name: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(&format!("--{name}=")).map(str::to_string))
-}
 
 /// The `q`-quantile (`q` in 0..=1) of an ascending slice, at the
 /// rounded rank `(n-1)·q`; 0 for an empty slice.
@@ -86,10 +71,7 @@ impl Experiment {
 
     /// A DIO copilot over this world with the given model.
     pub fn copilot(&self, model: Box<dyn FoundationModel>) -> DioCopilot {
-        CopilotBuilder::new(self.world.domain_db(), self.world.store.clone())
-            .model(model)
-            .exemplars(self.exemplars.clone())
-            .build()
+        self.copilot_with_config(model, CopilotConfig::default())
     }
 
     /// A DIO copilot with a custom configuration.

@@ -16,16 +16,17 @@
 //!    via the standard retrieve → generate → execute path, and the
 //!    answers are checked against the registry's ground truth.
 
-use dio_benchmark::eval::numeric_match;
 use dio_benchmark::{evaluate_observed, EvalReport, WorldConfig};
-use dio_catalog::DomainDb;
-use dio_copilot::{CopilotBuilder, CopilotConfig};
+use dio_catalog::{Catalog, DomainDb};
+use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio_llm::{
     FaultConfig, FaultyModel, FewShotExample, ModelProfile, SimulatedModel,
 };
-use dio_obs::{parse_exposition, to_prometheus, ObsHub, ObsScraper};
+use dio_obs::{parse_exposition, to_prometheus, ObsHub, ObsScraper, Snapshot};
 use dio_tsdb::MetricStore;
+use serde::Serialize;
 
+use crate::drill::scored;
 use crate::Experiment;
 
 /// Fault schedule seed for the observed run.
@@ -34,7 +35,7 @@ pub const SELF_OBS_FAULT_SEED: u64 = 0x0b5_e7e;
 pub const SCRAPE_STEP_MS: i64 = 60_000;
 
 /// One self-directed question and its verification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SelfQa {
     /// The natural-language question asked of the meta-copilot.
     pub question: String,
@@ -91,6 +92,57 @@ impl SelfObserveOutcome {
     pub fn qa_correct(&self) -> usize {
         self.qa.iter().filter(|q| q.correct).count()
     }
+}
+
+/// A copilot over scraped telemetry: `catalog` (derived by the
+/// scraper) is its domain DB, `store` the scraped samples.
+pub fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShotExample>) -> DioCopilot {
+    CopilotBuilder::new(DomainDb::from_catalog(catalog), store)
+        .model(Experiment::gpt4())
+        .config(CopilotConfig {
+            generate_dashboards: false,
+            ..CopilotConfig::default()
+        })
+        .exemplars(exemplars)
+        .build()
+}
+
+/// Ask `meta` each `(question, instrument)` case as of `ts`, checking
+/// the answer against the instrument's total in `truth`.
+pub fn ask_about(meta: &mut DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i64) -> Vec<SelfQa> {
+    cases
+        .iter()
+        .map(|&(question, metric)| {
+            let expected = truth.total(metric);
+            let r = meta.ask(question, ts);
+            SelfQa {
+                question: question.to_string(),
+                metric: metric.to_string(),
+                expected,
+                answered: r.numeric_answer,
+                query: r.query,
+                correct: scored(r.numeric_answer, expected),
+            }
+        })
+        .collect()
+}
+
+/// Print the question / answer / truth table; returns how many verified.
+pub fn print_qa(qa: &[SelfQa]) -> usize {
+    println!("\n{:<72} | {:>12} | {:>12} | ok", "question", "answer", "truth");
+    println!("{}", "-".repeat(110));
+    for qa in qa {
+        println!(
+            "{:<72} | {:>12} | {:>12.2} | {}",
+            qa.question,
+            qa.answered.map_or_else(|| "—".into(), |v| format!("{v:.2}")),
+            qa.expected,
+            if qa.correct { "yes" } else { "NO" },
+        );
+    }
+    let correct = qa.iter().filter(|q| q.correct).count();
+    println!("\n{correct}/{} self-directed questions verified against the registry", qa.len());
+    correct
 }
 
 /// Few-shot exemplars in the self-telemetry domain.
@@ -180,53 +232,24 @@ pub fn run_self_observation(n_questions: usize, fault_p: f64) -> SelfObserveOutc
     // Phase 4: a second copilot over the scraped telemetry answers
     // questions about the first one, checked against the registry.
     let snap = hub.registry().snapshot();
-    let cases: Vec<(String, String)> = vec![
+    let cases = [
+        ("How many repair rounds did the copilot run?", dio_copilot::obs::REPAIRS_NAME),
         (
-            "How many repair rounds did the copilot run?".into(),
-            dio_copilot::obs::REPAIRS_NAME.into(),
+            "How many completion calls did the copilot issue to the foundation model?",
+            "dio_llm_model_calls_total",
         ),
         (
-            "How many completion calls did the copilot issue to the foundation model?".into(),
-            "dio_llm_model_calls_total".into(),
+            "How many faults did the injection harness plant into model completions?",
+            "dio_llm_faults_injected_total",
         ),
         (
-            "How many faults did the injection harness plant into model completions?".into(),
-            "dio_llm_faults_injected_total".into(),
+            "How many retries of transient foundation model failures were there?",
+            dio_copilot::obs::RETRIES_NAME,
         ),
-        (
-            "How many retries of transient foundation model failures were there?".into(),
-            dio_copilot::obs::RETRIES_NAME.into(),
-        ),
-        (
-            "How many benchmark questions were evaluated?".into(),
-            dio_benchmark::eval::QUESTIONS_NAME.into(),
-        ),
+        ("How many benchmark questions were evaluated?", dio_benchmark::eval::QUESTIONS_NAME),
     ];
-    let mut meta = CopilotBuilder::new(DomainDb::from_catalog(catalog), obs_store)
-        .model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())))
-        .config(CopilotConfig {
-            generate_dashboards: false,
-            ..CopilotConfig::default()
-        })
-        .exemplars(self_exemplars())
-        .build();
-    let qa = cases
-        .into_iter()
-        .map(|(question, metric)| {
-            let expected = snap.total(&metric);
-            let r = meta.ask(&question, last_ts);
-            let answered = r.numeric_answer;
-            let correct = answered.map(|v| numeric_match(v, expected)).unwrap_or(false);
-            SelfQa {
-                question,
-                metric,
-                expected,
-                answered,
-                query: r.query,
-                correct,
-            }
-        })
-        .collect();
+    let mut meta = meta_copilot(catalog, obs_store, self_exemplars());
+    let qa = ask_about(&mut meta, &snap, &cases, last_ts);
 
     SelfObserveOutcome {
         chunk_reports,

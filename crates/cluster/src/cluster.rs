@@ -34,7 +34,7 @@
 use crate::ring::HashRing;
 use crate::shard::{damage_chunk, ShardCopy, ShipReject};
 use dio_faults::{ChaosConfig, Injector};
-use dio_obs::{Buckets, Counter, Gauge, Histogram, Registry, SpanContext, Tracer};
+use dio_obs::{push_bounded, Buckets, Counter, Gauge, Histogram, Registry, SpanContext, Tracer};
 use dio_sandbox::StoreResolver;
 use dio_tsdb::series::AppendError;
 use dio_tsdb::{Labels, MetricStore, Sample};
@@ -278,15 +278,6 @@ struct Inner {
     read_latency_window: VecDeque<u64>,
     /// Total virtual read latency accounted so far (µs).
     injected_read_micros: u64,
-}
-
-/// Push onto a rolling window, dropping the oldest entry once it holds
-/// [`READ_LATENCY_WINDOW`].
-fn push_bounded(window: &mut VecDeque<u64>, value: u64) {
-    if window.len() == READ_LATENCY_WINDOW {
-        window.pop_front();
-    }
-    window.push_back(value);
 }
 
 /// Borrow two of a shard's copies at once: `from` to read its WAL,
@@ -797,7 +788,7 @@ impl Cluster {
         inner.shards[shard].replica_node = None;
         self.metrics.failovers.inc();
         let micros = detected.elapsed().as_micros() as u64;
-        push_bounded(&mut inner.failover_latencies, micros);
+        push_bounded(&mut inner.failover_latencies, READ_LATENCY_WINDOW, micros);
         if let Some((tracer, ctx)) = trace {
             let child = tracer.child_of(ctx);
             tracer.record_span(
@@ -971,7 +962,7 @@ impl Cluster {
                 }
             }
             inner.injected_read_micros += chosen.1;
-            push_bounded(&mut inner.read_latency_window, chosen.1);
+            push_bounded(&mut inner.read_latency_window, READ_LATENCY_WINDOW, chosen.1);
             serving = Some(chosen.0);
         }
         if let Some((tracer, ctx, start, t0)) = span {

@@ -47,8 +47,8 @@ use dio_llm::{
     compose_batch, count_tokens, Completion, CompletionRequest, CostLedger, FoundationModel,
     ModelError, Pricing, TokenUsage,
 };
-use dio_obs::{Buckets, Counter, Histogram, Registry, SpanContext, Tracer};
-use std::collections::HashMap;
+use dio_obs::{push_bounded, Buckets, Counter, Histogram, Registry, SpanContext, Tracer};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -123,7 +123,7 @@ pub struct FlushRecord {
     pub lapsed: usize,
 }
 
-/// Retain at most this many flush records.
+/// Retain the newest this many flush records.
 const FLUSH_LOG_CAP: usize = 4096;
 
 struct Slot {
@@ -158,7 +158,7 @@ pub struct ModelGateway {
     state: Mutex<BatchState>,
     cv: Condvar,
     ledger: Mutex<CostLedger>,
-    flush_log: Mutex<Vec<FlushRecord>>,
+    flush_log: Mutex<VecDeque<FlushRecord>>,
     tracer: Option<Tracer>,
     upstream_calls: Counter,
     flush_full: Counter,
@@ -209,7 +209,7 @@ impl ModelGateway {
             }),
             cv: Condvar::new(),
             ledger: Mutex::new(CostLedger::new()),
-            flush_log: Mutex::new(Vec::new()),
+            flush_log: Mutex::new(VecDeque::new()),
             tracer,
             upstream_calls: registry.counter(
                 "dio_gateway_upstream_calls_total",
@@ -266,9 +266,14 @@ impl ModelGateway {
         self.ledger.lock().unwrap().clone()
     }
 
-    /// Snapshot of the (bounded) flush audit log.
+    /// Snapshot of the flush audit log: the newest 4 096 flushes,
+    /// oldest first.
     pub fn flush_log(&self) -> Vec<FlushRecord> {
-        self.flush_log.lock().unwrap().clone()
+        self.flush_log.lock().unwrap().iter().cloned().collect()
+    }
+
+    fn log_flush(&self, record: FlushRecord) {
+        push_bounded(&mut self.flush_log.lock().unwrap(), FLUSH_LOG_CAP, record);
     }
 
     /// A fresh per-caller handle. Each worker thread should hold its
@@ -481,18 +486,13 @@ impl ModelGateway {
             }
         }
 
-        {
-            let mut log = self.flush_log.lock().unwrap();
-            if log.len() < FLUSH_LOG_CAP {
-                log.push(FlushRecord {
-                    size,
-                    trigger,
-                    waited_micros,
-                    within_deadline: lapsed_count == 0,
-                    lapsed: lapsed_count,
-                });
-            }
-        }
+        self.log_flush(FlushRecord {
+            size,
+            trigger,
+            waited_micros,
+            within_deadline: lapsed_count == 0,
+            lapsed: lapsed_count,
+        });
 
         let mut state = self.state.lock().unwrap();
         state.results.extend(results);
@@ -757,6 +757,24 @@ mod tests {
             &Registry::new(),
             None,
         )
+    }
+
+    #[test]
+    fn flush_log_keeps_the_newest_records() {
+        let gw = gateway(BatchConfig::default());
+        for size in 0..FLUSH_LOG_CAP + 10 {
+            gw.log_flush(FlushRecord {
+                size,
+                trigger: FlushTrigger::Full,
+                waited_micros: 0,
+                within_deadline: true,
+                lapsed: 0,
+            });
+        }
+        let log = gw.flush_log();
+        assert_eq!(log.len(), FLUSH_LOG_CAP);
+        assert_eq!(log[0].size, 10);
+        assert_eq!(log.last().unwrap().size, FLUSH_LOG_CAP + 9);
     }
 
     #[test]

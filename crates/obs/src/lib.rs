@@ -50,7 +50,7 @@ pub use registry::{
     Buckets, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, InstrumentKind,
     Registry, SeriesSnapshot, SeriesValue, Snapshot,
 };
-pub use rolling::RollingQuantile;
+pub use rolling::{push_bounded, RollingQuantile};
 pub use scrape::{ObsScraper, ScrapeStats};
 pub use slo::{Objective, Selector, SloEngine, SloSpec, SloState, WindowBurn, PAGE_BURN,
     TICKET_BURN, WINDOWS};

@@ -6,6 +6,16 @@
 
 use std::collections::VecDeque;
 
+/// Push onto a newest-`capacity` window, dropping the oldest entry
+/// once it is full — the one idiom behind every bounded log and
+/// rolling window in the workspace.
+pub fn push_bounded<T>(window: &mut VecDeque<T>, capacity: usize, value: T) {
+    if window.len() >= capacity {
+        window.pop_front();
+    }
+    window.push_back(value);
+}
+
 /// The newest `capacity` samples, read by nearest-rank quantile.
 /// Warm-up minimums and floors are the caller's business.
 #[derive(Debug, Clone)]
@@ -25,10 +35,7 @@ impl RollingQuantile {
 
     /// Add a sample, dropping the oldest once the window is full.
     pub fn push(&mut self, value: u64) {
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
-        }
-        self.window.push_back(value);
+        push_bounded(&mut self.window, self.capacity, value);
     }
 
     /// Samples currently held.

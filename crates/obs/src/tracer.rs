@@ -3,12 +3,14 @@
 //! Each traced operation opens a trace ([`Tracer::begin_trace`]) and
 //! receives the root [`SpanContext`]; every boundary the request
 //! crosses derives a child context ([`Tracer::child_of`]) and records a
-//! completed span against it. The buffer is bounded: oldest traces are
-//! evicted first, so a long-running service keeps a sliding window of
-//! recent requests. Finishing a trace ([`Tracer::finish_trace`]) stamps
-//! its status and total duration and offers the complete record to the
-//! attached [`FlightRecorder`], which tail-samples interesting traces
-//! for post-hoc dumps.
+//! completed span against it. The buffer is bounded: at capacity the
+//! oldest *finished* trace is evicted first, so a long-running service
+//! keeps a sliding window of recent requests and a burst of refusals
+//! cannot push out the slow requests still running behind it.
+//! Finishing a trace ([`Tracer::finish_trace`]) stamps its status and
+//! total duration and offers the complete record to the attached
+//! [`FlightRecorder`], which tail-samples interesting traces for
+//! post-hoc dumps.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -150,7 +152,17 @@ impl Tracer {
         let root_span_id = inner.next_span_id;
         inner.next_span_id += 1;
         if inner.traces.len() == inner.capacity {
-            inner.traces.pop_front();
+            // A trace still open is one whose spans and finish are yet
+            // to come — under a shed storm those are exactly the slow
+            // requests the flight recorder exists to keep. The front is
+            // finished in every run that is not overloaded, so this
+            // stays a pop of the front there.
+            let victim = inner
+                .traces
+                .iter()
+                .position(|t| t.record.finished)
+                .unwrap_or(0);
+            inner.traces.remove(victim);
         }
         inner.traces.push_back(TraceEntry {
             record: TraceRecord {
@@ -422,6 +434,34 @@ mod tests {
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].id, b.trace_id);
         assert_eq!(recent[1].id, c.trace_id);
+    }
+
+    #[test]
+    fn a_burst_of_finished_traces_does_not_evict_an_open_one() {
+        let capacity = 4;
+        let t = Tracer::with_capacity(capacity);
+        let recorder = FlightRecorder::new();
+        t.attach_recorder(recorder.clone());
+        let open = t.begin_trace("slow, still running");
+        for k in 0..capacity + 3 {
+            let refused = t.begin_trace(&format!("refused {k}"));
+            t.finish_trace(&refused, TraceStatus::Shed);
+        }
+        assert_eq!(t.len(), capacity);
+        let late = t.child_of(&open);
+        t.record_span(&late, "generate", 0, 7, &[]);
+        assert_eq!(t.spans(open.trace_id).len(), 1, "the open trace lost its span");
+        let finished = t
+            .finish_trace(&open, TraceStatus::DeadlineExceeded)
+            .expect("the open trace was evicted by finished ones");
+        assert!(finished.has_span("generate"));
+        assert!(
+            recorder
+                .retained_for("deadline_exceeded")
+                .iter()
+                .any(|r| r.record.id == open.trace_id),
+            "the recorder was never offered the open trace"
+        );
     }
 
     #[test]
