@@ -8,6 +8,8 @@ use dio_catalog::{DocSample, DomainDb};
 use dio_embed::{Embedder, EmbedderConfig};
 use dio_vecstore::{DocIndex, FlatIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A retrieved context sample with its similarity score.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +88,9 @@ impl ContextExtractor {
         let texts: Vec<String> = samples.iter().map(|s| s.embedding_text()).collect();
         let embedder = Embedder::fit(&config, texts.iter().map(|s| s.as_str()));
         let dims = embedder.dims();
-        let vectors = || embedder.embed_batch(texts.iter().map(|s| s.as_str()));
+        // Lazy: a flat build moves each embedding into the matrix as
+        // it is made instead of holding the whole batch beside it.
+        let vectors = || texts.iter().map(|text| embedder.embed(text));
         let index = match mode {
             RetrievalMode::Random { seed } => IndexKind::Random { samples, seed },
             // An empty corpus has nothing to train a quantiser on.
@@ -96,7 +100,7 @@ impl ContextExtractor {
                     nprobe,
                     ..IvfConfig::default()
                 };
-                let ivf = IvfIndex::train(dims, config, vectors());
+                let ivf = IvfIndex::train(dims, config, vectors().collect());
                 IndexKind::Ivf(DocIndex::from_parts(ivf, samples))
             }
             RetrievalMode::Flat | RetrievalMode::Ivf { .. } => {
@@ -133,8 +137,7 @@ impl ContextExtractor {
                 let samples = index.into_parts().1;
                 let vectors = samples
                     .iter()
-                    .map(|s| self.embedder.embed(&s.embedding_text()))
-                    .collect();
+                    .map(|s| self.embedder.embed(&s.embedding_text()));
                 ("flat", FlatIndex::from_vectors(dims, vectors), samples)
             }
             random @ IndexKind::Random { .. } => {
@@ -261,36 +264,90 @@ impl ContextExtractor {
     }
 }
 
-/// Greedy MMR over prefetched `hits`, at most `k` picks in pick order.
-///
-/// Each remaining candidate carries the running maximum of its
-/// similarity to the picks so far; a pick folds in only its own
-/// similarity to every candidate left. The running fold applies
-/// `f32::max` to the same values in the same (pick) order as taking the
-/// maximum over all picks afresh each round, so the picks are the same.
-fn mmr(index: &impl VectorIndex, mut remaining: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-    const LAMBDA: f32 = 0.75;
-    let mut max_red = vec![0.0f32; remaining.len()];
-    let mut selected = Vec::with_capacity(k.min(remaining.len()));
-    while selected.len() < k && !remaining.is_empty() {
-        let mut best_pos = 0;
-        let mut best_val = f32::NEG_INFINITY;
-        for (pos, (hit, red)) in remaining.iter().zip(&max_red).enumerate() {
-            let val = LAMBDA * hit.score - (1.0 - LAMBDA) * red;
-            if val > best_val {
-                best_val = val;
-                best_pos = pos;
-            }
-        }
-        let pick = remaining.remove(best_pos);
-        max_red.remove(best_pos);
-        for (hit, red) in remaining.iter().zip(&mut max_red) {
-            // A row the index does not hold is redundant with nothing.
-            *red = red.max(index.similarity(hit.id, pick.id).unwrap_or(0.0));
-        }
-        selected.push(pick);
+/// A candidate on the MMR heap. The greatest is the highest value,
+/// then the earliest prefetch position — the first of the best, as a
+/// scan in prefetch order finds it.
+struct Candidate {
+    /// `λ·score − (1−λ)·max_red`, as of the picks seen.
+    value: f32,
+    /// Position in the prefetched hits.
+    pos: usize,
+    /// `f32::max` fold of its similarity to the first `seen` picks.
+    max_red: f32,
+    seen: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value
+            .partial_cmp(&other.value)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.pos.cmp(&self.pos))
     }
-    selected
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
+/// Greedy MMR over prefetched `hits`, at most `k` picks in pick order:
+/// each pick is the first candidate of maximal
+/// `λ·score − (1−λ)·max_red`, `max_red` the `f32::max` fold of its
+/// similarity to the picks so far, in pick order.
+///
+/// Lazily: a candidate's similarity to a pick is computed only when it
+/// could change who is picked next. Each candidate carries how many
+/// picks its `max_red` has folded in and sits on a max-heap by the
+/// value that `max_red` gives. The value is monotone non-increasing in
+/// `max_red` under IEEE rounding and `max_red` only grows, so a stale
+/// value bounds the fresh one from above. The leader is popped and the
+/// picks it has not seen are folded in, in pick order, one at a time
+/// and only while it still leads; once it has seen every pick and
+/// still leads, no other candidate's fresh value can come before it —
+/// it is the eager loop's pick. The fold is the same `f32::max` over
+/// the same values in the same order, only deferred.
+fn mmr(index: &impl VectorIndex, hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+    const LAMBDA: f32 = 0.75;
+    let value = |hit: &SearchHit, max_red: f32| LAMBDA * hit.score - (1.0 - LAMBDA) * max_red;
+    let mut heap: BinaryHeap<Candidate> = hits
+        .iter()
+        .enumerate()
+        .map(|(pos, hit)| Candidate {
+            value: value(hit, 0.0),
+            pos,
+            max_red: 0.0,
+            seen: 0,
+        })
+        .collect();
+    let mut picked: Vec<usize> = Vec::with_capacity(k.min(hits.len()));
+    while picked.len() < k {
+        let Some(mut leader) = heap.pop() else { break };
+        let leads = |c: &Candidate| heap.peek().map_or(true, |next| c > next);
+        while leader.seen < picked.len() && leads(&leader) {
+            let (hit, pick) = (&hits[leader.pos], &hits[picked[leader.seen]]);
+            // A row the index does not hold is redundant with nothing.
+            let similarity = index.similarity(hit.id, pick.id).unwrap_or(0.0);
+            leader.max_red = leader.max_red.max(similarity);
+            leader.seen += 1;
+            leader.value = value(hit, leader.max_red);
+        }
+        if leader.seen == picked.len() && leads(&leader) {
+            picked.push(leader.pos);
+        } else {
+            heap.push(leader);
+        }
+    }
+    picked.into_iter().map(|pos| hits[pos].clone()).collect()
 }
 
 /// Degenerate random mode: deterministic pseudo-random picks.
@@ -544,6 +601,79 @@ mod tests {
             prop_assert_eq!(want.len(), k.min(hits.len()));
             prop_assert_eq!(id_and_bits(&mmr(&flat, hits, k)), id_and_bits(&want));
         }
+    }
+
+    proptest! {
+        /// Ties everywhere: question scores from four values and rows
+        /// from four directions, so values and redundancies coincide
+        /// exactly and every pick is decided by prefetch position.
+        #[test]
+        fn lazy_mmr_breaks_ties_as_the_reference_does(
+            rows in prop::collection::vec(0usize..4, 2..40),
+            scores in prop::collection::vec(prop::sample::select(vec![0.25f32, 0.5, 0.75, 1.0]), 40..41),
+            k in prop::sample::select(vec![1usize, 2, 5, 29, 64]),
+        ) {
+            const DIRECTIONS: [[f32; 3]; 4] =
+                [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 0.0], [0.6, 0.0, 0.8]];
+            let flat = FlatIndex::from_vectors(3, rows.iter().map(|&r| Vector(DIRECTIONS[r].to_vec())));
+            let hits: Vec<SearchHit> = (0..flat.len()).map(|id| SearchHit { id, score: scores[id] }).collect();
+            let want = reference_mmr(&flat, &hits, k);
+            prop_assert_eq!(id_and_bits(&mmr(&flat, hits, k)), id_and_bits(&want));
+        }
+    }
+
+    /// Counts the `similarity` calls MMR makes of the index it wraps.
+    struct Counting {
+        flat: FlatIndex,
+        similarities: std::cell::Cell<usize>,
+    }
+
+    impl VectorIndex for Counting {
+        fn add(&mut self, vector: Vector) -> usize {
+            self.flat.add(vector)
+        }
+        fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
+            self.flat.search(query, k)
+        }
+        fn similarity(&self, a: usize, b: usize) -> Option<f32> {
+            self.similarities.set(self.similarities.get() + 1);
+            self.flat.similarity(a, b)
+        }
+        fn len(&self) -> usize {
+            self.flat.len()
+        }
+        fn dims(&self) -> usize {
+            self.flat.dims()
+        }
+    }
+
+    #[test]
+    fn lazy_mmr_computes_a_third_of_the_similarities_on_the_benchmark_questions() {
+        // Picking 29 of 116 eagerly folds every pick into every
+        // candidate left: 115 + 114 + … + 87 = 2 929 similarities an
+        // ask. Lazily 199 025 over the 200 questions (995 an ask), a
+        // count that repeats: nothing in it depends on time or on
+        // hashing order.
+        const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
+        const K: usize = 29;
+        let world = dio_benchmark::OperatorWorld::build(dio_benchmark::WorldConfig::default());
+        let questions = dio_benchmark::generate_benchmark(&world, 200, BENCHMARK_SEED);
+        let ex = ContextExtractor::build(&world.domain_db(), true);
+        let IndexKind::Flat(docs) = &ex.index else {
+            panic!("default build is flat");
+        };
+        let counting = Counting {
+            flat: docs.index().clone(),
+            similarities: std::cell::Cell::new(0),
+        };
+        for q in &questions {
+            let prefetch = counting.search(&ex.embed_question(&q.text), 4 * K);
+            let want = reference_mmr(docs.index(), &prefetch, K);
+            let got = mmr(&counting, prefetch, K);
+            assert_eq!(id_and_bits(&got), id_and_bits(&want), "{:?}", q.text);
+        }
+        let per_ask = counting.similarities.get() / questions.len();
+        assert!(per_ask <= 1200, "{per_ask} similarities per ask, 2 929 eager");
     }
 
     #[test]

@@ -175,14 +175,6 @@ impl Embedder {
         v.normalize();
         v
     }
-
-    /// Embed a batch of texts.
-    pub fn embed_batch<'a, I>(&self, texts: I) -> Vec<Vector>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        texts.into_iter().map(|t| self.embed(t)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +223,7 @@ mod tests {
     #[test]
     fn question_is_closest_to_matching_description() {
         let e = embedder();
-        let docs = e.embed_batch(corpus());
+        let docs: Vec<Vector> = corpus().into_iter().map(|t| e.embed(t)).collect();
         let q = e.embed("how many authentication requests did the AMF send");
         let scores: Vec<f32> = docs.iter().map(|d| cosine(&q, d)).collect();
         let best = scores

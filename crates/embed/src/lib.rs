@@ -39,6 +39,8 @@
 //! assert!(dio_embed::cosine(&q, &a) > dio_embed::cosine(&q, &b));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod embedder;
 pub mod hashing;
 pub mod idf;
@@ -49,5 +51,7 @@ pub mod vector;
 
 pub use embedder::{Embedder, EmbedderConfig};
 pub use lexicon::Lexicon;
-pub use similarity::{cosine, cosine_with_norms, dot, euclidean, top_k_cosine};
+pub use similarity::{
+    cosine, cosine_of_dot, cosine_with_norms, dot, dot_columns, euclidean, top_k_cosine,
+};
 pub use vector::Vector;

@@ -35,6 +35,58 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// [`dot`] of `query` with every row of a dimension-major matrix:
+/// `out[d]` is bit-equal to `dot(query, row d)`, where component `j` of
+/// row `d` is `columns[j * stride + d]` and every stored component is
+/// finite.
+///
+/// Only the columns of `query`'s non-zero components are read. That is
+/// `dot`'s arithmetic lane for lane — each lane receives the same
+/// products in the same (ascending `j`) order, then the same pairwise
+/// reduction and the same scalar tail — because a skipped term is
+/// `0.0 × y = ±0` for every finite `y`, and adding `±0` leaves a
+/// round-to-nearest sum unchanged unless that sum is `-0.0`. None is: a
+/// lane starts at `+0.0`, `+0.0 + -0.0` is `+0.0` and a sum of
+/// non-zero terms that cancels exactly is `+0.0`, so no lane, no
+/// pairwise sum of lanes and no tail prefix is ever `-0.0`. (An
+/// infinite `y` would make the skipped term NaN; whoever owns the
+/// matrix keeps it finite.)
+pub fn dot_columns(query: &[f32], columns: &[f32], stride: usize, out: &mut [f32]) {
+    let rows = out.len();
+    assert!(rows <= stride, "more rows than the column stride");
+    assert_eq!(columns.len(), query.len() * stride, "matrix shape mismatch");
+    if rows == 0 {
+        return;
+    }
+    // `sums += query[j] · column j`: contiguous, so it vectorises.
+    let add_column = |sums: &mut [f32], j: usize| {
+        let x = query[j];
+        if x != 0.0 {
+            for (sum, y) in sums.iter_mut().zip(&columns[j * stride..][..rows]) {
+                *sum += x * y;
+            }
+        }
+    };
+    // A lane at a time rather than a column at a time: the lanes are
+    // independent, and one lane's partial sums (4 bytes a row) stay in
+    // the first-level cache while its columns stream past them.
+    let body = query.len() - query.len() % LANES;
+    let mut acc = vec![0.0f32; LANES * rows];
+    for (lane, sums) in acc.chunks_exact_mut(rows).enumerate() {
+        for j in (lane..body).step_by(LANES) {
+            add_column(sums, j);
+        }
+    }
+    let acc: [&[f32]; LANES] = std::array::from_fn(|lane| &acc[lane * rows..][..rows]);
+    for (d, sum) in out.iter_mut().enumerate() {
+        *sum = ((acc[0][d] + acc[4][d]) + (acc[2][d] + acc[6][d]))
+            + ((acc[1][d] + acc[5][d]) + (acc[3][d] + acc[7][d]));
+    }
+    for j in body..query.len() {
+        add_column(out, j);
+    }
+}
+
 /// Euclidean (L2) norm.
 pub fn norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -48,10 +100,16 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// [`cosine`] for callers that cached `norm(a)` and `norm(b)`: the same
 /// arithmetic, so the result is bit-equal to `cosine(a, b)`.
 pub fn cosine_with_norms(a: &[f32], norm_a: f32, b: &[f32], norm_b: f32) -> f32 {
+    cosine_of_dot(dot(a, b), norm_a, norm_b)
+}
+
+/// The last step of [`cosine_with_norms`], for callers that hold the
+/// dot product already (a [`dot_columns`] scan).
+pub fn cosine_of_dot(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
     if norm_a == 0.0 || norm_b == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (norm_a * norm_b)).clamp(-1.0, 1.0)
+    (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
 }
 
 /// Euclidean distance.
@@ -170,6 +228,43 @@ mod tests {
                     "dims {}: dot {} vs f64 reference {}", dims, got, reference
                 );
                 prop_assert_eq!(got.to_bits(), dot(&b, &a).to_bits());
+            }
+        }
+
+        /// The column kernel is `dot` row by row, bit for bit: dims
+        /// around one and two lane chunks and at the embedder's width,
+        /// a stride wider than the rows, and queries with zeros of
+        /// either sign, nothing but zeros, and nothing but tail
+        /// components.
+        #[test]
+        fn dot_columns_is_bit_equal_to_dot_on_every_row(
+            raw in prop::collection::vec(-1.0f32..1.0, 64..256),
+            mask in prop::collection::vec(0usize..4, 64..256),
+            rows in 0usize..40,
+            spare in 0usize..3,
+            query_shape in 0usize..4,
+        ) {
+            for dims in [1usize, 7, 8, 9, 16, 17, 384, 385] {
+                let sparse = |i: usize| [0.0, -0.0, raw[i % raw.len()], raw[i % raw.len()]][mask[i % mask.len()]];
+                let matrix: Vec<Vec<f32>> = (0..rows).map(|d| (0..dims).map(|j| sparse(d * dims + j + 1)).collect()).collect();
+                let mut query: Vec<f32> = (0..dims).map(|j| sparse(j * 31)).collect();
+                match query_shape {
+                    0 => query.iter_mut().for_each(|x| *x *= 0.0),
+                    1 => query[..dims - dims % LANES].iter_mut().for_each(|x| *x = 0.0),
+                    _ => {}
+                }
+                let stride = rows + spare;
+                let mut columns = vec![0.0f32; dims * stride];
+                for (d, row) in matrix.iter().enumerate() {
+                    for (j, x) in row.iter().enumerate() {
+                        columns[j * stride + d] = *x;
+                    }
+                }
+                let mut got = vec![f32::NAN; rows];
+                dot_columns(&query, &columns, stride, &mut got);
+                for (d, row) in matrix.iter().enumerate() {
+                    prop_assert_eq!(got[d].to_bits(), dot(&query, row).to_bits(), "dims {} row {}", dims, d);
+                }
             }
         }
 

@@ -150,108 +150,86 @@ impl PromptBuilder {
         let task = self.task.unwrap_or(TaskKind::GeneratePromql);
         let budget = context_window.saturating_sub(reserved_output);
 
-        let skeleton = format!(
-            "{}\n{}\n\n{}\n{}\n\n{}\n{}\n",
+        // `count_tokens` is additive over whitespace-separated pieces,
+        // so the prompt is priced piece by piece as it is assembled.
+        let skeleton = [
             markers::SYSTEM,
-            self.system,
+            &self.system,
+            markers::CONTEXT,
+            markers::FUNCTIONS,
+            markers::EXAMPLES,
             markers::QUESTION,
-            self.question,
+            &self.question,
             markers::TASK,
             task.directive(),
-        );
-        let mut used = count_tokens(&skeleton)
-            + count_tokens(markers::CONTEXT)
-            + count_tokens(markers::FUNCTIONS)
-            + count_tokens(markers::EXAMPLES);
+        ];
+        let mut used: usize = skeleton.iter().map(|piece| count_tokens(piece)).sum();
 
-        // Context in descending relevance (stable for ties).
-        let mut ordered: Vec<&ContextItem> = self.context.iter().collect();
-        ordered.sort_by(|a, b| {
-            b.relevance
-                .partial_cmp(&a.relevance)
+        // Every line is formatted once: priced, and kept to be appended
+        // if it still fits.
+        let mut admit = |piece: String| {
+            let cost = count_tokens(&piece);
+            (used + cost <= budget).then(|| {
+                used += cost;
+                piece
+            })
+        };
+        let item_line =
+            |item: &ContextItem| format!("{}{}: {}", markers::ITEM, item.name, item.text);
+
+        // Context is admitted in descending relevance (stable for ties)
+        // and renders in the builder's insertion order (retrieval rank).
+        let mut ordered: Vec<usize> = (0..self.context.len()).collect();
+        ordered.sort_by(|&a, &b| {
+            self.context[b]
+                .relevance
+                .partial_cmp(&self.context[a].relevance)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-
-        let mut kept_context: Vec<&ContextItem> = Vec::new();
-        let mut dropped_context = 0usize;
-        for item in ordered {
-            let line = format!("{}{}: {}", markers::ITEM, item.name, item.text);
-            let cost = count_tokens(&line);
-            if used + cost <= budget {
-                used += cost;
-                kept_context.push(item);
-            } else {
-                dropped_context += 1;
-            }
+        let mut context_lines: Vec<Option<String>> = vec![None; self.context.len()];
+        for i in ordered {
+            context_lines[i] = admit(item_line(&self.context[i]));
         }
+        let context_lines: Vec<String> = context_lines.into_iter().flatten().collect();
+        let function_lines: Vec<String> = self
+            .functions
+            .iter()
+            .filter_map(|item| admit(item_line(item)))
+            .collect();
+        let example_blocks: Vec<String> = self
+            .examples
+            .iter()
+            .filter_map(|ex| {
+                admit(format!(
+                    "{}{}\n{}{}\n{}{}",
+                    markers::EX_Q,
+                    ex.question,
+                    markers::EX_METRICS,
+                    ex.metrics.join(", "),
+                    markers::EX_PROMQL,
+                    ex.promql,
+                ))
+            })
+            .collect();
 
-        let mut kept_functions: Vec<&ContextItem> = Vec::new();
-        for item in &self.functions {
-            let line = format!("{}{}: {}", markers::ITEM, item.name, item.text);
-            let cost = count_tokens(&line);
-            if used + cost <= budget {
-                used += cost;
-                kept_functions.push(item);
-            }
-        }
-
-        let mut kept_examples: Vec<&FewShotExample> = Vec::new();
-        let mut dropped_examples = 0usize;
-        for ex in &self.examples {
-            let block = format!(
-                "{}{}\n{}{}\n{}{}",
-                markers::EX_Q,
-                ex.question,
-                markers::EX_METRICS,
-                ex.metrics.join(", "),
-                markers::EX_PROMQL,
-                ex.promql,
-            );
-            let cost = count_tokens(&block);
-            if used + cost <= budget {
-                used += cost;
-                kept_examples.push(ex);
-            } else {
-                dropped_examples += 1;
-            }
-        }
-
-        // Render.
         let mut text = String::new();
         text.push_str(markers::SYSTEM);
         text.push('\n');
         text.push_str(&self.system);
         text.push_str("\n\n");
-        text.push_str(markers::CONTEXT);
-        text.push('\n');
-        // Context renders in the builder's insertion order (retrieval
-        // rank), filtered to survivors.
-        for item in &self.context {
-            if kept_context.iter().any(|k| std::ptr::eq(*k, item)) {
-                text.push_str(&format!("{}{}: {}\n", markers::ITEM, item.name, item.text));
+        for (marker, lines) in [
+            (markers::CONTEXT, &context_lines),
+            (markers::FUNCTIONS, &function_lines),
+            (markers::EXAMPLES, &example_blocks),
+        ] {
+            text.push_str(marker);
+            text.push('\n');
+            for line in lines {
+                text.push_str(line);
+                text.push('\n');
             }
+            text.push('\n');
         }
-        text.push('\n');
-        text.push_str(markers::FUNCTIONS);
-        text.push('\n');
-        for item in &kept_functions {
-            text.push_str(&format!("{}{}: {}\n", markers::ITEM, item.name, item.text));
-        }
-        text.push('\n');
-        text.push_str(markers::EXAMPLES);
-        text.push('\n');
-        for ex in &kept_examples {
-            text.push_str(&format!(
-                "{}{}\n{}{}\n{}{}\n",
-                markers::EX_Q,
-                ex.question,
-                markers::EX_METRICS,
-                ex.metrics.join(", "),
-                markers::EX_PROMQL,
-                ex.promql,
-            ));
-        }
-        text.push('\n');
         text.push_str(markers::QUESTION);
         text.push('\n');
         text.push_str(&self.question);
@@ -261,14 +239,14 @@ impl PromptBuilder {
         text.push_str(task.directive());
         text.push('\n');
 
-        let tokens = count_tokens(&text);
+        debug_assert_eq!(used, count_tokens(&text));
         Prompt {
             text,
-            tokens,
-            context_kept: kept_context.len(),
-            context_dropped: dropped_context,
-            examples_kept: kept_examples.len(),
-            examples_dropped: dropped_examples,
+            tokens: used,
+            context_kept: context_lines.len(),
+            context_dropped: self.context.len() - context_lines.len(),
+            examples_kept: example_blocks.len(),
+            examples_dropped: self.examples.len() - example_blocks.len(),
             task,
         }
     }
@@ -301,6 +279,40 @@ mod tests {
             .examples((0..5).map(example))
             .question("how many m3 events happened")
             .task(TaskKind::GeneratePromql)
+    }
+
+    proptest::proptest! {
+        /// `tokens` is the sum of what was priced, never a recount —
+        /// with sections empty or full, functions present or not, and
+        /// windows from one that holds only the skeleton to one that
+        /// holds everything.
+        #[test]
+        fn tokens_is_the_count_of_the_rendered_text(
+            context in 0usize..12,
+            functions in 0usize..4,
+            examples in 0usize..6,
+            window in 0usize..700,
+            reserved in 0usize..80,
+        ) {
+            let mut builder = PromptBuilder::new()
+                .system("You are DIO copilot.")
+                .context((0..context).map(|i| item(&format!("m{i}"), (i * 7 % 5) as f32)))
+                .examples((0..examples).map(example))
+                .question("how many m3 events happened");
+            for i in 0..functions {
+                builder = builder.function(format!("fn_{i}"), "computes  a\tratio, in percent");
+            }
+            let p = builder.build(window, reserved);
+            proptest::prop_assert_eq!(p.tokens, count_tokens(&p.text));
+            proptest::prop_assert_eq!(p.context_kept + p.context_dropped, context);
+            proptest::prop_assert_eq!(p.examples_kept + p.examples_dropped, examples);
+            // Whatever was admitted beyond the skeleton fitted the budget.
+            let functions_kept = p.text.matches(markers::ITEM).count() - p.context_kept;
+            proptest::prop_assert!(functions_kept <= functions);
+            if p.context_kept + functions_kept + p.examples_kept > 0 {
+                proptest::prop_assert!(p.tokens <= window.saturating_sub(reserved));
+            }
+        }
     }
 
     #[test]

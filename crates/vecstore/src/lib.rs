@@ -7,7 +7,8 @@
 //! is a C++/GPU library; this crate provides the same capability natively:
 //!
 //! * [`FlatIndex`] — exact brute-force cosine search (FAISS `IndexFlatIP`
-//!   over normalised vectors) and the only owner of rows and their
+//!   over normalised vectors) and the only owner of rows (row-major for
+//!   whoever reads a row, dimension-major for the full scan) and their
 //!   cached norms,
 //! * [`IvfIndex`] — a k-means coarse quantiser and id-only inverted
 //!   lists over a `FlatIndex` (FAISS `IndexIVFFlat`), trading recall for
@@ -20,6 +21,8 @@
 //!
 //! All search paths are deterministic: equal scores tie-break on insert
 //! order.
+
+#![forbid(unsafe_code)]
 
 pub mod doc;
 pub mod flat;
