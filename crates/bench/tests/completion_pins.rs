@@ -1,8 +1,10 @@
 //! Pins what the simulated model *says*: `ask_pins` holds tokens and
 //! cents, this file holds an FNV-1a digest over `(query, numeric answer
 //! bits, values, usage)` of the benchmark questions through every
-//! system that prompts the model, and over the completion text of the
-//! two task kinds no pipeline issues. The constants were computed at
+//! system that prompts the model — for the copilot also the relevant
+//! metrics, the explanation and the dashboard, everything an ask
+//! derives from the query — and over the completion text of the two
+//! task kinds no pipeline issues. The constants were computed at
 //! the commit before the model's selection and parsing were rewritten
 //! to borrow; a change under `crates/llm/src/sim` that moves one of
 //! them changed a completion.
@@ -57,14 +59,18 @@ impl Fnv {
     }
 }
 
-/// All 200 questions through a copilot; the dashboard (on by default)
-/// is part of what is pinned.
+/// All 200 questions through a copilot; what the ask derives from the
+/// query (the dashboard is on by default) is part of what is pinned.
 fn dio(mut copilot: DioCopilot) -> u64 {
     let exp = exp();
     let mut h = Fnv::new();
     for q in &exp.questions {
         let r = copilot.ask(&q.text, exp.world.eval_ts);
         h.answer(&r.query, r.numeric_answer, &r.values, r.usage);
+        for m in &r.relevant_metrics {
+            h.text(&m.name);
+        }
+        h.text(&r.explanation);
         h.text(&r.dashboard.map(|d| d.to_json()).unwrap_or_default());
     }
     h.0
@@ -108,31 +114,59 @@ impl FoundationModel for MalformedFirstTry {
     }
 }
 
-/// Every pipeline that prompts the model, compared in one assertion
-/// so a failure names each digest that moved.
+fn assert_pinned(what: &str, got: u64, pinned: u64) {
+    assert_eq!(got, pinned, "{what}: {got:#018x}, pinned {pinned:#018x}");
+}
+
+// One test per pipeline, so the harness spreads them over its threads
+// and a failure names the pipeline whose completions moved.
+
 #[test]
-fn answers_are_pinned_through_every_pipeline() {
-    let exp = exp();
+fn dio_gpt4_answers_are_pinned() {
+    let got = dio(exp().copilot(sim(ModelProfile::gpt4_sim())));
+    assert_pinned("dio gpt-4", got, 0xf403_b72c_d1f6_8fc2);
+}
+
+#[test]
+fn dio_gpt35_answers_are_pinned() {
+    let got = dio(exp().copilot(sim(ModelProfile::gpt35_turbo_sim())));
+    assert_pinned("dio gpt-3.5", got, 0x0208_d46e_0461_d14f);
+}
+
+/// curie's 2k window truncates the context: dropped items.
+#[test]
+fn dio_curie_answers_are_pinned() {
+    let got = dio(exp().copilot(sim(ModelProfile::text_curie_sim())));
+    assert_pinned("dio curie", got, 0xb12d_b1e2_3e65_0501);
+}
+
+#[test]
+fn dio_two_stage_answers_are_pinned() {
     let two_stage = CopilotConfig {
         two_stage: true,
         ..CopilotConfig::default()
     };
+    let got = dio(exp().copilot_with_config(sim(ModelProfile::gpt4_sim()), two_stage));
+    assert_pinned("dio gpt-4 two-stage", got, 0xbd17_8b22_31e0_ed62);
+}
+
+#[test]
+fn dio_one_repair_round_answers_are_pinned() {
     let broken = MalformedFirstTry(SimulatedModel::new(ModelProfile::gpt4_sim()));
-    let got = [
-        ("dio gpt-4", dio(exp.copilot(sim(ModelProfile::gpt4_sim())))),
-        ("dio gpt-3.5", dio(exp.copilot(sim(ModelProfile::gpt35_turbo_sim())))),
-        // curie's 2k window truncates the context: dropped items.
-        ("dio curie", dio(exp.copilot(sim(ModelProfile::text_curie_sim())))),
-        (
-            "dio gpt-4 two-stage",
-            dio(exp.copilot_with_config(sim(ModelProfile::gpt4_sim()), two_stage)),
-        ),
-        ("dio gpt-4 one repair round", dio(exp.copilot(Box::new(broken)))),
-        ("din-sql", baseline(exp.dinsql(sim(ModelProfile::gpt4_sim())))),
-        ("direct", baseline(exp.direct(sim(ModelProfile::gpt4_sim())))),
-    ];
-    let hex = |(name, d): (&'static str, u64)| (name, format!("{d:#018x}"));
-    assert_eq!(got.map(hex), PIPELINES.map(hex));
+    let got = dio(exp().copilot(Box::new(broken)));
+    assert_pinned("dio gpt-4 one repair round", got, 0x38fa_28af_39dc_a3d8);
+}
+
+#[test]
+fn dinsql_answers_are_pinned() {
+    let got = baseline(exp().dinsql(sim(ModelProfile::gpt4_sim())));
+    assert_pinned("din-sql", got, 0xa28c_89a6_45e8_a7e2);
+}
+
+#[test]
+fn direct_answers_are_pinned() {
+    let got = baseline(exp().direct(sim(ModelProfile::gpt4_sim())));
+    assert_pinned("direct", got, 0xca9a_d66d_dd5f_9644);
 }
 
 /// `GenerateDashboard` and `AnswerDirectly` are prompted by no
@@ -170,16 +204,5 @@ fn dashboard_and_chat_completions_are_pinned() {
             h.word(c.usage.completion_tokens as u64);
         }
     }
-    assert_eq!(h.0, DASHBOARD_AND_CHAT, "tasks: {:#018x}", h.0);
+    assert_pinned("dashboard and chat", h.0, 0x0cbc_731f_271b_8e92);
 }
-
-const PIPELINES: [(&str, u64); 7] = [
-    ("dio gpt-4", 0xb5e0_d0e5_46cd_ea07),
-    ("dio gpt-3.5", 0x4bd1_78ba_2653_7729),
-    ("dio curie", 0x6efd_5714_c497_c5a0),
-    ("dio gpt-4 two-stage", 0xe012_dff0_0900_51a6),
-    ("dio gpt-4 one repair round", 0x861b_20d2_e4b4_4e99),
-    ("din-sql", 0xa28c_89a6_45e8_a7e2),
-    ("direct", 0xca9a_d66d_dd5f_9644),
-];
-const DASHBOARD_AND_CHAT: u64 = 0x0cbc_731f_271b_8e92;

@@ -545,15 +545,6 @@ impl DioCopilot {
             }
         }
 
-        let context_items: Vec<ContextItem> = hits
-            .iter()
-            .map(|h| ContextItem {
-                name: h.sample.name.clone(),
-                text: first_sentence(&h.sample.text),
-                relevance: h.score,
-            })
-            .collect();
-
         // Budget checkpoint between retrieval and generation: the model
         // stages are the expensive ones, so lapse here rather than
         // start a call that cannot finish in time.
@@ -570,7 +561,7 @@ impl DioCopilot {
                 &ask,
                 PromptBuilder::new()
                     .system(SYSTEM_PROMPT)
-                    .context(context_items.clone())
+                    .context(gen_context(&hits, &[]))
                     .question(question)
                     .task(TaskKind::IdentifyMetrics),
             );
@@ -592,20 +583,12 @@ impl DioCopilot {
 
         // Stage 3: few-shot code generation over the selected metrics
         // (two-stage) or the full retrieved context (merged).
-        let selected_items: Vec<ContextItem> = context_items
-            .iter()
-            .filter(|c| identified.contains(&c.name))
-            .cloned()
-            .collect();
-        let gen_context = if selected_items.is_empty() {
-            // Merged mode, or an empty two-stage selection: use the
-            // full retrieved context.
-            context_items
-        } else {
-            selected_items
-        };
-        let gen_request =
-            self.codegen_request(&ask, SYSTEM_PROMPT, &gen_context, TaskKind::GeneratePromql);
+        let gen_request = self.codegen_request(
+            &ask,
+            SYSTEM_PROMPT,
+            gen_context(&hits, &identified),
+            TaskKind::GeneratePromql,
+        );
         let generated = self.generate(&mut ask, &gen_request);
 
         // Stage 4: sandboxed execution with self-repair. A model error
@@ -621,7 +604,7 @@ impl DioCopilot {
             error,
             degradation,
             completeness,
-        } = self.execute_with_repair(&mut ask, generated, &gen_context, &hits);
+        } = self.execute_with_repair(&mut ask, generated, &identified, &hits);
         if let Some(CopilotError::DeadlineExceeded { stage }) = &error {
             let stage = stage.clone();
             return self.deadline_abort(ask, query, &stage);
@@ -637,10 +620,14 @@ impl DioCopilot {
             .inc();
 
         // Relevant metrics for the rendered response: the identified
-        // set, falling back to whatever the query references.
+        // set, falling back to whatever the query references. The
+        // final query is parsed once, for this and for the explanation.
+        let executed = canonical.is_some();
+        let final_query = canonical.unwrap_or(query);
+        let parsed = dio_promql::parse(&final_query);
         let mut shown = identified;
         if shown.is_empty() {
-            if let Ok(expr) = dio_promql::parse(&query) {
+            if let Ok(expr) = &parsed {
                 shown = expr.metric_names();
             }
         }
@@ -667,7 +654,12 @@ impl DioCopilot {
                 .collect();
             let range = TimeRange::last(ts, self.config.dashboard_span_ms, 60);
             Some(ask.stage("dashboard", |_, _| {
-                generate_dashboard(question, &hints, canonical.as_deref(), range)
+                generate_dashboard(
+                    question,
+                    &hints,
+                    executed.then_some(final_query.as_str()),
+                    range,
+                )
             }))
         } else {
             None
@@ -688,11 +680,10 @@ impl DioCopilot {
         let status = crate::answer::trace_status(error.as_ref(), degradation);
         let (usage, cost_cents, trace) = self.wind_down(ask, status);
 
-        let final_query = canonical.unwrap_or(query);
         CopilotResponse {
             question: question.to_string(),
             relevant_metrics,
-            explanation: dio_promql::explain_query(&final_query),
+            explanation: dio_promql::explain_parsed(&parsed),
             query: final_query,
             numeric_answer,
             values,
@@ -799,12 +790,12 @@ impl DioCopilot {
         &self,
         ask: &Ask<'_>,
         system: impl Into<String>,
-        context: &[ContextItem],
+        context: Vec<ContextItem>,
         task: TaskKind,
     ) -> CompletionRequest {
         let mut prompt = PromptBuilder::new()
             .system(system)
-            .context(context.iter().cloned())
+            .context(context)
             .examples(
                 self.exemplars
                     .iter()
@@ -923,7 +914,7 @@ impl DioCopilot {
         &mut self,
         ask: &mut Ask<'_>,
         generated: Result<String, CopilotError>,
-        gen_context: &[ContextItem],
+        identified: &[String],
         hits: &[crate::extractor::Retrieved],
     ) -> ExecResolution {
         let mut query = match generated {
@@ -1029,7 +1020,7 @@ impl DioCopilot {
                     "{SYSTEM_PROMPT}\nThe previous query failed in the sandbox.\n\
                      Failed query: {query}\nSandbox: {sandbox_err}\nFix: {hint}"
                 ),
-                gen_context,
+                gen_context(hits, identified),
                 TaskKind::RepairPromql,
             );
             match self.generate(ask, &repair_request) {
@@ -1156,6 +1147,28 @@ impl DioCopilot {
 /// System prompt shared by both stages.
 const SYSTEM_PROMPT: &str = "You are DIO copilot, a natural language interface for retrieval \
 and analytics tasks on 5G operator data. Use only metrics from CONTEXT. Answer with PromQL.";
+
+/// The context a prompt shows: the retrieved items `identified` names,
+/// or all of them when it names none (merged mode, or an empty
+/// two-stage selection). Built per request and moved into the builder;
+/// a repair round, the rare path, builds it again.
+fn gen_context(hits: &[crate::extractor::Retrieved], identified: &[String]) -> Vec<ContextItem> {
+    let item = |h: &crate::extractor::Retrieved| ContextItem {
+        name: h.sample.name.clone(),
+        text: first_sentence(&h.sample.text),
+        relevance: h.score,
+    };
+    let selected: Vec<ContextItem> = hits
+        .iter()
+        .filter(|h| identified.contains(&h.sample.name))
+        .map(item)
+        .collect();
+    if selected.is_empty() {
+        hits.iter().map(item).collect()
+    } else {
+        selected
+    }
+}
 
 /// First sentence of a description (keeps prompts within the paper's
 /// cost envelope while preserving the discriminative tokens).

@@ -17,43 +17,86 @@ const STOPWORDS: &[&str] = &[
     "when", "how", "me", "my", "do", "does", "did", "please", "show", "tell", "give",
 ];
 
-/// Lower-case a string and split it into alphanumeric word tokens.
+/// The lower-cased words of one or more texts, back to back in one
+/// buffer: the borrowed form of [`words`], for callers that tokenise
+/// many short texts and only compare the tokens.
 ///
-/// Every maximal run of ASCII alphanumeric characters becomes one token.
-/// Non-ASCII alphabetic characters are treated as part of words too, so
-/// the function is safe on arbitrary UTF-8 input.
-pub fn words(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
+/// Every maximal run of alphanumeric characters becomes one word,
+/// lower-cased `char` by `char` — so a word-final `Σ` becomes `σ`, not
+/// the `ς` that `str::to_lowercase` writes, and `İ` becomes `i` plus a
+/// combining dot that stays inside its word. Non-ASCII alphabetic
+/// characters are part of words too, so any UTF-8 input is safe.
+#[derive(Debug, Clone, Default)]
+pub struct WordBuf {
+    text: String,
+    /// Byte offset in `text` where each word ends; a word starts where
+    /// the one before it ends.
+    ends: Vec<usize>,
+}
+
+impl WordBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        WordBuf::default()
+    }
+
+    /// Append the words of `text`; the returned range indexes them.
+    pub fn push_text(&mut self, text: &str) -> std::ops::Range<usize> {
+        let first = self.ends.len();
+        let mut open = false;
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                self.text.extend(ch.to_lowercase());
+                open = true;
+            } else if open {
+                self.ends.push(self.text.len());
+                open = false;
             }
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
         }
+        if open {
+            self.ends.push(self.text.len());
+        }
+        first..self.ends.len()
     }
-    if !cur.is_empty() {
-        out.push(cur);
+
+    /// The `i`-th word pushed.
+    fn word(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
     }
-    out
+
+    /// The words of one pushed text, in order.
+    pub fn words(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> + Clone {
+        range.map(move |i| self.word(i))
+    }
+
+    /// [`WordBuf::words`] with stopwords removed — or all of them kept,
+    /// when removing would leave nothing (e.g. the query "what is this").
+    pub fn content_words(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
+        let keep_all = self.words(range.clone()).all(is_stopword);
+        self.words(range)
+            .filter(move |w| keep_all || !is_stopword(w))
+    }
+}
+
+fn is_stopword(word: &str) -> bool {
+    STOPWORDS.contains(&word)
+}
+
+/// Lower-case a string and split it into alphanumeric word tokens, each
+/// owned: [`WordBuf`]'s rule.
+pub fn words(text: &str) -> Vec<String> {
+    let mut buf = WordBuf::new();
+    let range = buf.push_text(text);
+    buf.words(range).map(String::from).collect()
 }
 
 /// [`words`] with stopwords removed. Falls back to the full token list
 /// when filtering would leave nothing (e.g. the query "what is this").
 pub fn content_words(text: &str) -> Vec<String> {
-    let all = words(text);
-    let filtered: Vec<String> = all
-        .iter()
-        .filter(|w| !STOPWORDS.contains(&w.as_str()))
-        .cloned()
-        .collect();
-    if filtered.is_empty() {
-        all
-    } else {
-        filtered
-    }
+    let mut buf = WordBuf::new();
+    let range = buf.push_text(text);
+    buf.content_words(range).map(String::from).collect()
 }
 
 /// Character n-grams of a single token, fastText style: the token is
@@ -155,6 +198,41 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(word_bigrams(&toks), vec!["auth_request", "request_success"]);
+    }
+
+    #[test]
+    fn lowercases_char_by_char_not_by_string() {
+        // `str::to_lowercase` writes a word-final sigma as `ς`; the
+        // tokeniser's contract is the per-`char` mapping.
+        assert_eq!(words("ΟΔΟΣ ΣΟΣ"), vec!["οδοσ", "σοσ"]);
+        assert_ne!("ΟΔΟΣ".to_lowercase(), "οδοσ");
+        // `İ` lower-cases to `i` + U+0307, which is not alphanumeric on
+        // its own but must not split the word it is written into.
+        assert_eq!(words("İstanbul5G x"), vec!["i\u{307}stanbul5g", "x"]);
+        assert_eq!(words("Straße"), vec!["straße"]);
+    }
+
+    #[test]
+    fn word_buf_indexes_each_pushed_text() {
+        let mut buf = WordBuf::new();
+        let name = buf.push_text("amfcc_N1_auth");
+        let none = buf.push_text(" -- ");
+        let text = buf.push_text("The number of AUTH requests.");
+        assert_eq!(
+            buf.words(name.clone()).collect::<Vec<_>>(),
+            ["amfcc", "n1", "auth"]
+        );
+        assert!(none.is_empty());
+        assert_eq!(
+            buf.content_words(text.clone()).collect::<Vec<_>>(),
+            ["number", "auth", "requests"]
+        );
+        assert_eq!(buf.word(text.start), "the");
+        let stop = buf.push_text("what is this");
+        assert_eq!(
+            buf.content_words(stop).collect::<Vec<_>>(),
+            ["what", "is", "this"]
+        );
     }
 
     #[test]

@@ -13,20 +13,20 @@
 //! spelled-out counter.
 
 use crate::sim::noise;
-use crate::sim::reason::{QuestionAnalysis, RoleNeed, TaskShape};
+use crate::sim::reason::{QuestionAnalysis, RoleNeed, TaskShape, IFACE_TAGS, NF_PREFIXES};
 use crate::sim::select::Selection;
-use dio_embed::tokenize::words;
+use dio_embed::tokenize::WordBuf;
 
 /// Tier-dependent code-generation behaviour.
-#[derive(Debug, Clone)]
-pub struct CodegenConfig {
+#[derive(Debug, Clone, Copy)]
+pub struct CodegenConfig<'a> {
     /// Probability of applying the correct template when exemplars
     /// cover the shape.
     pub template_strength: f64,
     /// Probability of guessing a correct template with *no* exemplars.
     pub naive_strength: f64,
     /// Model name for deterministic noise.
-    pub model_name: String,
+    pub model_name: &'a str,
 }
 
 /// Generate a PromQL expression for the analysed question.
@@ -40,8 +40,8 @@ pub fn generate_promql(
     selections: &[Selection],
     examples_present: bool,
     shape_covered: bool,
-    schema_names: &[String],
-    cfg: &CodegenConfig,
+    schema_names: &[&str],
+    cfg: &CodegenConfig<'_>,
     question: &str,
 ) -> String {
     // Resolve one metric name per role, fabricating when selection
@@ -49,16 +49,7 @@ pub fn generate_promql(
     // attempt/success/duration roles of a failure question drops the
     // cause words: the model reconstructs the procedure's base counter
     // by convention from whatever sibling it did see.
-    let cause_tokens: Vec<String> = analysis
-        .cause_phrases
-        .iter()
-        .flat_map(|p| dio_embed::tokenize::content_words(p))
-        .collect();
-    let cause_token_sets: Vec<Vec<String>> = analysis
-        .cause_phrases
-        .iter()
-        .map(|p| dio_embed::tokenize::content_words(p))
-        .collect();
+    let cause_word = |t: &String| analysis.cause_tokens.iter().any(|set| set.contains(t));
     let names: Vec<String> = selections
         .iter()
         .map(|sel| match &sel.name {
@@ -67,14 +58,15 @@ pub fn generate_promql(
                 RoleNeed::FailureCause { index } => {
                     // The cause words become the suffix; words of any
                     // *other* mentioned cause are dropped entirely.
-                    let own: &[String] = cause_token_sets
+                    let own: &[String] = analysis
+                        .cause_tokens
                         .get(index)
                         .map(|v| v.as_slice())
                         .unwrap_or(&[]);
                     let tokens: Vec<String> = analysis
                         .tokens
                         .iter()
-                        .filter(|t| own.contains(t) || !cause_tokens.contains(t))
+                        .filter(|t| own.contains(t) || !cause_word(t))
                         .cloned()
                         .collect();
                     fabricate_with_cause(&tokens, &sel.role, Some(own), schema_names)
@@ -84,7 +76,7 @@ pub fn generate_promql(
                     let tokens: Vec<String> = analysis
                         .tokens
                         .iter()
-                        .filter(|t| !cause_tokens.contains(t))
+                        .filter(|t| !cause_word(t))
                         .cloned()
                         .collect();
                     fabricate_name(&tokens, &sel.role, schema_names)
@@ -100,22 +92,30 @@ pub fn generate_promql(
             // Generalising to an undemonstrated shape is harder.
             cfg.template_strength * 0.85
         };
-        if noise::coin(&[question, &cfg.model_name, "template"], strength) {
+        if noise::coin(&[question, cfg.model_name, "template"], strength) {
             canonical_template(analysis.shape, &names)
         } else {
-            degraded_template(analysis.shape, &names, question, &cfg.model_name)
+            degraded_template(analysis.shape, &names, question, cfg.model_name)
         }
-    } else if noise::coin(&[question, &cfg.model_name, "naive"], cfg.naive_strength) {
+    } else if noise::coin(&[question, cfg.model_name, "naive"], cfg.naive_strength) {
         canonical_template(analysis.shape, &names)
     } else {
         naive_template(analysis.shape, &names)
     }
 }
 
+/// The `i`-th resolved name, for the templates below.
+fn name_at(names: &[String], i: usize) -> String {
+    names
+        .get(i)
+        .cloned()
+        .unwrap_or_else(|| "unknown_metric".into())
+}
+
 /// The canonical expression per shape — what the few-shot exemplars
 /// demonstrate and what the benchmark references use.
 pub fn canonical_template(shape: TaskShape, names: &[String]) -> String {
-    let n = |i: usize| names.get(i).cloned().unwrap_or_else(|| "unknown_metric".into());
+    let n = |i| name_at(names, i);
     match shape {
         TaskShape::CurrentValue | TaskShape::TotalCount => format!("sum({})", n(0)),
         TaskShape::AverageValue => format!("avg({})", n(0)),
@@ -131,7 +131,7 @@ pub fn canonical_template(shape: TaskShape, names: &[String]) -> String {
 
 /// A deterministic wrong-but-plausible variant (template noise).
 fn degraded_template(shape: TaskShape, names: &[String], question: &str, model: &str) -> String {
-    let n = |i: usize| names.get(i).cloned().unwrap_or_else(|| "unknown_metric".into());
+    let n = |i| name_at(names, i);
     let variant = noise::pick(&[question, model, "degrade"], 3);
     match shape {
         TaskShape::CurrentValue | TaskShape::TotalCount => match variant {
@@ -175,7 +175,7 @@ fn degraded_template(shape: TaskShape, names: &[String], question: &str, model: 
 /// What a capable general model produces with *no* exemplars: missing
 /// aggregation wrappers and missing unit factors.
 fn naive_template(shape: TaskShape, names: &[String]) -> String {
-    let n = |i: usize| names.get(i).cloned().unwrap_or_else(|| "unknown_metric".into());
+    let n = |i| name_at(names, i);
     match shape {
         TaskShape::CurrentValue | TaskShape::TotalCount => n(0),
         TaskShape::AverageValue => n(0),
@@ -199,14 +199,12 @@ const ROLE_WORDS: &[&str] = &[
     "forward", "forwarded", "transmitted", "completed", "long", "much", "interface", "reference", "point",
 ];
 
-/// Interface segments that may follow the NF+service prefix in names.
-const IFACE_SEGS: &[&str] = &["n1", "n2", "n3", "n4", "n6", "n7", "n9", "n11", "nwu"];
-
 /// The most common first segment among schema names belonging to the
 /// NF the question mentions.
-fn nf_prefix_fallback(tokens: &[String], schema_names: &[String]) -> Option<String> {
-    let nf = ["amf", "smf", "nrf", "nssf", "n3iwf", "upf"]
-        .into_iter()
+fn nf_prefix_fallback(tokens: &[String], schema_names: &[&str]) -> Option<String> {
+    let nf = NF_PREFIXES
+        .iter()
+        .copied()
         .find(|p| tokens.iter().any(|t| t == p))?;
     let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for name in schema_names {
@@ -221,15 +219,14 @@ fn nf_prefix_fallback(tokens: &[String], schema_names: &[String]) -> Option<Stri
         .map(|(p, _)| p.to_string())
 }
 
-/// NF / interface tokens carried by the inferred prefix, not the phrase.
-const PREFIX_WORDS: &[&str] = &[
-    "amf", "smf", "nrf", "nssf", "n3iwf", "upf", "instance", "instances", "pfcp", "gtp", "u",
-];
+/// Tokens that, like the [`NF_PREFIXES`], are carried by the inferred
+/// prefix, not the phrase.
+const PREFIX_WORDS: &[&str] = &["instance", "instances", "pfcp", "gtp", "u"];
 
 /// Fabricate a metric name from question words plus naming conventions
 /// inferred from the visible schema names (the model's "pretraining
 /// knowledge" of vendor conventions).
-pub fn fabricate_name(tokens: &[String], role: &RoleNeed, schema_names: &[String]) -> String {
+pub fn fabricate_name(tokens: &[String], role: &RoleNeed, schema_names: &[&str]) -> String {
     fabricate_with_cause(tokens, role, None, schema_names)
 }
 
@@ -240,7 +237,7 @@ pub fn fabricate_with_cause(
     tokens: &[String],
     role: &RoleNeed,
     cause_tokens: Option<&[String]>,
-    schema_names: &[String],
+    schema_names: &[&str],
 ) -> String {
     // 1. The procedure phrase: question tokens minus role/task/NF words
     //    (and minus cause words, which belong in the suffix).
@@ -248,6 +245,7 @@ pub fn fabricate_with_cause(
         .iter()
         .filter(|t| {
             !ROLE_WORDS.contains(&t.as_str())
+                && !NF_PREFIXES.contains(&t.as_str())
                 && !PREFIX_WORDS.contains(&t.as_str())
                 && cause_tokens.map_or(true, |c| !c.contains(t))
         })
@@ -294,10 +292,14 @@ pub fn fabricate_with_cause(
     // 3. Prefix inference: find the schema name sharing the most phrase
     //    tokens and reuse its leading segments (service prefix +
     //    interface) up to the first shared token.
-    let mut best: Option<(usize, &String)> = None;
-    for name in schema_names {
-        let name_toks = words(name);
-        let overlap = phrase.iter().filter(|p| name_toks.contains(p)).count();
+    let mut best: Option<(usize, &str)> = None;
+    let mut name_words = WordBuf::new();
+    for &name in schema_names {
+        let range = name_words.push_text(name);
+        let overlap = phrase
+            .iter()
+            .filter(|p| name_words.words(range.clone()).any(|w| w == *p))
+            .count();
         if overlap > 0 {
             match best {
                 Some((b, _)) if b >= overlap => {}
@@ -316,7 +318,7 @@ pub fn fabricate_with_cause(
             // interface tag; anything further belongs to a *different*
             // procedure's slug and must not leak into the fabrication.
             let mut take = first_match.min(1);
-            if first_match >= 1 && segs.len() >= 2 && IFACE_SEGS.contains(&segs[1]) {
+            if first_match >= 1 && segs.len() >= 2 && IFACE_TAGS.contains(&segs[1]) {
                 take = 2;
             }
             segs[..take].join("_")
@@ -351,11 +353,11 @@ mod tests {
         }
     }
 
-    fn cfg(t: f64, n: f64) -> CodegenConfig {
+    fn cfg(t: f64, n: f64) -> CodegenConfig<'static> {
         CodegenConfig {
             template_strength: t,
             naive_strength: n,
-            model_name: "gpt-4-sim".into(),
+            model_name: "gpt-4-sim",
         }
     }
 
@@ -426,10 +428,7 @@ mod tests {
     fn fabrication_infers_prefix_from_sibling_names() {
         let q = "How many initial registration attempts did the AMF handle?";
         let a = analyze(q);
-        let schema = vec![
-            "amfcc_n1_registration_request_sent".to_string(),
-            "upfup_n3_ul_bytes".to_string(),
-        ];
+        let schema = ["amfcc_n1_registration_request_sent", "upfup_n3_ul_bytes"];
         let name = fabricate_name(&a.tokens, &RoleNeed::Attempt, &schema);
         assert_eq!(name, "amfcc_n1_initial_registration_attempt");
     }

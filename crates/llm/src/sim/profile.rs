@@ -5,7 +5,7 @@ use crate::model::{Completion, CompletionRequest, FoundationModel, ModelError, T
 use crate::sim::codegen::{generate_promql, CodegenConfig};
 use crate::sim::noise;
 use crate::sim::parse::parse_prompt;
-use crate::sim::reason::{analyze, TaskShape};
+use crate::sim::reason::{analyze, shape_of};
 use crate::sim::select::{select_metrics, SelectionConfig};
 use crate::tokens::count_tokens;
 use serde::{Deserialize, Serialize};
@@ -91,19 +91,19 @@ impl SimulatedModel {
         &self.profile
     }
 
-    fn selection_config(&self) -> SelectionConfig {
+    fn selection_config(&self) -> SelectionConfig<'_> {
         SelectionConfig {
             paraphrase_strength: self.profile.paraphrase_strength,
             selection_strength: self.profile.selection_strength,
-            model_name: self.profile.name.clone(),
+            model_name: &self.profile.name,
         }
     }
 
-    fn codegen_config(&self) -> CodegenConfig {
+    fn codegen_config(&self) -> CodegenConfig<'_> {
         CodegenConfig {
             template_strength: self.profile.template_strength,
             naive_strength: self.profile.naive_strength,
-            model_name: self.profile.name.clone(),
+            model_name: &self.profile.name,
         }
     }
 }
@@ -140,20 +140,23 @@ impl FoundationModel for SimulatedModel {
 
         let parsed = parse_prompt(&request.prompt.text);
         let task = parsed.task.unwrap_or(request.prompt.task);
-        let analysis = analyze(&parsed.question);
-        let selections = select_metrics(
-            &analysis,
-            &parsed.context,
-            &self.selection_config(),
-            &parsed.question,
-        );
-        let schema_names: Vec<String> =
-            parsed.context.iter().map(|i| i.name.clone()).collect();
+        // Only the arms that name metrics read the question and score
+        // the context; the chat answer looks at neither.
+        let select = || {
+            let analysis = analyze(&parsed.question);
+            let selections = select_metrics(
+                &analysis,
+                &parsed.context,
+                &self.selection_config(),
+                &parsed.question,
+            );
+            (analysis, selections)
+        };
 
         let text = match task {
             TaskKind::IdentifyMetrics => {
-                let names: Vec<String> =
-                    selections.iter().filter_map(|s| s.name.clone()).collect();
+                let (_, selections) = select();
+                let names: Vec<String> = selections.into_iter().filter_map(|s| s.name).collect();
                 if names.is_empty() {
                     "none".to_string()
                 } else {
@@ -164,23 +167,24 @@ impl FoundationModel for SimulatedModel {
             // exactly like generation: the simulated model's "fix" for a
             // corrupted query is a clean re-synthesis.
             TaskKind::GeneratePromql | TaskKind::RepairPromql => {
-                let examples_present = !parsed.examples.is_empty();
-                let covered: std::collections::HashSet<TaskShape> = parsed
+                let (analysis, selections) = select();
+                let shape_covered = parsed
                     .examples
                     .iter()
-                    .map(|e| analyze(&e.question).shape)
-                    .collect();
+                    .any(|e| shape_of(e.question) == analysis.shape);
+                let schema_names: Vec<&str> = parsed.context.iter().map(|i| i.name).collect();
                 generate_promql(
                     &analysis,
                     &selections,
-                    examples_present,
-                    covered.contains(&analysis.shape),
+                    !parsed.examples.is_empty(),
+                    shape_covered,
                     &schema_names,
                     &self.codegen_config(),
                     &parsed.question,
                 )
             }
             TaskKind::GenerateDashboard => {
+                let (_, selections) = select();
                 let mut lines = Vec::new();
                 for s in selections.iter().filter_map(|s| s.name.as_deref()) {
                     let gaugeish = GAUGE_SUFFIXES.iter().any(|g| s.ends_with(g));

@@ -78,6 +78,8 @@ pub struct QuestionAnalysis {
     /// with cause 'X'" / "either with X or with Y" constructions, in
     /// mention order.
     pub cause_phrases: Vec<String>,
+    /// The content words of each cause phrase, in the same order.
+    pub cause_tokens: Vec<Vec<String>>,
     /// Roles to select, in canonical expression order.
     pub roles: Vec<RoleNeed>,
 }
@@ -92,13 +94,21 @@ pub const TASK_CUE_WORDS: &[&str] = &[
     "per", "second", "many", "much", "how", "what", "number", "count", "value", "long",
 ];
 
-/// Analyse a question deterministically from keyword cues.
-pub fn analyze(question: &str) -> QuestionAnalysis {
-    let lower = question.to_lowercase();
-    let tokens = content_words(&lower);
-    let has = |phrase: &str| lower.contains(phrase);
+/// Network-function prefixes recognised in metric names and questions.
+pub(crate) const NF_PREFIXES: &[&str] = &["amf", "smf", "nrf", "nssf", "n3iwf", "upf"];
 
-    let shape = if has("success rate") || (has("percent") && has("success")) {
+/// Interface tags recognised in metric names and questions.
+pub(crate) const IFACE_TAGS: &[&str] = &["n1", "n2", "n3", "n4", "n6", "n7", "n9", "n11", "nwu"];
+
+/// The task shape alone — all the model reads of a few-shot exemplar's
+/// question.
+pub fn shape_of(question: &str) -> TaskShape {
+    shape_of_lower(&question.to_lowercase())
+}
+
+fn shape_of_lower(lower: &str) -> TaskShape {
+    let has = |phrase: &str| lower.contains(phrase);
+    if has("success rate") || (has("percent") && has("success")) {
         TaskShape::SuccessRatePercent
     } else if (has("fraction") || has("ratio") || has("share")) && (has("fail") || has("reject"))
     {
@@ -109,7 +119,7 @@ pub fn analyze(question: &str) -> QuestionAnalysis {
         }
     } else if (has("average") || has("mean")) && has("duration") {
         TaskShape::MeanDurationMs
-    } else if has("per second") || has("per-second") || lower.contains("rate of") {
+    } else if has("per second") || has("per-second") || has("rate of") {
         TaskShape::RatePerSecond
     } else if has("average") || has("mean") {
         TaskShape::AverageValue
@@ -117,7 +127,14 @@ pub fn analyze(question: &str) -> QuestionAnalysis {
         TaskShape::CurrentValue
     } else {
         TaskShape::TotalCount
-    };
+    }
+}
+
+/// Analyse a question deterministically from keyword cues.
+pub fn analyze(question: &str) -> QuestionAnalysis {
+    let lower = question.to_lowercase();
+    let tokens = content_words(&lower);
+    let shape = shape_of_lower(&lower);
 
     let roles = match shape {
         TaskShape::CurrentValue
@@ -142,11 +159,13 @@ pub fn analyze(question: &str) -> QuestionAnalysis {
         .cloned()
         .collect();
 
+    let cause_phrases = extract_cause_phrases(&lower);
     QuestionAnalysis {
         shape,
         tokens,
         phrase_tokens,
-        cause_phrases: extract_cause_phrases(&lower),
+        cause_tokens: cause_phrases.iter().map(|p| content_words(p)).collect(),
+        cause_phrases,
         roles,
     }
 }
@@ -268,5 +287,43 @@ mod tests {
     fn analysis_is_deterministic() {
         let q = "what is the handover success rate";
         assert_eq!(analyze(q), analyze(q));
+    }
+
+    #[test]
+    fn cause_tokens_are_the_content_words_of_each_phrase() {
+        let a = analyze(
+            "What share of service requests failed either with congestion or with the timer expiry?",
+        );
+        assert_eq!(
+            a.cause_tokens,
+            vec![vec!["congestion"], vec!["timer", "expiry"]]
+        );
+        assert!(analyze("How many paging attempts?").cause_tokens.is_empty());
+    }
+
+    /// Cue phrases of the keyword ladder, so generated text reaches
+    /// every rung and not only the default.
+    const CUES: &[&str] = &[
+        "success rate", "percent", "success", "fraction", "ratio", "share", "fail", "reject",
+        " or with ", " or due to ", "either", "average", "mean", "duration", "per second",
+        "per-second", "rate of", "currently", "right now", "at the moment", "current", "PERCENT",
+        "SucCess Rate", "ΟΔΟΣ", "İ",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn shape_of_is_the_shape_analyze_detects(
+            noise in proptest::prop::collection::vec(".{0,12}", 5..6),
+            cues in proptest::prop::collection::vec(0usize..CUES.len(), 0..5),
+        ) {
+            let mut q = String::new();
+            for (i, n) in noise.iter().enumerate() {
+                q.push_str(n);
+                if let Some(&c) = cues.get(i) {
+                    q.push_str(CUES[c]);
+                }
+            }
+            proptest::prop_assert_eq!(shape_of(&q), analyze(&q).shape);
+        }
     }
 }

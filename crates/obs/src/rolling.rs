@@ -56,10 +56,11 @@ impl RollingQuantile {
         if n == 0 {
             return None;
         }
-        let mut sorted: Vec<u64> = self.window.iter().copied().collect();
-        sorted.sort_unstable();
+        // One rank is read, so the window is partitioned around it, not
+        // sorted: the flight recorder asks on every finished trace.
+        let mut samples: Vec<u64> = self.window.iter().copied().collect();
         let rank = (n as f64 * q).ceil() as usize;
-        Some(sorted[rank.clamp(1, n) - 1])
+        Some(*samples.select_nth_unstable(rank.clamp(1, n) - 1).1)
     }
 }
 
@@ -79,6 +80,20 @@ mod tests {
         assert_eq!(w.quantile(0.99), Some(100));
         assert_eq!(w.quantile(0.0), Some(10));
         assert_eq!(w.quantile(1.0), Some(100));
+    }
+
+    #[test]
+    fn quantile_is_the_sorted_windows_rank_on_every_q() {
+        let mut w = RollingQuantile::new(64);
+        for i in 0..200u64 {
+            w.push(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56);
+            let mut sorted: Vec<u64> = w.window.iter().copied().collect();
+            sorted.sort_unstable();
+            for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+                let rank = (sorted.len() as f64 * q).ceil() as usize;
+                assert_eq!(w.quantile(q), Some(sorted[rank.clamp(1, sorted.len()) - 1]));
+            }
+        }
     }
 
     #[test]

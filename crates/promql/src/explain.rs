@@ -144,9 +144,14 @@ pub fn explain_expr(expr: &Expr) -> String {
 
 /// Explain a query string; parse errors explain themselves.
 pub fn explain_query(query: &str) -> String {
-    match crate::parser::parse(query) {
+    explain_parsed(&crate::parser::parse(query))
+}
+
+/// [`explain_query`] for a caller that already parsed the query.
+pub fn explain_parsed(parsed: &Result<Expr, crate::error::ParseError>) -> String {
+    match parsed {
         Ok(expr) => {
-            let body = explain_expr(&expr);
+            let body = explain_expr(expr);
             format!("This computes {body}.")
         }
         Err(e) => format!("This query does not parse: {e}."),

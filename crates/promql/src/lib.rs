@@ -61,7 +61,7 @@ pub use engine::{Engine, EngineOptions, ExecutorKind, QueryStats, RangeResult};
 pub use exec::ExecCtx;
 pub use plan::{PhysicalPlan, PlanNode, ScanSpec};
 pub use error::{EvalError, ParseError};
-pub use explain::explain_query;
+pub use explain::{explain_parsed, explain_query};
 pub use parser::parse;
 pub use printer::format_expr;
 pub use value::{InstantVector, RangeVector, Value, VectorSample};
