@@ -19,10 +19,10 @@
 //! harness evaluates; it is implemented by both baselines and by
 //! [`dio_copilot::DioCopilot`].
 
-pub mod dinsql;
-pub mod direct;
-pub mod interface;
-pub mod schema;
+mod dinsql;
+mod direct;
+mod interface;
+mod schema;
 
 pub use dinsql::DinSqlBaseline;
 pub use direct::DirectModelBaseline;

@@ -21,7 +21,7 @@ pub fn sample_schema(db: &DomainDb, n: usize, seed: u64) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
+    use dio_catalog::{generate_catalog, CatalogConfig};
 
     fn db() -> DomainDb {
         DomainDb::from_catalog(generate_catalog(&CatalogConfig::default()))

@@ -6,7 +6,7 @@
 //! (Crash consistency at every byte offset is the unit sweeps' job:
 //! `wal::tests::crash_at_every_byte_offset_never_loses_an_acked_write`,
 //! `durable::tests::crash_at_every_wal_byte_offset_keeps_acked_prefix`,
-//! `journal::tests::crash_at_every_byte_offset_never_loses_an_acked_op`.)
+//! both in `dio-tsdb`.)
 //!
 //! ```text
 //! cargo run --release -p dio-bench --bin chaos_soak            # full 200-question soak

@@ -14,7 +14,7 @@
 //! ```
 
 use dio_bench::Experiment;
-use dio_catalog::docs::render_manual;
+use dio_catalog::render_manual;
 use std::fs;
 
 fn main() {

@@ -34,8 +34,7 @@ use dio_copilot::ShardTiming;
 use dio_faults::{ChaosConfig, CrashSchedule, NodeFault};
 use dio_sandbox::StoreResolver;
 use dio_serve::{QueryService, ServeConfig, ShedReason, TenantPolicy};
-use dio_tsdb::labels::NAME_LABEL;
-use dio_tsdb::{Labels, Sample};
+use dio_tsdb::{Labels, NAME_LABEL, Sample};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -10,8 +10,7 @@
 
 use dio_bench::artifact::BenchArtifact;
 use dio_bench::Experiment;
-use dio_benchmark::report::{format_comparison_table, format_shape_breakdown};
-use dio_benchmark::evaluate;
+use dio_benchmark::{evaluate, format_comparison_table, format_shape_breakdown};
 
 fn main() {
     eprintln!("building world (3000+ metrics, synthetic traffic)…");

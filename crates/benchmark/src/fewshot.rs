@@ -9,13 +9,11 @@
 //! of the training questions used for few-shot learning are
 //! incorporated into the benchmark dataset".
 
-use dio_catalog::generator::Catalog;
-use dio_catalog::types::ProcedureGroup;
-use dio_catalog::NetworkFunction;
+use dio_catalog::{Catalog, NetworkFunction, ProcedureGroup};
 use dio_llm::FewShotExample;
 
 /// Procedures reserved for few-shot exemplars: `(nf, service, slug)`.
-pub const FEWSHOT_PROCEDURES: &[(NetworkFunction, &str, &str)] = &[
+pub(crate) const FEWSHOT_PROCEDURES: &[(NetworkFunction, &str, &str)] = &[
     (NetworkFunction::Amf, "cc", "paging"),
     (NetworkFunction::Amf, "cc", "service_request"),
     (NetworkFunction::Amf, "sec", "authentication"),
@@ -39,7 +37,7 @@ pub const FEWSHOT_PROCEDURES: &[(NetworkFunction, &str, &str)] = &[
 ];
 
 /// True when a procedure is reserved for few-shot use.
-pub fn is_fewshot_procedure(nf: NetworkFunction, service: &str, slug: &str) -> bool {
+pub(crate) fn is_fewshot_procedure(nf: NetworkFunction, service: &str, slug: &str) -> bool {
     FEWSHOT_PROCEDURES
         .iter()
         .any(|(n, s, p)| *n == nf && *s == service && *p == slug)
@@ -307,7 +305,7 @@ pub fn fewshot_exemplars(catalog: &Catalog) -> Vec<FewShotExample> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
+    use dio_catalog::{generate_catalog, CatalogConfig};
 
     fn catalog() -> Catalog {
         generate_catalog(&CatalogConfig::default())
@@ -341,7 +339,7 @@ mod tests {
 
     #[test]
     fn exemplars_cover_all_task_shapes() {
-        use dio_llm::sim::reason::{analyze, TaskShape};
+        use dio_llm::{analyze, TaskShape};
         let shapes: std::collections::HashSet<TaskShape> = fewshot_exemplars(&catalog())
             .iter()
             .map(|e| analyze(&e.question).shape)

@@ -19,9 +19,8 @@
 
 use crate::fewshot::is_fewshot_procedure;
 use crate::world::OperatorWorld;
-use dio_catalog::procedures::FAILURE_CAUSES;
-use dio_catalog::types::ProcedureGroup;
-use dio_llm::sim::reason::TaskShape;
+use dio_catalog::{FAILURE_CAUSES, ProcedureGroup};
+use dio_llm::TaskShape;
 use serde::{Deserialize, Serialize};
 
 /// How a question is phrased.

@@ -1,8 +1,6 @@
 //! The evaluation world: catalog + synthesised operator data.
 
-use dio_catalog::generator::{generate_catalog, Catalog, CatalogConfig};
-use dio_catalog::types::MetricRole;
-use dio_catalog::{DomainDb, NetworkFunction};
+use dio_catalog::{generate_catalog, Catalog, CatalogConfig, DomainDb, MetricRole, NetworkFunction};
 use dio_promql::{Engine, EngineOptions};
 use dio_tsdb::{Labels, MetricStore, SeriesSpec, SynthConfig, Synthesizer};
 use serde::{Deserialize, Serialize};

@@ -42,69 +42,24 @@ pub fn render_manual(catalog: &Catalog) -> String {
     out
 }
 
-/// Segment a vendor manual (as produced by [`render_manual`], or any
-/// text using `## <counter-name>` headers) into per-metric samples.
-pub fn segment_manual(manual: &str) -> Vec<DocSample> {
-    let mut samples = Vec::new();
-    let mut current_name: Option<String> = None;
-    let mut current_text = String::new();
-    for line in manual.lines() {
-        if let Some(header) = line.strip_prefix("## ") {
-            if let Some(name) = current_name.take() {
-                samples.push(DocSample {
-                    name,
-                    text: current_text.trim().to_string(),
-                });
-            }
-            current_name = Some(header.trim().to_string());
-            current_text.clear();
-        } else if current_name.is_some() {
-            current_text.push_str(line);
-            current_text.push('\n');
-        }
-    }
-    if let Some(name) = current_name {
-        samples.push(DocSample {
-            name,
-            text: current_text.trim().to_string(),
-        });
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate_catalog, CatalogConfig};
 
     #[test]
-    fn render_then_segment_round_trips() {
+    fn render_manual_has_one_section_per_metric() {
         let catalog = generate_catalog(&CatalogConfig {
             slice_variants: false,
             sbi_counters: false,
             ..CatalogConfig::default()
         });
         let manual = render_manual(&catalog);
-        let samples = segment_manual(&manual);
-        assert_eq!(samples.len(), catalog.len());
-        for (s, m) in samples.iter().zip(&catalog.metrics) {
-            assert_eq!(s.name, m.name);
-            assert_eq!(s.text, m.description);
+        let sections: Vec<&str> = manual.split("## ").skip(1).collect();
+        assert_eq!(sections.len(), catalog.len());
+        for (section, m) in sections.iter().zip(&catalog.metrics) {
+            assert_eq!(*section, format!("{}\n{}\n\n", m.name, m.description));
         }
-    }
-
-    #[test]
-    fn segment_handles_empty_and_garbage() {
-        assert!(segment_manual("").is_empty());
-        assert!(segment_manual("no headers here\njust prose\n").is_empty());
-    }
-
-    #[test]
-    fn segment_handles_trailing_section() {
-        let samples = segment_manual("## a\ntext a\n## b\ntext b");
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[1].name, "b");
-        assert_eq!(samples[1].text, "text b");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl FunctionDef {
 }
 
 /// The built-in expert function library.
-pub fn builtin_functions() -> Vec<FunctionDef> {
+pub(crate) fn builtin_functions() -> Vec<FunctionDef> {
     let f = |name: &str,
              description: &str,
              params: &[(&str, &str)],

@@ -9,6 +9,11 @@ use crate::types::{CounterType, MetricDef, MetricRole, ProcedureGroup, TrafficHi
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
+/// Failure causes per transactional procedure: at least `CAUSES_MIN`,
+/// fewer than `CAUSES_MAX`.
+const CAUSES_MIN: usize = 22;
+const CAUSES_MAX: usize = 40;
+
 /// Catalog generation options.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CatalogConfig {
@@ -16,10 +21,6 @@ pub struct CatalogConfig {
     pub slice_variants: bool,
     /// Emit SBI HTTP counters.
     pub sbi_counters: bool,
-    /// Minimum failure causes per transactional procedure.
-    pub causes_min: usize,
-    /// Maximum failure causes per transactional procedure.
-    pub causes_max: usize,
     /// Seed that perturbs rates, ratios, and cause subsets.
     pub seed: u64,
 }
@@ -29,8 +30,6 @@ impl Default for CatalogConfig {
         CatalogConfig {
             slice_variants: true,
             sbi_counters: true,
-            causes_min: 22,
-            causes_max: 40,
             seed: 0xca7a_1035_eed5_0001,
         }
     }
@@ -268,8 +267,8 @@ fn expand_transactional(
         0x57ab_1e00,
         &format!("{}/{}/{}", proc.nf.abbrev(), proc.service, proc.slug),
     );
-    let span = config.causes_max.saturating_sub(config.causes_min).max(1);
-    let n_causes = (config.causes_min + (mix(nh, "nc") as usize % span)).min(FAILURE_CAUSES.len());
+    let span = CAUSES_MAX - CAUSES_MIN;
+    let n_causes = (CAUSES_MIN + (mix(nh, "nc") as usize % span)).min(FAILURE_CAUSES.len());
     let offset = mix(nh, "co") as usize % FAILURE_CAUSES.len();
     let fail_total = 1.0 - success_ratio;
     // Hash-weighted shares over the chosen causes, normalised.

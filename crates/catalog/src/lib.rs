@@ -10,7 +10,7 @@
 //! 24.501. 64-bit counter"). That documentation is proprietary, so this
 //! crate *generates* a structurally faithful catalog:
 //!
-//! * [`generator::generate_catalog`] expands per-NF procedure grammars
+//! * [`generate_catalog`] expands per-NF procedure grammars
 //!   (registration, authentication, PDU-session establishment, NF
 //!   discovery, …) into 3000+ [`MetricDef`]s, each with a specialised
 //!   glued name, a multi-sentence description, a 3GPP spec reference,
@@ -18,27 +18,27 @@
 //! * procedures stay grouped ([`ProcedureGroup`]) so the benchmark can
 //!   ask about derived entities ("initial registration procedure success
 //!   rate") that need several counters combined;
-//! * [`functions`] holds bespoke expert function definitions (success
+//! * `functions` holds bespoke expert function definitions (success
 //!   rate, per-second rate, traffic gbps…) — the "function definitions"
 //!   the paper adds to the domain DB;
-//! * [`docs`] renders and segments the synthetic vendor documentation
+//! * `docs` renders and segments the synthetic vendor documentation
 //!   the way §4 describes ("text … is extracted and segmented into text
 //!   samples");
 //! * [`DomainDb`] is the runtime store the copilot retrieves from, and
 //!   the thing the expert-feedback loop appends to.
 
-pub mod docs;
-pub mod functions;
-pub mod generator;
-pub mod nf;
-pub mod procedures;
-pub mod store;
-pub mod types;
+mod docs;
+mod functions;
+mod generator;
+mod nf;
+mod procedures;
+mod store;
+mod types;
 
-pub use docs::DocSample;
+pub use docs::{render_manual, DocSample};
 pub use functions::FunctionDef;
 pub use generator::{generate_catalog, Catalog, CatalogConfig};
 pub use nf::NetworkFunction;
-pub use procedures::{Procedure, ProcedureCatalog};
-pub use store::DomainDb;
+pub use procedures::FAILURE_CAUSES;
+pub use store::{DomainDb, ExpertNote, Provenance};
 pub use types::{CounterType, MetricDef, MetricRole, ProcedureGroup, TrafficHint, Unit};

@@ -10,7 +10,7 @@ use crate::nf::NetworkFunction;
 
 /// What family of metrics a procedure expands into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcKind {
+pub(crate) enum ProcKind {
     /// attempt + success + per-cause failures + duration + messages.
     Transactional,
     /// Only per-message counters (e.g. NAS transport).
@@ -23,7 +23,7 @@ pub enum ProcKind {
 
 /// One procedure (or metric family) in the grammar.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Procedure {
+pub(crate) struct Procedure {
     /// Owning network function.
     pub nf: NetworkFunction,
     /// Service slug within the NF (used in metric-name prefixes), e.g.
@@ -96,7 +96,7 @@ pub const FAILURE_CAUSES: &[(&str, &str)] = &[
 ];
 
 /// Per-message counter variants emitted for every protocol message.
-pub const MESSAGE_VARIANTS: &[(&str, &str)] = &[
+pub(crate) const MESSAGE_VARIANTS: &[(&str, &str)] = &[
     ("sent", "sent"),
     ("received", "received"),
     ("retransmitted", "retransmitted"),
@@ -107,14 +107,14 @@ pub const MESSAGE_VARIANTS: &[(&str, &str)] = &[
 
 /// Per-procedure timer/impairment event counters emitted for every
 /// transactional procedure.
-pub const EVENT_VARIANTS: &[(&str, &str)] = &[
+pub(crate) const EVENT_VARIANTS: &[(&str, &str)] = &[
     ("guard_timer_expiry", "guard timer expiries during"),
     ("retry", "retries of"),
     ("abnormal_release", "abnormal releases during"),
 ];
 
 /// Per-NF platform resource metrics (name suffix, description, is_gauge).
-pub const RESOURCE_METRICS: &[(&str, &str, bool)] = &[
+pub(crate) const RESOURCE_METRICS: &[(&str, &str, bool)] = &[
     ("cpu_usage_percent", "current CPU utilisation of the NF workload, in percent", true),
     ("memory_usage_bytes", "current resident memory of the NF workload, in bytes", true),
     ("heap_in_use_bytes", "heap memory currently in use by the NF workload, in bytes", true),
@@ -126,7 +126,7 @@ pub const RESOURCE_METRICS: &[(&str, &str, bool)] = &[
 ];
 
 /// S-NSSAI slice variants for slice-aware procedures.
-pub const SLICES: &[(&str, &str)] = &[
+pub(crate) const SLICES: &[(&str, &str)] = &[
     ("embb", "eMBB (SST 1)"),
     ("urllc", "URLLC (SST 2)"),
     ("miot", "mIoT (SST 3)"),
@@ -134,7 +134,7 @@ pub const SLICES: &[(&str, &str)] = &[
 
 /// SBI (service-based interface) APIs per NF, each expanded into
 /// HTTP-level counters.
-pub const SBI_APIS: &[(NetworkFunction, &str, &str)] = &[
+pub(crate) const SBI_APIS: &[(NetworkFunction, &str, &str)] = &[
     (NetworkFunction::Amf, "namf_comm", "Namf_Communication"),
     (NetworkFunction::Amf, "namf_evts", "Namf_EventExposure"),
     (NetworkFunction::Amf, "namf_loc", "Namf_Location"),
@@ -152,7 +152,7 @@ pub const SBI_APIS: &[(NetworkFunction, &str, &str)] = &[
 ];
 
 /// HTTP counter variants for each SBI API.
-pub const SBI_VARIANTS: &[(&str, &str)] = &[
+pub(crate) const SBI_VARIANTS: &[(&str, &str)] = &[
     ("requests_received", "HTTP requests received"),
     ("requests_sent", "HTTP requests sent"),
     ("responses_2xx", "HTTP 2xx responses"),
@@ -171,26 +171,21 @@ macro_rules! msgs {
 
 /// The full procedure grammar.
 #[derive(Debug, Clone)]
-pub struct ProcedureCatalog {
+pub(crate) struct ProcedureCatalog {
     procedures: Vec<Procedure>,
 }
 
 impl ProcedureCatalog {
     /// Build the built-in grammar (deterministic, no I/O).
-    pub fn builtin() -> Self {
+    pub(crate) fn builtin() -> Self {
         ProcedureCatalog {
             procedures: builtin_procedures(),
         }
     }
 
     /// All procedures.
-    pub fn procedures(&self) -> &[Procedure] {
+    pub(crate) fn procedures(&self) -> &[Procedure] {
         &self.procedures
-    }
-
-    /// Procedures of one NF.
-    pub fn for_nf(&self, nf: NetworkFunction) -> Vec<&Procedure> {
-        self.procedures.iter().filter(|p| p.nf == nf).collect()
     }
 }
 
@@ -598,7 +593,7 @@ mod tests {
         let cat = ProcedureCatalog::builtin();
         for nf in NetworkFunction::ALL {
             assert!(
-                !cat.for_nf(nf).is_empty(),
+                cat.procedures().iter().any(|p| p.nf == nf),
                 "no procedures for {nf}"
             );
         }
@@ -624,9 +619,9 @@ mod tests {
         let cat = ProcedureCatalog::builtin();
         for nf in NetworkFunction::ALL {
             assert!(
-                cat.for_nf(nf)
+                cat.procedures()
                     .iter()
-                    .any(|p| p.kind == ProcKind::Transactional),
+                    .any(|p| p.nf == nf && p.kind == ProcKind::Transactional),
                 "{nf} lacks transactional procedures"
             );
         }

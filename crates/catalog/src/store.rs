@@ -77,11 +77,6 @@ impl DomainDb {
         self.metrics.len()
     }
 
-    /// Number of function definitions.
-    pub fn function_count(&self) -> usize {
-        self.functions.len()
-    }
-
     /// Number of expert notes.
     pub fn note_count(&self) -> usize {
         self.notes.len()
@@ -228,7 +223,7 @@ mod tests {
     fn standard_db_matches_paper_scale() {
         let db = DomainDb::standard();
         assert!(db.metric_count() >= 3000);
-        assert!(db.function_count() >= 8);
+        assert!(db.functions().count() >= 8);
     }
 
     #[test]
@@ -257,7 +252,7 @@ mod tests {
     fn text_samples_cover_metrics_functions_and_notes() {
         let mut db = small_db();
         let base = db.text_samples().len();
-        assert_eq!(base, db.metric_count() + db.function_count());
+        assert_eq!(base, db.metric_count() + db.functions().count());
         db.add_expert_note(ExpertNote {
             title: "lcs-guidance".into(),
             text: "Use the network induced location request counters.".into(),
@@ -318,6 +313,6 @@ mod tests {
         };
         db.add_expert_function(f, "expert:carol");
         assert!(db.function("ni_lr_success_rate").is_some());
-        assert_eq!(db.function_count(), builtin_functions().len() + 1);
+        assert_eq!(db.functions().count(), builtin_functions().len() + 1);
     }
 }

@@ -15,15 +15,6 @@ pub enum CounterType {
 }
 
 impl CounterType {
-    /// Phrase used in generated documentation.
-    pub fn doc_phrase(&self) -> &'static str {
-        match self {
-            CounterType::Counter64 => "64-bit counter",
-            CounterType::Counter32 => "32-bit counter",
-            CounterType::Gauge => "gauge",
-        }
-    }
-
     /// True for monotone counters.
     pub fn is_counter(&self) -> bool {
         !matches!(self, CounterType::Gauge)
@@ -43,19 +34,6 @@ pub enum Unit {
     Milliseconds,
     /// Current sessions / registrations / connections.
     Entities,
-}
-
-impl Unit {
-    /// Phrase used in generated documentation.
-    pub fn doc_phrase(&self) -> &'static str {
-        match self {
-            Unit::Count => "events",
-            Unit::Bytes => "octets",
-            Unit::Packets => "packets",
-            Unit::Milliseconds => "milliseconds",
-            Unit::Entities => "entities",
-        }
-    }
 }
 
 /// The role a metric plays within its procedure group — what the
@@ -190,7 +168,6 @@ mod tests {
 
     #[test]
     fn counter_type_phrases() {
-        assert_eq!(CounterType::Counter64.doc_phrase(), "64-bit counter");
         assert!(CounterType::Counter64.is_counter());
         assert!(!CounterType::Gauge.is_counter());
     }

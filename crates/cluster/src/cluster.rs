@@ -36,8 +36,7 @@ use crate::shard::{damage_chunk, ShardCopy, ShipReject};
 use dio_faults::{ChaosConfig, Injector};
 use dio_obs::{push_bounded, Buckets, Counter, Gauge, Histogram, Registry, SpanContext, Tracer};
 use dio_sandbox::StoreResolver;
-use dio_tsdb::series::AppendError;
-use dio_tsdb::{Labels, MetricStore, Sample};
+use dio_tsdb::{AppendError, Labels, MetricStore, Sample};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -46,20 +45,18 @@ use std::time::Instant;
 /// Cluster shape and replication behaviour.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Node (== shard) count at construction.
+    /// Node (== shard) count. WALs are shipped to replicas whenever
+    /// there is more than one node.
     pub nodes: usize,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
-    /// Ship WALs to replicas. Forced off when `nodes == 1`.
-    pub replication: bool,
     /// Chaos schedule for the replication link (bit flips, torn
     /// chunks, lost shipments). `None` = a clean link.
     pub link_chaos: Option<ChaosConfig>,
-    /// Chaotic ship attempts per chunk before falling back to the
-    /// reliable recovery channel (a retransmitting transport delivers
-    /// eventually; this bounds how long we let chaos stall an ack).
-    pub max_reships: usize,
 }
+
+/// Chaotic ship attempts per chunk before falling back to the
+/// reliable recovery channel (a retransmitting transport delivers
+/// eventually; this bounds how long we let chaos stall an ack).
+const MAX_RESHIPS: usize = 4;
 
 impl ClusterConfig {
     /// `nodes` nodes, replication on (when more than one), clean link.
@@ -67,10 +64,7 @@ impl ClusterConfig {
         assert!(nodes > 0, "cluster needs at least one node");
         ClusterConfig {
             nodes,
-            vnodes: HashRing::DEFAULT_VNODES,
-            replication: nodes > 1,
             link_chaos: None,
-            max_reships: 4,
         }
     }
 
@@ -140,25 +134,12 @@ pub struct RejoinReport {
     pub rejoined_replica: usize,
 }
 
-/// What adding a node did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AddNodeReport {
-    /// The new node's id (also its shard's primary seat).
-    pub node: usize,
-    /// The new shard's id.
-    pub shard: usize,
-    /// Metric families whose ownership moved to the new shard.
-    pub moved_families: usize,
-    /// Samples migrated into the new shard.
-    pub moved_samples: usize,
-}
-
 /// Span name for one shard touched during store resolution. Attributes:
 /// `shard` and `path` (`pushdown` | `gather` | `gather_all`); hedged
 /// reads add `hedge` (`win` | `loss`).
-pub const SHARD_READ_SPAN: &str = "shard_read";
+pub(crate) const SHARD_READ_SPAN: &str = "shard_read";
 /// Span name for the synchronous WAL shipment inside a traced append.
-pub const WAL_SHIP_SPAN: &str = "wal_ship";
+pub(crate) const WAL_SHIP_SPAN: &str = "wal_ship";
 
 /// Rolling window of served read latencies the hedge delay derives
 /// from; undrained failover latencies are bounded by it too.
@@ -173,7 +154,6 @@ const HEDGE_FLOOR_MICROS: u64 = 500;
 const HELP_FAILOVERS: &str = "Replica promotions after a primary was found dead";
 const HELP_LAG: &str = "Worst primary-to-replica applied-timestamp gap across shards (s)";
 const HELP_LAG_HIST: &str = "Per-shard primary-to-replica applied-timestamp gap at each lag refresh (s)";
-const HELP_REBALANCED: &str = "Metric families moved to a new shard by rebalancing";
 const HELP_RESHIPS: &str = "Replication chunks re-sent after loss or CRC rejection";
 const HELP_APPENDS: &str = "Acknowledged cluster appends";
 const HELP_ROUTES: &str = "Query store resolutions by routing path";
@@ -187,7 +167,6 @@ struct ClusterMetrics {
     failovers: Counter,
     lag: Gauge,
     lag_hist: Histogram,
-    rebalanced: Counter,
     reships: Counter,
     appends: Counter,
     route_pushdown: Counter,
@@ -209,7 +188,6 @@ impl ClusterMetrics {
                 HELP_LAG_HIST,
                 &Buckets::exponential(0.001, 4.0, 10),
             ),
-            rebalanced: registry.counter("dio_cluster_rebalanced_keys_total", HELP_REBALANCED),
             reships: registry.counter("dio_cluster_reships_total", HELP_RESHIPS),
             appends: registry.counter("dio_cluster_appends_total", HELP_APPENDS),
             route_pushdown: registry.counter_with(
@@ -276,8 +254,6 @@ struct Inner {
     /// Rolling window of served read latencies (µs); its p99 sets the
     /// hedge-fire delay.
     read_latency_window: VecDeque<u64>,
-    /// Total virtual read latency accounted so far (µs).
-    injected_read_micros: u64,
 }
 
 /// Borrow two of a shard's copies at once: `from` to read its WAL,
@@ -305,7 +281,6 @@ fn ship_pair(
 /// A simulated shard-per-node cluster with WAL-shipping replication.
 #[derive(Debug)]
 pub struct Cluster {
-    cfg: ClusterConfig,
     inner: Mutex<Inner>,
     metrics: ClusterMetrics,
 }
@@ -320,10 +295,9 @@ impl Cluster {
     /// serving stack scrapes cluster health alongside everything else).
     pub fn with_registry(cfg: ClusterConfig, registry: Registry) -> Self {
         let n = cfg.nodes;
-        let replication = cfg.replication && n > 1;
         let shards = (0..n)
             .map(|i| {
-                let replica_node = replication.then_some((i + 1) % n);
+                let replica_node = (n > 1).then_some((i + 1) % n);
                 let mut copies = BTreeMap::new();
                 copies.insert(i, ShardCopy::new());
                 if let Some(r) = replica_node {
@@ -339,31 +313,21 @@ impl Cluster {
         let link = cfg.link_chaos.as_ref().map(|c| Injector::derived(c, "replication"));
         Cluster {
             inner: Mutex::new(Inner {
-                ring: HashRing::with_vnodes(n, cfg.vnodes),
+                ring: HashRing::new(n),
                 up: vec![true; n],
                 shards,
                 link,
                 failover_latencies: VecDeque::new(),
                 read_latency_micros: vec![0; n],
                 read_latency_window: VecDeque::new(),
-                injected_read_micros: 0,
             }),
             metrics: ClusterMetrics::new(registry),
-            cfg: ClusterConfig {
-                replication,
-                ..cfg
-            },
         }
     }
 
     /// The metrics registry (cluster counters live here).
     pub fn registry(&self) -> &Registry {
         &self.metrics.registry
-    }
-
-    /// Current node count.
-    pub fn nodes(&self) -> usize {
-        self.inner.lock().unwrap().up.len()
     }
 
     /// Current shard count.
@@ -388,7 +352,8 @@ impl Cluster {
     }
 
     /// The node holding `shard`'s replica, if any.
-    pub fn replica_of(&self, shard: usize) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn replica_of(&self, shard: usize) -> Option<usize> {
         self.inner.lock().unwrap().shards[shard].replica_node
     }
 
@@ -397,21 +362,10 @@ impl Cluster {
         self.inner.lock().unwrap().ring.owner(family)
     }
 
-    /// The shard a tenant's requests home to (routing affinity: a
-    /// tenant's dashboards mostly touch its own slice of the keyspace,
-    /// so co-locating its cache/retrieval state with that shard keeps
-    /// fan-out low). Same ring, namespaced key.
-    pub fn tenant_home(&self, tenant: &str) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .ring
-            .owner(&format!("tenant:{tenant}"))
-    }
-
     /// Primary and replica WAL byte images for `shard` (tests use this
     /// to prove byte-level convergence).
-    pub fn shard_wal_images(&self, shard: usize) -> (Vec<u8>, Option<Vec<u8>>) {
+    #[cfg(test)]
+    pub(crate) fn shard_wal_images(&self, shard: usize) -> (Vec<u8>, Option<Vec<u8>>) {
         let inner = self.inner.lock().unwrap();
         let s = &inner.shards[shard];
         let primary = s.copies[&s.primary_node].wal_bytes().to_vec();
@@ -422,7 +376,8 @@ impl Cluster {
     }
 
     /// Acked records per shard on the current primaries.
-    pub fn shard_records(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn shard_records(&self) -> Vec<usize> {
         let inner = self.inner.lock().unwrap();
         inner
             .shards
@@ -458,12 +413,6 @@ impl Cluster {
     /// this to make one shard's primary pathologically slow.
     pub fn set_read_latency(&self, node: usize, micros: u64) {
         self.inner.lock().unwrap().read_latency_micros[node] = micros;
-    }
-
-    /// Total virtual read latency accounted so far (µs). Grows with
-    /// every shard read by the latency of whichever copy served it.
-    pub fn injected_read_latency_micros(&self) -> u64 {
-        self.inner.lock().unwrap().injected_read_micros
     }
 
     /// Hedged-read outcomes so far: `(wins, losses, cancelled)`.
@@ -645,113 +594,6 @@ impl Cluster {
         report
     }
 
-    /// Add a node (and its shard): extend the ring, migrate the
-    /// families the new shard now owns, rebuild the shrunken source
-    /// copies, and stand up a replica for the new shard.
-    pub fn add_node(&self) -> AddNodeReport {
-        let mut inner = self.inner.lock().unwrap();
-        let shard = inner.ring.add_shard();
-        let node = inner.up.len();
-        inner.up.push(true);
-        inner.read_latency_micros.push(0);
-        let replication = self.cfg.replication || inner.up.len() > 1;
-        let mut copies = BTreeMap::new();
-        copies.insert(node, ShardCopy::new());
-        inner.shards.push(ShardState {
-            primary_node: node,
-            replica_node: None,
-            copies,
-        });
-
-        let mut moved_families = 0usize;
-        let mut moved_samples = 0usize;
-        for src in 0..shard {
-            self.ensure_primary(&mut inner, src, None).ok();
-            let src_primary = inner.shards[src].primary_node;
-            // Split the source store: series staying vs. series moving.
-            let (stay, go): (Vec<_>, Vec<_>) = {
-                let store = inner.shards[src].copies[&src_primary].store();
-                let mut stay = Vec::new();
-                let mut go = Vec::new();
-                for series in store.iter() {
-                    let family = series.labels().name().unwrap_or("");
-                    if inner.ring.owner(family) == shard {
-                        go.push((series.labels().clone(), series.samples().to_vec()));
-                    } else {
-                        stay.push((series.labels().clone(), series.samples().to_vec()));
-                    }
-                }
-                (stay, go)
-            };
-            if go.is_empty() {
-                continue;
-            }
-            let mut families: Vec<&str> =
-                go.iter().filter_map(|(l, _)| l.name()).collect();
-            families.sort_unstable();
-            families.dedup();
-            moved_families += families.len();
-
-            // Append moved series into the new shard's primary.
-            let dest = inner.shards[shard]
-                .copies
-                .get_mut(&node)
-                .expect("new primary exists");
-            for (labels, samples) in &go {
-                for s in samples {
-                    let _ = dest
-                        .append_local(labels.clone(), *s)
-                        .expect("in-memory WAL append cannot fail");
-                    moved_samples += 1;
-                }
-            }
-            // Rebuild the source primary without the moved families
-            // (checkpoint semantics: fresh WAL of exactly what stays).
-            let mut rebuilt = ShardCopy::new();
-            for (labels, samples) in &stay {
-                for s in samples {
-                    let _ = rebuilt
-                        .append_local(labels.clone(), *s)
-                        .expect("in-memory WAL append cannot fail");
-                }
-            }
-            inner.shards[src].copies.insert(src_primary, rebuilt);
-            // The old replica's WAL no longer matches; re-seed it from
-            // the rebuilt primary over the reliable channel.
-            if let Some(r) = inner.shards[src].replica_node {
-                let fresh = Self::seeded_from(&inner.shards[src].copies[&src_primary]);
-                inner.shards[src].copies.insert(r, fresh);
-            }
-        }
-
-        // Stand up the new shard's replica on the next node.
-        if replication {
-            let r = (node + 1) % inner.up.len();
-            let fresh = Self::seeded_from(&inner.shards[shard].copies[&node]);
-            inner.shards[shard].copies.insert(r, fresh);
-            inner.shards[shard].replica_node = Some(r);
-        }
-
-        self.metrics.rebalanced.add(moved_families as f64);
-        self.update_lag(&inner);
-        AddNodeReport {
-            node,
-            shard,
-            moved_families,
-            moved_samples,
-        }
-    }
-
-    /// A fresh replica holding all of `primary`'s log, shipped over the
-    /// reliable channel.
-    fn seeded_from(primary: &ShardCopy) -> ShardCopy {
-        let mut fresh = ShardCopy::new();
-        fresh
-            .apply_shipped(primary.bytes_from(0))
-            .expect("reliable re-seed delivers pristine bytes");
-        fresh
-    }
-
     fn note_unavailable(&self, e: ClusterError) -> ClusterError {
         self.metrics.unavailable.inc();
         e
@@ -811,9 +653,6 @@ impl Cluster {
     /// then the reliable recovery channel). Returns whether a live
     /// replica holds everything.
     fn ship(&self, inner: &mut Inner, shard: usize) -> Result<bool, ClusterError> {
-        if !self.cfg.replication {
-            return Ok(false);
-        }
         let Some(replica) = inner.shards[shard].replica_node else {
             return Ok(false);
         };
@@ -826,8 +665,8 @@ impl Cluster {
         while copy.records() < source.records() {
             let chunk = source.bytes_from(copy.records());
             // Pass the chunk through the (possibly chaotic) link; past
-            // `max_reships` it goes over the reliable recovery channel.
-            let fault = if attempts < self.cfg.max_reships {
+            // `MAX_RESHIPS` it goes over the reliable recovery channel.
+            let fault = if attempts < MAX_RESHIPS {
                 inner.link.as_mut().and_then(|l| l.decide())
             } else {
                 None
@@ -961,7 +800,6 @@ impl Cluster {
                     }
                 }
             }
-            inner.injected_read_micros += chosen.1;
             push_bounded(&mut inner.read_latency_window, READ_LATENCY_WINDOW, chosen.1);
             serving = Some(chosen.0);
         }
@@ -1053,7 +891,7 @@ impl StoreResolver for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_tsdb::labels::NAME_LABEL;
+    use dio_tsdb::NAME_LABEL;
 
     fn labels(name: &str, inst: &str) -> Labels {
         Labels::from_pairs([(NAME_LABEL, name), ("instance", inst)])
@@ -1217,7 +1055,7 @@ mod tests {
                     "shard {shard} copy on node {node} after {after}"
                 );
                 assert!(
-                    dio_tsdb::wal::recover(copy.wal_bytes()).is_clean(),
+                    dio_tsdb::recover(copy.wal_bytes()).is_clean(),
                     "shard {shard} copy on node {node} after {after}"
                 );
             }
@@ -1238,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn every_copy_stays_verified_through_load_chaos_restarts_and_add_node() {
+    fn every_copy_stays_verified_through_load_chaos_and_restarts() {
         let chaos = ChaosConfig::with_probability(41, 0.5);
         let cluster = Cluster::new(ClusterConfig::with_link_chaos(3, chaos));
         cluster.load_from(&seed_store(&FAMILIES, 6)).unwrap();
@@ -1276,10 +1114,6 @@ mod tests {
             burst("amf-0", &format!("appends after {victim} rejoined"));
         }
         assert!(cluster.failovers() > 0, "kills never triggered a failover");
-        cluster.add_node();
-        assert_every_copy_verified_and_converged(&cluster, "add_node");
-        burst("amf-0", "a burst on four nodes");
-        burst("amf-9", "new series on four nodes");
         assert!(cluster.down_nodes().is_empty());
     }
 
@@ -1344,30 +1178,6 @@ mod tests {
         assert!(cluster.failovers() as usize >= READ_LATENCY_WINDOW + 10);
         assert_eq!(cluster.take_failover_latencies().len(), READ_LATENCY_WINDOW);
         assert!(cluster.take_failover_latencies().is_empty());
-    }
-
-    #[test]
-    fn add_node_moves_about_one_nth_and_keeps_all_samples() {
-        let source = seed_store(&FAMILIES, 8);
-        let cluster = Cluster::new(ClusterConfig::new(2));
-        cluster.load_from(&source).unwrap();
-        let before: usize = cluster.shard_records().iter().sum();
-        let report = cluster.add_node();
-        assert_eq!(report.shard, 2);
-        assert_eq!(report.node, 2);
-        // Whether families moved depends on the ring; either way no
-        // sample may be lost and replicas must converge.
-        let after: usize = cluster.shard_records().iter().sum();
-        assert_eq!(after, before);
-        for f in FAMILIES {
-            let store = cluster.resolve(&[f.to_string()], false).unwrap();
-            let total: usize = store.series_for(f).iter().map(|s| s.samples().len()).sum();
-            assert_eq!(total, 8, "family {f} lost samples in rebalancing");
-        }
-        for shard in 0..cluster.shard_count() {
-            let (p, r) = cluster.shard_wal_images(shard);
-            assert_eq!(Some(p), r, "shard {shard} replica diverged after add_node");
-        }
     }
 
     #[test]
@@ -1482,7 +1292,6 @@ mod tests {
         // Slow primary: the hedge fires after the p99 delay and the
         // byte-identical replica wins the race.
         cluster.set_read_latency(cluster.primary_of(shard), 50_000);
-        let before_virtual = cluster.injected_read_latency_micros();
         let tracer = Tracer::new();
         let root = tracer.begin_trace("hedged read");
         let hedged = cluster
@@ -1497,10 +1306,6 @@ mod tests {
         assert_eq!(hedged.sample_count(), baseline.sample_count());
         let total: usize = hedged.series_for(f).iter().map(|s| s.samples().len()).sum();
         assert_eq!(total, 4, "hedged read dropped samples");
-        // The served latency is the replica's virtual completion, not
-        // the slow primary's.
-        let served = cluster.injected_read_latency_micros() - before_virtual;
-        assert!(served < 50_000, "win must account the replica's latency, got {served}");
         // The winning read is tagged on the trace.
         let rec = tracer.trace(root.trace_id).unwrap();
         let read = rec
@@ -1532,20 +1337,5 @@ mod tests {
         assert_eq!(wins, 0, "a slower replica must not win");
         assert!(losses >= 1, "the fired hedge must be counted as a loss");
         assert!(cancelled >= 1, "the losing replica read must be cancelled");
-    }
-
-    #[test]
-    fn tenant_homes_are_stable_and_spread() {
-        let cluster = Cluster::new(ClusterConfig::new(4));
-        let homes: Vec<usize> = (0..32)
-            .map(|i| cluster.tenant_home(&format!("tenant-{i}")))
-            .collect();
-        assert_eq!(
-            homes,
-            (0..32)
-                .map(|i| cluster.tenant_home(&format!("tenant-{i}")))
-                .collect::<Vec<_>>()
-        );
-        assert!(homes.iter().collect::<std::collections::BTreeSet<_>>().len() > 1);
     }
 }

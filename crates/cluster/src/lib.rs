@@ -3,7 +3,7 @@
 //! Sharded serving with replicated failover for the dio stack.
 //!
 //! A [`Cluster`] simulates N nodes in one process: metric families are
-//! partitioned across shards by a consistent-hash [`HashRing`] (one
+//! partitioned across shards by a consistent-hash ring (one
 //! shard's primary per node, its replica on the next node), writes are
 //! WAL-shipped from primary to replica with CRC validation and
 //! re-shipping (ack only after the replica applied — zero
@@ -22,22 +22,15 @@
 //! * `dio_faults` — the replication link reuses the chaos injector
 //!   (bit flips, torn chunks, lost shipments) and node kill/restart
 //!   drills reuse [`dio_faults::CrashSchedule`].
-//!
-//! [`ShardedRetrieval`] applies the same partitioning to the document
-//! corpus: per-shard flat indexes whose merged top-k is exactly the
-//! single-index top-k.
 
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod retrieval;
-pub mod ring;
-pub mod shard;
+mod cluster;
+mod ring;
+mod shard;
 
-pub use cluster::{AddNodeReport, AppendAck, Cluster, ClusterConfig, ClusterError, RejoinReport};
-pub use retrieval::{ShardedHit, ShardedRetrieval};
-pub use ring::HashRing;
-pub use shard::{damage_chunk, ShardCopy, ShipApply, ShipReject};
+pub use cluster::{Cluster, ClusterConfig, ClusterError};
+pub use shard::{ShardCopy, ShipReject};
 
 #[cfg(test)]
 mod assertions {
@@ -46,6 +39,5 @@ mod assertions {
     #[test]
     fn cluster_is_shareable_across_serving_workers() {
         assert_send_sync::<crate::Cluster>();
-        assert_send_sync::<crate::ShardedRetrieval>();
     }
 }

@@ -1,11 +1,10 @@
 //! Consistent-hash ring over shards.
 //!
-//! Metric families (and tenants) are placed on shards by hashing each
-//! shard's virtual nodes onto a `u64` ring and assigning a key to the
-//! first vnode point at or after the key's hash (wrapping). With ~64
-//! vnodes per shard the load spread stays within a small factor of
-//! uniform, and — the property the rebalancer depends on — adding or
-//! removing one shard only moves the keys that land on that shard's
+//! Metric families are placed on shards by hashing each shard's
+//! virtual nodes onto a `u64` ring and assigning a key to the first
+//! vnode point at or after the key's hash (wrapping). With 64 vnodes
+//! per shard the load spread stays within a small factor of uniform,
+//! and adding one shard only moves the keys that land on that shard's
 //! vnode arcs, roughly `1/N` of the keyspace, while every other key
 //! keeps its owner.
 
@@ -38,34 +37,22 @@ fn vnode_point(shard: usize, vnode: usize) -> u64 {
 
 /// A consistent-hash ring mapping string keys to shard ids.
 #[derive(Debug, Clone)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     /// Sorted (point, shard) pairs.
     points: Vec<(u64, usize)>,
-    vnodes: usize,
-    /// Active shard ids, ascending. Ids are stable: removing shard 1 of
-    /// 3 leaves shards {0, 2}.
-    shards: Vec<usize>,
     /// Next id to hand out from [`HashRing::add_shard`].
     next_id: usize,
 }
 
+/// Virtual nodes per shard.
+const VNODES: usize = 64;
+
 impl HashRing {
-    /// Default virtual nodes per shard.
-    pub const DEFAULT_VNODES: usize = 64;
-
-    /// Ring over shards `0..shards` with the default vnode count.
-    pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, Self::DEFAULT_VNODES)
-    }
-
-    /// Ring over shards `0..shards` with `vnodes` points per shard.
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
+    /// Ring over shards `0..shards`, [`VNODES`] points per shard.
+    pub(crate) fn new(shards: usize) -> Self {
         assert!(shards > 0, "ring needs at least one shard");
-        assert!(vnodes > 0, "ring needs at least one vnode per shard");
         let mut ring = HashRing {
-            points: Vec::with_capacity(shards * vnodes),
-            vnodes,
-            shards: Vec::with_capacity(shards),
+            points: Vec::with_capacity(shards * VNODES),
             next_id: 0,
         };
         for _ in 0..shards {
@@ -74,29 +61,9 @@ impl HashRing {
         ring
     }
 
-    /// Active shard ids, ascending.
-    pub fn shards(&self) -> &[usize] {
-        &self.shards
-    }
-
-    /// Number of active shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when no shards are active (only possible after removals).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Vnodes per shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     /// The shard owning `key`: the first vnode point at or after
     /// `hash(key)`, wrapping past the top of the ring.
-    pub fn owner(&self, key: &str) -> usize {
+    pub(crate) fn owner(&self, key: &str) -> usize {
         assert!(!self.points.is_empty(), "owner() on an empty ring");
         let h = hash_key(key.as_bytes());
         let idx = self.points.partition_point(|(p, _)| *p < h);
@@ -106,30 +73,15 @@ impl HashRing {
 
     /// Add a shard, returning its id. Only keys whose arcs the new
     /// shard's vnodes capture move — everything else keeps its owner.
-    pub fn add_shard(&mut self) -> usize {
+    fn add_shard(&mut self) -> usize {
         let id = self.next_id;
         self.next_id += 1;
-        self.shards.push(id);
-        for v in 0..self.vnodes {
+        for v in 0..VNODES {
             let point = (vnode_point(id, v), id);
             let at = self.points.partition_point(|p| *p < point);
             self.points.insert(at, point);
         }
         id
-    }
-
-    /// Remove a shard. Only keys it owned move, each to the shard whose
-    /// vnode follows the removed point. Panics if the id is not active
-    /// or it is the last shard.
-    pub fn remove_shard(&mut self, shard: usize) {
-        assert!(self.shards.len() > 1, "cannot remove the last shard");
-        let pos = self
-            .shards
-            .iter()
-            .position(|s| *s == shard)
-            .unwrap_or_else(|| panic!("shard {shard} not active"));
-        self.shards.remove(pos);
-        self.points.retain(|(_, s)| *s != shard);
     }
 }
 
@@ -156,19 +108,6 @@ mod tests {
         let b = HashRing::new(5);
         for k in keys(128) {
             assert_eq!(a.owner(&k), b.owner(&k));
-        }
-    }
-
-    #[test]
-    fn shard_ids_stay_stable_across_removal() {
-        let mut ring = HashRing::new(3);
-        ring.remove_shard(1);
-        assert_eq!(ring.shards(), &[0, 2]);
-        let id = ring.add_shard();
-        assert_eq!(id, 3);
-        assert_eq!(ring.shards(), &[0, 2, 3]);
-        for k in keys(64) {
-            assert!([0usize, 2, 3].contains(&ring.owner(&k)));
         }
     }
 
@@ -218,24 +157,6 @@ mod tests {
                 "adding shard {new_id} moved {moved} keys, expected about {expected:.0}"
             );
             prop_assert!(moved > 0, "adding a shard captured no keys");
-        }
-
-        /// Satellite: removing one shard moves only the keys it owned.
-        #[test]
-        fn removing_a_shard_moves_only_its_keys(shards in 2usize..17, salt in 0u64..1000) {
-            let ks: Vec<String> = (0..1024).map(|i| format!("fam_{salt}_{i}")).collect();
-            let mut ring = HashRing::new(shards);
-            let before: Vec<usize> = ks.iter().map(|k| ring.owner(k)).collect();
-            let victim = shards / 2;
-            ring.remove_shard(victim);
-            for (k, old) in ks.iter().zip(&before) {
-                let now = ring.owner(k);
-                if *old == victim {
-                    prop_assert_ne!(now, victim);
-                } else {
-                    prop_assert_eq!(now, *old, "key {} moved though its shard survived", k);
-                }
-            }
         }
     }
 }

@@ -28,9 +28,7 @@
 //! of the whole log.
 
 use dio_faults::{DataFaultKind, MemMedium, PlannedFault};
-use dio_tsdb::series::AppendError;
-use dio_tsdb::wal::{Wal, WalEntry, WalRecord};
-use dio_tsdb::{Labels, MetricStore, Sample};
+use dio_tsdb::{AppendError, Labels, MetricStore, Sample, Wal, WalEntry, WalRecord};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -138,7 +136,7 @@ impl ShardCopy {
     #[cfg(test)]
     pub(crate) fn append_unverified(&mut self, bytes: &[u8]) {
         self.wal
-            .adopt_frames(bytes, dio_tsdb::wal::Scanned::default())
+            .adopt_frames(bytes, dio_tsdb::Scanned::default())
             .expect("in-memory WAL append cannot fail");
     }
 
@@ -271,7 +269,7 @@ impl ShardCopy {
 /// `None` when the shipment is lost outright. Deterministic in
 /// `(fault, chunk)` — the damage position comes from the fault's
 /// pre-drawn `aux` entropy.
-pub fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, [u8]>> {
+pub(crate) fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, [u8]>> {
     match fault.kind {
         // A slow link still delivers intact bytes.
         DataFaultKind::LatencySpike => Some(Cow::Borrowed(chunk)),
@@ -298,7 +296,7 @@ pub fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, [u8]>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_tsdb::labels::NAME_LABEL;
+    use dio_tsdb::NAME_LABEL;
 
     fn rec(name: &str, i: usize) -> (Labels, Sample) {
         (

@@ -6,8 +6,7 @@
 //! converges the copies byte-for-byte.
 
 use dio_cluster::{ShardCopy, ShipReject};
-use dio_tsdb::labels::NAME_LABEL;
-use dio_tsdb::{Labels, Sample};
+use dio_tsdb::{Labels, NAME_LABEL, Sample};
 
 /// Two interleaved series; every value holds the frame marker pair in
 /// its bytes, so a cut or a flip lands among false markers.

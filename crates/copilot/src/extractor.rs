@@ -379,7 +379,7 @@ fn random_context(samples: &[DocSample], seed: u64, question: &str, k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
+    use dio_catalog::{generate_catalog, CatalogConfig};
     use dio_embed::Vector;
     use proptest::prelude::*;
 

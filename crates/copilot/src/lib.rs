@@ -8,7 +8,7 @@
 //!
 //! 1. **Domain-specific database** ([`dio_catalog::DomainDb`]): 3000+
 //!    metric descriptions plus bespoke expert functions;
-//! 2. **Context extraction** ([`extractor`]): embed the question
+//! 2. **Context extraction** (`extractor`): embed the question
 //!    (sentence-embedder substitute for all-MiniLM-L6-v2), cosine-search
 //!    the vector store (FAISS substitute), keep the top-29 samples;
 //! 3. **Relevant-metric identification**: prompt the foundation model
@@ -32,23 +32,21 @@
 //! println!("{}", response.render());
 //! ```
 
-pub mod answer;
-pub mod config;
-pub mod error;
-pub mod extractor;
+mod answer;
+mod config;
+mod error;
+mod extractor;
 pub mod obs;
 pub mod pipeline;
-pub mod recovery;
-pub mod session;
-pub mod trace;
+mod recovery;
+mod session;
+mod trace;
 
-pub use answer::{CopilotResponse, RelevantMetric};
+pub use answer::CopilotResponse;
 pub use config::CopilotConfig;
 pub use error::CopilotError;
-pub use extractor::{ContextExtractor, RetrievalMode, RetrievalStats};
+pub use extractor::{ContextExtractor, RetrievalMode};
 pub use pipeline::{AskRequest, CopilotBuilder, DioCopilot};
-pub use recovery::{
-    BreakerState, CircuitBreaker, DegradationLevel, RecoveryPolicy, RecoveryStats,
-};
-pub use session::{ChatSession, Turn};
-pub use trace::{PipelineTrace, ShardTiming, StageAggregate, StageTiming};
+pub use recovery::{DegradationLevel, RecoveryPolicy};
+pub use session::ChatSession;
+pub use trace::ShardTiming;

@@ -315,7 +315,8 @@ impl DioCopilot {
     }
 
     /// The model-call circuit breaker (state persists across asks).
-    pub fn breaker(&self) -> &CircuitBreaker {
+    #[cfg(test)]
+    pub(crate) fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
     }
 
@@ -357,7 +358,8 @@ impl DioCopilot {
     /// [`DioCopilot::resolve_issue`]) across this copilot and every
     /// fork sharing its state. Serving-layer answer caches key entries
     /// by this generation and treat a mismatch as an invalidation.
-    pub fn knowledge_generation(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn knowledge_generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
@@ -1182,8 +1184,8 @@ fn first_sentence(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
-    use dio_catalog::types::MetricRole;
+    use dio_catalog::{generate_catalog, CatalogConfig};
+    use dio_catalog::MetricRole;
     use dio_tsdb::{Labels, SeriesSpec, SynthConfig, Synthesizer};
 
     /// A small world: compact catalog + synthesised data for a handful
@@ -1900,7 +1902,7 @@ mod tests {
             remaining: std::cell::RefCell::new(usize::MAX),
         }));
         cp.ask("How many paging attempts?", ts);
-        assert_eq!(cp.breaker().state(), crate::BreakerState::Open);
+        assert_eq!(cp.breaker().state(), crate::recovery::BreakerState::Open);
         let open = cp.breaker().clone();
         let r = cp.ask_with(AskRequest {
             model: false,

@@ -112,7 +112,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Healthy: calls pass through.
     Closed,
     /// Tripped: calls are refused without reaching the model.
@@ -124,7 +124,7 @@ pub enum BreakerState {
 /// Consecutive-failure circuit breaker for model calls. Lives on the
 /// copilot so state carries across `ask` invocations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: usize,
     cooldown_remaining: usize,
@@ -140,7 +140,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the policy's threshold/cooldown.
-    pub fn new(policy: &RecoveryPolicy) -> Self {
+    pub(crate) fn new(policy: &RecoveryPolicy) -> Self {
         CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
@@ -153,30 +153,19 @@ impl CircuitBreaker {
     }
 
     /// Current state.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// How many times the breaker has opened.
-    pub fn trips(&self) -> usize {
+    pub(crate) fn trips(&self) -> usize {
         self.trips
-    }
-
-    /// Consecutive failures recorded since the last success.
-    pub fn consecutive_failures(&self) -> usize {
-        self.consecutive_failures
-    }
-
-    /// The cooldown the next trip will impose (doubles on failed
-    /// half-open probes, resets on success).
-    pub fn current_cooldown(&self) -> usize {
-        self.current_cooldown
     }
 
     /// Ask permission to place a model call. While open, each refusal
     /// counts down the cooldown; when it reaches zero the breaker
     /// half-opens and the next request is admitted as a probe.
-    pub fn allow(&mut self) -> bool {
+    pub(crate) fn allow(&mut self) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
@@ -194,7 +183,7 @@ impl CircuitBreaker {
     /// Record a successful model call. Fully closes the breaker, resets
     /// the failure streak, and restores the base cooldown for any
     /// future trip.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
         self.state = BreakerState::Closed;
         self.current_cooldown = self.cooldown;
@@ -204,7 +193,7 @@ impl CircuitBreaker {
     /// opened the breaker. A failed half-open probe re-opens with a
     /// doubled cooldown — the upstream proved it is still sick, so the
     /// next probe waits longer.
-    pub fn record_failure(&mut self) -> bool {
+    pub(crate) fn record_failure(&mut self) -> bool {
         self.consecutive_failures += 1;
         let (should_open, escalate) = match self.state {
             // A failed half-open probe re-opens immediately, escalated.
@@ -353,7 +342,7 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.consecutive_failures, 0);
         // The streak really is reset: it takes the full threshold of
         // fresh failures to trip again.
         assert!(!b.record_failure());
@@ -371,24 +360,24 @@ mod tests {
         };
         let mut b = CircuitBreaker::new(&policy);
         b.record_failure(); // trip #1, cooldown 2
-        assert_eq!(b.current_cooldown(), 2);
+        assert_eq!(b.current_cooldown, 2);
         assert!(!b.allow());
         assert!(b.allow()); // probe #1
         b.record_failure(); // re-open with cooldown 4
-        assert_eq!(b.current_cooldown(), 4);
+        assert_eq!(b.current_cooldown, 4);
         for i in 0..3 {
             assert!(!b.allow(), "refusal {i} of the doubled cooldown");
         }
         assert!(b.allow()); // probe #2
         b.record_failure(); // re-open with cooldown 8
-        assert_eq!(b.current_cooldown(), 8);
+        assert_eq!(b.current_cooldown, 8);
         // A success anywhere restores the base cooldown.
         for _ in 0..7 {
             assert!(!b.allow());
         }
         assert!(b.allow());
         b.record_success();
-        assert_eq!(b.current_cooldown(), 2);
+        assert_eq!(b.current_cooldown, 2);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 

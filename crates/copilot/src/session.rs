@@ -86,7 +86,7 @@ impl<'a> ChatSession<'a> {
 ///    phrase) when no NF is mentioned; implemented as: previous question
 ///    with its final punctuation dropped, plus the fragment introduced
 ///    by "— specifically".
-pub fn resolve_followup(question: &str, previous: &str) -> String {
+pub(crate) fn resolve_followup(question: &str, previous: &str) -> String {
     let trimmed = question.trim();
     let lower = trimmed.to_lowercase();
 

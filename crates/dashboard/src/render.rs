@@ -72,7 +72,7 @@ fn legend_for(template: &str, labels: &str) -> String {
 }
 
 /// Map values onto eight bar glyphs. Non-finite values render as spaces.
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     if finite.is_empty() {
         return String::new();

@@ -12,21 +12,21 @@ use crate::tokenize::{char_ngrams, content_words, word_bigrams};
 use crate::vector::Vector;
 use serde::{Deserialize, Serialize};
 
+/// Character n-gram lengths, shortest and longest.
+const NGRAM_MIN: usize = 3;
+const NGRAM_MAX: usize = 5;
+/// Weight of word-unigram features (multiplied by IDF).
+const WORD_WEIGHT: f32 = 1.0;
+/// Weight of word-bigram features.
+const BIGRAM_WEIGHT: f32 = 0.6;
+/// Weight of character n-gram features.
+const CHAR_WEIGHT: f32 = 0.25;
+
 /// Embedder hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EmbedderConfig {
     /// Output dimensionality (MiniLM uses 384).
     pub dims: usize,
-    /// Minimum character n-gram length.
-    pub ngram_min: usize,
-    /// Maximum character n-gram length.
-    pub ngram_max: usize,
-    /// Weight of word-unigram features (multiplied by IDF).
-    pub word_weight: f32,
-    /// Weight of word-bigram features.
-    pub bigram_weight: f32,
-    /// Weight of character n-gram features.
-    pub char_weight: f32,
     /// Weight of lexicon-expansion features.
     pub lexicon_weight: f32,
     /// Hash seed — changing it produces an incompatible embedding space.
@@ -37,11 +37,6 @@ impl Default for EmbedderConfig {
     fn default() -> Self {
         EmbedderConfig {
             dims: 384,
-            ngram_min: 3,
-            ngram_max: 5,
-            word_weight: 1.0,
-            bigram_weight: 0.6,
-            char_weight: 0.25,
             lexicon_weight: 0.7,
             seed: 0x5eed_d10c_0b11_a7e5,
         }
@@ -60,7 +55,7 @@ impl EmbedderConfig {
 }
 
 /// A fitted sentence embedder. Create with [`Embedder::fit`] (corpus
-/// IDF + telecom lexicon) or [`Embedder::with_parts`] for full control.
+/// IDF + telecom lexicon).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Embedder {
     config: EmbedderConfig,
@@ -87,38 +82,9 @@ impl Embedder {
         }
     }
 
-    /// Build from explicit parts.
-    pub fn with_parts(config: EmbedderConfig, idf: IdfTable, lexicon: Lexicon) -> Self {
-        Embedder {
-            config,
-            idf,
-            lexicon,
-        }
-    }
-
-    /// An embedder with no corpus statistics and no lexicon. Every token
-    /// weighs the same; useful as a degenerate baseline in ablations.
-    pub fn untrained(config: &EmbedderConfig) -> Self {
-        Embedder {
-            config: config.clone(),
-            idf: IdfTable::default(),
-            lexicon: Lexicon::empty(),
-        }
-    }
-
     /// Output dimensionality.
     pub fn dims(&self) -> usize {
         self.config.dims
-    }
-
-    /// The fitted IDF table.
-    pub fn idf(&self) -> &IdfTable {
-        &self.idf
-    }
-
-    /// The attached lexicon.
-    pub fn lexicon(&self) -> &Lexicon {
-        &self.lexicon
     }
 
     /// Embed a text into a unit-norm vector.
@@ -136,23 +102,19 @@ impl Embedder {
 
         // 1. IDF-weighted word unigrams.
         for tok in &tokens {
-            let w = cfg.word_weight * self.idf.idf(tok);
+            let w = WORD_WEIGHT * self.idf.idf(tok);
             accumulate(&format!("w:{tok}"), w, &mut out, cfg.seed);
         }
 
         // 2. Word bigrams (procedure phrases).
-        if cfg.bigram_weight > 0.0 {
-            for bg in word_bigrams(&tokens) {
-                accumulate(&format!("b:{bg}"), cfg.bigram_weight, &mut out, cfg.seed);
-            }
+        for bg in word_bigrams(&tokens) {
+            accumulate(&format!("b:{bg}"), BIGRAM_WEIGHT, &mut out, cfg.seed);
         }
 
         // 3. Character n-grams (robust to glued counter names and typos).
-        if cfg.char_weight > 0.0 {
-            for tok in &tokens {
-                for g in char_ngrams(tok, cfg.ngram_min, cfg.ngram_max) {
-                    accumulate(&format!("c:{g}"), cfg.char_weight, &mut out, cfg.seed);
-                }
+        for tok in &tokens {
+            for g in char_ngrams(tok, NGRAM_MIN, NGRAM_MAX) {
+                accumulate(&format!("c:{g}"), CHAR_WEIGHT, &mut out, cfg.seed);
             }
         }
 
@@ -257,11 +219,11 @@ mod tests {
     #[test]
     fn generic_config_disables_lexicon_effect() {
         let full = embedder();
-        let generic = Embedder::with_parts(
-            EmbedderConfig::generic(),
-            full.idf().clone(),
-            Lexicon::telecom(),
-        );
+        let generic = Embedder {
+            config: EmbedderConfig::generic(),
+            idf: full.idf.clone(),
+            lexicon: Lexicon::telecom(),
+        };
         let a = "UPF traffic";
         let b = "user plane function traffic";
         let sim_full = cosine(&full.embed(a), &full.embed(b));
@@ -270,12 +232,5 @@ mod tests {
             sim_full > sim_generic,
             "lexicon should raise similarity: {sim_full} vs {sim_generic}"
         );
-    }
-
-    #[test]
-    fn untrained_embedder_still_unit_norm() {
-        let e = Embedder::untrained(&EmbedderConfig::default());
-        let v = e.embed("pdu sessions");
-        assert!((v.norm() - 1.0).abs() < 1e-5);
     }
 }

@@ -10,7 +10,7 @@
 /// FNV-1a is not cryptographic; it is chosen here because it is tiny,
 /// allocation-free, stable across platforms, and fully deterministic —
 /// the properties the reproduction needs.
-pub fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET ^ seed.wrapping_mul(PRIME);
@@ -30,7 +30,7 @@ pub fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
 /// The bucket comes from one hash stream (`seed`), the sign from an
 /// independent stream (`seed + 1`), so that two features colliding on the
 /// bucket still carry independent signs.
-pub fn feature_slot(feature: &str, dims: usize, seed: u64) -> (usize, f32) {
+pub(crate) fn feature_slot(feature: &str, dims: usize, seed: u64) -> (usize, f32) {
     debug_assert!(dims > 0);
     let bucket = (fnv1a64(feature.as_bytes(), seed) % dims as u64) as usize;
     let sign = if fnv1a64(feature.as_bytes(), seed ^ 0x9e37_79b9_7f4a_7c15) & 1 == 0 {
@@ -42,7 +42,7 @@ pub fn feature_slot(feature: &str, dims: usize, seed: u64) -> (usize, f32) {
 }
 
 /// Accumulate a weighted feature into a dense vector.
-pub fn accumulate(feature: &str, weight: f32, out: &mut [f32], seed: u64) {
+pub(crate) fn accumulate(feature: &str, weight: f32, out: &mut [f32], seed: u64) {
     let (bucket, sign) = feature_slot(feature, out.len(), seed);
     out[bucket] += sign * weight;
 }

@@ -9,29 +9,16 @@ use std::collections::HashMap;
 
 /// Document-frequency table with smoothed IDF lookup.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct IdfTable {
+pub(crate) struct IdfTable {
     doc_count: usize,
     doc_freq: HashMap<String, u32>,
 }
 
 impl IdfTable {
-    /// Fit from an iterator of pre-tokenised documents.
-    pub fn fit<'a, I, D>(docs: I) -> Self
-    where
-        I: IntoIterator<Item = D>,
-        D: IntoIterator<Item = &'a str>,
-    {
-        let mut table = IdfTable::default();
-        for doc in docs {
-            table.add_document(doc);
-        }
-        table
-    }
-
     /// Add one document's tokens to the statistics. Duplicate tokens in
     /// the same document count once (document frequency, not term
     /// frequency).
-    pub fn add_document<'a, D>(&mut self, tokens: D)
+    pub(crate) fn add_document<'a, D>(&mut self, tokens: D)
     where
         D: IntoIterator<Item = &'a str>,
     {
@@ -44,25 +31,15 @@ impl IdfTable {
         }
     }
 
-    /// Number of documents fitted so far.
-    pub fn doc_count(&self) -> usize {
-        self.doc_count
-    }
-
     /// Smoothed IDF: `ln((1 + N) / (1 + df)) + 1`.
     ///
     /// Unseen tokens get the highest weight (df = 0) — exactly what the
     /// retrieval stage wants for novel jargon in a user question. On an
     /// empty table every token has weight 1.
-    pub fn idf(&self, token: &str) -> f32 {
+    pub(crate) fn idf(&self, token: &str) -> f32 {
         let df = self.doc_freq.get(token).copied().unwrap_or(0) as f32;
         let n = self.doc_count as f32;
         ((1.0 + n) / (1.0 + df)).ln() + 1.0
-    }
-
-    /// Document frequency of a token (0 when unseen).
-    pub fn doc_freq(&self, token: &str) -> u32 {
-        self.doc_freq.get(token).copied().unwrap_or(0)
     }
 }
 
@@ -71,27 +48,36 @@ mod tests {
     use super::*;
 
     fn sample() -> IdfTable {
-        IdfTable::fit(vec![
-            vec!["the", "number", "of", "auth", "requests"],
-            vec!["the", "number", "of", "paging", "attempts"],
-            vec!["the", "count", "of", "pdu", "sessions"],
-        ])
+        let mut table = IdfTable::default();
+        for doc in [
+            ["the", "number", "of", "auth", "requests"],
+            ["the", "number", "of", "paging", "attempts"],
+            ["the", "count", "of", "pdu", "sessions"],
+        ] {
+            table.add_document(doc);
+        }
+        table
+    }
+
+    /// Document frequency of a token (0 when unseen).
+    fn doc_freq(table: &IdfTable, token: &str) -> u32 {
+        table.doc_freq.get(token).copied().unwrap_or(0)
     }
 
     #[test]
     fn counts_documents_and_vocab() {
         let t = sample();
-        assert_eq!(t.doc_count(), 3);
-        assert_eq!(t.doc_freq("the"), 3);
-        assert_eq!(t.doc_freq("auth"), 1);
-        assert_eq!(t.doc_freq("missing"), 0);
+        assert_eq!(t.doc_count, 3);
+        assert_eq!(doc_freq(&t, "the"), 3);
+        assert_eq!(doc_freq(&t, "auth"), 1);
+        assert_eq!(doc_freq(&t, "missing"), 0);
     }
 
     #[test]
     fn duplicates_in_one_doc_count_once() {
         let mut t = IdfTable::default();
         t.add_document(vec!["auth", "auth", "auth"]);
-        assert_eq!(t.doc_freq("auth"), 1);
+        assert_eq!(doc_freq(&t, "auth"), 1);
     }
 
     #[test]

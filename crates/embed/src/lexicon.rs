@@ -17,11 +17,6 @@ pub struct Lexicon {
 }
 
 impl Lexicon {
-    /// An empty lexicon (no expansion).
-    pub fn empty() -> Self {
-        Lexicon::default()
-    }
-
     /// The built-in 5G-core lexicon used by DIO copilot: network function
     /// names, interface names, procedure jargon, and common analytics
     /// phrasing.
@@ -205,14 +200,14 @@ mod tests {
 
     #[test]
     fn empty_lexicon_is_identity() {
-        let lex = Lexicon::empty();
+        let lex = Lexicon::default();
         let toks: Vec<String> = vec!["amf".into()];
         assert_eq!(lex.expand_tokens(&toks), toks);
     }
 
     #[test]
     fn insert_is_case_insensitive_on_key() {
-        let mut lex = Lexicon::empty();
+        let mut lex = Lexicon::default();
         lex.insert("AMF", vec!["mobility".into()]);
         assert!(lex.expand("amf").is_some());
     }

@@ -41,17 +41,18 @@
 
 #![forbid(unsafe_code)]
 
-pub mod embedder;
-pub mod hashing;
-pub mod idf;
-pub mod lexicon;
-pub mod similarity;
-pub mod tokenize;
-pub mod vector;
+mod embedder;
+mod hashing;
+mod idf;
+mod lexicon;
+mod similarity;
+mod tokenize;
+mod vector;
 
 pub use embedder::{Embedder, EmbedderConfig};
 pub use lexicon::Lexicon;
 pub use similarity::{
-    cosine, cosine_of_dot, cosine_with_norms, dot, dot_columns, euclidean, top_k_cosine,
+    cosine, cosine_of_dot, cosine_with_norms, dot, dot_columns, top_k_by, Scored,
 };
+pub use tokenize::{content_words, words, WordBuf};
 pub use vector::Vector;

@@ -1,9 +1,8 @@
 //! Vector similarity measures and top-k helpers.
 //!
-//! Everything here works on `&[f32]`; a [`Vector`] derefs to its slice,
+//! Everything here works on `&[f32]`; a [`crate::Vector`] derefs to its slice,
 //! so owned vectors and rows of a contiguous matrix share one kernel.
 
-use crate::vector::Vector;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -88,7 +87,7 @@ pub fn dot_columns(query: &[f32], columns: &[f32], stride: usize, out: &mut [f32
 }
 
 /// Euclidean (L2) norm.
-pub fn norm(a: &[f32]) -> f32 {
+pub(crate) fn norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
@@ -110,16 +109,6 @@ pub fn cosine_of_dot(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
         return 0.0;
     }
     (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
-}
-
-/// Euclidean distance.
-pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "vector dimension mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f32>()
-        .sqrt()
 }
 
 /// One scored search hit.
@@ -192,18 +181,19 @@ where
     out
 }
 
-/// Top-k most cosine-similar vectors to `query` among `candidates`.
-pub fn top_k_cosine(query: &[f32], candidates: &[Vector], k: usize) -> Vec<Scored> {
-    top_k_by(candidates.len(), k, |i| cosine(query, &candidates[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::Vector;
     use proptest::prelude::*;
 
     fn v(x: &[f32]) -> Vector {
         Vector(x.to_vec())
+    }
+
+    /// [`top_k_by`] over cosine similarity to `query`.
+    fn top_k_cosine(query: &[f32], candidates: &[Vector], k: usize) -> Vec<Scored> {
+        top_k_by(candidates.len(), k, |i| cosine(query, &candidates[i]))
     }
 
     /// A unit vector of `dims` components drawn from `raw` (cycled).
@@ -320,11 +310,6 @@ mod tests {
     #[test]
     fn cosine_with_zero_vector_is_zero() {
         assert_eq!(cosine(&v(&[0.0, 0.0]), &v(&[1.0, 2.0])), 0.0);
-    }
-
-    #[test]
-    fn euclidean_matches_hand_computation() {
-        assert!((euclidean(&v(&[0.0, 0.0]), &v(&[3.0, 4.0])) - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn content_words(text: &str) -> Vec<String> {
 /// wrapped in boundary markers (`<` and `>`) and every n-gram with
 /// `min <= n <= max` is emitted. Tokens shorter than `min` are emitted
 /// whole (with markers) so they still contribute a feature.
-pub fn char_ngrams(token: &str, min: usize, max: usize) -> Vec<String> {
+pub(crate) fn char_ngrams(token: &str, min: usize, max: usize) -> Vec<String> {
     assert!(min >= 1 && max >= min, "invalid n-gram range");
     let wrapped: Vec<char> = std::iter::once('<')
         .chain(token.chars())
@@ -124,7 +124,7 @@ pub fn char_ngrams(token: &str, min: usize, max: usize) -> Vec<String> {
 
 /// Word bigrams ("auth request" → `auth_request`) over the content words
 /// of `text`. Bigrams capture procedure phrases that single words miss.
-pub fn word_bigrams(tokens: &[String]) -> Vec<String> {
+pub(crate) fn word_bigrams(tokens: &[String]) -> Vec<String> {
     tokens
         .windows(2)
         .map(|w| format!("{}_{}", w[0], w[1]))

@@ -37,15 +37,6 @@ pub enum NodeFault {
     },
 }
 
-impl NodeFault {
-    /// The node the fault targets.
-    pub fn node(&self) -> usize {
-        match self {
-            NodeFault::Crash { node } | NodeFault::Restart { node } => *node,
-        }
-    }
-}
-
 /// One fired event, for post-hoc analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeFaultEvent {
@@ -56,8 +47,7 @@ pub struct NodeFaultEvent {
 }
 
 /// A seeded schedule of node crash/restart events over cluster
-/// operations. Build one per drill via [`CrashSchedule::derived`] (or
-/// [`crate::Injector::node_crashes`]).
+/// operations. Build one per drill via [`CrashSchedule::derived`].
 #[derive(Debug)]
 pub struct CrashSchedule {
     rng: ChaCha8Rng,

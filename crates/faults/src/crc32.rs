@@ -23,7 +23,7 @@ fn table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 of `bytes` (same parameters as zlib's `crc32`).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {

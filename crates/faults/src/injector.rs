@@ -167,14 +167,6 @@ impl Injector {
         self.injected_latency_micros += self.config.latency_spike_micros;
     }
 
-    /// The node-crash layer over this injector's schedule: a
-    /// [`crate::CrashSchedule`] derived from the same config, planning
-    /// whole-node kill/restart events for cluster drills while this
-    /// injector keeps planting intra-node data faults.
-    pub fn node_crashes(&self, n_nodes: usize) -> crate::CrashSchedule {
-        crate::CrashSchedule::derived(&self.config, n_nodes)
-    }
-
     /// Decide the fault for the next operation. Always draws exactly
     /// three RNG values (roll, pick, aux) so the schedule depends only
     /// on (seed, op index), never on which faults fired earlier or how

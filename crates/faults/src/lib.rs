@@ -1,9 +1,10 @@
 //! # dio-faults
 //!
 //! The data-plane counterpart of `dio-llm`'s `FaultyModel`: a shared
-//! chaos layer for the stateful crates (`dio-tsdb`, `dio-vecstore`,
-//! `dio-feedback`) plus the crash-consistent persistence primitives
-//! they build on.
+//! chaos layer for the stateful paths (`dio-tsdb`'s WAL and snapshots,
+//! `dio-cluster`'s replication link, the copilot's retrieval and
+//! sandboxed execution) plus the crash-consistent persistence
+//! primitives `dio-tsdb` builds on.
 //!
 //! Three pieces:
 //!
@@ -13,7 +14,7 @@
 //!   `(seed, op index)`: every operation draws the same number of RNG
 //!   values whether or not a fault fires, so outcomes never perturb
 //!   the schedule and any run replays exactly.
-//! * [`framing`] — checksummed, length-prefixed record framing for
+//! * `framing` — checksummed, length-prefixed record framing for
 //!   snapshots and write-ahead logs. A scan quarantines corrupt frames
 //!   and distinguishes clean truncation (a torn final write) from
 //!   mid-stream corruption, resynchronising on the record magic.
@@ -26,16 +27,13 @@
 //! in `dio-tsdb`), so fault *counting* is done by callers draining the
 //! injector's event log into their own registries.
 
-pub mod crash;
-pub mod crc32;
-pub mod framing;
-pub mod injector;
-pub mod medium;
+mod crash;
+mod crc32;
+mod framing;
+mod injector;
+mod medium;
 
-pub use crash::{CrashSchedule, NodeFault, NodeFaultEvent};
-pub use crc32::crc32;
-pub use framing::{
-    decode_all, encode_record, frames, Frame, Frames, ScanReport, FRAME_HEADER_LEN, MAGIC,
-};
-pub use injector::{ChaosConfig, DataFaultEvent, DataFaultKind, Injector, PlannedFault};
+pub use crash::{CrashSchedule, NodeFault};
+pub use framing::{decode_all, encode_record, frames, Frame, Frames, FRAME_HEADER_LEN, MAGIC};
+pub use injector::{ChaosConfig, DataFaultKind, Injector, PlannedFault};
 pub use medium::{ChaosMedium, MemMedium, Medium};

@@ -1,7 +1,6 @@
 //! Expert contributions and their application to the domain DB.
 
-use dio_catalog::store::ExpertNote;
-use dio_catalog::{DomainDb, FunctionDef, MetricDef};
+use dio_catalog::{DomainDb, ExpertNote, FunctionDef, MetricDef};
 use serde::{Deserialize, Serialize};
 
 /// What an expert contributes when resolving an issue.
@@ -79,8 +78,8 @@ impl Contribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
-    use dio_catalog::store::Provenance;
+    use dio_catalog::{generate_catalog, CatalogConfig};
+    use dio_catalog::Provenance;
 
     fn db() -> DomainDb {
         DomainDb::from_catalog(generate_catalog(&CatalogConfig {

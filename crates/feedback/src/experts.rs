@@ -72,14 +72,6 @@ impl ExpertRegistry {
     pub fn is_empty(&self) -> bool {
         self.experts.is_empty()
     }
-
-    /// Experts whose expertise tags intersect the given tags.
-    pub fn find_by_expertise(&self, tags: &[&str]) -> Vec<&Expert> {
-        self.experts
-            .values()
-            .filter(|e| e.expertise.iter().any(|t| tags.contains(&t.as_str())))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +98,5 @@ mod tests {
         assert!(r.is_expert("expert:dave"));
         assert!(r.remove("expert:dave"));
         assert!(!r.remove("expert:dave"));
-    }
-
-    #[test]
-    fn find_by_expertise_matches_tags() {
-        let r = ExpertRegistry::with_defaults();
-        let upf = r.find_by_expertise(&["upf"]);
-        assert_eq!(upf.len(), 1);
-        assert_eq!(upf[0].id, "expert:carol");
-        assert!(r.find_by_expertise(&["nonexistent"]).is_empty());
     }
 }

@@ -11,24 +11,21 @@
 //!
 //! * [`IssueTracker`] — issues with question/context/response bodies,
 //!   comments, labels, and lifecycle;
-//! * [`ExpertRegistry`] — "only a select few pre-identified experts can
+//! * the expert registry — "only a select few pre-identified experts can
 //!   resolve these issues";
 //! * [`Contribution`] — metric docs, function definitions, exemplars,
 //!   and free-form notes that resolution merges into the
-//!   [`dio_catalog::DomainDb`], with attribution;
-//! * [`voting`] — the Stack-Overflow-style voting mechanism §3.4 leaves
-//!   as future work, implemented here as an extension.
+//!   [`dio_catalog::DomainDb`], with attribution.
+//!
+//! The tracker lives in memory. The Stack-Overflow-style voting
+//! mechanism §3.4 leaves as future work is future work here too.
 
-pub mod contribution;
-pub mod experts;
-pub mod issue;
-pub mod journal;
-pub mod tracker;
-pub mod voting;
+mod contribution;
+mod experts;
+mod issue;
+mod tracker;
 
 pub use contribution::Contribution;
-pub use experts::{Expert, ExpertRegistry};
-pub use issue::{Issue, IssueBody, IssueId, IssueState};
-pub use journal::{Journal, JournalOp, JournalRecovery, ReplayReport};
+pub use experts::Expert;
+pub use issue::{IssueId, IssueState};
 pub use tracker::{IssueTracker, TrackerError};
-pub use voting::{Vote, VotingBoard};

@@ -78,11 +78,6 @@ impl IssueTracker {
         self.issues.get(id as usize)
     }
 
-    /// All issues in a state.
-    pub fn in_state(&self, state: IssueState) -> Vec<&Issue> {
-        self.issues.iter().filter(|i| i.state == state).collect()
-    }
-
     /// Total number of issues.
     pub fn len(&self) -> usize {
         self.issues.len()
@@ -179,7 +174,7 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::generator::{generate_catalog, CatalogConfig};
+    use dio_catalog::{generate_catalog, CatalogConfig};
 
     fn db() -> DomainDb {
         DomainDb::from_catalog(generate_catalog(&CatalogConfig {
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(issue.state, IssueState::Open);
         assert!(issue.title.contains("expert help"));
         assert_eq!(issue.body.context_metrics.len(), 1);
-        assert_eq!(t.in_state(IssueState::Open).len(), 1);
     }
 
     #[test]

@@ -11,31 +11,31 @@
 //! single largest avoidable line item. This crate removes it in three
 //! layers, ordered cheapest-first:
 //!
-//! 1. [`singleflight`] — concurrent *identical* (normalized) questions
+//! 1. `singleflight` — concurrent *identical* (normalized) questions
 //!    coalesce: one leader computes, followers clone the result.
 //!    Answer-shaped, sits at the question level in `dio-serve`.
-//! 2. [`semantic`] — *near*-duplicates (paraphrases) are served from an
+//! 2. `semantic` — *near*-duplicates (paraphrases) are served from an
 //!    embedding-similarity cache behind the exact caches, gated by a
 //!    cosine floor and the knowledge-generation atomic.
-//! 3. [`model`] — what still reaches the model is **batched**: a
+//! 3. `model` — what still reaches the model is **batched**: a
 //!    bounded-delay, bounded-size, deadline-aware accumulator answers K
 //!    queued prompts in one combined call, pricing the shared prefix
 //!    once per batch. Callers announce their jobs, so the accumulator
 //!    never holds a request for a companion that cannot come.
 //!
-//! [`normalize`] hosts the question normalizer both the serve-tier
+//! `normalize` hosts the question normalizer both the serve-tier
 //! answer cache and the singleflight keyer share (serve re-exports it),
 //! so the two planes cannot drift.
 
-pub mod model;
-pub mod normalize;
-pub mod semantic;
-pub mod singleflight;
+mod model;
+mod normalize;
+mod semantic;
+mod singleflight;
 
 pub use model::{BatchConfig, FlushRecord, FlushTrigger, GatewayHandle, ModelGateway, OpenJob};
 pub use normalize::normalize_question;
 pub use semantic::{Probe, SemanticCache, SemanticConfig, SemanticStats};
-pub use singleflight::{FollowerHandle, FollowerOutcome, Join, LeaderGuard, Singleflight};
+pub use singleflight::{FollowerOutcome, Join, Singleflight};
 
 #[cfg(test)]
 mod tests {

@@ -287,7 +287,8 @@ impl ModelGateway {
     }
 
     /// Jobs currently open and not parked, across all handles.
-    pub fn open_jobs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_jobs(&self) -> usize {
         self.state.lock().unwrap().open_jobs
     }
 
@@ -655,11 +656,6 @@ impl GatewayHandle {
             core: Arc::clone(&self.core),
             ctx: Arc::clone(&self.ctx),
         })
-    }
-
-    /// The shared gateway core.
-    pub fn core(&self) -> &Arc<ModelGateway> {
-        &self.core
     }
 }
 

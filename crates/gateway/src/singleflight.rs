@@ -150,9 +150,6 @@ impl<V: Clone> LeaderGuard<'_, V> {
         self.sf
             .close_epoch(&self.key, &self.flight, FlightState::Done(value));
     }
-
-    /// Explicitly abandon the epoch (equivalent to dropping the guard).
-    pub fn abandon(self) {}
 }
 
 impl<V: Clone> Drop for LeaderGuard<'_, V> {

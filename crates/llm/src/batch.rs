@@ -36,17 +36,17 @@ use crate::tokens::count_tokens;
 /// Markers of the batched wire format. Chosen to never collide with
 /// the standard prompt markers and to survive the fault injector's
 /// text corruptions (no parentheses).
-pub mod batch_markers {
+pub(crate) mod batch_markers {
     /// Batch header line: `### BATCH n=<K>`.
-    pub const BATCH: &str = "### BATCH n=";
+    pub(crate) const BATCH: &str = "### BATCH n=";
     /// Shared-prefix section header.
-    pub const SHARED: &str = "### BATCH-SHARED";
+    pub(crate) const SHARED: &str = "### BATCH-SHARED";
     /// Per-item header line: `### BATCH-ITEM <k> max_tokens=<m>`.
-    pub const ITEM: &str = "### BATCH-ITEM ";
+    pub(crate) const ITEM: &str = "### BATCH-ITEM ";
     /// Per-item answer block: `<<BATCH-ANSWER <k>>>`.
-    pub const ANSWER: &str = "<<BATCH-ANSWER ";
+    pub(crate) const ANSWER: &str = "<<BATCH-ANSWER ";
     /// Per-item error line: `<<BATCH-ERROR <k>>> <class>: <msg>`.
-    pub const ERROR: &str = "<<BATCH-ERROR ";
+    pub(crate) const ERROR: &str = "<<BATCH-ERROR ";
 }
 
 /// The six canonical prompt sections, in render order.
@@ -132,7 +132,7 @@ fn split_sections(text: &str) -> Option<[&str; 6]> {
 }
 
 /// Whether a prompt text is in the batched wire format.
-pub fn is_batched(text: &str) -> bool {
+pub(crate) fn is_batched(text: &str) -> bool {
     text.starts_with(batch_markers::BATCH)
 }
 

@@ -154,19 +154,6 @@ impl CostLedger {
         self.cost_usd += prompt + completion;
     }
 
-    /// Fold another ledger into this one (e.g. per-worker ledgers into
-    /// a service total).
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.usage.add(other.usage);
-        self.queries += other.queries;
-        self.cost_usd += other.cost_usd;
-        self.prompt_usd += other.prompt_usd;
-        self.completion_usd += other.completion_usd;
-        self.batches += other.batches;
-        self.prefix_tokens_billed += other.prefix_tokens_billed;
-        self.prefix_tokens_saved += other.prefix_tokens_saved;
-    }
-
     /// Number of queries recorded (batched calls count each item).
     pub fn queries(&self) -> usize {
         self.queries
@@ -329,24 +316,6 @@ mod tests {
         assert!(batched.total_usd() < solo.total_usd());
         let saving = solo.prompt_usd() - batched.prompt_usd();
         assert!((saving - batched.prefix_saved_usd(Pricing::gpt4())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_folds_every_field() {
-        let usage = TokenUsage {
-            prompt_tokens: 100,
-            completion_tokens: 10,
-        };
-        let mut a = CostLedger::new();
-        a.record(usage, Pricing::gpt4());
-        let mut b = CostLedger::new();
-        b.record_batch(usage, 40, 2, Pricing::gpt4());
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.queries(), 3);
-        assert_eq!(merged.batches(), 1);
-        assert_eq!(merged.prefix_tokens_saved(), 40);
-        assert!((merged.total_usd() - (a.total_usd() + b.total_usd())).abs() < 1e-12);
     }
 
     #[test]

@@ -30,20 +30,21 @@
 //! matching the paper's temperature-0 setting ("for repeatable answers
 //! to the same query").
 
-pub mod batch;
-pub mod cost;
-pub mod faults;
-pub mod model;
-pub mod obs;
-pub mod prompt;
-pub mod sim;
-pub mod tokens;
+mod batch;
+mod cost;
+mod faults;
+mod model;
+mod obs;
+mod prompt;
+mod sim;
+mod tokens;
 
-pub use batch::{batch_markers, compose_batch, is_batched, split_batch, BatchExpander, BatchLayout};
+pub use batch::{compose_batch, split_batch, BatchExpander, BatchLayout};
 pub use cost::{CostLedger, CostMeter, Pricing, TokenUsage};
-pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultyModel};
+pub use faults::{FaultConfig, FaultyModel};
 pub use model::{Completion, CompletionRequest, FoundationModel, ModelError, TaskKind};
 pub use obs::ObservedModel;
-pub use prompt::{ContextItem, FewShotExample, Prompt, PromptBuilder};
+pub use prompt::{ContextItem, FewShotExample, PromptBuilder};
 pub use sim::profile::{ModelProfile, SimulatedModel};
+pub use sim::reason::{analyze, TaskShape};
 pub use tokens::count_tokens;

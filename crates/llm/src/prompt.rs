@@ -71,27 +71,27 @@ pub struct PromptBuilder {
 
 /// Section markers used in the rendered text. The simulated models parse
 /// these back; real models would simply read them as headers.
-pub mod markers {
+pub(crate) mod markers {
     /// System section header.
-    pub const SYSTEM: &str = "### SYSTEM";
+    pub(crate) const SYSTEM: &str = "### SYSTEM";
     /// Context section header.
-    pub const CONTEXT: &str = "### CONTEXT";
+    pub(crate) const CONTEXT: &str = "### CONTEXT";
     /// Functions section header.
-    pub const FUNCTIONS: &str = "### FUNCTIONS";
+    pub(crate) const FUNCTIONS: &str = "### FUNCTIONS";
     /// Examples section header.
-    pub const EXAMPLES: &str = "### EXAMPLES";
+    pub(crate) const EXAMPLES: &str = "### EXAMPLES";
     /// Question section header.
-    pub const QUESTION: &str = "### QUESTION";
+    pub(crate) const QUESTION: &str = "### QUESTION";
     /// Task section header.
-    pub const TASK: &str = "### TASK";
+    pub(crate) const TASK: &str = "### TASK";
     /// Context item prefix.
-    pub const ITEM: &str = "<<ITEM>> ";
+    pub(crate) const ITEM: &str = "<<ITEM>> ";
     /// Example question prefix.
-    pub const EX_Q: &str = "<<Q>> ";
+    pub(crate) const EX_Q: &str = "<<Q>> ";
     /// Example metrics prefix.
-    pub const EX_METRICS: &str = "<<METRICS>> ";
+    pub(crate) const EX_METRICS: &str = "<<METRICS>> ";
     /// Example PromQL prefix.
-    pub const EX_PROMQL: &str = "<<PROMQL>> ";
+    pub(crate) const EX_PROMQL: &str = "<<PROMQL>> ";
 }
 
 impl PromptBuilder {

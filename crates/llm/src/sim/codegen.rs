@@ -15,11 +15,11 @@
 use crate::sim::noise;
 use crate::sim::reason::{QuestionAnalysis, RoleNeed, TaskShape, IFACE_TAGS, NF_PREFIXES};
 use crate::sim::select::Selection;
-use dio_embed::tokenize::WordBuf;
+use dio_embed::WordBuf;
 
 /// Tier-dependent code-generation behaviour.
 #[derive(Debug, Clone, Copy)]
-pub struct CodegenConfig<'a> {
+pub(crate) struct CodegenConfig<'a> {
     /// Probability of applying the correct template when exemplars
     /// cover the shape.
     pub template_strength: f64,
@@ -35,7 +35,7 @@ pub struct CodegenConfig<'a> {
 /// `covered_shapes` says which task shapes the prompt's exemplars
 /// demonstrate; `schema_names` are the context names available for
 /// convention inference during fabrication.
-pub fn generate_promql(
+pub(crate) fn generate_promql(
     analysis: &QuestionAnalysis,
     selections: &[Selection],
     examples_present: bool,
@@ -114,7 +114,7 @@ fn name_at(names: &[String], i: usize) -> String {
 
 /// The canonical expression per shape — what the few-shot exemplars
 /// demonstrate and what the benchmark references use.
-pub fn canonical_template(shape: TaskShape, names: &[String]) -> String {
+pub(crate) fn canonical_template(shape: TaskShape, names: &[String]) -> String {
     let n = |i| name_at(names, i);
     match shape {
         TaskShape::CurrentValue | TaskShape::TotalCount => format!("sum({})", n(0)),
@@ -226,14 +226,14 @@ const PREFIX_WORDS: &[&str] = &["instance", "instances", "pfcp", "gtp", "u"];
 /// Fabricate a metric name from question words plus naming conventions
 /// inferred from the visible schema names (the model's "pretraining
 /// knowledge" of vendor conventions).
-pub fn fabricate_name(tokens: &[String], role: &RoleNeed, schema_names: &[&str]) -> String {
+pub(crate) fn fabricate_name(tokens: &[String], role: &RoleNeed, schema_names: &[&str]) -> String {
     fabricate_with_cause(tokens, role, None, schema_names)
 }
 
 /// [`fabricate_name`] with an explicit cause phrase: the cause words
 /// become the `_failure_<cause>` suffix instead of polluting the
 /// procedure segment.
-pub fn fabricate_with_cause(
+pub(crate) fn fabricate_with_cause(
     tokens: &[String],
     role: &RoleNeed,
     cause_tokens: Option<&[String]>,

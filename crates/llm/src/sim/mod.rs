@@ -15,9 +15,9 @@
 //!
 //! [`FoundationModel`]: crate::model::FoundationModel
 
-pub mod codegen;
-pub mod noise;
-pub mod parse;
-pub mod profile;
-pub mod reason;
-pub mod select;
+pub(crate) mod codegen;
+pub(crate) mod noise;
+pub(crate) mod parse;
+pub(crate) mod profile;
+pub(crate) mod reason;
+pub(crate) mod select;

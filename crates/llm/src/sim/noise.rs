@@ -8,7 +8,7 @@
 //! benchmark approaches the configured rate.
 
 /// A uniform value in `[0, 1)` derived from the given context strings.
-pub fn hash01(parts: &[&str]) -> f64 {
+pub(crate) fn hash01(parts: &[&str]) -> f64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for p in parts {
         for b in p.as_bytes() {
@@ -25,12 +25,12 @@ pub fn hash01(parts: &[&str]) -> f64 {
 }
 
 /// True with probability `p`, deterministically from context.
-pub fn coin(parts: &[&str], p: f64) -> bool {
+pub(crate) fn coin(parts: &[&str], p: f64) -> bool {
     hash01(parts) < p
 }
 
 /// Pick an index in `[0, n)` deterministically from context.
-pub fn pick(parts: &[&str], n: usize) -> usize {
+pub(crate) fn pick(parts: &[&str], n: usize) -> usize {
     debug_assert!(n > 0);
     (hash01(parts) * n as f64) as usize % n
 }

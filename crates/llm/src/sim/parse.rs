@@ -11,7 +11,7 @@ use crate::prompt::markers;
 
 /// A context entry as seen by the model, borrowed from the prompt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParsedItem<'a> {
+pub(crate) struct ParsedItem<'a> {
     /// Counter/function name.
     pub name: &'a str,
     /// Description (empty when the prompt only lists names).
@@ -20,7 +20,7 @@ pub struct ParsedItem<'a> {
 
 /// A few-shot example as seen by the model, borrowed from the prompt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedExample<'a> {
+pub(crate) struct ParsedExample<'a> {
     /// Natural-language question.
     pub question: &'a str,
     /// The relevant metric names.
@@ -33,7 +33,7 @@ pub struct ParsedExample<'a> {
 /// the prompt text; the system instruction and the question may span
 /// lines, which are joined with one space.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedPrompt<'a> {
+pub(crate) struct ParsedPrompt<'a> {
     /// System instruction.
     pub system: String,
     /// CONTEXT items.
@@ -80,7 +80,7 @@ fn push_joined(out: &mut String, line: &str) {
 
 /// Parse a prompt rendered by the builder. Unknown lines are ignored,
 /// so the parser is robust to prompts hand-built by the baselines.
-pub fn parse_prompt(text: &str) -> ParsedPrompt<'_> {
+pub(crate) fn parse_prompt(text: &str) -> ParsedPrompt<'_> {
     let mut out = ParsedPrompt::default();
     let mut section = Section::None;
 
@@ -237,13 +237,13 @@ mod tests {
         use super::*;
 
         #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct ParsedItem {
+        pub(super) struct ParsedItem {
             pub name: String,
             pub text: String,
         }
 
         #[derive(Debug, Clone, PartialEq, Default)]
-        pub struct ParsedPrompt {
+        pub(super) struct ParsedPrompt {
             pub system: String,
             pub context: Vec<ParsedItem>,
             pub functions: Vec<ParsedItem>,
@@ -252,7 +252,7 @@ mod tests {
             pub task: Option<TaskKind>,
         }
 
-        pub fn parse_prompt(text: &str) -> ParsedPrompt {
+        pub(super) fn parse_prompt(text: &str) -> ParsedPrompt {
             let mut out = ParsedPrompt::default();
             let mut section = Section::None;
             let mut pending_example: Option<FewShotExample> = None;

@@ -86,11 +86,6 @@ impl SimulatedModel {
         SimulatedModel { profile }
     }
 
-    /// The profile.
-    pub fn profile(&self) -> &ModelProfile {
-        &self.profile
-    }
-
     fn selection_config(&self) -> SelectionConfig<'_> {
         SelectionConfig {
             paraphrase_strength: self.profile.paraphrase_strength,

@@ -5,7 +5,7 @@
 //! expression", §4.1) plus the derived-KPI shapes its examples discuss
 //! (success rates, failure causes, mean durations).
 
-use dio_embed::tokenize::content_words;
+use dio_embed::content_words;
 
 /// The analytic shape a question asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +87,7 @@ pub struct QuestionAnalysis {
 /// Words that cue the task shape rather than naming the entity. They
 /// are excluded from candidate scoring: every admitted candidate for a
 /// role would match (or miss) them identically.
-pub const TASK_CUE_WORDS: &[&str] = &[
+pub(crate) const TASK_CUE_WORDS: &[&str] = &[
     "success", "successful", "successfully", "succeeded", "rate", "rates", "percentage",
     "percent", "fraction", "ratio", "share", "failed", "failure", "failures", "fail",
     "average", "mean", "duration", "durations", "total", "currently", "current", "moment",
@@ -102,7 +102,7 @@ pub(crate) const IFACE_TAGS: &[&str] = &["n1", "n2", "n3", "n4", "n6", "n7", "n9
 
 /// The task shape alone — all the model reads of a few-shot exemplar's
 /// question.
-pub fn shape_of(question: &str) -> TaskShape {
+pub(crate) fn shape_of(question: &str) -> TaskShape {
     shape_of_lower(&question.to_lowercase())
 }
 

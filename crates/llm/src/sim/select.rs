@@ -16,14 +16,13 @@
 use crate::sim::noise;
 use crate::sim::parse::ParsedItem;
 use crate::sim::reason::{QuestionAnalysis, RoleNeed, IFACE_TAGS, NF_PREFIXES};
-use dio_embed::tokenize::WordBuf;
-use dio_embed::Lexicon;
+use dio_embed::{Lexicon, WordBuf};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Tier-dependent selection behaviour.
 #[derive(Debug, Clone, Copy)]
-pub struct SelectionConfig<'a> {
+pub(crate) struct SelectionConfig<'a> {
     /// Weight of lexicon-expanded (synonym) tokens in `[0, 1]`.
     pub paraphrase_strength: f64,
     /// Probability of resolving a near-tie to the best candidate.
@@ -34,7 +33,7 @@ pub struct SelectionConfig<'a> {
 
 /// One role's selection outcome.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Selection {
+pub(crate) struct Selection {
     /// The role this fills.
     pub role: RoleNeed,
     /// Chosen metric name; `None` when nothing in context was plausible.
@@ -45,11 +44,11 @@ pub struct Selection {
 
 /// Below this question-coverage the model does not trust any candidate
 /// (and the caller falls back to fabrication).
-pub const CONFIDENCE_FLOOR: f64 = 0.34;
+pub(crate) const CONFIDENCE_FLOOR: f64 = 0.34;
 
 /// Confidence floor for items that carry a bare name with no
 /// description (the baselines' schema-only context).
-pub const NAME_ONLY_FLOOR: f64 = 0.52;
+pub(crate) const NAME_ONLY_FLOOR: f64 = 0.52;
 
 /// Near-tie margin: a runner-up within this factor of the best is
 /// "confusable".
@@ -156,7 +155,7 @@ impl QToken {
 }
 
 /// Select one metric per role.
-pub fn select_metrics(
+pub(crate) fn select_metrics(
     analysis: &QuestionAnalysis,
     items: &[ParsedItem<'_>],
     cfg: &SelectionConfig<'_>,
@@ -601,13 +600,13 @@ mod tests {
         use crate::sim::select::{
             Selection, SelectionConfig, CONFIDENCE_FLOOR, NAME_ONLY_FLOOR, TIE_MARGIN,
         };
-        use dio_embed::tokenize::{content_words, words};
+        use dio_embed::{content_words, words};
         use dio_embed::Lexicon;
         use std::collections::{HashMap, HashSet};
 
         /// A question token with its lexicon expansions.
         #[derive(Debug, Clone, PartialEq)]
-        pub struct QToken {
+        pub(super) struct QToken {
             /// The original content word.
             pub text: String,
             /// Synonyms/expansions from the telecom lexicon.
@@ -616,7 +615,7 @@ mod tests {
 
         /// Select one metric per role: `select_metrics` as it shipped before
         /// the context was indexed once.
-        pub fn reference_select(
+        pub(super) fn reference_select(
             analysis: &QuestionAnalysis,
             items: &[ParsedItem<'_>],
             cfg: &SelectionConfig<'_>,
@@ -747,7 +746,7 @@ mod tests {
         }
 
         /// Question tokens paired with their lexicon expansions.
-        pub fn expand_tokens(tokens: &[String]) -> Vec<QToken> {
+        pub(super) fn expand_tokens(tokens: &[String]) -> Vec<QToken> {
             let lex = Lexicon::telecom();
             tokens
                 .iter()
@@ -761,7 +760,7 @@ mod tests {
         /// Inflection variants of a word: the word itself plus light plural and
         /// past-tense strippings ("attempts" → "attempt", "forwarded" →
         /// "forward", "handled" → "handle").
-        pub fn stems(word: &str) -> Vec<String> {
+        pub(super) fn stems(word: &str) -> Vec<String> {
             let mut out = vec![word.to_string()];
             if word.len() > 3 && word.ends_with('s') && !word.ends_with("ss") && !word.ends_with("us") {
                 out.push(word[..word.len() - 1].to_string());

@@ -64,7 +64,7 @@ fn render_labels(labels: &[(String, String)], le: Option<f64>) -> String {
 
 /// Escape a label value per the exposition format: backslash, double
 /// quote, and newline.
-pub fn escape_label_value(v: &str) -> String {
+pub(crate) fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -78,7 +78,7 @@ pub fn escape_label_value(v: &str) -> String {
 }
 
 /// Escape HELP text: backslash and newline (quotes stay literal).
-pub fn escape_help(h: &str) -> String {
+pub(crate) fn escape_help(h: &str) -> String {
     let mut out = String::with_capacity(h.len());
     for c in h.chars() {
         match c {
@@ -92,7 +92,7 @@ pub fn escape_help(h: &str) -> String {
 
 /// Render a sample value: integral values print without a decimal
 /// point (`17`, not `17.0`); specials use Prometheus spellings.
-pub fn fmt_value(v: f64) -> String {
+pub(crate) fn fmt_value(v: f64) -> String {
     if v.is_nan() {
         return "NaN".to_string();
     }

@@ -6,21 +6,21 @@
 //! crate gives the copilot telemetry *of its own*, shaped exactly like
 //! the operator data it serves:
 //!
-//! * [`registry`] — a lock-free-ish metrics registry: counters, gauges,
+//! * `registry` — a lock-free-ish metrics registry: counters, gauges,
 //!   and exponential-bucket histograms, all labelable, with cheap
 //!   cloneable handles for the hot path;
-//! * [`span`] + [`tracer`] — hierarchical distributed tracing:
+//! * `span` + `tracer` — hierarchical distributed tracing:
 //!   [`SpanContext`] is carried explicitly across every async/thread
 //!   boundary, completed spans reassemble into per-request
-//!   [`SpanTree`]s with orphan detection;
-//! * [`recorder`] — a tail-sampling [`FlightRecorder`]: a byte-budgeted
+//!   span trees with orphan detection;
+//! * `recorder` — a tail-sampling [`FlightRecorder`]: a byte-budgeted
 //!   ring retaining complete span trees only for slow / errored / shed
 //!   / degraded / failed-over traces, dumpable as JSON artifacts;
-//! * [`slo`] — declarative SLOs evaluated from registry snapshots with
+//! * `slo` — declarative SLOs evaluated from registry snapshots with
 //!   multi-window burn-rate alerts, exported back into the registry;
-//! * [`exporter`] — Prometheus text exposition (format 0.0.4);
-//! * [`expo`] — a parser for that same format;
-//! * [`scrape`] — the self-scrape loop: [`ObsScraper`] turns registry
+//! * `exporter` — Prometheus text exposition (format 0.0.4);
+//! * `expo` — a parser for that same format;
+//! * `scrape` — the self-scrape loop: [`ObsScraper`] turns registry
 //!   snapshots into `dio-tsdb` series and auto-generates `dio-catalog`
 //!   descriptions for every instrument, so the copilot can answer
 //!   questions about its own health through the standard
@@ -31,33 +31,27 @@
 //! budgeted: labels hold closed enums (stage, outcome, fault kind, model
 //! name), never question text or metric names.
 
-pub mod budget;
-pub mod exporter;
-pub mod expo;
-pub mod recorder;
-pub mod registry;
-pub mod rolling;
-pub mod scrape;
-pub mod slo;
-pub mod span;
-pub mod tracer;
+mod budget;
+mod exporter;
+mod expo;
+mod recorder;
+mod registry;
+mod rolling;
+mod scrape;
+mod slo;
+mod span;
+mod tracer;
 
 pub use budget::Budget;
-pub use exporter::{escape_help, escape_label_value, to_prometheus};
-pub use expo::{parse_exposition, ExpoError, ScrapedFamily, ScrapedKind, ScrapedSample};
-pub use recorder::{FlightRecorder, RecorderConfig, RetainedTrace, FAILOVER_SPAN};
-pub use registry::{
-    Buckets, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, InstrumentKind,
-    Registry, SeriesSnapshot, SeriesValue, Snapshot,
-};
+pub use exporter::to_prometheus;
+pub use expo::{parse_exposition, ScrapedKind};
+pub use recorder::{FlightRecorder, RecorderConfig, FAILOVER_SPAN};
+pub use registry::{Buckets, Counter, Gauge, Histogram, Registry, SeriesValue, Snapshot};
 pub use rolling::{push_bounded, RollingQuantile};
-pub use scrape::{ObsScraper, ScrapeStats};
-pub use slo::{Objective, Selector, SloEngine, SloSpec, SloState, WindowBurn, PAGE_BURN,
-    TICKET_BURN, WINDOWS};
-pub use span::{
-    build_tree, orphan_count, SpanContext, SpanNode, SpanRecord, SpanTree, TraceStatus,
-};
-pub use tracer::{micros_u64, EventRecord, TraceRecord, Tracer, ROOT_SPAN_NAME};
+pub use scrape::ObsScraper;
+pub use slo::{Objective, Selector, SloEngine, SloSpec};
+pub use span::{orphan_count, SpanContext, SpanRecord, TraceStatus};
+pub use tracer::{micros_u64, TraceRecord, Tracer, ROOT_SPAN_NAME};
 
 /// The triple every instrumented component shares: one metrics
 /// registry, one tracer, one flight recorder (already attached to the

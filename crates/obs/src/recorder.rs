@@ -216,14 +216,9 @@ impl FlightRecorder {
         (inner.offered, inner.rejected_partial)
     }
 
-    /// The retained traces as one JSON document (array of
-    /// `{reason, bytes, record}` objects, oldest first).
-    pub fn dump_json(&self) -> String {
-        serde_json::to_string_pretty(&self.retained()).unwrap_or_else(|_| "[]".to_string())
-    }
-
-    /// Write [`FlightRecorder::dump_json`] to `path`, creating parent
-    /// directories. Returns the number of traces written.
+    /// Write the retained traces to `path` as one JSON document (array
+    /// of `{reason, bytes, record}` objects, oldest first), creating
+    /// parent directories. Returns the number of traces written.
     pub fn dump(&self, path: &Path) -> std::io::Result<usize> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -358,7 +353,10 @@ mod tests {
     fn dump_json_round_trips_reasons() {
         let rec = FlightRecorder::new();
         rec.offer(&complete_trace(1, 100, TraceStatus::Error));
-        let doc = rec.dump_json();
+        let path = std::env::temp_dir().join("dio_obs_recorder_dump_test/traces.json");
+        assert_eq!(rec.dump(&path).unwrap(), 1);
+        let doc = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert!(doc.contains("\"reason\""));
         assert!(doc.contains("error"));
         assert!(doc.contains("\"span_id\""));

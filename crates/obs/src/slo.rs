@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use crate::registry::{Registry, SeriesValue, Snapshot};
 
 /// The four canonical burn windows: `(label, milliseconds)`.
-pub const WINDOWS: [(&str, u64); 4] = [
+pub(crate) const WINDOWS: [(&str, u64); 4] = [
     ("5m", 5 * 60 * 1000),
     ("1h", 60 * 60 * 1000),
     ("6h", 6 * 60 * 60 * 1000),
@@ -30,9 +30,9 @@ pub const WINDOWS: [(&str, u64); 4] = [
 
 /// Page when both fast windows burn faster than this (2% of a 3-day
 /// budget spent within one hour).
-pub const PAGE_BURN: f64 = 14.4;
+pub(crate) const PAGE_BURN: f64 = 14.4;
 /// Ticket when both slow windows burn faster than budget rate.
-pub const TICKET_BURN: f64 = 1.0;
+pub(crate) const TICKET_BURN: f64 = 1.0;
 
 const BURN_NAME: &str = "dio_slo_burn_rate";
 const BURN_HELP: &str = "Error-budget burn rate per SLO and window (1 = exactly on budget).";

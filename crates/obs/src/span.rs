@@ -136,7 +136,7 @@ impl SpanTree {
 /// Returns `None` when the root span itself is missing (e.g. the trace
 /// was never finished). Spans whose parent chain does not reach the
 /// root are reported as orphans, in recording order.
-pub fn build_tree(spans: &[SpanRecord], root_span_id: u64) -> Option<SpanTree> {
+pub(crate) fn build_tree(spans: &[SpanRecord], root_span_id: u64) -> Option<SpanTree> {
     let root_at = spans.iter().position(|s| s.span_id == root_span_id)?;
     let mut attached: Vec<bool> = vec![false; spans.len()];
     attached[root_at] = true;

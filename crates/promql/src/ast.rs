@@ -293,7 +293,7 @@ impl Expr {
             Expr::VectorSelector { name, matchers, .. } => {
                 name.is_none()
                     && !matchers.iter().any(|m| {
-                        m.name == dio_tsdb::labels::NAME_LABEL && m.op == dio_tsdb::MatchOp::Eq
+                        m.name == dio_tsdb::NAME_LABEL && m.op == dio_tsdb::MatchOp::Eq
                     })
             }
             Expr::MatrixSelector { selector, .. } => selector.has_dynamic_selector(),

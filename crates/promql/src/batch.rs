@@ -7,7 +7,7 @@ use dio_tsdb::Labels;
 /// it with two binary searches — no per-step decode, no per-step
 /// sample materialisation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SeriesBatch {
+pub(crate) struct SeriesBatch {
     /// Series identity (full label set including `__name__`).
     pub labels: Labels,
     /// Timestamp column (ms), strictly increasing.
@@ -19,7 +19,7 @@ pub struct SeriesBatch {
 impl SeriesBatch {
     /// Index bounds `[lo, hi)` of the samples in the half-open time
     /// window `(start, end]`.
-    pub fn window(&self, start: i64, end: i64) -> (usize, usize) {
+    pub(crate) fn window(&self, start: i64, end: i64) -> (usize, usize) {
         let lo = self.ts.partition_point(|&t| t <= start);
         let hi = self.ts.partition_point(|&t| t <= end);
         (lo, hi)
@@ -32,7 +32,7 @@ impl SeriesBatch {
     /// window edges, so a linear advance from the old bounds finds the
     /// same partition points, amortising to one pass over the column
     /// for the whole range query.
-    pub fn window_from(&self, start: i64, end: i64, hint: (usize, usize)) -> (usize, usize) {
+    pub(crate) fn window_from(&self, start: i64, end: i64, hint: (usize, usize)) -> (usize, usize) {
         let (mut lo, mut hi) = hint;
         while lo < self.ts.len() && self.ts[lo] <= start {
             lo += 1;
@@ -45,23 +45,13 @@ impl SeriesBatch {
 
     /// Most recent value at or before `ts` within `lookback_ms` —
     /// instant-vector selection over columns.
-    pub fn value_at(&self, ts: i64, lookback_ms: i64) -> Option<f64> {
+    pub(crate) fn value_at(&self, ts: i64, lookback_ms: i64) -> Option<f64> {
         let i = self.ts.partition_point(|&t| t <= ts);
         if i == 0 || ts - self.ts[i - 1] > lookback_ms {
             None
         } else {
             Some(self.vals[i - 1])
         }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// True when the batch holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
     }
 }
 

@@ -8,7 +8,7 @@ use dio_tsdb::Labels;
 use std::collections::HashMap;
 
 /// Evaluate an aggregation over an instant vector.
-pub fn eval_aggregate(
+pub(crate) fn eval_aggregate(
     op: AggOp,
     param: Option<Value>,
     inner: Value,
@@ -154,7 +154,7 @@ fn variance(values: &[f64]) -> f64 {
 }
 
 /// φ-quantile with linear interpolation (Prometheus semantics).
-pub fn quantile(phi: f64, values: &[f64]) -> f64 {
+pub(crate) fn quantile(phi: f64, values: &[f64]) -> f64 {
     if values.is_empty() {
         return f64::NAN;
     }

@@ -8,7 +8,7 @@ use dio_tsdb::Labels;
 use std::collections::HashMap;
 
 /// Evaluate `lhs op rhs`.
-pub fn eval_binary(
+pub(crate) fn eval_binary(
     op: BinOp,
     lhs: Value,
     rhs: Value,

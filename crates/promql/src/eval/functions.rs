@@ -8,7 +8,7 @@ use crate::value::{RangeVector, Value, VectorSample};
 use dio_tsdb::{MatchOp, Labels};
 
 /// Evaluate a function call.
-pub fn eval_call(
+pub(crate) fn eval_call(
     ev: &Evaluator<'_>,
     func: &str,
     args: &[Expr],
@@ -576,7 +576,7 @@ fn match_with_capture(pattern: &str, text: &str) -> (bool, String) {
         }
     }
     (
-        dio_tsdb::matchers::pattern_match(pattern, text),
+        dio_tsdb::pattern_match(pattern, text),
         String::new(),
     )
 }

@@ -13,7 +13,7 @@ use crate::eval::aggregate::quantile;
 
 /// Where the scalar parameter sits in the PromQL argument list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamPos {
+pub(crate) enum ParamPos {
     /// `quantile_over_time(φ, m[5m])`.
     BeforeMatrix,
     /// `predict_linear(m[5m], horizon)`.
@@ -23,7 +23,7 @@ pub enum ParamPos {
 /// A range-vector function kernel. One window in, one optional value
 /// out (`None` drops the series from the result, as Prometheus does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum RangeKernel {
+pub(crate) enum RangeKernel {
     /// `rate`: counter increase per second, with reset detection.
     Rate,
     /// `increase`: total counter increase over the window.
@@ -66,7 +66,7 @@ pub enum RangeKernel {
 
 impl RangeKernel {
     /// Map a PromQL function name to its kernel.
-    pub fn from_name(func: &str) -> Option<RangeKernel> {
+    pub(crate) fn from_name(func: &str) -> Option<RangeKernel> {
         Some(match func {
             "rate" => RangeKernel::Rate,
             "increase" => RangeKernel::Increase,
@@ -92,7 +92,7 @@ impl RangeKernel {
     }
 
     /// The PromQL function name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             RangeKernel::Rate => "rate",
             RangeKernel::Increase => "increase",
@@ -117,7 +117,7 @@ impl RangeKernel {
     }
 
     /// Position of the scalar parameter, when the function takes one.
-    pub fn param_pos(&self) -> Option<ParamPos> {
+    pub(crate) fn param_pos(&self) -> Option<ParamPos> {
         match self {
             RangeKernel::Quantile => Some(ParamPos::BeforeMatrix),
             RangeKernel::PredictLinear => Some(ParamPos::AfterMatrix),
@@ -128,7 +128,7 @@ impl RangeKernel {
     /// Apply the kernel to one window. `ts` and `vals` are parallel
     /// columns with strictly increasing timestamps; `param` is the
     /// scalar argument (ignored by parameterless kernels).
-    pub fn apply(&self, param: f64, ts: &[i64], vals: &[f64]) -> Option<f64> {
+    pub(crate) fn apply(&self, param: f64, ts: &[i64], vals: &[f64]) -> Option<f64> {
         let n = vals.len();
         match self {
             RangeKernel::Rate => counter_increase(ts, vals).map(|(inc, secs)| inc / secs),

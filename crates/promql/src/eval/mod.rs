@@ -1,9 +1,9 @@
 //! Expression evaluation.
 
-pub mod aggregate;
-pub mod binop;
-pub mod functions;
-pub mod kernels;
+pub(crate) mod aggregate;
+pub(crate) mod binop;
+pub(crate) mod functions;
+pub(crate) mod kernels;
 
 use crate::ast::Expr;
 use crate::error::EvalError;
@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 /// Evaluation context: the store, the evaluation timestamp, and
 /// execution limits (used by the sandbox).
-pub struct Evaluator<'a> {
+pub(crate) struct Evaluator<'a> {
     /// The metric store queried by selectors.
     pub store: &'a MetricStore,
     /// Instant-vector lookback window in ms.
@@ -25,7 +25,7 @@ pub struct Evaluator<'a> {
 
 impl<'a> Evaluator<'a> {
     /// Create an evaluator with the given lookback and sample budget.
-    pub fn new(store: &'a MetricStore, lookback_ms: i64, max_samples: usize) -> Self {
+    pub(crate) fn new(store: &'a MetricStore, lookback_ms: i64, max_samples: usize) -> Self {
         Evaluator {
             store,
             lookback_ms,
@@ -52,7 +52,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Samples touched so far.
-    pub fn samples_visited(&self) -> usize {
+    pub(crate) fn samples_visited(&self) -> usize {
         self.samples_visited.get()
     }
 
@@ -69,7 +69,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate `expr` at timestamp `ts` (ms since epoch).
-    pub fn eval(&self, expr: &Expr, ts: i64) -> Result<Value, EvalError> {
+    pub(crate) fn eval(&self, expr: &Expr, ts: i64) -> Result<Value, EvalError> {
         match expr {
             Expr::NumberLiteral(n) => Ok(Value::Scalar(*n)),
             Expr::StringLiteral(s) => Ok(Value::Str(s.clone())),
@@ -209,7 +209,7 @@ impl<'a> Evaluator<'a> {
 
 /// Default subquery step when `expr[range:]` omits it — Prometheus uses
 /// the global evaluation interval; we fix one minute.
-pub const DEFAULT_SUBQUERY_STEP_MS: i64 = 60_000;
+pub(crate) const DEFAULT_SUBQUERY_STEP_MS: i64 = 60_000;
 
 impl<'a> Evaluator<'a> {
     /// Evaluate `expr[range:step] offset o`: run the inner instant
@@ -272,12 +272,12 @@ impl<'a> Evaluator<'a> {
 
 /// Canonical ordering for instant vectors (by labels), keeping results
 /// deterministic across runs.
-pub fn sort_vector(v: &mut [VectorSample]) {
+pub(crate) fn sort_vector(v: &mut [VectorSample]) {
     v.sort_by(|a, b| a.labels.cmp(&b.labels));
 }
 
 /// Drop the metric name from every sample (what arithmetic does).
-pub fn drop_names(v: Vec<VectorSample>) -> Vec<VectorSample> {
+pub(crate) fn drop_names(v: Vec<VectorSample>) -> Vec<VectorSample> {
     v.into_iter()
         .map(|s| VectorSample {
             labels: s.labels.drop_name(),
@@ -287,7 +287,7 @@ pub fn drop_names(v: Vec<VectorSample>) -> Vec<VectorSample> {
 }
 
 /// Build an empty-labels sample vector from a scalar (used by `vector()`).
-pub fn scalar_to_vector(v: f64) -> Vec<VectorSample> {
+pub(crate) fn scalar_to_vector(v: f64) -> Vec<VectorSample> {
     vec![VectorSample {
         labels: Labels::empty(),
         value: v,

@@ -81,7 +81,7 @@ type ScanSlot = Option<(i64, Rc<ScanData>)>;
 /// The evaluation grid of a range query: `steps` timestamps starting
 /// at `start`, `step_ms` apart.
 #[derive(Clone, Copy)]
-pub struct StepGrid {
+pub(crate) struct StepGrid {
     /// First evaluation timestamp.
     pub start: i64,
     /// Number of steps (inclusive of both ends).
@@ -92,7 +92,7 @@ pub struct StepGrid {
 
 /// Execution context: one per query (instant) or per range query, so
 /// scan memoisation spans every evaluation step.
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
     store: &'a MetricStore,
     plan: &'a PhysicalPlan,
     lookback_ms: i64,
@@ -106,7 +106,7 @@ pub struct ExecCtx<'a> {
 
 impl<'a> ExecCtx<'a> {
     /// A fresh context over `plan`.
-    pub fn new(
+    pub(crate) fn new(
         store: &'a MetricStore,
         plan: &'a PhysicalPlan,
         lookback_ms: i64,
@@ -123,18 +123,18 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Samples charged so far (cumulative across steps).
-    pub fn samples_visited(&self) -> usize {
+    pub(crate) fn samples_visited(&self) -> usize {
         self.samples_visited.get()
     }
 
     /// Reset the sample counter (range queries apply the budget per
     /// step, matching the interpreter's fresh evaluator per step).
-    pub fn reset_samples(&self) {
+    pub(crate) fn reset_samples(&self) {
         self.samples_visited.set(0);
     }
 
     /// Evaluate the plan root at timestamp `ts`.
-    pub fn eval(&self, ts: i64) -> Result<Value, EvalError> {
+    pub(crate) fn eval(&self, ts: i64) -> Result<Value, EvalError> {
         self.eval_node(&self.plan.root, ts)
     }
 
@@ -208,7 +208,7 @@ impl<'a> ExecCtx<'a> {
     /// order; batches sharing name-dropped labels merge into one series
     /// in emission order; a group absent at a step emits no point; and
     /// groups come out label-sorted.
-    pub fn eval_range(&self, grid: StepGrid) -> Option<Result<Vec<RangeResult>, EvalError>> {
+    pub(crate) fn eval_range(&self, grid: StepGrid) -> Option<Result<Vec<RangeResult>, EvalError>> {
         let (reduce, source) = match &self.plan.root {
             PlanNode::Aggregate {
                 op,

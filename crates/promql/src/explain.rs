@@ -10,7 +10,7 @@ use crate::printer::format_duration;
 
 /// Explain an expression in one English sentence (without the trailing
 /// period).
-pub fn explain_expr(expr: &Expr) -> String {
+pub(crate) fn explain_expr(expr: &Expr) -> String {
     match expr {
         Expr::NumberLiteral(n) => format!("the constant {n}"),
         Expr::StringLiteral(s) => format!("the string \"{s}\""),
@@ -142,12 +142,7 @@ pub fn explain_expr(expr: &Expr) -> String {
     }
 }
 
-/// Explain a query string; parse errors explain themselves.
-pub fn explain_query(query: &str) -> String {
-    explain_parsed(&crate::parser::parse(query))
-}
-
-/// [`explain_query`] for a caller that already parsed the query.
+/// Explain a parsed query; parse errors explain themselves.
 pub fn explain_parsed(parsed: &Result<Expr, crate::error::ParseError>) -> String {
     match parsed {
         Ok(expr) => {
@@ -161,6 +156,10 @@ pub fn explain_parsed(parsed: &Result<Expr, crate::error::ParseError>) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn explain_query(query: &str) -> String {
+        explain_parsed(&crate::parser::parse(query))
+    }
 
     #[test]
     fn explains_the_success_rate_shape() {

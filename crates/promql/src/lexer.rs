@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword (`sum`, `rate`, `metric_name`, `by`, …).
     Ident(String),
     /// Numeric literal (including `1e9`, `.5`, `0x1f` is not supported).
@@ -65,7 +65,7 @@ pub enum Token {
 
 /// A token plus its byte offset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpannedToken {
+pub(crate) struct SpannedToken {
     /// The token.
     pub token: Token,
     /// Byte offset of the first character.
@@ -73,7 +73,7 @@ pub struct SpannedToken {
 }
 
 /// Tokenise a PromQL expression.
-pub fn lex(input: &str) -> Result<Vec<SpannedToken>, ParseError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<SpannedToken>, ParseError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

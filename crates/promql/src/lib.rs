@@ -27,7 +27,7 @@
 //! computation (both the generated and reference queries run through
 //! this same engine, so execution-accuracy comparisons are exact), and
 //! regex matchers support the anchored subset described in
-//! [`dio_tsdb::matchers`].
+//! [`dio_tsdb::pattern_match`].
 //!
 //! ```
 //! use dio_promql::{parse, Engine};
@@ -42,26 +42,23 @@
 //! assert_eq!(value.as_scalar_like(), Some(1.0)); // 1 request/second
 //! ```
 
-pub mod ast;
-pub mod batch;
-pub mod engine;
-pub mod error;
-pub mod exec;
-pub mod explain;
-pub mod eval;
-pub mod lexer;
-pub mod parser;
-pub mod plan;
-pub mod printer;
-pub mod value;
+mod ast;
+mod batch;
+mod engine;
+mod error;
+mod exec;
+mod explain;
+mod eval;
+mod lexer;
+mod parser;
+mod plan;
+mod printer;
+mod value;
 
 pub use ast::Expr;
-pub use batch::SeriesBatch;
 pub use engine::{Engine, EngineOptions, ExecutorKind, QueryStats, RangeResult};
-pub use exec::ExecCtx;
-pub use plan::{PhysicalPlan, PlanNode, ScanSpec};
 pub use error::{EvalError, ParseError};
-pub use explain::{explain_parsed, explain_query};
+pub use explain::explain_parsed;
 pub use parser::parse;
 pub use printer::format_expr;
-pub use value::{InstantVector, RangeVector, Value, VectorSample};
+pub use value::Value;

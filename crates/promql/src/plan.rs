@@ -29,7 +29,7 @@ use dio_tsdb::{MatchOp, Matcher};
 /// One physical selector: the full matcher list (including the
 /// implicit `__name__` matcher) plus the selector offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScanSpec {
+pub(crate) struct ScanSpec {
     /// Matchers, including the implicit name matcher.
     pub matchers: Vec<Matcher>,
     /// `offset` in milliseconds.
@@ -42,7 +42,7 @@ pub struct ScanSpec {
 
 /// A batch operator in the physical plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
+pub(crate) enum PlanNode {
     /// Scalar literal.
     Number(f64),
     /// String literal.
@@ -105,8 +105,9 @@ pub enum PlanNode {
 }
 
 impl PlanNode {
-    /// Short opcode name, for explain output and tests.
-    pub fn opcode(&self) -> &'static str {
+    /// Short opcode name, for tests to say which node they expect.
+    #[cfg(test)]
+    pub(crate) fn opcode(&self) -> &'static str {
         match self {
             PlanNode::Number(_) => "number",
             PlanNode::String(_) => "string",
@@ -123,7 +124,7 @@ impl PlanNode {
 
 /// A compiled query: operator tree plus the scan table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhysicalPlan {
+pub(crate) struct PhysicalPlan {
     /// Root operator.
     pub root: PlanNode,
     /// Physical selectors referenced by scan index. Identical
@@ -132,7 +133,7 @@ pub struct PhysicalPlan {
 }
 
 /// Compile `expr` into a physical plan.
-pub fn plan(expr: &Expr) -> PhysicalPlan {
+pub(crate) fn plan(expr: &Expr) -> PhysicalPlan {
     let mut planner = Planner { scans: Vec::new() };
     let root = planner.compile(expr);
     PhysicalPlan {

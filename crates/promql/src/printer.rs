@@ -137,7 +137,7 @@ fn format_number(n: f64) -> String {
 }
 
 /// Millisecond duration to the shortest PromQL duration literal.
-pub fn format_duration(ms: i64) -> String {
+pub(crate) fn format_duration(ms: i64) -> String {
     for (unit_ms, suffix) in [
         (604_800_000i64, "w"),
         (86_400_000, "d"),

@@ -13,7 +13,7 @@ pub struct VectorSample {
 }
 
 /// An instant vector: zero or more labelled values at one timestamp.
-pub type InstantVector = Vec<VectorSample>;
+pub(crate) type InstantVector = Vec<VectorSample>;
 
 /// One labelled series of a range vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,7 +25,7 @@ pub struct RangeSeries {
 }
 
 /// A range vector: per-series windows of raw samples.
-pub type RangeVector = Vec<RangeSeries>;
+pub(crate) type RangeVector = Vec<RangeSeries>;
 
 /// The result of evaluating an expression.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -127,23 +127,6 @@ impl SandboxError {
     pub fn is_storage_fault(&self) -> bool {
         matches!(self, SandboxError::Storage(_))
     }
-
-    /// The violated policy rule, when this is a refusal.
-    pub fn violated_rule(&self) -> Option<&PolicyViolation> {
-        match self {
-            SandboxError::Refused(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The byte offset of the syntax error, when this is a parse
-    /// failure.
-    pub fn parse_position(&self) -> Option<usize> {
-        match self {
-            SandboxError::Parse(e) => Some(e.position),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for SandboxError {
@@ -546,7 +529,10 @@ mod tests {
         let mut sb = Sandbox::new(store(), SafetyPolicy::default());
         let q = "sum(reqs_total) )(";
         let err = sb.execute(q, 0).unwrap_err();
-        let pos = err.parse_position().expect("parse error has a position");
+        let SandboxError::Parse(e) = &err else {
+            panic!("not a parse error: {err}")
+        };
+        let pos = e.position;
         assert!(pos <= q.len());
         let hint = err.repair_hint(q);
         assert!(
@@ -562,8 +548,8 @@ mod tests {
         let q = "rate(reqs_total[7d])";
         let err = sb.execute(q, 600_000).unwrap_err();
         assert!(matches!(
-            err.violated_rule(),
-            Some(PolicyViolation::RangeTooWide { .. })
+            err,
+            SandboxError::Refused(PolicyViolation::RangeTooWide { .. })
         ));
         let hint = err.repair_hint(q);
         assert!(hint.contains("shrink the range"), "hint: {hint}");
@@ -573,8 +559,6 @@ mod tests {
     fn eval_hints_quote_the_failure() {
         let err = SandboxError::Eval("sample budget exceeded".into());
         assert!(err.repair_hint("sum(x)").contains("sample budget exceeded"));
-        assert!(err.violated_rule().is_none());
-        assert!(err.parse_position().is_none());
     }
 
     use dio_faults::{ChaosConfig, Injector};

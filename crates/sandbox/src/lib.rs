@@ -15,10 +15,9 @@
 //!   enforced inside the engine);
 //! * **audits** every attempt, allowed or refused.
 
-pub mod audit;
-pub mod executor;
-pub mod policy;
+mod audit;
+mod executor;
+mod policy;
 
-pub use audit::{AuditEntry, AuditLog, AuditOutcome};
-pub use executor::{DataCompleteness, ExecutionOutcome, Sandbox, SandboxError, StoreResolver};
-pub use policy::{PolicyViolation, SafetyPolicy};
+pub use executor::{DataCompleteness, Sandbox, SandboxError, StoreResolver};
+pub use policy::SafetyPolicy;

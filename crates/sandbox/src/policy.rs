@@ -1,7 +1,7 @@
 //! Static safety policy for untrusted queries.
 
-use dio_promql::ast::Expr;
-use dio_tsdb::matchers::pattern_match;
+use dio_promql::Expr;
+use dio_tsdb::pattern_match;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -111,18 +111,6 @@ impl Default for SafetyPolicy {
 }
 
 impl SafetyPolicy {
-    /// A policy that allows everything (used by trusted internal runs).
-    pub fn permissive() -> Self {
-        SafetyPolicy {
-            allowed_functions: None,
-            max_range_ms: i64::MAX,
-            max_offset_ms: i64::MAX,
-            denied_metric_patterns: Vec::new(),
-            max_depth: 256,
-            max_samples: 0,
-        }
-    }
-
     /// Statically vet a parsed expression.
     pub fn vet(&self, expr: &Expr) -> Result<(), PolicyViolation> {
         self.vet_at_depth(expr, 1)
@@ -284,12 +272,6 @@ mod tests {
         let q = "sum(abs(ceil(floor(sqrt(m)))))";
         let err = p.vet(&parse(q).unwrap()).unwrap_err();
         assert!(matches!(err, PolicyViolation::TooDeep { .. }));
-    }
-
-    #[test]
-    fn permissive_allows_everything() {
-        let p = SafetyPolicy::permissive();
-        assert!(p.vet(&parse("rate(admin_anything[30d])").unwrap()).is_ok());
     }
 
     #[test]

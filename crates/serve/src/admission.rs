@@ -103,7 +103,7 @@ struct State<T> {
 }
 
 /// A bounded, blocking, earliest-deadline-first queue.
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     capacity: usize,
@@ -111,7 +111,7 @@ pub struct AdmissionQueue<T> {
 
 /// Why [`AdmissionQueue::try_push`] refused an item (the item rides
 /// back to the caller for reply routing).
-pub struct PushRefused<T> {
+pub(crate) struct PushRefused<T> {
     /// The refused item, returned to the caller.
     pub item: T,
     /// Queue full vs shutting down.
@@ -120,7 +120,7 @@ pub struct PushRefused<T> {
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` pending entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         AdmissionQueue {
             state: Mutex::new(State {
                 heap: BinaryHeap::new(),
@@ -133,7 +133,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Enqueue `item` due by `deadline`, or refuse it immediately.
-    pub fn try_push(&self, item: T, deadline: Instant) -> Result<(), PushRefused<T>> {
+    pub(crate) fn try_push(&self, item: T, deadline: Instant) -> Result<(), PushRefused<T>> {
         let mut state = self.state.lock().unwrap();
         if state.shutdown {
             return Err(PushRefused {
@@ -162,7 +162,7 @@ impl<T> AdmissionQueue<T> {
     /// Block until an entry is available, returning it with its
     /// deadline. Returns `None` only when the queue has been shut down
     /// **and** fully drained.
-    pub fn pop(&self) -> Option<(T, Instant)> {
+    pub(crate) fn pop(&self) -> Option<(T, Instant)> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(e) = state.heap.pop() {
@@ -176,24 +176,24 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// The next entry if one is already waiting; never blocks.
-    pub fn try_pop(&self) -> Option<(T, Instant)> {
+    pub(crate) fn try_pop(&self) -> Option<(T, Instant)> {
         let e = self.state.lock().unwrap().heap.pop()?;
         Some((e.item, e.deadline))
     }
 
     /// Entries currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().heap.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Refuse future pushes and wake every blocked popper. Queued
     /// entries remain poppable until drained.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.state.lock().unwrap().shutdown = true;
         self.available.notify_all();
     }

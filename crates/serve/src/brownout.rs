@@ -57,18 +57,6 @@ impl BrownoutLevel {
         ]
     }
 
-    /// The ladder position (0 = normal … 4 = shed); the value the
-    /// `dio_serve_brownout_level` gauge exports.
-    pub fn as_index(self) -> usize {
-        match self {
-            BrownoutLevel::Normal => 0,
-            BrownoutLevel::ReducedRetrieval => 1,
-            BrownoutLevel::NoRepair => 2,
-            BrownoutLevel::CacheOnly => 3,
-            BrownoutLevel::Shed => 4,
-        }
-    }
-
     /// The metric/event label value.
     pub fn label(self) -> &'static str {
         match self {
@@ -94,11 +82,6 @@ pub struct BrownoutConfig {
     /// Queue occupancy at or below which an observation may count as
     /// *clear* (strictly less than `queue_high` for hysteresis).
     pub queue_low: f64,
-    /// The rolling queue-wait percentile watched (0..1).
-    pub wait_percentile: f64,
-    /// Fraction of the default deadline the watched percentile may
-    /// reach before an observation counts as pressured.
-    pub wait_budget: f64,
     /// Consecutive pressured observations required to step one rung
     /// down the ladder.
     pub step_up_after: usize,
@@ -109,13 +92,17 @@ pub struct BrownoutConfig {
     pub window: usize,
 }
 
+/// The rolling queue-wait percentile watched (0..1).
+const WAIT_PERCENTILE: f64 = 0.9;
+/// Fraction of the default deadline the watched percentile may reach
+/// before an observation counts as pressured.
+const WAIT_BUDGET: f64 = 0.25;
+
 impl Default for BrownoutConfig {
     fn default() -> Self {
         BrownoutConfig {
             queue_high: 0.5,
             queue_low: 0.25,
-            wait_percentile: 0.9,
-            wait_budget: 0.25,
             step_up_after: 3,
             step_down_after: 8,
             window: 64,
@@ -135,11 +122,11 @@ impl BrownoutConfig {
 }
 
 /// One observed transition: `(from, to)`.
-pub type BrownoutTransition = (BrownoutLevel, BrownoutLevel);
+pub(crate) type BrownoutTransition = (BrownoutLevel, BrownoutLevel);
 
 /// The streak-hysteresis ladder state machine. Owned by the service
 /// core behind a mutex; workers feed it one observation per pickup.
-pub struct BrownoutController {
+pub(crate) struct BrownoutController {
     cfg: BrownoutConfig,
     queue_capacity: usize,
     deadline: Duration,
@@ -155,7 +142,7 @@ impl BrownoutController {
     /// Build a controller for a queue of `queue_capacity` entries and
     /// requests granted `deadline` by default, exporting its level on
     /// `registry`.
-    pub fn new(
+    pub(crate) fn new(
         cfg: BrownoutConfig,
         queue_capacity: usize,
         deadline: Duration,
@@ -187,14 +174,14 @@ impl BrownoutController {
     }
 
     /// The current level.
-    pub fn level(&self) -> BrownoutLevel {
+    pub(crate) fn level(&self) -> BrownoutLevel {
         BrownoutLevel::from_index(self.level)
     }
 
     /// Feed one pickup observation: current queue length plus the time
     /// the picked request waited. Returns the (possibly new) level and
     /// the transition, if this observation caused one.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         queue_len: usize,
         queue_wait: Duration,
@@ -202,11 +189,8 @@ impl BrownoutController {
         self.waits_micros.push(queue_wait.as_micros() as u64);
 
         let occupancy = queue_len as f64 / self.queue_capacity as f64;
-        let wait_limit = self.deadline.as_micros() as f64 * self.cfg.wait_budget;
-        let wait_p = self
-            .waits_micros
-            .quantile(self.cfg.wait_percentile)
-            .unwrap_or(0) as f64;
+        let wait_limit = self.deadline.as_micros() as f64 * WAIT_BUDGET;
+        let wait_p = self.waits_micros.quantile(WAIT_PERCENTILE).unwrap_or(0) as f64;
         let pressured = occupancy >= self.cfg.queue_high || wait_p > wait_limit;
         // Clear needs both signals quiet, and the wait percentile well
         // under the limit (half), so the ladder does not oscillate
@@ -259,7 +243,7 @@ mod tests {
         let labels: std::collections::HashSet<_> = all.iter().map(|l| l.label()).collect();
         assert_eq!(labels.len(), all.len());
         for (i, l) in all.iter().enumerate() {
-            assert_eq!(l.as_index(), i);
+            assert_eq!(*l as usize, i);
         }
     }
 
@@ -272,7 +256,7 @@ mod tests {
         for _ in 0..12 {
             let (level, transition) = c.observe(8, Duration::from_secs(20));
             if let Some((from, to)) = transition {
-                assert_eq!(to.as_index(), from.as_index() + 1, "must step one rung");
+                assert_eq!(to as usize, from as usize + 1, "must step one rung");
                 seen.push(level);
             }
         }
@@ -301,7 +285,7 @@ mod tests {
         let mut restored = Vec::new();
         for _ in 0..200 {
             if let (level, Some((from, to))) = c.observe(0, Duration::ZERO) {
-                assert_eq!(to.as_index() + 1, from.as_index(), "must restore one rung");
+                assert_eq!(to as usize + 1, from as usize, "must restore one rung");
                 restored.push(level);
             }
         }

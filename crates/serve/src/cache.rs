@@ -1,4 +1,4 @@
-//! The serving caches: a TTL + generation-stamped LRU.
+//! The serving caches: a generation-stamped LRU.
 //!
 //! Two instances back the service (see `service.rs`):
 //!
@@ -11,18 +11,15 @@
 //! counter: every feedback-loop catalog update bumps the shared
 //! generation, and entries stamped with an older generation are
 //! treated as misses and dropped on next access (the catalog text,
-//! few-shot pool, and embedder fit all changed under them). A TTL
-//! bounds staleness for deployments where the metric data itself
-//! moves; `None` disables time-based expiry.
+//! few-shot pool, and embedder fit all changed under them).
 //!
-//! Every cache event (hit, miss, eviction, generation invalidation,
-//! TTL expiry) is counted in `dio_serve_cache_events_total` in the
-//! shared dio-obs registry.
+//! Every cache event (hit, miss, eviction, generation invalidation) is
+//! counted in `dio_serve_cache_events_total` in the shared dio-obs
+//! registry.
 
 use dio_obs::{Counter, Registry};
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Per-cache event counters, registered under
 /// `dio_serve_cache_events_total{cache=<name>,event=...}`.
@@ -32,7 +29,6 @@ struct CacheCounters {
     misses: Counter,
     evictions: Counter,
     invalidations: Counter,
-    expirations: Counter,
 }
 
 impl CacheCounters {
@@ -49,7 +45,6 @@ impl CacheCounters {
             misses: counter("miss"),
             evictions: counter("evict"),
             invalidations: counter("invalidate"),
-            expirations: counter("expire"),
         }
     }
 }
@@ -59,36 +54,21 @@ impl CacheCounters {
 pub struct CacheStats {
     /// Lookups that returned a live entry.
     pub hits: u64,
-    /// Lookups that found nothing usable (includes invalidated and
-    /// expired entries, which also bump their own counters).
+    /// Lookups that found nothing usable (includes invalidated
+    /// entries, which also bump their own counter).
     pub misses: u64,
     /// Entries dropped to make room (LRU).
     pub evictions: u64,
     /// Entries dropped because the knowledge generation moved.
     pub invalidations: u64,
-    /// Entries dropped because their TTL lapsed.
-    pub expirations: u64,
     /// Entries currently resident.
     pub len: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; `1.0` when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
     generation: u64,
-    inserted: Instant,
     last_used: u64,
 }
 
@@ -99,86 +79,50 @@ struct Inner<V> {
     clock: u64,
 }
 
-/// A bounded, thread-safe LRU with TTL and generation invalidation.
+/// A bounded, thread-safe LRU with generation invalidation.
 ///
 /// All methods take `&self`; a single mutex guards the map. Lookups
 /// clone the value out, so `V` is typically an `Arc` or a cheap
 /// aggregate. Capacity 0 disables caching entirely (every lookup is a
 /// miss, inserts are dropped) — useful for A/B-ing the cache away.
 #[derive(Debug)]
-pub struct TtlLru<V> {
+pub(crate) struct GenLru<V> {
     inner: Mutex<Inner<V>>,
     capacity: usize,
-    ttl: Option<Duration>,
     counters: CacheCounters,
 }
 
-impl<V: Clone> TtlLru<V> {
+impl<V: Clone> GenLru<V> {
     /// Build a cache registering its counters as `cache=<name>`.
-    pub fn new(
-        registry: &Registry,
-        name: &str,
-        capacity: usize,
-        ttl: Option<Duration>,
-    ) -> Self {
-        TtlLru {
+    pub(crate) fn new(registry: &Registry, name: &str, capacity: usize) -> Self {
+        GenLru {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 clock: 0,
             }),
             capacity,
-            ttl,
             counters: CacheCounters::register(registry, name),
         }
     }
 
-    /// Look up `key`, requiring the entry to carry `generation` and be
-    /// within TTL as of now.
-    pub fn get(&self, key: &str, generation: u64) -> Option<V> {
-        self.get_at(key, generation, Instant::now())
-    }
-
-    /// [`TtlLru::get`] with an explicit clock (deterministic tests).
-    pub fn get_at(&self, key: &str, generation: u64, now: Instant) -> Option<V> {
-        enum Verdict {
-            Absent,
-            Stale,
-            Expired,
-            Live,
-        }
+    /// Look up `key`, requiring the entry to carry `generation`.
+    pub(crate) fn get(&self, key: &str, generation: u64) -> Option<V> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        let verdict = match inner.map.get(key) {
-            None => Verdict::Absent,
-            Some(e) if e.generation != generation => Verdict::Stale,
-            Some(e)
-                if self
-                    .ttl
-                    .is_some_and(|ttl| now.duration_since(e.inserted) > ttl) =>
-            {
-                Verdict::Expired
-            }
-            Some(_) => Verdict::Live,
-        };
-        match verdict {
-            Verdict::Live => {
-                let e = inner.map.get_mut(key).unwrap();
+        match inner.map.get_mut(key) {
+            Some(e) if e.generation == generation => {
                 e.last_used = clock;
                 self.counters.hits.inc();
                 Some(e.value.clone())
             }
-            Verdict::Stale | Verdict::Expired => {
+            Some(_) => {
                 inner.map.remove(key);
-                if matches!(verdict, Verdict::Expired) {
-                    self.counters.expirations.inc();
-                } else {
-                    self.counters.invalidations.inc();
-                }
+                self.counters.invalidations.inc();
                 self.counters.misses.inc();
                 None
             }
-            Verdict::Absent => {
+            None => {
                 self.counters.misses.inc();
                 None
             }
@@ -186,12 +130,7 @@ impl<V: Clone> TtlLru<V> {
     }
 
     /// Insert (or replace) `key`, stamped with `generation`.
-    pub fn insert(&self, key: String, value: V, generation: u64) {
-        self.insert_at(key, value, generation, Instant::now())
-    }
-
-    /// [`TtlLru::insert`] with an explicit clock (deterministic tests).
-    pub fn insert_at(&self, key: String, value: V, generation: u64, now: Instant) {
+    pub(crate) fn insert(&self, key: String, value: V, generation: u64) {
         if self.capacity == 0 {
             return;
         }
@@ -218,35 +157,23 @@ impl<V: Clone> TtlLru<V> {
             Entry {
                 value,
                 generation,
-                inserted: now,
                 last_used: clock,
             },
         );
     }
 
     /// Entries currently resident.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().map.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every entry (counts nothing; administrative reset).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().map.clear();
-    }
-
     /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.counters.hits.value() as u64,
             misses: self.counters.misses.value() as u64,
             evictions: self.counters.evictions.value() as u64,
             invalidations: self.counters.invalidations.value() as u64,
-            expirations: self.counters.expirations.value() as u64,
             len: self.len(),
         }
     }
@@ -256,46 +183,47 @@ impl<V: Clone> TtlLru<V> {
 mod tests {
     use super::*;
 
-    fn cache(capacity: usize, ttl: Option<Duration>) -> TtlLru<String> {
-        TtlLru::new(&Registry::new(), "test", capacity, ttl)
+    fn cache(capacity: usize) -> GenLru<String> {
+        GenLru::new(&Registry::new(), "test", capacity)
     }
 
     #[test]
     fn hit_after_insert_same_generation() {
-        let c = cache(4, None);
+        let c = cache(4);
         c.insert("k".into(), "v".into(), 0);
         assert_eq!(c.get("k", 0), Some("v".to_string()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 0));
     }
 
+    /// The one invalidation rule, on both of the service's instances
+    /// (the answer cache and the embedding cache) in one registry.
     #[test]
     fn generation_bump_invalidates() {
-        let c = cache(4, None);
-        c.insert("k".into(), "v".into(), 0);
-        assert_eq!(c.get("k", 1), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (0, 1, 1));
-        // The stale entry is gone, not resurrected by asking for gen 0.
-        assert_eq!(c.get("k", 0), None);
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let c = cache(4, Some(Duration::from_secs(10)));
-        let t0 = Instant::now();
-        c.insert_at("k".into(), "v".into(), 0, t0);
-        assert_eq!(c.get_at("k", 0, t0 + Duration::from_secs(5)), Some("v".into()));
-        assert_eq!(c.get_at("k", 0, t0 + Duration::from_secs(11)), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.expirations), (1, 1, 1));
-        assert_eq!(c.len(), 0);
+        fn check<V: Clone + PartialEq + std::fmt::Debug>(c: &GenLru<V>, v: V) {
+            c.insert("k".into(), v, 0);
+            assert_eq!(c.get("k", 1), None);
+            let s = c.stats();
+            assert_eq!((s.hits, s.misses, s.invalidations), (0, 1, 1));
+            // The stale entry is gone, not resurrected by asking for gen 0.
+            assert_eq!(c.get("k", 0), None);
+            assert_eq!(c.len(), 0);
+        }
+        let registry = Registry::new();
+        check(&GenLru::new(&registry, "answer", 4), "v".to_string());
+        check(
+            &GenLru::new(&registry, "embed", 4),
+            std::sync::Arc::new(dio_embed::Vector(vec![1.0, 0.0])),
+        );
+        // Four kinds of event per cache and no fifth: nothing expires.
+        let family = registry.snapshot();
+        let family = family.family("dio_serve_cache_events_total").unwrap();
+        assert_eq!(family.series.len(), 8);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let c = cache(2, None);
+        let c = cache(2);
         c.insert("a".into(), "1".into(), 0);
         c.insert("b".into(), "2".into(), 0);
         // Touch `a` so `b` becomes the victim.
@@ -310,7 +238,7 @@ mod tests {
 
     #[test]
     fn replace_does_not_evict() {
-        let c = cache(2, None);
+        let c = cache(2);
         c.insert("a".into(), "1".into(), 0);
         c.insert("b".into(), "2".into(), 0);
         c.insert("a".into(), "1'".into(), 0);
@@ -321,19 +249,9 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let c = cache(0, None);
+        let c = cache(0);
         c.insert("k".into(), "v".into(), 0);
         assert_eq!(c.get("k", 0), None);
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn hit_rate_computes() {
-        let c = cache(4, None);
-        c.insert("k".into(), "v".into(), 0);
-        c.get("k", 0);
-        c.get("absent", 0);
-        let s = c.stats();
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

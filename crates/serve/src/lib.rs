@@ -12,15 +12,14 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * [`normalize`] — cache-key normalization for NL questions;
-//! * [`cache`] — the TTL + knowledge-generation LRU behind both the
-//!   answer cache and the embedding cache;
-//! * [`tenant`] — per-tenant fair-share token buckets;
-//! * [`admission`] — the bounded earliest-deadline-first queue and the
+//! * `cache` — the knowledge-generation LRU behind both the answer
+//!   cache and the embedding cache;
+//! * `tenant` — per-tenant fair-share token buckets;
+//! * `admission` — the bounded earliest-deadline-first queue and the
 //!   [`ShedReason`] taxonomy;
-//! * [`brownout`] — the adaptive degradation ladder the service steps
+//! * `brownout` — the adaptive degradation ladder the service steps
 //!   through under sustained pressure before it resorts to shedding;
-//! * [`service`] — [`QueryService`]: worker pool, request path,
+//! * `service` — [`QueryService`]: worker pool, request path,
 //!   instrumentation.
 //!
 //! Load shedding is explicit and observable: every refusal carries a
@@ -34,22 +33,24 @@
 
 #![deny(missing_docs)]
 
-pub mod admission;
-pub mod brownout;
-pub mod cache;
-pub mod normalize;
-pub mod service;
-pub mod tenant;
+mod admission;
+mod brownout;
+mod cache;
+mod service;
+mod tenant;
 
-pub use admission::{AdmissionQueue, PushRefused, ShedReason};
-pub use brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
-pub use cache::{CacheStats, TtlLru};
-pub use normalize::normalize_question;
+pub use admission::ShedReason;
+pub use brownout::{BrownoutConfig, BrownoutLevel};
+/// Cache-key normalization: the gateway's own function, because two
+/// planes key on it — this tier's `(eval_ts, normalized question)`
+/// answer cache and the gateway's singleflight coalescer — and one
+/// function cannot drift from itself.
+pub use dio_gateway::normalize_question;
 pub use service::{
-    GatewayConfig, GatewayStats, QueryRequest, QueryService, ServeConfig, ServeOutcome,
-    ServedAnswer, Shed, Ticket,
+    GatewayConfig, QueryRequest, QueryService, ServeConfig, ServeOutcome, ServedAnswer, Shed,
+    Ticket,
 };
-pub use tenant::{tenant_class, RateLimiter, TenantPolicy, TENANT_CLASSES};
+pub use tenant::TenantPolicy;
 
 #[cfg(test)]
 mod tests {
@@ -65,9 +66,9 @@ mod tests {
     #[test]
     fn serving_types_are_thread_safe() {
         assert_send_sync::<QueryService>();
-        assert_send_sync::<AdmissionQueue<String>>();
-        assert_send_sync::<TtlLru<String>>();
-        assert_send_sync::<RateLimiter>();
+        assert_send_sync::<admission::AdmissionQueue<String>>();
+        assert_send_sync::<cache::GenLru<String>>();
+        assert_send_sync::<tenant::RateLimiter>();
         assert_send_sync::<ServeConfig>();
         assert_send_sync::<ShedReason>();
         assert_send::<Ticket>();

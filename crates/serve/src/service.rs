@@ -28,13 +28,12 @@
 
 use crate::admission::{AdmissionQueue, PushRefused, ShedReason};
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
-use crate::cache::{CacheStats, TtlLru};
-use crate::normalize::normalize_question;
+use crate::cache::{CacheStats, GenLru};
 use crate::tenant::{tenant_class, RateLimiter, TenantPolicy, TENANT_CLASSES};
 use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
 use dio_gateway::{
-    BatchConfig, FlushRecord, FollowerOutcome, GatewayHandle, Join, ModelGateway, OpenJob, Probe,
-    SemanticCache, SemanticConfig, SemanticStats, Singleflight,
+    normalize_question, BatchConfig, FlushRecord, FollowerOutcome, GatewayHandle, Join,
+    ModelGateway, OpenJob, Probe, SemanticCache, SemanticConfig, SemanticStats, Singleflight,
 };
 use dio_llm::{CostLedger, FoundationModel};
 use dio_obs::{Buckets, Budget, Counter, Gauge, Histogram, ObsHub, SpanContext, TraceStatus};
@@ -44,6 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Embedding-cache capacity (entries).
+const EMBED_CACHE_CAPACITY: usize = 4096;
 
 /// Service sizing and policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,10 +60,6 @@ pub struct ServeConfig {
     pub tenant: TenantPolicy,
     /// Answer-cache capacity (entries). 0 disables it.
     pub answer_cache_capacity: usize,
-    /// Embedding-cache capacity (entries). 0 disables it.
-    pub embed_cache_capacity: usize,
-    /// Answer TTL; `None` relies on generation invalidation alone.
-    pub answer_ttl: Option<Duration>,
     /// Brownout-ladder thresholds and hysteresis
     /// ([`BrownoutConfig::disabled`] for the binary-shedding baseline).
     pub brownout: BrownoutConfig,
@@ -75,8 +73,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(30),
             tenant: TenantPolicy::default(),
             answer_cache_capacity: 1024,
-            embed_cache_capacity: 4096,
-            answer_ttl: None,
             brownout: BrownoutConfig::default(),
         }
     }
@@ -396,8 +392,8 @@ impl Metrics {
 struct Core {
     queue: AdmissionQueue<Job>,
     limiter: RateLimiter,
-    answers: TtlLru<CopilotResponse>,
-    embeds: TtlLru<Arc<dio_embed::Vector>>,
+    answers: GenLru<CopilotResponse>,
+    embeds: GenLru<Arc<dio_embed::Vector>>,
     generation: Arc<AtomicU64>,
     metrics: Metrics,
     brownout: Mutex<BrownoutController>,
@@ -497,13 +493,8 @@ impl QueryService {
             queue: AdmissionQueue::new(config.queue_depth),
             brownout,
             limiter: RateLimiter::new(config.tenant),
-            answers: TtlLru::new(
-                obs.registry(),
-                "answer",
-                config.answer_cache_capacity,
-                config.answer_ttl,
-            ),
-            embeds: TtlLru::new(obs.registry(), "embed", config.embed_cache_capacity, None),
+            answers: GenLru::new(obs.registry(), "answer", config.answer_cache_capacity),
+            embeds: GenLru::new(obs.registry(), "embed", EMBED_CACHE_CAPACITY),
             generation: prototype.generation_handle(),
             metrics: Metrics::register(&obs),
             config: config.clone(),

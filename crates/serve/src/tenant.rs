@@ -14,14 +14,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The tenant classes the service distinguishes for SLO purposes.
-pub const TENANT_CLASSES: [&str; 2] = ["premium", "standard"];
+pub(crate) const TENANT_CLASSES: [&str; 2] = ["premium", "standard"];
 
 /// The billing/priority class of a tenant, derived from the naming
 /// convention the serving harnesses use: tenants prefixed `premium`
 /// are the paid class, everything else is `standard`. Per-class
 /// latency histograms (and the SLO engine's latency objectives) key
 /// on this.
-pub fn tenant_class(tenant: &str) -> &'static str {
+pub(crate) fn tenant_class(tenant: &str) -> &'static str {
     if tenant.starts_with("premium") {
         "premium"
     } else {
@@ -67,33 +67,23 @@ struct Bucket {
 
 /// Fair-share rate limiter: one token bucket per tenant name.
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     policy: TenantPolicy,
     buckets: Mutex<HashMap<String, Bucket>>,
 }
 
 impl RateLimiter {
     /// Build a limiter with the given per-tenant policy.
-    pub fn new(policy: TenantPolicy) -> Self {
+    pub(crate) fn new(policy: TenantPolicy) -> Self {
         RateLimiter {
             policy,
             buckets: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> TenantPolicy {
-        self.policy
-    }
-
-    /// Try to spend one token for `tenant`. On refusal returns how
-    /// long until a token will be available.
-    pub fn try_acquire(&self, tenant: &str) -> Result<(), Duration> {
-        self.try_acquire_at(tenant, Instant::now())
-    }
-
-    /// [`RateLimiter::try_acquire`] with an explicit clock.
-    pub fn try_acquire_at(&self, tenant: &str, now: Instant) -> Result<(), Duration> {
+    /// Try to spend one token for `tenant` as of `now`. On refusal
+    /// returns how long until a token will be available.
+    pub(crate) fn try_acquire_at(&self, tenant: &str, now: Instant) -> Result<(), Duration> {
         if self.policy.rate_per_sec <= 0.0 {
             return Ok(());
         }
@@ -119,7 +109,7 @@ impl RateLimiter {
     /// failover-induced backup): the tenant did not consume service,
     /// so the charge is reversed and a well-behaved retry is not
     /// throttled for the service's own congestion.
-    pub fn refund(&self, tenant: &str) {
+    pub(crate) fn refund(&self, tenant: &str) {
         if self.policy.rate_per_sec <= 0.0 {
             return;
         }
@@ -127,11 +117,6 @@ impl RateLimiter {
         if let Some(bucket) = buckets.get_mut(tenant) {
             bucket.tokens = (bucket.tokens + 1.0).min(self.policy.burst);
         }
-    }
-
-    /// Tenants seen so far.
-    pub fn tenant_count(&self) -> usize {
-        self.buckets.lock().unwrap().len()
     }
 }
 
@@ -190,7 +175,7 @@ mod tests {
         assert!(rl.try_acquire_at("a", t0).is_ok());
         assert!(rl.try_acquire_at("a", t0).is_err());
         rl.refund("never-charged");
-        assert_eq!(rl.tenant_count(), 1);
+        assert_eq!(rl.buckets.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -204,7 +189,7 @@ mod tests {
         assert!(rl.try_acquire_at("noisy", t0).is_err());
         // A different tenant is unaffected by `noisy`'s exhaustion.
         assert!(rl.try_acquire_at("quiet", t0).is_ok());
-        assert_eq!(rl.tenant_count(), 2);
+        assert_eq!(rl.buckets.lock().unwrap().len(), 2);
     }
 
     #[test]

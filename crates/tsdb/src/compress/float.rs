@@ -20,7 +20,7 @@
 use super::{BitReader, BitWriter, CodecError};
 
 /// Encode a value column.
-pub fn encode_values(vals: &[f64], w: &mut BitWriter) {
+pub(crate) fn encode_values(vals: &[f64], w: &mut BitWriter) {
     if vals.is_empty() {
         return;
     }
@@ -57,7 +57,7 @@ pub fn encode_values(vals: &[f64], w: &mut BitWriter) {
 }
 
 /// Decode `count` values; truncation yields a [`CodecError`].
-pub fn decode_values(r: &mut BitReader<'_>, count: usize) -> Result<Vec<f64>, CodecError> {
+pub(crate) fn decode_values(r: &mut BitReader<'_>, count: usize) -> Result<Vec<f64>, CodecError> {
     let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);

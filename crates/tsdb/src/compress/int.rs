@@ -53,7 +53,7 @@ fn read_varint(r: &mut BitReader<'_>) -> Option<i64> {
 }
 
 /// Encode a sorted (strictly increasing) timestamp column.
-pub fn encode_timestamps(ts: &[i64], w: &mut BitWriter) {
+pub(crate) fn encode_timestamps(ts: &[i64], w: &mut BitWriter) {
     if ts.is_empty() {
         return;
     }
@@ -87,7 +87,7 @@ pub fn encode_timestamps(ts: &[i64], w: &mut BitWriter) {
 
 /// Decode `count` timestamps. The input is untrusted; truncation or
 /// garbage control bits yield a [`CodecError`].
-pub fn decode_timestamps(r: &mut BitReader<'_>, count: usize) -> Result<Vec<i64>, CodecError> {
+pub(crate) fn decode_timestamps(r: &mut BitReader<'_>, count: usize) -> Result<Vec<i64>, CodecError> {
     let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);

@@ -17,8 +17,8 @@
 //! [`crate::chunk`]) catches damage first in practice; the codec
 //! errors are the second line of defence.
 
-pub mod float;
-pub mod int;
+pub(crate) mod float;
+pub(crate) mod int;
 
 /// Structured decode failure. Encoding is infallible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl std::error::Error for CodecError {}
 
 /// Append-only bit writer (MSB-first within each byte).
 #[derive(Debug, Default, Clone)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     /// Bits used in the final byte (0 = byte boundary).
     used: u8,
@@ -66,13 +66,13 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// An empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BitWriter::default()
     }
 
     /// Append one bit.
     #[inline]
-    pub fn push_bit(&mut self, bit: bool) {
+    pub(crate) fn push_bit(&mut self, bit: bool) {
         if self.used == 0 {
             self.bytes.push(0);
         }
@@ -85,15 +85,16 @@ impl BitWriter {
 
     /// Append the low `n` bits of `value`, most significant first.
     #[inline]
-    pub fn push_bits(&mut self, value: u64, n: u8) {
+    pub(crate) fn push_bits(&mut self, value: u64, n: u8) {
         debug_assert!(n <= 64);
         for i in (0..n).rev() {
             self.push_bit((value >> i) & 1 == 1);
         }
     }
 
-    /// Total bits written.
-    pub fn bit_len(&self) -> usize {
+    /// Total bits written (the compression-ratio tests read it).
+    #[cfg(test)]
+    pub(crate) fn bit_len(&self) -> usize {
         if self.used == 0 {
             self.bytes.len() * 8
         } else {
@@ -102,32 +103,32 @@ impl BitWriter {
     }
 
     /// Finish, returning the padded byte stream.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
 }
 
 /// Bit reader over an untrusted byte slice (MSB-first).
 #[derive(Debug, Clone)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Read from the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         BitReader { bytes, pos: 0 }
     }
 
     /// Current bit offset (for error reporting).
-    pub fn bit_pos(&self) -> usize {
+    pub(crate) fn bit_pos(&self) -> usize {
         self.pos
     }
 
     /// Read one bit; `None` at end of stream.
     #[inline]
-    pub fn read_bit(&mut self) -> Option<bool> {
+    pub(crate) fn read_bit(&mut self) -> Option<bool> {
         let byte = self.bytes.get(self.pos / 8)?;
         let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
         self.pos += 1;
@@ -137,7 +138,7 @@ impl<'a> BitReader<'a> {
     /// Read `n` bits into the low bits of a `u64`; `None` if the
     /// stream ends first.
     #[inline]
-    pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+    pub(crate) fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!(n <= 64);
         let mut out = 0u64;
         for _ in 0..n {

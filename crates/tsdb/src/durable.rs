@@ -136,11 +136,6 @@ impl<M: Medium> DurableStore<M> {
         &self.store
     }
 
-    /// The write-ahead log.
-    pub fn wal(&self) -> &Wal<M> {
-        &self.wal
-    }
-
     /// Unwrap into the in-memory store and the WAL medium.
     pub fn into_parts(self) -> (MetricStore, M) {
         (self.store, self.wal.into_medium())
@@ -181,7 +176,7 @@ mod tests {
                 .unwrap();
         }
         let snapshot = ds.checkpoint().unwrap();
-        assert!(ds.wal().is_empty());
+        assert!(ds.wal.is_empty());
         for k in 4..6 {
             ds.append(labels(0), Sample::new(1_000 * (k + 1), k as f64))
                 .unwrap();
@@ -230,7 +225,7 @@ mod tests {
         for k in 0..4 {
             ds.append(labels(0), Sample::new(1_000 * (k + 1), k as f64))
                 .unwrap();
-            boundaries.push(ds.wal().len());
+            boundaries.push(ds.wal.len());
         }
         let (_, medium) = ds.into_parts();
         let bytes = medium.into_bytes();

@@ -19,35 +19,30 @@
 //! The PromQL engine in `dio-promql` evaluates against
 //! [`MetricStore`] through these two lookups.
 
-pub mod chunk;
-pub mod compress;
+mod chunk;
+mod compress;
 mod cursor;
-pub mod durable;
-pub mod generator;
-pub mod labels;
-pub mod matchers;
-pub mod page_cache;
-pub mod sample;
-pub mod series;
-pub mod snapshot;
-pub mod storage;
-pub mod wal;
+mod durable;
+mod generator;
+mod labels;
+mod matchers;
+mod page_cache;
+mod sample;
+mod series;
+mod snapshot;
+mod storage;
+mod wal;
 
-pub use chunk::{Chunk, ChunkError, DecodedChunk, CHUNK_SIZE};
-pub use compress::CodecError;
-pub use durable::{DurableError, DurableStore, RecoveryReport};
-pub use generator::{SeriesShape, SeriesSpec, SynthConfig, Synthesizer};
-pub use labels::Labels;
-pub use matchers::{MatchOp, Matcher};
-pub use page_cache::{PageCache, PageCacheStats, DEFAULT_PAGE_CACHE_BYTES};
+pub use chunk::{Chunk, ChunkError, CHUNK_SIZE};
+pub use durable::DurableStore;
+pub use generator::{SeriesSpec, SynthConfig, Synthesizer};
+pub use labels::{Labels, NAME_LABEL};
+pub use matchers::{pattern_match, MatchOp, Matcher};
+pub use page_cache::PageCacheStats;
 pub use sample::Sample;
-pub use series::{Series, SeriesCols};
-pub use snapshot::{fsck_snapshot, write_snapshot, FsckReport, SNAPSHOT_VERSION};
+pub use series::{AppendError, Series};
 pub use storage::MetricStore;
-pub use wal::{Wal, WalRecord, WalRecovery};
-
-/// Milliseconds-since-epoch timestamp type used across the stack.
-pub type TimestampMs = i64;
+pub use wal::{recover, Scanned, Wal, WalEntry, WalRecord};
 
 /// Default Prometheus lookback window for instant queries: 5 minutes.
 pub const DEFAULT_LOOKBACK_MS: i64 = 5 * 60 * 1000;

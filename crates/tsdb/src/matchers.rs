@@ -55,29 +55,11 @@ impl Matcher {
         }
     }
 
-    /// Inequality matcher.
-    pub fn ne(name: impl Into<String>, value: impl Into<String>) -> Self {
-        Matcher {
-            name: name.into(),
-            op: MatchOp::Ne,
-            value: value.into(),
-        }
-    }
-
     /// Pattern matcher (`=~`).
     pub fn re(name: impl Into<String>, value: impl Into<String>) -> Self {
         Matcher {
             name: name.into(),
             op: MatchOp::Re,
-            value: value.into(),
-        }
-    }
-
-    /// Negated pattern matcher (`!~`).
-    pub fn nre(name: impl Into<String>, value: impl Into<String>) -> Self {
-        Matcher {
-            name: name.into(),
-            op: MatchOp::Nre,
             value: value.into(),
         }
     }
@@ -140,7 +122,7 @@ fn branch_match(pat: &[char], text: &[char]) -> bool {
 }
 
 /// All matchers must accept the label set.
-pub fn all_match(matchers: &[Matcher], labels: &Labels) -> bool {
+pub(crate) fn all_match(matchers: &[Matcher], labels: &Labels) -> bool {
     matchers.iter().all(|m| m.matches(labels))
 }
 
@@ -148,20 +130,30 @@ pub fn all_match(matchers: &[Matcher], labels: &Labels) -> bool {
 mod tests {
     use super::*;
 
+    /// The negated operators have no constructor: only a parsed query
+    /// makes them.
+    fn negated(name: &str, op: MatchOp, value: &str) -> Matcher {
+        Matcher {
+            name: name.into(),
+            op,
+            value: value.into(),
+        }
+    }
+
     #[test]
     fn eq_and_ne() {
         let l = Labels::from_pairs([("nf", "amf")]);
         assert!(Matcher::eq("nf", "amf").matches(&l));
         assert!(!Matcher::eq("nf", "smf").matches(&l));
-        assert!(Matcher::ne("nf", "smf").matches(&l));
-        assert!(!Matcher::ne("nf", "amf").matches(&l));
+        assert!(negated("nf", MatchOp::Ne, "smf").matches(&l));
+        assert!(!negated("nf", MatchOp::Ne, "amf").matches(&l));
     }
 
     #[test]
     fn missing_label_is_empty_string() {
         let l = Labels::empty();
         assert!(Matcher::eq("nf", "").matches(&l));
-        assert!(Matcher::ne("nf", "amf").matches(&l));
+        assert!(negated("nf", MatchOp::Ne, "amf").matches(&l));
         assert!(Matcher::re("nf", ".*").matches(&l));
         assert!(!Matcher::re("nf", ".+").matches(&l));
     }
@@ -204,8 +196,8 @@ mod tests {
     #[test]
     fn nre_negates() {
         let l = Labels::from_pairs([("instance", "amf-1")]);
-        assert!(!Matcher::nre("instance", "amf-.*").matches(&l));
-        assert!(Matcher::nre("instance", "smf-.*").matches(&l));
+        assert!(!negated("instance", MatchOp::Nre, "amf-.*").matches(&l));
+        assert!(negated("instance", MatchOp::Nre, "smf-.*").matches(&l));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default decoded-byte budget: 64 MiB ≈ 4M cached samples.
-pub const DEFAULT_PAGE_CACHE_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const DEFAULT_PAGE_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 #[derive(Debug)]
 struct Entry {

@@ -257,34 +257,6 @@ impl Series {
         }
     }
 
-    /// Drop samples older than `min_ts` (retention enforcement).
-    /// Returns how many samples were removed. A partially covered
-    /// chunk is decoded and its surviving tail resealed.
-    pub fn drop_samples_before(&mut self, min_ts: i64) -> usize {
-        let mut removed = 0;
-        let dead = self.chunks.partition_point(|c| c.max_ts() < min_ts);
-        for chunk in self.chunks.drain(..dead) {
-            removed += chunk.len();
-        }
-        if let Some(first) = self.chunks.first() {
-            if first.min_ts() < min_ts {
-                let d = decode_infallible(first);
-                let cut = d.ts.partition_point(|&t| t < min_ts);
-                removed += cut;
-                let rest: Vec<Sample> = d.ts[cut..]
-                    .iter()
-                    .zip(&d.vals[cut..])
-                    .map(|(&t, &v)| Sample::new(t, v))
-                    .collect();
-                // max_ts >= min_ts, so at least one sample survives.
-                self.chunks[0] = Chunk::seal(&rest);
-            }
-        }
-        let cut = self.head.partition_point(|s| s.timestamp_ms < min_ts);
-        self.head.drain(..cut);
-        removed + cut
-    }
-
     /// Timestamp of the first sample.
     pub fn first_timestamp(&self) -> Option<i64> {
         self.chunks
@@ -462,31 +434,6 @@ mod tests {
         let cols = s.cols(&cache);
         assert_eq!(cols.ts.len(), all.len());
         assert_eq!(cols.vals[7], all[7].value);
-    }
-
-    #[test]
-    fn retention_reseals_partial_chunks() {
-        let (mut s, all) = long_series(CHUNK_SIZE * 2 + 8);
-        // Cut into the middle of the first chunk.
-        let cut_ts = all[100].timestamp_ms;
-        let removed = s.drop_samples_before(cut_ts);
-        assert_eq!(removed, 100);
-        assert_eq!(s.len(), all.len() - 100);
-        assert_eq!(s.first_timestamp(), Some(cut_ts));
-        assert_eq!(s.samples(), all[100..]);
-        // Appends still work after the reseal.
-        let next = all.last().unwrap().timestamp_ms + 1;
-        s.append(Sample::new(next, 9.0)).unwrap();
-        assert_eq!(s.last_timestamp(), Some(next));
-    }
-
-    #[test]
-    fn retention_drops_whole_series_content() {
-        let (mut s, all) = long_series(CHUNK_SIZE + 4);
-        let removed = s.drop_samples_before(all.last().unwrap().timestamp_ms + 1);
-        assert_eq!(removed, all.len());
-        assert!(s.is_empty());
-        assert_eq!(s.first_timestamp(), None);
     }
 
     #[test]

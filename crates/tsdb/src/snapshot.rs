@@ -34,7 +34,7 @@ use crate::storage::MetricStore;
 use dio_faults::{decode_all, encode_record};
 
 /// Snapshot payload format version.
-pub const SNAPSHOT_VERSION: u8 = 2;
+pub(crate) const SNAPSHOT_VERSION: u8 = 2;
 
 /// What [`fsck_snapshot`] recovered and what it quarantined.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -114,7 +114,7 @@ fn parse_series_payload(payload: &[u8]) -> Option<Series> {
 
 /// Serialize the whole store, one checksummed frame per series.
 /// Sealed chunks are embedded compressed.
-pub fn write_snapshot(store: &MetricStore) -> Vec<u8> {
+pub(crate) fn write_snapshot(store: &MetricStore) -> Vec<u8> {
     let mut out = Vec::new();
     for series in store.iter() {
         out.extend_from_slice(&encode_record(&series_payload(series)));
@@ -124,7 +124,7 @@ pub fn write_snapshot(store: &MetricStore) -> Vec<u8> {
 
 /// Rebuild a store from snapshot bytes, quarantining every series whose
 /// frame is damaged, unparsable, or semantically invalid.
-pub fn fsck_snapshot(bytes: &[u8]) -> (MetricStore, FsckReport) {
+pub(crate) fn fsck_snapshot(bytes: &[u8]) -> (MetricStore, FsckReport) {
     let scan = decode_all(bytes);
     let mut report = FsckReport {
         quarantined: scan.corrupt_frames(),

@@ -177,16 +177,6 @@ impl MetricStore {
         self.series.iter()
     }
 
-    /// Enforce a retention horizon: drop every sample older than
-    /// `min_ts` across all series (empty series keep their identity).
-    /// Returns the number of samples removed.
-    pub fn enforce_retention(&mut self, min_ts: i64) -> usize {
-        self.series
-            .iter_mut()
-            .map(|s| s.drop_samples_before(min_ts))
-            .sum()
-    }
-
     /// Earliest sample timestamp in the store.
     pub fn min_timestamp(&self) -> Option<i64> {
         self.series.iter().filter_map(|s| s.first_timestamp()).min()
@@ -336,26 +326,6 @@ mod tests {
         let st = store();
         assert_eq!(st.min_timestamp(), Some(1000));
         assert_eq!(st.max_timestamp(), Some(2000));
-    }
-
-    #[test]
-    fn retention_drops_old_samples_only() {
-        let mut st = store();
-        let removed = st.enforce_retention(1500);
-        // Two series had a sample at t=1000 each... auth_req/amf-0 had
-        // (1000, 2000); amf-1 and pdu_est had t=1000 only.
-        assert_eq!(removed, 3);
-        assert_eq!(st.sample_count(), 1);
-        assert_eq!(st.min_timestamp(), Some(2000));
-        // Identity survives even when empty.
-        assert_eq!(st.series_count(), 3);
-        // Appends after retention still work.
-        st.append(
-            Labels::from_pairs([(NAME_LABEL, "pdu_est"), ("instance", "smf-0")]),
-            Sample::new(3000, 1.0),
-        )
-        .unwrap();
-        assert_eq!(st.sample_count(), 2);
     }
 
     #[test]

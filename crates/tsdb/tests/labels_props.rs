@@ -3,8 +3,7 @@
 //! the set was built and whether or not it has been hashed since.
 
 use dio_faults::MemMedium;
-use dio_tsdb::wal::recover;
-use dio_tsdb::{Labels, Sample, Wal, WalRecord};
+use dio_tsdb::{recover, Labels, Sample, Wal, WalRecord};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

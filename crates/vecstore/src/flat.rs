@@ -1,8 +1,7 @@
 //! Exact brute-force index (FAISS `IndexFlatIP` analogue).
 
 use crate::index::{SearchHit, VectorIndex};
-use dio_embed::similarity::{top_k_by, Scored};
-use dio_embed::{cosine_of_dot, cosine_with_norms, dot_columns, Vector};
+use dio_embed::{cosine_of_dot, cosine_with_norms, dot_columns, top_k_by, Scored, Vector};
 use serde::{Deserialize, Serialize};
 
 /// Stores every vector verbatim and scans all of them per query.
@@ -227,7 +226,6 @@ impl VectorIndex for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::{from_json, to_json};
     use dio_embed::cosine;
     use proptest::prelude::*;
 
@@ -336,7 +334,8 @@ mod tests {
                 prop_assert_eq!(grown.add(v.clone()), id);
             }
             prop_assert_eq!(id_and_bits(&grown.search(&query, k)), id_and_bits(&fresh.search(&query, k)));
-            prop_assert_eq!(to_json(&grown).unwrap(), to_json(&fresh).unwrap());
+            let json = |idx: &FlatIndex| serde_json::to_string(idx).unwrap();
+            prop_assert_eq!(json(&grown), json(&fresh));
         }
     }
 
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn old_snapshot_loads_searches_and_round_trips_byte_identically() {
-        let idx: FlatIndex = from_json(OLD_SNAPSHOT).unwrap();
+        let idx: FlatIndex = serde_json::from_str(OLD_SNAPSHOT).unwrap();
         assert_eq!((idx.len(), idx.dims()), (5, 3));
         assert_eq!(idx.row(4), Some(&[-0.25f32, 0.5, 2.0][..]));
         // Ids, order and score bits as the old index printed them.
@@ -366,12 +365,13 @@ mod tests {
                 (2, 0)
             ]
         );
-        assert_eq!(to_json(&idx).unwrap(), OLD_SNAPSHOT);
+        assert_eq!(serde_json::to_string(&idx).unwrap(), OLD_SNAPSHOT);
     }
 
     #[test]
     fn snapshot_with_misshapen_rows_is_an_error_not_a_panic() {
         for bad in [
+            "{not json",
             r#"{"dims":3,"vectors":[[1,0,0],[1,0]]}"#,
             r#"{"dims":0,"vectors":[]}"#,
             r#"{"dims":3}"#,
@@ -379,7 +379,7 @@ mod tests {
             r#"{"dims":1,"vectors":[[1e999]]}"#,
             r#"{"dims":2,"vectors":[[1,0],[0,1e39]]}"#,
         ] {
-            assert!(from_json::<FlatIndex>(bad).is_err(), "{bad} loaded");
+            assert!(serde_json::from_str::<FlatIndex>(bad).is_err(), "{bad} loaded");
         }
     }
 
@@ -389,7 +389,7 @@ mod tests {
             (r#"{"dims":1,"vectors":[[1e999]]}"#, "vector 0"),
             (r#"{"dims":2,"vectors":[[1,0],[0,1],[-1e39,0]]}"#, "vector 2"),
         ] {
-            let err = from_json::<FlatIndex>(bad).unwrap_err().to_string();
+            let err = serde_json::from_str::<FlatIndex>(bad).unwrap_err().to_string();
             assert!(err.contains(row) && err.contains("non-finite"), "{bad}: {err}");
         }
     }

@@ -108,16 +108,6 @@ impl IvfIndex {
     pub fn into_flat(self) -> FlatIndex {
         self.rows
     }
-
-    /// Number of inverted lists actually created.
-    pub fn nlist(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Change the probe width at query time (at least one list).
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        self.nprobe = nprobe.max(1);
-    }
 }
 
 impl VectorIndex for IvfIndex {
@@ -195,7 +185,7 @@ mod tests {
         let data = dataset(200, 16);
         let idx = IvfIndex::train(16, cfg(8, 2), data);
         assert_eq!(idx.len(), 200);
-        assert_eq!(idx.nlist(), 8);
+        assert_eq!(idx.lists.len(), 8);
     }
 
     #[test]
@@ -216,7 +206,8 @@ mod tests {
     fn recall_improves_with_nprobe() {
         let data = dataset(400, 16);
         let flat = FlatIndex::from_vectors(16, data.clone());
-        let mut ivf = IvfIndex::train(16, cfg(16, 1), data);
+        // Training is deterministic: the same cells, probed wider.
+        let probing = |nprobe| IvfIndex::train(16, cfg(16, nprobe), data.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let queries: Vec<Vector> = (0..30).map(|_| random_unit(&mut rng, 16)).collect();
 
@@ -232,11 +223,9 @@ mod tests {
             hit as f64 / total as f64
         };
 
-        let r1 = recall(&ivf);
-        ivf.set_nprobe(8);
-        let r8 = recall(&ivf);
-        ivf.set_nprobe(16);
-        let r16 = recall(&ivf);
+        let r1 = recall(&probing(1));
+        let r8 = recall(&probing(8));
+        let r16 = recall(&probing(16));
         assert!(r8 >= r1, "recall should not drop with more probes: {r1} -> {r8}");
         assert!(r16 > 0.999, "full probe must be exact, got {r16}");
     }
@@ -262,7 +251,7 @@ mod tests {
     #[test]
     fn stats_report_probed_fraction() {
         let data = dataset(200, 8);
-        let mut ivf = IvfIndex::train(8, cfg(8, 2), data);
+        let ivf = IvfIndex::train(8, cfg(8, 2), data.clone());
         let q = dataset(1, 8).pop().unwrap();
         let (hits, stats) = ivf.search_with_stats(&q, 5);
         assert_eq!(hits, ivf.search(&q, 5));
@@ -272,7 +261,7 @@ mod tests {
             "2/8 probes must not scan the whole store"
         );
         // Full probe scans everything.
-        ivf.set_nprobe(8);
+        let ivf = IvfIndex::train(8, cfg(8, 8), data);
         let (_, full) = ivf.search_with_stats(&q, 5);
         assert_eq!(full.candidates_scanned, ivf.len());
         // k == 0 does no work.
@@ -286,6 +275,56 @@ mod tests {
         let b = IvfIndex::train(8, cfg(6, 2), data);
         let q = dataset(1, 8).pop().unwrap();
         assert_eq!(a.search(&q, 7), b.search(&q, 7));
+    }
+
+    /// The IVF shape: a probe width, centroids, ids per list, and the
+    /// rows once.
+    const IVF_SNAPSHOT: &str =
+        "{\"nprobe\":1,\"centroids\":{\"dims\":2,\"vectors\":[[1,0],[0,1]]},\
+\"lists\":[[0,2],[1]],\"rows\":{\"dims\":2,\"vectors\":[[1,0],[0,1],[1,0]]}}";
+
+    #[test]
+    fn ivf_roundtrips_through_json() {
+        let idx = IvfIndex::train(8, cfg(4, 2), dataset(40, 8));
+        let json = serde_json::to_string(&idx).unwrap();
+        let back: IvfIndex = serde_json::from_str(&json).unwrap();
+        let q = dataset(1, 8).pop().unwrap();
+        assert_eq!(idx.search(&q, 5), back.search(&q, 5));
+
+        let data = vec![Vector(vec![1.0, 0.0]), Vector(vec![0.0, 1.0]), Vector(vec![1.0, 0.0])];
+        let config = IvfConfig {
+            nlist: 2,
+            nprobe: 1,
+            ..IvfConfig::default()
+        };
+        let json = serde_json::to_string(&IvfIndex::train(2, config, data)).unwrap();
+        assert_eq!(json, IVF_SNAPSHOT);
+        let back: IvfIndex = serde_json::from_str(IVF_SNAPSHOT).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), IVF_SNAPSHOT);
+    }
+
+    #[test]
+    fn ivf_snapshot_naming_a_missing_row_or_list_is_an_error_not_a_panic() {
+        // One cell over two 2-d rows; each case breaks one field.
+        let snapshot = |centroids: &str, lists: &str, rows: &str| {
+            let json = format!(
+                r#"{{"nprobe":1,"centroids":{{"dims":2,"vectors":[{centroids}]}},"lists":[{lists}],"rows":{{"dims":{rows}}}}}"#
+            );
+            serde_json::from_str::<IvfIndex>(&json)
+        };
+        let rows = r#"2,"vectors":[[1,0],[0,1]]"#;
+        for (centroids, lists, rows) in [
+            ("[1,0]", "[0,2]", rows),
+            ("[1,0]", "[0],[1]", rows),
+            ("[1,0]", "[0,1]", r#"3,"vectors":[[1,0,0],[0,1,0]]"#),
+            ("[1,0]", "[0,1]", r#"2,"vectors":[[1,0],[0]]"#),
+            ("[1,0]", "[0,1]", r#"2,"vectors":[[1,0],[0,1e999]]"#),
+            ("", "", r#"2,"vectors":[]"#),
+        ] {
+            assert!(snapshot(centroids, lists, rows).is_err(), "{centroids} {lists} {rows} loaded");
+        }
+        let idx = snapshot("[1,0]", "[0,1]", rows).unwrap();
+        assert_eq!(idx.search(&Vector(vec![0.0, 1.0]), 1)[0].id, 1);
     }
 
     #[test]

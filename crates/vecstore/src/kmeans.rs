@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// k-means hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KMeansConfig {
+pub(crate) struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
     /// Maximum Lloyd iterations.
@@ -33,7 +33,7 @@ impl Default for KMeansConfig {
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KMeansResult {
+pub(crate) struct KMeansResult {
     /// Cluster centroids (unit-normalised).
     pub centroids: Vec<Vector>,
     /// Assignment of each input vector to a centroid index.
@@ -47,7 +47,7 @@ pub struct KMeansResult {
 /// which matches cosine retrieval).
 ///
 /// When `data.len() <= k` every point becomes its own centroid.
-pub fn kmeans(data: &[Vector], config: &KMeansConfig) -> KMeansResult {
+pub(crate) fn kmeans(data: &[Vector], config: &KMeansConfig) -> KMeansResult {
     assert!(config.k > 0, "k must be positive");
     assert!(!data.is_empty(), "cannot cluster an empty dataset");
     let dims = data[0].dims();
@@ -147,7 +147,7 @@ fn init_centroids(data: &[Vector], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vector
 }
 
 /// Index of the centroid most cosine-similar to `v` (ties → lowest index).
-pub fn nearest_centroid(v: &Vector, centroids: &[Vector]) -> usize {
+pub(crate) fn nearest_centroid(v: &Vector, centroids: &[Vector]) -> usize {
     let mut best = 0;
     let mut best_score = f32::MIN;
     for (i, c) in centroids.iter().enumerate() {

@@ -15,24 +15,23 @@
 //!   rows scanned via `nprobe`; [`IvfIndex::into_flat`] drops the
 //!   quantiser and leaves the exact index,
 //! * [`DocIndex`] — an index paired with owned document payloads, the
-//!   form the copilot's context extractor actually uses,
-//! * one CRC-segmented on-disk format for every index type (FAISS
-//!   `write_index`).
+//!   form the copilot's context extractor actually uses.
+//!
+//! Every index type implements serde's `Serialize`/`Deserialize` (FAISS
+//! `write_index`); decoding validates shape and rejects non-finite rows.
 //!
 //! All search paths are deterministic: equal scores tie-break on insert
 //! order.
 
 #![forbid(unsafe_code)]
 
-pub mod doc;
-pub mod flat;
-pub mod index;
-pub mod ivf;
-pub mod kmeans;
-pub mod persist;
+mod doc;
+mod flat;
+mod index;
+mod ivf;
+mod kmeans;
 
 pub use doc::DocIndex;
 pub use flat::FlatIndex;
-pub use index::{SearchHit, SearchStats, VectorIndex};
+pub use index::{SearchHit, VectorIndex};
 pub use ivf::{IvfConfig, IvfIndex};
-pub use kmeans::{kmeans, KMeansConfig, KMeansResult};

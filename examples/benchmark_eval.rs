@@ -8,7 +8,7 @@
 //! ```
 
 use dio::baselines::{sample_schema, DinSqlBaseline, DirectModelBaseline};
-use dio::benchmark::report::{format_comparison_table, format_shape_breakdown};
+use dio::benchmark::{format_comparison_table, format_shape_breakdown};
 use dio::benchmark::{evaluate, fewshot_exemplars, generate_benchmark, OperatorWorld, WorldConfig};
 use dio::copilot::CopilotBuilder;
 use dio::llm::{ModelProfile, SimulatedModel};

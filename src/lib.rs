@@ -17,7 +17,7 @@
 //! | [`llm`] | `dio-llm` | prompts, pricing, simulated foundation models |
 //! | [`sandbox`] | `dio-sandbox` | vetted, resource-limited query execution |
 //! | [`dashboard`] | `dio-dashboard` | dashboard model, generation, ASCII rendering |
-//! | [`feedback`] | `dio-feedback` | issue tracker, expert contributions, voting |
+//! | [`feedback`] | `dio-feedback` | in-memory issue tracker, expert contributions |
 //! | [`faults`] | `dio-faults` | seeded data-plane chaos + checksummed record framing |
 //! | [`obs`] | `dio-obs` | metrics registry, tracer, Prometheus text exposition |
 //! | [`baselines`] | `dio-baselines` | DIN-SQL-style and bare-model baselines |

@@ -131,7 +131,7 @@ fn bit_flip_in_wal_is_quarantined_not_replayed() {
     let mid = wal_bytes.len() / 2;
     wal_bytes[mid] ^= 0x40;
 
-    let recovery = dio::tsdb::wal::recover(&wal_bytes);
+    let recovery = dio::tsdb::recover(&wal_bytes);
     assert!(
         recovery.corrupt_frames >= 1 || recovery.unparsable >= 1,
         "a flipped bit mid-log must be detected"

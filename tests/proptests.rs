@@ -58,7 +58,7 @@ proptest! {
         text in "[a-z]{0,12}",
     ) {
         let pattern = parts.join(".*");
-        let ours = dio::tsdb::matchers::pattern_match(&pattern, &text);
+        let ours = dio::tsdb::pattern_match(&pattern, &text);
         // Reference: convert to a simple anchored regex-free matcher.
         let reference = reference_match(&parts, &text);
         prop_assert_eq!(ours, reference, "pattern {} text {}", pattern, text);
