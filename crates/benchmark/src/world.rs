@@ -71,44 +71,47 @@ fn mix(seed: u64, s: &str) -> u64 {
     h
 }
 
+/// One spec per metric per instance, in catalog order. Counters in the
+/// same procedure group share a per-instance noise seed so success ≤
+/// attempts holds sample-by-sample.
+fn series_specs(catalog: &Catalog, config: &WorldConfig) -> Vec<SeriesSpec> {
+    let mut specs = Vec::with_capacity(catalog.metrics.len() * config.instances_per_nf);
+    for m in &catalog.metrics {
+        let group_key = format!("{}/{}/{}", m.nf.abbrev(), m.service, m.procedure);
+        for inst in 0..config.instances_per_nf {
+            let instance = format!("{}-{}", m.nf.abbrev(), inst);
+            let labels = Labels::from_pairs([
+                ("__name__", m.name.as_str()),
+                ("instance", instance.as_str()),
+                ("nf", m.nf.abbrev()),
+            ]);
+            // Coupled counters share the group+instance seed; the
+            // shape scale carries the coupling ratio via base_rate.
+            let seed = match m.traffic.couple_ratio {
+                Some(_) => mix(config.seed, &format!("{group_key}#{inst}")),
+                None => mix(config.seed, &format!("{}#{inst}", m.name)),
+            };
+            // Spread instances: each instance carries a stable share
+            // of the NF-level rate so per-instance answers differ.
+            let share = 0.7 + 0.3 * (inst as f64 / config.instances_per_nf.max(1) as f64);
+            let spec = if m.role == MetricRole::ActiveGauge {
+                SeriesSpec::gauge(labels, m.traffic.base_rate * share, seed)
+            } else {
+                SeriesSpec::counter(labels, (m.traffic.base_rate * share).max(1e-6), seed)
+            };
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
 impl OperatorWorld {
     /// Build the world: generate the catalog and synthesise every
-    /// metric for every instance. Counters in the same procedure group
-    /// share a per-instance noise seed so success ≤ attempts holds
-    /// sample-by-sample.
+    /// metric for every instance.
     pub fn build(config: WorldConfig) -> Self {
         let catalog = generate_catalog(&config.catalog);
-        let synth = Synthesizer::new(config.synth);
         let mut store = MetricStore::new();
-        let mut specs: Vec<SeriesSpec> = Vec::new();
-
-        for m in &catalog.metrics {
-            let group_key = format!("{}/{}/{}", m.nf.abbrev(), m.service, m.procedure);
-            for inst in 0..config.instances_per_nf {
-                let instance = format!("{}-{}", m.nf.abbrev(), inst);
-                let labels = Labels::from_pairs([
-                    ("__name__", m.name.as_str()),
-                    ("instance", instance.as_str()),
-                    ("nf", m.nf.abbrev()),
-                ]);
-                // Coupled counters share the group+instance seed; the
-                // shape scale carries the coupling ratio via base_rate.
-                let seed = match m.traffic.couple_ratio {
-                    Some(_) => mix(config.seed, &format!("{group_key}#{inst}")),
-                    None => mix(config.seed, &format!("{}#{inst}", m.name)),
-                };
-                // Spread instances: each instance carries a stable share
-                // of the NF-level rate so per-instance answers differ.
-                let share = 0.7 + 0.3 * (inst as f64 / config.instances_per_nf.max(1) as f64);
-                let spec = if m.role == MetricRole::ActiveGauge {
-                    SeriesSpec::gauge(labels, m.traffic.base_rate * share, seed)
-                } else {
-                    SeriesSpec::counter(labels, (m.traffic.base_rate * share).max(1e-6), seed)
-                };
-                specs.push(spec);
-            }
-        }
-        synth.populate(&specs, &mut store);
+        Synthesizer::new(config.synth).populate(&series_specs(&catalog, &config), &mut store);
         let eval_ts = config.synth.end_ms;
         OperatorWorld {
             catalog,
@@ -124,7 +127,8 @@ impl OperatorWorld {
     }
 
     /// A trusted (permissive-limits) engine over a clone of the store,
-    /// used to compute reference answers.
+    /// used to compute reference answers. The clone shares the world's
+    /// series, so this costs no copy of the telemetry.
     pub fn reference_engine(&self) -> Engine {
         Engine::with_options(
             self.store.clone(),
@@ -213,6 +217,54 @@ mod tests {
             a.reference_engine().instant_query(q, a.eval_ts).unwrap(),
             b.reference_engine().instant_query(q, b.eval_ts).unwrap()
         );
+    }
+
+    #[test]
+    fn series_synthesis_matches_the_per_sample_path() {
+        // Oracle: every sample appended through the store, one index
+        // probe each, against `populate`'s whole-series adoption.
+        let config = WorldConfig::small();
+        let world = OperatorWorld::build(config.clone());
+        let synth = Synthesizer::new(config.synth);
+        let mut oracle = MetricStore::new();
+        for spec in series_specs(&world.catalog, &config) {
+            oracle.ensure_series(spec.labels.clone());
+            for sample in synth.synthesize(&spec) {
+                oracle.append(spec.labels.clone(), sample).unwrap();
+            }
+        }
+        assert_eq!(world.store.series_count(), oracle.series_count());
+        for (got, want) in world.store.iter().zip(oracle.iter()) {
+            assert_eq!(got.labels(), want.labels());
+            assert_eq!(got.chunks().len(), want.chunks().len(), "{}", got.labels());
+            let bits = |s: &dio_tsdb::Series| -> Vec<(i64, u64)> {
+                s.samples()
+                    .iter()
+                    .map(|x| (x.timestamp_ms, x.value.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(got), bits(want), "{}", got.labels());
+        }
+    }
+
+    #[test]
+    fn clones_and_the_reference_engine_share_the_worlds_series() {
+        // Every `world.store.clone()` caller relies on this for its
+        // memory: a deep copy here doubles the resident telemetry.
+        let world = OperatorWorld::build(WorldConfig::small());
+        let clone = world.store.clone();
+        let reference = world.reference_engine();
+        for id in [0, world.store.series_count() - 1] {
+            let ours = world.store.series_at(id);
+            assert!(
+                std::ptr::eq(ours, clone.series_at(id)),
+                "clone, series {id}"
+            );
+            assert!(
+                std::ptr::eq(ours, reference.store().series_at(id)),
+                "reference engine, series {id}"
+            );
+        }
     }
 
     #[test]

@@ -67,10 +67,11 @@ pub struct RangeResult {
 /// A PromQL query engine bound to a store.
 ///
 /// The store rides behind an [`Arc`] so many engines — one per serving
-/// worker — can evaluate concurrently over a single resident copy of
-/// the data. Evaluation is read-only (`&self`); mutation for ingestion
-/// goes through [`Engine::store_mut`], which copy-on-writes when the
-/// store is shared.
+/// worker — can evaluate concurrently over one handle. The single
+/// resident copy of the data does not depend on that handle:
+/// [`MetricStore`] clones already share their series. Evaluation is
+/// read-only (`&self`); mutation for ingestion goes through
+/// [`Engine::store_mut`].
 #[derive(Debug, Clone)]
 pub struct Engine {
     store: std::sync::Arc<MetricStore>,
@@ -110,9 +111,10 @@ impl Engine {
         std::sync::Arc::clone(&self.store)
     }
 
-    /// Mutable access to the store (for ingestion). Copy-on-write: if
-    /// other engines share the store, this engine splits off its own
-    /// copy first.
+    /// Mutable access to the store (for ingestion). If other engines
+    /// share the handle, this engine takes its own store clone first,
+    /// which costs two `Arc` bumps; the series themselves split off
+    /// only when the first write reaches them (see [`MetricStore`]).
     pub fn store_mut(&mut self) -> &mut MetricStore {
         std::sync::Arc::make_mut(&mut self.store)
     }
@@ -439,6 +441,41 @@ mod tests {
                 .as_scalar_like(),
             Some(29.0)
         );
+    }
+
+    #[test]
+    fn engines_over_a_store_and_its_clone_agree_until_one_ingests() {
+        let original = engine();
+        let mut ingesting = Engine::new(original.store().clone());
+        assert!(std::ptr::eq(
+            original.store().series_at(0),
+            ingesting.store().series_at(0)
+        ));
+        let render = |e: &Engine, ts: i64| {
+            let instant = ["sum(reg_attempt)", "reg_success / reg_attempt"]
+                .map(|q| format!("{:?}", e.instant_query(q, ts)));
+            let range = format!("{:?}", e.range_query("reg_attempt", 0, ts, 60_000));
+            (instant, range)
+        };
+        let before = render(&original, 600_000);
+        assert_eq!(render(&ingesting, 600_000), before);
+
+        let labels = Labels::from_pairs([("__name__", "reg_attempt"), ("instance", "amf-0")]);
+        ingesting
+            .store_mut()
+            .append(labels, Sample::new(660_000, 1_100.0))
+            .unwrap();
+        assert_eq!(render(&original, 600_000), before);
+        assert_eq!(render(&ingesting, 600_000), before);
+        assert_ne!(render(&original, 660_000), render(&ingesting, 660_000));
+        assert_eq!(
+            original.store().sample_count() + 1,
+            ingesting.store().sample_count()
+        );
+        assert!(!std::ptr::eq(
+            original.store().series_at(0),
+            ingesting.store().series_at(0)
+        ));
     }
 
     #[test]

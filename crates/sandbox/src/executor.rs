@@ -205,14 +205,18 @@ pub struct Sandbox {
 
 impl Sandbox {
     /// Build a sandbox over a store with a policy. The policy's sample
-    /// budget is installed into the engine.
+    /// budget is installed into the engine. Passing `world.store.clone()`
+    /// copies no telemetry: store clones share their series until one
+    /// side writes.
     pub fn new(store: MetricStore, policy: SafetyPolicy) -> Self {
         Sandbox::new_shared(std::sync::Arc::new(store), policy)
     }
 
-    /// Build a sandbox over an already-shared store: the serving path,
-    /// where N worker sandboxes read one resident tsdb concurrently.
-    /// Audit log, registry handle, and chaos schedule stay per-sandbox.
+    /// Build a sandbox over an already-shared store handle: the serving
+    /// path, where N worker sandboxes read one tsdb concurrently. The
+    /// handle saves only the store clone's two `Arc` bumps, not a data
+    /// copy. Audit log, registry handle, and chaos schedule stay
+    /// per-sandbox.
     pub fn new_shared(store: std::sync::Arc<MetricStore>, policy: SafetyPolicy) -> Self {
         let engine = Engine::with_options_shared(
             store,

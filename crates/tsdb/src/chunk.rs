@@ -323,6 +323,20 @@ mod tests {
     }
 
     #[test]
+    fn sealed_columns_hold_exactly_their_bytes() {
+        // A column's capacity is what stays resident for the chunk's
+        // life; the bit writer's doubling slack must not ride along.
+        for n in [1, 7, 100, CHUNK_SIZE] {
+            let sealed = Chunk::seal(&samples(n));
+            let decoded = Chunk::from_bytes(&sealed.to_bytes()).unwrap();
+            for chunk in [&sealed, &decoded] {
+                assert_eq!(chunk.ts_bytes.capacity(), chunk.ts_bytes.len(), "n={n}");
+                assert_eq!(chunk.val_bytes.capacity(), chunk.val_bytes.len(), "n={n}");
+            }
+        }
+    }
+
+    #[test]
     fn clones_share_cache_identity() {
         let chunk = Chunk::seal(&samples(8));
         assert_eq!(chunk.clone().id(), chunk.id());

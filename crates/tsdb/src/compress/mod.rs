@@ -102,8 +102,11 @@ impl BitWriter {
         }
     }
 
-    /// Finish, returning the padded byte stream.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// Finish, returning the padded byte stream trimmed to its length:
+    /// a sealed column lives as long as its chunk, so it does not keep
+    /// the push loop's doubling slack.
+    pub(crate) fn into_bytes(mut self) -> Vec<u8> {
+        self.bytes.shrink_to_fit();
         self.bytes
     }
 }
@@ -174,6 +177,7 @@ mod tests {
         let bits = w.bit_len();
         assert_eq!(bits, 1 + 4 + 64 + 3);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bit(), Some(true));
         assert_eq!(r.read_bits(4), Some(0b1011));

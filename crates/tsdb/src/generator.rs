@@ -13,6 +13,7 @@
 
 use crate::labels::Labels;
 use crate::sample::Sample;
+use crate::series::Series;
 use crate::storage::MetricStore;
 use serde::{Deserialize, Serialize};
 
@@ -205,17 +206,22 @@ impl Synthesizer {
         out
     }
 
-    /// Synthesise every spec into `store`.
+    /// Synthesise every spec into `store`, in spec order. Each series
+    /// is built whole and handed over with one index write, so even a
+    /// zero-step config registers it.
+    ///
+    /// # Panics
+    /// When two specs share a label set (on a non-empty time axis).
     pub fn populate(&self, specs: &[SeriesSpec], store: &mut MetricStore) {
         for spec in specs {
-            let samples = self.synthesize(spec);
-            let id = store.ensure_series(spec.labels.clone());
-            let _ = id; // ensure_series first so even zero-step configs register the series
-            for s in samples {
-                store
-                    .append(spec.labels.clone(), s)
+            let mut series = Series::new(spec.labels.clone());
+            for s in self.synthesize(spec) {
+                series
+                    .append(s)
                     .expect("synthesizer emits strictly increasing timestamps");
             }
+            let skipped = store.adopt_series(series);
+            assert_eq!(skipped, 0, "duplicate series spec {}", spec.labels);
         }
     }
 }
@@ -323,6 +329,14 @@ mod tests {
         assert_eq!(store.sample_count(), 22);
         assert_eq!(store.min_timestamp(), Some(0));
         assert_eq!(store.max_timestamp(), Some(600_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate series spec")]
+    fn populate_rejects_a_duplicate_spec() {
+        let synth = Synthesizer::new(cfg());
+        let spec = SeriesSpec::counter(labels("a"), 1.0, 1);
+        synth.populate(&[spec.clone(), spec], &mut MetricStore::new());
     }
 
     #[test]

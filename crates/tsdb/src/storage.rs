@@ -15,8 +15,23 @@ use std::sync::Arc;
 /// for name-pattern selectors. Sealed chunks decode through a page
 /// cache shared across clones of the store, so the interpreter oracle
 /// and the vectorized engine warm it for each other.
+///
+/// Clones share their series copy-on-write: `clone()` copies two `Arc`
+/// handles, and a store whose series are shared splits off its own
+/// copy on its first write (`ensure_series` of a new label set,
+/// `append`, `adopt_series`). Value semantics are those of a deep copy,
+/// so every clone costs no telemetry until one side writes.
 #[derive(Debug, Clone)]
 pub struct MetricStore {
+    data: Arc<StoreData>,
+    page_cache: Arc<PageCache>,
+}
+
+/// What clones of a store share until one of them writes. A split
+/// clones the series with their chunks' ids, so the page cache keeps
+/// serving both sides.
+#[derive(Debug, Clone, Default)]
+struct StoreData {
     series: Vec<Series>,
     by_name: HashMap<String, Vec<usize>>,
     /// Label set → series id. A lookup hashes the signature the set
@@ -24,15 +39,12 @@ pub struct MetricStore {
     /// of the stored set touches no string; two sets that share a
     /// signature are told apart by the map's own `Eq` probe.
     by_labels: HashMap<Labels, usize>,
-    page_cache: Arc<PageCache>,
 }
 
 impl Default for MetricStore {
     fn default() -> Self {
         MetricStore {
-            series: Vec::new(),
-            by_name: HashMap::new(),
-            by_labels: HashMap::new(),
+            data: Arc::default(),
             page_cache: Arc::new(PageCache::new()),
         }
     }
@@ -51,51 +63,49 @@ impl MetricStore {
 
     /// Total number of series.
     pub fn series_count(&self) -> usize {
-        self.series.len()
+        self.data.series.len()
     }
 
     /// Total number of samples across all series.
     pub fn sample_count(&self) -> usize {
-        self.series.iter().map(|s| s.len()).sum()
+        self.data.series.iter().map(|s| s.len()).sum()
     }
 
     /// Compressed bytes across all sealed chunks.
     pub fn compressed_bytes(&self) -> usize {
-        self.series.iter().map(|s| s.compressed_bytes()).sum()
+        self.data.series.iter().map(|s| s.compressed_bytes()).sum()
     }
 
     /// Distinct metric names, sorted.
     pub fn metric_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.by_name.keys().map(|s| s.as_str()).collect();
+        let mut names: Vec<&str> = self.data.by_name.keys().map(|s| s.as_str()).collect();
         names.sort_unstable();
         names
     }
 
     /// True when a metric with this exact name has at least one series.
     pub fn has_metric(&self, name: &str) -> bool {
-        self.by_name.contains_key(name)
+        self.data.by_name.contains_key(name)
     }
 
     /// True when a series with exactly these labels exists.
     pub fn has_series(&self, labels: &Labels) -> bool {
-        self.by_labels.contains_key(labels)
+        self.data.by_labels.contains_key(labels)
     }
 
     /// Get or create the series with exactly these labels, returning its
-    /// internal id.
+    /// internal id. Only creating one is a write.
     pub fn ensure_series(&mut self, labels: Labels) -> usize {
-        if let Some(&id) = self.by_labels.get(&labels) {
+        if let Some(&id) = self.data.by_labels.get(&labels) {
             return id;
         }
-        let id = self.series.len();
+        let data = Arc::make_mut(&mut self.data);
+        let id = data.series.len();
         if let Some(name) = labels.name() {
-            self.by_name
-                .entry(name.to_string())
-                .or_default()
-                .push(id);
+            data.by_name.entry(name.to_string()).or_default().push(id);
         }
-        self.by_labels.insert(labels.clone(), id);
-        self.series.push(Series::new(labels));
+        data.by_labels.insert(labels.clone(), id);
+        data.series.push(Series::new(labels));
         id
     }
 
@@ -103,7 +113,7 @@ impl MetricStore {
     /// needed).
     pub fn append(&mut self, labels: Labels, sample: Sample) -> Result<(), AppendError> {
         let id = self.ensure_series(labels);
-        self.series[id].append(sample)
+        Arc::make_mut(&mut self.data).series[id].append(sample)
     }
 
     /// Merge a whole series in. When the store has no series with these
@@ -114,7 +124,7 @@ impl MetricStore {
     /// Returns the number of samples skipped.
     pub fn adopt_series(&mut self, incoming: Series) -> usize {
         let id = self.ensure_series(incoming.labels().clone());
-        let target = &mut self.series[id];
+        let target = &mut Arc::make_mut(&mut self.data).series[id];
         if target.is_empty() {
             *target = incoming;
             return 0;
@@ -135,7 +145,7 @@ impl MetricStore {
     pub fn select(&self, matchers: &[Matcher]) -> Vec<&Series> {
         self.select_indices(matchers)
             .into_iter()
-            .map(|i| &self.series[i])
+            .map(|i| &self.data.series[i])
             .collect()
     }
 
@@ -146,13 +156,13 @@ impl MetricStore {
         let name_eq = matchers
             .iter()
             .find(|m| m.name == crate::labels::NAME_LABEL && m.op == MatchOp::Eq);
-        let matching = |&i: &usize| all_match(matchers, self.series[i].labels());
+        let data = &*self.data;
+        let matching = |&i: &usize| all_match(matchers, data.series[i].labels());
         match name_eq {
-            Some(m) => self
-                .by_name
-                .get(&m.value)
-                .map_or_else(Vec::new, |ids| ids.iter().copied().filter(matching).collect()),
-            None => (0..self.series.len()).filter(matching).collect(),
+            Some(m) => data.by_name.get(&m.value).map_or_else(Vec::new, |ids| {
+                ids.iter().copied().filter(matching).collect()
+            }),
+            None => (0..data.series.len()).filter(matching).collect(),
         }
     }
 
@@ -161,30 +171,39 @@ impl MetricStore {
     /// # Panics
     /// When `id` did not come from this store.
     pub fn series_at(&self, id: usize) -> &Series {
-        &self.series[id]
+        &self.data.series[id]
     }
 
     /// All series for a metric name.
     pub fn series_for(&self, name: &str) -> Vec<&Series> {
-        self.by_name
+        let data = &*self.data;
+        data.by_name
             .get(name)
-            .map(|ids| ids.iter().map(|&i| &self.series[i]).collect())
+            .map(|ids| ids.iter().map(|&i| &data.series[i]).collect())
             .unwrap_or_default()
     }
 
     /// Iterate all series.
     pub fn iter(&self) -> impl Iterator<Item = &Series> {
-        self.series.iter()
+        self.data.series.iter()
     }
 
     /// Earliest sample timestamp in the store.
     pub fn min_timestamp(&self) -> Option<i64> {
-        self.series.iter().filter_map(|s| s.first_timestamp()).min()
+        self.data
+            .series
+            .iter()
+            .filter_map(|s| s.first_timestamp())
+            .min()
     }
 
     /// Latest sample timestamp in the store.
     pub fn max_timestamp(&self) -> Option<i64> {
-        self.series.iter().filter_map(|s| s.last_timestamp()).max()
+        self.data
+            .series
+            .iter()
+            .filter_map(|s| s.last_timestamp())
+            .max()
     }
 }
 
@@ -353,6 +372,104 @@ mod tests {
             st.series_for("adopted")[0].last_timestamp(),
             Some(last + 1)
         );
+    }
+
+    /// Everything a reader sees of a store: counts, every series'
+    /// samples, and two selections (postings list and full scan).
+    fn observe(st: &MetricStore) -> (usize, usize, Vec<Vec<Sample>>, Vec<Vec<Labels>>) {
+        let selections = [
+            vec![Matcher::eq(NAME_LABEL, "auth_req")],
+            vec![Matcher::re(NAME_LABEL, ".+")],
+        ];
+        (
+            st.series_count(),
+            st.sample_count(),
+            st.iter().map(Series::samples).collect(),
+            selections
+                .iter()
+                .map(|m| st.select(m).iter().map(|s| s.labels().clone()).collect())
+                .collect(),
+        )
+    }
+
+    fn aliases(a: &MetricStore, b: &MetricStore) -> bool {
+        std::ptr::eq(a.series_at(0), b.series_at(0))
+    }
+
+    #[test]
+    fn clones_share_their_series() {
+        let a = store();
+        let b = a.clone();
+        for id in 0..a.series_count() {
+            assert!(
+                std::ptr::eq(a.series_at(id), b.series_at(id)),
+                "series {id}"
+            );
+        }
+        // Resolving a label set that exists is a read: still shared.
+        let mut c = a.clone();
+        c.ensure_series(Labels::from_pairs([
+            (NAME_LABEL, "pdu_est"),
+            ("instance", "smf-0"),
+        ]));
+        assert!(aliases(&a, &c));
+    }
+
+    #[test]
+    fn a_write_splits_the_writer_off_and_leaves_the_other_side_unchanged() {
+        type Write = fn(&mut MetricStore);
+        let writes: [(&str, Write); 3] = [
+            ("append", |st| {
+                let labels = Labels::from_pairs([(NAME_LABEL, "auth_req"), ("instance", "amf-0")]);
+                st.append(labels, Sample::new(9_000, 9.0)).unwrap();
+            }),
+            ("ensure_series", |st| {
+                st.ensure_series(Labels::name_only("fresh"));
+            }),
+            ("adopt_series", |st| {
+                let mut series = Series::new(Labels::name_only("auth_req"));
+                series.append(Sample::new(1_000, 3.0)).unwrap();
+                assert_eq!(st.adopt_series(series), 0);
+            }),
+        ];
+        for (what, write) in writes {
+            for clone_writes in [false, true] {
+                let original = store();
+                let clone = original.clone();
+                let (mut writer, reader) = if clone_writes {
+                    (clone, original)
+                } else {
+                    (original, clone)
+                };
+                let before = observe(&reader);
+                assert_eq!(observe(&writer), before);
+                write(&mut writer);
+                assert_eq!(observe(&reader), before, "{what}: reader changed");
+                assert_ne!(observe(&writer), before, "{what}: writer lost its write");
+                assert!(!aliases(&writer, &reader), "{what}: still aliased");
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_keeps_page_cache_hits() {
+        use crate::chunk::CHUNK_SIZE;
+        let labels = Labels::name_only("sealed");
+        let mut a = MetricStore::new();
+        for i in 0..=CHUNK_SIZE as i64 {
+            a.append(labels.clone(), Sample::new(1_000 + i, i as f64))
+                .unwrap();
+        }
+        let mut b = a.clone();
+        // Warm the sealed chunk through one side, then split the other.
+        let warm = a.series_at(0).cols(a.page_cache());
+        b.append(labels, Sample::new(1_000_000, 0.0)).unwrap();
+        assert!(!aliases(&a, &b));
+        let before = b.page_cache().stats();
+        let cols = b.series_at(0).cols(b.page_cache());
+        let after = b.page_cache().stats();
+        assert_eq!((after.hits - before.hits, after.misses), (1, before.misses));
+        assert_eq!(cols.ts[..warm.ts.len()], warm.ts[..]);
     }
 
     #[test]
