@@ -268,6 +268,26 @@ mod tests {
     }
 
     #[test]
+    fn default_world_chunk_payloads_are_pinned() {
+        // FNV-1a 64 over every sealed chunk's payload, in store then
+        // chunk order. The chunk format must not move: snapshots written
+        // by older builds have to load, and `tsdb_bench`'s fingerprints
+        // assume these bytes. Constants computed before the codec went
+        // word-at-a-time.
+        let world = OperatorWorld::build(WorldConfig::default());
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut len = 0usize;
+        for chunk in world.store.iter().flat_map(|s| s.chunks()) {
+            let payload = chunk.payload();
+            len += payload.len();
+            for &b in &payload {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!((hash, len), (0x7f2d_734c_34b2_0c13, 34_144_445));
+    }
+
+    #[test]
     fn instances_helper_matches_labels() {
         let w = OperatorWorld::build(WorldConfig::small());
         let insts = w.instances(NetworkFunction::Amf);

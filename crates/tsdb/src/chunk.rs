@@ -19,7 +19,7 @@
 //! [ts column bytes] [value column bytes]
 //! ```
 
-use crate::compress::{float, int, BitReader, BitWriter, CodecError};
+use crate::compress::{float, int, BitReader, BitSource, BitWriter, CodecError};
 use crate::sample::Sample;
 use dio_faults::{decode_all, encode_record};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,14 +166,11 @@ impl Chunk {
     /// Decompress both columns. Errors instead of panicking on
     /// damaged bytes.
     pub fn decode(&self) -> Result<DecodedChunk, ChunkError> {
-        let mut tr = BitReader::new(&self.ts_bytes);
-        let ts = int::decode_timestamps(&mut tr, self.count as usize)?;
-        if ts.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(ChunkError::UnsortedTimestamps);
-        }
-        let mut vr = BitReader::new(&self.val_bytes);
-        let vals = float::decode_values(&mut vr, self.count as usize)?;
-        Ok(DecodedChunk { ts, vals })
+        decode_columns(
+            BitReader::new(&self.ts_bytes),
+            BitReader::new(&self.val_bytes),
+            self.count as usize,
+        )
     }
 
     /// The chunk serialized *without* framing — for embedding inside a
@@ -216,24 +213,14 @@ impl Chunk {
     /// Parse an *unframed* chunk payload (the caller already stripped
     /// and verified the CRC frame, e.g. snapshot fsck).
     pub fn from_payload(payload: &[u8]) -> Result<Chunk, ChunkError> {
-        if payload.len() < 12 {
-            return Err(ChunkError::BadHeader);
-        }
-        let count = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
-        let ts_len = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
-        let val_len = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-        if count == 0 || payload.len() != 12 + ts_len + val_len {
-            return Err(ChunkError::BadHeader);
-        }
-        let ts_bytes = payload[12..12 + ts_len].to_vec();
-        let val_bytes = payload[12 + ts_len..].to_vec();
+        let (count, ts_bytes, val_bytes) = split_payload(payload)?;
         let mut chunk = Chunk {
             id: next_chunk_id(),
             count,
             min_ts: 0,
             max_ts: 0,
-            ts_bytes,
-            val_bytes,
+            ts_bytes: ts_bytes.to_vec(),
+            val_bytes: val_bytes.to_vec(),
         };
         // Validate eagerly: recovery wants structured errors now, not
         // a surprise at first query.
@@ -244,9 +231,42 @@ impl Chunk {
     }
 }
 
+/// Check an unframed payload's header against its length and split it
+/// into the sample count and the two columns.
+fn split_payload(payload: &[u8]) -> Result<(u32, &[u8], &[u8]), ChunkError> {
+    if payload.len() < 12 {
+        return Err(ChunkError::BadHeader);
+    }
+    let field = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+    let (count, ts_len, val_len) = (field(0), field(4) as usize, field(8) as usize);
+    // The first value costs 64 bits and every later one at least one, so
+    // a count the value column cannot hold is header damage — and must
+    // not size the decoders' allocations.
+    if count == 0 || payload.len() != 12 + ts_len + val_len || count as usize + 63 > val_len * 8 {
+        return Err(ChunkError::BadHeader);
+    }
+    Ok((count, &payload[12..12 + ts_len], &payload[12 + ts_len..]))
+}
+
+/// Decode both columns of a `count`-sample chunk from their readers.
+fn decode_columns(
+    mut ts_bits: impl BitSource,
+    mut val_bits: impl BitSource,
+    count: usize,
+) -> Result<DecodedChunk, ChunkError> {
+    let ts = int::decode_timestamps(&mut ts_bits, count)?;
+    if ts.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(ChunkError::UnsortedTimestamps);
+    }
+    let vals = float::decode_values(&mut val_bits, count)?;
+    Ok(DecodedChunk { ts, vals })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::reference::RefBitReader;
+    use proptest::prelude::*;
 
     fn samples(n: usize) -> Vec<Sample> {
         (0..n)
@@ -332,6 +352,104 @@ mod tests {
             for chunk in [&sealed, &decoded] {
                 assert_eq!(chunk.ts_bytes.capacity(), chunk.ts_bytes.len(), "n={n}");
                 assert_eq!(chunk.val_bytes.capacity(), chunk.val_bytes.len(), "n={n}");
+            }
+        }
+    }
+
+    /// Jittered timestamps (every delta-of-delta class up to 12 bits)
+    /// and values that repeat, move and turn NaN.
+    fn jittered_samples(seed: u64, n: usize) -> Vec<Sample> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let jitter = (state >> 33) as i64 % 5_000;
+                let value = match state >> 61 {
+                    0 => f64::NAN,
+                    1 => 7.0,
+                    _ => (i as f64 * 0.25).sin() * 10.0,
+                };
+                Sample::new(1_000 + i as i64 * 15_000 + jitter, value)
+            })
+            .collect()
+    }
+
+    /// Damage one column, or the count, and write a header that agrees
+    /// with the result, so the damage reaches the codecs.
+    fn damage_columns(count: &mut u32, ts: &mut Vec<u8>, vals: &mut Vec<u8>, d: u64) {
+        let col = if (d >> 3) & 1 == 0 {
+            &mut *ts
+        } else {
+            &mut *vals
+        };
+        let at = (d >> 8) as usize % col.len().max(1);
+        match d % 5 {
+            0 if !col.is_empty() => col[at] ^= 1 << ((d >> 4) & 7),
+            1 => col.truncate(at),
+            2 => col.extend_from_slice(&(d >> 16).to_le_bytes()[..1 + (d >> 5) as usize % 8]),
+            3 => {
+                *count = match (d >> 4) % 3 {
+                    0 => count.wrapping_add(1),
+                    1 => count.wrapping_sub(1),
+                    _ => (d >> 32) as u32,
+                }
+            }
+            _ => {
+                // Move the column boundary: the lengths still add up.
+                let k = (1 + (d >> 16) as usize % 4).min(vals.len());
+                ts.extend(vals.drain(..k));
+            }
+        }
+    }
+
+    /// Half the time, damage the assembled bytes, header included, so
+    /// the header lengths may disagree with the columns.
+    fn damage_bytes(payload: &mut Vec<u8>, d: u64) {
+        let at = (d >> 8) as usize % payload.len();
+        match d % 8 {
+            0 => payload[at] ^= 1 << ((d >> 4) & 7),
+            1 => payload.truncate(at),
+            2 => payload.extend_from_slice(&d.to_le_bytes()[..1 + (d >> 5) as usize % 8]),
+            3 => payload[4 + 4 * ((d >> 4) as usize % 2)] ^= 1 << ((d >> 6) & 7),
+            _ => {}
+        }
+    }
+
+    proptest! {
+        /// Unframed payloads reach the codecs with no CRC in front of
+        /// them. Damaged by bit flips, truncation, appended bytes, a
+        /// wrong count and header lengths that disagree with the columns,
+        /// each decodes to exactly what the reference reader gives —
+        /// the same columns or the same error — and none panics.
+        #[test]
+        fn damaged_payloads_decode_like_the_reference(
+            seed in any::<u64>(),
+            n in 1usize..CHUNK_SIZE + 1,
+            trials in prop::collection::vec(any::<u64>(), 48..49),
+        ) {
+            let sealed = Chunk::seal(&jittered_samples(seed, n));
+            let bits = |r: Result<DecodedChunk, ChunkError>| {
+                r.map(|d| (d.ts, d.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>()))
+            };
+            // Each trial: one or two column damages, then the bytes'.
+            for t in trials.chunks(3) {
+                let (mut count, mut ts_bytes, mut val_bytes) =
+                    (sealed.count, sealed.ts_bytes.clone(), sealed.val_bytes.clone());
+                damage_columns(&mut count, &mut ts_bytes, &mut val_bytes, t[0]);
+                if t[1] & 1 == 1 {
+                    damage_columns(&mut count, &mut ts_bytes, &mut val_bytes, t[1] >> 1);
+                }
+                let mut payload =
+                    Chunk { id: 0, count, min_ts: 0, max_ts: 0, ts_bytes, val_bytes }.payload();
+                damage_bytes(&mut payload, t[2]);
+
+                let got = Chunk::from_payload(&payload).and_then(|c| c.decode());
+                let want = split_payload(&payload).and_then(|(count, ts, vals)| {
+                    decode_columns(RefBitReader::new(ts), RefBitReader::new(vals), count as usize)
+                });
+                prop_assert_eq!(bits(got), bits(want), "trial {:?}", t);
             }
         }
     }

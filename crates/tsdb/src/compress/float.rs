@@ -17,10 +17,10 @@
 //! payloads and signed zeros — required for byte-identical differential
 //! testing against the interpreter.
 
-use super::{BitReader, BitWriter, CodecError};
+use super::{BitSink, BitSource, CodecError};
 
 /// Encode a value column.
-pub(crate) fn encode_values(vals: &[f64], w: &mut BitWriter) {
+pub(crate) fn encode_values(vals: &[f64], w: &mut impl BitSink) {
     if vals.is_empty() {
         return;
     }
@@ -57,7 +57,7 @@ pub(crate) fn encode_values(vals: &[f64], w: &mut BitWriter) {
 }
 
 /// Decode `count` values; truncation yields a [`CodecError`].
-pub(crate) fn decode_values(r: &mut BitReader<'_>, count: usize) -> Result<Vec<f64>, CodecError> {
+pub(crate) fn decode_values(r: &mut impl BitSource, count: usize) -> Result<Vec<f64>, CodecError> {
     let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);
@@ -98,6 +98,7 @@ pub(crate) fn decode_values(r: &mut BitReader<'_>, count: usize) -> Result<Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::{BitReader, BitWriter};
 
     fn roundtrip(vals: &[f64]) {
         let mut w = BitWriter::new();

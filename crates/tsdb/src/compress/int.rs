@@ -17,10 +17,10 @@
 //! field, mirroring the Prometheus/Gorilla layout. A metrics scrape at
 //! a fixed interval costs one bit per sample after the header.
 
-use super::{unzigzag, zigzag, BitReader, BitWriter, CodecError};
+use super::{unzigzag, zigzag, BitSink, BitSource, CodecError};
 
 /// Append a zigzag varint to the bit stream.
-fn push_varint(w: &mut BitWriter, v: i64) {
+fn push_varint(w: &mut impl BitSink, v: i64) {
     let mut z = zigzag(v);
     loop {
         let group = z & 0x7F;
@@ -35,7 +35,7 @@ fn push_varint(w: &mut BitWriter, v: i64) {
 }
 
 /// Read a zigzag varint; `None` on truncation.
-fn read_varint(r: &mut BitReader<'_>) -> Option<i64> {
+fn read_varint(r: &mut impl BitSource) -> Option<i64> {
     let mut z: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -53,7 +53,7 @@ fn read_varint(r: &mut BitReader<'_>) -> Option<i64> {
 }
 
 /// Encode a sorted (strictly increasing) timestamp column.
-pub(crate) fn encode_timestamps(ts: &[i64], w: &mut BitWriter) {
+pub(crate) fn encode_timestamps(ts: &[i64], w: &mut impl BitSink) {
     if ts.is_empty() {
         return;
     }
@@ -87,7 +87,10 @@ pub(crate) fn encode_timestamps(ts: &[i64], w: &mut BitWriter) {
 
 /// Decode `count` timestamps. The input is untrusted; truncation or
 /// garbage control bits yield a [`CodecError`].
-pub(crate) fn decode_timestamps(r: &mut BitReader<'_>, count: usize) -> Result<Vec<i64>, CodecError> {
+pub(crate) fn decode_timestamps(
+    r: &mut impl BitSource,
+    count: usize,
+) -> Result<Vec<i64>, CodecError> {
     let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);
@@ -131,6 +134,7 @@ pub(crate) fn decode_timestamps(r: &mut BitReader<'_>, count: usize) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::{BitReader, BitWriter};
 
     fn roundtrip(ts: &[i64]) {
         let mut w = BitWriter::new();

@@ -56,12 +56,38 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append-only bit writer (MSB-first within each byte).
+/// Where the codecs write bits. [`BitWriter`] is the one production
+/// sink; the trait lets the test oracle drive the same encoders.
+pub(crate) trait BitSink {
+    /// Append one bit.
+    fn push_bit(&mut self, bit: bool);
+    /// Append the low `n` bits of `value`, most significant first.
+    fn push_bits(&mut self, value: u64, n: u8);
+}
+
+/// Where the codecs read bits from. [`BitReader`] is the one
+/// production source; the trait lets the test oracle drive the same
+/// decoders.
+pub(crate) trait BitSource {
+    /// Read one bit; `None` at end of stream.
+    fn read_bit(&mut self) -> Option<bool>;
+    /// Read `n` bits into the low bits of a `u64`; `None` if the
+    /// stream ends first.
+    fn read_bits(&mut self, n: u8) -> Option<u64>;
+    /// Current bit offset (for error reporting).
+    fn bit_pos(&self) -> usize;
+}
+
+/// Append-only bit writer (MSB-first within each byte). Bits gather in
+/// a word-sized accumulator and leave it as whole bytes, up to 32 bits
+/// per step.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits used in the final byte (0 = byte boundary).
-    used: u8,
+    /// Pending bits in the low `pending` bits, oldest highest.
+    acc: u64,
+    /// Bits in `acc` not yet emitted; below 8 between calls.
+    pending: u32,
 }
 
 impl BitWriter {
@@ -70,48 +96,57 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Append one bit.
+    /// Append the low `n <= 32` bits of `value`.
     #[inline]
-    pub(crate) fn push_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 0x80 >> self.used;
-        }
-        self.used = (self.used + 1) % 8;
-    }
-
-    /// Append the low `n` bits of `value`, most significant first.
-    #[inline]
-    pub(crate) fn push_bits(&mut self, value: u64, n: u8) {
-        debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.push_bit((value >> i) & 1 == 1);
+    fn push_word(&mut self, value: u64, n: u8) {
+        let n = u32::from(n);
+        self.acc = (self.acc << n) | (value & ((1u64 << n) - 1));
+        self.pending += n;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
     }
 
     /// Total bits written (the compression-ratio tests read it).
     #[cfg(test)]
     pub(crate) fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.used as usize
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 
-    /// Finish, returning the padded byte stream trimmed to its length:
-    /// a sealed column lives as long as its chunk, so it does not keep
-    /// the push loop's doubling slack.
+    /// Finish, returning the byte stream with its last byte zero-padded
+    /// and trimmed to its length: a sealed column lives as long as its
+    /// chunk, so it does not keep the push loop's doubling slack.
     pub(crate) fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.bytes.shrink_to_fit();
         self.bytes
     }
 }
 
-/// Bit reader over an untrusted byte slice (MSB-first).
+impl BitSink for BitWriter {
+    #[inline]
+    fn push_bit(&mut self, bit: bool) {
+        self.push_word(bit as u64, 1);
+    }
+
+    #[inline]
+    fn push_bits(&mut self, value: u64, n: u8) {
+        debug_assert!(n <= 64);
+        if n > 32 {
+            self.push_word(value >> 32, n - 32);
+            self.push_word(value, 32);
+        } else {
+            self.push_word(value, n);
+        }
+    }
+}
+
+/// Bit reader over an untrusted byte slice (MSB-first). Each read of up
+/// to 32 bits checks the end of the stream once and takes its bits from
+/// one big-endian 8-byte window.
 #[derive(Debug, Clone)]
 pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
@@ -124,30 +159,48 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
-    /// Current bit offset (for error reporting).
-    pub(crate) fn bit_pos(&self) -> usize {
-        self.pos
+    /// Take `n <= 32` bits the caller has checked are in the stream.
+    #[inline]
+    fn read_word(&mut self, n: u8) -> u64 {
+        let (at, skip) = (self.pos / 8, self.pos % 8);
+        let window = match self.bytes.get(at..at + 8) {
+            Some(window) => u64::from_be_bytes(window.try_into().expect("8 bytes")),
+            None => {
+                // Near the end: zero-fill past the slice.
+                let mut window = [0u8; 8];
+                let tail = &self.bytes[at..];
+                window[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(window)
+            }
+        };
+        self.pos += usize::from(n);
+        // `n == 0` would shift by 64; `checked_shr` turns that into 0.
+        (window << skip).checked_shr(64 - u32::from(n)).unwrap_or(0)
+    }
+}
+
+impl BitSource for BitReader<'_> {
+    #[inline]
+    fn read_bit(&mut self) -> Option<bool> {
+        self.read_bits(1).map(|bit| bit == 1)
     }
 
-    /// Read one bit; `None` at end of stream.
     #[inline]
-    pub(crate) fn read_bit(&mut self) -> Option<bool> {
-        let byte = self.bytes.get(self.pos / 8)?;
-        let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Some(bit)
-    }
-
-    /// Read `n` bits into the low bits of a `u64`; `None` if the
-    /// stream ends first.
-    #[inline]
-    pub(crate) fn read_bits(&mut self, n: u8) -> Option<u64> {
+    fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!(n <= 64);
-        let mut out = 0u64;
-        for _ in 0..n {
-            out = (out << 1) | self.read_bit()? as u64;
+        if self.pos + usize::from(n) > self.bytes.len() * 8 {
+            return None;
         }
-        Some(out)
+        if n > 32 {
+            let high = self.read_word(n - 32);
+            Some((high << 32) | self.read_word(32))
+        } else {
+            Some(self.read_word(n))
+        }
+    }
+
+    fn bit_pos(&self) -> usize {
+        self.pos
     }
 }
 
@@ -163,9 +216,228 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The bit-at-a-time writer and reader the word-at-a-time ones replaced,
+/// kept verbatim as the oracle that pins the stream format.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BitSink, BitSource};
+
+    /// Append-only bit writer (MSB-first within each byte).
+    #[derive(Debug, Default, Clone)]
+    pub(crate) struct RefBitWriter {
+        bytes: Vec<u8>,
+        /// Bits used in the final byte (0 = byte boundary).
+        used: u8,
+    }
+
+    impl RefBitWriter {
+        /// Total bits written.
+        pub(crate) fn bit_len(&self) -> usize {
+            if self.used == 0 {
+                self.bytes.len() * 8
+            } else {
+                (self.bytes.len() - 1) * 8 + self.used as usize
+            }
+        }
+
+        /// Finish, returning the padded byte stream.
+        pub(crate) fn into_bytes(self) -> Vec<u8> {
+            self.bytes
+        }
+    }
+
+    impl BitSink for RefBitWriter {
+        fn push_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.bytes.push(0);
+            }
+            if bit {
+                let last = self.bytes.len() - 1;
+                self.bytes[last] |= 0x80 >> self.used;
+            }
+            self.used = (self.used + 1) % 8;
+        }
+
+        fn push_bits(&mut self, value: u64, n: u8) {
+            debug_assert!(n <= 64);
+            for i in (0..n).rev() {
+                self.push_bit((value >> i) & 1 == 1);
+            }
+        }
+    }
+
+    /// Bit reader over an untrusted byte slice (MSB-first).
+    #[derive(Debug, Clone)]
+    pub(crate) struct RefBitReader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> RefBitReader<'a> {
+        /// Read from the start of `bytes`.
+        pub(crate) fn new(bytes: &'a [u8]) -> Self {
+            RefBitReader { bytes, pos: 0 }
+        }
+    }
+
+    impl BitSource for RefBitReader<'_> {
+        fn read_bit(&mut self) -> Option<bool> {
+            let byte = self.bytes.get(self.pos / 8)?;
+            let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
+            self.pos += 1;
+            Some(bit)
+        }
+
+        fn read_bits(&mut self, n: u8) -> Option<u64> {
+            debug_assert!(n <= 64);
+            let mut out = 0u64;
+            for _ in 0..n {
+                out = (out << 1) | self.read_bit()? as u64;
+            }
+            Some(out)
+        }
+
+        fn bit_pos(&self) -> usize {
+            self.pos
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{RefBitReader, RefBitWriter};
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Any sequence of pushes, every width from 0 to 64 and values
+        /// with bits set above the width, gives the reference writer's
+        /// bit length at every step and its bytes at the end.
+        #[test]
+        fn writer_matches_the_reference(
+            values in prop::collection::vec(any::<u64>(), 0..300),
+            widths in prop::collection::vec(0u8..66, 300..301),
+        ) {
+            let (mut w, mut oracle) = (BitWriter::new(), RefBitWriter::default());
+            for (&value, &n) in values.iter().zip(&widths) {
+                // Width 65 stands for a single `push_bit`.
+                if n == 65 {
+                    w.push_bit(value & 1 == 1);
+                    oracle.push_bit(value & 1 == 1);
+                } else {
+                    w.push_bits(value, n);
+                    oracle.push_bits(value, n);
+                }
+                prop_assert_eq!(w.bit_len(), oracle.bit_len());
+            }
+            prop_assert_eq!(w.into_bytes(), oracle.into_bytes());
+        }
+
+        /// Any byte slice read with any width sequence gives the
+        /// reference reader's results and bit offsets, up to and
+        /// including the first `None`.
+        #[test]
+        fn reader_matches_the_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+            widths in prop::collection::vec(0u8..66, 1..120),
+        ) {
+            let (mut r, mut oracle) = (BitReader::new(&bytes), RefBitReader::new(&bytes));
+            for &n in &widths {
+                // Width 65 stands for a single `read_bit`.
+                let (got, want) = if n == 65 {
+                    (r.read_bit().map(u64::from), oracle.read_bit().map(u64::from))
+                } else {
+                    (r.read_bits(n), oracle.read_bits(n))
+                };
+                prop_assert_eq!(got, want, "width {}", n);
+                if got.is_none() {
+                    break;
+                }
+                prop_assert_eq!(r.bit_pos(), oracle.bit_pos());
+            }
+        }
+
+        /// Timestamp columns that hit every delta-of-delta class and the
+        /// 64-bit escape, and value columns full of NaN payloads, ±0 and
+        /// ±Inf, encode to the reference encoder's bytes and decode back
+        /// through both readers.
+        #[test]
+        fn columns_encode_to_the_reference_bytes(
+            seeds in prop::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let ts = timestamp_column(&seeds);
+            let vals: Vec<f64> = seeds.iter().map(|&s| value_from(s)).collect();
+
+            let (mut tw, mut tw_ref) = (BitWriter::new(), RefBitWriter::default());
+            int::encode_timestamps(&ts, &mut tw);
+            int::encode_timestamps(&ts, &mut tw_ref);
+            let ts_bytes = tw.into_bytes();
+            prop_assert_eq!(&ts_bytes, &tw_ref.into_bytes());
+
+            let (mut vw, mut vw_ref) = (BitWriter::new(), RefBitWriter::default());
+            float::encode_values(&vals, &mut vw);
+            float::encode_values(&vals, &mut vw_ref);
+            let val_bytes = vw.into_bytes();
+            prop_assert_eq!(&val_bytes, &vw_ref.into_bytes());
+
+            let n = ts.len();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let (want_ts, want_vals) = (Ok(ts), Ok(bits(vals)));
+            let got = int::decode_timestamps(&mut BitReader::new(&ts_bytes), n);
+            prop_assert_eq!(got, want_ts);
+            let got = int::decode_timestamps(&mut RefBitReader::new(&ts_bytes), n);
+            prop_assert_eq!(got, want_ts);
+            let got = float::decode_values(&mut BitReader::new(&val_bytes), n).map(bits);
+            prop_assert_eq!(got, want_vals);
+            let got = float::decode_values(&mut RefBitReader::new(&val_bytes), n).map(bits);
+            prop_assert_eq!(got, want_vals);
+        }
+    }
+
+    /// Strictly increasing timestamps whose delta-of-delta cycles
+    /// through the zero, 7-, 9- and 12-bit classes and the raw escape
+    /// (with both signs), chosen per sample by its seed.
+    fn timestamp_column(seeds: &[u64]) -> Vec<i64> {
+        let mut t = (seeds[0] >> 24) as i64 - (1 << 39);
+        let mut delta = 15_000i64;
+        seeds
+            .iter()
+            .map(|&s| {
+                let magnitude = match s % 5 {
+                    0 => 0,
+                    1 => 1 + (s >> 8) as i64 % 64,
+                    2 => 65 + (s >> 8) as i64 % 192,
+                    3 => 257 + (s >> 8) as i64 % 1_792,
+                    _ => 2_049 + (s >> 8) as i64 % (1 << 40),
+                };
+                let dod = if (s >> 4) & 1 == 1 {
+                    magnitude
+                } else {
+                    -magnitude
+                };
+                // Flip a step that would stop time from moving forward.
+                delta += if delta + dod >= 1 { dod } else { -dod };
+                let now = t;
+                t += delta;
+                now
+            })
+            .collect()
+    }
+
+    /// A value drawn from the float codec's hard cases: NaNs with
+    /// payloads, ±0, ±Inf, a slowly moving gauge and arbitrary bits.
+    fn value_from(s: u64) -> f64 {
+        match s % 8 {
+            0 => f64::from_bits(0x7ff8_0000_0000_0000 | (s >> 13)),
+            1 => f64::from_bits(0xfff0_0000_0000_0001 | (s >> 13)),
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => 100.0 + (s >> 40) as f64 * 0.25,
+            _ => f64::from_bits(s),
+        }
+    }
 
     #[test]
     fn bit_roundtrip() {
