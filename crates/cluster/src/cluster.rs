@@ -128,7 +128,8 @@ pub struct RejoinReport {
     /// Bytes shipped for catch-up.
     pub caught_up_bytes: usize,
     /// Shards where the node resumed as primary (it died unnoticed —
-    /// nothing triggered a failover while it was down).
+    /// nothing triggered a failover while it was down — and rebuilt at
+    /// least as many records as its live replica holds).
     pub resumed_primary: usize,
     /// Shards the node rejoined as replica.
     pub rejoined_replica: usize,
@@ -568,10 +569,24 @@ impl Cluster {
             }
             if inner.shards[shard].primary_node == node {
                 // Either it died unnoticed (nothing routed here while
-                // it was down, so it still holds the longest log) or
-                // it just took the seat back as the only live copy.
-                report.resumed_primary += 1;
-                continue;
+                // it was down) or it just took the seat back as the
+                // only live copy. Unnoticed, its log is the longest
+                // unless rot cut its rebuild short: then a live replica
+                // holding more records takes the seat, and this node
+                // catches up from it below.
+                let s = &inner.shards[shard];
+                let longer = s.replica_node.filter(|&r| {
+                    inner.up[r]
+                        && s.copies[&r].records() > s.copies[&node].records()
+                        && s.copies[&r].unverified_suffix_is_clean()
+                });
+                let Some(replica) = longer else {
+                    report.resumed_primary += 1;
+                    continue;
+                };
+                inner.shards[shard].primary_node = replica;
+                inner.shards[shard].replica_node = None;
+                self.metrics.failovers.inc();
             }
             // Catch up the suffix it missed from the current primary,
             // then take (or retake) the replica seat.
@@ -1020,6 +1035,55 @@ mod tests {
         let store = cluster.resolve(&[f.to_string()], false).unwrap();
         let total: usize = store.series_for(f).iter().map(|s| s.samples().len()).sum();
         assert_eq!(total, 10, "rejoined replica is missing acked samples");
+    }
+
+    #[test]
+    fn a_primary_that_died_unnoticed_and_rotted_steps_down_and_catches_up() {
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        let f = "amf_registration_total";
+        let shard = cluster.shard_for(f);
+        let acked: Vec<(String, Sample)> = (0..9i64)
+            .map(|i| (format!("amf-{}", i % 3), Sample::new(1_000 * (i + 1), i as f64)))
+            .collect();
+        for (instance, sample) in &acked {
+            let ack = cluster.append(labels(f, instance), *sample).unwrap();
+            assert!(ack.replicated);
+        }
+        let (primary, replica) = (cluster.primary_of(shard), cluster.replica_of(shard).unwrap());
+        // Killed with no access in between, so nothing fails over; then
+        // a frame in the middle of its durable log rots.
+        cluster.kill_node(primary);
+        let (durable, _) = cluster.shard_wal_images(shard);
+        cluster.inner.lock().unwrap().shards[shard]
+            .copies
+            .get_mut(&primary)
+            .unwrap()
+            .rot(durable.len() / 2);
+
+        let report = cluster.restart_node(primary);
+        assert_eq!(report.resumed_primary, 0, "{report:?}");
+        assert_eq!(report.rejoined_replica, 2, "{report:?}");
+        assert!(report.caught_up_records > 0, "{report:?}");
+        assert_eq!(cluster.primary_of(shard), replica);
+        assert_eq!(cluster.replica_of(shard), Some(primary));
+        assert_eq!(cluster.failovers(), 1);
+        let (p, r) = cluster.shard_wal_images(shard);
+        assert_eq!(Some(p), r, "the stepped-down node must converge byte for byte");
+        // Every acked write is served — by the new primary, and by the
+        // restarted node once it holds the seat again.
+        for serving in ["the promoted replica", "the restarted node"] {
+            let store = cluster.resolve(&[f.to_string()], false).unwrap();
+            for (instance, sample) in &acked {
+                let found = store
+                    .series_for(f)
+                    .iter()
+                    .filter(|s| s.labels().get("instance") == Some(instance))
+                    .flat_map(|s| s.samples())
+                    .any(|s| s == *sample);
+                assert!(found, "{serving} lost acked {instance}@{}", sample.timestamp_ms);
+            }
+            cluster.kill_node(cluster.primary_of(shard));
+        }
     }
 
     #[test]

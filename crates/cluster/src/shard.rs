@@ -25,10 +25,12 @@
 //! Each path advances the copy's verified watermark to the end of what
 //! it took in, so a promotion or a hedged read has only the bytes past
 //! the watermark left to scan — none, under these three paths — instead
-//! of the whole log.
+//! of the whole log. The two paths that take in framed bytes replay
+//! them through one routine ([`Applied::replay`]), which resolves each
+//! series reference of the log to its store series once.
 
 use dio_faults::{DataFaultKind, MemMedium, PlannedFault};
-use dio_tsdb::{AppendError, Labels, MetricStore, Sample, Wal, WalEntry, WalRecord};
+use dio_tsdb::{AppendError, Labels, MetricStore, Replay, Sample, Scan, Wal, WalEntry, WalRecord};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -73,12 +75,40 @@ pub struct ShipApply {
 /// One copy (primary or replica) of one shard.
 #[derive(Debug)]
 pub struct ShardCopy {
-    store: Arc<MetricStore>,
     wal: Wal<MemMedium>,
-    /// Byte offset of the end of each framed record, in append order.
-    boundaries: Vec<usize>,
+    /// What the WAL's records were applied to.
+    applied: Applied,
     /// WAL bytes below this offset were verified on their way in.
     verified_len: usize,
+}
+
+/// What a copy's WAL records were applied to — kept apart from the WAL
+/// so a scan can borrow the WAL's series table while records replay.
+#[derive(Debug, Default)]
+struct Applied {
+    store: Arc<MetricStore>,
+    /// Byte offset of the end of each framed record, in append order.
+    boundaries: Vec<usize>,
+    /// The log's series references → store series, each resolved once.
+    series: Replay,
+}
+
+impl Applied {
+    /// The replay both framed-bytes ingest paths share: a record of
+    /// `scan` whose frame ends at `end` becomes a record boundary, and
+    /// its sample goes to the store by series id. A sample the store
+    /// rejects is still a record and a boundary.
+    fn replay(
+        &mut self,
+        scan: &Scan<'_>,
+        reference: usize,
+        sample: Sample,
+        end: usize,
+    ) -> Result<(), AppendError> {
+        self.boundaries.push(end);
+        let store = Arc::make_mut(&mut self.store);
+        self.series.append(store, scan, reference, sample)
+    }
 }
 
 impl Default for ShardCopy {
@@ -91,9 +121,8 @@ impl ShardCopy {
     /// An empty copy.
     pub fn new() -> Self {
         ShardCopy {
-            store: Arc::new(MetricStore::new()),
             wal: Wal::new(MemMedium::new()),
-            boundaries: Vec::new(),
+            applied: Applied::default(),
             verified_len: 0,
         }
     }
@@ -101,13 +130,13 @@ impl ShardCopy {
     /// The published store. Cheap `Arc` clone; readers keep evaluating
     /// against the snapshot they grabbed while writers move on.
     pub fn store(&self) -> Arc<MetricStore> {
-        Arc::clone(&self.store)
+        Arc::clone(&self.applied.store)
     }
 
     /// Records in this copy's WAL (== records applied to the store,
     /// counting rejected appends, which are logged but not stored).
     pub fn records(&self) -> usize {
-        self.boundaries.len()
+        self.applied.boundaries.len()
     }
 
     /// Bytes currently in this copy's WAL.
@@ -140,9 +169,18 @@ impl ShardCopy {
             .expect("in-memory WAL append cannot fail");
     }
 
+    /// Flip one bit of the WAL `at` bytes in: media rot. Only the bytes
+    /// change — a dead node's copy is rebuilt from them on restart.
+    #[cfg(test)]
+    pub(crate) fn rot(&mut self, at: usize) {
+        let mut bytes = self.wal_bytes().to_vec();
+        bytes[at] ^= 0x10;
+        self.wal = Wal::new(MemMedium::from(bytes));
+    }
+
     /// Newest sample timestamp in the store, for replication lag.
     pub fn last_timestamp(&self) -> Option<i64> {
-        self.store.max_timestamp()
+        self.applied.store.max_timestamp()
     }
 
     /// The raw WAL bytes — the durable transcript that survives a node
@@ -157,7 +195,7 @@ impl ShardCopy {
         let start = if from_record == 0 {
             0
         } else {
-            self.boundaries[from_record - 1]
+            self.applied.boundaries[from_record - 1]
         };
         &self.wal.medium().bytes()[start..]
     }
@@ -177,9 +215,9 @@ impl ShardCopy {
             sample,
         };
         self.wal.append(&record)?;
-        self.boundaries.push(self.wal.len());
+        self.applied.boundaries.push(self.wal.len());
         self.verified_len = self.wal.len();
-        Ok(Arc::make_mut(&mut self.store).append(labels, sample))
+        Ok(Arc::make_mut(&mut self.applied.store).append(labels, sample))
     }
 
     /// Validate and apply a shipped chunk. All-or-nothing: any CRC
@@ -195,7 +233,11 @@ impl ShardCopy {
         let mut scan = self.wal.scan_next(chunk);
         for entry in &mut scan {
             match entry {
-                WalEntry::Record { record, end } => records.push((record, end)),
+                WalEntry::Record {
+                    reference,
+                    sample,
+                    end,
+                } => records.push((reference, sample, end)),
                 WalEntry::Corrupt | WalEntry::Unparsable => damaged += 1,
                 WalEntry::TornTail => torn = true,
             }
@@ -206,22 +248,20 @@ impl ShardCopy {
         if torn {
             return Err(ShipReject::TornTail);
         }
-        let scanned = scan.finish();
         let base = self.wal.len();
-        self.wal
-            .adopt_frames(chunk, scanned)
-            .expect("in-memory WAL append cannot fail");
-        self.verified_len = self.wal.len();
-        self.boundaries.reserve(records.len());
-        let store = Arc::make_mut(&mut self.store);
+        self.applied.boundaries.reserve(records.len());
         let mut out = ShipApply::default();
-        for (rec, end) in records {
-            self.boundaries.push(base + end);
-            match store.append(rec.labels, rec.sample) {
+        for (reference, sample, end) in records {
+            match self.applied.replay(&scan, reference, sample, base + end) {
                 Ok(()) => out.applied += 1,
                 Err(_) => out.rejected += 1,
             }
         }
+        let scanned = scan.finish();
+        self.wal
+            .adopt_frames(chunk, scanned)
+            .expect("in-memory WAL append cannot fail");
+        self.verified_len = self.wal.len();
         Ok(out)
     }
 
@@ -238,14 +278,16 @@ impl ShardCopy {
     /// does.
     pub fn recover_from_bytes(bytes: &[u8]) -> (Self, Option<ShipReject>) {
         let mut copy = ShardCopy::new();
-        let store = Arc::make_mut(&mut copy.store);
         let mut stopped_by = None;
         let mut scan = copy.wal.scan_next(bytes);
-        for entry in &mut scan {
+        while let Some(entry) = scan.next() {
             match entry {
-                WalEntry::Record { record, end } => {
-                    copy.boundaries.push(end);
-                    let _ = store.append(record.labels, record.sample);
+                WalEntry::Record {
+                    reference,
+                    sample,
+                    end,
+                } => {
+                    let _ = copy.applied.replay(&scan, reference, sample, end);
                 }
                 WalEntry::Corrupt | WalEntry::Unparsable => {
                     stopped_by = Some(ShipReject::CorruptFrame { frames: 1 });
@@ -255,7 +297,7 @@ impl ShardCopy {
             }
         }
         let scanned = scan.finish();
-        let clean = copy.boundaries.last().copied().unwrap_or(0);
+        let clean = copy.applied.boundaries.last().copied().unwrap_or(0);
         copy.wal
             .adopt_frames(&bytes[..clean], scanned)
             .expect("in-memory WAL append cannot fail");
@@ -296,6 +338,7 @@ pub(crate) fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dio_faults::FRAME_HEADER_LEN;
     use dio_tsdb::NAME_LABEL;
 
     fn rec(name: &str, i: usize) -> (Labels, Sample) {
@@ -346,7 +389,7 @@ mod tests {
         // Records 1.. name their series by a reference record 0 bound.
         let suffix = primary.bytes_from(3);
         let mut replica = ShardCopy::new();
-        replica.apply_shipped(&primary.wal_bytes()[..primary.boundaries[2]]).unwrap();
+        replica.apply_shipped(&primary.wal_bytes()[..primary.applied.boundaries[2]]).unwrap();
         assert_eq!(replica.apply_shipped(suffix), Ok(ShipApply { applied: 2, rejected: 0 }));
         assert_eq!(replica.wal_bytes(), primary.wal_bytes());
         assert_eq!(replica.store().sample_count(), 5);
@@ -438,7 +481,7 @@ mod tests {
         let primary = filled(4);
         let bytes = primary.wal_bytes();
         // Kill mid-write of the 4th record: cut inside the last frame.
-        let cut = primary.boundaries[2] + 4;
+        let cut = primary.applied.boundaries[2] + 4;
         let (copy, stopped_by) = ShardCopy::recover_from_bytes(&bytes[..cut]);
         assert_eq!(copy.records(), 3);
         assert_eq!(stopped_by, Some(ShipReject::TornTail));
@@ -464,7 +507,7 @@ mod tests {
         // A rebuild verifies exactly the prefix it adopts.
         let torn = &primary.wal_bytes()[..primary.wal_len() - 1];
         let (rebuilt, _) = ShardCopy::recover_from_bytes(torn);
-        assert_eq!(rebuilt.wal_len(), primary.boundaries[2]);
+        assert_eq!(rebuilt.wal_len(), primary.applied.boundaries[2]);
         assert_eq!(rebuilt.verified_len(), rebuilt.wal_len());
         assert!(rebuilt.unverified_suffix_is_clean());
     }
@@ -493,6 +536,120 @@ mod tests {
         assert!(below.unverified_suffix_is_clean());
         below.append_local(l, s).unwrap().unwrap();
         assert_eq!(below.verified_len(), below.wal_len());
+    }
+
+    /// `recover_from_bytes` as it replayed before [`Replay`]: the clean
+    /// prefix's records, each appended to the store by its labels.
+    fn recover_by_labels(bytes: &[u8]) -> ShardCopy {
+        let mut copy = ShardCopy::new();
+        let mut ends = Vec::new();
+        let mut scan = copy.wal.scan_next(bytes);
+        for entry in &mut scan {
+            match entry {
+                WalEntry::Record { end, .. } => ends.push(end),
+                WalEntry::Corrupt | WalEntry::Unparsable => break,
+                WalEntry::TornTail => {}
+            }
+        }
+        let scanned = scan.finish();
+        let clean = ends.last().copied().unwrap_or(0);
+        let store = Arc::make_mut(&mut copy.applied.store);
+        for record in dio_tsdb::recover(&bytes[..clean]).records {
+            let _ = store.append(record.labels, record.sample);
+        }
+        copy.wal.adopt_frames(&bytes[..clean], scanned).unwrap();
+        copy.applied.boundaries = ends;
+        copy.verified_len = clean;
+        copy
+    }
+
+    type Image = (Vec<(Labels, Vec<(i64, u64)>)>, Vec<u8>, Vec<usize>, usize);
+
+    /// Everything a copy is: its series in id order with their samples'
+    /// bits, its WAL bytes, record boundaries and watermark.
+    fn image(copy: &ShardCopy) -> Image {
+        let store = copy.store();
+        let series = store
+            .iter()
+            .map(|s| {
+                let bits = s.samples().iter().map(|x| (x.timestamp_ms, x.value.to_bits())).collect();
+                (s.labels().clone(), bits)
+            })
+            .collect();
+        (
+            series,
+            copy.wal_bytes().to_vec(),
+            copy.applied.boundaries.clone(),
+            copy.verified_len(),
+        )
+    }
+
+    /// A log of three interleaved series, two of whose records the store
+    /// rejects as out of order — whole, torn mid-frame, with a frame in
+    /// the middle rotted, and with its first frame rotted.
+    fn parity_logs() -> Vec<(&'static str, Vec<u8>, Option<ShipReject>)> {
+        let mut primary = ShardCopy::new();
+        let plan = [
+            ("auth_req", "amf-0", 1_000),
+            ("pdu_est", "smf-0", 1_000),
+            ("auth_req", "amf-1", 1_500),
+            ("auth_req", "amf-0", 2_000),
+            ("pdu_est", "smf-0", 500),
+            ("auth_req", "amf-1", 2_500),
+            ("auth_req", "amf-0", 2_000),
+            ("pdu_est", "smf-0", 3_000),
+            ("auth_req", "amf-0", 4_000),
+        ];
+        for (i, (name, instance, ts)) in plan.into_iter().enumerate() {
+            let labels = Labels::from_pairs([(NAME_LABEL, name), ("instance", instance)]);
+            let stored = primary.append_local(labels, Sample::new(ts, i as f64)).unwrap();
+            assert_eq!(stored.is_err(), [4, 6].contains(&i), "record {i}");
+        }
+        let bytes = primary.wal_bytes().to_vec();
+        let ends = primary.applied.boundaries.clone();
+        let rot = |at: usize| {
+            let mut rotted = bytes.clone();
+            rotted[at] ^= 0x10;
+            rotted
+        };
+        let torn = bytes[..ends[ends.len() - 2] + 5].to_vec();
+        let mid = ends[ends.len() / 2 - 1] + FRAME_HEADER_LEN + 1;
+        let corrupt = Some(ShipReject::CorruptFrame { frames: 1 });
+        vec![
+            ("whole", bytes.clone(), None),
+            ("torn", torn, Some(ShipReject::TornTail)),
+            ("rotted mid-log", rot(mid), corrupt.clone()),
+            ("rotted first frame", rot(FRAME_HEADER_LEN), corrupt),
+        ]
+    }
+
+    #[test]
+    fn replay_by_reference_rebuilds_what_appends_by_labels_did() {
+        for (what, log, stop) in parity_logs() {
+            let (mut rebuilt, stopped_by) = ShardCopy::recover_from_bytes(&log);
+            assert_eq!(stopped_by, stop, "{what}");
+            let mut reference = recover_by_labels(&log);
+            assert_eq!(image(&rebuilt), image(&reference), "{what}");
+            // The clean prefix shipped in two pieces replays alike too.
+            let mut shipped = ShardCopy::new();
+            let ends = &reference.applied.boundaries;
+            let clean = ends.last().copied().unwrap_or(0);
+            let split = ends.get(ends.len() / 2).copied().unwrap_or(0);
+            for piece in [&log[..split], &log[split..clean]] {
+                shipped.apply_shipped(piece).unwrap();
+            }
+            assert_eq!(image(&shipped), image(&reference), "{what} shipped");
+            // The next appends — a known series, then a new one — write
+            // the same bytes on all three.
+            for copy in [&mut rebuilt, &mut reference, &mut shipped] {
+                for name in ["auth_req", "ho_fail"] {
+                    let labels = Labels::from_pairs([(NAME_LABEL, name), ("instance", "amf-0")]);
+                    copy.append_local(labels, Sample::new(9_000, 9.0)).unwrap().unwrap();
+                }
+            }
+            assert_eq!(image(&rebuilt), image(&reference), "{what}, appended");
+            assert_eq!(image(&shipped), image(&reference), "{what} shipped, appended");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::sample::Sample;
 use crate::series::AppendError;
 use crate::snapshot::{fsck_snapshot, write_snapshot, FsckReport};
 use crate::storage::MetricStore;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{Replay, Wal, WalRecord};
 use dio_faults::Medium;
 
 /// Error from [`DurableStore::append`].
@@ -91,20 +91,20 @@ impl<M: Medium> DurableStore<M> {
         wal_medium: M,
     ) -> std::io::Result<(Self, RecoveryReport)> {
         let (mut store, snap_report) = fsck_snapshot(snapshot_bytes);
-        let (wal, wal_rec) = Wal::open(wal_medium)?;
         let mut report = RecoveryReport {
             snapshot: snap_report,
-            wal_corrupt_frames: wal_rec.corrupt_frames,
-            wal_unparsable: wal_rec.unparsable,
-            wal_truncated_tail: wal_rec.truncated_tail,
             ..RecoveryReport::default()
         };
-        for rec in wal_rec.records {
-            match store.append(rec.labels, rec.sample) {
+        let mut replay = Replay::default();
+        let (wal, wal_rec) = Wal::open_with(wal_medium, |scan, reference, sample| {
+            match replay.append(&mut store, scan, reference, sample) {
                 Ok(()) => report.wal_replayed += 1,
                 Err(_) => report.wal_rejected += 1,
             }
-        }
+        })?;
+        report.wal_corrupt_frames = wal_rec.corrupt_frames;
+        report.wal_unparsable = wal_rec.unparsable;
+        report.wal_truncated_tail = wal_rec.truncated_tail;
         Ok((DurableStore { store, wal }, report))
     }
 
@@ -275,6 +275,57 @@ mod tests {
         let (back, report) = DurableStore::recover(&[], inner).unwrap();
         assert!(report.is_clean());
         assert_eq!(back.store().sample_count(), 20);
+    }
+
+    #[test]
+    fn replay_by_reference_lands_on_the_series_appends_by_labels_would() {
+        // The snapshot numbers its series 0, 1; the log after it binds
+        // series 1 first, then a new one, then series 0 — so references
+        // and series ids differ, and more so once rot loses a binding.
+        let mut ds = DurableStore::new(MemMedium::new());
+        for k in 0..2 {
+            ds.append(labels(k), Sample::new(1_000, k as f64)).unwrap();
+        }
+        let snapshot = ds.checkpoint().unwrap();
+        let mut ends = Vec::new();
+        for (i, ts) in [
+            (1, 2_000),
+            (5, 2_000),
+            (0, 2_000),
+            (1, 1_500),
+            (5, 3_000),
+            (1, 3_000),
+        ] {
+            let _ = ds.append(labels(i), Sample::new(ts, ts as f64));
+            ends.push(ds.wal.len());
+        }
+        let (_, medium) = ds.into_parts();
+        let log = medium.into_bytes();
+        let contents = |store: &MetricStore| -> Vec<(Labels, Vec<Sample>)> {
+            store
+                .iter()
+                .map(|s| (s.labels().clone(), s.samples()))
+                .collect()
+        };
+        let mut logs = vec![log.clone()];
+        for start in std::iter::once(0)
+            .chain(ends.iter().copied())
+            .take(ends.len())
+        {
+            let mut rotted = log.clone();
+            rotted[start + dio_faults::FRAME_HEADER_LEN] ^= 0x01;
+            logs.push(rotted);
+        }
+        for (i, bytes) in logs.into_iter().enumerate() {
+            let (mut by_labels, _) = fsck_snapshot(&snapshot);
+            let mut rejected = 0;
+            for rec in crate::wal::recover(&bytes).records {
+                rejected += usize::from(by_labels.append(rec.labels, rec.sample).is_err());
+            }
+            let (back, report) = DurableStore::recover(&snapshot, MemMedium::from(bytes)).unwrap();
+            assert_eq!(contents(back.store()), contents(&by_labels), "log {i}");
+            assert_eq!(report.wal_rejected, rejected, "log {i}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use page_cache::PageCacheStats;
 pub use sample::Sample;
 pub use series::{AppendError, Series};
 pub use storage::MetricStore;
-pub use wal::{recover, Scanned, Wal, WalEntry, WalRecord};
+pub use wal::{recover, Replay, Scan, Scanned, Wal, WalEntry, WalRecord};
 
 /// Default Prometheus lookback window for instant queries: 5 minutes.
 pub const DEFAULT_LOOKBACK_MS: i64 = 5 * 60 * 1000;

@@ -1,6 +1,6 @@
 //! The metric store: every series, indexed by metric name.
 
-use crate::labels::Labels;
+use crate::labels::{LabelMap, Labels};
 use crate::matchers::{all_match, Matcher};
 use crate::page_cache::PageCache;
 use crate::sample::Sample;
@@ -34,11 +34,12 @@ pub struct MetricStore {
 struct StoreData {
     series: Vec<Series>,
     by_name: HashMap<String, Vec<usize>>,
-    /// Label set → series id. A lookup hashes the signature the set
-    /// carries and compares pointer-first, so a caller holding a clone
-    /// of the stored set touches no string; two sets that share a
-    /// signature are told apart by the map's own `Eq` probe.
-    by_labels: HashMap<Labels, usize>,
+    /// Label set → series id. A lookup takes the signature the set
+    /// carries as its hash and compares pointer-first, so a caller
+    /// holding a clone of the stored set touches no string; two sets
+    /// that share a signature are told apart by the map's own `Eq`
+    /// probe.
+    by_labels: LabelMap<usize>,
 }
 
 impl Default for MetricStore {
@@ -102,7 +103,12 @@ impl MetricStore {
         let data = Arc::make_mut(&mut self.data);
         let id = data.series.len();
         if let Some(name) = labels.name() {
-            data.by_name.entry(name.to_string()).or_default().push(id);
+            match data.by_name.get_mut(name) {
+                Some(ids) => ids.push(id),
+                None => {
+                    data.by_name.insert(name.to_string(), vec![id]);
+                }
+            }
         }
         data.by_labels.insert(labels.clone(), id);
         data.series.push(Series::new(labels));
@@ -113,6 +119,14 @@ impl MetricStore {
     /// needed).
     pub fn append(&mut self, labels: Labels, sample: Sample) -> Result<(), AppendError> {
         let id = self.ensure_series(labels);
+        self.append_at(id, sample)
+    }
+
+    /// Append one sample to the series with internal id `id`.
+    ///
+    /// # Panics
+    /// When `id` did not come from this store.
+    pub(crate) fn append_at(&mut self, id: usize, sample: Sample) -> Result<(), AppendError> {
         Arc::make_mut(&mut self.data).series[id].append(sample)
     }
 
