@@ -270,9 +270,8 @@ mod tests {
     #[test]
     fn default_world_chunk_payloads_are_pinned() {
         // FNV-1a 64 over every sealed chunk's payload, in store then
-        // chunk order. The chunk format must not move: snapshots written
-        // by older builds have to load, and `tsdb_bench`'s fingerprints
-        // assume these bytes. Constants computed before the codec went
+        // chunk order. The chunk format must not move: `tsdb_bench`'s
+        // fingerprints assume these bytes. Constants computed before the codec went
         // word-at-a-time.
         let world = OperatorWorld::build(WorldConfig::default());
         let mut hash = 0xcbf2_9ce4_8422_2325u64;

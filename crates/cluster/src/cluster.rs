@@ -88,8 +88,6 @@ pub enum ClusterError {
         /// The shard without a live primary.
         shard: usize,
     },
-    /// A WAL medium failed.
-    Io(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -99,7 +97,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Unavailable { shard } => {
                 write!(f, "shard {shard} unavailable: no live copy")
             }
-            ClusterError::Io(e) => write!(f, "wal i/o: {e}"),
         }
     }
 }
@@ -133,6 +130,10 @@ pub struct RejoinReport {
     pub resumed_primary: usize,
     /// Shards the node rejoined as replica.
     pub rejoined_replica: usize,
+    /// Copies rebuilt from their primary's log because their own was
+    /// not a byte prefix of it: a double failure left them records the
+    /// surviving copy never got, and those are lost.
+    pub reseeded_copies: usize,
 }
 
 /// Span name for one shard touched during store resolution. Attributes:
@@ -446,14 +447,13 @@ impl Cluster {
                 .expect("primary copy exists");
             for sample in series.samples() {
                 copy.append_local(series.labels().clone(), sample)
-                    .map_err(|e| ClusterError::Io(e.to_string()))?
                     .map_err(ClusterError::Rejected)?;
                 loaded += 1;
             }
         }
         let shard_count = inner.shards.len();
         for shard in 0..shard_count {
-            self.ship(&mut inner, shard)?;
+            self.ship(&mut inner, shard);
         }
         self.metrics.appends.add(loaded as f64);
         self.update_lag(&inner);
@@ -487,16 +487,14 @@ impl Cluster {
             .copies
             .get_mut(&primary)
             .expect("primary copy exists");
-        let applied = copy
-            .append_local(labels, sample)
-            .map_err(|e| ClusterError::Io(e.to_string()))?;
+        let applied = copy.append_local(labels, sample);
         // Ship before surfacing a rejection: the rejected record is
         // WAL-logged and the replica must mirror it byte-for-byte.
         let ship_span = trace.map(|(tracer, parent)| {
             let ctx = tracer.child_of(parent);
             (tracer, ctx, tracer.clock_micros(&ctx), Instant::now())
         });
-        let shipped = self.ship(&mut inner, shard);
+        let replicated = self.ship(&mut inner, shard);
         if let Some((tracer, ctx, start, t0)) = ship_span {
             tracer.record_span(
                 &ctx,
@@ -505,17 +503,10 @@ impl Cluster {
                 dio_obs::micros_u64(t0.elapsed()),
                 &[
                     ("shard", &shard.to_string()),
-                    (
-                        "replicated",
-                        match shipped {
-                            Ok(true) => "true",
-                            _ => "false",
-                        },
-                    ),
+                    ("replicated", if replicated { "true" } else { "false" }),
                 ],
             );
         }
-        let replicated = shipped?;
         self.update_lag(&inner);
         match applied {
             Ok(()) => {
@@ -537,8 +528,9 @@ impl Cluster {
     /// Restart a dead node: rebuild every copy it hosts from durable
     /// WAL bytes (the volatile store is dropped and replayed — the
     /// crash-consistency path), catch up missing records from the
-    /// current primaries over the reliable channel, and rejoin as
-    /// replica wherever the shard lost one.
+    /// current primaries over the reliable channel (a copy whose log is
+    /// not a prefix of its primary's is rebuilt from the primary's
+    /// instead), and rejoin as replica wherever the shard lost one.
     pub fn restart_node(&self, node: usize) -> RejoinReport {
         let mut inner = self.inner.lock().unwrap();
         let mut report = RejoinReport::default();
@@ -589,9 +581,16 @@ impl Cluster {
                 self.metrics.failovers.inc();
             }
             // Catch up the suffix it missed from the current primary,
-            // then take (or retake) the replica seat.
+            // then take (or retake) the replica seat. A log that is not
+            // a prefix of the primary's has no suffix to catch up: a
+            // double failure gave it records the surviving copy never
+            // got, so it starts over from the primary's log.
             let primary = inner.shards[shard].primary_node;
             let (source, copy) = ship_pair(&mut inner.shards[shard].copies, primary, node);
+            if !source.wal_bytes().starts_with(copy.wal_bytes()) {
+                *copy = ShardCopy::new();
+                report.reseeded_copies += 1;
+            }
             let chunk = source.bytes_from(copy.records());
             if !chunk.is_empty() {
                 let apply = copy
@@ -667,12 +666,12 @@ impl Cluster {
     /// Damaged or lost chunks are re-sent (bounded chaotic attempts,
     /// then the reliable recovery channel). Returns whether a live
     /// replica holds everything.
-    fn ship(&self, inner: &mut Inner, shard: usize) -> Result<bool, ClusterError> {
+    fn ship(&self, inner: &mut Inner, shard: usize) -> bool {
         let Some(replica) = inner.shards[shard].replica_node else {
-            return Ok(false);
+            return false;
         };
         if !inner.up[replica] {
-            return Ok(false); // degraded window: ack on primary alone
+            return false; // degraded window: ack on primary alone
         }
         let primary = inner.shards[shard].primary_node;
         let (source, copy) = ship_pair(&mut inner.shards[shard].copies, primary, replica);
@@ -699,7 +698,7 @@ impl Cluster {
                 self.metrics.reships.inc();
             }
         }
-        Ok(true)
+        true
     }
 
     /// Refresh the worst-shard replication lag gauge and feed each
@@ -1086,6 +1085,83 @@ mod tests {
         }
     }
 
+    /// A double failure on one shard of two nodes: the replica dies,
+    /// the primary acks a record alone and dies, the old replica
+    /// restarts and takes the seat without that record and acks
+    /// `new_primary_acks` more, then the old primary restarts.
+    fn double_failure(new_primary_acks: i64) -> (Cluster, usize, RejoinReport) {
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        let f = FAMILIES[0];
+        let shard = cluster.shard_for(f);
+        for i in 0..3i64 {
+            cluster.append(labels(f, "a"), Sample::new(1_000 * (i + 1), i as f64)).unwrap();
+        }
+        let (primary, replica) = (cluster.primary_of(shard), cluster.replica_of(shard).unwrap());
+        cluster.kill_node(replica);
+        let ack = cluster.append(labels(f, "a"), Sample::new(4_000, 3.0)).unwrap();
+        assert!(!ack.replicated);
+        cluster.kill_node(primary);
+        cluster.restart_node(replica);
+        assert_eq!(cluster.primary_of(shard), replica);
+        for i in 0..new_primary_acks {
+            cluster.append(labels(f, "b"), Sample::new(5_000 + i, 9.0)).unwrap();
+        }
+        let report = cluster.restart_node(primary);
+        assert_eq!(report.reseeded_copies, 1, "{report:?}");
+        assert_eq!(cluster.replica_of(shard), Some(primary));
+        assert_every_copy_verified_and_converged(&cluster, "the double failure");
+        (cluster, shard, report)
+    }
+
+    /// Samples of family `f` the shard serves, as `(instance, ts)`.
+    fn served(cluster: &Cluster, f: &str) -> Vec<(String, i64)> {
+        let store = cluster.resolve(&[f.to_string()], false).unwrap();
+        let mut out: Vec<_> = store
+            .series_for(f)
+            .iter()
+            .flat_map(|s| {
+                let instance = s.labels().get("instance").unwrap_or("").to_string();
+                s.samples().into_iter().map(move |x| (instance.clone(), x.timestamp_ms))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn a_rejoining_copy_longer_than_its_primary_is_rebuilt_from_the_primary() {
+        // The old primary's rebuilt log holds one record more than the
+        // promoted replica's: catch-up used to index past the primary's
+        // last record and panic under the cluster lock.
+        let (cluster, _, report) = double_failure(0);
+        assert_eq!(report.caught_up_records, 3, "{report:?}");
+        // The record only the dead primary held is the double
+        // failure's loss; everything the survivor acked is served by
+        // both copies.
+        let f = FAMILIES[0];
+        let want: Vec<(String, i64)> = (1..=3).map(|i| ("a".to_string(), 1_000 * i)).collect();
+        assert_eq!(served(&cluster, f), want);
+        cluster.kill_node(cluster.primary_of(cluster.shard_for(f)));
+        assert_eq!(served(&cluster, f), want);
+    }
+
+    #[test]
+    fn a_rejoining_copy_whose_tail_diverged_at_equal_length_is_rebuilt_from_the_primary() {
+        // Both logs hold four records; the fourth differs. A count
+        // comparison saw nothing to catch up and seated the old primary
+        // as a replica with the other tail.
+        let (cluster, shard, report) = double_failure(1);
+        assert_eq!(report.caught_up_records, 4, "{report:?}");
+        let (p, r) = cluster.shard_wal_images(shard);
+        assert_eq!(Some(p), r);
+        let f = FAMILIES[0];
+        let mut want: Vec<(String, i64)> = (1..=3).map(|i| ("a".to_string(), 1_000 * i)).collect();
+        want.push(("b".to_string(), 5_000));
+        assert_eq!(served(&cluster, f), want);
+        cluster.kill_node(cluster.primary_of(shard));
+        assert_eq!(served(&cluster, f), want);
+    }
+
     #[test]
     fn chaotic_link_reships_until_converged_never_diverges() {
         let chaos = ChaosConfig::with_probability(77, 0.6);
@@ -1199,7 +1275,7 @@ mod tests {
             .copies
             .get_mut(&replica)
             .unwrap()
-            .append_unverified(&dio_faults::MAGIC);
+            .append_unverified(&dio_tsdb::MAGIC);
 
         // Slow primary, fast replica: the hedge fires, but the replica
         // is not clean, so the primary serves.

@@ -29,7 +29,7 @@
 //! them through one routine ([`Applied::replay`]), which resolves each
 //! series reference of the log to its store series once.
 
-use dio_faults::{DataFaultKind, MemMedium, PlannedFault};
+use dio_faults::{DataFaultKind, PlannedFault};
 use dio_tsdb::{AppendError, Labels, MetricStore, Replay, Sample, Scan, Wal, WalEntry, WalRecord};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -75,7 +75,7 @@ pub struct ShipApply {
 /// One copy (primary or replica) of one shard.
 #[derive(Debug)]
 pub struct ShardCopy {
-    wal: Wal<MemMedium>,
+    wal: Wal,
     /// What the WAL's records were applied to.
     applied: Applied,
     /// WAL bytes below this offset were verified on their way in.
@@ -121,7 +121,7 @@ impl ShardCopy {
     /// An empty copy.
     pub fn new() -> Self {
         ShardCopy {
-            wal: Wal::new(MemMedium::new()),
+            wal: Wal::default(),
             applied: Applied::default(),
             verified_len: 0,
         }
@@ -164,9 +164,7 @@ impl ShardCopy {
     /// path does: what the suffix check exists to catch.
     #[cfg(test)]
     pub(crate) fn append_unverified(&mut self, bytes: &[u8]) {
-        self.wal
-            .adopt_frames(bytes, dio_tsdb::Scanned::default())
-            .expect("in-memory WAL append cannot fail");
+        self.wal.adopt_frames(bytes, dio_tsdb::Scanned::default());
     }
 
     /// Flip one bit of the WAL `at` bytes in: media rot. Only the bytes
@@ -175,7 +173,8 @@ impl ShardCopy {
     pub(crate) fn rot(&mut self, at: usize) {
         let mut bytes = self.wal_bytes().to_vec();
         bytes[at] ^= 0x10;
-        self.wal = Wal::new(MemMedium::from(bytes));
+        self.wal = Wal::default();
+        self.wal.adopt_frames(&bytes, dio_tsdb::Scanned::default());
     }
 
     /// Newest sample timestamp in the store, for replication lag.
@@ -186,7 +185,7 @@ impl ShardCopy {
     /// The raw WAL bytes — the durable transcript that survives a node
     /// crash.
     pub fn wal_bytes(&self) -> &[u8] {
-        self.wal.medium().bytes()
+        self.wal.bytes()
     }
 
     /// The framed bytes of records `from_record..`, for shipping to a
@@ -197,7 +196,7 @@ impl ShardCopy {
         } else {
             self.applied.boundaries[from_record - 1]
         };
-        &self.wal.medium().bytes()[start..]
+        &self.wal.bytes()[start..]
     }
 
     /// Append one record locally: WAL frame first (the durability
@@ -205,19 +204,15 @@ impl ShardCopy {
     /// means the store rejected the sample as out of order; the record
     /// stays in the WAL so every copy replays — and rejects — it
     /// identically.
-    pub fn append_local(
-        &mut self,
-        labels: Labels,
-        sample: Sample,
-    ) -> std::io::Result<Result<(), AppendError>> {
+    pub fn append_local(&mut self, labels: Labels, sample: Sample) -> Result<(), AppendError> {
         let record = WalRecord {
             labels: labels.clone(),
             sample,
         };
-        self.wal.append(&record)?;
+        self.wal.append(&record);
         self.applied.boundaries.push(self.wal.len());
         self.verified_len = self.wal.len();
-        Ok(Arc::make_mut(&mut self.applied.store).append(labels, sample))
+        Arc::make_mut(&mut self.applied.store).append(labels, sample)
     }
 
     /// Validate and apply a shipped chunk. All-or-nothing: any CRC
@@ -258,9 +253,7 @@ impl ShardCopy {
             }
         }
         let scanned = scan.finish();
-        self.wal
-            .adopt_frames(chunk, scanned)
-            .expect("in-memory WAL append cannot fail");
+        self.wal.adopt_frames(chunk, scanned);
         self.verified_len = self.wal.len();
         Ok(out)
     }
@@ -298,9 +291,7 @@ impl ShardCopy {
         }
         let scanned = scan.finish();
         let clean = copy.applied.boundaries.last().copied().unwrap_or(0);
-        copy.wal
-            .adopt_frames(&bytes[..clean], scanned)
-            .expect("in-memory WAL append cannot fail");
+        copy.wal.adopt_frames(&bytes[..clean], scanned);
         copy.verified_len = clean;
         (copy, stopped_by)
     }
@@ -338,8 +329,7 @@ pub(crate) fn damage_chunk(fault: PlannedFault, chunk: &[u8]) -> Option<Cow<'_, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_faults::FRAME_HEADER_LEN;
-    use dio_tsdb::NAME_LABEL;
+    use dio_tsdb::{FRAME_HEADER_LEN, NAME_LABEL};
 
     fn rec(name: &str, i: usize) -> (Labels, Sample) {
         (
@@ -352,7 +342,7 @@ mod tests {
         let mut c = ShardCopy::new();
         for i in 0..n {
             let (l, s) = rec("auth_req", i);
-            c.append_local(l, s).unwrap().unwrap();
+            c.append_local(l, s).unwrap();
         }
         c
     }
@@ -375,7 +365,7 @@ mod tests {
         replica.apply_shipped(primary.bytes_from(0)).unwrap();
         for i in 3..6 {
             let (l, s) = rec("auth_req", i);
-            primary.append_local(l, s).unwrap().unwrap();
+            primary.append_local(l, s).unwrap();
         }
         let gap = primary.bytes_from(replica.records());
         assert!(gap.len() < primary.wal_len());
@@ -416,7 +406,7 @@ mod tests {
         replica.apply_shipped(primary.bytes_from(0)).unwrap();
         for i in 2..4 {
             let (l, s) = rec("pdu_est", i);
-            primary.append_local(l, s).unwrap().unwrap();
+            primary.append_local(l, s).unwrap();
         }
         let chunk = primary.bytes_from(2);
         assert_eq!(
@@ -440,7 +430,7 @@ mod tests {
         for copy in [&mut primary, &mut replica, &mut rebuilt] {
             for (name, i) in [("auth_req", 3), ("pdu_est", 4), ("pdu_est", 5)] {
                 let (l, s) = rec(name, i);
-                copy.append_local(l, s).unwrap().unwrap();
+                copy.append_local(l, s).unwrap();
             }
         }
         assert_eq!(replica.wal_bytes(), primary.wal_bytes());
@@ -532,9 +522,11 @@ mod tests {
         assert!(!rotted.unverified_suffix_is_clean());
         // ... and nothing below the watermark is looked at again.
         let mut below = filled(3);
-        below.wal = Wal::new(MemMedium::from(vec![0u8; below.wal_len()]));
+        let zeros = vec![0u8; below.wal_len()];
+        below.wal = Wal::default();
+        below.wal.adopt_frames(&zeros, dio_tsdb::Scanned::default());
         assert!(below.unverified_suffix_is_clean());
-        below.append_local(l, s).unwrap().unwrap();
+        below.append_local(l, s).unwrap();
         assert_eq!(below.verified_len(), below.wal_len());
     }
 
@@ -557,7 +549,7 @@ mod tests {
         for record in dio_tsdb::recover(&bytes[..clean]).records {
             let _ = store.append(record.labels, record.sample);
         }
-        copy.wal.adopt_frames(&bytes[..clean], scanned).unwrap();
+        copy.wal.adopt_frames(&bytes[..clean], scanned);
         copy.applied.boundaries = ends;
         copy.verified_len = clean;
         copy
@@ -602,7 +594,7 @@ mod tests {
         ];
         for (i, (name, instance, ts)) in plan.into_iter().enumerate() {
             let labels = Labels::from_pairs([(NAME_LABEL, name), ("instance", instance)]);
-            let stored = primary.append_local(labels, Sample::new(ts, i as f64)).unwrap();
+            let stored = primary.append_local(labels, Sample::new(ts, i as f64));
             assert_eq!(stored.is_err(), [4, 6].contains(&i), "record {i}");
         }
         let bytes = primary.wal_bytes().to_vec();
@@ -644,7 +636,7 @@ mod tests {
             for copy in [&mut rebuilt, &mut reference, &mut shipped] {
                 for name in ["auth_req", "ho_fail"] {
                     let labels = Labels::from_pairs([(NAME_LABEL, name), ("instance", "amf-0")]);
-                    copy.append_local(labels, Sample::new(9_000, 9.0)).unwrap().unwrap();
+                    copy.append_local(labels, Sample::new(9_000, 9.0)).unwrap();
                 }
             }
             assert_eq!(image(&rebuilt), image(&reference), "{what}, appended");

@@ -18,11 +18,10 @@ fn primary_with(records: usize) -> (ShardCopy, Vec<usize>) {
             (NAME_LABEL, "amf_registration_total"),
             ("instance", &format!("amf-{}", i % 2)),
         ]);
-        let [m0, m1] = dio_faults::MAGIC;
+        let [m0, m1] = dio_tsdb::MAGIC;
         let value = f64::from_bits(u64::from_le_bytes([i as u8, m0, m1, 1, m0, m1, 0xF0, 0x3F]));
         primary
             .append_local(labels, Sample::new(1_000 * (i as i64 + 1), value))
-            .unwrap()
             .unwrap();
         boundaries.push(primary.wal_len());
     }

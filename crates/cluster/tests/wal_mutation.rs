@@ -8,8 +8,10 @@
 //! exactly as appending its records by their labels would.
 
 use dio_cluster::ShardCopy;
-use dio_faults::{encode_record, frames, Frame, MemMedium, FRAME_HEADER_LEN};
-use dio_tsdb::{recover, Labels, MetricStore, Sample, Wal, WalRecord, NAME_LABEL};
+use dio_tsdb::{
+    encode_record, frames, recover, Frame, Labels, MetricStore, Sample, Wal, WalRecord,
+    FRAME_HEADER_LEN, NAME_LABEL,
+};
 use proptest::prelude::*;
 
 /// Four series interleaved — multi-byte and empty values, one set with
@@ -28,7 +30,7 @@ fn original() -> (Vec<u8>, Vec<usize>, Vec<WalRecord>) {
         Labels::name_only("up"),
         Labels::from_pairs([("job", "scrape"), ("slice", "eMBB")]),
     ];
-    let mut wal = Wal::new(MemMedium::new());
+    let mut wal = Wal::default();
     let (mut ends, mut records) = (Vec::new(), Vec::new());
     for i in 0..12i64 {
         let labels = series[(i * 7 % 4) as usize].clone();
@@ -37,11 +39,11 @@ fn original() -> (Vec<u8>, Vec<usize>, Vec<WalRecord>) {
             labels,
             sample: Sample::new(ts, f64::from_bits(0x3FF0_D10C_D10C_0000 | i as u64)),
         };
-        wal.append(&record).unwrap();
+        wal.append(&record);
         ends.push(wal.len());
         records.push(record);
     }
-    (wal.medium().bytes().to_vec(), ends, records)
+    (wal.bytes().to_vec(), ends, records)
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {

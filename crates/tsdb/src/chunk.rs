@@ -1,5 +1,4 @@
-//! Immutable sealed chunks: the unit of compression, caching, and
-//! persistence.
+//! Immutable sealed chunks: the unit of compression and caching.
 //!
 //! A [`Chunk`] holds a fixed-size run of one series' samples as two
 //! independently compressed columns — delta-of-delta timestamps and
@@ -8,8 +7,8 @@
 //! every chunk carries a process-unique id assigned at seal (or
 //! decode) time, and clones share the id because they share the bytes.
 //!
-//! On-the-wire layout of [`Chunk::to_bytes`] (inside a `dio-faults`
-//! CRC frame, so bit flips and truncation are caught before the codecs
+//! On-the-wire layout of [`Chunk::to_bytes`] (inside a WAL-format CRC
+//! frame, so bit flips and truncation are caught before the codecs
 //! ever run):
 //!
 //! ```text
@@ -20,8 +19,8 @@
 //! ```
 
 use crate::compress::{float, int, BitReader, BitSource, BitWriter, CodecError};
+use crate::framing::{decode_all, encode_record};
 use crate::sample::Sample;
-use dio_faults::{decode_all, encode_record};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Samples per sealed chunk. 256 keeps decode latency tiny while
@@ -173,8 +172,8 @@ impl Chunk {
         )
     }
 
-    /// The chunk serialized *without* framing — for embedding inside a
-    /// larger CRC-protected record (snapshots, shard transfers).
+    /// The chunk serialized *without* framing — the bytes the codec
+    /// wrote, which the world's payload pin hashes.
     /// [`Chunk::from_payload`] inverts it.
     pub fn payload(&self) -> Vec<u8> {
         let mut payload =
@@ -211,7 +210,7 @@ impl Chunk {
     }
 
     /// Parse an *unframed* chunk payload (the caller already stripped
-    /// and verified the CRC frame, e.g. snapshot fsck).
+    /// and verified any CRC frame).
     pub fn from_payload(payload: &[u8]) -> Result<Chunk, ChunkError> {
         let (count, ts_bytes, val_bytes) = split_payload(payload)?;
         let mut chunk = Chunk {

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial), the checksum guarding every framed
 //! record. Slicing-by-8: eight lookup tables, built at compile time,
 //! fold eight input bytes per step instead of one; no external
-//! dependencies so the leaf crate stays dependency-free.
+//! dependencies.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;

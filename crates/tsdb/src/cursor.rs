@@ -1,5 +1,5 @@
-//! Bounds-checked little-endian reads over an untrusted payload, shared
-//! by the snapshot and WAL decoders.
+//! Bounds-checked little-endian reads over an untrusted payload, for
+//! the WAL record decoder.
 
 /// A read position in `bytes`. Every read is `None` past the end, and
 /// a failed read consumes nothing.
@@ -22,10 +22,6 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {

@@ -1,6 +1,7 @@
-//! Checksummed, length-prefixed record framing.
+//! Checksummed, length-prefixed record framing: the frame format of the
+//! write-ahead log.
 //!
-//! Every durable record is written as one frame:
+//! Every logged record is written as one frame:
 //!
 //! ```text
 //! +------+------+----------------+----------------+---------+
@@ -16,7 +17,7 @@
 //! final frame cut short by a torn write is reported as clean
 //! truncation.
 //!
-//! Payloads are arbitrary bytes (WAL records and snapshots are binary),
+//! Payloads are arbitrary bytes (WAL records are binary),
 //! so the marker pair may occur inside one. A marker is therefore only
 //! ever a *candidate*: what follows it must still fit the stream and
 //! pass its checksum to count as a frame, and a frame cut short by the
@@ -48,25 +49,26 @@ pub fn encode_record(payload: &[u8]) -> Vec<u8> {
 
 /// What a scan of a framed byte stream found.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScanReport {
+pub(crate) struct ScanReport {
     /// Payloads of every frame that passed its checksum, in order.
-    pub records: Vec<Vec<u8>>,
+    pub(crate) records: Vec<Vec<u8>>,
     /// Frame indexes (0-based, counting every frame attempt) that were
     /// quarantined for a bad magic, bad length, or checksum mismatch.
-    pub corrupt_at: Vec<usize>,
+    pub(crate) corrupt_at: Vec<usize>,
     /// The stream ended inside a frame — a torn final write. The
     /// partial frame is discarded; everything before it is intact.
-    pub truncated_tail: bool,
+    pub(crate) truncated_tail: bool,
 }
 
 impl ScanReport {
     /// Number of quarantined frames.
-    pub fn corrupt_frames(&self) -> usize {
+    pub(crate) fn corrupt_frames(&self) -> usize {
         self.corrupt_at.len()
     }
 
     /// True when every byte decoded cleanly.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
         self.corrupt_at.is_empty() && !self.truncated_tail
     }
 }
@@ -130,18 +132,23 @@ pub enum Frame<'a> {
 
 /// Borrowing frame-by-frame scan of a byte stream; see [`frames`].
 #[derive(Debug, Clone)]
-pub struct Frames<'a> {
+pub(crate) struct Frames<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 /// Scan `bytes` frame by frame without copying a payload. Never
 /// panics, never skips an intact frame that precedes the damage.
-pub fn frames(bytes: &[u8]) -> Frames<'_> {
-    Frames { bytes, pos: 0 }
+pub fn frames(bytes: &[u8]) -> impl Iterator<Item = Frame<'_>> {
+    Frames::new(bytes)
 }
 
 impl<'a> Frames<'a> {
+    /// [`frames`] as the type a WAL scan holds.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Frames { bytes, pos: 0 }
+    }
+
     /// Quarantine the region at the cursor and resynchronise on the
     /// next magic marker at or after `search_from`. With no marker left
     /// the scan ends, on `at_end`.
@@ -204,7 +211,7 @@ impl<'a> Iterator for Frames<'a> {
 
 /// Scan `bytes` into records, quarantining corruption and detecting a
 /// torn tail: [`frames`] collected, with every payload copied out.
-pub fn decode_all(bytes: &[u8]) -> ScanReport {
+pub(crate) fn decode_all(bytes: &[u8]) -> ScanReport {
     let mut report = ScanReport::default();
     for (frame_idx, frame) in frames(bytes).enumerate() {
         match frame {

@@ -201,7 +201,7 @@ impl Labels {
 
     /// Wrap pairs that are already in canonical order, checking that
     /// they are: `None` unless names are strictly increasing. The way
-    /// in for pairs decoded from bytes (WAL records, snapshots), where
+    /// in for pairs decoded from bytes (WAL records), where
     /// silently reordering or dropping a duplicate would be a guess.
     /// Borrowed, so a decoder copies each string once, into the set.
     pub fn from_sorted_pairs(pairs: &[(&str, &str)]) -> Option<Self> {

@@ -18,23 +18,28 @@
 //!
 //! The PromQL engine in `dio-promql` evaluates against
 //! [`MetricStore`] through these two lookups.
+//!
+//! Durability is a write-ahead log ([`Wal`]) of checksummed frames
+//! (`framing`, CRC-32 in `crc32`), one binary record per appended
+//! sample; `dio-cluster` keeps one per shard copy and ships it to
+//! replicas.
 
 mod chunk;
 mod compress;
+mod crc32;
 mod cursor;
-mod durable;
+mod framing;
 mod generator;
 mod labels;
 mod matchers;
 mod page_cache;
 mod sample;
 mod series;
-mod snapshot;
 mod storage;
 mod wal;
 
 pub use chunk::{Chunk, ChunkError, CHUNK_SIZE};
-pub use durable::DurableStore;
+pub use framing::{encode_record, frames, Frame, FRAME_HEADER_LEN, MAGIC};
 pub use generator::{SeriesSpec, SynthConfig, Synthesizer};
 pub use labels::{Labels, NAME_LABEL};
 pub use matchers::{pattern_match, MatchOp, Matcher};

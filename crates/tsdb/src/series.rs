@@ -43,31 +43,6 @@ impl Series {
         }
     }
 
-    /// Rebuild a series from recovered parts. Validates that chunks
-    /// are in time order, non-overlapping, and strictly before every
-    /// head sample; returns `None` when the parts do not line up (the
-    /// caller quarantines).
-    pub fn from_parts(labels: Labels, chunks: Vec<Chunk>, head: Vec<Sample>) -> Option<Series> {
-        let mut last: Option<i64> = None;
-        for c in &chunks {
-            if last.is_some_and(|l| c.min_ts() <= l) {
-                return None;
-            }
-            last = Some(c.max_ts());
-        }
-        for s in &head {
-            if last.is_some_and(|l| s.timestamp_ms <= l) {
-                return None;
-            }
-            last = Some(s.timestamp_ms);
-        }
-        Some(Series {
-            labels,
-            chunks,
-            head,
-        })
-    }
-
     /// The series identity.
     pub fn labels(&self) -> &Labels {
         &self.labels
@@ -85,7 +60,7 @@ impl Series {
 
     /// All samples in time order, decoded. A materialising copy — the
     /// query engines use range-bounded reads instead; this is for
-    /// snapshots, shard hand-off, and tests.
+    /// shard hand-off and tests.
     pub fn samples(&self) -> Vec<Sample> {
         let mut out = Vec::with_capacity(self.len());
         for chunk in &self.chunks {
@@ -434,28 +409,5 @@ mod tests {
         let cols = s.cols(&cache);
         assert_eq!(cols.ts.len(), all.len());
         assert_eq!(cols.vals[7], all[7].value);
-    }
-
-    #[test]
-    fn from_parts_validates_ordering() {
-        let (s, _) = long_series(CHUNK_SIZE * 2 + 3);
-        let rebuilt = Series::from_parts(
-            s.labels().clone(),
-            s.chunks().to_vec(),
-            s.head().to_vec(),
-        )
-        .expect("valid parts");
-        assert_eq!(rebuilt.samples(), s.samples());
-        // Chunks out of order: rejected.
-        let mut chunks = s.chunks().to_vec();
-        chunks.swap(0, 1);
-        assert!(Series::from_parts(s.labels().clone(), chunks, vec![]).is_none());
-        // Head overlapping the chunks: rejected.
-        assert!(Series::from_parts(
-            s.labels().clone(),
-            s.chunks().to_vec(),
-            vec![Sample::new(s.chunks()[0].max_ts(), 1.0)],
-        )
-        .is_none());
     }
 }

@@ -89,11 +89,6 @@ impl MetricStore {
         self.data.by_name.contains_key(name)
     }
 
-    /// True when a series with exactly these labels exists.
-    pub fn has_series(&self, labels: &Labels) -> bool {
-        self.data.by_labels.contains_key(labels)
-    }
-
     /// Get or create the series with exactly these labels, returning its
     /// internal id. Only creating one is a write.
     pub fn ensure_series(&mut self, labels: Labels) -> usize {
@@ -327,7 +322,6 @@ mod tests {
         let id_c = st.ensure_series(forced("c"));
         assert_eq!(st.ensure_series(forced("c")), id_c);
         assert_eq!(st.series_count(), 3);
-        assert!(st.has_series(&forced("a")) && !st.has_series(&forced("d")));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Write-ahead log for the metric store.
 //!
-//! Each appended sample is one checksummed frame (see
-//! `dio_faults::framing`) holding one binary record:
+//! Each appended sample is one checksummed frame (see `framing`)
+//! holding one binary record:
 //!
 //! ```text
 //! u8      tag: 1 = first record of its series in this log, 2 = any later one
@@ -25,18 +25,18 @@
 //! payload has no bytes for, or a reference the log is too short to
 //! have reached are all [`WalEntry::Unparsable`].
 //!
-//! The durability contract is ack-on-`Ok`: a caller that saw `Ok` from
-//! [`Wal::append`] holds a fully framed record on the medium, so
-//! recovery after a crash at *any* byte offset either replays it or —
-//! when the crash landed mid-frame — cleanly truncates an unacked tail.
-//! It never invents or silently drops an acknowledged write.
+//! The durability contract is ack-on-return: once [`Wal::append`]
+//! returns, the log holds the record's whole frame, so recovery from
+//! the log cut at *any* byte offset either replays it or — when the cut
+//! landed mid-frame — cleanly truncates an unacked tail. It never
+//! invents or silently drops an acknowledged write.
 
 use crate::cursor::Cursor;
+use crate::framing::{encode_record, Frame, Frames, FRAME_HEADER_LEN};
 use crate::labels::{LabelMap, Labels};
 use crate::sample::Sample;
 use crate::series::AppendError;
 use crate::storage::MetricStore;
-use dio_faults::{encode_record, frames, Frame, Frames, Medium, FRAME_HEADER_LEN};
 
 /// Tag of a series' first record in a log: it carries the label set
 /// and binds its reference to it.
@@ -188,80 +188,27 @@ impl SeriesTable {
     }
 }
 
-/// A write-ahead log over any [`Medium`].
-#[derive(Debug)]
-pub struct Wal<M> {
-    medium: M,
-    appended: usize,
-    /// References bound by the records on the medium.
+/// A write-ahead log: the framed bytes and the series references
+/// they bound.
+#[derive(Debug, Default)]
+pub struct Wal {
+    bytes: Vec<u8>,
+    /// References bound by the records in `bytes`.
     series: SeriesTable,
 }
 
-impl<M: Medium> Wal<M> {
-    /// Start a log on `medium`. Whatever the medium already holds must
-    /// not be records of an earlier log — their references would be
-    /// unknown to this handle; reopen those with [`Wal::open`].
-    pub fn new(medium: M) -> Self {
-        Wal {
-            medium,
-            appended: 0,
-            series: SeriesTable::default(),
-        }
-    }
-
-    /// Reopen the log `medium` holds: scan it as [`recover`] does and
-    /// keep the references it bound, so records appended through the
-    /// returned handle continue the log instead of restarting its
-    /// numbering. The only error is the medium refusing to be read.
-    pub fn open(medium: M) -> std::io::Result<(Self, WalRecovery)> {
-        let mut records = Vec::new();
-        let (wal, mut recovery) = Wal::open_with(medium, |scan, reference, sample| {
-            records.push(scan.record(reference, sample));
-        })?;
-        recovery.records = records;
-        Ok((wal, recovery))
-    }
-
-    /// [`Wal::open`], handing each intact record to `on_record` as the
-    /// scan reaches it (its series reference, resolvable through the
-    /// scan, and its sample) instead of collecting the records:
-    /// `WalRecovery::records` comes back empty.
-    pub(crate) fn open_with(
-        mut medium: M,
-        on_record: impl FnMut(&Scan<'_>, usize, Sample),
-    ) -> std::io::Result<(Self, WalRecovery)> {
-        let bytes = medium.load()?;
-        let mut log = scan(&bytes);
-        let recovery = log.drain(on_record);
-        let mut wal = Wal::new(medium);
-        wal.series.extend(log.finish().bound);
-        // A damaged or short read may have hidden binding records the
-        // medium still holds. Number new series past any reference a
-        // log of this length can have reached, so none is bound twice.
-        let whole = bytes.len() == wal.medium.len();
-        if !whole || recovery.corrupt_frames + recovery.unparsable > 0 {
-            let unreached = wal.medium.len() / MIN_BINDING_FRAME;
-            let holes = unreached.saturating_sub(wal.series.by_ref.len());
-            wal.series.extend(std::iter::repeat(None).take(holes));
-        }
-        Ok((wal, recovery))
-    }
-
-    /// Append one record. `Ok` means the full frame reached the medium:
-    /// the write is acknowledged and recovery will replay it. On `Err`
-    /// nothing is acknowledged (the medium may hold a torn fragment,
-    /// which recovery quarantines).
-    pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
+impl Wal {
+    /// Append one record. Once this returns the record's whole frame
+    /// is in the log, and recovery will replay it.
+    pub fn append(&mut self, record: &WalRecord) {
         let known = self.series.refs.get(&record.labels).copied();
         let reference = known.unwrap_or(self.series.by_ref.len() as u64);
         let binds = known.is_none().then_some(&record.labels);
         let payload = encode(reference, binds, record.sample);
-        self.medium.append(&encode_record(&payload))?;
+        self.bytes.extend_from_slice(&encode_record(&payload));
         if let Some(labels) = binds {
             self.series.extend([Some(labels.clone())]);
         }
-        self.appended += 1;
-        Ok(())
     }
 
     /// Scan `bytes` as the frames that follow this log: references the
@@ -270,51 +217,30 @@ impl<M: Medium> Wal<M> {
         Scan::new(bytes, &self.series.by_ref)
     }
 
-    /// Append already-framed records in one medium write. `framed` must
-    /// be the whole frames a [`Wal::scan_next`] of this log passed as
-    /// nothing but records, and `scanned` what that scan learned: the
-    /// bytes are adopted as they are, not re-encoded, so this log stays
-    /// byte-identical to the one they came from, and the references
-    /// they bound become this log's.
-    pub fn adopt_frames(&mut self, framed: &[u8], scanned: Scanned) -> std::io::Result<()> {
-        self.medium.append(framed)?;
+    /// Append already-framed records. `framed` must be the whole frames
+    /// a [`Wal::scan_next`] of this log passed as nothing but records,
+    /// and `scanned` what that scan learned: the bytes are adopted as
+    /// they are, not re-encoded, so this log stays byte-identical to
+    /// the one they came from, and the references they bound become
+    /// this log's.
+    pub fn adopt_frames(&mut self, framed: &[u8], scanned: Scanned) {
+        self.bytes.extend_from_slice(framed);
         self.series.extend(scanned.bound);
-        self.appended += scanned.records;
-        Ok(())
     }
 
-    /// Records acknowledged through this handle.
-    pub fn appended(&self) -> usize {
-        self.appended
+    /// The log's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Discard the log (after a checkpoint has captured its contents).
-    /// The references go with it: the next record of every series
-    /// carries its labels again, so the new log describes itself.
-    pub fn truncate(&mut self) -> std::io::Result<()> {
-        self.medium.truncate()?;
-        self.series = SeriesTable::default();
-        Ok(())
-    }
-
-    /// Bytes currently on the medium.
+    /// Bytes in the log.
     pub fn len(&self) -> usize {
-        self.medium.len()
+        self.bytes.len()
     }
 
-    /// True when the medium holds no bytes.
+    /// True when the log holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.medium.is_empty()
-    }
-
-    /// The underlying medium.
-    pub fn medium(&self) -> &M {
-        &self.medium
-    }
-
-    /// Unwrap into the underlying medium.
-    pub fn into_medium(self) -> M {
-        self.medium
+        self.bytes.is_empty()
     }
 }
 
@@ -358,7 +284,6 @@ pub struct Scan<'a> {
 /// takes it together with those frames.
 #[derive(Debug, Default)]
 pub struct Scanned {
-    records: usize,
     bound: Vec<Option<Labels>>,
 }
 
@@ -370,7 +295,7 @@ fn scan(bytes: &[u8]) -> Scan<'_> {
 impl<'a> Scan<'a> {
     fn new(bytes: &'a [u8], known: &'a [Option<Labels>]) -> Self {
         Scan {
-            frames: frames(bytes),
+            frames: Frames::new(bytes),
             known,
             scanned: Scanned::default(),
         }
@@ -455,14 +380,11 @@ impl Iterator for Scan<'_> {
     fn next(&mut self) -> Option<WalEntry> {
         Some(match self.frames.next()? {
             Frame::Record { payload, end } => match self.parse(payload, end) {
-                Some((reference, sample)) => {
-                    self.scanned.records += 1;
-                    WalEntry::Record {
-                        reference,
-                        sample,
-                        end,
-                    }
-                }
+                Some((reference, sample)) => WalEntry::Record {
+                    reference,
+                    sample,
+                    end,
+                },
                 None => WalEntry::Unparsable,
             },
             Frame::Corrupt => WalEntry::Corrupt,
@@ -528,8 +450,8 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::{decode_all, MAGIC};
     use crate::labels::NAME_LABEL;
-    use dio_faults::{ChaosConfig, ChaosMedium, Injector, MemMedium, FRAME_HEADER_LEN, MAGIC};
 
     fn record(i: usize) -> WalRecord {
         WalRecord {
@@ -543,35 +465,34 @@ mod tests {
 
     #[test]
     fn roundtrips_records() {
-        let mut wal = Wal::new(MemMedium::new());
+        let mut wal = Wal::default();
         let recs: Vec<WalRecord> = (0..5).map(record).collect();
         for r in &recs {
-            wal.append(r).unwrap();
+            wal.append(r);
         }
-        assert_eq!(wal.appended(), 5);
-        let rec = recover(wal.medium().bytes());
+        let rec = recover(wal.bytes());
         assert!(rec.is_clean());
         assert_eq!(rec.records, recs);
     }
 
     /// Scan `framed` as the continuation of `wal` and adopt it.
-    fn adopt(wal: &mut Wal<MemMedium>, framed: &[u8]) {
+    fn adopt(wal: &mut Wal, framed: &[u8]) {
         let mut next = wal.scan_next(framed);
         for entry in &mut next {
             assert!(matches!(entry, WalEntry::Record { .. }), "{entry:?}");
         }
         let scanned = next.finish();
-        wal.adopt_frames(framed, scanned).unwrap();
+        wal.adopt_frames(framed, scanned);
     }
 
     #[test]
     fn adopted_frames_equal_appended_ones() {
-        let mut source = Wal::new(MemMedium::new());
+        let mut source = Wal::default();
         for i in 0..4 {
-            source.append(&record(i)).unwrap();
+            source.append(&record(i));
         }
         let mut ends = Vec::new();
-        for entry in scan(source.medium().bytes()) {
+        for entry in scan(source.bytes()) {
             match entry {
                 WalEntry::Record { end, .. } => ends.push(end),
                 other => panic!("clean log scanned as {other:?}"),
@@ -579,22 +500,21 @@ mod tests {
         }
         assert_eq!(ends.last(), Some(&source.len()));
         // Adopt the log in two shipments split at a frame boundary.
-        let mut wal = Wal::new(MemMedium::new());
-        let (head, tail) = source.medium().bytes().split_at(ends[1]);
+        let mut wal = Wal::default();
+        let (head, tail) = source.bytes().split_at(ends[1]);
         adopt(&mut wal, head);
         adopt(&mut wal, tail);
-        assert_eq!(wal.appended(), 4);
-        assert_eq!(wal.medium().bytes(), source.medium().bytes());
+        assert_eq!(wal.bytes(), source.bytes());
         // ... and keep appending behind them.
-        wal.append(&record(4)).unwrap();
+        wal.append(&record(4));
         assert_eq!(
-            recover(wal.medium().bytes()).records,
+            recover(wal.bytes()).records,
             (0..5).map(record).collect::<Vec<_>>()
         );
         // The adopting handle numbers series exactly as the source
         // does: the same next append yields the same bytes.
-        source.append(&record(4)).unwrap();
-        assert_eq!(wal.medium().bytes(), source.medium().bytes());
+        source.append(&record(4));
+        assert_eq!(wal.bytes(), source.bytes());
     }
 
     #[test]
@@ -603,14 +523,14 @@ mod tests {
         // offset of the log, recover, and check that exactly the
         // prefix-closed set of fully framed (i.e. acknowledged) records
         // comes back — no corruption surfaced, no invented records.
-        let mut wal = Wal::new(MemMedium::new());
+        let mut wal = Wal::default();
         let recs: Vec<WalRecord> = (0..4).map(record).collect();
         let mut boundaries = vec![];
         for r in &recs {
-            wal.append(r).unwrap();
+            wal.append(r);
             boundaries.push(wal.len());
         }
-        let bytes = wal.into_medium().into_bytes();
+        let bytes = wal.bytes();
         for cut in 0..=bytes.len() {
             let rec = recover(&bytes[..cut]);
             let acked = boundaries.iter().filter(|&&b| b <= cut).count();
@@ -625,15 +545,15 @@ mod tests {
 
     #[test]
     fn bit_flip_quarantines_one_record_keeps_the_rest() {
-        let mut wal = Wal::new(MemMedium::new());
+        let mut wal = Wal::default();
         let recs: Vec<WalRecord> = (0..3).map(record).collect();
         for r in &recs {
-            wal.append(r).unwrap();
+            wal.append(r);
         }
-        let mut bytes = wal.into_medium().into_bytes();
+        let mut bytes = wal.bytes().to_vec();
         // Flip a payload bit inside the second frame.
         let first_len = {
-            let scan = dio_faults::decode_all(&bytes);
+            let scan = decode_all(&bytes);
             FRAME_HEADER_LEN + scan.records[0].len()
         };
         bytes[first_len + FRAME_HEADER_LEN + 2] ^= 0x08;
@@ -646,38 +566,31 @@ mod tests {
 
     #[test]
     fn torn_write_then_retry_recovers_the_retried_record() {
-        // A chaotic medium tears one append (no ack); the caller
-        // retries. Recovery must quarantine the fragment and keep both
+        // A write torn at every offset of its frame (no ack), then the
+        // retry and a second record in full behind the fragment.
+        // Recovery must quarantine the fragment and keep both
         // acknowledged records.
-        let torn_only = Injector::new(ChaosConfig {
-            seed: 3,
-            fault_probability: 1.0,
-            weights: [0, 0, 1, 0], // TruncatedRead ⇒ torn writes
-            latency_spike_micros: 0,
-        });
-        let mut medium = ChaosMedium::new(MemMedium::new(), torn_only);
-        let mut wal = Wal::new(MemMedium::new());
-        wal.append(&record(0)).unwrap();
-        medium.append(wal.medium().bytes()).unwrap_err(); // torn, unacked
-                                                          // Disable chaos for the retry + second record.
-        let (inner, _) = medium.into_parts();
-        let mut wal2 = Wal::new(inner);
-        wal2.append(&record(0)).unwrap();
-        wal2.append(&record(1)).unwrap();
-        let rec = recover(wal2.medium().bytes());
-        assert_eq!(rec.records, vec![record(0), record(1)]);
-        assert!(rec.corrupt_frames <= 1);
-        assert!(!rec.truncated_tail);
+        let mut retried = Wal::default();
+        retried.append(&record(0));
+        let frame = retried.len();
+        retried.append(&record(1));
+        for cut in 1..frame {
+            let mut log = retried.bytes()[..cut].to_vec();
+            log.extend_from_slice(retried.bytes());
+            let rec = recover(&log);
+            assert_eq!(rec.records, vec![record(0), record(1)], "cut at {cut}");
+            assert_eq!(rec.corrupt_frames, 1, "cut at {cut}");
+            assert!(!rec.truncated_tail, "cut at {cut}");
+        }
     }
 
     #[test]
     fn valid_frame_with_foreign_payload_is_unparsable_not_fatal() {
-        let mut m = MemMedium::new();
-        m.append(&dio_faults::encode_record(b"{\"not\":\"a wal record\"}"))
-            .unwrap();
-        let mut wal = Wal::new(m);
-        wal.append(&record(1)).unwrap();
-        let rec = recover(wal.medium().bytes());
+        let mut log = encode_record(b"{\"not\":\"a wal record\"}");
+        let mut wal = Wal::default();
+        wal.append(&record(1));
+        log.extend_from_slice(wal.bytes());
+        let rec = recover(&log);
         assert_eq!(rec.unparsable, 1);
         assert_eq!(rec.records, vec![record(1)]);
     }
@@ -710,13 +623,13 @@ mod tests {
 
     /// A log of `records`, with the offset each frame ends at.
     fn log_of(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
-        let mut wal = Wal::new(MemMedium::new());
+        let mut wal = Wal::default();
         let mut ends = Vec::new();
         for r in records {
-            wal.append(r).unwrap();
+            wal.append(r);
             ends.push(wal.len());
         }
-        (wal.into_medium().into_bytes(), ends)
+        (wal.bytes().to_vec(), ends)
     }
 
     #[test]
@@ -807,9 +720,7 @@ mod tests {
     #[test]
     fn the_old_json_record_is_unparsable() {
         let json = br#"{"labels":[["__name__","auth_req"],["instance","amf-0"]],"sample":{"timestamp_ms":1000,"value":0.5}}"#;
-        let mut m = MemMedium::new();
-        m.append(&dio_faults::encode_record(json)).unwrap();
-        let rec = recover(m.bytes());
+        let rec = recover(&encode_record(json));
         assert_eq!(rec.unparsable, 1);
         assert!(rec.records.is_empty());
         assert_eq!(rec.corrupt_frames, 0);
@@ -817,7 +728,7 @@ mod tests {
 
     /// Frame `payload` alone at the start of a log and scan it.
     fn scan_one(payload: &[u8]) -> WalEntry {
-        let framed = dio_faults::encode_record(payload);
+        let framed = encode_record(payload);
         let entry = scan(&framed).next().unwrap();
         entry
     }
@@ -880,8 +791,8 @@ mod tests {
         padded.extend_from_slice(&good[2..]);
         assert_eq!(scan_one(&padded), WalEntry::Unparsable);
         // Binding a reference twice.
-        let mut log = dio_faults::encode_record(&good);
-        log.extend_from_slice(&dio_faults::encode_record(&good));
+        let mut log = encode_record(&good);
+        log.extend_from_slice(&encode_record(&good));
         let rec = recover(&log);
         assert_eq!((rec.records.len(), rec.unparsable), (1, 1));
     }
@@ -1001,91 +912,5 @@ mod tests {
         // Ten continuation groups overflow 64 bits.
         let mut c = Cursor::new(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]);
         assert_eq!(varint(&mut c), None);
-    }
-
-    #[test]
-    fn a_truncated_log_describes_itself_again() {
-        let mut wal = Wal::new(MemMedium::new());
-        wal.append(&record(0)).unwrap();
-        wal.append(&record(0)).unwrap();
-        wal.truncate().unwrap();
-        assert!(wal.is_empty());
-        wal.append(&record(0)).unwrap();
-        assert_eq!(recover(wal.medium().bytes()).records, vec![record(0)]);
-    }
-
-    #[test]
-    fn a_reopened_log_keeps_its_numbering() {
-        let mut wal = Wal::new(MemMedium::new());
-        for i in 0..4 {
-            wal.append(&record(i)).unwrap();
-        }
-        // Crash mid-write of a fifth record, then reopen.
-        let mut bytes = wal.into_medium().into_bytes();
-        let whole = bytes.len();
-        bytes.extend_from_slice(&dio_faults::encode_record(b"torn")[..7]);
-        let (mut reopened, recovery) = Wal::open(MemMedium::from(bytes)).unwrap();
-        assert_eq!(recovery.records, (0..4).map(record).collect::<Vec<_>>());
-        assert!(recovery.truncated_tail);
-        // Known series go on by reference, a new one binds the next
-        // reference; the next recovery reads all of it back.
-        reopened.append(&record(3)).unwrap();
-        let by_reference = reopened.len() - whole - 7;
-        assert_eq!(by_reference, FRAME_HEADER_LEN + 2 + 16);
-        let mut fresh = record(5);
-        fresh.labels = fresh.labels.with("instance", "amf-new");
-        reopened.append(&fresh).unwrap();
-        reopened.append(&fresh).unwrap();
-        let rec = recover(reopened.medium().bytes());
-        let mut want: Vec<WalRecord> = (0..4).map(record).collect();
-        want.extend([record(3), fresh.clone(), fresh]);
-        assert_eq!(rec.records, want);
-        assert_eq!((rec.corrupt_frames, rec.unparsable), (1, 0));
-    }
-
-    /// A medium that reads short: `load` returns only the first `read`
-    /// bytes, the media itself is whole.
-    struct ShortRead {
-        inner: MemMedium,
-        read: usize,
-    }
-
-    impl Medium for ShortRead {
-        fn load(&mut self) -> std::io::Result<Vec<u8>> {
-            Ok(self.inner.bytes()[..self.read].to_vec())
-        }
-        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            self.inner.append(bytes)
-        }
-        fn truncate(&mut self) -> std::io::Result<()> {
-            self.inner.truncate()
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-    }
-
-    #[test]
-    fn a_log_reopened_on_a_bad_read_never_binds_a_reference_twice() {
-        let recs: Vec<WalRecord> = (0..3).map(record).collect(); // three series
-        let (bytes, ends) = log_of(&recs);
-        // The read at reopening stops after the first record: the
-        // handle has seen one series, the medium holds three.
-        let medium = ShortRead {
-            inner: MemMedium::from(bytes),
-            read: ends[0],
-        };
-        let (mut reopened, recovery) = Wal::open(medium).unwrap();
-        assert_eq!(recovery.records, recs[..1]);
-        // A series the short read hid, and one the log never held.
-        let mut fresh = record(0);
-        fresh.labels = fresh.labels.with("instance", "amf-new");
-        let later = [record(1), fresh.clone(), record(1), fresh, record(0)];
-        for r in &later {
-            reopened.append(r).unwrap();
-        }
-        let rec = recover(reopened.medium().inner.bytes());
-        assert!(rec.is_clean(), "{rec:?}");
-        assert_eq!(rec.records, [&recs[..], &later[..]].concat());
     }
 }

@@ -4,7 +4,6 @@
 //! is the identity the old `Vec<(String, String)>` representation gave,
 //! kept here as the oracle.
 
-use dio_faults::MemMedium;
 use dio_tsdb::{recover, Labels, Sample, Wal, WalRecord, NAME_LABEL};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -159,13 +158,12 @@ proptest! {
         let wrapped = Labels::from_sorted_pairs(&borrowed(&unique)).expect("canonical pairs");
         let json = serde_json::to_string(&canonical).expect("labels serialize");
         let parsed: Labels = serde_json::from_str(&json).expect("labels parse");
-        let mut wal = Wal::new(MemMedium::new());
+        let mut wal = Wal::default();
         wal.append(&WalRecord {
             labels: canonical.clone(),
             sample: Sample::new(1, 1.0),
-        })
-        .expect("memory medium");
-        let decoded = recover(wal.medium().bytes()).records.remove(0).labels;
+        });
+        let decoded = recover(wal.bytes()).records.remove(0).labels;
 
         let printed = format!("{canonical:?}");
         let signature = canonical.signature();

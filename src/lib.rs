@@ -12,13 +12,13 @@
 //! | [`catalog`] | `dio-catalog` | domain-specific database (3000+ 5G-core metrics, expert functions) |
 //! | [`embed`] | `dio-embed` | deterministic sentence embedder (all-MiniLM-L6-v2 substitute) |
 //! | [`vecstore`] | `dio-vecstore` | flat + IVF cosine indexes (FAISS substitute) |
-//! | [`tsdb`] | `dio-tsdb` | labelled time-series store + synthetic traffic |
+//! | [`tsdb`] | `dio-tsdb` | labelled time-series store, synthetic traffic, checksummed write-ahead log |
 //! | [`promql`] | `dio-promql` | PromQL lexer/parser/evaluator |
 //! | [`llm`] | `dio-llm` | prompts, pricing, simulated foundation models |
 //! | [`sandbox`] | `dio-sandbox` | vetted, resource-limited query execution |
 //! | [`dashboard`] | `dio-dashboard` | dashboard model, generation, ASCII rendering |
 //! | [`feedback`] | `dio-feedback` | in-memory issue tracker, expert contributions |
-//! | [`faults`] | `dio-faults` | seeded data-plane chaos + checksummed record framing |
+//! | [`faults`] | `dio-faults` | seeded data-plane fault and node-crash schedules |
 //! | [`obs`] | `dio-obs` | metrics registry, tracer, Prometheus text exposition |
 //! | [`baselines`] | `dio-baselines` | DIN-SQL-style and bare-model baselines |
 //! | [`benchmark`] | `dio-benchmark` | 200-question benchmark + EX evaluation |

@@ -1,12 +1,12 @@
 //! Integration tests for the data-plane chaos layer through the `dio`
 //! facade: the copilot under combined model + storage faults, and the
-//! durable store's crash/corruption recovery contract.
+//! WAL's corruption recovery contract.
 
 use dio::benchmark::{fewshot_exemplars, OperatorWorld, WorldConfig};
 use dio::copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
-use dio::faults::{ChaosConfig, MemMedium};
+use dio::faults::ChaosConfig;
 use dio::llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
-use dio::tsdb::{DurableStore, Labels, Sample};
+use dio::tsdb::{Labels, Sample, Wal, WalRecord};
 
 const SEED: u64 = 0xc4a0_50a4;
 
@@ -91,43 +91,13 @@ fn sample_at(i: i64) -> (Labels, Sample) {
 }
 
 #[test]
-fn durable_store_recovers_acknowledged_writes_after_mid_write_crash() {
-    let mut durable = DurableStore::new(MemMedium::new());
-    for i in 0..10 {
-        let (labels, sample) = sample_at(i);
-        durable.append(labels, sample).unwrap();
-    }
-    let snapshot = durable.checkpoint().unwrap();
-    for i in 10..20 {
-        let (labels, sample) = sample_at(i);
-        durable.append(labels, sample).unwrap();
-    }
-    let (_, medium) = durable.into_parts();
-    let mut wal_bytes = medium.into_bytes();
-    // Crash mid-frame: the tail record loses its last 3 bytes.
-    wal_bytes.truncate(wal_bytes.len() - 3);
-
-    let (recovered, report) =
-        DurableStore::recover(&snapshot, MemMedium::from(wal_bytes)).unwrap();
-    assert_eq!(report.wal_corrupt_frames, 0, "torn tail is not corruption");
-    assert!(report.wal_truncated_tail);
-    assert_eq!(report.wal_replayed, 9, "all complete frames replay");
-    // 10 snapshot samples + 9 replayed WAL samples; only the write torn
-    // mid-frame (never acknowledged as durable by a completed append
-    // call surviving to disk) is absent.
-    assert_eq!(recovered.store().sample_count(), 19);
-    assert!(recovered.store().has_metric("chaos_facade_metric"));
-}
-
-#[test]
 fn bit_flip_in_wal_is_quarantined_not_replayed() {
-    let mut durable = DurableStore::new(MemMedium::new());
+    let mut wal = Wal::default();
     for i in 0..8 {
         let (labels, sample) = sample_at(i);
-        durable.append(labels, sample).unwrap();
+        wal.append(&WalRecord { labels, sample });
     }
-    let (_, medium) = durable.into_parts();
-    let mut wal_bytes = medium.into_bytes();
+    let mut wal_bytes = wal.bytes().to_vec();
     let mid = wal_bytes.len() / 2;
     wal_bytes[mid] ^= 0x40;
 

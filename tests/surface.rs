@@ -76,3 +76,16 @@ fn every_reexport_is_named_outside_its_crate_and_modules_are_private() {
     }
     assert!(failures.is_empty(), "{} surface violations:\n{}", failures.len(), failures.join("\n"));
 }
+
+/// `dio-tsdb` is the storage leaf: the WAL and its frame format live in
+/// it, and it depends on no other workspace crate.
+#[test]
+fn the_tsdb_crate_depends_on_no_workspace_crate() {
+    let manifest = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/tsdb/Cargo.toml")).unwrap();
+    let dependencies = manifest
+        .split("\n[")
+        .find(|table| table.starts_with("dependencies]"))
+        .expect("crates/tsdb/Cargo.toml has a [dependencies] table");
+    let workspace: Vec<&str> = dependencies.lines().skip(1).filter(|line| line.trim_start().starts_with("dio-")).collect();
+    assert!(workspace.is_empty(), "dio-tsdb depends on {workspace:?}");
+}
