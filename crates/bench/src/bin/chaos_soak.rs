@@ -23,7 +23,7 @@ use dio_benchmark::{evaluate, EvalReport};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio_faults::ChaosConfig;
 use dio_llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
-use dio_obs::{ObsHub, Selector, SeriesValue};
+use dio_obs::{ObsHub, SeriesValue};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -116,7 +116,17 @@ fn attribution(dio: &DioCopilot) -> Attribution {
     let snap = dio.obs().registry().snapshot();
     // `+ 0.0`: an empty f64 sum is -0.0, which would render as "-0".
     let total = |family: &str, key: &str, value: &str| {
-        Selector::new(family, &[(key, value)]).sum(&snap) + 0.0
+        let series = snap.family(family).map_or(&[][..], |f| f.series.as_slice());
+        let matching = series
+            .iter()
+            .filter(|s| s.labels.iter().any(|(k, v)| k == key && v == value));
+        matching
+            .map(|s| match s.value {
+                SeriesValue::Counter(v) => v,
+                _ => 0.0,
+            })
+            .sum::<f64>()
+            + 0.0
     };
     const ANSWERS: &str = "dio_copilot_answers_total";
     Attribution {

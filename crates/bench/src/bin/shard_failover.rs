@@ -27,11 +27,14 @@
 //!
 //! Writes `results/BENCH_shard_failover.json`.
 
-use dio_bench::drill::{audit_traces, requests, sequential, Burst, Drill, Latency, Tally};
+use dio_bench::drill::{
+    audit_traces, requests, sequential, Burst, Drill, FlightRecorder, Latency, Tally,
+};
 use dio_bench::Experiment;
 use dio_cluster::{Cluster, ClusterConfig, ClusterError};
 use dio_copilot::ShardTiming;
 use dio_faults::{ChaosConfig, CrashSchedule, NodeFault};
+use dio_obs::SeriesValue;
 use dio_sandbox::StoreResolver;
 use dio_serve::{QueryService, ServeConfig, ShedReason, TenantPolicy};
 use dio_tsdb::{Labels, NAME_LABEL, Sample};
@@ -123,8 +126,19 @@ const TAKEOVER_P99_LIMIT_MICROS: f64 = 100_000.0;
 
 /// Counter value for one `path` label of `dio_cluster_routes_total`.
 fn route_count(cluster: &Cluster, path: &str) -> u64 {
-    let routes = dio_obs::Selector::new("dio_cluster_routes_total", &[("path", path)]);
-    routes.sum(&cluster.registry().snapshot()) as u64
+    let snap = cluster.registry().snapshot();
+    let routes = snap
+        .family("dio_cluster_routes_total")
+        .map_or(&[][..], |f| f.series.as_slice());
+    let on_path = routes
+        .iter()
+        .filter(|s| s.labels.iter().any(|(k, v)| k == "path" && v == path));
+    on_path
+        .map(|s| match s.value {
+            SeriesValue::Counter(v) => v as u64,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Ask every question through `copilot`, counting EX-correct answers
@@ -341,16 +355,20 @@ fn main() -> ExitCode {
     drill.gate("burst_produced_an_answer", tally.answered > 0, format!("{} answered", tally.answered));
     // Every trace the drill finished must assemble into one rooted
     // tree, and the request that paid for the mid-burst promotion must
-    // have been tail-sampled by the flight recorder.
+    // be among the trees the flight recorder keeps of the burst.
     let orphan_spans = audit_traces(drill_obs.tracer(), Duration::MAX).orphan_spans;
     drill.gate("no_orphan_spans", orphan_spans == 0, format!("{orphan_spans} spans unreachable from their root"));
-    let retained_failed_over = drill_obs.recorder().retained_for("failed_over").len();
+    let mut recorder = FlightRecorder::new();
+    for trace in drill_obs.tracer().recent(usize::MAX) {
+        recorder.offer(&trace);
+    }
+    let retained_failed_over = recorder.retained_for("failed_over").len();
     drill.gate(
         "failed_over_trace_retained",
         retained_failed_over >= 1,
         format!("{retained_failed_over} failed-over trees in the flight recorder"),
     );
-    let (dumped, trace_dump_path) = drill.dump_traces(drill_obs.recorder());
+    let (dumped, trace_dump_path) = drill.dump_traces(&recorder);
     eprintln!(
         "  flight recorder: {dumped} trace trees retained ({retained_failed_over} failed-over) -> {trace_dump_path}"
     );

@@ -7,7 +7,8 @@
 //!   which submits to a `QueryService`, drains every ticket and returns
 //!   a [`Tally`];
 //! * **audit** — [`audit_traces`] over a tracer's records, the deadline
-//!   calibration [`deadline_for`], [`Drill::dump_traces`];
+//!   calibration [`deadline_for`], and the [`FlightRecorder`] that keeps
+//!   the interesting trees of a finished ring for [`Drill::dump_traces`];
 //! * **write, then gate** — gates are recorded with [`Drill::gate`]
 //!   while the drill runs; [`Drill::finish`] writes
 //!   `results/BENCH_<name>.json` first and only then fails the process,
@@ -17,13 +18,15 @@ use crate::{percentile, Experiment, BENCHMARK_SIZE};
 use dio_benchmark::eval::numeric_match;
 use dio_benchmark::{BenchmarkQuestion, WorldConfig};
 use dio_copilot::{CopilotError, CopilotResponse, DioCopilot};
-use dio_obs::{micros_u64, FlightRecorder, TraceStatus, Tracer};
+use dio_obs::{micros_u64, TraceStatus, Tracer};
 use dio_serve::{QueryRequest, QueryService, ServeOutcome, ServedAnswer, ShedReason, Ticket};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+pub use crate::recorder::{FlightRecorder, RecorderConfig};
 
 /// Where artifacts go, relative to the working directory.
 pub const RESULTS_DIR: &str = "results";

@@ -2,18 +2,19 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper
 //! (`table_3a`, `table_3b`, `inference_cost`, `figure_*`, `ablation_*`,
-//! `dataset_export`; see DESIGN.md's experiment index) and the seven
+//! `dataset_export`; see DESIGN.md's experiment index) and the six
 //! gated drills CI runs with `--quick` (`chaos_soak`, `model_gateway`,
-//! `overload_drill`, `shard_failover`, `slo_drill`, `tsdb_bench`, and
+//! `overload_drill`, `shard_failover`, `tsdb_bench`, and
 //! `self_observe`). Performance is measured by `perf/`, not here.
 //!
 //! This library crate holds the shared experiment setup
 //! ([`Experiment`]), the drill harness ([`drill`]: sizing, scoring,
-//! bursts, trace audit, write-then-gate), the table artifact
-//! ([`artifact`]), and the self-observation loop ([`selfobs`]).
+//! bursts, trace audit, flight recorder, write-then-gate), the table
+//! artifact ([`artifact`]), and the self-observation loop ([`selfobs`]).
 
 pub mod artifact;
 pub mod drill;
+mod recorder;
 pub mod selfobs;
 
 use dio_baselines::{sample_schema, DinSqlBaseline, DirectModelBaseline};

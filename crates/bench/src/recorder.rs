@@ -1,35 +1,26 @@
 //! Tail-sampling flight recorder: a byte-budgeted ring of complete
-//! span trees for *interesting* traces.
+//! span trees for *interesting* traces, filled after the fact from a
+//! tracer's ring ([`dio_obs::Tracer::recent`]).
 //!
 //! Head sampling (keep every Nth trace) is blind to exactly the
 //! requests an operator wants: the slow tail, the errors, the sheds,
-//! the failovers. The recorder decides at trace *completion* — when
+//! the failovers. The recorder decides on *finished* traces — when
 //! status and duration are known — and retains only traces that are:
 //!
 //! * not `Ok` (errored, shed, degraded, or deadline-exceeded),
 //! * failed-over (carry a [`FAILOVER_SPAN`] span), or
-//! * slow: total duration at or above the rolling p99 of recently
-//!   finished traces (once enough samples accumulated).
+//! * slow: total duration at or above the rolling p99 of the traces
+//!   offered before (once enough samples accumulated).
 //!
 //! Retention is bounded by a byte budget measured on the serialized
 //! JSON; oldest retained traces are evicted first. Partial trees
 //! (unfinished, or with orphan spans) are never retained — a dump is
 //! only useful when the causal structure is intact.
 
-use std::collections::VecDeque;
-use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
+use dio_obs::{RollingQuantile, TraceRecord, TraceStatus, FAILOVER_SPAN};
 use serde::Serialize;
-
-use crate::rolling::RollingQuantile;
-use crate::span::TraceStatus;
-use crate::tracer::TraceRecord;
-
-/// Span name that marks a trace as having ridden through a primary
-/// failure (recorded by `dio-cluster` on the promoted request).
-pub const FAILOVER_SPAN: &str = "failover_promotion";
 
 /// Tuning for the recorder's retention policy.
 #[derive(Debug, Clone)]
@@ -59,37 +50,22 @@ impl Default for RecorderConfig {
 pub struct RetainedTrace {
     /// Why it was kept: `error`, `shed`, `degraded`,
     /// `deadline_exceeded`, `failed_over`, or `slow`.
-    pub reason: String,
+    pub reason: &'static str,
     /// Serialized size charged against the byte budget.
     pub bytes: usize,
     /// The complete trace.
     pub record: TraceRecord,
 }
 
+/// The flight recorder: offer it finished traces, read what it kept.
 #[derive(Debug)]
-struct RecorderInner {
+pub struct FlightRecorder {
     cfg: RecorderConfig,
-    retained: VecDeque<RetainedTrace>,
+    retained: Vec<RetainedTrace>,
     bytes_used: usize,
     durations: RollingQuantile,
     offered: u64,
     rejected_partial: u64,
-}
-
-impl RecorderInner {
-    /// The slow threshold; `None` until the window is warm.
-    fn rolling_p99(&self) -> Option<u64> {
-        if self.durations.len() < self.cfg.min_samples {
-            return None;
-        }
-        self.durations.quantile(0.99)
-    }
-}
-
-/// Shared flight recorder. Cheap to clone; clones share the ring.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    inner: Arc<Mutex<RecorderInner>>,
 }
 
 impl Default for FlightRecorder {
@@ -107,14 +83,12 @@ impl FlightRecorder {
     /// A recorder with explicit tuning.
     pub fn with_config(cfg: RecorderConfig) -> Self {
         FlightRecorder {
-            inner: Arc::new(Mutex::new(RecorderInner {
-                durations: RollingQuantile::new(cfg.window),
-                cfg,
-                retained: VecDeque::new(),
-                bytes_used: 0,
-                offered: 0,
-                rejected_partial: 0,
-            })),
+            durations: RollingQuantile::new(cfg.window),
+            cfg,
+            retained: Vec::new(),
+            bytes_used: 0,
+            offered: 0,
+            rejected_partial: 0,
         }
     }
 
@@ -124,18 +98,17 @@ impl FlightRecorder {
     /// Every *complete* offer feeds the rolling duration window,
     /// retained or not — the slow threshold must track the whole
     /// population, not just the survivors.
-    pub fn offer(&self, record: &TraceRecord) -> Option<String> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.offered += 1;
+    pub fn offer(&mut self, record: &TraceRecord) -> Option<&'static str> {
+        self.offered += 1;
         // Partial trees are never retained and never counted: an
         // unfinished trace has no meaningful total duration, and an
         // orphaned one has no trustworthy structure.
         if !record.is_complete() {
-            inner.rejected_partial += 1;
+            self.rejected_partial += 1;
             return None;
         }
-        let p99 = inner.rolling_p99();
-        inner.durations.push(record.total_micros);
+        let p99 = self.rolling_p99();
+        self.durations.push(record.total_micros);
         let reason = match record.status {
             TraceStatus::Error => Some("error"),
             TraceStatus::Shed => Some("shed"),
@@ -152,68 +125,57 @@ impl FlightRecorder {
             }
         }?;
         let bytes = serde_json::to_string(record).map(|s| s.len()).unwrap_or(0);
-        if bytes == 0 || bytes > inner.cfg.byte_budget {
+        if bytes == 0 || bytes > self.cfg.byte_budget {
             // A trace bigger than the whole budget can never fit.
             return None;
         }
-        inner.retained.push_back(RetainedTrace {
-            reason: reason.to_string(),
+        self.retained.push(RetainedTrace {
+            reason,
             bytes,
             record: record.clone(),
         });
-        inner.bytes_used += bytes;
-        while inner.bytes_used > inner.cfg.byte_budget {
-            if let Some(evicted) = inner.retained.pop_front() {
-                inner.bytes_used -= evicted.bytes;
-            } else {
-                break;
-            }
+        self.bytes_used += bytes;
+        // The newest fits the budget on its own, so this stops before it.
+        while self.bytes_used > self.cfg.byte_budget {
+            self.bytes_used -= self.retained.remove(0).bytes;
         }
-        Some(reason.to_string())
+        Some(reason)
     }
 
-    /// Snapshot of the retained traces, oldest first.
-    pub fn retained(&self) -> Vec<RetainedTrace> {
-        self.inner.lock().unwrap().retained.iter().cloned().collect()
+    /// The retained traces, oldest first.
+    pub fn retained(&self) -> &[RetainedTrace] {
+        &self.retained
     }
 
     /// Retained traces kept for `reason`.
-    pub fn retained_for(&self, reason: &str) -> Vec<RetainedTrace> {
-        self.retained()
-            .into_iter()
+    pub fn retained_for(&self, reason: &str) -> Vec<&RetainedTrace> {
+        self.retained
+            .iter()
             .filter(|r| r.reason == reason)
             .collect()
     }
 
-    /// Number of retained traces.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().retained.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Bytes currently charged against the budget.
     pub fn bytes_used(&self) -> usize {
-        self.inner.lock().unwrap().bytes_used
+        self.bytes_used
     }
 
     /// The configured byte ceiling.
     pub fn byte_budget(&self) -> usize {
-        self.inner.lock().unwrap().cfg.byte_budget
+        self.cfg.byte_budget
     }
 
     /// Current rolling p99 threshold, once warmed up.
     pub fn rolling_p99(&self) -> Option<u64> {
-        self.inner.lock().unwrap().rolling_p99()
+        if self.durations.len() < self.cfg.min_samples {
+            return None;
+        }
+        self.durations.quantile(0.99)
     }
 
     /// (offered, rejected-as-partial) counters since construction.
     pub fn offer_stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.offered, inner.rejected_partial)
+        (self.offered, self.rejected_partial)
     }
 
     /// Write the retained traces to `path` as one JSON document (array
@@ -223,21 +185,17 @@ impl FlightRecorder {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let retained = self.retained();
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(
-            serde_json::to_string_pretty(&retained)
-                .unwrap_or_else(|_| "[]".to_string())
-                .as_bytes(),
-        )?;
-        Ok(retained.len())
+        let json =
+            serde_json::to_string_pretty(&self.retained).unwrap_or_else(|_| "[]".to_string());
+        std::fs::write(path, json)?;
+        Ok(self.retained.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanRecord, TraceStatus};
+    use dio_obs::SpanRecord;
 
     fn complete_trace(id: u64, total_micros: u64, status: TraceStatus) -> TraceRecord {
         TraceRecord {
@@ -261,26 +219,63 @@ mod tests {
 
     #[test]
     fn retains_errors_sheds_and_degraded_but_not_fast_ok() {
-        let rec = FlightRecorder::new();
-        assert!(rec.offer(&complete_trace(1, 100, TraceStatus::Ok)).is_none());
+        let mut rec = FlightRecorder::new();
+        assert!(rec
+            .offer(&complete_trace(1, 100, TraceStatus::Ok))
+            .is_none());
         assert_eq!(
-            rec.offer(&complete_trace(2, 100, TraceStatus::Error)).as_deref(),
+            rec.offer(&complete_trace(2, 100, TraceStatus::Error)),
             Some("error")
         );
         assert_eq!(
-            rec.offer(&complete_trace(3, 100, TraceStatus::Shed)).as_deref(),
+            rec.offer(&complete_trace(3, 100, TraceStatus::Shed)),
             Some("shed")
         );
         assert_eq!(
-            rec.offer(&complete_trace(4, 100, TraceStatus::Degraded)).as_deref(),
+            rec.offer(&complete_trace(4, 100, TraceStatus::Degraded)),
             Some("degraded")
         );
-        assert_eq!(rec.len(), 3);
+        assert_eq!(rec.retained().len(), 3);
+    }
+
+    #[test]
+    fn a_finished_tracer_ring_offered_after_the_fact_keeps_the_interesting_trees() {
+        let tracer = dio_obs::Tracer::new();
+        let finish = |label: &str, status: TraceStatus, span: &str| {
+            let root = tracer.begin_trace(label);
+            let step = tracer.child_of(&root);
+            tracer.record_span(&step, span, 0, 5, &[]);
+            tracer.finish_trace(&root, status);
+        };
+        finish("fast", TraceStatus::Ok, "execute");
+        finish("promoted", TraceStatus::Ok, FAILOVER_SPAN);
+        finish("failed", TraceStatus::Error, "execute");
+        finish("refused", TraceStatus::Shed, "queue_wait");
+        finish("lapsed", TraceStatus::DeadlineExceeded, "generate");
+        // Partial: one still open, one with a span whose parent never
+        // reached the ring.
+        tracer.begin_trace("still running");
+        let orphaned = tracer.begin_trace("orphaned");
+        let lost = tracer.child_of(&tracer.child_of(&orphaned));
+        tracer.record_span(&lost, "lost", 0, 1, &[]);
+        tracer.finish_trace(&orphaned, TraceStatus::Error);
+
+        let mut rec = FlightRecorder::new();
+        for trace in tracer.recent(usize::MAX) {
+            rec.offer(&trace);
+        }
+        let reasons: Vec<&str> = rec.retained().iter().map(|r| r.reason).collect();
+        assert_eq!(
+            reasons,
+            ["failed_over", "error", "shed", "deadline_exceeded"]
+        );
+        assert!(rec.retained().iter().all(|r| r.record.is_complete()));
+        assert_eq!(rec.offer_stats(), (7, 2));
     }
 
     #[test]
     fn retains_failed_over_traces() {
-        let rec = FlightRecorder::new();
+        let mut rec = FlightRecorder::new();
         let mut t = complete_trace(1, 100, TraceStatus::Ok);
         t.spans.push(SpanRecord {
             span_id: 2,
@@ -290,30 +285,32 @@ mod tests {
             micros: 500,
             attrs: vec![("shard".into(), "3".into())],
         });
-        assert_eq!(rec.offer(&t).as_deref(), Some("failed_over"));
+        assert_eq!(rec.offer(&t), Some("failed_over"));
     }
 
     #[test]
     fn slow_threshold_needs_warmup_then_catches_tail() {
-        let rec = FlightRecorder::with_config(RecorderConfig {
+        let mut rec = FlightRecorder::with_config(RecorderConfig {
             min_samples: 10,
             ..RecorderConfig::default()
         });
         // 10 fast OKs warm the window; none retained.
         for i in 0..10 {
-            assert!(rec.offer(&complete_trace(i, 100, TraceStatus::Ok)).is_none());
+            assert!(rec
+                .offer(&complete_trace(i, 100, TraceStatus::Ok))
+                .is_none());
         }
         assert_eq!(rec.rolling_p99(), Some(100));
         // An outlier above the rolling p99 is retained as slow.
         assert_eq!(
-            rec.offer(&complete_trace(99, 10_000, TraceStatus::Ok)).as_deref(),
+            rec.offer(&complete_trace(99, 10_000, TraceStatus::Ok)),
             Some("slow")
         );
     }
 
     #[test]
     fn partial_trees_are_never_retained() {
-        let rec = FlightRecorder::new();
+        let mut rec = FlightRecorder::new();
         let mut unfinished = complete_trace(1, 100, TraceStatus::Error);
         unfinished.finished = false;
         assert!(rec.offer(&unfinished).is_none());
@@ -327,7 +324,7 @@ mod tests {
             attrs: Vec::new(),
         });
         assert!(rec.offer(&orphaned).is_none());
-        assert!(rec.is_empty());
+        assert!(rec.retained().is_empty());
         assert_eq!(rec.offer_stats(), (2, 2));
     }
 
@@ -336,7 +333,7 @@ mod tests {
         let one = serde_json::to_string(&complete_trace(0, 100, TraceStatus::Error))
             .unwrap()
             .len();
-        let rec = FlightRecorder::with_config(RecorderConfig {
+        let mut rec = FlightRecorder::with_config(RecorderConfig {
             byte_budget: one * 2 + one / 2, // room for two, not three
             ..RecorderConfig::default()
         });
@@ -344,16 +341,16 @@ mod tests {
             rec.offer(&complete_trace(i, 100, TraceStatus::Error));
         }
         assert!(rec.bytes_used() <= rec.byte_budget());
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.retained().len(), 2);
         let ids: Vec<u64> = rec.retained().iter().map(|r| r.record.id).collect();
         assert_eq!(ids, vec![3, 4]); // oldest evicted first
     }
 
     #[test]
     fn dump_json_round_trips_reasons() {
-        let rec = FlightRecorder::new();
+        let mut rec = FlightRecorder::new();
         rec.offer(&complete_trace(1, 100, TraceStatus::Error));
-        let path = std::env::temp_dir().join("dio_obs_recorder_dump_test/traces.json");
+        let path = std::env::temp_dir().join("dio_bench_recorder_dump_test/traces.json");
         assert_eq!(rec.dump(&path).unwrap(), 1);
         let doc = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -96,7 +96,7 @@ impl SelfObserveOutcome {
 
 /// A copilot over scraped telemetry: `catalog` (derived by the
 /// scraper) is its domain DB, `store` the scraped samples.
-pub fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShotExample>) -> DioCopilot {
+fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShotExample>) -> DioCopilot {
     CopilotBuilder::new(DomainDb::from_catalog(catalog), store)
         .model(Experiment::gpt4())
         .config(CopilotConfig {
@@ -109,7 +109,7 @@ pub fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShot
 
 /// Ask `meta` each `(question, instrument)` case as of `ts`, checking
 /// the answer against the instrument's total in `truth`.
-pub fn ask_about(meta: &mut DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i64) -> Vec<SelfQa> {
+fn ask_about(meta: &mut DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i64) -> Vec<SelfQa> {
     cases
         .iter()
         .map(|&(question, metric)| {

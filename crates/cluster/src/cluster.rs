@@ -617,8 +617,7 @@ impl Cluster {
     /// the primary is dead (failure detection happens on access). When
     /// a trace context rides along, the promotion is recorded as a
     /// [`dio_obs::FAILOVER_SPAN`] child span covering detection to
-    /// takeover — the flight recorder keys on that span to retain the
-    /// trace that paid for the failover.
+    /// takeover, which marks the trace that paid for the failover.
     fn ensure_primary(
         &self,
         inner: &mut Inner,

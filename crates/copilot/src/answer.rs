@@ -54,8 +54,8 @@ pub struct CopilotResponse {
 }
 
 /// The status an ask's trace closes with. A lapsed budget gets its own
-/// class so the flight recorder retains deadline aborts separately from
-/// ordinary errors; a degraded answer outranks the error that forced it.
+/// class so a trace reader tells deadline aborts apart from ordinary
+/// errors; a degraded answer outranks the error that forced it.
 pub(crate) fn trace_status(
     error: Option<&CopilotError>,
     degradation: DegradationLevel,

@@ -430,8 +430,7 @@ impl DioCopilot {
     /// passed or the token cancelled) the ask aborts with
     /// [`CopilotError::DeadlineExceeded`] — no degraded fallback, no
     /// further model calls — and a standalone trace closes with
-    /// [`TraceStatus::DeadlineExceeded`] so the flight recorder retains
-    /// it under its own outcome class.
+    /// [`TraceStatus::DeadlineExceeded`], its own outcome class.
     ///
     /// Nothing the request asks for is stored on the copilot: the next
     /// ask starts from the configured fidelity whatever this one did,
@@ -732,10 +731,9 @@ impl DioCopilot {
     /// Wind down an ask whose budget lapsed: count it (labelled by the
     /// stage that observed the lapse), stamp a `deadline_exceeded`
     /// event carrying the trace-clock offset, and close a standalone
-    /// trace as [`TraceStatus::DeadlineExceeded`] so the flight
-    /// recorder retains it under its own outcome class. No answer
-    /// counter and no `answered` event: a deadline abort is not an
-    /// answer.
+    /// trace as [`TraceStatus::DeadlineExceeded`], its own outcome
+    /// class. No answer counter and no `answered` event: a deadline
+    /// abort is not an answer.
     fn deadline_abort(&mut self, ask: Ask<'_>, query: String, stage: &str) -> CopilotResponse {
         ask.obs
             .registry()
@@ -1856,14 +1854,10 @@ mod tests {
         assert_eq!(snap.total("dio_llm_model_calls_total"), 0.0);
         assert_eq!(snap.total(crate::obs::ANSWERS_NAME), 0.0);
         assert_eq!(snap.total(crate::obs::DEADLINE_NAME), 1.0);
-        // The standalone trace closed under the deadline class and the
-        // flight recorder retained it as its own outcome.
-        let retained = cp.obs().recorder().retained();
-        assert!(
-            retained.iter().any(|t| t.reason == "deadline_exceeded"),
-            "reasons: {:?}",
-            retained.iter().map(|t| t.reason.clone()).collect::<Vec<_>>()
-        );
+        // The standalone trace closed under the deadline class.
+        let closed = &cp.obs().tracer().recent(1)[0];
+        assert!(closed.finished);
+        assert_eq!(closed.status, TraceStatus::DeadlineExceeded);
     }
 
     #[test]

@@ -12,12 +12,8 @@
 //! * `span` + `tracer` — hierarchical distributed tracing:
 //!   [`SpanContext`] is carried explicitly across every async/thread
 //!   boundary, completed spans reassemble into per-request
-//!   span trees with orphan detection;
-//! * `recorder` — a tail-sampling [`FlightRecorder`]: a byte-budgeted
-//!   ring retaining complete span trees only for slow / errored / shed
-//!   / degraded / failed-over traces, dumpable as JSON artifacts;
-//! * `slo` — declarative SLOs evaluated from registry snapshots with
-//!   multi-window burn-rate alerts, exported back into the registry;
+//!   span trees with orphan detection, and finished traces stay in a
+//!   bounded ring for readers after the fact;
 //! * `exporter` — Prometheus text exposition (format 0.0.4);
 //! * `expo` — a parser for that same format;
 //! * `scrape` — the self-scrape loop: [`ObsScraper`] turns registry
@@ -34,46 +30,27 @@
 mod budget;
 mod exporter;
 mod expo;
-mod recorder;
 mod registry;
 mod rolling;
 mod scrape;
-mod slo;
 mod span;
 mod tracer;
 
 pub use budget::Budget;
 pub use exporter::to_prometheus;
 pub use expo::{parse_exposition, ScrapedKind};
-pub use recorder::{FlightRecorder, RecorderConfig, FAILOVER_SPAN};
 pub use registry::{Buckets, Counter, Gauge, Histogram, Registry, SeriesValue, Snapshot};
 pub use rolling::{push_bounded, RollingQuantile};
 pub use scrape::ObsScraper;
-pub use slo::{Objective, Selector, SloEngine, SloSpec};
 pub use span::{orphan_count, SpanContext, SpanRecord, TraceStatus};
-pub use tracer::{micros_u64, TraceRecord, Tracer, ROOT_SPAN_NAME};
+pub use tracer::{micros_u64, TraceRecord, Tracer, FAILOVER_SPAN, ROOT_SPAN_NAME};
 
-/// The triple every instrumented component shares: one metrics
-/// registry, one tracer, one flight recorder (already attached to the
-/// tracer). Cheap to clone — clones observe the same state.
-#[derive(Debug, Clone)]
+/// The pair every instrumented component shares: one metrics registry
+/// and one tracer. Cheap to clone — clones observe the same state.
+#[derive(Debug, Clone, Default)]
 pub struct ObsHub {
     registry: Registry,
     tracer: Tracer,
-    recorder: FlightRecorder,
-}
-
-impl Default for ObsHub {
-    fn default() -> Self {
-        let tracer = Tracer::new();
-        let recorder = FlightRecorder::new();
-        tracer.attach_recorder(recorder.clone());
-        ObsHub {
-            registry: Registry::new(),
-            tracer,
-            recorder,
-        }
-    }
 }
 
 impl ObsHub {
@@ -91,11 +68,6 @@ impl ObsHub {
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
-
-    /// The tail-sampling flight recorder fed by the tracer.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +75,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hub_clones_share_registry_tracer_and_recorder() {
+    fn hub_clones_share_registry_and_tracer() {
         let hub = ObsHub::new();
         let clone = hub.clone();
         clone.registry().counter("shared_total", "Shared.").inc();
@@ -113,8 +85,9 @@ mod tests {
         clone.tracer().finish_trace(&root, TraceStatus::Error);
         assert_eq!(hub.registry().snapshot().total("shared_total"), 1.0);
         assert_eq!(hub.tracer().spans(root.trace_id).len(), 2);
-        // The errored trace reached the shared recorder via the tracer.
-        assert_eq!(hub.recorder().len(), 1);
-        assert_eq!(hub.recorder().retained()[0].reason, "error");
+        assert_eq!(
+            hub.tracer().trace(root.trace_id).unwrap().status,
+            TraceStatus::Error
+        );
     }
 }

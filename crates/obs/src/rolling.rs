@@ -1,8 +1,8 @@
 //! The rolling-quantile window: the brownout ladder's queue-wait
-//! percentile and the flight recorder's slow threshold read the same
-//! bounded sample window by the same rule. (The cluster's hedge delay
-//! still keeps its own `(n−1)·99/100` window: at the 21 samples its
-//! warm-up test holds, nearest rank picks the one cold outlier.)
+//! percentile and the failover drill's slow-trace threshold read the
+//! same bounded sample window by the same rule. (The cluster's hedge
+//! delay still keeps its own `(n−1)·99/100` window: at the 21 samples
+//! its warm-up test holds, nearest rank picks the one cold outlier.)
 
 use std::collections::VecDeque;
 
@@ -57,7 +57,7 @@ impl RollingQuantile {
             return None;
         }
         // One rank is read, so the window is partitioned around it, not
-        // sorted: the flight recorder asks on every finished trace.
+        // sorted: the brownout ladder asks on every pickup.
         let mut samples: Vec<u64> = self.window.iter().copied().collect();
         let rank = (n as f64 * q).ceil() as usize;
         Some(*samples.select_nth_unstable(rank.clamp(1, n) - 1).1)

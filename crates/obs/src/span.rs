@@ -38,7 +38,7 @@ impl SpanContext {
 }
 
 /// Terminal status of a finished trace, set at
-/// [`crate::Tracer::finish_trace`]. Drives tail-sampling retention.
+/// [`crate::Tracer::finish_trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TraceStatus {
     /// Completed normally.

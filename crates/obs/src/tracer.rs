@@ -8,9 +8,8 @@
 //! keeps a sliding window of recent requests and a burst of refusals
 //! cannot push out the slow requests still running behind it.
 //! Finishing a trace ([`Tracer::finish_trace`]) stamps its status and
-//! total duration and offers the complete record to the attached
-//! [`FlightRecorder`], which tail-samples interesting traces for
-//! post-hoc dumps.
+//! total duration; readers take finished records out of the ring with
+//! [`Tracer::trace`] and [`Tracer::recent`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -18,12 +17,15 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use crate::recorder::FlightRecorder;
 use crate::span::{build_tree, orphan_count, SpanContext, SpanRecord, SpanTree, TraceStatus};
 
 /// Name of the synthetic whole-request span recorded at
 /// [`Tracer::finish_trace`].
 pub const ROOT_SPAN_NAME: &str = "request";
+
+/// Span name that marks a trace as having ridden through a primary
+/// failure (recorded by `dio-cluster` on the promoted request).
+pub const FAILOVER_SPAN: &str = "failover_promotion";
 
 /// One point event within a trace.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -94,7 +96,6 @@ struct TracerInner {
     next_span_id: u64,
     capacity: usize,
     traces: VecDeque<TraceEntry>,
-    recorder: Option<FlightRecorder>,
 }
 
 impl TracerInner {
@@ -132,15 +133,8 @@ impl Tracer {
                 next_span_id: 1,
                 capacity: capacity.max(1),
                 traces: VecDeque::new(),
-                recorder: None,
             })),
         }
-    }
-
-    /// Feed every finished trace to `recorder` for tail-sampled
-    /// retention.
-    pub fn attach_recorder(&self, recorder: FlightRecorder) {
-        self.inner.lock().unwrap().recorder = Some(recorder);
     }
 
     /// Open a new trace; the returned root context is what every
@@ -154,7 +148,7 @@ impl Tracer {
         if inner.traces.len() == inner.capacity {
             // A trace still open is one whose spans and finish are yet
             // to come — under a shed storm those are exactly the slow
-            // requests the flight recorder exists to keep. The front is
+            // requests a post-hoc read of the ring wants. The front is
             // finished in every run that is not overloaded, so this
             // stays a pop of the front there.
             let victim = inner
@@ -295,32 +289,26 @@ impl Tracer {
     }
 
     /// Close the trace: record the whole-request root span (offset 0 →
-    /// now), stamp `status` and the total duration, and offer the
-    /// finished record to the attached flight recorder. Returns the
-    /// finished record (`None` when the trace was already evicted).
-    pub fn finish_trace(&self, ctx: &SpanContext, status: TraceStatus) -> Option<TraceRecord> {
-        let (finished, recorder) = {
-            let mut inner = self.inner.lock().unwrap();
-            let entry = inner.entry_mut(ctx.trace_id)?;
-            let total = micros_u64(entry.begin.elapsed());
-            entry.record.spans.push(SpanRecord {
-                span_id: entry.record.root_span_id,
-                parent_span_id: None,
-                name: ROOT_SPAN_NAME.to_string(),
-                start_micros: 0,
-                micros: total,
-                attrs: vec![("status".to_string(), status.slug().to_string())],
-            });
-            entry.record.status = status;
-            entry.record.total_micros = total;
-            entry.record.finished = true;
-            (entry.record.clone(), inner.recorder.clone())
+    /// now) and stamp `status` and the total duration. Returns whether
+    /// the trace was still buffered (`false` when already evicted).
+    pub fn finish_trace(&self, ctx: &SpanContext, status: TraceStatus) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        let Some(entry) = inner.entry_mut(ctx.trace_id) else {
+            return false;
         };
-        // Offer outside the tracer lock: the recorder has its own.
-        if let Some(recorder) = recorder {
-            recorder.offer(&finished);
-        }
-        Some(finished)
+        let total = micros_u64(entry.begin.elapsed());
+        entry.record.spans.push(SpanRecord {
+            span_id: entry.record.root_span_id,
+            parent_span_id: None,
+            name: ROOT_SPAN_NAME.to_string(),
+            start_micros: 0,
+            micros: total,
+            attrs: vec![("status".to_string(), status.slug().to_string())],
+        });
+        entry.record.status = status;
+        entry.record.total_micros = total;
+        entry.record.finished = true;
+        true
     }
 
     /// The full record for `trace_id`, if still buffered.
@@ -435,7 +423,7 @@ mod tests {
         let late = t.child_of(&a);
         t.record_span(&late, "late", 0, 1, &[]); // dropped silently
         assert!(t.spans(a.trace_id).is_empty());
-        assert!(t.finish_trace(&a, TraceStatus::Ok).is_none());
+        assert!(!t.finish_trace(&a, TraceStatus::Ok));
         let recent = t.recent(10);
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].id, b.trace_id);
@@ -446,8 +434,6 @@ mod tests {
     fn a_burst_of_finished_traces_does_not_evict_an_open_one() {
         let capacity = 4;
         let t = Tracer::with_capacity(capacity);
-        let recorder = FlightRecorder::new();
-        t.attach_recorder(recorder.clone());
         let open = t.begin_trace("slow, still running");
         for k in 0..capacity + 3 {
             let refused = t.begin_trace(&format!("refused {k}"));
@@ -457,17 +443,13 @@ mod tests {
         let late = t.child_of(&open);
         t.record_span(&late, "generate", 0, 7, &[]);
         assert_eq!(t.spans(open.trace_id).len(), 1, "the open trace lost its span");
-        let finished = t
-            .finish_trace(&open, TraceStatus::DeadlineExceeded)
-            .expect("the open trace was evicted by finished ones");
-        assert!(finished.has_span("generate"));
         assert!(
-            recorder
-                .retained_for("deadline_exceeded")
-                .iter()
-                .any(|r| r.record.id == open.trace_id),
-            "the recorder was never offered the open trace"
+            t.finish_trace(&open, TraceStatus::DeadlineExceeded),
+            "the open trace was evicted by finished ones"
         );
+        let finished = t.trace(open.trace_id).unwrap();
+        assert!(finished.has_span("generate"));
+        assert_eq!(finished.status, TraceStatus::DeadlineExceeded);
     }
 
     #[test]
@@ -510,7 +492,8 @@ mod tests {
         let t = Tracer::new();
         let root = t.begin_trace("failing ask");
         t.event(&root, "breaker_transition", &[("to", "open")]);
-        let rec = t.finish_trace(&root, TraceStatus::Error).unwrap();
+        t.finish_trace(&root, TraceStatus::Error);
+        let rec = t.trace(root.trace_id).unwrap();
         assert_eq!(rec.status, TraceStatus::Error);
         assert_eq!(rec.events[0].attrs[0], ("to".into(), "open".into()));
         assert_eq!(rec.spans[0].attr("status"), Some("error"));

@@ -29,7 +29,7 @@
 use crate::admission::{AdmissionQueue, PushRefused, ShedReason};
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
 use crate::cache::{CacheStats, GenLru};
-use crate::tenant::{tenant_class, RateLimiter, TenantPolicy, TENANT_CLASSES};
+use crate::tenant::{RateLimiter, TenantPolicy};
 use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
 use dio_gateway::{
     normalize_question, BatchConfig, FlushRecord, FollowerOutcome, GatewayHandle, Join,
@@ -281,8 +281,6 @@ struct Metrics {
     queue_wait: Histogram,
     duration_hit: Histogram,
     duration_miss: Histogram,
-    class_latency: HashMap<&'static str, Histogram>,
-    class_requests: HashMap<(&'static str, &'static str), Counter>,
     worker_panics: Counter,
 }
 
@@ -333,35 +331,6 @@ impl Metrics {
             ),
             duration_hit: duration("hit"),
             duration_miss: duration("miss"),
-            class_latency: TENANT_CLASSES
-                .iter()
-                .map(|&class| {
-                    (
-                        class,
-                        r.histogram_with(
-                            "dio_serve_class_latency_micros",
-                            "submit-to-reply latency of answered requests, by tenant class",
-                            &Buckets::latency_micros(),
-                            &[("class", class)],
-                        ),
-                    )
-                })
-                .collect(),
-            class_requests: TENANT_CLASSES
-                .iter()
-                .flat_map(|&class| {
-                    ["answered", "shed"].into_iter().map(move |outcome| {
-                        (
-                            (class, outcome),
-                            r.counter_with(
-                                "dio_serve_class_requests_total",
-                                "requests resolved by the query service, by tenant class and outcome",
-                                &[("class", class), ("outcome", outcome)],
-                            ),
-                        )
-                    })
-                })
-                .collect(),
             worker_panics: r.counter(
                 "dio_serve_worker_panics_total",
                 "pipeline panics caught by the worker guard",
@@ -373,18 +342,6 @@ impl Metrics {
         self.shed_total.inc();
         if let Some(c) = self.shed.get(&reason) {
             c.inc();
-        }
-    }
-
-    fn count_class(&self, tenant: &str, outcome: &'static str) {
-        if let Some(c) = self.class_requests.get(&(tenant_class(tenant), outcome)) {
-            c.inc();
-        }
-    }
-
-    fn observe_class_latency(&self, tenant: &str, micros: f64) {
-        if let Some(h) = self.class_latency.get(tenant_class(tenant)) {
-            h.observe(micros);
         }
     }
 }
@@ -409,7 +366,6 @@ impl Core {
     /// request's trace as `status` behind a `shed` event.
     fn refuse(
         &self,
-        tenant: &str,
         ctx: &SpanContext,
         reason: ShedReason,
         floor: Duration,
@@ -417,7 +373,6 @@ impl Core {
     ) -> Shed {
         let retry_after = retry_hint(self.queue.len(), self.config.workers, floor);
         self.metrics.count_shed(reason);
-        self.metrics.count_class(tenant, "shed");
         self.obs
             .tracer()
             .event(ctx, "shed", &[("reason", reason.label())]);
@@ -528,14 +483,7 @@ impl QueryService {
         let now = Instant::now();
         let tracer = self.core.obs.tracer();
         let ctx = tracer.begin_trace(&req.question);
-        tracer.event(
-            &ctx,
-            "submitted",
-            &[
-                ("tenant", &req.tenant),
-                ("class", tenant_class(&req.tenant)),
-            ],
-        );
+        tracer.event(&ctx, "submitted", &[("tenant", &req.tenant)]);
         // The Shed rung refuses arrivals only while a backlog actually
         // exists. The controller observes at worker pickup, so once the
         // queue drains the next admitted request is what produces the
@@ -545,7 +493,6 @@ impl QueryService {
             && !self.core.queue.is_empty()
         {
             return Err(self.core.refuse(
-                &req.tenant,
                 &ctx,
                 ShedReason::Brownout,
                 Duration::ZERO,
@@ -556,7 +503,6 @@ impl QueryService {
             // The refill time floors the hint; a backed-up queue
             // raises it further.
             return Err(self.core.refuse(
-                &req.tenant,
                 &ctx,
                 ShedReason::TenantThrottle,
                 refill,
@@ -586,13 +532,9 @@ impl QueryService {
                 // backup (say, mid-failover) throttles the tenant's
                 // retries on top of shedding them.
                 self.core.limiter.refund(&job.req.tenant);
-                Err(self.core.refuse(
-                    &job.req.tenant,
-                    &job.ctx,
-                    reason,
-                    Duration::ZERO,
-                    TraceStatus::Shed,
-                ))
+                Err(self
+                    .core
+                    .refuse(&job.ctx, reason, Duration::ZERO, TraceStatus::Shed))
             }
         }
     }
@@ -735,7 +677,6 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
                 &[("from", from.label()), ("to", to.label()), ("at_micros", &at)],
             );
         }
-        let tenant = &job.req.tenant;
         // `None`: the deadline lapsed in the queue, nothing is served.
         let served = if picked_up >= deadline || job.budget.expired() {
             None
@@ -774,7 +715,6 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
         }
         let outcome = match served {
             None => ServeOutcome::Shed(core.refuse(
-                tenant,
                 &job.ctx,
                 ShedReason::DeadlineExpired,
                 Duration::ZERO,
@@ -782,18 +722,12 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
             )),
             Some(Ok(Ok(answer))) => {
                 core.metrics.answered.inc();
-                core.metrics.count_class(tenant, "answered");
-                core.metrics.observe_class_latency(
-                    tenant,
-                    (queue_wait + answer.service_time).as_micros() as f64,
-                );
                 tracer.finish_trace(&job.ctx, answer.response.trace_status());
                 ServeOutcome::Answered(Box::new(answer))
             }
             // The budget lapsed between stages: the rest of the work
             // was abandoned cooperatively.
             Some(Ok(Err(Lapsed))) => ServeOutcome::Shed(core.refuse(
-                tenant,
                 &job.ctx,
                 ShedReason::DeadlineExpired,
                 Duration::ZERO,
@@ -802,7 +736,6 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
             Some(Err(_)) => {
                 core.metrics.worker_panics.inc();
                 core.metrics.count_shed(ShedReason::WorkerPanic);
-                core.metrics.count_class(tenant, "shed");
                 tracer.event(&job.ctx, "worker_panic", &[]);
                 tracer.finish_trace(&job.ctx, TraceStatus::Error);
                 ServeOutcome::Shed(Shed {

@@ -13,22 +13,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The tenant classes the service distinguishes for SLO purposes.
-pub(crate) const TENANT_CLASSES: [&str; 2] = ["premium", "standard"];
-
-/// The billing/priority class of a tenant, derived from the naming
-/// convention the serving harnesses use: tenants prefixed `premium`
-/// are the paid class, everything else is `standard`. Per-class
-/// latency histograms (and the SLO engine's latency objectives) key
-/// on this.
-pub(crate) fn tenant_class(tenant: &str) -> &'static str {
-    if tenant.starts_with("premium") {
-        "premium"
-    } else {
-        "standard"
-    }
-}
-
 /// The per-tenant rate policy.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TenantPolicy {
