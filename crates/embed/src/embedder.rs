@@ -5,10 +5,10 @@
 //! 384-dim, unit-norm vectors where semantically related operator-domain
 //! texts have high cosine similarity.
 
-use crate::hashing::accumulate;
+use crate::hashing::FeatureHash;
 use crate::idf::IdfTable;
 use crate::lexicon::Lexicon;
-use crate::tokenize::{char_ngrams, content_words, word_bigrams};
+use crate::tokenize::WordBuf;
 use crate::vector::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -71,9 +71,10 @@ impl Embedder {
         I: IntoIterator<Item = &'a str>,
     {
         let mut idf = IdfTable::default();
+        let mut words = WordBuf::new();
         for doc in corpus {
-            let toks = content_words(doc);
-            idf.add_document(toks.iter().map(|s| s.as_str()));
+            let range = words.push_text(doc);
+            idf.add_document(words.content_words(range));
         }
         Embedder {
             config: config.clone(),
@@ -92,29 +93,44 @@ impl Embedder {
     /// Empty or punctuation-only input yields the zero vector (the only
     /// non-unit-norm output), mirroring how retrieval treats an empty
     /// query as matching nothing.
+    ///
+    /// No feature is built as a string (see `hashing`), and features are
+    /// summed in a fixed order: f32 addition is not associative.
     pub fn embed(&self, text: &str) -> Vector {
         let cfg = &self.config;
         let mut out = vec![0.0f32; cfg.dims];
-        let tokens = content_words(text);
-        if tokens.is_empty() {
-            return Vector(out);
-        }
+        let mut words = WordBuf::new();
+        let range = words.push_text(text);
+        let tokens: Vec<&str> = words.content_words(range).collect();
+        let seed = FeatureHash::new(cfg.seed);
+        let word = seed.with("w:");
 
         // 1. IDF-weighted word unigrams.
         for tok in &tokens {
             let w = WORD_WEIGHT * self.idf.idf(tok);
-            accumulate(&format!("w:{tok}"), w, &mut out, cfg.seed);
+            word.with(tok).add(w, &mut out);
         }
 
-        // 2. Word bigrams (procedure phrases).
-        for bg in word_bigrams(&tokens) {
-            accumulate(&format!("b:{bg}"), BIGRAM_WEIGHT, &mut out, cfg.seed);
+        // 2. Word bigrams (procedure phrases): `b:{a}_{b}`.
+        for pair in tokens.windows(2) {
+            let h = seed.with("b:").with(pair[0]).with("_").with(pair[1]);
+            h.add(BIGRAM_WEIGHT, &mut out);
         }
 
-        // 3. Character n-grams (robust to glued counter names and typos).
+        // 3. Character n-grams (robust to glued counter names and typos):
+        //    the 3- to 5-char windows of `<tok>`, cut at char boundaries.
+        let gram = seed.with("c:");
+        let (mut wrapped, mut cuts) = (String::new(), Vec::new());
         for tok in &tokens {
-            for g in char_ngrams(tok, NGRAM_MIN, NGRAM_MAX) {
-                accumulate(&format!("c:{g}"), CHAR_WEIGHT, &mut out, cfg.seed);
+            wrapped.clear();
+            wrapped.extend(["<", tok, ">"]);
+            cuts.clear();
+            let bounds = wrapped.char_indices().map(|(i, _)| i);
+            cuts.extend(bounds.chain([wrapped.len()]));
+            for n in NGRAM_MIN..=NGRAM_MAX.min(cuts.len() - 1) {
+                for w in cuts.windows(n + 1) {
+                    gram.with(&wrapped[w[0]..w[n]]).add(CHAR_WEIGHT, &mut out);
+                }
             }
         }
 
@@ -127,7 +143,7 @@ impl Embedder {
                 if let Some(exp) = self.lexicon.expand(tok) {
                     for e in exp {
                         let w = cfg.lexicon_weight * self.idf.idf(e);
-                        accumulate(&format!("w:{e}"), w, &mut out, cfg.seed);
+                        word.with(e).add(w, &mut out);
                     }
                 }
             }
@@ -139,10 +155,68 @@ impl Embedder {
     }
 }
 
+/// The embedder as it was before features were streamed — one `String`
+/// per feature, each hashed twice: the oracle the streamed path is held
+/// to, bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::hashing::oracle::accumulate;
+    use crate::tokenize::{char_ngrams, content_words, word_bigrams};
+
+    pub(super) fn fit(config: &EmbedderConfig, corpus: &[&str]) -> Embedder {
+        let mut idf = IdfTable::default();
+        for doc in corpus {
+            let toks = content_words(doc);
+            idf.add_document_oracle(toks.iter().map(|s| s.as_str()));
+        }
+        Embedder {
+            config: config.clone(),
+            idf,
+            lexicon: Lexicon::telecom(),
+        }
+    }
+
+    pub(super) fn embed(e: &Embedder, text: &str) -> Vector {
+        let cfg = &e.config;
+        let mut out = vec![0.0f32; cfg.dims];
+        let tokens = content_words(text);
+        if tokens.is_empty() {
+            return Vector(out);
+        }
+        for tok in &tokens {
+            let w = WORD_WEIGHT * e.idf.idf(tok);
+            accumulate(&format!("w:{tok}"), w, &mut out, cfg.seed);
+        }
+        for bg in word_bigrams(&tokens) {
+            accumulate(&format!("b:{bg}"), BIGRAM_WEIGHT, &mut out, cfg.seed);
+        }
+        for tok in &tokens {
+            for g in char_ngrams(tok, NGRAM_MIN, NGRAM_MAX) {
+                accumulate(&format!("c:{g}"), CHAR_WEIGHT, &mut out, cfg.seed);
+            }
+        }
+        if cfg.lexicon_weight > 0.0 {
+            for tok in &tokens {
+                if let Some(exp) = e.lexicon.expand(tok) {
+                    for ex in exp {
+                        let w = cfg.lexicon_weight * e.idf.idf(ex);
+                        accumulate(&format!("w:{ex}"), w, &mut out, cfg.seed);
+                    }
+                }
+            }
+        }
+        let mut v = Vector(out);
+        v.normalize();
+        v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::similarity::cosine;
+    use proptest::prelude::*;
 
     fn corpus() -> Vec<&'static str> {
         vec![
@@ -232,5 +306,132 @@ mod tests {
             sim_full > sim_generic,
             "lexicon should raise similarity: {sim_full} vs {sim_generic}"
         );
+    }
+
+    /// Every component's bits.
+    fn bits(v: &Vector) -> Vec<u32> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Fits both configs on `corpus` by the new path and by the oracle,
+    /// and compares the IDF tables and the bits of every embed of
+    /// `texts`, of the corpus, and of each run together. A third, 7-dim
+    /// config crowds many features into each bucket, where summing them
+    /// in another order would change the bits.
+    fn agrees_with_oracle(corpus: &[&str], texts: &[&str]) -> Result<(), String> {
+        let crowded = EmbedderConfig {
+            dims: 7,
+            ..EmbedderConfig::default()
+        };
+        let joined = [texts.join(" "), corpus.join(" ")];
+        let all = texts.iter().chain(corpus).copied();
+        let all: Vec<&str> = all.chain(joined.iter().map(String::as_str)).collect();
+        for config in [
+            EmbedderConfig::default(),
+            EmbedderConfig::generic(),
+            crowded,
+        ] {
+            let new = Embedder::fit(&config, corpus.iter().copied());
+            let old = oracle::fit(&config, corpus);
+            if new.idf != old.idf {
+                return Err(format!("IDF tables differ on {corpus:?}"));
+            }
+            for t in &all {
+                if bits(&new.embed(t)) != bits(&oracle::embed(&old, t)) {
+                    return Err(format!(
+                        "bits differ on {t:?} (lexicon {})",
+                        config.lexicon_weight
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `stem` with `ch` written in at char position `at` (clamped).
+    fn insert_at(stem: &str, at: usize, ch: &str) -> String {
+        let byte = stem.char_indices().nth(at).map_or(stem.len(), |(i, _)| i);
+        format!("{}{ch}{}", &stem[..byte], &stem[byte..])
+    }
+
+    const MULTIBYTE: [&str; 5] = ["Σ", "İ", "ß", "œ", "€"];
+
+    #[test]
+    fn probes_match_the_oracle_bit_for_bit() {
+        let mut texts: Vec<String> = [
+            "",
+            "   !!! ",
+            "--- (.) —",
+            "what is this",
+            "the of and",
+            "ΟΔΟΣ ΣΟΣ",
+            "İstanbul5G x",
+            "Straße cœur œ",
+            "amfcc_n1_auth_request amfcc_n2_paging_attempt",
+            "a b c ab n1 5g x9",
+            "section 8.2.1 of 3GPP TS 24.501",
+            "débit montant du UPF — 5G cœur",
+            "UPF downlink bytes user plane function AMF",
+        ]
+        .map(String::from)
+        .to_vec();
+        // A multi-byte char at every position of a token, so at every
+        // position of each of its n-grams.
+        for ch in MULTIBYTE {
+            for at in 0..=6 {
+                texts.push(insert_at("abcdef", at, ch));
+                texts.push(insert_at("amf", at, ch));
+                texts.push(insert_at("n", at, ch));
+            }
+        }
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        agrees_with_oracle(&corpus(), &texts).unwrap();
+        agrees_with_oracle(&texts, &corpus()).unwrap();
+        agrees_with_oracle(&[], &texts).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn embed_matches_the_oracle_bit_for_bit(
+            pieces in prop::collection::vec(
+                prop::sample::select(vec![
+                    "amfcc_n1_auth_request", "UPF", "n3", "ab", "x", "5g", "24.501",
+                    "the", "of", "what", "is", "Σ", "ΟΔΟΣ", "İstanbul", "ß", "Straße",
+                    "œ", "cœur", "registration", "auth", "amf", "!!!", "—", "",
+                ]),
+                0..10,
+            ),
+            seps in prop::collection::vec(
+                prop::sample::select(vec![" ", "_", ".", " — ", "", "-", "\n"]),
+                10..11,
+            ),
+            stem in "[a-z0-9]{0,7}",
+            at in 0usize..8,
+            ch in prop::sample::select(MULTIBYTE.to_vec()),
+            noise in "[a-zA-Z0-9_ .,!ΣİßœÉ-]{0,24}",
+        ) {
+            let mut glued = String::new();
+            for (piece, sep) in pieces.iter().zip(&seps) {
+                glued.push_str(piece);
+                glued.push_str(sep);
+            }
+            let word = insert_at(&stem, at, ch);
+            let all = format!("{glued} {word} {noise}");
+            let texts = [glued.as_str(), word.as_str(), noise.as_str(), all.as_str()];
+            let mut corpus = corpus();
+            corpus.extend(texts);
+            let verdict = agrees_with_oracle(&corpus, &texts);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+
+        #[test]
+        fn fitted_idf_table_equals_the_oracle(
+            docs in prop::collection::vec("[a-zA-Z0-9_ .!ΣİßœÉ-]{0,40}", 0..12),
+        ) {
+            let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
+            let config = EmbedderConfig::default();
+            let new = Embedder::fit(&config, docs.iter().copied());
+            prop_assert!(new.idf == oracle::fit(&config, &docs).idf, "IDF tables differ on {docs:?}");
+        }
     }
 }

@@ -102,7 +102,10 @@ pub fn content_words(text: &str) -> Vec<String> {
 /// Character n-grams of a single token, fastText style: the token is
 /// wrapped in boundary markers (`<` and `>`) and every n-gram with
 /// `min <= n <= max` is emitted. Tokens shorter than `min` are emitted
-/// whole (with markers) so they still contribute a feature.
+/// whole (with markers) so they still contribute a feature. The
+/// embedder cuts the same n-grams as byte ranges of one buffer; this
+/// owning form is its oracle.
+#[cfg(test)]
 pub(crate) fn char_ngrams(token: &str, min: usize, max: usize) -> Vec<String> {
     assert!(min >= 1 && max >= min, "invalid n-gram range");
     let wrapped: Vec<char> = std::iter::once('<')
@@ -124,6 +127,8 @@ pub(crate) fn char_ngrams(token: &str, min: usize, max: usize) -> Vec<String> {
 
 /// Word bigrams ("auth request" → `auth_request`) over the content words
 /// of `text`. Bigrams capture procedure phrases that single words miss.
+/// The embedder's oracle, like [`char_ngrams`].
+#[cfg(test)]
 pub(crate) fn word_bigrams(tokens: &[String]) -> Vec<String> {
     tokens
         .windows(2)
