@@ -19,11 +19,13 @@
 //! 2. **baseline** — the duplicate-heavy schedule through
 //!    [`QueryService::spawn`] (answer cache on, no gateway);
 //! 3. **gateway** — the same schedule through
-//!    [`QueryService::spawn_gateway`];
-//! 4. **deadline drill** — an undersized gateway service takes a burst
-//!    under a tight calibrated deadline; every accepted request's trace
-//!    is audited for model calls after a lapse or past the budget, and
-//!    every answer for arriving late.
+//!    [`QueryService::spawn_gateway`], folding up to four overlapping
+//!    model calls into one;
+//! 4. **deadline drill** — an undersized gateway service at the
+//!    default one call per ask takes a burst under a tight calibrated
+//!    deadline; every accepted request's trace is audited for model
+//!    calls after a lapse or past the budget, and every answer for
+//!    arriving late.
 //!
 //! Gates: EX delta exactly 0 between the passes, ≥ 3x fewer upstream
 //! model calls, ≥ 2x lower cost per answered question, zero healthy
@@ -38,7 +40,7 @@ use dio_bench::drill::{
     TraceAudit, AUDIT_GRACE, TENANTS,
 };
 use dio_bench::Experiment;
-use dio_gateway::{FlushTrigger, SemanticStats};
+use dio_gateway::{BatchConfig, FlushTrigger, SemanticStats};
 use dio_llm::{BatchExpander, FoundationModel, ModelProfile, SimulatedModel};
 use dio_serve::{
     BrownoutConfig, GatewayConfig, QueryRequest, QueryService, ServeConfig, ShedReason,
@@ -54,6 +56,9 @@ use std::time::Instant;
 
 /// Workers of the baseline and gateway passes.
 const WORKERS: usize = 8;
+/// Calls the gateway pass folds into one upstream call. The default
+/// sends one call per ask; this pass measures what batching buys.
+const GATEWAY_MAX_BATCH: usize = 4;
 /// Punctuation-only paraphrase suffixes: same content words (identical
 /// embedding, cosine 1.0) but distinct normalized cache keys.
 const PARAPHRASE_SUFFIXES: [&str; 3] = [" ?", " ??", " ???"];
@@ -87,6 +92,7 @@ struct PassPanel {
 
 #[derive(Debug, Clone, Serialize)]
 struct BatchingPanel {
+    max_batch: usize,
     upstream_calls: f64,
     batches: usize,
     flushes: usize,
@@ -314,13 +320,20 @@ fn main() -> ExitCode {
         baseline.tally.correct, baseline.model_calls, baseline.cost_cents, baseline.tally.wall_seconds
     );
 
-    // Phase 3: the same schedule through the gateway.
-    eprintln!("gateway pass…");
+    // Phase 3: the same schedule through the gateway, folding up to
+    // `GATEWAY_MAX_BATCH` overlapping calls into one.
+    eprintln!("gateway pass (max_batch {GATEWAY_MAX_BATCH})…");
     let gateway_service = QueryService::spawn_gateway(
         &exp.copilot(Experiment::gpt4()),
         upstream(),
         open_config(WORKERS, n.max(64)),
-        GatewayConfig::default(),
+        GatewayConfig {
+            batch: BatchConfig {
+                max_batch: GATEWAY_MAX_BATCH,
+                ..BatchConfig::default()
+            },
+            ..GatewayConfig::default()
+        },
     );
     let gateway = run_schedule(&gateway_service, &schedule, uniques, &refs, eval_ts, "gateway");
     let stats = gateway_service
@@ -337,6 +350,7 @@ fn main() -> ExitCode {
             .count()
     };
     let batching = BatchingPanel {
+        max_batch: GATEWAY_MAX_BATCH,
         upstream_calls: gateway.model_calls,
         batches: stats.ledger.batches(),
         flushes,

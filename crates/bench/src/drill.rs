@@ -426,9 +426,10 @@ impl Burst {
 /// service times, so 3× lets the early pickups answer while the tail
 /// provably lapses at any world size or machine speed; the floor only
 /// keeps scheduler jitter from deciding the drill and must stay below
-/// 3× a quick-world ask (≈ 2 ms) or nothing ever lapses.
+/// 3× a quick-world ask (≈ 2–3 ms since a quick ask takes ≈ 0.7–1 ms)
+/// or nothing ever lapses.
 const DEADLINE_MULT: u32 = 3;
-const DEADLINE_FLOOR: Duration = Duration::from_millis(5);
+const DEADLINE_FLOOR: Duration = Duration::from_millis(1);
 /// Scheduling grace for the `at_micros` audit and for "late" answers:
 /// the pipeline checks the budget *before* stamping `model_call`, so a
 /// stamp can land a context switch after a check that passed just

@@ -1395,7 +1395,7 @@ mod tests {
     /// with a transient error.
     struct FailFirstN {
         inner: SimulatedModel,
-        remaining: std::cell::RefCell<usize>,
+        remaining: std::sync::Mutex<usize>,
     }
 
     impl FoundationModel for FailFirstN {
@@ -1412,7 +1412,7 @@ mod tests {
             &self,
             request: &CompletionRequest,
         ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
-            let mut rem = self.remaining.borrow_mut();
+            let mut rem = self.remaining.lock().unwrap();
             if *rem > 0 {
                 *rem -= 1;
                 return Err(dio_llm::ModelError::Unavailable("synthetic outage".into()));
@@ -1425,7 +1425,7 @@ mod tests {
     /// into unparseable PromQL.
     struct CorruptFirst {
         inner: SimulatedModel,
-        corrupted: std::cell::RefCell<bool>,
+        corrupted: std::sync::Mutex<bool>,
     }
 
     impl FoundationModel for CorruptFirst {
@@ -1443,7 +1443,7 @@ mod tests {
             request: &CompletionRequest,
         ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
             let mut c = self.inner.complete(request)?;
-            let mut done = self.corrupted.borrow_mut();
+            let mut done = self.corrupted.lock().unwrap();
             if !*done {
                 *done = true;
                 c.text.push_str(" )(");
@@ -1467,7 +1467,7 @@ mod tests {
     fn transient_model_failure_is_retried_to_success() {
         let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            remaining: std::cell::RefCell::new(1),
+            remaining: std::sync::Mutex::new(1),
         }));
         let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
         assert!(r.error.is_none(), "error: {:?}", r.error);
@@ -1484,7 +1484,7 @@ mod tests {
     fn malformed_query_is_repaired_in_sandbox_loop() {
         let (mut cp, ts) = copilot_with_model(Box::new(CorruptFirst {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            corrupted: std::cell::RefCell::new(false),
+            corrupted: std::sync::Mutex::new(false),
         }));
         let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
         assert!(r.error.is_none(), "error: {:?}", r.error);
@@ -1506,7 +1506,7 @@ mod tests {
     fn total_outage_degrades_to_top_metric_lookup() {
         let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            remaining: std::cell::RefCell::new(usize::MAX),
+            remaining: std::sync::Mutex::new(usize::MAX),
         }));
         let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Degraded);
@@ -1528,7 +1528,7 @@ mod tests {
     fn open_breaker_skips_model_calls_on_subsequent_asks() {
         let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            remaining: std::cell::RefCell::new(usize::MAX),
+            remaining: std::sync::Mutex::new(usize::MAX),
         }));
         let first = cp.ask("How many paging attempts?", ts);
         let first_attempts = first.trace.recovery.attempts;
@@ -1555,7 +1555,7 @@ mod tests {
             .exemplars(exemplars())
             .model(Box::new(CorruptFirst {
                 inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-                corrupted: std::cell::RefCell::new(false),
+                corrupted: std::sync::Mutex::new(false),
             }))
             .build();
         let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
@@ -1626,7 +1626,7 @@ mod tests {
     fn breaker_transitions_and_retries_are_counted() {
         let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            remaining: std::cell::RefCell::new(usize::MAX),
+            remaining: std::sync::Mutex::new(usize::MAX),
         }));
         let r = cp.ask("How many paging attempts?", ts);
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Degraded);
@@ -1750,14 +1750,16 @@ mod tests {
     /// Compile-time Send/Sync audit for the shared serving state: a
     /// worker pool moves whole pipelines across threads (`Send`) and
     /// shares the read-only retrieval/catalog/tsdb state by reference
-    /// (`Sync`). A regression here (an `Rc`, a `RefCell` in shared
-    /// state) fails compilation, not runtime.
+    /// (`Sync`), and the model gateway calls one shared upstream from
+    /// every worker at once (`Sync` models). A regression here (an
+    /// `Rc`, a `RefCell` in shared state) fails compilation, not
+    /// runtime.
     #[test]
     fn shared_pipeline_state_is_send_and_sync() {
         fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send::<DioCopilot>();
-        assert_send::<Box<dyn FoundationModel>>();
+        assert_send_sync::<Box<dyn FoundationModel>>();
         assert_send::<CopilotResponse>();
         assert_send_sync::<ContextExtractor>();
         assert_send_sync::<DomainDb>();
@@ -1893,7 +1895,7 @@ mod tests {
     fn model_off_ask_leaves_an_open_breakers_cooldown_untouched() {
         let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            remaining: std::cell::RefCell::new(usize::MAX),
+            remaining: std::sync::Mutex::new(usize::MAX),
         }));
         cp.ask("How many paging attempts?", ts);
         assert_eq!(cp.breaker().state(), crate::recovery::BreakerState::Open);
@@ -1911,7 +1913,7 @@ mod tests {
     fn request_fidelity_caps_apply_to_one_ask_only() {
         let (mut cp, ts) = copilot_with_model(Box::new(CorruptFirst {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
-            corrupted: std::cell::RefCell::new(false),
+            corrupted: std::sync::Mutex::new(false),
         }));
         let q = "How many initial registration attempts did the AMF handle?";
         let capped = cp.ask_with(AskRequest {

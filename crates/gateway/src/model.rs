@@ -1,6 +1,21 @@
-//! The batching model front-end: a [`FoundationModel`] that accumulates
-//! concurrent completion requests and answers K of them with **one**
-//! upstream call.
+//! The model front-end: a [`FoundationModel`] every worker calls
+//! through, which sends each completion request upstream as its own
+//! call by default and, when asked to, answers K concurrent requests
+//! with **one** combined upstream call.
+//!
+//! ## One call per ask, none waiting on another
+//!
+//! [`BatchConfig::default`] has `max_batch: 1`, the paper's one model
+//! call per question: every request flushes the moment it is queued
+//! (**full**), nothing is held for a companion, and
+//! [`compose_batch`]/[`split_batch`] never run. Upstream calls do not
+//! queue behind one another either: the upstream is shared without a
+//! lock (`FoundationModel: Sync`), and any caller whose flush trigger
+//! fires takes its own batch off the queue and runs it on its own
+//! thread while other flushes are in flight. Folding prompts bills a
+//! shared prefix once, so a caller with `max_batch > 1` pays fewer
+//! cents per answer — and a miss then waits for a companion before it
+//! may leave.
 //!
 //! ## Flush triggers
 //!
@@ -22,7 +37,9 @@
 //! (**assembled**) instead of sitting out the delay bound; `max_delay`
 //! then only caps the wait for a counted caller that has not arrived
 //! yet. A gateway nobody opens a job on cannot know who may come and
-//! keeps to the three timers above.
+//! keeps to the three timers above. At `max_batch: 1` a request fills
+//! the queue the moment it arrives, so neither the timers nor the open
+//! jobs ever hold it: they serve callers that ask for folding.
 //!
 //! ## Cost attribution
 //!
@@ -56,7 +73,8 @@ use std::time::{Duration, Instant};
 /// has no `Duration` impls; benches report the fields individually.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Maximum items per combined call.
+    /// Maximum items per combined call; 1 (the default) sends every
+    /// request upstream on its own the moment it arrives.
     pub max_batch: usize,
     /// Maximum time a request may wait for companions. When callers
     /// open jobs this only caps the wait for one that has not arrived
@@ -72,7 +90,7 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            max_batch: 4,
+            max_batch: 1,
             max_delay: Duration::from_millis(3),
             min_slack: Duration::from_millis(200),
         }
@@ -140,7 +158,6 @@ struct BatchState {
     next_id: u64,
     queue: Vec<Slot>,
     results: HashMap<u64, Result<Completion, ModelError>>,
-    flushing: bool,
     /// Jobs open on some handle and not parked: the callers that may
     /// still put a request in the queue. 0 when nobody announces.
     open_jobs: usize,
@@ -148,7 +165,7 @@ struct BatchState {
 
 /// The shared gateway core. [`GatewayHandle`]s clone the `Arc`.
 pub struct ModelGateway {
-    upstream: Mutex<Box<dyn FoundationModel>>,
+    upstream: Box<dyn FoundationModel>,
     config: BatchConfig,
     // Upstream identity snapshotted at construction (`FoundationModel`
     // hands out borrowed strs; the handle needs owned copies).
@@ -195,7 +212,7 @@ impl ModelGateway {
         let window = upstream.context_window();
         let pricing = upstream.pricing();
         Arc::new(ModelGateway {
-            upstream: Mutex::new(upstream),
+            upstream,
             config,
             name,
             window,
@@ -204,7 +221,6 @@ impl ModelGateway {
                 next_id: 0,
                 queue: Vec::new(),
                 results: HashMap::new(),
-                flushing: false,
                 open_jobs: 0,
             }),
             cv: Condvar::new(),
@@ -344,18 +360,13 @@ impl ModelGateway {
             hard_deadline,
             deadline_driven,
         });
-        if state.queue.len() >= self.config.max_batch {
-            self.cv.notify_all();
-        }
 
         loop {
             if let Some(result) = state.results.remove(&id) {
                 return result;
             }
             let now = Instant::now();
-            let trigger = if state.flushing {
-                None
-            } else if state.queue.len() >= self.config.max_batch {
+            let trigger = if state.queue.len() >= self.config.max_batch {
                 Some(FlushTrigger::Full)
             } else if state.open_jobs > 0 && state.queue.len() >= state.open_jobs {
                 Some(FlushTrigger::Assembled)
@@ -373,26 +384,22 @@ impl ModelGateway {
                         }
                     })
             };
+            // Whoever sees a trigger fire flushes, whatever else is in
+            // flight; an empty queue fires none.
             if let Some(trigger) = trigger {
-                if !state.queue.is_empty() {
-                    state.flushing = true;
-                    let batch = take_batch(&mut state.queue, self.config.max_batch, self.window);
-                    drop(state);
-                    self.flush(batch, trigger);
-                    state = self.state.lock().unwrap();
-                    state.flushing = false;
-                    self.cv.notify_all();
-                    continue;
-                }
+                let batch = take_batch(&mut state.queue, self.config.max_batch, self.window);
+                drop(state);
+                self.flush(batch, trigger);
+                state = self.state.lock().unwrap();
+                continue;
             }
-            // Sleep until the earliest queued due instant (a flush in
-            // progress or an empty queue just waits a slice).
+            // Sleep until the earliest queued due instant (an empty
+            // queue waits a slice for the flush that holds our request).
             let wait = state
                 .queue
                 .iter()
                 .map(|s| s.due.saturating_duration_since(now))
                 .min()
-                .filter(|_| !state.flushing)
                 .unwrap_or(Duration::from_millis(1))
                 .clamp(Duration::from_micros(100), Duration::from_millis(50));
             let (guard, _) = self.cv.wait_timeout(state, wait).unwrap();
@@ -401,8 +408,9 @@ impl ModelGateway {
     }
 
     /// Execute one combined call for `batch` and publish per-item
-    /// results. Runs with the state lock *released*; companions keep
-    /// waiting on the condvar meanwhile.
+    /// results. Runs with the state lock *released*: companions keep
+    /// waiting on the condvar, and other callers run flushes of their
+    /// own meanwhile.
     fn flush(&self, batch: Vec<Slot>, trigger: FlushTrigger) {
         let start = Instant::now();
         // Fail queue-lapsed items locally: a deadline already behind us
@@ -513,53 +521,21 @@ impl ModelGateway {
     /// One upstream call (combined when the batch has companions),
     /// billed into the ledger with per-item attribution.
     fn call_upstream(&self, batch: &[Slot]) -> UpstreamOutcome {
+        let solo = || UpstreamOutcome {
+            prefix_tokens: 0,
+            results: batch.iter().map(|s| self.call_solo(&s.request)).collect(),
+        };
         if batch.len() == 1 {
-            let result = {
-                let upstream = self.upstream.lock().unwrap();
-                self.upstream_calls.inc();
-                upstream.complete(&batch[0].request)
-            };
-            if let Ok(c) = &result {
-                self.ledger.lock().unwrap().record(c.usage, self.pricing);
-            }
-            return UpstreamOutcome {
-                prefix_tokens: 0,
-                results: vec![result],
-            };
+            return solo();
         }
-        let requests: Vec<CompletionRequest> =
-            batch.iter().map(|s| s.request.clone()).collect();
-        let (combined, layout) = match compose_batch(&requests) {
-            Ok(pair) => pair,
-            Err(_) => {
-                // Composition failed (malformed prompt sections):
-                // degrade to serial per-item calls rather than failing
-                // the batch.
-                let upstream = self.upstream.lock().unwrap();
-                let mut ledger = self.ledger.lock().unwrap();
-                let results = requests
-                    .iter()
-                    .map(|r| {
-                        self.upstream_calls.inc();
-                        let result = upstream.complete(r);
-                        if let Ok(c) = &result {
-                            ledger.record(c.usage, self.pricing);
-                        }
-                        result
-                    })
-                    .collect();
-                return UpstreamOutcome {
-                    prefix_tokens: 0,
-                    results,
-                };
-            }
+        let requests: Vec<CompletionRequest> = batch.iter().map(|s| s.request.clone()).collect();
+        let Ok((combined, layout)) = compose_batch(&requests) else {
+            // Composition failed (malformed prompt sections): degrade
+            // to serial per-item calls rather than failing the batch.
+            return solo();
         };
-        let combined_result = {
-            let upstream = self.upstream.lock().unwrap();
-            self.upstream_calls.inc();
-            upstream.complete(&combined)
-        };
-        match combined_result {
+        self.upstream_calls.inc();
+        match self.upstream.complete(&combined) {
             Ok(c) => {
                 self.ledger.lock().unwrap().record_batch(
                     c.usage,
@@ -591,6 +567,16 @@ impl ModelGateway {
                 results: batch.iter().map(|_| Err(e.clone())).collect(),
             },
         }
+    }
+
+    /// One request sent upstream on its own, billed as one query.
+    fn call_solo(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
+        self.upstream_calls.inc();
+        let result = self.upstream.complete(request);
+        if let Ok(c) = &result {
+            self.ledger.lock().unwrap().record(c.usage, self.pricing);
+        }
+        result
     }
 }
 
@@ -901,6 +887,74 @@ mod tests {
         assert_eq!(ledger.batches(), 1);
     }
 
+    /// Calls in flight upstream right now, and the most ever at once.
+    #[derive(Default)]
+    struct InFlight {
+        counts: Mutex<(usize, usize)>,
+        changed: Condvar,
+    }
+
+    /// An upstream whose every call waits (a second at most) for a
+    /// second call to be in flight beside it.
+    struct Rendezvous {
+        inner: SimulatedModel,
+        in_flight: Arc<InFlight>,
+    }
+
+    impl FoundationModel for Rendezvous {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn context_window(&self) -> usize {
+            self.inner.context_window()
+        }
+        fn pricing(&self) -> Pricing {
+            self.inner.pricing()
+        }
+        fn complete(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
+            let InFlight { counts, changed } = &*self.in_flight;
+            let mut c = counts.lock().unwrap();
+            c.0 += 1;
+            c.1 = c.1.max(c.0);
+            changed.notify_all();
+            let (mut c, _) = changed.wait_timeout_while(c, PROMPT, |c| c.1 < 2).unwrap();
+            c.0 -= 1;
+            drop(c);
+            self.inner.complete(request)
+        }
+    }
+
+    #[test]
+    fn by_default_two_callers_calls_are_upstream_at_once() {
+        let in_flight = Arc::new(InFlight::default());
+        let gw = ModelGateway::new(
+            Box::new(Rendezvous {
+                inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+                in_flight: Arc::clone(&in_flight),
+            }),
+            BatchConfig::default(),
+            &Registry::new(),
+            None,
+        );
+        assert_eq!(gw.config().max_batch, 1);
+        std::thread::scope(|scope| {
+            for i in 0..2 {
+                let handle = gw.handle();
+                scope.spawn(move || {
+                    handle
+                        .complete(&request(&format!("how many drops on slice {i}?")))
+                        .unwrap()
+                });
+            }
+        });
+        // Neither call waited on the other: no lock around the upstream,
+        // no flush waiting for another to finish.
+        assert_eq!(in_flight.counts.lock().unwrap().1, 2);
+        let flushes: Vec<_> = gw.flush_log().iter().map(|f| (f.size, f.trigger)).collect();
+        assert_eq!(flushes, [(1, FlushTrigger::Full); 2]);
+        assert_eq!(gw.ledger().batches(), 0);
+    }
+
     #[test]
     fn whole_call_unavailability_fails_every_item_transiently() {
         struct DownModel;
@@ -1140,7 +1194,10 @@ mod tests {
             Box::new(BatchExpander::new(SimulatedModel::new(
                 ModelProfile::gpt4_sim(),
             ))),
-            BatchConfig::default(),
+            BatchConfig {
+                max_batch: 4,
+                ..BatchConfig::default()
+            },
             &registry,
             Some(tracer.clone()),
         );

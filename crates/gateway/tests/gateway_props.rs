@@ -4,9 +4,10 @@
 //!   follower either shares the leader's published value or observes
 //!   the abandon promptly (never outliving a cancelled leader).
 //! * **Batching** — under seeded random arrival schedules, no flush
-//!   exceeds the size bound, every request resolves exactly once, and
-//!   no request with a deadline is *answered* after that deadline has
-//!   lapsed.
+//!   exceeds the size bound, every request resolves exactly once, no
+//!   request with a deadline is *answered* after that deadline has
+//!   lapsed, and under concurrent flushes every caller gets the answer
+//!   to its own request.
 //! * **Semantic cache** — a best neighbor below the similarity floor
 //!   is never served (the EX-parity admission rule), and every hit's
 //!   similarity clears the floor.
@@ -178,6 +179,71 @@ proptest! {
         }
         // Conservation: every arrival was either flushed upstream or
         // failed locally as lapsed — none lost, none duplicated.
+        prop_assert_eq!(flushed, n);
+    }
+}
+
+proptest! {
+    /// Concurrent callers, flushes free to overlap: whoever runs a
+    /// flush, every `Ok` a caller gets is the answer to its *own*
+    /// request — the text a lone simulated model gives it, and at
+    /// `max_batch: 1` the whole completion — and every arrival is
+    /// flushed or lapsed exactly once.
+    #[test]
+    fn concurrent_flushes_deliver_each_caller_its_own_answer(
+        n in 2usize..9,
+        offsets in prop::collection::vec(0u64..3, 9..10),
+        timeouts in prop::collection::vec(0u64..300, 9..10),
+        max_batch in 1usize..5,
+        max_delay_ms in 1u64..4,
+    ) {
+        let gw = ModelGateway::new(
+            Box::new(BatchExpander::new(SimulatedModel::new(
+                ModelProfile::gpt4_sim(),
+            ))),
+            BatchConfig {
+                max_batch,
+                max_delay: Duration::from_millis(max_delay_ms),
+                min_slack: Duration::from_millis(50),
+            },
+            &Registry::new(),
+            None,
+        );
+        let solo = SimulatedModel::new(ModelProfile::gpt4_sim());
+        let requests: Vec<CompletionRequest> = (0..n)
+            .map(|i| {
+                let timeout_ms = if timeouts[i] < 60 { None } else { Some(timeouts[i]) };
+                request(&format!("how many drops on slice {i}?"), timeout_ms)
+            })
+            .collect();
+        let all_started = std::sync::Barrier::new(n);
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = requests
+                .iter()
+                .zip(&offsets)
+                .map(|(req, &offset_ms)| {
+                    let (h, all_started) = (gw.handle(), &all_started);
+                    scope.spawn(move || {
+                        all_started.wait();
+                        std::thread::sleep(Duration::from_millis(offset_ms));
+                        h.complete(req)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (req, result) in requests.iter().zip(&results) {
+            if let Ok(got) = result {
+                let want = solo.complete(req).unwrap();
+                if max_batch == 1 {
+                    prop_assert_eq!(got, &want);
+                } else {
+                    prop_assert_eq!(&got.text, &want.text);
+                }
+            }
+        }
+        let log = gw.flush_log();
+        let flushed: usize = log.iter().map(|f| f.size + f.lapsed).sum();
         prop_assert_eq!(flushed, n);
     }
 }

@@ -150,7 +150,13 @@ impl std::fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// A foundation model: prompt in, completion out.
-pub trait FoundationModel: Send {
+///
+/// `Sync` because one upstream serves every worker at once: the model
+/// gateway shares a single model across its callers and lets their
+/// calls run concurrently, as a hosted API serves concurrent requests.
+/// An implementor that keeps state between calls guards it itself (a
+/// `Mutex` or an atomic), so concurrent calls never need an outer lock.
+pub trait FoundationModel: Send + Sync {
     /// Model identifier, e.g. `gpt-4-sim`.
     fn name(&self) -> &str;
 

@@ -410,8 +410,10 @@ impl QueryService {
     /// and the semantic cache sit on the request path in front of it).
     /// `upstream` is the one real model — typically a
     /// `BatchExpander<SimulatedModel>`, optionally under a
-    /// `FaultyModel` — shared by all workers behind the gateway's
-    /// serialization.
+    /// `FaultyModel` — shared by all workers, whose calls run on it
+    /// concurrently: at the default batch policy each ask's model call
+    /// leaves the moment it is made, and only `max_batch > 1` folds
+    /// overlapping calls into one.
     pub fn spawn_gateway(
         prototype: &DioCopilot,
         upstream: Box<dyn FoundationModel>,

@@ -1,6 +1,6 @@
 //! End-to-end tests of the query service spawned with the model-plane
-//! gateway: cold-pass answer parity through the batching front-end, a
-//! lone client never sitting out the batch delay, singleflight
+//! gateway: cold-pass answer parity one call per ask and through the
+//! batching front-end, a lone client never sitting out the batch delay, singleflight
 //! coalescing under concurrent duplicates, semantic serving of
 //! punctuation paraphrases, and generation invalidation of the semantic
 //! layer.
@@ -61,14 +61,21 @@ fn open_config(workers: usize) -> ServeConfig {
 /// finishes in time.
 const PATIENT_DELAY: Duration = Duration::from_secs(2);
 
-fn patient_gateway() -> GatewayConfig {
+/// A gateway that folds up to four calls into one, so a request may be
+/// held for companions: the tests that use it are about when it is not.
+fn batching_gateway(max_delay: Duration) -> GatewayConfig {
     GatewayConfig {
         batch: BatchConfig {
-            max_delay: PATIENT_DELAY,
+            max_batch: 4,
+            max_delay,
             ..BatchConfig::default()
         },
         ..GatewayConfig::default()
     }
+}
+
+fn patient_gateway() -> GatewayConfig {
+    batching_gateway(PATIENT_DELAY)
 }
 
 /// A model that holds every completion for a fixed pause — long enough
@@ -140,31 +147,34 @@ fn gateway_cold_pass_matches_the_sequential_pipeline() {
         .map(|q| sequential.ask(&q.text, s.world.eval_ts).numeric_answer)
         .collect();
 
-    let service = QueryService::spawn_gateway(
-        &prototype(),
-        upstream(),
-        open_config(4),
+    // One call per ask (the default), then prompts folded four to a call.
+    for gateway in [
         GatewayConfig::default(),
-    );
-    let tickets: Vec<_> = s
-        .questions
-        .iter()
-        .map(|q| {
-            service
-                .submit(QueryRequest::new("ops-a", &q.text, s.world.eval_ts))
-                .expect("open config must admit")
-        })
-        .collect();
-    for (ticket, want) in tickets.into_iter().zip(&expected) {
-        let outcome = ticket.wait();
-        let a = outcome.answer().expect("gateway pass answered");
-        // Batched prompts reconstruct byte-identically upstream, so
-        // the answers match the unbatched sequential pipeline exactly.
-        assert_eq!(a.response.numeric_answer, *want);
+        batching_gateway(BatchConfig::default().max_delay),
+    ] {
+        let service =
+            QueryService::spawn_gateway(&prototype(), upstream(), open_config(4), gateway);
+        let tickets: Vec<_> = s
+            .questions
+            .iter()
+            .map(|q| {
+                service
+                    .submit(QueryRequest::new("ops-a", &q.text, s.world.eval_ts))
+                    .expect("open config must admit")
+            })
+            .collect();
+        for (ticket, want) in tickets.into_iter().zip(&expected) {
+            let outcome = ticket.wait();
+            let a = outcome.answer().expect("gateway pass answered");
+            // Batched prompts reconstruct byte-identically upstream, so
+            // the answers match the unbatched sequential pipeline
+            // exactly.
+            assert_eq!(a.response.numeric_answer, *want, "{:?}", gateway.batch);
+        }
+        let stats = service.gateway_stats().expect("gateway plane present");
+        assert!(stats.ledger.queries() > 0, "gateway billed no model calls");
+        service.shutdown();
     }
-    let stats = service.gateway_stats().expect("gateway plane present");
-    assert!(stats.ledger.queries() > 0, "gateway billed no model calls");
-    service.shutdown();
 }
 
 #[test]

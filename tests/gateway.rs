@@ -3,10 +3,12 @@
 //! `dio::gateway` and every duplicate class is served by the right
 //! layer — exact repeats by the answer cache, concurrent identicals by
 //! singleflight coalescing, punctuation paraphrases by the semantic
-//! cache — with zero EX delta against the sequential pipeline.
+//! cache — with zero EX delta against the sequential pipeline, whether
+//! the gateway sends one call per ask or folds four into one.
 
 use dio::benchmark::{fewshot_exemplars, OperatorWorld, WorldConfig};
 use dio::copilot::CopilotBuilder;
+use dio::gateway::BatchConfig;
 use dio::llm::{
     BatchExpander, Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile,
     Pricing, SimulatedModel,
@@ -57,87 +59,107 @@ fn near_duplicates_are_coalesced_batched_and_semantically_served() {
         .map(|q| sequential.ask(&q.text, world.eval_ts).numeric_answer)
         .collect();
 
-    let service = QueryService::spawn_gateway(
-        &prototype,
-        Box::new(SlowUpstream {
-            inner: Box::new(BatchExpander::new(SimulatedModel::new(
-                ModelProfile::gpt4_sim(),
-            ))),
-            pause: Duration::from_millis(30),
-        }),
-        ServeConfig {
-            workers: 4,
-            queue_depth: 128,
-            tenant: TenantPolicy::unlimited(),
-            ..ServeConfig::default()
-        },
+    // One call per ask (the default), then prompts folded four to a
+    // call: answers are identical either way.
+    for gateway in [
         GatewayConfig::default(),
-    );
-
-    // Cold burst: every unique question in flight at once. The gateway
-    // batches overlapping model calls; answers must still match the
-    // sequential pipeline exactly (EX delta 0 — batched prompts
-    // reconstruct byte-identically upstream).
-    let tickets: Vec<_> = questions
-        .iter()
-        .map(|q| {
-            service
-                .submit(QueryRequest::new("noc", &q.text, world.eval_ts))
-                .expect("open config must admit")
-        })
-        .collect();
-    for (ticket, want) in tickets.into_iter().zip(&expected) {
-        let a = ticket.wait().answer().expect("cold burst answered").clone();
-        assert_eq!(a.response.numeric_answer, *want, "EX drift through gateway");
-    }
-
-    // Concurrent identical burst: 6 copies of one question on 4
-    // workers with a 30ms upstream — the overlap guarantees real
-    // singleflight followers and at most a couple of fresh runs.
-    let dup = &questions[0].text;
-    let dup_tickets: Vec<_> = (0..6)
-        .map(|i| {
-            service
-                .submit(QueryRequest::new(
-                    format!("tenant-{i}"),
-                    format!("  {}  ", dup.to_uppercase()),
-                    world.eval_ts,
-                ))
-                .expect("admitted")
-        })
-        .collect();
-    for t in dup_tickets {
-        let a = t.wait().answer().expect("duplicate answered").clone();
-        assert_eq!(a.response.numeric_answer, expected[0]);
-        // Served by a cheaper layer than a fresh pipeline run: the
-        // answer cache (cold burst already cached the exact key) or a
-        // coalesced follower — never a recompute.
-        assert!(
-            a.answer_cache_hit || a.coalesced,
-            "duplicate recomputed the pipeline"
+        GatewayConfig {
+            batch: BatchConfig {
+                max_batch: 4,
+                ..BatchConfig::default()
+            },
+            ..GatewayConfig::default()
+        },
+    ] {
+        let service = QueryService::spawn_gateway(
+            &prototype,
+            Box::new(SlowUpstream {
+                inner: Box::new(BatchExpander::new(SimulatedModel::new(
+                    ModelProfile::gpt4_sim(),
+                ))),
+                pause: Duration::from_millis(30),
+            }),
+            ServeConfig {
+                workers: 4,
+                queue_depth: 128,
+                tenant: TenantPolicy::unlimited(),
+                ..ServeConfig::default()
+            },
+            gateway,
         );
+
+        // Cold burst: every unique question in flight at once. Folded
+        // or not, answers must match the sequential pipeline exactly
+        // (EX delta 0 — batched prompts reconstruct byte-identically
+        // upstream).
+        let tickets: Vec<_> = questions
+            .iter()
+            .map(|q| {
+                service
+                    .submit(QueryRequest::new("noc", &q.text, world.eval_ts))
+                    .expect("open config must admit")
+            })
+            .collect();
+        for (ticket, want) in tickets.into_iter().zip(&expected) {
+            let a = ticket.wait().answer().expect("cold burst answered").clone();
+            assert_eq!(
+                a.response.numeric_answer, *want,
+                "EX drift through gateway {:?}",
+                gateway.batch
+            );
+        }
+
+        // Concurrent identical burst: 6 copies of one question on 4
+        // workers with a 30ms upstream — the overlap guarantees real
+        // singleflight followers and at most a couple of fresh runs.
+        let dup = &questions[0].text;
+        let dup_tickets: Vec<_> = (0..6)
+            .map(|i| {
+                service
+                    .submit(QueryRequest::new(
+                        format!("tenant-{i}"),
+                        format!("  {}  ", dup.to_uppercase()),
+                        world.eval_ts,
+                    ))
+                    .expect("admitted")
+            })
+            .collect();
+        for t in dup_tickets {
+            let a = t.wait().answer().expect("duplicate answered").clone();
+            assert_eq!(a.response.numeric_answer, expected[0]);
+            // Served by a cheaper layer than a fresh pipeline run: the
+            // answer cache (cold burst already cached the exact key) or
+            // a coalesced follower — never a recompute.
+            assert!(
+                a.answer_cache_hit || a.coalesced,
+                "duplicate recomputed the pipeline"
+            );
+        }
+
+        // Punctuation paraphrase: misses both exact caches (different
+        // normalized key) but embeds identically, so the semantic layer
+        // serves the neighbor's answer verbatim.
+        let paraphrase = format!("{} ?", questions[1].text.trim_end_matches('?'));
+        assert_ne!(
+            dio::serve::normalize_question(&questions[1].text),
+            dio::serve::normalize_question(&paraphrase)
+        );
+        let a = service
+            .ask("noc", &paraphrase, world.eval_ts)
+            .answer()
+            .expect("paraphrase answered")
+            .clone();
+        assert!(a.semantic_cache_hit, "paraphrase should serve semantically");
+        assert_eq!(
+            a.response.numeric_answer, expected[1],
+            "EX drift via semantic hit"
+        );
+
+        let stats = service.gateway_stats().expect("gateway plane present");
+        assert!(stats.ledger.queries() > 0, "gateway billed no model calls");
+        assert_eq!(stats.timeouts, 0);
+        let sem = stats.semantic.expect("semantic layer on by default");
+        assert!(sem.hits >= 1);
+        service.shutdown();
     }
-
-    // Punctuation paraphrase: misses both exact caches (different
-    // normalized key) but embeds identically, so the semantic layer
-    // serves the neighbor's answer verbatim.
-    let paraphrase = format!("{} ?", questions[1].text.trim_end_matches('?'));
-    assert_ne!(
-        dio::serve::normalize_question(&questions[1].text),
-        dio::serve::normalize_question(&paraphrase)
-    );
-    let a = service
-        .ask("noc", &paraphrase, world.eval_ts)
-        .answer()
-        .expect("paraphrase answered")
-        .clone();
-    assert!(a.semantic_cache_hit, "paraphrase should serve semantically");
-    assert_eq!(a.response.numeric_answer, expected[1], "EX drift via semantic hit");
-
-    let stats = service.gateway_stats().expect("gateway plane present");
-    assert!(stats.ledger.queries() > 0, "gateway billed no model calls");
-    assert_eq!(stats.timeouts, 0);
-    let sem = stats.semantic.expect("semantic layer on by default");
-    assert!(sem.hits >= 1);
-    service.shutdown();
 }
