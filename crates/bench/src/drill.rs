@@ -427,7 +427,8 @@ impl Burst {
 /// provably lapses at any world size or machine speed; the floor only
 /// keeps scheduler jitter from deciding the drill and must stay below
 /// 3× a quick-world ask (≈ 2–3 ms since a quick ask takes ≈ 0.7–1 ms)
-/// or nothing ever lapses.
+/// or nothing ever lapses. A drill that needs more room against jitter
+/// raises its own floor on top (`model_gateway`'s one burst).
 const DEADLINE_MULT: u32 = 3;
 const DEADLINE_FLOOR: Duration = Duration::from_millis(1);
 /// Scheduling grace for the `at_micros` audit and for "late" answers:
