@@ -17,11 +17,13 @@
 //! 2. `semantic` — *near*-duplicates (paraphrases) are served from an
 //!    embedding-similarity cache behind the exact caches, gated by a
 //!    cosine floor and the knowledge-generation atomic.
-//! 3. `model` — what still reaches the model is **batched**: a
-//!    bounded-delay, bounded-size, deadline-aware accumulator answers K
-//!    queued prompts in one combined call, pricing the shared prefix
-//!    once per batch. Callers announce their jobs, so the accumulator
-//!    never holds a request for a companion that cannot come.
+//! 3. `model` — what still reaches the model goes upstream as one call
+//!    per ask by default, and no call waits on another. A caller that
+//!    sets `max_batch > 1` gets it **batched**: a bounded-delay,
+//!    bounded-size, deadline-aware accumulator answers K queued prompts
+//!    in one combined call, pricing the shared prefix once per batch.
+//!    Callers announce their jobs, so the accumulator never holds a
+//!    request for a companion that cannot come.
 //!
 //! `normalize` hosts the question normalizer both the serve-tier
 //! answer cache and the singleflight keyer share (serve re-exports it),

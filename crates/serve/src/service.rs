@@ -120,7 +120,7 @@ pub struct GatewayStats {
 }
 
 /// The per-service gateway plane: one singleflight map, one semantic
-/// cache, one shared batching model — all workers go through them.
+/// cache, one shared model front-end — all workers go through them.
 struct GatewayPlane {
     flights: Singleflight<CopilotResponse>,
     semantic: Option<SemanticCache<CopilotResponse>>,
@@ -634,8 +634,9 @@ fn retry_hint(queue_len: usize, workers: usize, floor: Duration) -> Duration {
 
 fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
     let gateway_handle = core.gateway.as_ref().map(|gw| &gw.handles[worker]);
-    // This worker's job on the model gateway: while it is open the
-    // gateway holds queued model calls for this worker. It is opened at
+    // This worker's job on the model gateway: while it is open a
+    // gateway that folds calls (`max_batch > 1`) holds queued model
+    // calls for this worker. It is opened at
     // pickup and stays open for as long as the worker has a request in
     // hand or had the next one waiting when it finished; a worker that
     // goes idle closes it, so nobody waits for a companion that cannot
