@@ -2,7 +2,11 @@
 //! per ask on the default world, for the whole ask and for each public
 //! layer `perf/`'s traced `ask_cold` probes — the question embed,
 //! `retrieve_vec`, the prompt build, the model's `complete`, the PromQL
-//! parse, the sandbox's execute and `generate_dashboard`.
+//! parse, the sandbox's execute and `generate_dashboard`. The prompt
+//! build is probed as the pipeline builds: from pieces rendered before
+//! the ask (context lines when the index is built, exemplar and function
+//! pieces when the copilot is), where `perf/` probes the `ContextItem`
+//! entry point that renders them per call.
 //!
 //! Every layer has a ceiling at its measured count + 2 %. A ceiling moves
 //! only in the commit that changes its layer, with the reason written
@@ -15,7 +19,7 @@ use dio_bench::Experiment;
 use dio_copilot::CopilotConfig;
 use dio_dashboard::{generate_dashboard, PanelSpecHint, TimeRange};
 use dio_llm::{
-    CompletionRequest, ContextItem, FoundationModel, ModelProfile, PromptBuilder, SimulatedModel,
+    CompletionRequest, FoundationModel, ModelProfile, PromptBuilder, PromptPiece, SimulatedModel,
     TaskKind,
 };
 use dio_sandbox::{SafetyPolicy, Sandbox};
@@ -86,11 +90,11 @@ fn counted<T>(into: &mut Tally, f: impl FnOnce() -> T) -> T {
 /// in allocations per ask: the larger pass's count + 2 %. Debug, release
 /// and one-core runs count the same.
 const LAYERS: [(&str, f64); 8] = [
-    ("copilot.ask", 883.12),
-    ("embed.question", 16.35),
+    ("copilot.ask", 450.63),
+    ("embed.question", 12.79),
     ("copilot.retrieve_vec", 69.36),
-    ("llm.prompt_build", 362.15),
-    ("llm.complete", 149.40),
+    ("llm.prompt_build", 11.22),
+    ("llm.complete", 130.66),
     ("promql.parse", 11.95),
     ("sandbox.execute", 87.31),
     ("dashboard.generate", 20.17),
@@ -120,6 +124,13 @@ fn ask_path_allocations_stay_under_their_ceilings() {
     let mut sandbox = Sandbox::new(exp.world.store.clone(), SafetyPolicy::default());
     let window = model.context_window();
     let reserved = config.max_output_tokens.min(window / 4);
+    let exemplar_pieces: Vec<PromptPiece> =
+        exp.exemplars.iter().map(PromptPiece::example).collect();
+    let function_pieces: Vec<PromptPiece> = db
+        .functions()
+        .take(4)
+        .map(|f| PromptPiece::item(&f.name, &first_sentence(&f.description)))
+        .collect();
 
     let mut ledger = [[Tally::default(); LAYERS.len()]; PASSES];
     for pass in &mut ledger {
@@ -131,25 +142,22 @@ fn ask_path_allocations_stay_under_their_ceilings() {
             let retrieved = counted(retrieve, || {
                 extractor.retrieve_vec(&q.text, Some(&qvec), config.top_k)
             });
-            let context: Vec<ContextItem> = retrieved
+            let context: Vec<(PromptPiece, f32)> = retrieved
                 .iter()
-                .map(|h| ContextItem {
-                    name: h.sample.name.clone(),
-                    text: first_sentence(&h.sample.text),
-                    relevance: h.score,
+                .map(|h| {
+                    let line = PromptPiece::item(&h.sample.name, &first_sentence(&h.sample.text));
+                    (line, h.score)
                 })
                 .collect();
             let prompt = counted(prompt_build, || {
-                let mut b = PromptBuilder::new()
+                PromptBuilder::new()
                     .system(SYSTEM_PROMPT)
-                    .context(context)
-                    .examples(exp.exemplars.iter().take(config.max_exemplars).cloned())
+                    .context_pieces(context.iter().map(|(line, score)| (line, *score)))
+                    .function_pieces(&function_pieces)
+                    .example_pieces(exemplar_pieces.iter().take(config.max_exemplars))
                     .question(q.text.as_str())
-                    .task(TaskKind::GeneratePromql);
-                for f in db.functions().take(4) {
-                    b = b.function(&f.name, first_sentence(&f.description));
-                }
-                b.build(window, reserved)
+                    .task(TaskKind::GeneratePromql)
+                    .build(window, reserved)
             });
             let request = CompletionRequest {
                 prompt,

@@ -4,10 +4,13 @@
 //! in a vector index; online, the question is embedded and the top-k
 //! most cosine-similar samples become the prompt context.
 
+use crate::pipeline::first_sentence;
 use dio_catalog::{DocSample, DomainDb};
 use dio_embed::{Embedder, EmbedderConfig};
+use dio_llm::PromptPiece;
 use dio_vecstore::{DocIndex, FlatIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -18,6 +21,40 @@ pub struct Retrieved {
     pub sample: DocSample,
     /// Cosine similarity to the question.
     pub score: f32,
+    /// Where the sample sits in the extractor that retrieved it, which
+    /// keeps its rendered context line there.
+    doc: usize,
+}
+
+/// One indexed document: the sample, and its prompt context line
+/// (`<<ITEM>> name: first sentence`) rendered and priced when the index
+/// is built, so an ask copies the line instead of formatting it.
+#[derive(Debug, Clone)]
+struct Doc {
+    sample: DocSample,
+    line: PromptPiece,
+}
+
+impl Doc {
+    fn new(sample: DocSample) -> Self {
+        let line = PromptPiece::item(&sample.name, &first_sentence(&sample.text));
+        Doc { sample, line }
+    }
+}
+
+// A document reads as its sample, so the payload store serves every
+// reader of samples; only the prompt path asks for the line.
+impl std::ops::Deref for Doc {
+    type Target = DocSample;
+    fn deref(&self) -> &DocSample {
+        &self.sample
+    }
+}
+
+impl Borrow<DocSample> for Doc {
+    fn borrow(&self) -> &DocSample {
+        &self.sample
+    }
 }
 
 /// Work accounting for one retrieval, fed into `dio-obs`.
@@ -52,9 +89,9 @@ pub enum RetrievalMode {
 
 #[derive(Clone)]
 enum IndexKind {
-    Flat(DocIndex<FlatIndex, DocSample>),
-    Ivf(DocIndex<IvfIndex, DocSample>),
-    Random { samples: Vec<DocSample>, seed: u64 },
+    Flat(DocIndex<FlatIndex, Doc>),
+    Ivf(DocIndex<IvfIndex, Doc>),
+    Random { samples: Vec<Doc>, seed: u64 },
 }
 
 /// Embedder + vector index over the domain DB's text samples.
@@ -86,6 +123,7 @@ impl ContextExtractor {
             EmbedderConfig::generic()
         };
         let texts: Vec<String> = samples.iter().map(|s| s.embedding_text()).collect();
+        let samples: Vec<Doc> = samples.into_iter().map(Doc::new).collect();
         let embedder = Embedder::fit(&config, texts.iter().map(|s| s.as_str()));
         let dims = embedder.dims();
         // Lazy: a flat build moves each embedding into the matrix as
@@ -137,7 +175,7 @@ impl ContextExtractor {
                 let samples = index.into_parts().1;
                 let vectors = samples
                     .iter()
-                    .map(|s| self.embedder.embed(&s.embedding_text()));
+                    .map(|d| self.embedder.embed(&d.embedding_text()));
                 ("flat", FlatIndex::from_vectors(dims, vectors), samples)
             }
             random @ IndexKind::Random { .. } => {
@@ -224,12 +262,27 @@ impl ContextExtractor {
         }
     }
 
+    /// The context line of a sample this extractor retrieved, rendered
+    /// when the index was built.
+    ///
+    /// # Panics
+    ///
+    /// When `hit` came from an extractor holding fewer samples.
+    pub(crate) fn line(&self, hit: &Retrieved) -> &PromptPiece {
+        let doc = match &self.index {
+            IndexKind::Flat(i) => i.get(hit.doc),
+            IndexKind::Ivf(i) => i.get(hit.doc),
+            IndexKind::Random { samples, .. } => samples.get(hit.doc),
+        };
+        &doc.expect("a hit retrieved by this extractor").line
+    }
+
     /// One search of any index backend: prefetch `4k` hits, let MMR pick
-    /// `k` of them, and clone their payloads. An id the payload store
+    /// `k` of them, and clone their samples. An id the payload store
     /// does not hold yields no hit.
-    fn search_docs<I: VectorIndex>(
+    fn search_docs<I: VectorIndex, D: Borrow<DocSample>>(
         &self,
-        index: &DocIndex<I, DocSample>,
+        index: &DocIndex<I, D>,
         question: &str,
         qvec: Option<&dio_embed::Vector>,
         k: usize,
@@ -250,8 +303,9 @@ impl ContextExtractor {
             .into_iter()
             .filter_map(|hit| {
                 Some(Retrieved {
-                    sample: index.get(hit.id)?.clone(),
+                    sample: index.get(hit.id)?.borrow().clone(),
                     score: hit.score,
+                    doc: hit.id,
                 })
             })
             .collect();
@@ -351,7 +405,7 @@ fn mmr(index: &impl VectorIndex, hits: Vec<SearchHit>, k: usize) -> Vec<SearchHi
 }
 
 /// Degenerate random mode: deterministic pseudo-random picks.
-fn random_context(samples: &[DocSample], seed: u64, question: &str, k: usize) -> Vec<Retrieved> {
+fn random_context(samples: &[Doc], seed: u64, question: &str, k: usize) -> Vec<Retrieved> {
     if samples.is_empty() {
         return Vec::new();
     }
@@ -368,8 +422,9 @@ fn random_context(samples: &[DocSample], seed: u64, question: &str, k: usize) ->
         let idx = (h % samples.len() as u64) as usize;
         if picked.insert(idx) {
             out.push(Retrieved {
-                sample: samples[idx].clone(),
+                sample: samples[idx].sample.clone(),
                 score: 0.0,
+                doc: idx,
             });
         }
     }

@@ -3,7 +3,7 @@
 use crate::answer::{CopilotResponse, RelevantMetric};
 use crate::config::CopilotConfig;
 use crate::error::CopilotError;
-use crate::extractor::ContextExtractor;
+use crate::extractor::{ContextExtractor, Retrieved};
 use crate::obs::{note_breaker_transition, register_zero_instruments};
 use crate::recovery::{CircuitBreaker, DegradationLevel, RecoveryPolicy, RecoveryStats};
 use crate::trace::PipelineTrace;
@@ -11,8 +11,8 @@ use dio_catalog::DomainDb;
 use dio_dashboard::{generate_dashboard, PanelSpecHint, TimeRange};
 use dio_feedback::{Contribution, IssueId, IssueTracker, TrackerError};
 use dio_llm::{
-    CompletionRequest, ContextItem, CostMeter, FewShotExample, FoundationModel, ModelProfile,
-    ObservedModel, PromptBuilder, SimulatedModel, TaskKind, TokenUsage,
+    CompletionRequest, CostMeter, FewShotExample, FoundationModel, ModelProfile, ObservedModel,
+    PromptBuilder, PromptPiece, SimulatedModel, TaskKind, TokenUsage,
 };
 use dio_faults::{DataFaultKind, Injector};
 use dio_obs::{Buckets, Budget, ObsHub, SpanContext, TraceStatus};
@@ -106,6 +106,7 @@ impl CopilotBuilder {
             extractor: Arc::new(extractor),
             sandbox,
             retrieval_chaos,
+            pieces: Arc::new(SharedPieces::render(&self.db, &self.exemplars)),
             db: Arc::new(self.db),
             config: self.config,
             model,
@@ -122,7 +123,8 @@ impl CopilotBuilder {
 /// The assembled copilot.
 ///
 /// Shared, read-mostly state — the domain DB, the embedded retrieval
-/// index, the few-shot pool, and (inside the sandbox engine) the metric
+/// index with its rendered context lines, the few-shot pool and its
+/// rendered prompt pieces, and (inside the sandbox engine) the metric
 /// store — rides behind `Arc`s so [`DioCopilot::fork_with_model`] can
 /// stamp out per-worker pipeline instances without re-running the
 /// offline embedding pass or copying the tsdb. Per-request/per-worker
@@ -138,6 +140,9 @@ pub struct DioCopilot {
     sandbox: Sandbox,
     retrieval_chaos: Option<Injector>,
     exemplars: Arc<Vec<FewShotExample>>,
+    /// The exemplars and the expert functions as prompt pieces,
+    /// re-rendered whenever either changes.
+    pieces: Arc<SharedPieces>,
     tracker: IssueTracker,
     meter: CostMeter,
     breaker: CircuitBreaker,
@@ -397,6 +402,7 @@ impl DioCopilot {
             sandbox,
             retrieval_chaos: None,
             exemplars: Arc::clone(&self.exemplars),
+            pieces: Arc::clone(&self.pieces),
             tracker: IssueTracker::new(),
             meter: CostMeter::new(),
             breaker: CircuitBreaker::new(&self.config.recovery),
@@ -562,7 +568,7 @@ impl DioCopilot {
                 &ask,
                 PromptBuilder::new()
                     .system(SYSTEM_PROMPT)
-                    .context(gen_context(&hits, &[]))
+                    .context_pieces(gen_context(&self.extractor, &hits, &[]))
                     .question(question)
                     .task(TaskKind::IdentifyMetrics),
             );
@@ -587,7 +593,8 @@ impl DioCopilot {
         let gen_request = self.codegen_request(
             &ask,
             SYSTEM_PROMPT,
-            gen_context(&hits, &identified),
+            &hits,
+            &identified,
             TaskKind::GeneratePromql,
         );
         let generated = self.generate(&mut ask, &gen_request);
@@ -773,7 +780,7 @@ impl DioCopilot {
     /// Render `prompt` into a model request for this ask: the ask's
     /// window budget, the configured sampling, and a per-call timeout
     /// of whatever the request budget has left (unbounded: no cap).
-    fn model_request(&self, ask: &Ask<'_>, prompt: PromptBuilder) -> CompletionRequest {
+    fn model_request(&self, ask: &Ask<'_>, prompt: PromptBuilder<'_>) -> CompletionRequest {
         let timeout_ms = ask.req.budget.remaining().map(|left| left.as_millis() as u64);
         CompletionRequest {
             prompt: prompt.build(ask.window, ask.reserved),
@@ -785,28 +792,23 @@ impl DioCopilot {
 
     /// The code-generation request, first try and repair alike: same
     /// context, exemplars, expert functions and question; only the
-    /// system section and the task differ.
+    /// system section and the task differ. Every piece is borrowed as
+    /// it was rendered ahead of the ask.
     fn codegen_request(
         &self,
         ask: &Ask<'_>,
         system: impl Into<String>,
-        context: Vec<ContextItem>,
+        hits: &[Retrieved],
+        identified: &[String],
         task: TaskKind,
     ) -> CompletionRequest {
-        let mut prompt = PromptBuilder::new()
+        let prompt = PromptBuilder::new()
             .system(system)
-            .context(context)
-            .examples(
-                self.exemplars
-                    .iter()
-                    .take(self.config.max_exemplars)
-                    .cloned(),
-            )
+            .context_pieces(gen_context(&self.extractor, hits, identified))
+            .function_pieces(&self.pieces.functions)
+            .example_pieces(self.pieces.exemplars.iter().take(self.config.max_exemplars))
             .question(ask.req.question)
             .task(task);
-        for f in self.db.functions().take(4) {
-            prompt = prompt.function(&f.name, first_sentence(&f.description));
-        }
         self.model_request(ask, prompt)
     }
 
@@ -915,7 +917,7 @@ impl DioCopilot {
         ask: &mut Ask<'_>,
         generated: Result<String, CopilotError>,
         identified: &[String],
-        hits: &[crate::extractor::Retrieved],
+        hits: &[Retrieved],
     ) -> ExecResolution {
         let mut query = match generated {
             Ok(q) => q,
@@ -1020,7 +1022,8 @@ impl DioCopilot {
                     "{SYSTEM_PROMPT}\nThe previous query failed in the sandbox.\n\
                      Failed query: {query}\nSandbox: {sandbox_err}\nFix: {hint}"
                 ),
-                gen_context(hits, identified),
+                hits,
+                identified,
                 TaskKind::RepairPromql,
             );
             match self.generate(ask, &repair_request) {
@@ -1058,7 +1061,7 @@ impl DioCopilot {
         ask: &mut Ask<'_>,
         failed_query: String,
         error: CopilotError,
-        hits: &[crate::extractor::Retrieved],
+        hits: &[Retrieved],
     ) -> ExecResolution {
         ask.stats.degraded = true;
         ask.obs.tracer().event(
@@ -1114,8 +1117,9 @@ impl DioCopilot {
 
     /// Resolve an issue with an expert contribution. The contribution
     /// merges into the domain DB (attributed), exemplars extend the
-    /// few-shot pool, and the retrieval index is rebuilt so new context
-    /// is immediately searchable.
+    /// few-shot pool, and the retrieval index (with its context lines)
+    /// and the shared prompt pieces are rebuilt, so new context is
+    /// immediately searchable and shown as it now renders.
     pub fn resolve_issue(
         &mut self,
         id: IssueId,
@@ -1137,6 +1141,7 @@ impl DioCopilot {
             self.config.domain_embedder,
             self.config.retrieval,
         ));
+        self.pieces = Arc::new(SharedPieces::render(&self.db, &self.exemplars));
         // Publish the knowledge update: serving caches watching this
         // generation drop answers computed against the old catalog.
         self.generation.fetch_add(1, Ordering::AcqRel);
@@ -1148,31 +1153,48 @@ impl DioCopilot {
 const SYSTEM_PROMPT: &str = "You are DIO copilot, a natural language interface for retrieval \
 and analytics tasks on 5G operator data. Use only metrics from CONTEXT. Answer with PromQL.";
 
-/// The context a prompt shows: the retrieved items `identified` names,
-/// or all of them when it names none (merged mode, or an empty
-/// two-stage selection). Built per request and moved into the builder;
-/// a repair round, the rare path, builds it again.
-fn gen_context(hits: &[crate::extractor::Retrieved], identified: &[String]) -> Vec<ContextItem> {
-    let item = |h: &crate::extractor::Retrieved| ContextItem {
-        name: h.sample.name.clone(),
-        text: first_sentence(&h.sample.text),
-        relevance: h.score,
-    };
-    let selected: Vec<ContextItem> = hits
-        .iter()
-        .filter(|h| identified.contains(&h.sample.name))
-        .map(item)
-        .collect();
-    if selected.is_empty() {
-        hits.iter().map(item).collect()
-    } else {
-        selected
+/// The prompt pieces every code-generation prompt shows besides its
+/// context: one block per exemplar and the lines of the first four
+/// expert functions, rendered and priced together whenever either
+/// changes, never during an ask.
+#[derive(Debug)]
+struct SharedPieces {
+    exemplars: Vec<PromptPiece>,
+    functions: Vec<PromptPiece>,
+}
+
+impl SharedPieces {
+    fn render(db: &DomainDb, exemplars: &[FewShotExample]) -> Self {
+        SharedPieces {
+            exemplars: exemplars.iter().map(PromptPiece::example).collect(),
+            functions: db
+                .functions()
+                .take(4)
+                .map(|f| PromptPiece::item(&f.name, &first_sentence(&f.description)))
+                .collect(),
+        }
     }
+}
+
+/// The context a prompt shows: the lines of the retrieved items
+/// `identified` names, or of all of them when it names none (merged
+/// mode, or an empty two-stage selection), each with its score. The
+/// lines are borrowed from `extractor`, which retrieved `hits`.
+fn gen_context<'a>(
+    extractor: &'a ContextExtractor,
+    hits: &'a [Retrieved],
+    identified: &'a [String],
+) -> impl Iterator<Item = (&'a PromptPiece, f32)> + 'a {
+    let named = |h: &Retrieved| identified.contains(&h.sample.name);
+    let all = !hits.iter().any(named);
+    hits.iter()
+        .filter(move |h| all || named(h))
+        .map(|h| (extractor.line(h), h.score))
 }
 
 /// First sentence of a description (keeps prompts within the paper's
 /// cost envelope while preserving the discriminative tokens).
-fn first_sentence(text: &str) -> String {
+pub(crate) fn first_sentence(text: &str) -> String {
     match text.find(". ") {
         Some(i) => text[..=i].to_string(),
         None => text.to_string(),
@@ -1999,5 +2021,128 @@ mod tests {
         assert_eq!(r.data_completeness, dio_sandbox::DataCompleteness::Complete);
         assert!(r.trace.recovery.data_faults > 0);
         assert!(cp.retrieval_chaos.as_ref().unwrap().injected_latency_micros() > 0);
+    }
+
+    /// Delegates to a simulated model and keeps the text of every
+    /// prompt it is sent.
+    struct Recording {
+        inner: SimulatedModel,
+        prompts: Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl FoundationModel for Recording {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn context_window(&self) -> usize {
+            self.inner.context_window()
+        }
+        fn pricing(&self) -> dio_llm::Pricing {
+            self.inner.pricing()
+        }
+        fn complete(
+            &self,
+            request: &CompletionRequest,
+        ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
+            self.prompts.lock().unwrap().push(request.prompt.text.clone());
+            self.inner.complete(request)
+        }
+    }
+
+    /// The generation prompt of `question` as it was rendered before
+    /// prompts were assembled from pieces: every line formatted from the
+    /// copilot's current catalog, retrieval and exemplars, per ask.
+    fn rendered_per_ask(cp: &DioCopilot, question: &str) -> String {
+        let hits = cp.extractor().retrieve(question, cp.config.top_k);
+        let window = cp.model.context_window();
+        let mut prompt = PromptBuilder::new()
+            .system(SYSTEM_PROMPT)
+            .context(hits.iter().map(|h| dio_llm::ContextItem {
+                name: h.sample.name.clone(),
+                text: first_sentence(&h.sample.text),
+                relevance: h.score,
+            }))
+            .examples(cp.exemplars().iter().take(cp.config.max_exemplars).cloned())
+            .question(question)
+            .task(TaskKind::GeneratePromql);
+        for f in cp.db().functions().take(4) {
+            prompt = prompt.function(&f.name, first_sentence(&f.description));
+        }
+        let reserved = cp.config.max_output_tokens.min(window / 4);
+        prompt.build(window, reserved).text
+    }
+
+    #[test]
+    fn knowledge_updates_reach_the_next_prompt_as_rendered_per_ask() {
+        let (db, store, ts) = world();
+        let prompts = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut cp = CopilotBuilder::new(db, store)
+            .exemplars(exemplars())
+            .model(Box::new(Recording {
+                inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+                prompts: Arc::clone(&prompts),
+            }))
+            .build();
+        let q = "How many frobnicator wobble resets did the AMF handle?";
+        let sent = |cp: &mut DioCopilot| {
+            prompts.lock().unwrap().clear();
+            cp.ask(q, ts);
+            prompts.lock().unwrap()[0].clone()
+        };
+        assert_eq!(sent(&mut cp), rendered_per_ask(&cp, q));
+
+        // A metric document, an exemplar and a function that sorts
+        // first among the four the prompt shows.
+        let mut metric = cp.db().metrics().next().unwrap().clone();
+        metric.name = "amfcc_frobnicator_wobble_reset".into();
+        metric.description = "The number of frobnicator wobble resets handled by AMF. \
+                              Pegged once per reset."
+            .into();
+        let mut function = cp.db().functions().next().unwrap().clone();
+        function.name = "aaa_wobble_ratio".into();
+        function.description = "The share of frobnicator wobbles that reset. Percent.".into();
+        let exemplar = Contribution::Exemplar {
+            question: "How many frobnicator wobble resets happened?".into(),
+            metrics: vec!["amfcc_frobnicator_wobble_reset".into()],
+            promql: "sum(amfcc_frobnicator_wobble_reset)".into(),
+        };
+        let r = cp.ask(q, ts);
+        for contribution in [
+            Contribution::MetricDoc(metric),
+            exemplar,
+            Contribution::Function(function),
+        ] {
+            let issue = cp.request_expert_help(&r);
+            cp.resolve_issue(issue, "expert:carol", contribution).unwrap();
+        }
+
+        let after = sent(&mut cp);
+        assert_eq!(after, rendered_per_ask(&cp, q));
+        for shown in [
+            "<<ITEM>> amfcc_frobnicator_wobble_reset: The number of frobnicator wobble resets \
+             handled by AMF.\n",
+            "<<Q>> How many frobnicator wobble resets happened?\n\
+             <<METRICS>> amfcc_frobnicator_wobble_reset\n\
+             <<PROMQL>> sum(amfcc_frobnicator_wobble_reset)\n",
+            "<<ITEM>> aaa_wobble_ratio: The share of frobnicator wobbles that reset.\n",
+        ] {
+            assert!(after.contains(shown), "{shown:?} missing from\n{after}");
+        }
+    }
+
+    #[test]
+    fn forks_share_the_rendered_pieces() {
+        let (cp, _) = copilot();
+        let fork = cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
+        assert!(Arc::ptr_eq(&cp.pieces, &fork.pieces));
+        assert!(!cp.pieces.exemplars.is_empty() && !cp.pieces.functions.is_empty());
+        // Context lines live in the shared extractor: a fork's hit
+        // borrows the very line its parent's does.
+        let q = "How many initial registration attempts did the AMF handle?";
+        let (mine, theirs) = (cp.extractor().retrieve(q, 29), fork.extractor().retrieve(q, 29));
+        assert_eq!(mine, theirs);
+        for hit in &mine {
+            assert!(std::ptr::eq(cp.extractor.line(hit), fork.extractor.line(hit)));
+        }
     }
 }

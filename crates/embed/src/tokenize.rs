@@ -7,10 +7,21 @@
 //! counter names decompose into their parts), and keeps digit groups as
 //! tokens (interface names like `n1`, spec numbers like `24.501` become
 //! `n1`, `24`, `501`).
+//!
+//! Catalog text and questions are almost all ASCII, so [`WordBuf`]
+//! reads an ASCII `char` with the ASCII tests and sends only the others
+//! through Unicode's. The words come out the same bytes: on ASCII,
+//! `char::is_alphanumeric` is `is_ascii_alphanumeric` and
+//! `char::to_lowercase` yields the one `char` `to_ascii_lowercase`
+//! gives, while a non-ASCII `char` (`Σ`, `İ`, the Kelvin sign that
+//! lower-cases to an ASCII `k`) still goes through `to_lowercase`. The
+//! `char`-only loop is kept as the test oracle.
 
 /// Tokens that carry almost no discriminative signal in either questions
 /// or metric descriptions. Kept deliberately small: words like "number"
 /// or "total" *do* discriminate between counter kinds in this domain.
+/// [`is_stopword`] matches exactly these; the list is its oracle.
+#[cfg(test)]
 const STOPWORDS: &[&str] = &[
     "a", "an", "the", "of", "in", "on", "by", "to", "for", "is", "are", "was", "were", "be",
     "and", "or", "as", "at", "it", "its", "this", "that", "with", "from", "which", "what",
@@ -41,7 +52,45 @@ impl WordBuf {
     }
 
     /// Append the words of `text`; the returned range indexes them.
+    ///
+    /// An ASCII `char` is read with the ASCII tests, which are the
+    /// Unicode ones restricted to ASCII: `is_ascii_alphanumeric` is
+    /// `is_alphanumeric` there and `to_ascii_lowercase` is the one
+    /// `char` `to_lowercase` yields. Every other `char` takes the
+    /// Unicode path, so the words are the same bytes either way.
     pub fn push_text(&mut self, text: &str) -> std::ops::Range<usize> {
+        let first = self.ends.len();
+        self.text.reserve(text.len());
+        let mut open = false;
+        for ch in text.chars() {
+            let word_char = if ch.is_ascii() {
+                ch.is_ascii_alphanumeric()
+            } else {
+                ch.is_alphanumeric()
+            };
+            if word_char {
+                if ch.is_ascii() {
+                    self.text.push(ch.to_ascii_lowercase());
+                } else {
+                    self.text.extend(ch.to_lowercase());
+                }
+                open = true;
+            } else if open {
+                self.ends.push(self.text.len());
+                open = false;
+            }
+        }
+        if open {
+            self.ends.push(self.text.len());
+        }
+        first..self.ends.len()
+    }
+
+    /// [`WordBuf::push_text`] as it was before the ASCII path: every
+    /// `char` through `is_alphanumeric` and `to_lowercase`. The oracle
+    /// the fast path is held to.
+    #[cfg(test)]
+    fn push_text_chars(&mut self, text: &str) -> std::ops::Range<usize> {
         let first = self.ends.len();
         let mut open = false;
         for ch in text.chars() {
@@ -79,8 +128,16 @@ impl WordBuf {
     }
 }
 
+/// One of `STOPWORDS`, by a `match` the compiler dispatches on length
+/// and bytes instead of comparing the word with each in turn.
 fn is_stopword(word: &str) -> bool {
-    STOPWORDS.contains(&word)
+    matches!(
+        word,
+        "a" | "an" | "the" | "of" | "in" | "on" | "by" | "to" | "for" | "is" | "are" | "was"
+            | "were" | "be" | "and" | "or" | "as" | "at" | "it" | "its" | "this" | "that"
+            | "with" | "from" | "which" | "what" | "when" | "how" | "me" | "my" | "do" | "does"
+            | "did" | "please" | "show" | "tell" | "give"
+    )
 }
 
 /// Lower-case a string and split it into alphanumeric word tokens, each
@@ -245,5 +302,61 @@ mod tests {
         let t = words("débit montant du UPF — 5G cœur");
         assert!(t.contains(&"débit".to_string()));
         assert!(t.contains(&"cœur".to_string()));
+    }
+    /// Characters at every edge of the ASCII path: ASCII letters of both
+    /// cases, digits and separators; `Σ` (word-final or not), `İ` (grows
+    /// a combining dot), `ß`, the Kelvin sign (lower-cases to ASCII `k`),
+    /// combining marks, non-Latin digits, and non-ASCII spaces and
+    /// punctuation.
+    const CHARS: &[char] = &[
+        'a', 'Q', 'z', 'K', '0', '7', '_', ' ', '.', '-', '\t', '\x0b', '\x7f', 'Σ', 'σ', 'İ', 'ß',
+        '\u{212a}', '\u{301}', '\u{307}', '٣', '५', '漢', 'É', 'Ǆ', '\u{a0}', '\u{2028}', '—', '€',
+    ];
+
+    fn text(rng: &mut proptest::strategy::TestRng) -> String {
+        (0..rng.below(24)).map(|_| CHARS[rng.below(CHARS.len())]).collect()
+    }
+
+    proptest::proptest! {
+        /// Pushing through the ASCII path leaves the buffer byte for
+        /// byte as the `char` path does — words, `ends` and ranges —
+        /// over several texts pushed into one buffer.
+        #[test]
+        fn push_text_matches_the_char_path(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::strategy::TestRng::new(seed);
+            let (mut fast, mut oracle) = (WordBuf::new(), WordBuf::new());
+            for _ in 0..16 {
+                let t = text(&mut rng);
+                let (a, b) = (fast.push_text(&t), oracle.push_text_chars(&t));
+                proptest::prop_assert_eq!(a, b, "{:?}", t);
+                proptest::prop_assert_eq!(&fast.text, &oracle.text, "{:?}", t);
+                proptest::prop_assert_eq!(&fast.ends, &oracle.ends, "{:?}", t);
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_path_keeps_the_unicode_cases() {
+        let texts = ["ΟΔΟΣ ΣΟΣ", "İstanbul5G x", "Straße", "\u{212a}elvin", "e\u{301}TÉ ٣5", "a\x0bB"];
+        for t in texts {
+            let (mut fast, mut oracle) = (WordBuf::new(), WordBuf::new());
+            assert_eq!(fast.push_text(t), oracle.push_text_chars(t), "{t:?}");
+            assert_eq!((fast.text, fast.ends), (oracle.text, oracle.ends), "{t:?}");
+        }
+    }
+    #[test]
+    fn stopwords_are_exactly_the_list() {
+        for w in STOPWORDS {
+            assert!(is_stopword(w), "{w}");
+            for near in [format!("{w}s"), format!("x{w}"), w[1..].to_string(), w.to_uppercase()] {
+                assert_eq!(is_stopword(&near), STOPWORDS.contains(&near.as_str()), "{near}");
+            }
+        }
+        let mut rng = proptest::strategy::TestRng::new(7);
+        for _ in 0..20_000 {
+            let letter = |rng: &mut proptest::strategy::TestRng| (b'a' + rng.below(26) as u8) as char;
+            let w: String = (0..1 + rng.below(6)).map(|_| letter(&mut rng)).collect();
+            assert_eq!(is_stopword(&w), STOPWORDS.contains(&w.as_str()), "{w}");
+        }
     }
 }

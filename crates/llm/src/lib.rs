@@ -44,7 +44,7 @@ pub use cost::{CostLedger, CostMeter, Pricing, TokenUsage};
 pub use faults::{FaultConfig, FaultyModel};
 pub use model::{Completion, CompletionRequest, FoundationModel, ModelError, TaskKind};
 pub use obs::ObservedModel;
-pub use prompt::{ContextItem, FewShotExample, PromptBuilder};
+pub use prompt::{ContextItem, FewShotExample, PromptBuilder, PromptPiece};
 pub use sim::profile::{ModelProfile, SimulatedModel};
 pub use sim::reason::{analyze, TaskShape};
 pub use tokens::count_tokens;

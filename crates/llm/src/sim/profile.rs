@@ -81,8 +81,10 @@ pub struct SimulatedModel {
 }
 
 impl SimulatedModel {
-    /// Wrap a profile.
+    /// Wrap a profile. The first model a process makes builds the
+    /// telecom lexicon selection reads, so that no ask builds it.
     pub fn new(profile: ModelProfile) -> Self {
+        crate::sim::select::lexicon();
         SimulatedModel { profile }
     }
 

@@ -18,6 +18,7 @@ use crate::sim::parse::ParsedItem;
 use crate::sim::reason::{QuestionAnalysis, RoleNeed, IFACE_TAGS, NF_PREFIXES};
 use dio_embed::{Lexicon, WordBuf};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Tier-dependent selection behaviour.
@@ -55,7 +56,7 @@ pub(crate) const NAME_ONLY_FLOOR: f64 = 0.52;
 const TIE_MARGIN: f64 = 0.90;
 
 /// The telecom lexicon, built once per process.
-fn lexicon() -> &'static Lexicon {
+pub(crate) fn lexicon() -> &'static Lexicon {
     static LEXICON: OnceLock<Lexicon> = OnceLock::new();
     LEXICON.get_or_init(Lexicon::telecom)
 }
@@ -64,18 +65,23 @@ fn lexicon() -> &'static Lexicon {
 /// × item. An item holds the stems of its name words and of its
 /// description's content words.
 struct ContextIndex<'a> {
-    rows: HashMap<&'a str, usize>,
+    rows: HashMap<&'a str, usize, BuildHasherDefault<Fnv1a>>,
     bits: Vec<u64>,
     /// `u64` words per row.
     stride: usize,
 }
 
 impl<'a> ContextIndex<'a> {
-    fn new(n_items: usize) -> Self {
+    /// An empty index over `n_items` items, sized for `n_words` words.
+    /// A context's distinct stems rarely outnumber its words (a
+    /// benchmark prompt: 128 rows from 428 words), so neither the row
+    /// map nor the matrix grows while the index is built.
+    fn new(n_items: usize, n_words: usize) -> Self {
+        let stride = n_items.div_ceil(64);
         ContextIndex {
-            rows: HashMap::new(),
-            bits: Vec::new(),
-            stride: n_items.div_ceil(64),
+            rows: HashMap::with_capacity_and_hasher(n_words, Default::default()),
+            bits: Vec::with_capacity(n_words * stride),
+            stride,
         }
     }
 
@@ -112,6 +118,31 @@ impl<'a> ContextIndex<'a> {
             for (o, w) in out.iter_mut().zip(self.holders(stem)) {
                 *o |= w;
             }
+        }
+    }
+}
+
+/// FNV-1a, for the context index's few hundred short stems a prompt,
+/// where SipHash's per-key setup costs more than the bytes it reads.
+/// The keys are words of the prompt's CONTEXT, which the copilot draws
+/// from its own catalog, never from the question, and a context window
+/// bounds how many there are.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
 }
@@ -169,7 +200,8 @@ pub(crate) fn select_metrics(
         .iter()
         .map(|i| (words.push_text(i.name), words.push_text(i.text)))
         .collect();
-    let mut index = ContextIndex::new(items.len());
+    let n_words = spans.last().map_or(0, |(_, text)| text.end);
+    let mut index = ContextIndex::new(items.len(), n_words);
     for (i, (name, text)) in spans.iter().enumerate() {
         let content = words.content_words(text.clone());
         for word in words.words(name.clone()).chain(content) {
