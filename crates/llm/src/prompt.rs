@@ -272,14 +272,15 @@ impl<'a> PromptBuilder<'a> {
             fits
         };
 
-        // Context is admitted in descending relevance (stable for ties)
-        // and renders in the builder's insertion order (retrieval rank).
+        // Context is admitted in descending relevance (stable for ties),
+        // a NaN relevance after every other, and renders in the
+        // builder's insertion order (retrieval rank).
         let mut ordered: Vec<usize> = (0..self.context.len()).collect();
         ordered.sort_by(|&a, &b| {
-            self.context[b]
-                .1
-                .partial_cmp(&self.context[a].1)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let (a, b) = (self.context[a].1, self.context[b].1);
+            a.is_nan()
+                .cmp(&b.is_nan())
+                .then_with(|| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal))
         });
         let mut admitted = vec![false; self.context.len()];
         for i in ordered {
@@ -429,6 +430,39 @@ mod tests {
         if p.context_kept < 10 {
             assert!(!p.text.contains("<<ITEM>> m9:"));
         }
+    }
+
+    /// A NaN relevance is not an order the sort can panic on: the
+    /// build returns a prompt and admits the NaN items after every
+    /// item with a relevance, finite ones in their usual order.
+    #[test]
+    fn nan_relevances_build_and_are_admitted_last() {
+        let relevances = [0.9, f32::NAN, 0.5, -0.0, f32::NAN, 0.0, 0.25, -0.1];
+        let context: Vec<ContextItem> = (0..64)
+            .map(|i| {
+                let rel = relevances[(i * 5) % relevances.len()];
+                let kind = if rel.is_nan() { "nan" } else { "num" };
+                item(&format!("{kind}{i}"), rel)
+            })
+            .collect();
+        let builder = PromptBuilder::new()
+            .system("s")
+            .context(context.clone())
+            .question("q")
+            .task(TaskKind::IdentifyMetrics);
+        let finite = context.iter().filter(|c| !c.relevance.is_nan()).count();
+        let mut kept_counts = Vec::new();
+        for window in [40, 300, 600, 900, 1_200, 32_000] {
+            let p = builder.build(window, 10);
+            let kept = |kind: &str| p.text.matches(&format!("<<ITEM>> {kind}")).count();
+            assert_eq!(kept("num") + kept("nan"), p.context_kept);
+            assert!(kept("nan") == 0 || kept("num") == finite, "window {window}: {p:?}");
+            kept_counts.push((kept("num"), kept("nan")));
+        }
+        // The windows cut inside the finite items and inside the NaN ones.
+        assert!(kept_counts.iter().any(|&(num, nan)| num > 0 && num < finite && nan == 0));
+        assert!(kept_counts.iter().any(|&(num, nan)| num == finite && nan > 0 && nan < 64 - finite));
+        assert_eq!(kept_counts.last(), Some(&(finite, 64 - finite)));
     }
 
     #[test]

@@ -194,13 +194,15 @@ impl VectorIndex for FlatIndex {
         if k == 0 {
             return Vec::new();
         }
-        let mut scores = vec![0.0; self.len()];
-        dot_columns(query, &self.columns, self.stride, &mut scores);
+        let mut dots = vec![0.0; self.len()];
+        dot_columns(query, &self.columns, self.stride, &mut dots);
         let query_norm = query.norm();
-        for (score, norm) in scores.iter_mut().zip(&self.norms) {
-            *score = cosine_of_dot(*score, query_norm, *norm);
-        }
-        hits(top_k_by(scores.len(), k, |id| scores[id]), |id| id)
+        // The cosine is taken as the selection reads each dot, not in a
+        // pass of its own.
+        let top = top_k_by(dots.len(), k, |id| {
+            cosine_of_dot(dots[id], query_norm, self.norms[id])
+        });
+        hits(top, |id| id)
     }
 
     /// From the cached norms, bit-equal to
@@ -336,6 +338,42 @@ mod tests {
             prop_assert_eq!(id_and_bits(&grown.search(&query, k)), id_and_bits(&fresh.search(&query, k)));
             let json = |idx: &FlatIndex| serde_json::to_string(idx).unwrap();
             prop_assert_eq!(json(&grown), json(&fresh));
+        }
+    }
+
+    proptest! {
+        /// At the embedder's width, where a lane holds enough of a
+        /// query's non-zero columns to fold them eight at a time: the
+        /// column scan's hits, order and score bits are the per-`Vector`
+        /// cosine scan's, over a corpus with duplicate and zero rows.
+        #[test]
+        fn search_at_embedding_width_is_bit_equal_to_the_per_vector_scan(
+            seed in any::<u64>(),
+            rows in 64usize..300,
+            density in prop::sample::select(vec![0.05f64, 0.3, 0.9]),
+            k in prop::sample::select(vec![1usize, 29, 116, 299, 400]),
+        ) {
+            const DIMS: usize = 384;
+            let mut rng = proptest::strategy::TestRng::new(seed);
+            let component = |rng: &mut proptest::strategy::TestRng| {
+                if rng.unit_f64() < density {
+                    rng.unit_f64() as f32 * 2.0 - 1.0
+                } else {
+                    [0.0, -0.0][rng.below(2)]
+                }
+            };
+            let mut vectors: Vec<Vector> = (0..rows)
+                .map(|_| Vector((0..DIMS).map(|_| component(&mut rng)).collect()))
+                .collect();
+            vectors[rng.below(rows)] = Vector::zeros(DIMS);
+            let dup = vectors[rng.below(rows)].clone();
+            vectors.push(dup);
+            let query = Vector((0..DIMS).map(|_| component(&mut rng)).collect());
+            let idx = FlatIndex::from_vectors(DIMS, vectors.clone());
+            prop_assert_eq!(
+                id_and_bits(&idx.search(&query, k)),
+                id_and_bits(&per_vector_scan(&vectors, &query, k))
+            );
         }
     }
 
