@@ -190,6 +190,10 @@ impl VectorIndex for FlatIndex {
 
     /// The full scan, over the columns of the query's non-zero
     /// components; scores, ids and order are `scan`'s over every id.
+    /// Neither half moves a bit: [`dot_columns`] folds a lane's columns
+    /// in groups but adds each product in the same order as one column
+    /// at a time, and [`top_k_by`]'s packed keys order hits by score,
+    /// then id, each score returned with its own bits.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
         if k == 0 {
             return Vec::new();
