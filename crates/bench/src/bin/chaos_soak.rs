@@ -3,10 +3,11 @@
 //! [`dio_llm::FaultyModel`] *and* [`dio_faults`] data-plane chaos both
 //! at the same fault probability — and gates that EX stays within a
 //! stated band of the baseline and every question is still answered.
-//! (Crash consistency at every byte offset is the unit sweeps' job:
-//! `wal::tests::crash_at_every_byte_offset_never_loses_an_acked_write`,
-//! `durable::tests::crash_at_every_wal_byte_offset_keeps_acked_prefix`,
-//! both in `dio-tsdb`.)
+//! (Crash consistency at every byte offset is the unit sweeps' job, in
+//! `dio-tsdb`'s `wal.rs`:
+//! `crash_at_every_byte_offset_never_loses_an_acked_write`,
+//! `crash_at_every_byte_offset_of_a_log_full_of_marker_bytes_keeps_the_acked_prefix`
+//! and the bit-flip sweeps beside them.)
 //!
 //! ```text
 //! cargo run --release -p dio-bench --bin chaos_soak            # full 200-question soak

@@ -4,10 +4,10 @@
 //! Operator question streams are heavily redundant: the same handful
 //! of questions arrives rephrased, re-cased, and re-punctuated from
 //! many tenants and auto-refreshing dashboards. The gateway exploits
-//! that redundancy in three layers — singleflight coalescing of
-//! concurrent identicals, bounded-delay batching of overlapping model
-//! calls (shared prompt prefix billed once), and a semantic answer
-//! cache serving embedding neighbors above a similarity floor.
+//! that redundancy in two layers — singleflight coalescing of
+//! concurrent identicals and a semantic answer cache serving embedding
+//! neighbors above a similarity floor — in front of a model front-end
+//! that sends what still misses upstream as one call per ask.
 //!
 //! Phases:
 //!
@@ -19,29 +19,32 @@
 //! 2. **baseline** — the duplicate-heavy schedule through
 //!    [`QueryService::spawn`] (answer cache on, no gateway);
 //! 3. **gateway** — the same schedule through
-//!    [`QueryService::spawn_gateway`], folding up to four overlapping
-//!    model calls into one;
-//! 4. **deadline drill** — an undersized gateway service at the
-//!    default one call per ask takes a burst under a tight calibrated
-//!    deadline; every accepted request's trace is audited for model
-//!    calls after a lapse or past the budget, and every answer for
-//!    arriving late.
+//!    [`QueryService::spawn_gateway`] at its defaults, as the product
+//!    runs it;
+//! 4. **deadline drill** — an undersized gateway service takes a burst
+//!    under a tight calibrated deadline; every accepted request's trace
+//!    is audited for model calls after a lapse or past the budget, and
+//!    every answer for arriving late.
 //!
-//! Gates: EX delta exactly 0 between the passes, ≥ 3x fewer upstream
-//! model calls, ≥ 2x lower cost per answered question, zero healthy
-//! answers past a lapsed deadline, zero model calls after a lapse.
+//! Gates: EX delta exactly 0 between the passes, nothing shed in the
+//! open passes, at least one semantic hit, no coalesced follower timed
+//! out, zero healthy answers past a lapsed deadline, zero model calls
+//! after a lapse. The reductions in upstream calls and in cost per
+//! answer are recorded (`model_call_reduction`,
+//! `cost_per_answer_reduction`), not gated: what singleflight and the
+//! semantic cache save depends on the schedule's mix.
 //!
 //! Flags: `--quick` (small world), `--seed=S` (schedule shuffle seed).
 //!
 //! Writes `results/BENCH_gateway.json`.
 
 use dio_bench::drill::{
-    audit_traces, deadline_for, requests, scored, sequential, Burst, Drill, Latency, Tally,
+    audit_traces, deadline_for, requests, scored, sequential, Burst, Drill, Tally,
     TraceAudit, AUDIT_GRACE, TENANTS,
 };
 use dio_bench::Experiment;
-use dio_gateway::{BatchConfig, FlushTrigger, SemanticStats};
-use dio_llm::{BatchExpander, FoundationModel, ModelProfile, SimulatedModel};
+use dio_gateway::SemanticStats;
+use dio_llm::{FoundationModel, ModelProfile, SimulatedModel};
 use dio_serve::{
     BrownoutConfig, GatewayConfig, QueryRequest, QueryService, ServeConfig, ShedReason,
     TenantPolicy,
@@ -56,9 +59,6 @@ use std::time::{Duration, Instant};
 
 /// Workers of the baseline and gateway passes.
 const WORKERS: usize = 8;
-/// Calls the gateway pass folds into one upstream call. The default
-/// sends one call per ask; this pass measures what batching buys.
-const GATEWAY_MAX_BATCH: usize = 4;
 /// The deadline drill's floor, above the shared drill floor. Its one
 /// burst into two workers has a single chance to reach the model: under
 /// a deadline of 2–3 ms, a scheduler stall of that size as the burst
@@ -92,28 +92,10 @@ struct PassPanel {
     ex_percent: f64,
     qps: f64,
     /// Upstream model calls actually made (baseline: every pipeline
-    /// inference; gateway: batched calls leaving the gateway).
+    /// inference; gateway: the calls leaving the gateway).
     model_calls: f64,
     cost_cents: f64,
     cost_cents_per_answer: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct BatchingPanel {
-    max_batch: usize,
-    upstream_calls: f64,
-    batches: usize,
-    flushes: usize,
-    mean_flush_size: f64,
-    flush_full: usize,
-    flush_due: usize,
-    flush_deadline: usize,
-    flush_assembled: usize,
-    /// Longest queue wait among each flush's items
-    /// (`FlushRecord::waited_micros`), over the pass's flushes.
-    flush_waited_micros: Latency,
-    prefix_tokens_saved: usize,
-    prefix_saved_cents: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -136,11 +118,10 @@ struct DeadlinePanel {
     /// Over every trace of the drill service; `picked_up` must equal
     /// the tally's `accepted`.
     audit: TraceAudit,
-    /// Items the gateway failed locally because their deadline lapsed
-    /// in its queue (never sent upstream).
+    /// Requests the gateway failed locally because their deadline had
+    /// lapsed (never sent upstream).
     queue_lapsed: f64,
-    /// Flush-log conservation: batched + lapsed items must equal the
-    /// requests the gateway admitted.
+    /// The gateway's audit records: one per model request it took.
     flush_log_entries: usize,
 }
 
@@ -154,7 +135,6 @@ struct GatewayArtifact {
     /// Requests per class: unique, exact, noisy, paraphrase, burst.
     schedule_mix: BTreeMap<String, usize>,
     passes: Vec<PassPanel>,
-    batching: BatchingPanel,
     singleflight: SingleflightPanel,
     semantic: SemanticStats,
     semantic_floor: f32,
@@ -165,9 +145,7 @@ struct GatewayArtifact {
 }
 
 fn upstream() -> Box<dyn FoundationModel> {
-    Box::new(BatchExpander::new(SimulatedModel::new(
-        ModelProfile::gpt4_sim(),
-    )))
+    Box::new(SimulatedModel::new(ModelProfile::gpt4_sim()))
 }
 
 /// Submit the schedule in two waves (uniques first, duplicates after —
@@ -328,63 +306,27 @@ fn main() -> ExitCode {
         baseline.tally.correct, baseline.model_calls, baseline.cost_cents, baseline.tally.wall_seconds
     );
 
-    // Phase 3: the same schedule through the gateway, folding up to
-    // `GATEWAY_MAX_BATCH` overlapping calls into one.
-    eprintln!("gateway pass (max_batch {GATEWAY_MAX_BATCH})…");
+    // Phase 3: the same schedule through the gateway at its defaults.
+    eprintln!("gateway pass…");
     let gateway_service = QueryService::spawn_gateway(
         &exp.copilot(Experiment::gpt4()),
         upstream(),
         open_config(WORKERS, n.max(64)),
-        GatewayConfig {
-            batch: BatchConfig {
-                max_batch: GATEWAY_MAX_BATCH,
-                ..BatchConfig::default()
-            },
-            ..GatewayConfig::default()
-        },
+        GatewayConfig::default(),
     );
     let gateway = run_schedule(&gateway_service, &schedule, uniques, &refs, eval_ts, "gateway");
     let stats = gateway_service
         .gateway_stats()
         .expect("gateway plane present");
     gateway_service.shutdown();
-    let flushes = stats.flush_log.len();
-    let flushed_items: usize = stats.flush_log.iter().map(|f| f.size).sum();
-    let flushed_by = |trigger: FlushTrigger| {
-        stats
-            .flush_log
-            .iter()
-            .filter(|f| f.trigger == trigger)
-            .count()
-    };
-    let batching = BatchingPanel {
-        max_batch: GATEWAY_MAX_BATCH,
-        upstream_calls: gateway.model_calls,
-        batches: stats.ledger.batches(),
-        flushes,
-        mean_flush_size: flushed_items as f64 / flushes.max(1) as f64,
-        flush_full: flushed_by(FlushTrigger::Full),
-        flush_due: flushed_by(FlushTrigger::Due),
-        flush_deadline: flushed_by(FlushTrigger::Deadline),
-        flush_assembled: flushed_by(FlushTrigger::Assembled),
-        flush_waited_micros: Latency::of(
-            stats.flush_log.iter().map(|f| f.waited_micros as f64).collect(),
-        ),
-        prefix_tokens_saved: stats.ledger.prefix_tokens_saved(),
-        prefix_saved_cents: stats
-            .ledger
-            .prefix_saved_usd(SimulatedModel::new(ModelProfile::gpt4_sim()).pricing())
-            * 100.0,
-    };
     eprintln!(
-        "  gateway: EX {}/{n}, {:.0} upstream calls, {:.2}¢, {:.2}s ({} semantic hits, {} coalesced, mean flush {:.2})",
+        "  gateway: EX {}/{n}, {:.0} upstream calls, {:.2}¢, {:.2}s ({} semantic hits, {} coalesced)",
         gateway.tally.correct,
         gateway.model_calls,
         gateway.cost_cents,
         gateway.tally.wall_seconds,
         gateway.tally.semantic_hits,
-        gateway.tally.coalesced,
-        batching.mean_flush_size
+        gateway.tally.coalesced
     );
 
     // Phase 4: tight-deadline burst through an undersized gateway
@@ -444,19 +386,6 @@ fn main() -> ExitCode {
         format!("baseline shed {:?}, gateway shed {:?}", baseline.tally.shed, gateway.tally.shed),
     );
     drill.gate(
-        "model_calls_3x_down",
-        call_reduction >= 3.0,
-        format!("{call_reduction:.2}x ({:.0} -> {:.0}), need 3x", baseline.model_calls, gateway.model_calls),
-    );
-    drill.gate(
-        "cost_per_answer_2x_down",
-        cost_reduction >= 2.0,
-        format!(
-            "{cost_reduction:.2}x ({:.4}¢ -> {:.4}¢), need 2x",
-            baseline.cost_cents_per_answer, gateway.cost_cents_per_answer
-        ),
-    );
-    drill.gate(
         "a_duplicate_was_served_semantically",
         gateway.tally.semantic_hits > 0,
         format!("{} semantic hits", gateway.tally.semantic_hits),
@@ -490,7 +419,6 @@ fn main() -> ExitCode {
         schedule_len: n,
         schedule_mix,
         passes: vec![baseline, gateway],
-        batching,
         singleflight: SingleflightPanel {
             leaders: stats.leaders,
             followers: stats.followers,

@@ -176,6 +176,7 @@ impl Drill {
             ("quick".to_string(), self.quick.to_value()),
             ("seed".to_string(), self.seed.to_value()),
             ("available_parallelism".to_string(), cores.to_value()),
+            ("git_rev".to_string(), git_rev().to_value()),
         ];
         let Value::Obj(body) = body.to_value() else { panic!("a drill's body is a struct") };
         fields.extend(body);
@@ -185,6 +186,20 @@ impl Drill {
         eprintln!("{}: {} gates, failed: {failed:?}", self.name, self.gates.len());
         if failed.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
     }
+}
+
+/// `git rev-parse --short HEAD` of the working directory, so an
+/// artifact names the revision that wrote it; `"unknown"` without git
+/// or outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// EX scoring: the answer exists and matches the reference numerically.
@@ -612,6 +627,7 @@ mod tests {
         assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
         assert_eq!(doc.get("seed"), Some(&Value::Int(9)));
         assert!(doc.get("available_parallelism").is_some());
+        assert!(matches!(doc.get("git_rev"), Some(Value::Str(rev)) if !rev.is_empty()), "{json}");
         assert_eq!(doc.get("answered"), Some(&Value::Int(2)));
         let Some(Value::Arr(gates)) = doc.get("gates") else { panic!("no gate list: {json}") };
         let verdicts: Vec<_> = gates.iter().map(|g| (g.get("name").cloned(), g.get("ok").cloned())).collect();

@@ -54,12 +54,6 @@ pub enum CopilotError {
         /// Upstream diagnosis.
         message: String,
     },
-    /// A vector index was quarantined after corruption and every
-    /// fallback tier was exhausted.
-    IndexQuarantined {
-        /// Slug of the quarantined index tier.
-        index: String,
-    },
     /// The request's [`dio_obs::Budget`] lapsed — deadline passed or
     /// the caller cancelled — and the pipeline abandoned the remaining
     /// work cooperatively. Distinct from a shed request: some work may
@@ -120,9 +114,6 @@ impl std::fmt::Display for CopilotError {
             CopilotError::NoData { message } => write!(f, "no data: {message}"),
             CopilotError::StorageFault { layer, message } => {
                 write!(f, "storage fault in {layer}: {message}")
-            }
-            CopilotError::IndexQuarantined { index } => {
-                write!(f, "index quarantined: {index}")
             }
             CopilotError::DeadlineExceeded { stage } => {
                 write!(f, "deadline exceeded at stage {stage}")
@@ -194,8 +185,6 @@ mod tests {
             message: "crc mismatch".into(),
         };
         assert_eq!(e.to_string(), "storage fault in vecstore: crc mismatch");
-        let e = CopilotError::IndexQuarantined { index: "ivf".into() };
-        assert_eq!(e.to_string(), "index quarantined: ivf");
         let e = CopilotError::DeadlineExceeded {
             stage: "generate".into(),
         };

@@ -8,8 +8,9 @@
 //! questions, phrased with minor variations, within seconds of each
 //! other. The paper's cost numbers (§4.2.5: ~4¢ per GPT-4 answer, most
 //! of it the re-sent catalog+exemplar prefix) make that duplication the
-//! single largest avoidable line item. This crate removes it in three
-//! layers, ordered cheapest-first:
+//! single largest avoidable line item. This crate removes it in two
+//! layers, ordered cheapest-first, in front of the one that calls the
+//! model:
 //!
 //! 1. `singleflight` — concurrent *identical* (normalized) questions
 //!    coalesce: one leader computes, followers clone the result.
@@ -18,12 +19,9 @@
 //!    embedding-similarity cache behind the exact caches, gated by a
 //!    cosine floor and the knowledge-generation atomic.
 //! 3. `model` — what still reaches the model goes upstream as one call
-//!    per ask by default, and no call waits on another. A caller that
-//!    sets `max_batch > 1` gets it **batched**: a bounded-delay,
-//!    bounded-size, deadline-aware accumulator answers K queued prompts
-//!    in one combined call, pricing the shared prefix once per batch.
-//!    Callers announce their jobs, so the accumulator never holds a
-//!    request for a companion that cannot come.
+//!    per ask, the paper's pricing unit, and no call waits on another.
+//!    The front bills each call once, counts it, and fails a request
+//!    whose deadline has already lapsed without sending it.
 //!
 //! `normalize` hosts the question normalizer both the serve-tier
 //! answer cache and the singleflight keyer share (serve re-exports it),
@@ -34,7 +32,7 @@ mod normalize;
 mod semantic;
 mod singleflight;
 
-pub use model::{BatchConfig, FlushRecord, FlushTrigger, GatewayHandle, ModelGateway, OpenJob};
+pub use model::{FlushRecord, ModelGateway};
 pub use normalize::normalize_question;
 pub use semantic::{Probe, SemanticCache, SemanticConfig, SemanticStats};
 pub use singleflight::{FollowerOutcome, Join, Singleflight};
@@ -45,11 +43,9 @@ mod tests {
 
     #[test]
     fn gateway_types_cross_threads() {
-        fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Singleflight<String>>();
         assert_send_sync::<SemanticCache<String>>();
         assert_send_sync::<ModelGateway>();
-        assert_send::<GatewayHandle>();
     }
 }

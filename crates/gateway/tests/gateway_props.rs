@@ -3,23 +3,19 @@
 //! * **Singleflight** — exactly one computation per key epoch; every
 //!   follower either shares the leader's published value or observes
 //!   the abandon promptly (never outliving a cancelled leader).
-//! * **Batching** — under seeded random arrival schedules, no flush
-//!   exceeds the size bound, every request resolves exactly once, no
-//!   request with a deadline is *answered* after that deadline has
-//!   lapsed, and under concurrent flushes every caller gets the answer
-//!   to its own request.
+//! * **Model front-end** — concurrent callers' calls run side by side,
+//!   every caller gets the answer to its own request, and every
+//!   request leaves exactly one record.
 //! * **Semantic cache** — a best neighbor below the similarity floor
 //!   is never served (the EX-parity admission rule), and every hit's
 //!   similarity clears the floor.
 
 use dio_embed::Vector;
 use dio_gateway::{
-    BatchConfig, FollowerOutcome, Join, ModelGateway, Probe, SemanticCache, SemanticConfig,
-    Singleflight,
+    FollowerOutcome, Join, ModelGateway, Probe, SemanticCache, SemanticConfig, Singleflight,
 };
 use dio_llm::{
-    BatchExpander, CompletionRequest, FoundationModel, ModelProfile, PromptBuilder,
-    SimulatedModel, TaskKind,
+    CompletionRequest, FoundationModel, ModelProfile, PromptBuilder, SimulatedModel, TaskKind,
 };
 use dio_obs::{Budget, Registry};
 use proptest::prelude::*;
@@ -100,7 +96,7 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------------------- batching
+// ------------------------------------------------------------ model front-end
 
 fn request(question: &str, timeout_ms: Option<u64>) -> CompletionRequest {
     let prompt = PromptBuilder::new()
@@ -116,98 +112,19 @@ fn request(question: &str, timeout_ms: Option<u64>) -> CompletionRequest {
 }
 
 proptest! {
-    /// Seeded random arrival schedule: every request resolves, no
-    /// flush exceeds `max_batch`, nothing is lost or double-flushed,
-    /// and no deadline-carrying request is *answered* past its
-    /// deadline.
-    #[test]
-    fn batch_bounds_hold_under_random_arrivals(
-        n in 2usize..9,
-        offsets in prop::collection::vec(0u64..7, 9..10),
-        timeouts in prop::collection::vec(0u64..300, 9..10),
-        max_batch in 1usize..5,
-        max_delay_ms in 1u64..7,
-    ) {
-        let gw = ModelGateway::new(
-            Box::new(BatchExpander::new(SimulatedModel::new(
-                ModelProfile::gpt4_sim(),
-            ))),
-            BatchConfig {
-                max_batch,
-                max_delay: Duration::from_millis(max_delay_ms),
-                min_slack: Duration::from_millis(50),
-            },
-            &Registry::new(),
-            None,
-        );
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let h = gw.handle();
-                let offset_ms = offsets[i];
-                // Below 60 means "no deadline"; otherwise the timeout
-                // leaves room for the 50ms flush slack.
-                let timeout_ms = if timeouts[i] < 60 { None } else { Some(timeouts[i]) };
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(offset_ms));
-                    let enqueued = Instant::now();
-                    let deadline = timeout_ms.map(|ms| enqueued + Duration::from_millis(ms));
-                    let result =
-                        h.complete(&request(&format!("how many drops on slice {i}?"), timeout_ms));
-                    (result, deadline, Instant::now())
-                })
-            })
-            .collect();
-        for h in handles {
-            let (result, deadline, done_at) = h.join().unwrap();
-            // Every request resolves; an `Ok` answer must have landed
-            // inside its own deadline (`min_slack` pre-books the
-            // upstream call time).
-            if let (Ok(_), Some(deadline)) = (&result, deadline) {
-                prop_assert!(
-                    done_at <= deadline,
-                    "answered {:?} past the deadline",
-                    done_at.duration_since(deadline)
-                );
-            }
-        }
-        let log = gw.flush_log();
-        prop_assert!(!log.is_empty());
-        let mut flushed = 0usize;
-        for record in &log {
-            prop_assert!(record.size <= max_batch, "flush of {} > {}", record.size, max_batch);
-            flushed += record.size + record.lapsed;
-        }
-        // Conservation: every arrival was either flushed upstream or
-        // failed locally as lapsed — none lost, none duplicated.
-        prop_assert_eq!(flushed, n);
-    }
-}
-
-proptest! {
-    /// Concurrent callers, flushes free to overlap: whoever runs a
-    /// flush, every `Ok` a caller gets is the answer to its *own*
-    /// request — the text a lone simulated model gives it, and at
-    /// `max_batch: 1` the whole completion — and every arrival is
-    /// flushed or lapsed exactly once.
+    /// Concurrent callers, calls free to overlap: every `Ok` a caller
+    /// gets is the answer to its *own* request — the whole completion a
+    /// lone simulated model gives it — and every arrival goes upstream
+    /// exactly once.
     #[test]
     fn concurrent_flushes_deliver_each_caller_its_own_answer(
         n in 2usize..9,
         offsets in prop::collection::vec(0u64..3, 9..10),
         timeouts in prop::collection::vec(0u64..300, 9..10),
-        max_batch in 1usize..5,
-        max_delay_ms in 1u64..4,
     ) {
         let gw = ModelGateway::new(
-            Box::new(BatchExpander::new(SimulatedModel::new(
-                ModelProfile::gpt4_sim(),
-            ))),
-            BatchConfig {
-                max_batch,
-                max_delay: Duration::from_millis(max_delay_ms),
-                min_slack: Duration::from_millis(50),
-            },
+            Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())),
             &Registry::new(),
-            None,
         );
         let solo = SimulatedModel::new(ModelProfile::gpt4_sim());
         let requests: Vec<CompletionRequest> = (0..n)
@@ -234,16 +151,11 @@ proptest! {
         });
         for (req, result) in requests.iter().zip(&results) {
             if let Ok(got) = result {
-                let want = solo.complete(req).unwrap();
-                if max_batch == 1 {
-                    prop_assert_eq!(got, &want);
-                } else {
-                    prop_assert_eq!(&got.text, &want.text);
-                }
+                prop_assert_eq!(got, &solo.complete(req).unwrap());
             }
         }
         let log = gw.flush_log();
-        let flushed: usize = log.iter().map(|f| f.size + f.lapsed).sum();
+        let flushed: usize = log.iter().map(|f| f.size).sum();
         prop_assert_eq!(flushed, n);
     }
 }

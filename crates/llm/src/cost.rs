@@ -74,14 +74,10 @@ impl Pricing {
 /// Accumulates usage and cost over many queries, keeping the prompt
 /// and completion sides of the bill separate.
 ///
-/// The original meter folded everything into one lump `cost_usd`,
-/// which made per-batch prefix amortization unmeasurable: a gateway
-/// that prices a shared catalog+exemplar prefix once per batch changes
-/// only the *prompt* side of the bill, and a lump sum cannot show
-/// that. The ledger splits the running total into `prompt_usd` /
+/// The original meter folded everything into one lump `cost_usd`; the
+/// ledger splits the running total into `prompt_usd` /
 /// `completion_usd` (their sum is the old `cost_usd`, kept as a field
-/// so serialized meters stay backward-compatible) and tracks the
-/// prefix-vs-suffix token split for batched calls.
+/// so serialized meters stay backward-compatible).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CostLedger {
     usage: TokenUsage,
@@ -95,16 +91,6 @@ pub struct CostLedger {
     /// Completion-side spend in USD.
     #[serde(default)]
     completion_usd: f64,
-    /// Batched model calls recorded via [`CostLedger::record_batch`].
-    #[serde(default)]
-    batches: usize,
-    /// Shared-prefix tokens actually billed (once per batch).
-    #[serde(default)]
-    prefix_tokens_billed: usize,
-    /// Shared-prefix tokens *not* billed thanks to amortization: the
-    /// prefix re-sends that unbatched calls would have paid.
-    #[serde(default)]
-    prefix_tokens_saved: usize,
 }
 
 /// The historical name for the per-query cost aggregator. The ledger
@@ -128,33 +114,7 @@ impl CostLedger {
         self.cost_usd += prompt + completion;
     }
 
-    /// Record one *batched* model call that answered `items` queries
-    /// with a shared prefix of `prefix_tokens` billed once. `combined`
-    /// is the usage actually billed for the single upstream call.
-    ///
-    /// Compared with sending each item alone, the batch avoided
-    /// re-sending the prefix `items - 1` times; that saving is
-    /// tracked in tokens so callers can price it at any tier.
-    pub fn record_batch(
-        &mut self,
-        combined: TokenUsage,
-        prefix_tokens: usize,
-        items: usize,
-        pricing: Pricing,
-    ) {
-        self.usage.add(combined);
-        self.queries += items;
-        self.batches += 1;
-        self.prefix_tokens_billed += prefix_tokens;
-        self.prefix_tokens_saved += prefix_tokens * items.saturating_sub(1);
-        let prompt = combined.prompt_tokens as f64 / 1000.0 * pricing.prompt_per_1k;
-        let completion = combined.completion_tokens as f64 / 1000.0 * pricing.completion_per_1k;
-        self.prompt_usd += prompt;
-        self.completion_usd += completion;
-        self.cost_usd += prompt + completion;
-    }
-
-    /// Number of queries recorded (batched calls count each item).
+    /// Number of queries recorded.
     pub fn queries(&self) -> usize {
         self.queries
     }
@@ -177,26 +137,6 @@ impl CostLedger {
     /// Completion-side spend in USD.
     pub fn completion_usd(&self) -> f64 {
         self.completion_usd
-    }
-
-    /// Batched calls recorded.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Shared-prefix tokens billed once per batch.
-    pub fn prefix_tokens_billed(&self) -> usize {
-        self.prefix_tokens_billed
-    }
-
-    /// Prefix tokens amortization kept off the bill.
-    pub fn prefix_tokens_saved(&self) -> usize {
-        self.prefix_tokens_saved
-    }
-
-    /// The amortization saving priced at `pricing`'s prompt rate, USD.
-    pub fn prefix_saved_usd(&self, pricing: Pricing) -> f64 {
-        self.prefix_tokens_saved as f64 / 1000.0 * pricing.prompt_per_1k
     }
 
     /// Mean cost per query in US cents — the §4.2.5 metric.
@@ -282,40 +222,6 @@ mod tests {
         assert!((l.completion_usd() - 0.03).abs() < 1e-12);
         // The lump sum stays the sum of the two sides.
         assert!((l.total_usd() - (l.prompt_usd() + l.completion_usd())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_batch_amortizes_the_prefix() {
-        // Four items sharing a 900-token prefix with 100-token suffixes:
-        // billed once as 900 + 4*100 = 1300 prompt tokens.
-        let mut batched = CostLedger::new();
-        batched.record_batch(
-            TokenUsage {
-                prompt_tokens: 1300,
-                completion_tokens: 80,
-            },
-            900,
-            4,
-            Pricing::gpt4(),
-        );
-        assert_eq!(batched.queries(), 4);
-        assert_eq!(batched.batches(), 1);
-        assert_eq!(batched.prefix_tokens_billed(), 900);
-        assert_eq!(batched.prefix_tokens_saved(), 2700);
-        // Unbatched, the same four items each pay the prefix.
-        let mut solo = CostLedger::new();
-        for _ in 0..4 {
-            solo.record(
-                TokenUsage {
-                    prompt_tokens: 1000,
-                    completion_tokens: 20,
-                },
-                Pricing::gpt4(),
-            );
-        }
-        assert!(batched.total_usd() < solo.total_usd());
-        let saving = solo.prompt_usd() - batched.prompt_usd();
-        assert!((saving - batched.prefix_saved_usd(Pricing::gpt4())).abs() < 1e-12);
     }
 
     #[test]

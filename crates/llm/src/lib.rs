@@ -39,7 +39,7 @@ mod prompt;
 mod sim;
 mod tokens;
 
-pub use batch::{compose_batch, split_batch, BatchExpander, BatchLayout};
+pub use batch::BatchExpander;
 pub use cost::{CostLedger, CostMeter, Pricing, TokenUsage};
 pub use faults::{FaultConfig, FaultyModel};
 pub use model::{Completion, CompletionRequest, FoundationModel, ModelError, TaskKind};

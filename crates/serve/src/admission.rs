@@ -175,12 +175,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// The next entry if one is already waiting; never blocks.
-    pub(crate) fn try_pop(&self) -> Option<(T, Instant)> {
-        let e = self.state.lock().unwrap().heap.pop()?;
-        Some((e.item, e.deadline))
-    }
-
     /// Entries currently queued.
     pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().heap.len()
@@ -214,18 +208,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, "soon");
         assert_eq!(q.pop().unwrap().0, "mid");
         assert_eq!(q.pop().unwrap().0, "late");
-    }
-
-    #[test]
-    fn try_pop_takes_what_is_waiting_and_never_blocks() {
-        let q = AdmissionQueue::new(8);
-        assert!(q.try_pop().is_none());
-        let t0 = Instant::now();
-        q.try_push("late", t0 + Duration::from_secs(30)).ok().unwrap();
-        q.try_push("soon", t0 + Duration::from_secs(1)).ok().unwrap();
-        assert_eq!(q.try_pop().unwrap().0, "soon");
-        assert_eq!(q.pop().unwrap().0, "late");
-        assert!(q.try_pop().is_none());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! * `brownout` — the adaptive degradation ladder the service steps
 //!   through under sustained pressure before it resorts to shedding;
 //! * `service` — [`QueryService`]: worker pool, request path,
-//!   instrumentation.
+//!   instrumentation, and, spawned with `spawn_gateway`, the
+//!   model-plane gateway in front of one shared upstream model:
+//!   singleflight, the semantic cache, and one upstream call per ask.
 //!
 //! Load shedding is explicit and observable: every refusal carries a
 //! [`ShedReason`] plus a `retry_after` hint derived from live queue

@@ -32,8 +32,8 @@ use crate::cache::{CacheStats, GenLru};
 use crate::tenant::{RateLimiter, TenantPolicy};
 use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
 use dio_gateway::{
-    normalize_question, BatchConfig, FlushRecord, FollowerOutcome, GatewayHandle, Join,
-    ModelGateway, OpenJob, Probe, SemanticCache, SemanticConfig, SemanticStats, Singleflight,
+    normalize_question, FlushRecord, FollowerOutcome, Join, ModelGateway, Probe, SemanticCache,
+    SemanticConfig, SemanticStats, Singleflight,
 };
 use dio_llm::{CostLedger, FoundationModel};
 use dio_obs::{Buckets, Budget, Counter, Gauge, Histogram, ObsHub, SpanContext, TraceStatus};
@@ -81,8 +81,6 @@ impl Default for ServeConfig {
 /// Model-plane gateway policy for [`QueryService::spawn_gateway`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
-    /// Batching policy for the shared [`ModelGateway`].
-    pub batch: BatchConfig,
     /// Semantic answer-cache policy; `None` disables the layer.
     pub semantic: Option<SemanticConfig>,
     /// Whether concurrent identical questions singleflight-coalesce.
@@ -92,7 +90,6 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            batch: BatchConfig::default(),
             semantic: Some(SemanticConfig::default()),
             coalesce: true,
         }
@@ -102,8 +99,8 @@ impl Default for GatewayConfig {
 /// Snapshot of the gateway plane's counters and cost ledger.
 #[derive(Debug, Clone)]
 pub struct GatewayStats {
-    /// The gateway's cost ledger (batched upstream bills, prefix
-    /// amortization).
+    /// The gateway's cost ledger: every successful upstream call,
+    /// billed once.
     pub ledger: CostLedger,
     /// Semantic-cache counters, when the layer is enabled.
     pub semantic: Option<SemanticStats>,
@@ -115,7 +112,7 @@ pub struct GatewayStats {
     pub abandoned: u64,
     /// Follower waits that ran out of budget.
     pub timeouts: u64,
-    /// The (bounded) per-flush audit log.
+    /// The (bounded) audit log, one record per model request.
     pub flush_log: Vec<FlushRecord>,
 }
 
@@ -125,9 +122,6 @@ struct GatewayPlane {
     flights: Singleflight<CopilotResponse>,
     semantic: Option<SemanticCache<CopilotResponse>>,
     model: Arc<ModelGateway>,
-    /// One handle per worker, by worker index: the worker opens each
-    /// job on its own, and its pipeline owns that handle's boxed facade.
-    handles: Vec<GatewayHandle>,
     coalesce: bool,
     role_leader: Counter,
     role_follower: Counter,
@@ -136,7 +130,7 @@ struct GatewayPlane {
 }
 
 impl GatewayPlane {
-    fn new(obs: &ObsHub, config: &GatewayConfig, model: Arc<ModelGateway>, workers: usize) -> Self {
+    fn new(obs: &ObsHub, config: &GatewayConfig, model: Arc<ModelGateway>) -> Self {
         let r = obs.registry();
         let role = |role: &str| {
             r.counter_with(
@@ -150,7 +144,6 @@ impl GatewayPlane {
             semantic: config
                 .semantic
                 .map(|sc| SemanticCache::new(r, sc)),
-            handles: (0..workers).map(|_| model.handle()).collect(),
             model,
             coalesce: config.coalesce,
             role_leader: role("leader"),
@@ -401,7 +394,7 @@ impl QueryService {
     where
         F: FnMut() -> Box<dyn FoundationModel>,
     {
-        Self::spawn_inner(prototype, config, None, std::iter::repeat_with(make_model))
+        Self::spawn_inner(prototype, config, None, make_model)
     }
 
     /// Launch the service with the **model-plane gateway** between the
@@ -409,11 +402,10 @@ impl QueryService {
     /// through one shared [`ModelGateway`] (singleflight coalescing
     /// and the semantic cache sit on the request path in front of it).
     /// `upstream` is the one real model — typically a
-    /// `BatchExpander<SimulatedModel>`, optionally under a
-    /// `FaultyModel` — shared by all workers, whose calls run on it
-    /// concurrently: at the default batch policy each ask's model call
-    /// leaves the moment it is made, and only `max_batch > 1` folds
-    /// overlapping calls into one.
+    /// `SimulatedModel`, optionally under a `FaultyModel` — shared by
+    /// all workers, whose calls run on it concurrently: each model call
+    /// a pipeline makes goes upstream the moment it is made, as a call
+    /// of its own.
     pub fn spawn_gateway(
         prototype: &DioCopilot,
         upstream: Box<dyn FoundationModel>,
@@ -421,23 +413,16 @@ impl QueryService {
         gateway: GatewayConfig,
     ) -> Self {
         let obs = prototype.obs().clone();
-        let model = ModelGateway::new(
-            upstream,
-            gateway.batch,
-            obs.registry(),
-            Some(obs.tracer().clone()),
-        );
-        let plane = GatewayPlane::new(&obs, &gateway, model, config.workers.max(1));
-        let models: Vec<_> = plane.handles.iter().map(GatewayHandle::boxed).collect();
-        Self::spawn_inner(prototype, config, Some(plane), models.into_iter())
+        let model = ModelGateway::new(upstream, obs.registry());
+        let plane = GatewayPlane::new(&obs, &gateway, Arc::clone(&model));
+        Self::spawn_inner(prototype, config, Some(plane), move || model.handle())
     }
 
-    /// `models` yields each worker's model, in worker-index order.
     fn spawn_inner(
         prototype: &DioCopilot,
         config: ServeConfig,
         gateway: Option<GatewayPlane>,
-        models: impl Iterator<Item = Box<dyn FoundationModel>>,
+        mut make_model: impl FnMut() -> Box<dyn FoundationModel>,
     ) -> Self {
         let obs = prototype.obs().clone();
         let brownout = Mutex::new(BrownoutController::new(
@@ -459,9 +444,8 @@ impl QueryService {
             gateway,
         });
         let workers = (0..config.workers.max(1))
-            .zip(models)
-            .map(|(idx, model)| {
-                let copilot = prototype.fork_with_model(model);
+            .map(|idx| {
+                let copilot = prototype.fork_with_model(make_model());
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("dio-serve-{idx}"))
@@ -633,19 +617,7 @@ fn retry_hint(queue_len: usize, workers: usize, floor: Duration) -> Duration {
 }
 
 fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
-    let gateway_handle = core.gateway.as_ref().map(|gw| &gw.handles[worker]);
-    // This worker's job on the model gateway: while it is open a
-    // gateway that folds calls (`max_batch > 1`) holds queued model
-    // calls for this worker. It is opened at
-    // pickup and stays open for as long as the worker has a request in
-    // hand or had the next one waiting when it finished; a worker that
-    // goes idle closes it, so nobody waits for a companion that cannot
-    // come. (Closing it between two requests of a backlog would release
-    // whatever is queued into every such gap, one small batch at a
-    // time.)
-    let mut gateway_job: Option<OpenJob<'_>> = None;
-    let mut next = None;
-    while let Some((job, deadline)) = next.take().or_else(|| core.queue.pop()) {
+    while let Some((job, deadline)) = core.queue.pop() {
         core.metrics.queue_depth.set(core.queue.len() as f64);
         let picked_up = Instant::now();
         let queue_wait = picked_up.duration_since(job.submitted);
@@ -684,14 +656,6 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
         let served = if picked_up >= deadline || job.budget.expired() {
             None
         } else {
-            // The request's trace context rides on the gateway job so
-            // batch_flush spans and `batched` events parent correctly.
-            if let Some(handle) = gateway_handle {
-                gateway_job = Some(match gateway_job.take() {
-                    Some(open) => open.continue_with(Some(job.ctx)),
-                    None => handle.open_job(Some(job.ctx)),
-                });
-            }
             let pickup = Pickup {
                 core: &core,
                 job: &job,
@@ -699,23 +663,11 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
                 picked_up,
                 worker,
                 level,
-                gateway_job: gateway_job.as_ref(),
             };
             Some(catch_unwind(AssertUnwindSafe(|| {
                 pickup.serve(&mut copilot)
             })))
         };
-        // Whether the gateway keeps counting this worker is settled as
-        // soon as the work is done and before the reply goes out: a
-        // request that is waiting now is a backlog and the worker is on
-        // its way back to the model; one that the client woken by this
-        // reply submits a moment later is not, and must not keep
-        // another worker's call queued while this one goes through it
-        // (a run of cache hits, say).
-        next = core.queue.try_pop();
-        if next.is_none() {
-            gateway_job = None;
-        }
         let outcome = match served {
             None => ServeOutcome::Shed(core.refuse(
                 &job.ctx,
@@ -786,8 +738,6 @@ struct Pickup<'a> {
     picked_up: Instant,
     worker: usize,
     level: BrownoutLevel,
-    /// The worker's open job on the model gateway, when there is one.
-    gateway_job: Option<&'a OpenJob<'a>>,
 }
 
 impl Pickup<'_> {
@@ -886,15 +836,7 @@ impl Pickup<'_> {
                             Join::Follower(h) => {
                                 gw.role_follower.inc();
                                 let out = tracer.time_learned(&job.ctx, "coalesce_wait", |_| {
-                                    // Parked on the leader's flight, this
-                                    // worker cannot reach the model: the
-                                    // gateway must not hold the leader's
-                                    // own request for it.
-                                    let wait = || h.wait(&job.budget);
-                                    let out = match self.gateway_job {
-                                        Some(open) => open.parked(wait),
-                                        None => wait(),
-                                    };
+                                    let out = h.wait(&job.budget);
                                     let outcome = match &out {
                                         FollowerOutcome::Ready(_) => "ready",
                                         FollowerOutcome::Abandoned => "abandoned",

@@ -23,7 +23,7 @@
 //! | [`baselines`] | `dio-baselines` | DIN-SQL-style and bare-model baselines |
 //! | [`benchmark`] | `dio-benchmark` | 200-question benchmark + EX evaluation |
 //! | [`serve`] | `dio-serve` | concurrent multi-tenant query service with admission control |
-//! | [`gateway`] | `dio-gateway` | model-plane gateway: singleflight coalescing, batched inference, semantic answer cache |
+//! | [`gateway`] | `dio-gateway` | model-plane gateway: singleflight coalescing, semantic answer cache, one model call per ask |
 //! | [`cluster`] | `dio-cluster` | sharded serving: hash-ring partitioning, WAL-shipped replicas, failover |
 //!
 //! ## Quickstart
