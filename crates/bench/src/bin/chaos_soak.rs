@@ -1,10 +1,14 @@
-//! **Chaos soak: the full pipeline under combined LLM + data-plane
-//! faults.** Runs the benchmark twice — fault-free baseline, then with
-//! [`dio_llm::FaultyModel`] *and* [`dio_faults`] data-plane chaos both
-//! at the same fault probability — and gates that EX stays within a
-//! stated band of the baseline and every question is still answered.
-//! (Crash consistency at every byte offset is the unit sweeps' job, in
-//! `dio-tsdb`'s `wal.rs`:
+//! **Chaos soak: the full pipeline under model faults and node
+//! crashes.** Runs the benchmark twice — fault-free baseline over one
+//! store, then with [`dio_llm::FaultyModel`] failing calls and a seeded
+//! [`CrashSchedule`] killing and restarting the nodes of a 2-node
+//! [`Cluster`] the copilot reads through, both at the same probability —
+//! and gates that EX stays within a stated band of the baseline and
+//! every question is still answered. A killed primary is found dead on
+//! the next read and its replica promoted; a store the resolver cannot
+//! reach surfaces as a storage fault the copilot retries, then
+//! degrades. (Crash consistency at every byte offset is the unit
+//! sweeps' job, in `dio-tsdb`'s `wal.rs`:
 //! `crash_at_every_byte_offset_never_loses_an_acked_write`,
 //! `crash_at_every_byte_offset_of_a_log_full_of_marker_bytes_keeps_the_acked_prefix`
 //! and the bit-flip sweeps beside them.)
@@ -17,43 +21,43 @@
 //! Writes `results/BENCH_chaos_soak.json`, then exits non-zero when a
 //! gate failed.
 
+use dio_baselines::{NlQuerySystem, SystemAnswer};
 use dio_bench::artifact::{stage_latencies, StageLatency, SystemResult};
 use dio_bench::drill::Drill;
 use dio_bench::Experiment;
 use dio_benchmark::{evaluate, EvalReport};
+use dio_cluster::{Cluster, ClusterConfig};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
-use dio_faults::ChaosConfig;
-use dio_llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
+use dio_faults::{CrashSchedule, NodeFault};
+use dio_llm::{FaultConfig, FaultyModel, FoundationModel, ModelProfile, SimulatedModel};
 use dio_obs::{ObsHub, SeriesValue};
+use dio_sandbox::StoreResolver;
 use serde::Serialize;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Per-operation fault probability for both fault planes.
 const FAULT_P: f64 = 0.2;
 /// Maximum EX drop (percentage points) the chaos run may show against
 /// the fault-free baseline.
 const EX_BAND: f64 = 10.0;
+/// Nodes of the chaos run's cluster: one replica per shard.
+const NODES: usize = 2;
 
-/// One `layer × kind` data-fault cell from the copilot's registry.
-#[derive(Debug, Clone, Serialize)]
-struct FaultCell {
-    layer: String,
-    kind: String,
-    count: f64,
-}
-
-/// Where the chaos run's answers came from — the degradation and
-/// completeness attribution the acceptance criteria ask for.
+/// Where the chaos run's answers came from, and what the faults did.
 #[derive(Debug, Clone, Serialize, Default)]
 struct Attribution {
     answers_full: f64,
     answers_repaired: f64,
     answers_degraded: f64,
-    completeness_complete: f64,
-    completeness_partial: f64,
     model_faults_injected: f64,
-    data_faults: Vec<FaultCell>,
-    index_demotions: f64,
+    node_crashes: usize,
+    node_restarts: usize,
+    /// Replica promotions after a primary was found dead.
+    failovers: f64,
+    /// Store resolutions that failed; each is retried (bounded) before
+    /// the ask degrades.
+    storage_faults: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -69,51 +73,86 @@ struct ChaosSoakArtifact {
     stage_latency_micros: Vec<StageLatency>,
 }
 
-/// One evaluation; `chaos` is the seed both fault planes run on.
-fn run(exp: &Experiment, chaos: Option<u64>) -> (EvalReport, DioCopilot) {
-    let hub = ObsHub::new();
-    let inner = SimulatedModel::new(ModelProfile::gpt4_sim());
-    let model: Box<dyn dio_llm::FoundationModel> = match chaos {
-        Some(seed) => Box::new(
-            FaultyModel::new(inner, FaultConfig::with_probability(seed, FAULT_P))
-                .with_registry(hub.registry().clone()),
-        ),
-        None => Box::new(inner),
-    };
+/// The chaos run's system: before each question the crash schedule may
+/// kill or restart a node of the cluster the copilot reads through.
+struct Crashing<'a> {
+    copilot: &'a mut DioCopilot,
+    cluster: &'a Cluster,
+    schedule: CrashSchedule,
+    crashes: usize,
+    restarts: usize,
+}
+
+impl NlQuerySystem for Crashing<'_> {
+    fn system_name(&self) -> String {
+        self.copilot.system_name()
+    }
+
+    fn answer(&mut self, question: &str, ts: i64) -> SystemAnswer {
+        match self.schedule.decide() {
+            Some(NodeFault::Crash { node }) => {
+                self.crashes += usize::from(self.cluster.kill_node(node));
+            }
+            Some(NodeFault::Restart { node }) => {
+                self.cluster.restart_node(node);
+                self.restarts += 1;
+            }
+            None => {}
+        }
+        self.copilot.answer(question, ts)
+    }
+}
+
+fn copilot(exp: &Experiment, model: Box<dyn FoundationModel>, hub: ObsHub) -> DioCopilot {
     let config = CopilotConfig {
         generate_dashboards: false,
-        data_chaos: chaos.map(|seed| ChaosConfig::with_probability(seed, FAULT_P)),
         ..CopilotConfig::default()
     };
-    let mut dio = CopilotBuilder::new(exp.world.domain_db(), exp.world.store.clone())
+    CopilotBuilder::new(exp.world.domain_db(), exp.world.store.clone())
         .model(model)
         .config(config)
         .exemplars(exp.exemplars.clone())
         .obs(hub)
-        .build();
-    let report = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
-    (report, dio)
+        .build()
 }
 
-/// A labelled counter family as `layer × kind` cells, zeroes omitted.
-fn fault_cells(snapshot: &dio_obs::Snapshot, family: &str) -> Vec<FaultCell> {
-    let series = snapshot.family(family).map(|fam| fam.series.as_slice()).unwrap_or_default();
-    let cells = series.iter().filter_map(|s| {
-        let label = |key: &str| {
-            let pair = s.labels.iter().find(|(k, _)| k == key);
-            pair.map(|(_, v)| v.clone()).unwrap_or_default()
-        };
-        match s.value {
-            SeriesValue::Counter(count) if count != 0.0 => {
-                Some(FaultCell { layer: label("layer"), kind: label("kind"), count })
-            }
-            _ => None,
-        }
-    });
-    cells.collect()
+/// The fault-free baseline: the simulated model over one store.
+fn baseline(exp: &Experiment) -> EvalReport {
+    let model = Box::new(SimulatedModel::new(ModelProfile::gpt4_sim()));
+    let mut dio = copilot(exp, model, ObsHub::new());
+    evaluate(&mut dio, &exp.questions, exp.world.eval_ts)
 }
 
-fn attribution(dio: &DioCopilot) -> Attribution {
+/// The chaos run on `seed`: model faults, and node crashes under a
+/// cluster that counts into the copilot's registry.
+fn chaos(exp: &Experiment, seed: u64) -> (EvalReport, DioCopilot, Attribution) {
+    let hub = ObsHub::new();
+    let model = FaultyModel::new(
+        SimulatedModel::new(ModelProfile::gpt4_sim()),
+        FaultConfig::with_probability(seed, FAULT_P),
+    )
+    .with_registry(hub.registry().clone());
+    let cluster = Arc::new(Cluster::with_registry(
+        ClusterConfig::new(NODES),
+        hub.registry().clone(),
+    ));
+    cluster.load_from(&exp.world.store).expect("cluster load");
+    let mut dio = copilot(exp, Box::new(model), hub);
+    dio.attach_store_resolver(cluster.clone() as Arc<dyn StoreResolver>);
+    let mut system = Crashing {
+        copilot: &mut dio,
+        cluster: &cluster,
+        schedule: CrashSchedule::new(seed, FAULT_P, NODES),
+        crashes: 0,
+        restarts: 0,
+    };
+    let report = evaluate(&mut system, &exp.questions, exp.world.eval_ts);
+    let (crashes, restarts) = (system.crashes, system.restarts);
+    let attribution = attribution(&dio, crashes, restarts);
+    (report, dio, attribution)
+}
+
+fn attribution(dio: &DioCopilot, node_crashes: usize, node_restarts: usize) -> Attribution {
     let snap = dio.obs().registry().snapshot();
     // `+ 0.0`: an empty f64 sum is -0.0, which would render as "-0".
     let total = |family: &str, key: &str, value: &str| {
@@ -134,11 +173,11 @@ fn attribution(dio: &DioCopilot) -> Attribution {
         answers_full: total(ANSWERS, "degradation", "full"),
         answers_repaired: total(ANSWERS, "degradation", "repaired"),
         answers_degraded: total(ANSWERS, "degradation", "degraded"),
-        completeness_complete: total(dio_copilot::obs::COMPLETENESS_NAME, "level", "complete"),
-        completeness_partial: total(dio_copilot::obs::COMPLETENESS_NAME, "level", "partial"),
         model_faults_injected: snap.total("dio_llm_faults_injected_total"),
-        data_faults: fault_cells(&snap, dio_copilot::obs::DATA_FAULTS_NAME),
-        index_demotions: snap.total(dio_copilot::obs::DEMOTIONS_NAME),
+        node_crashes,
+        node_restarts,
+        failovers: snap.total("dio_cluster_failovers_total"),
+        storage_faults: snap.total(dio_copilot::obs::DATA_FAULTS_NAME),
     }
 }
 
@@ -147,25 +186,27 @@ fn main() -> ExitCode {
     let exp = drill.experiment(40);
 
     eprintln!("baseline run ({} questions, fault-free)…", exp.questions.len());
-    let (baseline, _) = run(&exp, None);
+    let baseline = baseline(&exp);
     eprintln!(
-        "baseline EX {:.1}% — chaos run (p={FAULT_P} on model and data planes)…",
+        "baseline EX {:.1}% — chaos run (p={FAULT_P} model faults and node crashes)…",
         baseline.ex_percent
     );
-    let (chaos, dio) = run(&exp, Some(drill.seed));
-    let attribution = attribution(&dio);
+    let (chaos, dio, attribution) = chaos(&exp, drill.seed);
 
     let ex_delta = baseline.ex_percent - chaos.ex_percent;
     let within_band = ex_delta.abs() <= EX_BAND;
     println!(
         "chaos soak: baseline EX {:.1}%, chaos EX {:.1}% (delta {:+.1} pts, band ±{EX_BAND}), \
-         {} degraded / {} repaired / {} full",
+         {} degraded / {} repaired / {} full, {} crashes, {} failovers, {} storage faults",
         baseline.ex_percent,
         chaos.ex_percent,
         -ex_delta,
         attribution.answers_degraded,
         attribution.answers_repaired,
         attribution.answers_full,
+        attribution.node_crashes,
+        attribution.failovers,
+        attribution.storage_faults,
     );
     drill.gate(
         "ex_within_band",

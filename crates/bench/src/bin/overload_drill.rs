@@ -1,5 +1,5 @@
-//! `overload_drill` — deadline propagation, the brownout ladder, and
-//! hedged shard reads under a sustained 3x-capacity overload burst.
+//! `overload_drill` — deadline propagation and the brownout ladder
+//! under a sustained 3x-capacity overload burst.
 //!
 //! Phases:
 //!
@@ -9,15 +9,12 @@
 //!    normal load;
 //! 2. **overload** — the same undersized service twice (brownout
 //!    disabled, then enabled): a submitter keeps two workers and an
-//!    8-deep queue saturated with p=0.2 model faults and one slow
-//!    shard while every request carries a tight deadline. Gates:
-//!    every ticket resolves, the trace audit saw every accepted
+//!    8-deep queue saturated with p=0.2 model faults, reading through
+//!    a 3-shard cluster, while every request carries a tight deadline.
+//!    Gates: every ticket resolves, the trace audit saw every accepted
 //!    request and at least one model call, zero model calls past a
 //!    lapsed deadline, and goodput with the ladder ≥ the
-//!    binary-shedding baseline;
-//! 3. **hedge** — a cluster with one slow primary serves a question
-//!    slice after a warm-up: hedged reads must win at least once and
-//!    the answers must match an unsharded copilot exactly.
+//!    binary-shedding baseline.
 //!
 //! Flags: `--quick` (small world, 40 questions), `--seed=S`.
 //!
@@ -37,8 +34,6 @@ use std::time::{Duration, Instant};
 
 /// Asks the deadline calibration probe times.
 const PROBE_ASKS: usize = 8;
-/// Injected (virtual, never slept) read latency on the slow node.
-const SLOW_READ_MICROS: u64 = 50_000;
 /// Model fault probability for the overload phase.
 const FAULT_P: f64 = 0.2;
 
@@ -60,27 +55,6 @@ struct OverloadPass {
     audit: TraceAudit,
     final_brownout_level: String,
     brownout_transitions: f64,
-    hedges: Hedges,
-}
-
-/// A cluster's hedged-read races.
-#[derive(Debug, Clone, Serialize)]
-struct Hedges {
-    wins: u64,
-    losses: u64,
-    cancelled: u64,
-}
-
-fn hedges(cluster: &Cluster) -> Hedges {
-    let (wins, losses, cancelled) = cluster.hedge_outcomes();
-    Hedges { wins, losses, cancelled }
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct HedgeResult {
-    compared: usize,
-    divergent: usize,
-    hedges: Hedges,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -88,7 +62,6 @@ struct DrillArtifact {
     parity: ParityResult,
     calibrated_deadline_micros: u64,
     overload: Vec<OverloadPass>,
-    hedge: HedgeResult,
     goodput_gain_vs_baseline: i64,
 }
 
@@ -103,17 +76,17 @@ fn ladder_transitions(service: &QueryService) -> f64 {
     service.obs().registry().snapshot().total("dio_serve_brownout_transitions_total")
 }
 
-/// The overload pipeline's data plane: three shards, one slow primary.
-fn slow_shard_cluster(exp: &Experiment) -> Arc<Cluster> {
+/// The overload pipeline's data plane: three shards.
+fn sharded_cluster(exp: &Experiment) -> Arc<Cluster> {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(3)));
     cluster.load_from(&exp.world.store).expect("cluster load");
-    cluster.set_read_latency(0, SLOW_READ_MICROS);
     cluster
 }
 
 /// One overload run: the undersized service is kept saturated until
 /// `3 × queue × workers` requests are accepted, every request on the
-/// tight drill deadline, model faults at p=0.2, one slow shard.
+/// tight drill deadline, model faults at p=0.2, reads through three
+/// shards.
 fn overload_pass(
     exp: &Experiment,
     seed: u64,
@@ -121,9 +94,8 @@ fn overload_pass(
     deadline: Duration,
     pass: &str,
 ) -> OverloadPass {
-    let cluster = slow_shard_cluster(exp);
     let mut prototype = exp.copilot(faulty_model(seed));
-    prototype.attach_store_resolver(cluster.clone() as Arc<dyn StoreResolver>);
+    prototype.attach_store_resolver(sharded_cluster(exp) as Arc<dyn StoreResolver>);
     let model_seed = AtomicU64::new(seed.wrapping_mul(0x9e37_79b9));
     let service = QueryService::spawn(
         &prototype,
@@ -148,7 +120,6 @@ fn overload_pass(
         brownout_transitions: ladder_transitions(&service),
         tally,
         audit,
-        hedges: hedges(&cluster),
     };
     service.shutdown();
     let (t, a) = (&result.tally, &result.audit);
@@ -220,11 +191,11 @@ fn main() -> ExitCode {
 
     // ---- Phase 2: overload, binary shedding vs the ladder ----------
     // Calibrate the drill deadline from the pipeline the overload
-    // passes will actually run: faulty model, three shards, one slow
-    // primary. A fixed constant is either trivially generous on a
-    // small quick world or impossibly tight on the full one.
+    // passes will actually run: faulty model, three shards. A fixed
+    // constant is either trivially generous on a small quick world or
+    // impossibly tight on the full one.
     let mut probe = exp.copilot(faulty_model(seed ^ 0x5eed));
-    probe.attach_store_resolver(slow_shard_cluster(&exp) as Arc<dyn StoreResolver>);
+    probe.attach_store_resolver(sharded_cluster(&exp) as Arc<dyn StoreResolver>);
     // Time only the asks — cluster construction and the store copy
     // above are one-off costs the served requests never pay.
     let probe_started = Instant::now();
@@ -279,44 +250,10 @@ fn main() -> ExitCode {
         format!("goodput {} with the ladder vs {} binary shedding", browned.tally.goodput(), baseline.tally.goodput()),
     );
 
-    // ---- Phase 3: hedged reads against a slow primary --------------
-    eprintln!("phase 3: hedged reads (one slow primary)…");
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(2)));
-    cluster.load_from(&exp.world.store).expect("cluster load");
-    let mut hedged = exp.copilot(Experiment::gpt4());
-    hedged.attach_store_resolver(cluster.clone() as Arc<dyn StoreResolver>);
-    let mut reference = exp.copilot(Experiment::gpt4());
-    let slice = &exp.questions[..n.min(30)];
-    // Warm the rolling latency window with fast reads so the hedge
-    // delay settles at its floor before the primary turns slow.
-    sequential(&mut hedged, slice, eval_ts, |_| {});
-    cluster.set_read_latency(0, SLOW_READ_MICROS);
-    let mut divergent = 0usize;
-    for q in slice {
-        let a = hedged.ask(&q.text, eval_ts);
-        let b = reference.ask(&q.text, eval_ts);
-        if a.numeric_answer != b.numeric_answer {
-            divergent += 1;
-            eprintln!(
-                "  DIVERGED on {:?}: hedged {:?} vs reference {:?}",
-                q.text, a.numeric_answer, b.numeric_answer
-            );
-        }
-    }
-    let hedges = hedges(&cluster);
-    eprintln!("  hedge: {hedges:?}, {divergent}/{} divergent", slice.len());
-    drill.gate("hedge_won_a_race", hedges.wins >= 1, format!("{} wins against the slow primary", hedges.wins));
-    drill.gate(
-        "hedged_answers_match_unsharded",
-        divergent == 0,
-        format!("{divergent} of {} hedged answers diverged", slice.len()),
-    );
-
     drill.finish(&DrillArtifact {
         parity,
         calibrated_deadline_micros: drill_deadline.as_micros() as u64,
         overload: vec![baseline, browned],
-        hedge: HedgeResult { compared: slice.len(), divergent, hedges },
         goodput_gain_vs_baseline: goodput_gain,
     })
 }

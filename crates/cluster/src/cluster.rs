@@ -137,21 +137,13 @@ pub struct RejoinReport {
 }
 
 /// Span name for one shard touched during store resolution. Attributes:
-/// `shard` and `path` (`pushdown` | `gather` | `gather_all`); hedged
-/// reads add `hedge` (`win` | `loss`).
+/// `shard` and `path` (`pushdown` | `gather` | `gather_all`).
 pub(crate) const SHARD_READ_SPAN: &str = "shard_read";
 /// Span name for the synchronous WAL shipment inside a traced append.
 pub(crate) const WAL_SHIP_SPAN: &str = "wal_ship";
 
-/// Rolling window of served read latencies the hedge delay derives
-/// from; undrained failover latencies are bounded by it too.
-const READ_LATENCY_WINDOW: usize = 256;
-/// Served-latency samples required before hedging arms: a cold window
-/// has no p99 worth trusting.
-const HEDGE_MIN_SAMPLES: usize = 16;
-/// Floor on the hedge-fire delay (µs), so a uniformly fast window
-/// cannot make every read hedge.
-const HEDGE_FLOOR_MICROS: u64 = 500;
+/// How many of the newest undrained failover latencies are kept.
+const FAILOVER_LATENCY_WINDOW: usize = 256;
 
 const HELP_FAILOVERS: &str = "Replica promotions after a primary was found dead";
 const HELP_LAG: &str = "Worst primary-to-replica applied-timestamp gap across shards (s)";
@@ -160,8 +152,6 @@ const HELP_RESHIPS: &str = "Replication chunks re-sent after loss or CRC rejecti
 const HELP_APPENDS: &str = "Acknowledged cluster appends";
 const HELP_ROUTES: &str = "Query store resolutions by routing path";
 const HELP_UNAVAILABLE: &str = "Operations refused because a shard had no live copy";
-const HELP_HEDGE: &str =
-    "Hedged shard reads by outcome: win (replica served), loss (primary served), cancelled (the losing read was abandoned first-wins)";
 
 #[derive(Debug)]
 struct ClusterMetrics {
@@ -175,9 +165,6 @@ struct ClusterMetrics {
     route_gather: Counter,
     route_gather_all: Counter,
     unavailable: Counter,
-    hedge_win: Counter,
-    hedge_loss: Counter,
-    hedge_cancelled: Counter,
 }
 
 impl ClusterMetrics {
@@ -208,21 +195,6 @@ impl ClusterMetrics {
                 &[("path", "gather_all")],
             ),
             unavailable: registry.counter("dio_cluster_unavailable_total", HELP_UNAVAILABLE),
-            hedge_win: registry.counter_with(
-                "dio_cluster_hedge_total",
-                HELP_HEDGE,
-                &[("outcome", "win")],
-            ),
-            hedge_loss: registry.counter_with(
-                "dio_cluster_hedge_total",
-                HELP_HEDGE,
-                &[("outcome", "loss")],
-            ),
-            hedge_cancelled: registry.counter_with(
-                "dio_cluster_hedge_total",
-                HELP_HEDGE,
-                &[("outcome", "cancelled")],
-            ),
             registry,
         }
     }
@@ -247,15 +219,8 @@ struct Inner {
     /// Chaos on the replication link.
     link: Option<Injector>,
     /// Detection-to-takeover times (µs), drained by the bench; the
-    /// newest [`READ_LATENCY_WINDOW`] are kept.
+    /// newest [`FAILOVER_LATENCY_WINDOW`] are kept.
     failover_latencies: VecDeque<u64>,
-    /// Simulated per-read latency by node (µs). Recorded, never slept:
-    /// the hedging policy reasons about these virtual latencies
-    /// deterministically.
-    read_latency_micros: Vec<u64>,
-    /// Rolling window of served read latencies (µs); its p99 sets the
-    /// hedge-fire delay.
-    read_latency_window: VecDeque<u64>,
 }
 
 /// Borrow two of a shard's copies at once: `from` to read its WAL,
@@ -320,8 +285,6 @@ impl Cluster {
                 shards,
                 link,
                 failover_latencies: VecDeque::new(),
-                read_latency_micros: vec![0; n],
-                read_latency_window: VecDeque::new(),
             }),
             metrics: ClusterMetrics::new(registry),
         }
@@ -404,29 +367,9 @@ impl Cluster {
     }
 
     /// Drain recorded detection-to-takeover latencies (µs): the newest
-    /// [`READ_LATENCY_WINDOW`] since the last drain.
+    /// [`FAILOVER_LATENCY_WINDOW`] since the last drain.
     pub fn take_failover_latencies(&self) -> Vec<u64> {
         std::mem::take(&mut self.inner.lock().unwrap().failover_latencies).into()
-    }
-
-    /// Set node `node`'s simulated per-read latency (µs). The latency
-    /// is *recorded, never slept* — it feeds the hedging policy and the
-    /// virtual-latency accounting deterministically. The drills use
-    /// this to make one shard's primary pathologically slow.
-    pub fn set_read_latency(&self, node: usize, micros: u64) {
-        self.inner.lock().unwrap().read_latency_micros[node] = micros;
-    }
-
-    /// Hedged-read outcomes so far: `(wins, losses, cancelled)`.
-    /// `wins` counts reads the replica served first; `losses` reads
-    /// where the primary still won after the hedge fired; `cancelled`
-    /// every losing in-flight read abandoned first-wins.
-    pub fn hedge_outcomes(&self) -> (u64, u64, u64) {
-        (
-            self.metrics.hedge_win.value() as u64,
-            self.metrics.hedge_loss.value() as u64,
-            self.metrics.hedge_cancelled.value() as u64,
-        )
     }
 
     /// Load every series of a single-node store into the cluster
@@ -643,7 +586,7 @@ impl Cluster {
         inner.shards[shard].replica_node = None;
         self.metrics.failovers.inc();
         let micros = detected.elapsed().as_micros() as u64;
-        push_bounded(&mut inner.failover_latencies, READ_LATENCY_WINDOW, micros);
+        push_bounded(&mut inner.failover_latencies, FAILOVER_LATENCY_WINDOW, micros);
         if let Some((tracer, ctx)) = trace {
             let child = tracer.child_of(ctx);
             tracer.record_span(
@@ -735,35 +678,11 @@ impl Cluster {
         }
         merged
     }
-}
-
-impl Cluster {
-    /// Hedge-fire delay (µs): the p99 of the rolling served-latency
-    /// window, floored at [`HEDGE_FLOOR_MICROS`]. `None` until the
-    /// window holds [`HEDGE_MIN_SAMPLES`] observations — hedging stays
-    /// off while cold so a handful of early reads cannot set the bar.
-    fn hedge_delay(inner: &Inner) -> Option<u64> {
-        let n = inner.read_latency_window.len();
-        if n < HEDGE_MIN_SAMPLES {
-            return None;
-        }
-        let mut v: Vec<u64> = inner.read_latency_window.iter().copied().collect();
-        v.sort_unstable();
-        Some(v[(n - 1) * 99 / 100].max(HEDGE_FLOOR_MICROS))
-    }
 
     /// Touch `shard` under a per-shard [`SHARD_READ_SPAN`]: ensure a
     /// live primary (recording any promotion on the trace) and hand out
-    /// a store. The span covers detection/promotion plus the store
+    /// its store. The span covers detection/promotion plus the store
     /// fetch and is tagged with the routing path.
-    ///
-    /// When the primary's virtual latency exceeds the rolling-p99
-    /// hedge delay and a live replica exists, a hedged read fires: the
-    /// replica copy starts `delay` µs behind the primary, the first
-    /// CRC-clean, fully-replicated response wins, and the loser is
-    /// cancelled (abandoned first-wins, its bytes never merged). All
-    /// latencies are *recorded, never slept* — the virtual completion
-    /// times decide the winner deterministically.
     fn read_shard(
         &self,
         inner: &mut Inner,
@@ -778,61 +697,18 @@ impl Cluster {
         let ensured = self
             .ensure_primary(inner, shard, span.as_ref().map(|(t, ctx, _, _)| (*t, ctx)))
             .map_err(|e| self.note_unavailable(e).to_string());
-        let mut hedge: Option<&'static str> = None;
-        let mut serving: Option<usize> = None;
-        if ensured.is_ok() {
-            let p = inner.shards[shard].primary_node;
-            let lat_p = inner.read_latency_micros[p];
-            let mut chosen = (p, lat_p);
-            if let Some(delay) = Self::hedge_delay(inner) {
-                if lat_p > delay {
-                    let live_replica =
-                        inner.shards[shard].replica_node.filter(|r| inner.up[*r]);
-                    if let Some(r) = live_replica {
-                        // The replica starts `delay` after the primary.
-                        let lat_r = delay + inner.read_latency_micros[r];
-                        // Serve the replica only when its image is
-                        // caught up to the primary AND clean — verified
-                        // as it arrived, so only bytes past the
-                        // watermark are scanned here. It is then
-                        // byte-identical by construction, and a hedge
-                        // win can never diverge from the unhedged read.
-                        let copies = &inner.shards[shard].copies;
-                        let clean = copies[&r].records() == copies[&p].records()
-                            && copies[&r].unverified_suffix_is_clean();
-                        if clean && lat_r < lat_p {
-                            self.metrics.hedge_win.inc();
-                            hedge = Some("win");
-                            chosen = (r, lat_r);
-                        } else {
-                            self.metrics.hedge_loss.inc();
-                            hedge = Some("loss");
-                        }
-                        // Either way one in-flight read was abandoned.
-                        self.metrics.hedge_cancelled.inc();
-                    }
-                }
-            }
-            push_bounded(&mut inner.read_latency_window, READ_LATENCY_WINDOW, chosen.1);
-            serving = Some(chosen.0);
-        }
         if let Some((tracer, ctx, start, t0)) = span {
-            let shard_s = shard.to_string();
-            let mut attrs: Vec<(&str, &str)> = vec![("shard", &shard_s), ("path", path)];
-            if let Some(outcome) = hedge {
-                attrs.push(("hedge", outcome));
-            }
             tracer.record_span(
                 &ctx,
                 SHARD_READ_SPAN,
                 start,
                 dio_obs::micros_u64(t0.elapsed()),
-                &attrs,
+                &[("shard", &shard.to_string()), ("path", path)],
             );
         }
         ensured?;
-        let node = serving.expect("live primary implies a serving copy was chosen");
-        Ok(inner.shards[shard].copies[&node].store())
+        let s = &inner.shards[shard];
+        Ok(s.copies[&s.primary_node].store())
     }
 }
 
@@ -1257,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn damage_past_the_watermark_refuses_promotion_and_loses_the_hedge() {
+    fn damage_past_the_watermark_refuses_promotion() {
         let cluster = Cluster::new(ClusterConfig::new(2));
         cluster.load_from(&seed_store(&FAMILIES, 4)).unwrap();
         let f = FAMILIES[0];
@@ -1266,26 +1142,15 @@ mod tests {
             cluster.primary_of(shard),
             cluster.replica_of(shard).unwrap(),
         );
-        for _ in 0..20 {
-            cluster.resolve(&[f.to_string()], false).unwrap();
-        }
+        cluster.resolve(&[f.to_string()], false).unwrap();
         // A torn frame lands on the replica's WAL behind the watermark.
         cluster.inner.lock().unwrap().shards[shard]
             .copies
             .get_mut(&replica)
             .unwrap()
             .append_unverified(&dio_tsdb::MAGIC);
-
-        // Slow primary, fast replica: the hedge fires, but the replica
-        // is not clean, so the primary serves.
-        cluster.set_read_latency(primary, 50_000);
+        // The live primary keeps serving.
         cluster.resolve(&[f.to_string()], false).unwrap();
-        let (wins, losses, _) = cluster.hedge_outcomes();
-        assert_eq!(
-            (wins, losses),
-            (0, 1),
-            "a damaged replica must lose the hedge"
-        );
 
         // Dead primary: the damaged replica is not promoted.
         cluster.kill_node(primary);
@@ -1308,14 +1173,14 @@ mod tests {
             .append(labels(f, "amf-0"), Sample::new(1_000, 1.0))
             .unwrap();
         let shard = cluster.shard_for(f);
-        for _ in 0..READ_LATENCY_WINDOW + 10 {
+        for _ in 0..FAILOVER_LATENCY_WINDOW + 10 {
             let victim = cluster.primary_of(shard);
             cluster.kill_node(victim);
             cluster.resolve(&[f.to_string()], false).unwrap();
             cluster.restart_node(victim);
         }
-        assert!(cluster.failovers() as usize >= READ_LATENCY_WINDOW + 10);
-        assert_eq!(cluster.take_failover_latencies().len(), READ_LATENCY_WINDOW);
+        assert!(cluster.failovers() as usize >= FAILOVER_LATENCY_WINDOW + 10);
+        assert_eq!(cluster.take_failover_latencies().len(), FAILOVER_LATENCY_WINDOW);
         assert!(cluster.take_failover_latencies().is_empty());
     }
 
@@ -1408,73 +1273,145 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hedged_read_serves_replica_when_primary_is_slow() {
-        let source = seed_store(&FAMILIES, 4);
-        let cluster = Cluster::new(ClusterConfig::new(2));
-        cluster.load_from(&source).unwrap();
-        let f = FAMILIES[0];
-        let shard = cluster.shard_for(f);
+    /// SplitMix64: the generated sequences' only source of choices.
+    struct Gen(u64);
 
-        // Cold window: no hedging regardless of latency skew.
-        cluster.set_read_latency(cluster.primary_of(shard), 50_000);
-        let baseline = cluster.resolve(&[f.to_string()], false).unwrap();
-        assert_eq!(cluster.hedge_outcomes(), (0, 0, 0), "cold window must not hedge");
-        cluster.set_read_latency(cluster.primary_of(shard), 0);
-
-        // Warm the window with fast reads so the p99 delay settles at
-        // the floor.
-        for _ in 0..20 {
-            cluster.resolve(&[f.to_string()], false).unwrap();
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
         }
 
-        // Slow primary: the hedge fires after the p99 delay and the
-        // byte-identical replica wins the race.
-        cluster.set_read_latency(cluster.primary_of(shard), 50_000);
-        let tracer = Tracer::new();
-        let root = tracer.begin_trace("hedged read");
-        let hedged = cluster
-            .resolve_traced(&[f.to_string()], false, Some((&tracer, &root)))
-            .unwrap();
-        tracer.finish_trace(&root, dio_obs::TraceStatus::Ok);
-        let (wins, _losses, cancelled) = cluster.hedge_outcomes();
-        assert!(wins >= 1, "slow primary with a fast replica must lose the race");
-        assert!(cancelled >= wins, "every hedge abandons one loser first-wins");
-        // Correctness gate: the replica is byte-identical, so the
-        // hedged answer must match the unhedged one exactly.
-        assert_eq!(hedged.sample_count(), baseline.sample_count());
-        let total: usize = hedged.series_for(f).iter().map(|s| s.samples().len()).sum();
-        assert_eq!(total, 4, "hedged read dropped samples");
-        // The winning read is tagged on the trace.
-        let rec = tracer.trace(root.trace_id).unwrap();
-        let read = rec
-            .spans
-            .iter()
-            .find(|s| s.name == SHARD_READ_SPAN)
-            .expect("shard_read span present");
-        assert_eq!(read.attr("hedge"), Some("win"));
-        let snap = cluster.registry().snapshot();
-        assert!(snap.total("dio_cluster_hedge_total") >= 2.0);
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Every acknowledged sample, by family and then `instance`: what
+    /// any read must return while one copy of every shard is live.
+    type Model = BTreeMap<String, BTreeMap<String, Vec<(i64, u64)>>>;
+
+    fn acked_by_instance(store: &MetricStore, family: &str) -> BTreeMap<String, Vec<(i64, u64)>> {
+        let mut out: BTreeMap<String, Vec<(i64, u64)>> = BTreeMap::new();
+        for series in store.series_for(family) {
+            let instance = series.labels().get("instance").unwrap_or("").to_string();
+            let samples = out.entry(instance).or_default();
+            samples.extend(series.samples().iter().map(|s| (s.timestamp_ms, s.value.to_bits())));
+        }
+        out
+    }
+
+    /// One generated sequence over the public cluster API, checked
+    /// against the acked-log model after every step. Node faults are
+    /// single failures — a node is killed only while every other is
+    /// up, and the one down node is the one restarted — the failure
+    /// model replication is built to survive with no loss; the
+    /// double-failure loss has its own named tests above.
+    fn run_sequence(seed: u64) {
+        let mut gen = Gen(seed);
+        let nodes = 2 + gen.below(2);
+        let steps = 20 + gen.below(181);
+        let chaos = ChaosConfig::with_probability(seed, 0.5);
+        let cluster = Cluster::new(ClusterConfig::new(nodes));
+        let mut model = Model::new();
+        if gen.below(2) == 0 {
+            let source = seed_store(&FAMILIES, 3);
+            cluster.load_from(&source).unwrap();
+            for f in FAMILIES {
+                model.insert(f.to_string(), acked_by_instance(&source, f));
+            }
+        }
+        let (mut ts, mut instances, mut down) = (10_000i64, 1usize, None::<usize>);
+        let mut trail: Vec<String> = Vec::new();
+        for step in 0..steps {
+            let roll = gen.below(100);
+            let family = FAMILIES[gen.below(FAMILIES.len())];
+            let op = match roll {
+                // Append to a series the family may already hold, or
+                // to a new one.
+                0..=44 => {
+                    let instance = if roll < 35 {
+                        format!("amf-{}", gen.below(instances))
+                    } else {
+                        instances += 1;
+                        format!("amf-{}", instances - 1)
+                    };
+                    ts += 1_000;
+                    let value = gen.below(1_000) as f64;
+                    let ack = cluster
+                        .append(labels(family, &instance), Sample::new(ts, value))
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}; {trail:?}"));
+                    assert!(ack.replicated || down.is_some(), "seed {seed} step {step}");
+                    let series = model.entry(family.to_string()).or_default();
+                    series.entry(instance.clone()).or_default().push((ts, value.to_bits()));
+                    format!("append {family} {instance} @{ts}")
+                }
+                45..=69 => {
+                    let store = cluster
+                        .resolve(&[family.to_string()], false)
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}; {trail:?}"));
+                    let want = model.get(family).cloned().unwrap_or_default();
+                    assert_eq!(
+                        acked_by_instance(&store, family),
+                        want,
+                        "seed {seed} step {step}: read {family}; {trail:?}"
+                    );
+                    format!("read {family}")
+                }
+                70..=77 => {
+                    let store = cluster.resolve(&[], true).unwrap();
+                    for f in FAMILIES {
+                        let want = model.get(f).cloned().unwrap_or_default();
+                        assert_eq!(
+                            acked_by_instance(&store, f),
+                            want,
+                            "seed {seed} step {step}: gather-all {f}; {trail:?}"
+                        );
+                    }
+                    "read all".to_string()
+                }
+                78..=87 => match down.take() {
+                    Some(node) => {
+                        cluster.restart_node(node);
+                        format!("restart {node}")
+                    }
+                    None => {
+                        let node = gen.below(nodes);
+                        assert!(cluster.kill_node(node));
+                        down = Some(node);
+                        format!("kill {node}")
+                    }
+                },
+                _ => {
+                    let mut inner = cluster.inner.lock().unwrap();
+                    let on = inner.link.is_none();
+                    inner.link = on.then(|| Injector::derived(&chaos, "replication"));
+                    format!("link chaos {}", if on { "on" } else { "off" })
+                }
+            };
+            trail.push(op);
+            assert_every_copy_verified_and_converged(&cluster, &format!("seed {seed} {trail:?}"));
+        }
+        // Quiescence: every node back up, every copy its primary's.
+        if let Some(node) = down {
+            cluster.restart_node(node);
+        }
+        assert!(cluster.down_nodes().is_empty());
+        assert_every_copy_verified_and_converged(&cluster, &format!("seed {seed} quiescence"));
+        let store = cluster.resolve(&[], true).unwrap();
+        for f in FAMILIES {
+            let want = model.get(f).cloned().unwrap_or_default();
+            assert_eq!(acked_by_instance(&store, f), want, "seed {seed} quiescence {f}");
+        }
     }
 
     #[test]
-    fn hedge_loses_when_replica_is_even_slower() {
-        let source = seed_store(&FAMILIES, 4);
-        let cluster = Cluster::new(ClusterConfig::new(2));
-        cluster.load_from(&source).unwrap();
-        let f = FAMILIES[0];
-        let shard = cluster.shard_for(f);
-        for _ in 0..20 {
-            cluster.resolve(&[f.to_string()], false).unwrap();
+    fn generated_operation_sequences_match_the_acked_log() {
+        for seed in 0..64 {
+            run_sequence(0x5eed_0000 + seed);
         }
-        // Primary slow enough to hedge, replica slower still: the
-        // hedge fires but the primary keeps winning.
-        cluster.set_read_latency(cluster.primary_of(shard), 10_000);
-        cluster.set_read_latency(cluster.replica_of(shard).unwrap(), 60_000);
-        cluster.resolve(&[f.to_string()], false).unwrap();
-        let (wins, losses, cancelled) = cluster.hedge_outcomes();
-        assert_eq!(wins, 0, "a slower replica must not win");
-        assert!(losses >= 1, "the fired hedge must be counted as a loss");
-        assert!(cancelled >= 1, "the losing replica read must be cancelled");
     }
 }

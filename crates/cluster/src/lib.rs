@@ -19,9 +19,9 @@
 //!   copilot with `attach_store_resolver(cluster)` evaluates PromQL
 //!   against the sharded store with no other changes; resolution
 //!   failures ride the sandbox's retryable storage-fault path.
-//! * `dio_faults` — the replication link reuses the chaos injector
-//!   (bit flips, torn chunks, lost shipments) and node kill/restart
-//!   drills reuse [`dio_faults::CrashSchedule`].
+//! * `dio_faults` — the replication link draws its faults (bit flips,
+//!   torn chunks, lost shipments) from a seeded injector, and node
+//!   kill/restart drills replay [`dio_faults::CrashSchedule`].
 
 #![warn(missing_docs)]
 

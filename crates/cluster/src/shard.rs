@@ -23,9 +23,9 @@
 //! or CRC-checked and parsed before adoption
 //! ([`ShardCopy::apply_shipped`], [`ShardCopy::recover_from_bytes`]).
 //! Each path advances the copy's verified watermark to the end of what
-//! it took in, so a promotion or a hedged read has only the bytes past
-//! the watermark left to scan — none, under these three paths — instead
-//! of the whole log. The two paths that take in framed bytes replay
+//! it took in, so a promotion has only the bytes past the watermark
+//! left to scan — none, under these three paths — instead of the whole
+//! log. The two paths that take in framed bytes replay
 //! them through one routine ([`Applied::replay`]), which resolves each
 //! series reference of the log to its store series once.
 
@@ -151,7 +151,7 @@ impl ShardCopy {
     }
 
     /// Whatever lies past the verified watermark scans clean — the
-    /// whole integrity check a promotion or a hedged read still owes.
+    /// whole integrity check a promotion still owes.
     /// The suffix is empty under every ingest path, so this costs
     /// nothing unless bytes reached the WAL some other way.
     pub fn unverified_suffix_is_clean(&self) -> bool {

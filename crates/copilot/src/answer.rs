@@ -6,7 +6,6 @@ use crate::trace::PipelineTrace;
 use dio_dashboard::Dashboard;
 use dio_llm::TokenUsage;
 use dio_obs::TraceStatus;
-use dio_sandbox::DataCompleteness;
 use serde::{Deserialize, Serialize};
 
 /// One relevant metric presented to the user (name + what it measures,
@@ -39,10 +38,6 @@ pub struct CopilotResponse {
     pub error: Option<CopilotError>,
     /// How much of the full pipeline stands behind this answer.
     pub degradation: DegradationLevel,
-    /// Whether the data store served every read cleanly while this
-    /// answer was computed ([`DataCompleteness::Partial`] means the
-    /// store degraded mid-query and the numbers may under-count).
-    pub data_completeness: DataCompleteness,
     /// Generated dashboard, when enabled.
     pub dashboard: Option<Dashboard>,
     /// Token usage across both model calls.
@@ -111,12 +106,6 @@ impl CopilotResponse {
                  consider requesting expert help)\n",
             ),
         }
-        if self.data_completeness == DataCompleteness::Partial {
-            out.push_str(
-                "(partial data: the store degraded while answering; \
-                 values may under-count)\n",
-            );
-        }
         if self.dashboard.is_some() {
             out.push_str("\n[dashboard generated — render with dio-dashboard]\n");
         }
@@ -145,7 +134,6 @@ mod tests {
             values: vec![1234.0],
             error: None,
             degradation: DegradationLevel::Full,
-            data_completeness: DataCompleteness::Complete,
             dashboard: None,
             usage: TokenUsage {
                 prompt_tokens: 900,
@@ -177,14 +165,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("unavailable (policy refusal: range too wide)"));
         assert!(text.contains("none found"));
-    }
-
-    #[test]
-    fn render_notes_partial_data() {
-        let mut r = response();
-        assert!(!r.render().contains("partial data"));
-        r.data_completeness = DataCompleteness::Partial;
-        assert!(r.render().contains("partial data"));
     }
 
     #[test]

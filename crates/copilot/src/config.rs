@@ -36,11 +36,6 @@ pub struct CopilotConfig {
     /// Bounds on retries, repair rounds, backoff, and the circuit
     /// breaker. [`RecoveryPolicy::disabled`] is the ablation baseline.
     pub recovery: RecoveryPolicy,
-    /// Data-plane chaos injection (seeded, deterministic). `None` — the
-    /// default — leaves the pipeline fault-free; `Some` derives
-    /// per-layer injectors for the sandbox's metric store and the
-    /// retrieval index. The chaos-soak lever.
-    pub data_chaos: Option<dio_faults::ChaosConfig>,
 }
 
 impl Default for CopilotConfig {
@@ -56,7 +51,6 @@ impl Default for CopilotConfig {
             retrieval: RetrievalMode::Flat,
             two_stage: false,
             recovery: RecoveryPolicy::default(),
-            data_chaos: None,
         }
     }
 }

@@ -87,7 +87,6 @@ pub enum RetrievalMode {
     },
 }
 
-#[derive(Clone)]
 enum IndexKind {
     Flat(DocIndex<FlatIndex, Doc>),
     Ivf(DocIndex<IvfIndex, Doc>),
@@ -98,9 +97,7 @@ enum IndexKind {
 ///
 /// Searches take `&self` and the index holds no interior mutability, so
 /// one extractor can serve top-k queries from many threads at once
-/// (typically behind an `Arc` in the serving worker pool). `Clone`
-/// exists for copy-on-write in the chaos-demotion path.
-#[derive(Clone)]
+/// (typically behind an `Arc` in the serving worker pool).
 pub struct ContextExtractor {
     embedder: Embedder,
     index: IndexKind,
@@ -156,35 +153,6 @@ impl ContextExtractor {
             IndexKind::Ivf(_) => "ivf",
             IndexKind::Random { .. } => "random",
         }
-    }
-
-    /// Quarantine the active index and fall back to the exact tier:
-    /// IVF → flat drops the quantiser and keeps the matrix (a move: no
-    /// embedding, no training); a damaged flat index is re-embedded
-    /// from the samples it holds (flat → flat). Returns `(from, to)`
-    /// slugs, or `None` for the random baseline (nothing to rebuild).
-    pub fn demote(&mut self) -> Option<(&'static str, &'static str)> {
-        let dims = self.embedder.dims();
-        let nothing = IndexKind::Flat(DocIndex::new(FlatIndex::new(dims)));
-        let (from, flat, samples) = match std::mem::replace(&mut self.index, nothing) {
-            IndexKind::Ivf(index) => {
-                let (ivf, samples) = index.into_parts();
-                ("ivf", ivf.into_flat(), samples)
-            }
-            IndexKind::Flat(index) => {
-                let samples = index.into_parts().1;
-                let vectors = samples
-                    .iter()
-                    .map(|d| self.embedder.embed(&d.embedding_text()));
-                ("flat", FlatIndex::from_vectors(dims, vectors), samples)
-            }
-            random @ IndexKind::Random { .. } => {
-                self.index = random;
-                return None;
-            }
-        };
-        self.index = IndexKind::Flat(DocIndex::from_parts(flat, samples));
-        Some((from, "flat"))
     }
 
     /// Number of indexed samples.

@@ -64,16 +64,6 @@ pub const DATA_FAULTS_NAME: &str = "dio_copilot_data_faults_total";
 pub(crate) const DATA_FAULTS_HELP: &str =
     "Data-plane faults the copilot absorbed, by storage layer and fault kind.";
 
-/// Vector-index demotions, labelled by destination tier.
-pub const DEMOTIONS_NAME: &str = "dio_copilot_index_demotions_total";
-pub(crate) const DEMOTIONS_HELP: &str =
-    "Vector-index fallbacks after corruption, by destination tier (flat).";
-
-/// Answers by data-completeness level.
-pub const COMPLETENESS_NAME: &str = "dio_copilot_data_completeness_total";
-pub(crate) const COMPLETENESS_HELP: &str =
-    "Answers the copilot returned, by data-completeness level (complete, partial).";
-
 /// Asks abandoned because the request budget lapsed, by stage.
 pub const DEADLINE_NAME: &str = "dio_copilot_deadline_exceeded_total";
 pub(crate) const DEADLINE_HELP: &str =
@@ -122,8 +112,6 @@ pub(crate) fn register_zero_instruments(registry: &Registry) {
         DATA_FAULTS_HELP,
         &[("layer", "tsdb"), ("kind", "transient_io")],
     );
-    registry.counter_with(DEMOTIONS_NAME, DEMOTIONS_HELP, &[("to", "flat")]);
-    registry.counter_with(COMPLETENESS_NAME, COMPLETENESS_HELP, &[("level", "complete")]);
     registry.counter_with(DEADLINE_NAME, DEADLINE_HELP, &[("stage", "model")]);
     registry.histogram(SIMILARITY_NAME, SIMILARITY_HELP, &Buckets::unit_fractions());
     registry.histogram_with(

@@ -14,9 +14,8 @@ use dio_llm::{
     CompletionRequest, CostMeter, FewShotExample, FoundationModel, ModelProfile, ObservedModel,
     PromptBuilder, PromptPiece, SimulatedModel, TaskKind, TokenUsage,
 };
-use dio_faults::{DataFaultKind, Injector};
 use dio_obs::{Buckets, Budget, ObsHub, SpanContext, TraceStatus};
-use dio_sandbox::{DataCompleteness, Sandbox, SafetyPolicy};
+use dio_sandbox::{Sandbox, SafetyPolicy};
 use dio_tsdb::MetricStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,17 +94,10 @@ impl CopilotBuilder {
             Box::new(ObservedModel::new(inner, self.obs.registry().clone()));
         let mut sandbox = Sandbox::new(self.store, self.policy);
         sandbox.attach_obs(self.obs.registry().clone());
-        // Data-plane chaos: derive one independent, reproducible fault
-        // schedule per storage layer from the shared config.
-        let retrieval_chaos = self.config.data_chaos.as_ref().map(|c| {
-            sandbox.attach_data_chaos(Injector::derived(c, "tsdb"));
-            Injector::derived(c, "vecstore")
-        });
         let breaker = CircuitBreaker::new(&self.config.recovery);
         DioCopilot {
             extractor: Arc::new(extractor),
             sandbox,
-            retrieval_chaos,
             pieces: Arc::new(SharedPieces::render(&self.db, &self.exemplars)),
             db: Arc::new(self.db),
             config: self.config,
@@ -129,16 +121,15 @@ impl CopilotBuilder {
 /// stamp out per-worker pipeline instances without re-running the
 /// offline embedding pass or copying the tsdb. Per-request/per-worker
 /// mutable state (sandbox audit log, cost meter, circuit breaker, issue
-/// tracker, chaos schedules) stays owned. The feedback loop mutates the
-/// shared state copy-on-write and bumps a shared knowledge-generation
-/// counter that serving-layer caches use for invalidation.
+/// tracker) stays owned. The feedback loop mutates the shared state
+/// copy-on-write and bumps a shared knowledge-generation counter that
+/// serving-layer caches use for invalidation.
 pub struct DioCopilot {
     config: CopilotConfig,
     db: Arc<DomainDb>,
     extractor: Arc<ContextExtractor>,
     model: Box<dyn FoundationModel>,
     sandbox: Sandbox,
-    retrieval_chaos: Option<Injector>,
     exemplars: Arc<Vec<FewShotExample>>,
     /// The exemplars and the expert functions as prompt pieces,
     /// re-rendered whenever either changes.
@@ -264,7 +255,6 @@ struct ExecResolution {
     values: Vec<f64>,
     error: Option<CopilotError>,
     degradation: DegradationLevel,
-    completeness: DataCompleteness,
 }
 
 impl ExecResolution {
@@ -278,7 +268,6 @@ impl ExecResolution {
             values: Vec::new(),
             error: Some(error),
             degradation: DegradationLevel::Full,
-            completeness: DataCompleteness::Partial,
         }
     }
 }
@@ -381,8 +370,7 @@ impl DioCopilot {
     /// observation like the original), sandbox (fresh audit log over
     /// the shared store), circuit breaker, cost meter, and issue
     /// tracker, so forks never contend on mutable state: this is the
-    /// worker-pool constructor for the serving layer. Chaos schedules
-    /// are not inherited.
+    /// worker-pool constructor for the serving layer.
     pub fn fork_with_model(&self, model: Box<dyn FoundationModel>) -> DioCopilot {
         let model: Box<dyn FoundationModel> =
             Box::new(ObservedModel::new(model, self.obs.registry().clone()));
@@ -400,7 +388,6 @@ impl DioCopilot {
             extractor: Arc::clone(&self.extractor),
             model,
             sandbox,
-            retrieval_chaos: None,
             exemplars: Arc::clone(&self.exemplars),
             pieces: Arc::clone(&self.pieces),
             tracker: IssueTracker::new(),
@@ -471,62 +458,6 @@ impl DioCopilot {
         // wait ate it, or the caller cancelled) does no work at all.
         if ask.req.budget.expired() {
             return self.deadline_abort(ask, String::new(), "retrieve");
-        }
-
-        // Stage 0 (chaos runs only): the retrieval index is a data
-        // plane too. A transient read fault is retried in place (the
-        // schedule decides again); a corrupt read quarantines the
-        // index and falls back to the exact tier (IVF → flat keeps the
-        // matrix, flat → flat re-embeds it); a latency spike is
-        // recorded, never slept.
-        if let Some(mut injector) = self.retrieval_chaos.take() {
-            let mut retries = 0usize;
-            while let Some(fault) = injector.decide() {
-                ask.stats.data_faults += 1;
-                ask.obs
-                    .registry()
-                    .counter_with(
-                        crate::obs::DATA_FAULTS_NAME,
-                        crate::obs::DATA_FAULTS_HELP,
-                        &[("layer", "vecstore"), ("kind", fault.kind.slug())],
-                    )
-                    .inc();
-                match fault.kind {
-                    DataFaultKind::TransientIo => {
-                        retries += 1;
-                        if retries > self.config.recovery.max_retries {
-                            break;
-                        }
-                    }
-                    DataFaultKind::TruncatedRead | DataFaultKind::BitFlip => {
-                        // Copy-on-write: a fork quarantining its index
-                        // splits off its own extractor; unshared
-                        // extractors demote in place.
-                        if let Some((from, to)) = Arc::make_mut(&mut self.extractor).demote() {
-                            ask.stats.index_demotions += 1;
-                            ask.obs
-                                .registry()
-                                .counter_with(
-                                    crate::obs::DEMOTIONS_NAME,
-                                    crate::obs::DEMOTIONS_HELP,
-                                    &[("to", to)],
-                                )
-                                .inc();
-                            ask.obs.tracer().event(
-                                &ask.span,
-                                "index_demotion",
-                                &[("from", from), ("to", to)],
-                            );
-                        }
-                        break;
-                    }
-                    DataFaultKind::LatencySpike => {
-                        injector.note_latency_spike();
-                        break;
-                    }
-                }
-            }
-            self.retrieval_chaos = Some(injector);
         }
 
         // Stage 1: context extraction (offline index, online search).
@@ -611,21 +542,12 @@ impl DioCopilot {
             values,
             error,
             degradation,
-            completeness,
         } = self.execute_with_repair(&mut ask, generated, &identified, &hits);
         if let Some(CopilotError::DeadlineExceeded { stage }) = &error {
             let stage = stage.clone();
             return self.deadline_abort(ask, query, &stage);
         }
         ask.stats.degraded = degradation == DegradationLevel::Degraded;
-        ask.obs
-            .registry()
-            .counter_with(
-                crate::obs::COMPLETENESS_NAME,
-                crate::obs::COMPLETENESS_HELP,
-                &[("level", completeness.slug())],
-            )
-            .inc();
 
         // Relevant metrics for the rendered response: the identified
         // set, falling back to whatever the query references. The
@@ -697,7 +619,6 @@ impl DioCopilot {
             values,
             error,
             degradation,
-            data_completeness: completeness,
             dashboard,
             usage,
             cost_cents,
@@ -769,7 +690,6 @@ impl DioCopilot {
                 stage: stage.to_string(),
             }),
             degradation: DegradationLevel::Full,
-            data_completeness: DataCompleteness::Partial,
             dashboard: None,
             usage,
             cost_cents,
@@ -781,7 +701,7 @@ impl DioCopilot {
     /// window budget, the configured sampling, and a per-call timeout
     /// of whatever the request budget has left (unbounded: no cap).
     fn model_request(&self, ask: &Ask<'_>, prompt: PromptBuilder<'_>) -> CompletionRequest {
-        let timeout_ms = ask.req.budget.remaining().map(|left| left.as_millis() as u64);
+        let timeout_ms = ask.req.budget.remaining().map(timeout_ms);
         CompletionRequest {
             prompt: prompt.build(ask.window, ask.reserved),
             max_tokens: self.config.max_output_tokens,
@@ -969,7 +889,6 @@ impl DioCopilot {
                         } else {
                             DegradationLevel::Repaired
                         },
-                        completeness: out.completeness,
                     };
                 }
                 Err(e) => e,
@@ -1047,7 +966,6 @@ impl DioCopilot {
                 values: Vec::new(),
                 error: Some(error),
                 degradation: DegradationLevel::Full,
-                completeness: DataCompleteness::Complete,
             }
         }
     }
@@ -1084,7 +1002,6 @@ impl DioCopilot {
                         values: out.value.numeric_values(),
                         error: Some(error),
                         degradation: DegradationLevel::Degraded,
-                        completeness: out.completeness,
                     };
                 }
             }
@@ -1097,7 +1014,6 @@ impl DioCopilot {
                     message: format!("degraded fallback found no executable metric ({error})"),
                 }),
                 degradation: DegradationLevel::Degraded,
-                completeness: DataCompleteness::Partial,
             }
         })
     }
@@ -1190,6 +1106,13 @@ fn gen_context<'a>(
     hits.iter()
         .filter(move |h| all || named(h))
         .map(|h| (extractor.line(h), h.score))
+}
+
+/// A model call's timeout in whole milliseconds, rounded up: a budget
+/// with any time left must not reach the model as `Some(0)`, which
+/// means "already lapsed" to the gateway and the simulated model.
+fn timeout_ms(left: std::time::Duration) -> u64 {
+    u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX)
 }
 
 /// First sentence of a description (keeps prompts within the paper's
@@ -1685,88 +1608,47 @@ mod tests {
         assert_eq!(r.trace.invocations("fallback"), 1);
     }
 
-    use crate::extractor::RetrievalMode;
+    /// A store resolver whose every shard is down: each resolution
+    /// fails the way a cluster with no live copy does.
+    #[derive(Debug)]
+    struct Unreachable;
 
-    fn chaos_copilot(weights: [u32; 4], retrieval: RetrievalMode) -> (DioCopilot, i64) {
-        let (db, store, ts) = world();
-        let cp = CopilotBuilder::new(db, store)
-            .config(CopilotConfig {
-                retrieval,
-                data_chaos: Some(dio_faults::ChaosConfig {
-                    seed: 0xda7a,
-                    fault_probability: 1.0,
-                    weights,
-                    latency_spike_micros: 1_000,
-                }),
-                ..CopilotConfig::default()
-            })
-            .exemplars(exemplars())
-            .build();
-        (cp, ts)
+    impl dio_sandbox::StoreResolver for Unreachable {
+        fn resolve(&self, _: &[String], _: bool) -> Result<Arc<MetricStore>, String> {
+            Err("shard 0 has no live copy".into())
+        }
     }
 
     #[test]
     fn default_config_keeps_answers_complete_and_chaos_free() {
         let (mut cp, ts) = copilot();
         let r = cp.ask("How many paging attempts?", ts);
-        assert_eq!(r.data_completeness, dio_sandbox::DataCompleteness::Complete);
+        assert!(r.error.is_none(), "{:?}", r.error);
+        assert!(r.numeric_answer.is_some());
         assert_eq!(r.trace.recovery.data_faults, 0);
-        assert_eq!(r.trace.recovery.index_demotions, 0);
         let snap = cp.obs().registry().snapshot();
         assert_eq!(snap.total(crate::obs::DATA_FAULTS_NAME), 0.0);
-        assert_eq!(snap.total(crate::obs::DEMOTIONS_NAME), 0.0);
-        // Completeness is still attributed: one complete answer.
-        assert_eq!(snap.total(crate::obs::COMPLETENESS_NAME), 1.0);
     }
 
     #[test]
     fn total_storage_outage_degrades_without_panicking() {
-        // Every tsdb operation fails transiently: execution retries the
-        // unchanged query (no model repair burned), then degrades; the
-        // fallback's candidates fault too, so the answer is NoData —
-        // but classified, counted, and panic-free.
-        let (mut cp, ts) = chaos_copilot([0, 1, 0, 0], RetrievalMode::Flat);
+        // Every store resolution fails: execution retries the unchanged
+        // query (no model repair burned), then degrades; the fallback's
+        // candidates cannot reach the store either, so the answer is
+        // NoData — but classified, counted, and panic-free.
+        let (mut cp, ts) = copilot();
+        cp.attach_store_resolver(Arc::new(Unreachable));
         let r = cp.ask("How many paging attempts?", ts);
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Degraded);
         assert!(matches!(r.error, Some(CopilotError::NoData { .. })), "{:?}", r.error);
-        assert_eq!(r.data_completeness, dio_sandbox::DataCompleteness::Partial);
-        assert!(r.trace.recovery.data_faults > 0);
+        assert!(r.render().contains("Answer: unavailable"), "{}", r.render());
+        // The first try and every bounded retry count once each.
+        let retries = RecoveryPolicy::default().max_retries;
+        assert_eq!(r.trace.recovery.data_faults, 1 + retries);
         // Storage retries are not model repair rounds.
         assert_eq!(r.trace.recovery.repairs, 0);
         let snap = cp.obs().registry().snapshot();
-        assert!(snap.total(crate::obs::DATA_FAULTS_NAME) > 0.0);
-    }
-
-    #[test]
-    fn index_corruption_demotes_ivf_to_flat_then_rebuilds_flat() {
-        // Every vecstore read is a bit flip: each ask quarantines the
-        // index and falls back to the exact tier, and the sandbox's
-        // corrupt reads mark answers partial instead of failing them.
-        let mode = RetrievalMode::Ivf { nlist: 16, nprobe: 2 };
-        let (mut cp, ts) = chaos_copilot([0, 0, 0, 1], mode);
-        assert_eq!(cp.extractor().mode_slug(), "ivf");
-        let r1 = cp.ask("How many paging attempts?", ts);
-        assert_eq!(cp.extractor().mode_slug(), "flat");
-        assert_eq!(r1.trace.recovery.index_demotions, 1);
-        assert_eq!(r1.data_completeness, dio_sandbox::DataCompleteness::Partial);
-        // What demotion leaves is the index a fresh flat build makes:
-        // names, order and score bits.
-        let fresh = ContextExtractor::build(&world().0, true);
-        let retrieve = |ex: &ContextExtractor| -> Vec<(String, u32)> {
-            ex.retrieve_vec("How many service requests?", None, 29)
-                .into_iter()
-                .map(|r| (r.sample.name, r.score.to_bits()))
-                .collect()
-        };
-        assert_eq!(retrieve(cp.extractor()), retrieve(&fresh));
-        let r2 = cp.ask("How many service requests?", ts);
-        assert_eq!(cp.extractor().mode_slug(), "flat");
-        assert_eq!(r2.trace.recovery.index_demotions, 1);
-        assert_eq!(retrieve(cp.extractor()), retrieve(&fresh));
-        let snap = cp.obs().registry().snapshot();
-        assert_eq!(snap.total(crate::obs::DEMOTIONS_NAME), 2.0);
-        assert!(snap.total(crate::obs::DATA_FAULTS_NAME) >= 2.0);
-        assert!(r1.render().contains("partial data"));
+        assert_eq!(snap.total(crate::obs::DATA_FAULTS_NAME), (1 + retries) as f64);
     }
 
     /// Compile-time Send/Sync audit for the shared serving state: a
@@ -2013,14 +1895,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_spikes_are_recorded_never_slept() {
-        let (mut cp, ts) = chaos_copilot([1, 0, 0, 0], RetrievalMode::Flat);
-        let r = cp.ask("How many paging attempts?", ts);
-        // Spikes degrade nothing: the answer is full and complete.
-        assert!(r.error.is_none(), "{:?}", r.error);
-        assert_eq!(r.data_completeness, dio_sandbox::DataCompleteness::Complete);
-        assert!(r.trace.recovery.data_faults > 0);
-        assert!(cp.retrieval_chaos.as_ref().unwrap().injected_latency_micros() > 0);
+    fn a_budget_with_time_left_never_sends_a_zero_timeout() {
+        use std::time::Duration;
+        assert_eq!(timeout_ms(Duration::from_micros(500)), 1);
+        assert_eq!(timeout_ms(Duration::from_nanos(1)), 1);
+        assert_eq!(timeout_ms(Duration::from_micros(1_001)), 2);
+        assert_eq!(timeout_ms(Duration::from_millis(7)), 7);
+        assert_eq!(timeout_ms(Duration::ZERO), 0);
+        assert_eq!(timeout_ms(Duration::MAX), u64::MAX);
     }
 
     /// Delegates to a simulated model and keeps the text of every

@@ -253,12 +253,9 @@ pub struct RecoveryStats {
     /// The deterministic backoff schedule that *would* have been slept,
     /// in order (recorded for the trace; no wall-clock is touched).
     pub backoff_schedule_ms: Vec<u64>,
-    /// Data-plane faults (storage, retrieval index) absorbed during
-    /// this ask.
+    /// Storage faults (a store the resolver could not reach) absorbed
+    /// during this ask.
     pub data_faults: usize,
-    /// Vector-index fallbacks (IVF → flat, flat → flat) taken after index
-    /// corruption.
-    pub index_demotions: usize,
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Seeded node crash/restart schedule — the process-level chaos layer.
 //!
-//! [`crate::Injector`] plants *data-plane* faults (torn writes, bit
+//! [`crate::Injector`] plants *link* faults (torn chunks, bit
 //! flips) inside one process. A cluster drill also needs *node-level*
 //! faults: kill a whole simulated node mid-write, then bring it back
 //! and watch it rejoin. [`CrashSchedule`] plans those events with the

@@ -4,8 +4,7 @@
 //! A [`Budget`] travels alongside the [`crate::SpanContext`]: the serve
 //! tier stamps one at admission, workers check it between pipeline
 //! stages, the copilot caps retries and backoff by the remaining
-//! budget, model calls derive per-call timeouts from it, and hedged
-//! shard reads use its token for first-wins cancellation of the loser.
+//! budget, and model calls derive per-call timeouts from it.
 //!
 //! All deadline arithmetic is *saturating*: once the deadline has
 //! passed, [`Budget::remaining`] reports `Duration::ZERO` — it never

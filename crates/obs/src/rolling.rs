@@ -1,8 +1,6 @@
 //! The rolling-quantile window: the brownout ladder's queue-wait
 //! percentile and the failover drill's slow-trace threshold read the
-//! same bounded sample window by the same rule. (The cluster's hedge
-//! delay still keeps its own `(n−1)·99/100` window: at the 21 samples
-//! its warm-up test holds, nearest rank picks the one cold outlier.)
+//! same bounded sample window by the same rule.
 
 use std::collections::VecDeque;
 

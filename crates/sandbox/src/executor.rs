@@ -2,40 +2,8 @@
 
 use crate::audit::{AuditLog, AuditOutcome};
 use crate::policy::{PolicyViolation, SafetyPolicy};
-use dio_faults::{DataFaultKind, Injector};
 use dio_promql::{parse, Engine, EngineOptions, ParseError, QueryStats, Value};
 use dio_tsdb::MetricStore;
-use serde::{Deserialize, Serialize};
-
-/// How much of the underlying data an execution actually saw. A
-/// degraded tsdb (chaos-injected short reads, quarantined series) still
-/// answers, but the answer is annotated so downstream consumers — and
-/// the user — know it was computed over partial data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DataCompleteness {
-    /// The store served every sample the query asked for.
-    #[default]
-    Complete,
-    /// The store was degraded during this execution; the result may be
-    /// computed over a subset of the data.
-    Partial,
-}
-
-impl DataCompleteness {
-    /// Stable label value for metrics and reports.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            DataCompleteness::Complete => "complete",
-            DataCompleteness::Partial => "partial",
-        }
-    }
-}
-
-impl std::fmt::Display for DataCompleteness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.slug())
-    }
-}
 
 /// A successfully executed query.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,8 +14,6 @@ pub struct ExecutionOutcome {
     pub stats: QueryStats,
     /// Canonical form of the vetted expression.
     pub canonical_query: String,
-    /// Whether the store was healthy while the query ran.
-    pub completeness: DataCompleteness,
 }
 
 /// Why an execution failed. Each variant keeps the structured diagnosis
@@ -187,11 +153,6 @@ pub trait StoreResolver: Send + Sync + std::fmt::Debug {
 const EXECUTIONS_NAME: &str = "dio_sandbox_executions_total";
 const EXECUTIONS_HELP: &str = "Untrusted queries the sandbox vetted and executed, by outcome.";
 
-/// Instrument name/help for injected data-plane fault counts.
-const DATA_FAULTS_NAME: &str = "dio_sandbox_data_faults_total";
-const DATA_FAULTS_HELP: &str =
-    "Data-plane faults the chaos layer injected into sandbox executions, by kind.";
-
 /// The sandbox: engine + policy + audit log.
 #[derive(Debug)]
 pub struct Sandbox {
@@ -199,7 +160,6 @@ pub struct Sandbox {
     policy: SafetyPolicy,
     audit: AuditLog,
     registry: Option<dio_obs::Registry>,
-    chaos: Option<Injector>,
     resolver: Option<std::sync::Arc<dyn StoreResolver>>,
 }
 
@@ -215,8 +175,7 @@ impl Sandbox {
     /// Build a sandbox over an already-shared store handle: the serving
     /// path, where N worker sandboxes read one tsdb concurrently. The
     /// handle saves only the store clone's two `Arc` bumps, not a data
-    /// copy. Audit log, registry handle, and chaos schedule stay
-    /// per-sandbox.
+    /// copy. Audit log and registry handle stay per-sandbox.
     pub fn new_shared(store: std::sync::Arc<MetricStore>, policy: SafetyPolicy) -> Self {
         let engine = Engine::with_options_shared(
             store,
@@ -230,7 +189,6 @@ impl Sandbox {
             policy,
             audit: AuditLog::new(),
             registry: None,
-            chaos: None,
             resolver: None,
         }
     }
@@ -251,23 +209,6 @@ impl Sandbox {
     /// The shared handle to the underlying store (cheap clone).
     pub fn store_arc(&self) -> std::sync::Arc<MetricStore> {
         self.engine.store_arc()
-    }
-
-    /// Subject every execution to a data-plane fault schedule (the
-    /// chaos harness for the tsdb the engine reads). Transient I/O
-    /// faults become [`SandboxError::Storage`]; read corruption
-    /// degrades the outcome to [`DataCompleteness::Partial`] instead of
-    /// failing; latency spikes are recorded, never slept.
-    pub fn attach_data_chaos(&mut self, injector: Injector) {
-        if let Some(registry) = &self.registry {
-            registry.counter_with(DATA_FAULTS_NAME, DATA_FAULTS_HELP, &[("kind", "transient_io")]);
-        }
-        self.chaos = Some(injector);
-    }
-
-    /// The attached fault schedule, if any.
-    pub fn data_chaos(&self) -> Option<&Injector> {
-        self.chaos.as_ref()
     }
 
     /// Count executions into `registry` as
@@ -341,43 +282,6 @@ impl Sandbox {
             self.count_outcome("refused");
             return Err(SandboxError::Refused(v));
         }
-        // The chaos schedule models the store read underneath the
-        // engine: decide once per vetted execution.
-        let mut completeness = DataCompleteness::Complete;
-        if let Some(injector) = &mut self.chaos {
-            let op = injector.ops();
-            if let Some(fault) = injector.decide() {
-                if let Some(registry) = &self.registry {
-                    registry
-                        .counter_with(
-                            DATA_FAULTS_NAME,
-                            DATA_FAULTS_HELP,
-                            &[("kind", fault.kind.slug())],
-                        )
-                        .inc();
-                }
-                match fault.kind {
-                    DataFaultKind::TransientIo => {
-                        let reason = format!("injected transient store fault on op {op}");
-                        self.audit.record(
-                            query,
-                            ts,
-                            AuditOutcome::EvalFailed {
-                                reason: reason.clone(),
-                            },
-                        );
-                        self.count_outcome("storage_fault");
-                        return Err(SandboxError::Storage(reason));
-                    }
-                    DataFaultKind::TruncatedRead | DataFaultKind::BitFlip => {
-                        // The engine still answers, but over damaged
-                        // reads: annotate instead of aborting.
-                        completeness = DataCompleteness::Partial;
-                    }
-                    DataFaultKind::LatencySpike => injector.note_latency_spike(),
-                }
-            }
-        }
         let evaluated = match &self.resolver {
             Some(resolver) => {
                 let families = expr.metric_names();
@@ -418,7 +322,6 @@ impl Sandbox {
                     value,
                     stats,
                     canonical_query: dio_promql::format_expr(&expr),
-                    completeness,
                 })
             }
             Err(e) => {
@@ -565,72 +468,86 @@ mod tests {
         assert!(err.repair_hint("sum(x)").contains("sample budget exceeded"));
     }
 
-    use dio_faults::{ChaosConfig, Injector};
+    /// A resolver whose store is never reachable: every shard of it
+    /// is down.
+    #[derive(Debug)]
+    struct Unreachable;
 
-    fn chaos_only(kind_index: usize, seed: u64) -> Injector {
-        let mut weights = [0u32; 4];
-        weights[kind_index] = 1;
-        Injector::new(ChaosConfig {
-            seed,
-            fault_probability: 1.0,
-            weights,
-            latency_spike_micros: 100,
-        })
+    impl StoreResolver for Unreachable {
+        fn resolve(
+            &self,
+            _families: &[String],
+            _dynamic: bool,
+        ) -> Result<std::sync::Arc<MetricStore>, String> {
+            Err("shard 0 has no live copy".into())
+        }
+    }
+
+    fn unreachable_sandbox() -> Sandbox {
+        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        sb.attach_store_resolver(std::sync::Arc::new(Unreachable));
+        sb
+    }
+
+    /// A resolver that hands out one healthy store.
+    #[derive(Debug)]
+    struct Healthy(std::sync::Arc<MetricStore>);
+
+    impl StoreResolver for Healthy {
+        fn resolve(
+            &self,
+            _families: &[String],
+            _dynamic: bool,
+        ) -> Result<std::sync::Arc<MetricStore>, String> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn healthy_executions_are_complete_without_chaos() {
+        // Through a healthy resolver the query sees every sample the
+        // resident store would: same value, same samples visited.
+        let mut resident = Sandbox::new(store(), SafetyPolicy::default());
+        let mut routed = Sandbox::new(MetricStore::new(), SafetyPolicy::default());
+        routed.attach_store_resolver(std::sync::Arc::new(Healthy(std::sync::Arc::new(store()))));
+        let q = "sum(rate(reqs_total[5m]))";
+        let want = resident.execute(q, 600_000).unwrap();
+        let got = routed.execute(q, 600_000).unwrap();
+        assert_eq!(got.value, want.value);
+        assert_eq!(got.stats.samples_visited, want.stats.samples_visited);
+        assert_eq!(routed.audit().executed_count(), 1);
     }
 
     #[test]
     fn transient_store_fault_is_a_retryable_storage_error() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
-        sb.attach_data_chaos(chaos_only(1, 7)); // TransientIo only
+        let mut sb = unreachable_sandbox();
         let err = sb.execute("sum(reqs_total)", 600_000).unwrap_err();
         assert!(err.is_storage_fault());
+        assert!(err.to_string().contains("shard 0 has no live copy"), "{err}");
         assert!(err.repair_hint("sum(reqs_total)").contains("retry"));
         assert!(matches!(
             sb.audit().entries()[0].outcome,
             AuditOutcome::EvalFailed { .. }
         ));
+        // A query the policy refuses never reaches the resolver.
+        let refused = sb.execute("rate(reqs_total[7d])", 600_000).unwrap_err();
+        assert!(matches!(refused, SandboxError::Refused(_)));
     }
 
     #[test]
-    fn read_corruption_degrades_completeness_instead_of_failing() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
-        sb.attach_data_chaos(chaos_only(3, 8)); // BitFlip only
-        let out = sb.execute("sum(reqs_total)", 600_000).unwrap();
-        assert_eq!(out.completeness, DataCompleteness::Partial);
-        // The value is still the engine's answer; only the annotation
-        // changed.
-        assert_eq!(out.value.as_scalar_like(), Some(600.0));
-    }
-
-    #[test]
-    fn latency_spike_records_and_stays_complete() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
-        sb.attach_data_chaos(chaos_only(0, 9)); // LatencySpike only
-        let out = sb.execute("sum(reqs_total)", 600_000).unwrap();
-        assert_eq!(out.completeness, DataCompleteness::Complete);
-        assert_eq!(sb.data_chaos().unwrap().injected_latency_micros(), 100);
-    }
-
-    #[test]
-    fn healthy_executions_are_complete_without_chaos() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
-        let out = sb.execute("sum(reqs_total)", 600_000).unwrap();
-        assert_eq!(out.completeness, DataCompleteness::Complete);
-    }
-
-    #[test]
-    fn data_faults_are_counted_by_kind() {
+    fn storage_faults_are_counted_by_outcome() {
         let registry = dio_obs::Registry::new();
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let mut sb = unreachable_sandbox();
         sb.attach_obs(registry.clone());
-        sb.attach_data_chaos(chaos_only(1, 10)); // TransientIo only
         let _ = sb.execute("sum(reqs_total)", 600_000);
         let snap = registry.snapshot();
-        assert_eq!(snap.total("dio_sandbox_data_faults_total"), 1.0);
-        let fam = snap.family("dio_sandbox_data_faults_total").unwrap();
-        assert!(fam
+        let fam = snap.family("dio_sandbox_executions_total").unwrap();
+        let storage = fam
             .series
             .iter()
-            .any(|s| s.labels.contains(&("kind".into(), "transient_io".into()))));
+            .find(|s| s.labels.contains(&("outcome".into(), "storage_fault".into())))
+            .expect("a storage_fault series");
+        assert_eq!(storage.value, dio_obs::SeriesValue::Counter(1.0));
+        assert_eq!(snap.total("dio_sandbox_executions_total"), 1.0);
     }
 }

@@ -19,5 +19,5 @@ mod audit;
 mod executor;
 mod policy;
 
-pub use executor::{DataCompleteness, Sandbox, SandboxError, StoreResolver};
+pub use executor::{Sandbox, SandboxError, StoreResolver};
 pub use policy::SafetyPolicy;

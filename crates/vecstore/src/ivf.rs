@@ -102,12 +102,6 @@ impl IvfIndex {
             rows: FlatIndex::from_vectors(dims, data),
         }
     }
-
-    /// Drop the quantiser and keep the matrix: the exact index over the
-    /// same rows, with no embedding and no training.
-    pub fn into_flat(self) -> FlatIndex {
-        self.rows
-    }
 }
 
 impl VectorIndex for IvfIndex {

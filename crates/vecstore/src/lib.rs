@@ -12,8 +12,7 @@
 //!   cached norms,
 //! * [`IvfIndex`] — a k-means coarse quantiser and id-only inverted
 //!   lists over a `FlatIndex` (FAISS `IndexIVFFlat`), trading recall for
-//!   rows scanned via `nprobe`; [`IvfIndex::into_flat`] drops the
-//!   quantiser and leaves the exact index,
+//!   rows scanned via `nprobe`,
 //! * [`DocIndex`] — an index paired with owned document payloads, the
 //!   form the copilot's context extractor actually uses.
 //!

@@ -18,7 +18,7 @@
 //! | [`sandbox`] | `dio-sandbox` | vetted, resource-limited query execution |
 //! | [`dashboard`] | `dio-dashboard` | dashboard model, generation, ASCII rendering |
 //! | [`feedback`] | `dio-feedback` | in-memory issue tracker, expert contributions |
-//! | [`faults`] | `dio-faults` | seeded data-plane fault and node-crash schedules |
+//! | [`faults`] | `dio-faults` | seeded replication-link fault and node-crash schedules |
 //! | [`obs`] | `dio-obs` | metrics registry, tracer, Prometheus text exposition |
 //! | [`baselines`] | `dio-baselines` | DIN-SQL-style and bare-model baselines |
 //! | [`benchmark`] | `dio-benchmark` | 200-question benchmark + EX evaluation |

@@ -1,8 +1,8 @@
 //! Facade-level overload drill: a 3x-capacity burst against an
-//! 8-worker service backed by a cluster with one artificially slow
-//! shard. The accept-implies-reply contract must survive the squeeze —
-//! every submission either returns a counted shed at the door or a
-//! ticket that resolves (answered, possibly degraded by the brownout
+//! 8-worker service backed by a 3-shard cluster. The
+//! accept-implies-reply contract must survive the squeeze — every
+//! submission either returns a counted shed at the door or a ticket
+//! that resolves (answered, possibly degraded by the brownout
 //! ladder, or explicitly shed), never a silent drop — and every
 //! finished trace must assemble into a single rooted tree.
 
@@ -22,15 +22,11 @@ fn model() -> Box<dyn FoundationModel> {
 }
 
 #[test]
-fn burst_at_3x_capacity_with_a_slow_shard_loses_nothing() {
+fn burst_at_3x_capacity_through_a_sharded_cluster_loses_nothing() {
     let world = OperatorWorld::build(WorldConfig::small());
     let questions = dio::benchmark::generate_benchmark(&world, 10, 0x0f_f10ad);
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(3)));
     cluster.load_from(&world.store).expect("cluster load");
-    // One slow shard: every read landing on node 0's primaries carries
-    // injected (recorded, never slept) latency, feeding the hedger's
-    // rolling window while the burst is in flight.
-    cluster.set_read_latency(0, 25_000);
 
     let mut prototype = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .model(model())
@@ -131,9 +127,4 @@ fn burst_at_3x_capacity_with_a_slow_shard_loses_nothing() {
     );
     let orphans: usize = finished.iter().map(|t| t.orphan_count()).sum();
     assert_eq!(orphans, 0, "overload left orphan spans behind");
-
-    // Hedging bookkeeping stays consistent under the squeeze: every
-    // hedge resolves its race and abandons exactly one loser.
-    let (wins, losses, cancelled) = cluster.hedge_outcomes();
-    assert_eq!(wins + losses, cancelled, "a hedge race never resolved");
 }
