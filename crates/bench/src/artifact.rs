@@ -102,6 +102,8 @@ pub fn stage_latencies(snapshot: &Snapshot) -> Vec<StageLatency> {
 pub struct BenchArtifact {
     /// Benchmark name (`table_3a`, `ablation_faults`, …).
     pub bench: String,
+    /// The commit the binary ran at (`git rev-parse --short HEAD`).
+    pub git_rev: String,
     /// One row per evaluated system / sweep cell.
     pub systems: Vec<SystemResult>,
     /// Stage latency percentiles from the copilot's observability
@@ -114,6 +116,7 @@ impl BenchArtifact {
     pub fn new(bench: &str) -> Self {
         BenchArtifact {
             bench: bench.to_string(),
+            git_rev: crate::drill::git_rev(),
             systems: Vec::new(),
             stage_latency_micros: Vec::new(),
         }
@@ -184,6 +187,7 @@ mod tests {
         // The vendored serde_json only serialises; assert on the text.
         let json = serde_json::to_string_pretty(&a).unwrap();
         assert!(json.contains("\"bench\": \"unit_test\""), "{json}");
+        assert!(json.contains("\"git_rev\": \""), "{json}");
         assert!(json.contains("\"ex_percent\": 66"), "{json}");
         assert!(json.contains("\"mean_cost_cents\": 4.25"), "{json}");
     }

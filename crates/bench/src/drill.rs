@@ -191,7 +191,7 @@ impl Drill {
 /// `git rev-parse --short HEAD` of the working directory, so an
 /// artifact names the revision that wrote it; `"unknown"` without git
 /// or outside a checkout.
-fn git_rev() -> String {
+pub(crate) fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()

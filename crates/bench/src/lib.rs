@@ -18,6 +18,7 @@ mod recorder;
 pub mod selfobs;
 
 use dio_baselines::{sample_schema, DinSqlBaseline, DirectModelBaseline};
+use dio_benchmark::eval::{compare, QuestionOutcome};
 use dio_benchmark::{fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio_llm::{FewShotExample, FoundationModel, ModelProfile, SimulatedModel};
@@ -29,6 +30,9 @@ pub const BASELINE_SCHEMA_SIZE: usize = 600;
 pub const SCHEMA_SEED: u64 = 0x5c83_a001;
 /// Benchmark generation seed.
 pub const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
+/// Benchmark generation seed of the held-out world
+/// ([`WorldConfig::held_out`]).
+pub const HELD_OUT_BENCHMARK_SEED: u64 = 0x4e1a7;
 /// Benchmark size (the paper's 200).
 pub const BENCHMARK_SIZE: usize = 200;
 
@@ -42,6 +46,42 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+/// Label of the [`paper_config`] row in every table.
+pub const PAPER_ROW: &str = "paper configuration (k = 29)";
+
+/// The two rows the result tables print, labelled: the default
+/// configuration, then [`paper_config`].
+pub fn operating_points() -> [(String, CopilotConfig); 2] {
+    let default = CopilotConfig::default();
+    [
+        (format!("default (k = {})", default.top_k), default),
+        (PAPER_ROW.to_string(), paper_config()),
+    ]
+}
+
+/// One line of verdict on two rows' outcomes pooled over the worlds, by
+/// [`dio_benchmark::eval::compare`].
+pub fn verdict(a: &str, a_runs: &[QuestionOutcome], b: &str, b_runs: &[QuestionOutcome]) -> String {
+    let (only_a, only_b, p) = compare(a_runs, b_runs);
+    let p = if p < 0.001 { "p < 0.001".to_string() } else { format!("p = {p:.3}") };
+    format!(
+        "{a} vs {b}, pooled over {} questions: {only_a} right only under the first, \
+         {only_b} only under the second, exact McNemar {p}",
+        a_runs.len()
+    )
+}
+
+/// The paper's §4 setting as a named row: the default configuration
+/// with the paper's 29 context samples in place of the default 10. It
+/// reproduces the paper-setting numbers (Table 3a's 144/200, Table 3b's
+/// 144 / 102 / 26, 10.03 ¢ an ask) beside the default's.
+pub fn paper_config() -> CopilotConfig {
+    CopilotConfig {
+        top_k: 29,
+        ..CopilotConfig::default()
+    }
+}
+
 /// The shared experiment setup: world + questions + exemplars.
 pub struct Experiment {
     /// The operator world.
@@ -53,15 +93,41 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Build the full-scale experiment (3000+ metrics, 200 questions).
+    /// Build the full-scale experiment (3000+ metrics, 200 questions):
+    /// the tuning world, on which every default was chosen.
     pub fn standard() -> Self {
         Self::with_config(WorldConfig::default(), BENCHMARK_SIZE)
     }
 
+    /// The held-out world's 200 questions: the same generators under
+    /// other seeds, so it is held out by seed, not by phrasing.
+    pub fn held_out() -> Self {
+        Self::build(
+            WorldConfig::held_out(),
+            BENCHMARK_SIZE,
+            HELD_OUT_BENCHMARK_SEED,
+        )
+    }
+
+    /// Both full-scale worlds by name, tuning then held-out, each built
+    /// when the iterator reaches it.
+    pub fn worlds() -> impl Iterator<Item = (&'static str, Self)> {
+        [
+            ("tuning", Self::standard as fn() -> Self),
+            ("held-out", Self::held_out),
+        ]
+        .into_iter()
+        .map(|(name, build)| (name, build()))
+    }
+
     /// Build with a custom world/benchmark size (used by fast tests).
     pub fn with_config(config: WorldConfig, n_questions: usize) -> Self {
+        Self::build(config, n_questions, BENCHMARK_SEED)
+    }
+
+    fn build(config: WorldConfig, n_questions: usize, benchmark_seed: u64) -> Self {
         let world = OperatorWorld::build(config);
-        let questions = generate_benchmark(&world, n_questions, BENCHMARK_SEED);
+        let questions = generate_benchmark(&world, n_questions, benchmark_seed);
         let exemplars = fewshot_exemplars(&world.catalog);
         Experiment {
             world,
@@ -118,5 +184,23 @@ impl Experiment {
     /// The text-curie-001 simulation.
     pub fn curie() -> Box<dyn FoundationModel> {
         Box::new(SimulatedModel::new(ModelProfile::text_curie_sim()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_paper_row_differs_from_the_default_only_in_k() {
+        let (paper, default) = (paper_config(), CopilotConfig::default());
+        assert_eq!((paper.top_k, default.top_k), (29, 10));
+        assert_eq!(
+            CopilotConfig {
+                top_k: default.top_k,
+                ..paper
+            },
+            default
+        );
     }
 }

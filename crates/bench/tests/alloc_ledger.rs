@@ -90,11 +90,11 @@ fn counted<T>(into: &mut Tally, f: impl FnOnce() -> T) -> T {
 /// in allocations per ask: the larger pass's count + 2 %. Debug, release
 /// and one-core runs count the same.
 const LAYERS: [(&str, f64); 8] = [
-    ("copilot.ask", 450.63),
+    ("copilot.ask", 401.17),
     ("embed.question", 12.79),
-    ("copilot.retrieve_vec", 69.36),
+    ("copilot.retrieve_vec", 29.58),
     ("llm.prompt_build", 11.22),
-    ("llm.complete", 130.66),
+    ("llm.complete", 124.57),
     ("promql.parse", 11.95),
     ("sandbox.execute", 87.31),
     ("dashboard.generate", 20.17),

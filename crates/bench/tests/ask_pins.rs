@@ -1,9 +1,13 @@
 //! Pins what a pipeline refactor must not move: the tokens and cents
 //! the 200 benchmark questions bill, on the default path and on a run
-//! where every question takes exactly one repair round. The expected
-//! values were computed at the commit before `AskRequest` landed.
+//! where every question takes exactly one repair round, each at the
+//! default configuration and as the paper configuration (k = 29). The
+//! paper-row values were computed at the commit before `AskRequest`
+//! landed, when k = 29 was the default; the default's at the commit
+//! that moved it to 10.
 
-use dio_bench::Experiment;
+use dio_bench::{paper_config, Experiment};
+use dio_copilot::CopilotConfig;
 use dio_llm::{
     Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile, Pricing,
     SimulatedModel, TaskKind,
@@ -35,8 +39,12 @@ impl FoundationModel for MalformedFirstTry {
 
 /// `(prompt tokens, completion tokens, cents, repair rounds)` summed
 /// over the benchmark.
-fn bill(exp: &Experiment, model: Box<dyn FoundationModel>) -> (usize, usize, f64, usize) {
-    let mut copilot = exp.copilot(model);
+fn bill(
+    exp: &Experiment,
+    model: Box<dyn FoundationModel>,
+    config: CopilotConfig,
+) -> (usize, usize, f64, usize) {
+    let mut copilot = exp.copilot_with_config(model, config);
     let mut total = (0, 0, 0.0, 0);
     for q in &exp.questions {
         let r = copilot.ask(&q.text, exp.world.eval_ts);
@@ -48,25 +56,53 @@ fn bill(exp: &Experiment, model: Box<dyn FoundationModel>) -> (usize, usize, f64
     total
 }
 
+fn broken_gpt4() -> Box<dyn FoundationModel> {
+    Box::new(MalformedFirstTry(SimulatedModel::new(
+        ModelProfile::gpt4_sim(),
+    )))
+}
+
 #[test]
 fn benchmark_bill_is_pinned_on_the_default_and_the_repair_path() {
     let exp = Experiment::standard();
     assert_eq!(exp.questions.len(), 200);
 
-    let (prompt, completion, cents, repairs) = bill(&exp, Experiment::gpt4());
-    assert_eq!((prompt, completion, repairs), DEFAULT_TOKENS);
-    assert!(
-        (cents - DEFAULT_CENTS).abs() < 1e-6,
-        "default cents {cents}"
-    );
+    for (row, config, tokens, pinned_cents, repair_tokens, pinned_repair_cents) in [
+        (
+            "default",
+            CopilotConfig::default(),
+            DEFAULT_TOKENS,
+            DEFAULT_CENTS,
+            REPAIR_TOKENS,
+            REPAIR_CENTS,
+        ),
+        (
+            "paper",
+            paper_config(),
+            PAPER_TOKENS,
+            PAPER_CENTS,
+            PAPER_REPAIR_TOKENS,
+            PAPER_REPAIR_CENTS,
+        ),
+    ] {
+        let (prompt, completion, cents, repairs) = bill(&exp, Experiment::gpt4(), config.clone());
+        assert_eq!((prompt, completion, repairs), tokens, "{row}");
+        assert!((cents - pinned_cents).abs() < 1e-6, "{row} cents {cents}");
 
-    let gpt4 = SimulatedModel::new(ModelProfile::gpt4_sim());
-    let (prompt, completion, cents, repairs) = bill(&exp, Box::new(MalformedFirstTry(gpt4)));
-    assert_eq!((prompt, completion, repairs), REPAIR_TOKENS);
-    assert!((cents - REPAIR_CENTS).abs() < 1e-6, "repair cents {cents}");
+        let (prompt, completion, cents, repairs) = bill(&exp, broken_gpt4(), config);
+        assert_eq!((prompt, completion, repairs), repair_tokens, "{row} repair");
+        assert!(
+            (cents - pinned_repair_cents).abs() < 1e-6,
+            "{row} repair cents {cents}"
+        );
+    }
 }
 
-const DEFAULT_TOKENS: (usize, usize, usize) = (656_541, 6_203, 0);
-const DEFAULT_CENTS: f64 = 2_006.841;
-const REPAIR_TOKENS: (usize, usize, usize) = (1_335_485, 12_406, 200);
-const REPAIR_CENTS: f64 = 4_080.891;
+const DEFAULT_TOKENS: (usize, usize, usize) = (462_738, 6_199, 0);
+const DEFAULT_CENTS: f64 = 1_425.408;
+const REPAIR_TOKENS: (usize, usize, usize) = (947_875, 12_398, 200);
+const REPAIR_CENTS: f64 = 2_918.013;
+const PAPER_TOKENS: (usize, usize, usize) = (656_541, 6_203, 0);
+const PAPER_CENTS: f64 = 2_006.841;
+const PAPER_REPAIR_TOKENS: (usize, usize, usize) = (1_335_485, 12_406, 200);
+const PAPER_REPAIR_CENTS: f64 = 4_080.891;

@@ -4,13 +4,16 @@
 //! system that prompts the model — for the copilot also the relevant
 //! metrics, the explanation and the dashboard, everything an ask
 //! derives from the query — and over the completion text of the two
-//! task kinds no pipeline issues. The constants were computed at
-//! the commit before the model's selection and parsing were rewritten
-//! to borrow; a change under `crates/llm/src/sim` that moves one of
-//! them changed a completion.
+//! task kinds no pipeline issues. Each copilot pipeline is pinned at
+//! the default configuration and as the paper configuration (k = 29).
+//! The paper-row and baseline constants were computed at the commit
+//! before the model's selection and parsing were rewritten to borrow,
+//! when k = 29 was the default; the default's at the commit that moved
+//! it to 10. A change under `crates/llm/src/sim` that moves one of them
+//! changed a completion.
 
 use dio_baselines::NlQuerySystem;
-use dio_bench::Experiment;
+use dio_bench::{paper_config, Experiment};
 use dio_copilot::{CopilotConfig, DioCopilot};
 use dio_llm::{
     Completion, CompletionRequest, ContextItem, FoundationModel, ModelError, ModelProfile, Pricing,
@@ -121,40 +124,95 @@ fn assert_pinned(what: &str, got: u64, pinned: u64) {
 // One test per pipeline, so the harness spreads them over its threads
 // and a failure names the pipeline whose completions moved.
 
+/// One pipeline as the paper row, then at the default: `model` is built
+/// fresh for each, `setting` turns either row into the pipeline's.
+fn assert_both_rows(
+    what: &str,
+    model: impl Fn() -> Box<dyn FoundationModel>,
+    setting: fn(CopilotConfig) -> CopilotConfig,
+    default: u64,
+    paper: u64,
+) {
+    let run = |config| dio(exp().copilot_with_config(model(), setting(config)));
+    assert_pinned(
+        &format!("{what}, paper configuration"),
+        run(paper_config()),
+        paper,
+    );
+    assert_pinned(what, run(CopilotConfig::default()), default);
+}
+
+fn as_is(config: CopilotConfig) -> CopilotConfig {
+    config
+}
+
 #[test]
 fn dio_gpt4_answers_are_pinned() {
-    let got = dio(exp().copilot(sim(ModelProfile::gpt4_sim())));
-    assert_pinned("dio gpt-4", got, 0xf403_b72c_d1f6_8fc2);
+    let model = || sim(ModelProfile::gpt4_sim());
+    assert_both_rows(
+        "dio gpt-4",
+        model,
+        as_is,
+        0xa30f_1687_71cc_c945,
+        0xf403_b72c_d1f6_8fc2,
+    );
 }
 
 #[test]
 fn dio_gpt35_answers_are_pinned() {
-    let got = dio(exp().copilot(sim(ModelProfile::gpt35_turbo_sim())));
-    assert_pinned("dio gpt-3.5", got, 0x0208_d46e_0461_d14f);
+    let model = || sim(ModelProfile::gpt35_turbo_sim());
+    assert_both_rows(
+        "dio gpt-3.5",
+        model,
+        as_is,
+        0x8134_ea99_a6ea_e1a1,
+        0x0208_d46e_0461_d14f,
+    );
 }
 
 /// curie's 2k window truncates the context: dropped items.
 #[test]
 fn dio_curie_answers_are_pinned() {
-    let got = dio(exp().copilot(sim(ModelProfile::text_curie_sim())));
-    assert_pinned("dio curie", got, 0xb12d_b1e2_3e65_0501);
+    let model = || sim(ModelProfile::text_curie_sim());
+    assert_both_rows(
+        "dio curie",
+        model,
+        as_is,
+        0xc983_e1b1_ecd1_3bac,
+        0xb12d_b1e2_3e65_0501,
+    );
 }
 
 #[test]
 fn dio_two_stage_answers_are_pinned() {
-    let two_stage = CopilotConfig {
+    let two_stage = |config| CopilotConfig {
         two_stage: true,
-        ..CopilotConfig::default()
+        ..config
     };
-    let got = dio(exp().copilot_with_config(sim(ModelProfile::gpt4_sim()), two_stage));
-    assert_pinned("dio gpt-4 two-stage", got, 0xbd17_8b22_31e0_ed62);
+    let model = || sim(ModelProfile::gpt4_sim());
+    assert_both_rows(
+        "dio gpt-4 two-stage",
+        model,
+        two_stage,
+        0x884c_04dd_6175_c36f,
+        0xbd17_8b22_31e0_ed62,
+    );
 }
 
 #[test]
 fn dio_one_repair_round_answers_are_pinned() {
-    let broken = MalformedFirstTry(SimulatedModel::new(ModelProfile::gpt4_sim()));
-    let got = dio(exp().copilot(Box::new(broken)));
-    assert_pinned("dio gpt-4 one repair round", got, 0x38fa_28af_39dc_a3d8);
+    let model = || -> Box<dyn FoundationModel> {
+        Box::new(MalformedFirstTry(SimulatedModel::new(
+            ModelProfile::gpt4_sim(),
+        )))
+    };
+    assert_both_rows(
+        "dio gpt-4 one repair round",
+        model,
+        as_is,
+        0xa179_62e7_607d_56cb,
+        0x38fa_28af_39dc_a3d8,
+    );
 }
 
 #[test]

@@ -195,6 +195,52 @@ fn evaluate_inner(
     }
 }
 
+/// Paired verdict on two runs over the same questions: how many only
+/// `a` answered correctly, how many only `b`, and the exact two-sided
+/// McNemar p of that split. Outcomes pair by position, so runs over
+/// several worlds pool by concatenation.
+///
+/// # Panics
+/// If the runs differ in length or pair different question ids.
+pub fn compare(a: &[QuestionOutcome], b: &[QuestionOutcome]) -> (usize, usize, f64) {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "compared runs must cover the same questions"
+    );
+    let (mut only_a, mut only_b) = (0, 0);
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.id, y.id, "compared runs must pair the same questions");
+        only_a += usize::from(x.correct && !y.correct);
+        only_b += usize::from(y.correct && !x.correct);
+    }
+    (only_a, only_b, mcnemar_p(only_a, only_b))
+}
+
+/// Exact two-sided McNemar p: `2·P(X ≤ min)` for `X ~ Binomial(n, ½)`
+/// over the `n` discordant pairs, capped at 1. Each term is the last
+/// one times `(n − i)/(i + 1)`, exact while the coefficients fit a
+/// double; past 1 022 pairs `2⁻ⁿ` underflows, so the terms are summed
+/// from logarithms there.
+fn mcnemar_p(only_a: usize, only_b: usize) -> f64 {
+    let (n, k) = (only_a + only_b, only_a.min(only_b));
+    let mut tail = 0.0;
+    if n <= 1022 {
+        let mut term = 0.5f64.powi(n as i32);
+        for i in 0..=k {
+            tail += term;
+            term = term * (n - i) as f64 / (i + 1) as f64;
+        }
+    } else {
+        let mut ln_term = -(n as f64) * std::f64::consts::LN_2;
+        for i in 0..=k {
+            tail += ln_term.exp();
+            ln_term += ((n - i) as f64 / (i + 1) as f64).ln();
+        }
+    }
+    (2.0 * tail).min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +352,60 @@ mod tests {
         assert_eq!(correct, r.correct as f64);
         // 10 questions at 2¢ each.
         assert_eq!(snap.total(QUESTION_COST_NAME), 20.0);
+    }
+
+    /// Outcomes for ids `0..`, correct where `right` says.
+    fn outcomes(right: &[bool]) -> Vec<QuestionOutcome> {
+        right
+            .iter()
+            .enumerate()
+            .map(|(id, &correct)| QuestionOutcome {
+                id,
+                correct,
+                query: String::new(),
+                numeric: None,
+                reference: 0.0,
+                error: None,
+                repairs: 0,
+                degraded: false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compare_counts_discordant_pairs_and_pins_exact_mcnemar_p() {
+        // 7 only-a, 19 only-b, 3 both, 2 neither.
+        let mut a = vec![true; 7];
+        a.extend([false; 19].iter().chain(&[true; 3]).chain(&[false; 2]));
+        let mut b = vec![false; 7];
+        b.extend([true; 19].iter().chain(&[true; 3]).chain(&[false; 2]));
+        assert_eq!(
+            compare(&outcomes(&a), &outcomes(&b)),
+            (7, 19, 0.028959274291992188)
+        );
+        assert_eq!(
+            compare(&outcomes(&b), &outcomes(&a)),
+            (19, 7, 0.028959274291992188)
+        );
+
+        for (only_a, only_b, p) in [
+            (7, 19, 0.028959274291992188),
+            (0, 4, 0.125),
+            (20, 3, 0.00048828125),
+            (13, 11, 0.8388197422027588),
+            (0, 0, 1.0),
+        ] {
+            assert_eq!(mcnemar_p(only_a, only_b), p, "{only_a}/{only_b}");
+        }
+        // Past the exact range the log-space sum still gives a p.
+        assert_eq!(mcnemar_p(600, 600), 1.0);
+        assert!(mcnemar_p(500, 700) < 1e-7);
+    }
+
+    #[test]
+    #[should_panic(expected = "same questions")]
+    fn compare_refuses_runs_over_different_questions() {
+        compare(&outcomes(&[true, false]), &outcomes(&[true]));
     }
 
     #[test]

@@ -48,6 +48,21 @@ impl WorldConfig {
             seed: 0xd10_c0b1_1a7e,
         }
     }
+
+    /// The held-out world: the default world under another catalog and
+    /// traffic seed. Defaults chosen on the default world are checked
+    /// here; it shares the question templates and exemplar generator, so
+    /// it is held out by seed, not by phrasing.
+    pub fn held_out() -> Self {
+        WorldConfig {
+            catalog: CatalogConfig {
+                seed: 0xca7a_1035_eed5_0777,
+                ..CatalogConfig::default()
+            },
+            seed: 0x5eed_0000_7777,
+            ..WorldConfig::default()
+        }
+    }
 }
 
 /// The assembled world.

@@ -5,12 +5,16 @@ use crate::recovery::RecoveryPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline parameters. Defaults follow the paper's §4 evaluation
-/// setup exactly: top-29 context samples, 20 few-shot exemplars,
-/// 1000 max output tokens, temperature 0.
+/// setup (20 few-shot exemplars, 1000 max output tokens, temperature 0)
+/// except the context size: 10 samples, not the paper's 29. On both
+/// benchmark worlds k = 10 answers more questions (150 and 153 of 200
+/// against 144 and 147) at 29 % lower cost; `dio-bench`'s
+/// `paper_config` is the paper's k = 29 setting as a named row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CopilotConfig {
-    /// Context samples retrieved per question ("the top 29 most similar
-    /// text samples are appended as supplemental context").
+    /// Context samples retrieved per question. The paper appends "the
+    /// top 29 most similar text samples"; `dio-bench`'s `paper_config`
+    /// keeps that setting, the default is 10.
     pub top_k: usize,
     /// Maximum few-shot exemplars placed in the code-generation prompt.
     pub max_exemplars: usize,
@@ -41,7 +45,7 @@ pub struct CopilotConfig {
 impl Default for CopilotConfig {
     fn default() -> Self {
         CopilotConfig {
-            top_k: 29,
+            top_k: 10,
             max_exemplars: 20,
             max_output_tokens: 1000,
             temperature: 0.0,
@@ -62,7 +66,8 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = CopilotConfig::default();
-        assert_eq!(c.top_k, 29);
+        // The one departure from §4: 10 context samples, not 29.
+        assert_eq!(c.top_k, 10);
         assert_eq!(c.max_exemplars, 20);
         assert_eq!(c.max_output_tokens, 1000);
         assert_eq!(c.temperature, 0.0);

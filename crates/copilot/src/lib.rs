@@ -10,7 +10,8 @@
 //!    metric descriptions plus bespoke expert functions;
 //! 2. **Context extraction** (`extractor`): embed the question
 //!    (sentence-embedder substitute for all-MiniLM-L6-v2), cosine-search
-//!    the vector store (FAISS substitute), keep the top-29 samples;
+//!    the vector store (FAISS substitute), keep the top 10 samples
+//!    (the paper keeps 29);
 //! 3. **Relevant-metric identification**: prompt the foundation model
 //!    to name the metrics in context that answer the question;
 //! 4. **Few-shot code generation**: prompt the model with 20 expert

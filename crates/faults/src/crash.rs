@@ -15,7 +15,6 @@
 //! built to survive (single-node loss), so drills exercise
 //! failover/rejoin cycles instead of unrecoverable multi-node outages.
 
-use crate::injector::ChaosConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -37,24 +36,13 @@ pub enum NodeFault {
     },
 }
 
-/// One fired event, for post-hoc analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeFaultEvent {
-    /// 0-based index of the cluster operation the fault preceded.
-    pub op: usize,
-    /// What fired.
-    pub fault: NodeFault,
-}
-
 /// A seeded schedule of node crash/restart events over cluster
-/// operations. Build one per drill via [`CrashSchedule::derived`].
+/// operations.
 #[derive(Debug)]
 pub struct CrashSchedule {
     rng: ChaCha8Rng,
     probability: f64,
     down: Vec<bool>,
-    ops: usize,
-    log: Vec<NodeFaultEvent>,
 }
 
 impl CrashSchedule {
@@ -70,34 +58,7 @@ impl CrashSchedule {
             rng: ChaCha8Rng::seed_from_u64(seed),
             probability,
             down: vec![false; n_nodes],
-            ops: 0,
-            log: Vec::new(),
         }
-    }
-
-    /// Schedule derived from a [`ChaosConfig`]: the seed is mixed with
-    /// the `"node-crash"` layer tag (like [`crate::Injector::derived`])
-    /// and `fault_probability` gates each decision.
-    pub fn derived(config: &ChaosConfig, n_nodes: usize) -> Self {
-        let mut mixed = config.clone();
-        // FNV-1a of "node-crash", matching the injector's layer mixing.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in "node-crash".bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        mixed.seed ^= h;
-        Self::new(mixed.seed, mixed.fault_probability, n_nodes)
-    }
-
-    /// Decisions made so far.
-    pub fn ops(&self) -> usize {
-        self.ops
-    }
-
-    /// Every fired event, in op order.
-    pub fn log(&self) -> &[NodeFaultEvent] {
-        &self.log
     }
 
     /// Nodes the schedule currently believes are down.
@@ -113,8 +74,6 @@ impl CrashSchedule {
     /// operation. Always draws exactly two RNG values (roll, pick) so
     /// the schedule depends only on `(seed, op index)`.
     pub fn decide(&mut self) -> Option<NodeFault> {
-        let op = self.ops;
-        self.ops += 1;
         let roll: f64 = self.rng.gen_range(0.0..1.0);
         let pick: u64 = self.rng.gen_range(0..u64::MAX);
         if roll >= self.probability {
@@ -130,7 +89,6 @@ impl CrashSchedule {
             self.down[node] = false;
             NodeFault::Restart { node }
         };
-        self.log.push(NodeFaultEvent { op, fault });
         Some(fault)
     }
 }
@@ -182,19 +140,20 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(cs.decide(), None);
         }
-        assert_eq!(cs.ops(), 20);
-        assert!(cs.log().is_empty());
-    }
-
-    #[test]
-    fn derived_differs_from_raw_seed_but_reproduces() {
-        let cfg = ChaosConfig::with_probability(9, 0.4);
-        let mk = || {
-            let mut cs = CrashSchedule::derived(&cfg, 4);
-            (0..60).map(|_| cs.decide()).collect::<Vec<_>>()
+        assert!(cs.down_nodes().is_empty());
+        // Each silent decision drew its two values: from here on it picks
+        // what a firing schedule on the same seed picks after 20 decisions.
+        let mut silent = CrashSchedule {
+            probability: 1.0,
+            ..cs
         };
-        assert_eq!(mk(), mk());
-        assert_ne!(mk(), run(9, 0.4, 4, 60));
+        let mut firing = CrashSchedule::new(3, 1.0, 2);
+        for _ in 0..20 {
+            firing.decide();
+        }
+        firing.down.fill(false);
+        let next = |s: &mut CrashSchedule| (0..16).map(|_| s.decide()).collect::<Vec<_>>();
+        assert_eq!(next(&mut silent), next(&mut firing));
     }
 
     #[test]
