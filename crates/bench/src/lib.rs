@@ -32,7 +32,7 @@ pub const SCHEMA_SEED: u64 = 0x5c83_a001;
 pub const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
 /// Benchmark generation seed of the held-out world
 /// ([`WorldConfig::held_out`]).
-pub const HELD_OUT_BENCHMARK_SEED: u64 = 0x4e1a7;
+const HELD_OUT_BENCHMARK_SEED: u64 = 0x4e1a7;
 /// Benchmark size (the paper's 200).
 pub const BENCHMARK_SIZE: usize = 200;
 
@@ -63,7 +63,11 @@ pub fn operating_points() -> [(String, CopilotConfig); 2] {
 /// [`dio_benchmark::eval::compare`].
 pub fn verdict(a: &str, a_runs: &[QuestionOutcome], b: &str, b_runs: &[QuestionOutcome]) -> String {
     let (only_a, only_b, p) = compare(a_runs, b_runs);
-    let p = if p < 0.001 { "p < 0.001".to_string() } else { format!("p = {p:.3}") };
+    let p = if p < 0.001 {
+        "p < 0.001".to_string()
+    } else {
+        format!("p = {p:.3}")
+    };
     format!(
         "{a} vs {b}, pooled over {} questions: {only_a} right only under the first, \
          {only_b} only under the second, exact McNemar {p}",

@@ -19,6 +19,7 @@ use dio_llm::{
     Completion, CompletionRequest, ContextItem, FoundationModel, ModelError, ModelProfile, Pricing,
     PromptBuilder, SimulatedModel, TaskKind, TokenUsage,
 };
+use std::convert::identity;
 use std::sync::OnceLock;
 
 fn exp() -> &'static Experiment {
@@ -142,17 +143,13 @@ fn assert_both_rows(
     assert_pinned(what, run(CopilotConfig::default()), default);
 }
 
-fn as_is(config: CopilotConfig) -> CopilotConfig {
-    config
-}
-
 #[test]
 fn dio_gpt4_answers_are_pinned() {
     let model = || sim(ModelProfile::gpt4_sim());
     assert_both_rows(
         "dio gpt-4",
         model,
-        as_is,
+        identity,
         0xa30f_1687_71cc_c945,
         0xf403_b72c_d1f6_8fc2,
     );
@@ -164,7 +161,7 @@ fn dio_gpt35_answers_are_pinned() {
     assert_both_rows(
         "dio gpt-3.5",
         model,
-        as_is,
+        identity,
         0x8134_ea99_a6ea_e1a1,
         0x0208_d46e_0461_d14f,
     );
@@ -177,7 +174,7 @@ fn dio_curie_answers_are_pinned() {
     assert_both_rows(
         "dio curie",
         model,
-        as_is,
+        identity,
         0xc983_e1b1_ecd1_3bac,
         0xb12d_b1e2_3e65_0501,
     );
@@ -209,7 +206,7 @@ fn dio_one_repair_round_answers_are_pinned() {
     assert_both_rows(
         "dio gpt-4 one repair round",
         model,
-        as_is,
+        identity,
         0xa179_62e7_607d_56cb,
         0x38fa_28af_39dc_a3d8,
     );
