@@ -46,16 +46,13 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Label of the [`paper_config`] row in every table.
-pub const PAPER_ROW: &str = "paper configuration (k = 29)";
-
 /// The two rows the result tables print, labelled: the default
 /// configuration, then [`paper_config`].
 pub fn operating_points() -> [(String, CopilotConfig); 2] {
-    let default = CopilotConfig::default();
+    let (default, paper) = (CopilotConfig::default(), paper_config());
     [
         (format!("default (k = {})", default.top_k), default),
-        (PAPER_ROW.to_string(), paper_config()),
+        (format!("paper configuration (k = {})", paper.top_k), paper),
     ]
 }
 
@@ -105,7 +102,7 @@ impl Experiment {
 
     /// The held-out world's 200 questions: the same generators under
     /// other seeds, so it is held out by seed, not by phrasing.
-    pub fn held_out() -> Self {
+    fn held_out() -> Self {
         Self::build(
             WorldConfig::held_out(),
             BENCHMARK_SIZE,
