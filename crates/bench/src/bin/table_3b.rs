@@ -49,7 +49,7 @@ fn main() {
                 "{world} world, {row}: {} — ordering GPT-4 > GPT-3.5 > curie {}",
                 correct
                     .iter()
-                    .map(|c| format!("{c}/200"))
+                    .map(|c| format!("{c}/{}", exp.questions.len()))
                     .collect::<Vec<_>>()
                     .join(" / "),
                 if holds { "holds" } else { "FLIPPED" }
