@@ -15,7 +15,7 @@ pub fn format_comparison_table(title: &str, reports: &[&EvalReport]) -> String {
     out.push_str(&format!("{:<width$} | EX (%)\n", "Approach"));
     out.push_str(&format!("{:-<width$}-+-------\n", ""));
     for r in reports {
-        out.push_str(&format!("{:<width$} | {:>5.0}\n", r.system, r.ex_percent));
+        out.push_str(&format!("{:<width$} | {:>6.1}\n", r.system, r.ex_percent));
     }
     out
 }
@@ -72,10 +72,15 @@ mod tests {
     fn comparison_table_lists_rows() {
         let a = report("DIO copilot", 66.0);
         let b = report("DIN-SQL", 48.0);
-        let t = format_comparison_table("Table 3a", &[&a, &b]);
+        // Halves print as they are, not rounded to even.
+        let c = report("default", 76.5);
+        let d = report("paper", 73.5);
+        let t = format_comparison_table("Table 3a", &[&a, &b, &c, &d]);
         assert!(t.contains("DIO copilot"));
         assert!(t.contains("66"));
         assert!(t.contains("48"));
+        assert!(t.contains(" 76.5\n"), "{t}");
+        assert!(t.contains(" 73.5\n"), "{t}");
     }
 
     #[test]

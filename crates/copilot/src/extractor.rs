@@ -8,7 +8,7 @@ use crate::pipeline::first_sentence;
 use dio_catalog::{DocSample, DomainDb};
 use dio_embed::{Embedder, EmbedderConfig};
 use dio_llm::PromptPiece;
-use dio_vecstore::{DocIndex, FlatIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex};
+use dio_vecstore::{DocIndex, FlatIndex, SearchHit, VectorIndex};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -60,9 +60,8 @@ impl Borrow<DocSample> for Doc {
 /// Work accounting for one retrieval, fed into `dio-obs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetrievalStats {
-    /// Candidate vectors the index scanned (exact indexes scan the
-    /// whole store; IVF reports the probed fraction; the random
-    /// baseline scans nothing).
+    /// Candidate vectors the index scanned (the flat index scans the
+    /// whole store; the random baseline scans nothing).
     pub candidates_scanned: usize,
 }
 
@@ -71,14 +70,6 @@ pub struct RetrievalStats {
 pub enum RetrievalMode {
     /// Exact brute-force cosine search (FAISS `IndexFlatIP`), default.
     Flat,
-    /// Approximate IVF search (FAISS `IndexIVFFlat`); both widths are
-    /// clamped to `1..=corpus size`.
-    Ivf {
-        /// Inverted lists.
-        nlist: usize,
-        /// Lists probed per query.
-        nprobe: usize,
-    },
     /// Pseudo-random context (no semantic search) — the degenerate
     /// baseline showing retrieval is load-bearing.
     Random {
@@ -89,7 +80,6 @@ pub enum RetrievalMode {
 
 enum IndexKind {
     Flat(DocIndex<FlatIndex, Doc>),
-    Ivf(DocIndex<IvfIndex, Doc>),
     Random { samples: Vec<Doc>, seed: u64 },
 }
 
@@ -122,44 +112,23 @@ impl ContextExtractor {
         let texts: Vec<String> = samples.iter().map(|s| s.embedding_text()).collect();
         let samples: Vec<Doc> = samples.into_iter().map(Doc::new).collect();
         let embedder = Embedder::fit(&config, texts.iter().map(|s| s.as_str()));
-        let dims = embedder.dims();
-        // Lazy: a flat build moves each embedding into the matrix as
-        // it is made instead of holding the whole batch beside it.
-        let vectors = || texts.iter().map(|text| embedder.embed(text));
         let index = match mode {
             RetrievalMode::Random { seed } => IndexKind::Random { samples, seed },
-            // An empty corpus has nothing to train a quantiser on.
-            RetrievalMode::Ivf { nlist, nprobe } if !samples.is_empty() => {
-                let config = IvfConfig {
-                    nlist,
-                    nprobe,
-                    ..IvfConfig::default()
-                };
-                let ivf = IvfIndex::train(dims, config, vectors().collect());
-                IndexKind::Ivf(DocIndex::from_parts(ivf, samples))
-            }
-            RetrievalMode::Flat | RetrievalMode::Ivf { .. } => {
-                let flat = FlatIndex::from_vectors(dims, vectors());
+            RetrievalMode::Flat => {
+                // Lazy: each embedding moves into the matrix as it is
+                // made instead of the whole batch being held beside it.
+                let vectors = texts.iter().map(|text| embedder.embed(text));
+                let flat = FlatIndex::from_vectors(embedder.dims(), vectors);
                 IndexKind::Flat(DocIndex::from_parts(flat, samples))
             }
         };
         ContextExtractor { embedder, index }
     }
 
-    /// Slug of the active index tier, for metrics and reports.
-    pub fn mode_slug(&self) -> &'static str {
-        match &self.index {
-            IndexKind::Flat(_) => "flat",
-            IndexKind::Ivf(_) => "ivf",
-            IndexKind::Random { .. } => "random",
-        }
-    }
-
     /// Number of indexed samples.
     pub fn len(&self) -> usize {
         match &self.index {
             IndexKind::Flat(i) => i.len(),
-            IndexKind::Ivf(i) => i.len(),
             IndexKind::Random { samples, .. } => samples.len(),
         }
     }
@@ -207,9 +176,8 @@ impl ContextExtractor {
     }
 
     /// [`ContextExtractor::retrieve_vec`] plus work accounting: the
-    /// flat index scans the whole store, IVF reports exactly the
-    /// probed-list candidates. The question is embedded at most once and
-    /// the index searched exactly once; either index's hits are
+    /// flat index scans the whole store. The question is embedded at
+    /// most once and the index searched exactly once; its hits are
     /// diversified with MMR.
     pub fn retrieve_with_stats_vec(
         &self,
@@ -222,7 +190,6 @@ impl ContextExtractor {
         }
         match &self.index {
             IndexKind::Flat(i) => self.search_docs(i, question, qvec, k),
-            IndexKind::Ivf(i) => self.search_docs(i, question, qvec, k),
             IndexKind::Random { samples, seed } => (
                 random_context(samples, *seed, question, k),
                 RetrievalStats::default(),
@@ -239,15 +206,14 @@ impl ContextExtractor {
     pub(crate) fn line(&self, hit: &Retrieved) -> &PromptPiece {
         let doc = match &self.index {
             IndexKind::Flat(i) => i.get(hit.doc),
-            IndexKind::Ivf(i) => i.get(hit.doc),
             IndexKind::Random { samples, .. } => samples.get(hit.doc),
         };
         &doc.expect("a hit retrieved by this extractor").line
     }
 
-    /// One search of any index backend: prefetch `4k` hits, let MMR pick
-    /// `k` of them, and clone their samples. An id the payload store
-    /// does not hold yields no hit.
+    /// One search of the index: prefetch `4k` hits, let MMR pick `k` of
+    /// them, and clone their samples. Every stored row is scanned. An
+    /// id the payload store does not hold yields no hit.
     fn search_docs<I: VectorIndex, D: Borrow<DocSample>>(
         &self,
         index: &DocIndex<I, D>,
@@ -264,9 +230,7 @@ impl ContextExtractor {
                 &embedded
             }
         };
-        let (hits, stats) = index
-            .index()
-            .search_with_stats(q, k.saturating_mul(PREFETCH_FACTOR));
+        let hits = index.index().search(q, k.saturating_mul(PREFETCH_FACTOR));
         let retrieved = mmr(index.index(), hits, k)
             .into_iter()
             .filter_map(|hit| {
@@ -280,7 +244,7 @@ impl ContextExtractor {
         (
             retrieved,
             RetrievalStats {
-                candidates_scanned: stats.candidates_scanned,
+                candidates_scanned: index.len(),
             },
         )
     }
@@ -518,15 +482,6 @@ mod tests {
         let (_, none_stats) = flat.retrieve_with_stats_vec("q", None, 0);
         assert_eq!(none_stats.candidates_scanned, 0);
 
-        let ivf = ContextExtractor::build_with_mode(
-            &d,
-            true,
-            RetrievalMode::Ivf { nlist: 16, nprobe: 2 },
-        );
-        let (_, ivf_stats) = ivf.retrieve_with_stats_vec("paging attempts", None, 10);
-        assert!(ivf_stats.candidates_scanned > 0);
-        assert!(ivf_stats.candidates_scanned < n, "2/16 probes scanned everything");
-
         let random = ContextExtractor::build_with_mode(&d, true, RetrievalMode::Random { seed: 7 });
         let (_, random_stats) = random.retrieve_with_stats_vec("paging attempts", None, 10);
         assert_eq!(random_stats.candidates_scanned, 0);
@@ -747,64 +702,14 @@ mod tests {
         assert_eq!(retrieved[0].sample.name, "only");
     }
 
-    fn names_and_bits(retrieved: &[Retrieved]) -> Vec<(&str, u32)> {
-        retrieved
-            .iter()
-            .map(|r| (r.sample.name.as_str(), r.score.to_bits()))
-            .collect()
-    }
-
     #[test]
-    fn full_probe_ivf_retrieves_exactly_what_flat_does_on_all_benchmark_questions() {
-        // Probing every list is exact by construction, so the only
-        // thing this can differ from flat in is the path after the
-        // prefetch: same MMR, same names, order and score bits.
-        const BENCHMARK_SEED: u64 = 0xbe9c_4a11;
-        const K: usize = 29;
-        let world = dio_benchmark::OperatorWorld::build(dio_benchmark::WorldConfig::default());
-        let questions = dio_benchmark::generate_benchmark(&world, 200, BENCHMARK_SEED);
-        assert_eq!(questions.len(), 200);
-        let db = world.domain_db();
-        let flat = ContextExtractor::build(&db, true);
-        let (nlist, nprobe) = (64, 64);
-        let ivf =
-            ContextExtractor::build_with_mode(&db, true, RetrievalMode::Ivf { nlist, nprobe });
-        assert_eq!((flat.mode_slug(), ivf.mode_slug()), ("flat", "ivf"));
-        for q in &questions {
-            let (got, stats) = ivf.retrieve_with_stats_vec(&q.text, None, K);
-            assert_eq!(stats.candidates_scanned, flat.len());
-            let want = flat.retrieve(&q.text, K);
-            assert_eq!(names_and_bits(&got), names_and_bits(&want), "{:?}", q.text);
-        }
-    }
-
-    /// `RetrievalMode` is `Deserialize`: no value of it may panic a build.
-    fn builds_and_retrieves(db: &DomainDb, nlist: usize, nprobe: usize) -> ContextExtractor {
-        let ex = ContextExtractor::build_with_mode(db, true, RetrievalMode::Ivf { nlist, nprobe });
-        assert_eq!(ex.retrieve("paging attempts", 5).len(), ex.len().min(5));
-        ex
-    }
-
-    #[test]
-    fn ivf_with_zero_nprobe_probes_one_list() {
-        assert_eq!(builds_and_retrieves(&db(), 16, 0).mode_slug(), "ivf");
-    }
-
-    #[test]
-    fn ivf_with_zero_nlist_trains_one_list() {
-        let d = db();
-        let ex = builds_and_retrieves(&d, 0, 4);
-        // One list, probed: the exact scan.
-        let (_, stats) = ex.retrieve_with_stats_vec("paging attempts", None, 5);
-        assert_eq!(stats.candidates_scanned, d.text_samples().len());
-    }
-
-    #[test]
-    fn ivf_over_an_empty_corpus_builds_the_flat_tier() {
+    fn an_empty_corpus_builds_and_retrieves_nothing() {
         let empty =
             DomainDb::from_json(r#"{"metrics":{},"functions":{},"groups":[],"notes":[]}"#).unwrap();
         assert!(empty.text_samples().is_empty());
-        assert_eq!(builds_and_retrieves(&empty, 64, 16).mode_slug(), "flat");
+        let ex = ContextExtractor::build(&empty, true);
+        assert!(ex.is_empty());
+        assert!(ex.retrieve("paging attempts", 5).is_empty());
     }
 
     #[test]

@@ -39,15 +39,6 @@ pub struct RecoveryPolicy {
     /// Model calls skipped while the breaker is open before it
     /// half-opens to probe.
     pub breaker_cooldown: usize,
-    /// Seed for decorrelated backoff jitter. `None` — the default —
-    /// keeps the pure doubling schedule. `Some(seed)` draws each
-    /// interval independently from the upper half of its nominal range
-    /// (`[base·2ⁿ⁄2, base·2ⁿ]`), mixing the seed and the retry index
-    /// through a splitmix-style hash: reproducible for one client,
-    /// decorrelated across clients with different seeds, so a fleet
-    /// retrying the same outage does not re-converge in lockstep.
-    #[serde(default)]
-    pub backoff_jitter_seed: Option<u64>,
 }
 
 impl Default for RecoveryPolicy {
@@ -59,7 +50,6 @@ impl Default for RecoveryPolicy {
             backoff_base_ms: 100,
             breaker_threshold: 3,
             breaker_cooldown: 2,
-            backoff_jitter_seed: None,
         }
     }
 }
@@ -74,40 +64,14 @@ impl RecoveryPolicy {
             backoff_base_ms: 0,
             breaker_threshold: usize::MAX,
             breaker_cooldown: 0,
-            backoff_jitter_seed: None,
         }
     }
 
     /// The recorded backoff before retry `n` (0-based), doubling from
-    /// the base. With [`RecoveryPolicy::backoff_jitter_seed`] set, the
-    /// interval is jittered into `[nominal⁄2, nominal]`
-    /// deterministically from `(seed, retry)`.
+    /// the base and saturating past retry 16.
     pub fn backoff_ms(&self, retry: usize) -> u64 {
-        let nominal = self.backoff_base_ms.saturating_mul(1u64 << retry.min(16));
-        match self.backoff_jitter_seed {
-            None => nominal,
-            Some(seed) => {
-                if nominal == 0 {
-                    return 0;
-                }
-                let lo = nominal / 2;
-                let span = nominal - lo + 1;
-                let h = splitmix64(
-                    seed ^ (retry as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                lo + h % span
-            }
-        }
+        self.backoff_base_ms.saturating_mul(1u64 << retry.min(16))
     }
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash used to derive the
-/// jitter draw from `(seed, retry)` without carrying RNG state.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Circuit-breaker state.
@@ -387,26 +351,6 @@ mod tests {
         assert_eq!(p.backoff_ms(0), 100);
         assert_eq!(p.backoff_ms(1), 200);
         assert_eq!(p.backoff_ms(2), 400);
-    }
-
-    #[test]
-    fn jittered_backoff_is_bounded_and_reproducible() {
-        let p = RecoveryPolicy {
-            backoff_base_ms: 100,
-            backoff_jitter_seed: Some(0x5eed),
-            ..RecoveryPolicy::default()
-        };
-        for retry in 0..8 {
-            let nominal = 100u64 << retry;
-            let j = p.backoff_ms(retry);
-            assert!(
-                (nominal / 2..=nominal).contains(&j),
-                "retry {retry}: {j} outside [{}, {nominal}]",
-                nominal / 2
-            );
-            // Same policy, same retry: same draw.
-            assert_eq!(j, p.backoff_ms(retry));
-        }
     }
 
     #[test]

@@ -9,11 +9,10 @@ use serde::{Deserialize, Serialize};
 /// of metric descriptions).
 ///
 /// The components are held twice, each row's norm beside them. The
-/// row-major matrix is what reads a row at a time: [`FlatIndex::row`],
-/// `similarity` (MMR) and the scan over an id list that IVF probes
-/// with. The dimension-major copy is what the full scan of `search`
-/// runs over, reading only the columns of the query's non-zero
-/// components ([`dot_columns`]). Whole columns strided by capacity
+/// row-major matrix is what reads a row at a time: [`FlatIndex::row`]
+/// and `similarity` (MMR). The dimension-major copy is what the full
+/// scan of `search` runs over, reading only the columns of the query's
+/// non-zero components ([`dot_columns`]). Whole columns strided by capacity
 /// rather than tiles of documents: `add` writes one component per
 /// column either way, the full scan measured faster over whole columns
 /// than blocked by documents, and the price — the columns move when
@@ -132,35 +131,6 @@ impl FlatIndex {
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.dims)
     }
-
-    /// Top-`k` of the `n` stored rows `id_of(0..n)` names, a row at a
-    /// time: one norm for the query, one dot product per named row —
-    /// what IVF scans its probed lists with. Ties break on position, so
-    /// `id_of` must be ascending for them to break on id.
-    pub(crate) fn scan(
-        &self,
-        query: &Vector,
-        n: usize,
-        k: usize,
-        id_of: impl Fn(usize) -> usize,
-    ) -> Vec<SearchHit> {
-        let query_norm = query.norm();
-        let top = top_k_by(n, k, |i| {
-            let id = id_of(i);
-            let row = &self.data[id * self.dims..(id + 1) * self.dims];
-            cosine_with_norms(query, query_norm, row, self.norms[id])
-        });
-        hits(top, id_of)
-    }
-}
-
-fn hits(top: Vec<Scored>, id_of: impl Fn(usize) -> usize) -> Vec<SearchHit> {
-    top.into_iter()
-        .map(|s| SearchHit {
-            id: id_of(s.index),
-            score: s.score,
-        })
-        .collect()
 }
 
 impl VectorIndex for FlatIndex {
@@ -189,10 +159,10 @@ impl VectorIndex for FlatIndex {
     }
 
     /// The full scan, over the columns of the query's non-zero
-    /// components; scores, ids and order are `scan`'s over every id.
-    /// Neither half moves a bit: [`dot_columns`] folds a lane's columns
-    /// in groups but adds each product in the same order as one column
-    /// at a time, and [`top_k_by`]'s packed keys order hits by score,
+    /// components; scores, ids and order are those of a row-at-a-time
+    /// cosine scan over every id. Neither half moves a bit:
+    /// [`dot_columns`] folds a lane's columns in groups but adds each
+    /// product in the same order as one column at a time, and [`top_k_by`]'s packed keys order hits by score,
     /// then id, each score returned with its own bits.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
         if k == 0 {
@@ -203,10 +173,12 @@ impl VectorIndex for FlatIndex {
         let query_norm = query.norm();
         // The cosine is taken as the selection reads each dot, not in a
         // pass of its own.
-        let top = top_k_by(dots.len(), k, |id| {
+        top_k_by(dots.len(), k, |id| {
             cosine_of_dot(dots[id], query_norm, self.norms[id])
-        });
-        hits(top, |id| id)
+        })
+        .into_iter()
+        .map(|Scored { index, score }| SearchHit { id: index, score })
+        .collect()
     }
 
     /// From the cached norms, bit-equal to
@@ -277,8 +249,7 @@ mod tests {
         /// corpora with exact duplicates and zero rows (ties and the
         /// zero-norm branch), and on sparse queries: zeros of either
         /// sign among the components, none but zeros, and none but
-        /// tail components. The column scan and the row-at-a-time scan
-        /// over every id are the same search.
+        /// tail components.
         #[test]
         fn search_is_bit_equal_to_the_per_vector_cosine_scan(
             dims in prop::sample::select(vec![1usize, 7, 8, 9, 16, 17]),
@@ -306,7 +277,6 @@ mod tests {
             let got = idx.search(&query, k);
             let want = per_vector_scan(&vectors, &query, k);
             prop_assert_eq!(id_and_bits(&got), id_and_bits(&want));
-            prop_assert_eq!(id_and_bits(&got), id_and_bits(&idx.scan(&query, idx.len(), k, |i| i)));
             for hit in &got {
                 let row = idx.row(hit.id).expect("hit ids are stored rows");
                 prop_assert_eq!(hit.score.to_bits(), cosine(&query, row).to_bits());

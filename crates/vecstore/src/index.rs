@@ -13,15 +13,6 @@ pub struct SearchHit {
     pub score: f32,
 }
 
-/// Work accounting for one search, fed into retrieval telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SearchStats {
-    /// Vectors whose similarity to the query was (or may have been)
-    /// computed. Exact indexes scan everything; approximate indexes
-    /// report how much of the store the probe actually touched.
-    pub candidates_scanned: usize,
-}
-
 /// A store of vectors searchable by cosine similarity.
 ///
 /// Ids are assigned densely in insertion order (`0, 1, 2, …`), matching
@@ -33,25 +24,11 @@ pub trait VectorIndex {
 
     /// Top-`k` hits for `query`, sorted by descending score (ties broken
     /// by ascending id). May return fewer than `k` when the index is
-    /// small, and, for approximate indexes, when probing misses.
+    /// small.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit>;
 
-    /// Like [`VectorIndex::search`], also reporting how many candidate
-    /// vectors were scanned. The default assumes an exhaustive scan
-    /// (true for exact indexes); approximate indexes override with the
-    /// work their probe actually did.
-    fn search_with_stats(&self, query: &Vector, k: usize) -> (Vec<SearchHit>, SearchStats) {
-        let hits = self.search(query, k);
-        (
-            hits,
-            SearchStats {
-                candidates_scanned: self.len(),
-            },
-        )
-    }
-
     /// Cosine similarity of two stored vectors, `None` when either id
-    /// is not held — what MMR reranks any index's prefetch with.
+    /// is not held — what MMR reranks the prefetch with.
     fn similarity(&self, a: usize, b: usize) -> Option<f32>;
 
     /// Number of stored vectors.

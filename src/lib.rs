@@ -11,7 +11,7 @@
 //! | [`copilot`] | `dio-copilot` | the paper's contribution: the end-to-end pipeline |
 //! | [`catalog`] | `dio-catalog` | domain-specific database (3000+ 5G-core metrics, expert functions) |
 //! | [`embed`] | `dio-embed` | deterministic sentence embedder (all-MiniLM-L6-v2 substitute) |
-//! | [`vecstore`] | `dio-vecstore` | flat + IVF cosine indexes (FAISS substitute) |
+//! | [`vecstore`] | `dio-vecstore` | exact flat cosine index (FAISS `IndexFlatIP` substitute) |
 //! | [`tsdb`] | `dio-tsdb` | labelled time-series store, synthetic traffic, checksummed write-ahead log |
 //! | [`promql`] | `dio-promql` | PromQL lexer/parser/evaluator |
 //! | [`llm`] | `dio-llm` | prompts, pricing, simulated foundation models |
