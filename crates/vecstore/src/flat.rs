@@ -12,11 +12,11 @@ use serde::{Deserialize, Serialize};
 /// row-major matrix is what reads a row at a time: [`FlatIndex::row`]
 /// and `similarity` (MMR). The dimension-major copy is what the full
 /// scan of `search` runs over, reading only the columns of the query's
-/// non-zero components ([`dot_columns`]). Whole columns strided by capacity
-/// rather than tiles of documents: `add` writes one component per
-/// column either way, the full scan measured faster over whole columns
-/// than blocked by documents, and the price — the columns move when
-/// the capacity doubles — is amortised like a `Vec`'s.
+/// non-zero components ([`dot_columns`]). Whole columns strided by
+/// capacity rather than tiles of documents: `add` writes one component
+/// per column either way, the full scan measured faster over whole
+/// columns than blocked by documents, and the price — the columns move
+/// when the capacity doubles — is amortised like a `Vec`'s.
 ///
 /// Invariant: a search score is bit-equal to
 /// `dio_embed::cosine(query, row)`. The column scan holds it only over
@@ -162,8 +162,9 @@ impl VectorIndex for FlatIndex {
     /// components; scores, ids and order are those of a row-at-a-time
     /// cosine scan over every id. Neither half moves a bit:
     /// [`dot_columns`] folds a lane's columns in groups but adds each
-    /// product in the same order as one column at a time, and [`top_k_by`]'s packed keys order hits by score,
-    /// then id, each score returned with its own bits.
+    /// product in the same order as one column at a time, and
+    /// [`top_k_by`]'s packed keys order hits by score, then id, each
+    /// score returned with its own bits.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
         if k == 0 {
             return Vec::new();
