@@ -19,7 +19,6 @@ use dio_llm::{
     Completion, CompletionRequest, ContextItem, FoundationModel, ModelError, ModelProfile, Pricing,
     PromptBuilder, SimulatedModel, TaskKind, TokenUsage,
 };
-use std::convert::identity;
 use std::sync::OnceLock;
 
 fn exp() -> &'static Experiment {
@@ -126,15 +125,14 @@ fn assert_pinned(what: &str, got: u64, pinned: u64) {
 // and a failure names the pipeline whose completions moved.
 
 /// One pipeline as the paper row, then at the default: `model` is built
-/// fresh for each, `setting` turns either row into the pipeline's.
+/// fresh for each.
 fn assert_both_rows(
     what: &str,
     model: impl Fn() -> Box<dyn FoundationModel>,
-    setting: fn(CopilotConfig) -> CopilotConfig,
     default: u64,
     paper: u64,
 ) {
-    let run = |config| dio(exp().copilot_with_config(model(), setting(config)));
+    let run = |config| dio(exp().copilot_with_config(model(), config));
     assert_pinned(
         &format!("{what}, paper configuration"),
         run(paper_config()),
@@ -149,7 +147,6 @@ fn dio_gpt4_answers_are_pinned() {
     assert_both_rows(
         "dio gpt-4",
         model,
-        identity,
         0xa30f_1687_71cc_c945,
         0xf403_b72c_d1f6_8fc2,
     );
@@ -161,7 +158,6 @@ fn dio_gpt35_answers_are_pinned() {
     assert_both_rows(
         "dio gpt-3.5",
         model,
-        identity,
         0x8134_ea99_a6ea_e1a1,
         0x0208_d46e_0461_d14f,
     );
@@ -174,25 +170,8 @@ fn dio_curie_answers_are_pinned() {
     assert_both_rows(
         "dio curie",
         model,
-        identity,
         0xc983_e1b1_ecd1_3bac,
         0xb12d_b1e2_3e65_0501,
-    );
-}
-
-#[test]
-fn dio_two_stage_answers_are_pinned() {
-    let two_stage = |config| CopilotConfig {
-        two_stage: true,
-        ..config
-    };
-    let model = || sim(ModelProfile::gpt4_sim());
-    assert_both_rows(
-        "dio gpt-4 two-stage",
-        model,
-        two_stage,
-        0x884c_04dd_6175_c36f,
-        0xbd17_8b22_31e0_ed62,
     );
 }
 
@@ -206,7 +185,6 @@ fn dio_one_repair_round_answers_are_pinned() {
     assert_both_rows(
         "dio gpt-4 one repair round",
         model,
-        identity,
         0xa179_62e7_607d_56cb,
         0x38fa_28af_39dc_a3d8,
     );

@@ -4,8 +4,8 @@
 //! to compute a specific outcome; such a process might necessitate
 //! specialist-crafted functions or queries." Each [`FunctionDef`] is a
 //! named, documented PromQL template with typed parameters; the copilot
-//! retrieves them like metric descriptions and the code generator can
-//! instantiate them.
+//! retrieves them like metric descriptions, and every code-generation
+//! prompt names the first few of them.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +25,7 @@ pub struct FunctionDef {
     pub name: String,
     /// What the function computes (fed to the embedder).
     pub description: String,
-    /// Parameters bound at instantiation time.
+    /// Parameters the body names as placeholders.
     pub params: Vec<FunctionParam>,
     /// PromQL body with `$param` placeholders.
     pub body: String,
@@ -37,18 +37,6 @@ pub struct FunctionDef {
 }
 
 impl FunctionDef {
-    /// Instantiate the body, replacing each `$param` with its binding.
-    /// Returns `None` when a binding is missing.
-    pub fn instantiate(&self, bindings: &[(&str, &str)]) -> Option<String> {
-        let mut body = self.body.clone();
-        for p in &self.params {
-            let placeholder = format!("${}", p.name);
-            let value = bindings.iter().find(|(n, _)| *n == p.name)?.1;
-            body = body.replace(&placeholder, value);
-        }
-        Some(body)
-    }
-
     /// The text sample fed to the embedder.
     pub fn text_sample(&self) -> String {
         let params: Vec<String> = self
@@ -195,30 +183,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), fns.len());
-    }
-
-    #[test]
-    fn instantiate_replaces_all_placeholders() {
-        let fns = builtin_functions();
-        let sr = fns.iter().find(|f| f.name == "success_rate").unwrap();
-        let q = sr
-            .instantiate(&[
-                ("success", "amfcc_n1_initial_registration_success"),
-                ("attempt", "amfcc_n1_initial_registration_attempt"),
-            ])
-            .unwrap();
-        assert_eq!(
-            q,
-            "100 * sum(amfcc_n1_initial_registration_success) / sum(amfcc_n1_initial_registration_attempt)"
-        );
-        assert!(!q.contains('$'));
-    }
-
-    #[test]
-    fn instantiate_missing_binding_is_none() {
-        let fns = builtin_functions();
-        let sr = fns.iter().find(|f| f.name == "success_rate").unwrap();
-        assert!(sr.instantiate(&[("success", "x")]).is_none());
     }
 
     #[test]

@@ -32,11 +32,6 @@ pub struct CopilotConfig {
     pub domain_embedder: bool,
     /// Retrieval mode for the context extractor (ablation lever).
     pub retrieval: RetrievalMode,
-    /// Run metric identification as a separate model call before code
-    /// generation. The default (`false`) folds both §3.2/§3.3 roles
-    /// into one prompt — same architecture stages, one inference —
-    /// which is what keeps the per-query cost in the paper's envelope.
-    pub two_stage: bool,
     /// Bounds on retries, repair rounds, backoff, and the circuit
     /// breaker. [`RecoveryPolicy::disabled`] is the ablation baseline.
     pub recovery: RecoveryPolicy,
@@ -53,7 +48,6 @@ impl Default for CopilotConfig {
             dashboard_span_ms: 3 * 3600 * 1000,
             domain_embedder: true,
             retrieval: RetrievalMode::Flat,
-            two_stage: false,
             recovery: RecoveryPolicy::default(),
         }
     }

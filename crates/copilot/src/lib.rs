@@ -12,15 +12,15 @@
 //!    (sentence-embedder substitute for all-MiniLM-L6-v2), cosine-search
 //!    the vector store (FAISS substitute), keep the top 10 samples
 //!    (the paper keeps 29);
-//! 3. **Relevant-metric identification**: prompt the foundation model
-//!    to name the metrics in context that answer the question;
-//! 4. **Few-shot code generation**: prompt the model with 20 expert
-//!    exemplars to emit PromQL (and dashboard panel queries);
-//! 5. **Sandboxed execution** ([`dio_sandbox`]): vet and run the
+//! 3. **Relevant-metric identification and few-shot code generation**,
+//!    in one prompt: the foundation model sees the retrieved context
+//!    and 20 expert exemplars and emits PromQL over the metrics that
+//!    answer the question;
+//! 4. **Sandboxed execution** ([`dio_sandbox`]): vet and run the
 //!    generated query against the metrics store for a *numerically
 //!    accurate* answer;
-//! 6. **Dashboard generation** ([`dio_dashboard`]);
-//! 7. **Expert feedback** ([`dio_feedback`]): raise-hand files an
+//! 5. **Dashboard generation** ([`dio_dashboard`]);
+//! 6. **Expert feedback** ([`dio_feedback`]): raise-hand files an
 //!    issue; expert resolutions grow the domain DB and the few-shot
 //!    pool, and the copilot re-indexes.
 //!

@@ -490,47 +490,14 @@ impl DioCopilot {
             return self.deadline_abort(ask, String::new(), "generate");
         }
 
-        // Stage 2: relevant-metric identification. By default this is
-        // folded into the generation prompt (one inference, §4.2.5 cost
-        // envelope); `two_stage: true` issues the explicit
-        // identify-then-generate calls.
-        let identified: Vec<String> = if self.config.two_stage {
-            let request = self.model_request(
-                &ask,
-                PromptBuilder::new()
-                    .system(SYSTEM_PROMPT)
-                    .context_pieces(gen_context(&self.extractor, &hits, &[]))
-                    .question(question)
-                    .task(TaskKind::IdentifyMetrics),
-            );
-            ask.stage("identify", |ask, _| {
-                // Identification is best-effort: on failure the merged
-                // full-context prompt covers for the missing selection.
-                match self.call_model(ask, &request) {
-                    Ok(text) => text
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty() && s != "none")
-                        .collect(),
-                    Err(_) => Vec::new(),
-                }
-            })
-        } else {
-            Vec::new()
-        };
-
-        // Stage 3: few-shot code generation over the selected metrics
-        // (two-stage) or the full retrieved context (merged).
-        let gen_request = self.codegen_request(
-            &ask,
-            SYSTEM_PROMPT,
-            &hits,
-            &identified,
-            TaskKind::GeneratePromql,
-        );
+        // Stage 2: relevant-metric identification (§3.2) and few-shot
+        // code generation (§3.3) in one prompt over the retrieved
+        // context: one inference, within §4.2.5's cost envelope.
+        let gen_request =
+            self.codegen_request(&ask, SYSTEM_PROMPT, &hits, TaskKind::GeneratePromql);
         let generated = self.generate(&mut ask, &gen_request);
 
-        // Stage 4: sandboxed execution with self-repair. A model error
+        // Stage 3: sandboxed execution with self-repair. A model error
         // is NOT executed as a query (it used to be pasted in as
         // `# model error: …`); it goes straight to the recovery path.
         // Each sandbox execution and repair re-generation records its
@@ -542,25 +509,23 @@ impl DioCopilot {
             values,
             error,
             degradation,
-        } = self.execute_with_repair(&mut ask, generated, &identified, &hits);
+        } = self.execute_with_repair(&mut ask, generated, &hits);
         if let Some(CopilotError::DeadlineExceeded { stage }) = &error {
             let stage = stage.clone();
             return self.deadline_abort(ask, query, &stage);
         }
         ask.stats.degraded = degradation == DegradationLevel::Degraded;
 
-        // Relevant metrics for the rendered response: the identified
-        // set, falling back to whatever the query references. The
-        // final query is parsed once, for this and for the explanation.
+        // Relevant metrics for the rendered response: those the final
+        // query references. It is parsed once, for this and for the
+        // explanation.
         let executed = canonical.is_some();
         let final_query = canonical.unwrap_or(query);
         let parsed = dio_promql::parse(&final_query);
-        let mut shown = identified;
-        if shown.is_empty() {
-            if let Ok(expr) = &parsed {
-                shown = expr.metric_names();
-            }
-        }
+        let shown = parsed
+            .as_ref()
+            .map(|e| e.metric_names())
+            .unwrap_or_default();
         let relevant_metrics: Vec<RelevantMetric> = shown
             .iter()
             .filter_map(|n| {
@@ -571,7 +536,7 @@ impl DioCopilot {
             })
             .collect();
 
-        // Stage 5: dashboard generation.
+        // Stage 4: dashboard generation.
         let dashboard = if self.config.generate_dashboards {
             let hints: Vec<PanelSpecHint> = shown
                 .iter()
@@ -697,39 +662,32 @@ impl DioCopilot {
         }
     }
 
-    /// Render `prompt` into a model request for this ask: the ask's
-    /// window budget, the configured sampling, and a per-call timeout
-    /// of whatever the request budget has left (unbounded: no cap).
-    fn model_request(&self, ask: &Ask<'_>, prompt: PromptBuilder<'_>) -> CompletionRequest {
-        let timeout_ms = ask.req.budget.remaining().map(timeout_ms);
-        CompletionRequest {
-            prompt: prompt.build(ask.window, ask.reserved),
-            max_tokens: self.config.max_output_tokens,
-            temperature: self.config.temperature,
-            timeout_ms,
-        }
-    }
-
     /// The code-generation request, first try and repair alike: same
     /// context, exemplars, expert functions and question; only the
     /// system section and the task differ. Every piece is borrowed as
-    /// it was rendered ahead of the ask.
+    /// it was rendered ahead of the ask. The prompt fits the ask's
+    /// window budget, and the call's timeout is whatever the request
+    /// budget has left (unbounded: no cap).
     fn codegen_request(
         &self,
         ask: &Ask<'_>,
         system: impl Into<String>,
         hits: &[Retrieved],
-        identified: &[String],
         task: TaskKind,
     ) -> CompletionRequest {
         let prompt = PromptBuilder::new()
             .system(system)
-            .context_pieces(gen_context(&self.extractor, hits, identified))
+            .context_pieces(hits.iter().map(|h| (self.extractor.line(h), h.score)))
             .function_pieces(&self.pieces.functions)
             .example_pieces(self.pieces.exemplars.iter().take(self.config.max_exemplars))
             .question(ask.req.question)
             .task(task);
-        self.model_request(ask, prompt)
+        CompletionRequest {
+            prompt: prompt.build(ask.window, ask.reserved),
+            max_tokens: self.config.max_output_tokens,
+            temperature: self.config.temperature,
+            timeout_ms: ask.req.budget.remaining().map(timeout_ms),
+        }
     }
 
     /// One `generate` stage: a model call under the recovery policy,
@@ -836,7 +794,6 @@ impl DioCopilot {
         &mut self,
         ask: &mut Ask<'_>,
         generated: Result<String, CopilotError>,
-        identified: &[String],
         hits: &[Retrieved],
     ) -> ExecResolution {
         let mut query = match generated {
@@ -942,7 +899,6 @@ impl DioCopilot {
                      Failed query: {query}\nSandbox: {sandbox_err}\nFix: {hint}"
                 ),
                 hits,
-                identified,
                 TaskKind::RepairPromql,
             );
             match self.generate(ask, &repair_request) {
@@ -1065,7 +1021,7 @@ impl DioCopilot {
     }
 }
 
-/// System prompt shared by both stages.
+/// System prompt of every code-generation request.
 const SYSTEM_PROMPT: &str = "You are DIO copilot, a natural language interface for retrieval \
 and analytics tasks on 5G operator data. Use only metrics from CONTEXT. Answer with PromQL.";
 
@@ -1090,22 +1046,6 @@ impl SharedPieces {
                 .collect(),
         }
     }
-}
-
-/// The context a prompt shows: the lines of the retrieved items
-/// `identified` names, or of all of them when it names none (merged
-/// mode, or an empty two-stage selection), each with its score. The
-/// lines are borrowed from `extractor`, which retrieved `hits`.
-fn gen_context<'a>(
-    extractor: &'a ContextExtractor,
-    hits: &'a [Retrieved],
-    identified: &'a [String],
-) -> impl Iterator<Item = (&'a PromptPiece, f32)> + 'a {
-    let named = |h: &Retrieved| identified.contains(&h.sample.name);
-    let all = !hits.iter().any(named);
-    hits.iter()
-        .filter(move |h| all || named(h))
-        .map(|h| (extractor.line(h), h.score))
 }
 
 /// A model call's timeout in whole milliseconds, rounded up: a budget

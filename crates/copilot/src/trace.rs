@@ -21,8 +21,8 @@ use std::time::Instant;
 /// downstream report code.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTiming {
-    /// Stage name (`retrieve`, `identify`, `generate`, `execute`,
-    /// `shard_read`, `dashboard`, ...).
+    /// Stage name (`retrieve`, `generate`, `execute`, `shard_read`,
+    /// `dashboard`, ...).
     pub stage: String,
     /// Duration in microseconds.
     pub micros: u64,

@@ -1,11 +1,10 @@
 //! The common vector-index interface.
 
 use dio_embed::Vector;
-use serde::{Deserialize, Serialize};
 
 /// One search result: the id assigned at insertion time plus the cosine
 /// similarity score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
     /// Insertion-order id of the matched vector.
     pub id: usize,

@@ -89,3 +89,34 @@ fn the_tsdb_crate_depends_on_no_workspace_crate() {
     let workspace: Vec<&str> = dependencies.lines().skip(1).filter(|line| line.trim_start().starts_with("dio-")).collect();
     assert!(workspace.is_empty(), "dio-tsdb depends on {workspace:?}");
 }
+
+/// Every `--bin <name>` the docs or CI tell a reader to run names a
+/// binary of `dio-bench`, so deleting or renaming a bin cannot leave a
+/// dead command behind. `<name>` itself is a placeholder.
+#[test]
+fn every_bin_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bins = root.join("crates/bench/src/bin");
+    let docs = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ];
+    let mut failures = Vec::new();
+    for doc in docs {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        let mut tokens = text.split_whitespace();
+        while tokens.find(|&t| t == "--bin").is_some() {
+            let next = tokens.next().filter(|t| !t.starts_with('<'));
+            let Some(name) = next.and_then(|t| words(t).next()) else {
+                continue;
+            };
+            if !bins.join(format!("{name}.rs")).is_file() {
+                failures.push(format!("{doc} names `--bin {name}`, which dio-bench lacks"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
