@@ -91,9 +91,10 @@ impl CopilotResponse {
         match (&self.numeric_answer, &self.error) {
             (Some(v), _) => out.push_str(&format!("\nAnswer: {v:.4}\n")),
             (None, Some(e)) => out.push_str(&format!("\nAnswer: unavailable ({e})\n")),
-            (None, None) if !self.values.is_empty() => {
-                out.push_str(&format!("\nAnswer: {} series returned\n", self.values.len()))
-            }
+            (None, None) if !self.values.is_empty() => out.push_str(&format!(
+                "\nAnswer: {} series returned\n",
+                self.values.len()
+            )),
             _ => out.push_str("\nAnswer: no data\n"),
         }
         match self.degradation {

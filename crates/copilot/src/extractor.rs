@@ -651,7 +651,10 @@ mod tests {
             assert_eq!(id_and_bits(&got), id_and_bits(&want), "{:?}", q.text);
         }
         let per_ask = counting.similarities.get() / questions.len();
-        assert!(per_ask <= 1200, "{per_ask} similarities per ask, 2 929 eager");
+        assert!(
+            per_ask <= 1200,
+            "{per_ask} similarities per ask, 2 929 eager"
+        );
     }
 
     #[test]

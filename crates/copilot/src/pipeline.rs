@@ -15,7 +15,7 @@ use dio_llm::{
     PromptBuilder, PromptPiece, SimulatedModel, TaskKind, TokenUsage,
 };
 use dio_obs::{Buckets, Budget, ObsHub, SpanContext, TraceStatus};
-use dio_sandbox::{Sandbox, SafetyPolicy};
+use dio_sandbox::{SafetyPolicy, Sandbox};
 use dio_tsdb::MetricStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -327,10 +327,7 @@ impl DioCopilot {
     /// stores instead of the resident one. Forks inherit the resolver,
     /// so a serving pool spawned from this copilot is cluster-backed
     /// end to end.
-    pub fn attach_store_resolver(
-        &mut self,
-        resolver: Arc<dyn dio_sandbox::StoreResolver>,
-    ) {
+    pub fn attach_store_resolver(&mut self, resolver: Arc<dyn dio_sandbox::StoreResolver>) {
         self.sandbox.attach_store_resolver(resolver);
     }
 
@@ -374,10 +371,8 @@ impl DioCopilot {
     pub fn fork_with_model(&self, model: Box<dyn FoundationModel>) -> DioCopilot {
         let model: Box<dyn FoundationModel> =
             Box::new(ObservedModel::new(model, self.obs.registry().clone()));
-        let mut sandbox = Sandbox::new_shared(
-            self.sandbox.store_arc(),
-            self.sandbox.policy().clone(),
-        );
+        let mut sandbox =
+            Sandbox::new_shared(self.sandbox.store_arc(), self.sandbox.policy().clone());
         sandbox.attach_obs(self.obs.registry().clone());
         if let Some(resolver) = self.sandbox.store_resolver() {
             sandbox.attach_store_resolver(resolver);
@@ -886,7 +881,10 @@ impl DioCopilot {
             ask.obs.tracer().event(
                 &ask.span,
                 "repair_round",
-                &[("round", &rounds.to_string()), ("error", &sandbox_err.to_string())],
+                &[
+                    ("round", &rounds.to_string()),
+                    ("error", &sandbox_err.to_string()),
+                ],
             );
             // Re-prompt with the failed query and the sandbox's
             // structured hint riding in the system section; the
@@ -1067,8 +1065,8 @@ pub(crate) fn first_sentence(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dio_catalog::{generate_catalog, CatalogConfig};
     use dio_catalog::MetricRole;
+    use dio_catalog::{generate_catalog, CatalogConfig};
     use dio_tsdb::{Labels, SeriesSpec, SynthConfig, Synthesizer};
 
     /// A small world: compact catalog + synthesised data for a handful
@@ -1091,10 +1089,7 @@ mod tests {
             if m.nf != dio_catalog::NetworkFunction::Amf {
                 continue;
             }
-            let labels = Labels::from_pairs([
-                ("__name__", m.name.as_str()),
-                ("instance", "amf-0"),
-            ]);
+            let labels = Labels::from_pairs([("__name__", m.name.as_str()), ("instance", "amf-0")]);
             let seed = 1000;
             let spec = match m.role {
                 MetricRole::ActiveGauge => SeriesSpec::gauge(labels, m.traffic.base_rate, seed),
@@ -1114,8 +1109,7 @@ mod tests {
                     "amfcc_n2_paging_success".into(),
                     "amfcc_n2_paging_attempt".into(),
                 ],
-                promql: "100 * sum(amfcc_n2_paging_success) / sum(amfcc_n2_paging_attempt)"
-                    .into(),
+                promql: "100 * sum(amfcc_n2_paging_success) / sum(amfcc_n2_paging_attempt)".into(),
             },
             FewShotExample {
                 question: "How many service requests did the AMF handle?".into(),
@@ -1268,9 +1262,7 @@ mod tests {
             },
         )
         .unwrap();
-        let hits = cp
-            .extractor()
-            .retrieve("frobnicator wobble index", 5);
+        let hits = cp.extractor().retrieve("frobnicator wobble index", 5);
         assert!(hits
             .iter()
             .any(|h| h.sample.name == "note:frobnicator-wobble"));
@@ -1354,7 +1346,10 @@ mod tests {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(1),
         }));
-        let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
+        let r = cp.ask(
+            "How many initial registration attempts did the AMF handle?",
+            ts,
+        );
         assert!(r.error.is_none(), "error: {:?}", r.error);
         assert!(r.numeric_answer.is_some());
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Full);
@@ -1371,7 +1366,10 @@ mod tests {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             corrupted: std::sync::Mutex::new(false),
         }));
-        let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
+        let r = cp.ask(
+            "How many initial registration attempts did the AMF handle?",
+            ts,
+        );
         assert!(r.error.is_none(), "error: {:?}", r.error);
         assert!(r.numeric_answer.is_some());
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Repaired);
@@ -1393,7 +1391,10 @@ mod tests {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(usize::MAX),
         }));
-        let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
+        let r = cp.ask(
+            "How many initial registration attempts did the AMF handle?",
+            ts,
+        );
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Degraded);
         assert!(r.trace.recovery.degraded);
         assert!(matches!(
@@ -1443,7 +1444,10 @@ mod tests {
                 corrupted: std::sync::Mutex::new(false),
             }))
             .build();
-        let r = cp.ask("How many initial registration attempts did the AMF handle?", ts);
+        let r = cp.ask(
+            "How many initial registration attempts did the AMF handle?",
+            ts,
+        );
         assert!(matches!(r.error, Some(CopilotError::QueryParse { .. })));
         assert!(r.numeric_answer.is_none());
         assert_eq!(r.trace.recovery.repairs, 0);
@@ -1537,7 +1541,10 @@ mod tests {
         let degraded: f64 = answers
             .series
             .iter()
-            .filter(|s| s.labels.contains(&("degradation".into(), "degraded".into())))
+            .filter(|s| {
+                s.labels
+                    .contains(&("degradation".into(), "degraded".into()))
+            })
             .map(|s| match &s.value {
                 dio_obs::SeriesValue::Counter(v) => *v,
                 _ => 0.0,
@@ -1580,7 +1587,11 @@ mod tests {
         cp.attach_store_resolver(Arc::new(Unreachable));
         let r = cp.ask("How many paging attempts?", ts);
         assert_eq!(r.degradation, crate::recovery::DegradationLevel::Degraded);
-        assert!(matches!(r.error, Some(CopilotError::NoData { .. })), "{:?}", r.error);
+        assert!(
+            matches!(r.error, Some(CopilotError::NoData { .. })),
+            "{:?}",
+            r.error
+        );
         assert!(r.render().contains("Answer: unavailable"), "{}", r.render());
         // The first try and every bounded retry count once each.
         let retries = RecoveryPolicy::default().max_retries;
@@ -1588,7 +1599,10 @@ mod tests {
         // Storage retries are not model repair rounds.
         assert_eq!(r.trace.recovery.repairs, 0);
         let snap = cp.obs().registry().snapshot();
-        assert_eq!(snap.total(crate::obs::DATA_FAULTS_NAME), (1 + retries) as f64);
+        assert_eq!(
+            snap.total(crate::obs::DATA_FAULTS_NAME),
+            (1 + retries) as f64
+        );
     }
 
     /// Compile-time Send/Sync audit for the shared serving state: a
@@ -1866,7 +1880,10 @@ mod tests {
             &self,
             request: &CompletionRequest,
         ) -> Result<dio_llm::Completion, dio_llm::ModelError> {
-            self.prompts.lock().unwrap().push(request.prompt.text.clone());
+            self.prompts
+                .lock()
+                .unwrap()
+                .push(request.prompt.text.clone());
             self.inner.complete(request)
         }
     }
@@ -1935,7 +1952,8 @@ mod tests {
             Contribution::Function(function),
         ] {
             let issue = cp.request_expert_help(&r);
-            cp.resolve_issue(issue, "expert:carol", contribution).unwrap();
+            cp.resolve_issue(issue, "expert:carol", contribution)
+                .unwrap();
         }
 
         let after = sent(&mut cp);
@@ -1961,10 +1979,16 @@ mod tests {
         // Context lines live in the shared extractor: a fork's hit
         // borrows the very line its parent's does.
         let q = "How many initial registration attempts did the AMF handle?";
-        let (mine, theirs) = (cp.extractor().retrieve(q, 29), fork.extractor().retrieve(q, 29));
+        let (mine, theirs) = (
+            cp.extractor().retrieve(q, 29),
+            fork.extractor().retrieve(q, 29),
+        );
         assert_eq!(mine, theirs);
         for hit in &mine {
-            assert!(std::ptr::eq(cp.extractor.line(hit), fork.extractor.line(hit)));
+            assert!(std::ptr::eq(
+                cp.extractor.line(hit),
+                fork.extractor.line(hit)
+            ));
         }
     }
 }

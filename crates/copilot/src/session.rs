@@ -98,11 +98,11 @@ pub(crate) fn resolve_followup(question: &str, previous: &str) -> String {
     let Some(fragment) = fragment else {
         // Not prefixed: treat very short questions with a leading
         // preposition as entity swaps too ("at the SMF?").
-        if lower.starts_with("at the ") || lower.starts_with("for the ") || lower.starts_with("on the ") {
-            let frag = lower
-                .trim_end_matches(['?', '.', '!'])
-                .trim()
-                .to_string();
+        if lower.starts_with("at the ")
+            || lower.starts_with("for the ")
+            || lower.starts_with("on the ")
+        {
+            let frag = lower.trim_end_matches(['?', '.', '!']).trim().to_string();
             return splice(previous, &frag);
         }
         return trimmed.to_string();
@@ -114,11 +114,12 @@ pub(crate) fn resolve_followup(question: &str, previous: &str) -> String {
 fn splice(previous: &str, fragment: &str) -> String {
     // Entity swap: fragment mentions an NF → substitute it into the
     // previous question.
-    let frag_nf = NF_WORDS
-        .iter()
-        .find(|nf| fragment.split_whitespace().any(|w| {
-            w.trim_matches(|c: char| !c.is_alphanumeric()).eq_ignore_ascii_case(nf)
-        }));
+    let frag_nf = NF_WORDS.iter().find(|nf| {
+        fragment.split_whitespace().any(|w| {
+            w.trim_matches(|c: char| !c.is_alphanumeric())
+                .eq_ignore_ascii_case(nf)
+        })
+    });
     if let Some(nf) = frag_nf {
         let mut out_words: Vec<String> = Vec::new();
         let mut swapped = false;

@@ -255,9 +255,21 @@ mod tests {
         // Two concurrent shard reads under one execute: same name,
         // distinct span IDs — the per-span view must keep both.
         let s1 = tracer.child_of(&execute);
-        tracer.record_span(&s1, "shard_read", 5, 20, &[("shard", "0"), ("path", "gather")]);
+        tracer.record_span(
+            &s1,
+            "shard_read",
+            5,
+            20,
+            &[("shard", "0"), ("path", "gather")],
+        );
         let s2 = tracer.child_of(&execute);
-        tracer.record_span(&s2, "shard_read", 5, 30, &[("shard", "1"), ("path", "gather")]);
+        tracer.record_span(
+            &s2,
+            "shard_read",
+            5,
+            30,
+            &[("shard", "1"), ("path", "gather")],
+        );
         tracer.record_span(&execute, "execute", 4, 60, &[]);
         let stats = RecoveryStats {
             repairs: 1,

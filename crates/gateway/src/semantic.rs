@@ -235,11 +235,7 @@ impl<V: Clone> SemanticCache<V> {
         } else {
             if self.config.capacity > 0 && inner.entries.len() >= self.config.capacity {
                 // Evict the least-recently-used entry.
-                if let Some((idx, _)) = inner
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.used)
+                if let Some((idx, _)) = inner.entries.iter().enumerate().min_by_key(|(_, e)| e.used)
                 {
                     inner.entries.swap_remove(idx);
                     evicted = 1;
@@ -297,19 +293,19 @@ mod tests {
     }
 
     fn cache(floor: f32) -> SemanticCache<String> {
-        SemanticCache::new(
-            &Registry::new(),
-            SemanticConfig {
-                floor,
-                capacity: 4,
-            },
-        )
+        SemanticCache::new(&Registry::new(), SemanticConfig { floor, capacity: 4 })
     }
 
     #[test]
     fn neighbor_above_the_floor_hits() {
         let c = cache(0.9);
-        c.insert(100, 1, "how many drops", vec_of(&[1.0, 0.1, 0.0]), "A".into());
+        c.insert(
+            100,
+            1,
+            "how many drops",
+            vec_of(&[1.0, 0.1, 0.0]),
+            "A".into(),
+        );
         match c.probe(100, 1, &vec_of(&[1.0, 0.12, 0.0])) {
             Probe::Hit {
                 value,
@@ -401,8 +397,7 @@ mod tests {
     #[test]
     fn registry_counts_every_event() {
         let registry = Registry::new();
-        let c: SemanticCache<String> =
-            SemanticCache::new(&registry, SemanticConfig::default());
+        let c: SemanticCache<String> = SemanticCache::new(&registry, SemanticConfig::default());
         c.insert(1, 1, "k", vec_of(&[1.0, 0.0]), "A".into());
         let _ = c.probe(1, 1, &vec_of(&[1.0, 0.0])); // hit
         let _ = c.probe(1, 1, &vec_of(&[0.0, 1.0])); // reject

@@ -202,9 +202,15 @@ mod tests {
     fn pops_in_deadline_order() {
         let q = AdmissionQueue::new(8);
         let t0 = Instant::now();
-        q.try_push("late", t0 + Duration::from_secs(30)).ok().unwrap();
-        q.try_push("soon", t0 + Duration::from_secs(1)).ok().unwrap();
-        q.try_push("mid", t0 + Duration::from_secs(10)).ok().unwrap();
+        q.try_push("late", t0 + Duration::from_secs(30))
+            .ok()
+            .unwrap();
+        q.try_push("soon", t0 + Duration::from_secs(1))
+            .ok()
+            .unwrap();
+        q.try_push("mid", t0 + Duration::from_secs(10))
+            .ok()
+            .unwrap();
         assert_eq!(q.pop().unwrap().0, "soon");
         assert_eq!(q.pop().unwrap().0, "mid");
         assert_eq!(q.pop().unwrap().0, "late");

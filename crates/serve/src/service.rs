@@ -141,9 +141,7 @@ impl GatewayPlane {
         };
         GatewayPlane {
             flights: Singleflight::new(),
-            semantic: config
-                .semantic
-                .map(|sc| SemanticCache::new(r, sc)),
+            semantic: config.semantic.map(|sc| SemanticCache::new(r, sc)),
             model,
             coalesce: config.coalesce,
             role_leader: role("leader"),
@@ -465,7 +463,11 @@ impl QueryService {
     /// Submit with an explicit deadline budget. Sheds synchronously on
     /// throttle/overload/brownout; an `Ok` ticket is guaranteed a
     /// reply.
-    pub fn submit_with_deadline(&self, req: QueryRequest, budget: Duration) -> Result<Ticket, Shed> {
+    pub fn submit_with_deadline(
+        &self,
+        req: QueryRequest,
+        budget: Duration,
+    ) -> Result<Ticket, Shed> {
         let now = Instant::now();
         let tracer = self.core.obs.tracer();
         let ctx = tracer.begin_trace(&req.question);
@@ -611,8 +613,8 @@ fn retry_hint(queue_len: usize, workers: usize, floor: Duration) -> Duration {
     const BASE_MS: u64 = 10;
     const PER_QUEUED_MS: u64 = 25;
     const CAP_MS: u64 = 5_000;
-    let backlog_ms =
-        BASE_MS.saturating_add(PER_QUEUED_MS.saturating_mul(queue_len as u64) / workers.max(1) as u64);
+    let backlog_ms = BASE_MS
+        .saturating_add(PER_QUEUED_MS.saturating_mul(queue_len as u64) / workers.max(1) as u64);
     floor.max(Duration::from_millis(backlog_ms.min(CAP_MS)))
 }
 
@@ -649,7 +651,11 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
             tracer.event(
                 &job.ctx,
                 "brownout",
-                &[("from", from.label()), ("to", to.label()), ("at_micros", &at)],
+                &[
+                    ("from", from.label()),
+                    ("to", to.label()),
+                    ("at_micros", &at),
+                ],
             );
         }
         // `None`: the deadline lapsed in the queue, nothing is served.

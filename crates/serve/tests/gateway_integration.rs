@@ -210,12 +210,8 @@ fn generation_bump_invalidates_the_semantic_layer() {
     let paraphrase = format!("{} ?", question.trim_end_matches('?'));
     let proto = prototype();
     let generation = proto.generation_handle();
-    let service = QueryService::spawn_gateway(
-        &proto,
-        upstream(),
-        open_config(2),
-        GatewayConfig::default(),
-    );
+    let service =
+        QueryService::spawn_gateway(&proto, upstream(), open_config(2), GatewayConfig::default());
     service
         .ask("t", question, s.world.eval_ts)
         .answer()

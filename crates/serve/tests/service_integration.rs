@@ -3,12 +3,12 @@
 //! behaviour, generation invalidation, fair-share throttling, and the
 //! overload/shutdown guarantees (shed explicitly, never drop).
 
-use dio_benchmark::{fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig};
+use dio_benchmark::{
+    fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
+};
 use dio_copilot::{CopilotBuilder, DioCopilot};
 use dio_llm::{FoundationModel, ModelProfile, SimulatedModel};
-use dio_serve::{
-    QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy,
-};
+use dio_serve::{QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -81,7 +81,10 @@ fn warm_pass_is_served_from_the_answer_cache() {
     let s = setup();
     let service = QueryService::spawn(&prototype(), || model(), open_config(2));
     for q in &s.questions {
-        assert!(service.ask("t", &q.text, s.world.eval_ts).answer().is_some());
+        assert!(service
+            .ask("t", &q.text, s.world.eval_ts)
+            .answer()
+            .is_some());
     }
     let cold = service.answer_cache_stats();
     assert_eq!(cold.hits, 0);
@@ -98,7 +101,10 @@ fn warm_pass_is_served_from_the_answer_cache() {
     assert_eq!(warm.hits as usize, s.questions.len());
     // The embedding cache only sees answer-cache misses: one per
     // unique question from the cold pass.
-    assert_eq!(service.embed_cache_stats().misses as usize, s.questions.len());
+    assert_eq!(
+        service.embed_cache_stats().misses as usize,
+        s.questions.len()
+    );
     service.shutdown();
 }
 
@@ -343,10 +349,7 @@ fn zero_budget_requests_are_shed_as_expired_not_dropped() {
     let service = QueryService::spawn(&prototype(), || model(), open_config(1));
     let q = &s.questions[0].text;
     let ticket = service
-        .submit_with_deadline(
-            QueryRequest::new("t", q, s.world.eval_ts),
-            Duration::ZERO,
-        )
+        .submit_with_deadline(QueryRequest::new("t", q, s.world.eval_ts), Duration::ZERO)
         .expect("zero budget is admitted, then expires in queue");
     match ticket.wait() {
         ServeOutcome::Shed(shed) => assert_eq!(shed.reason, ShedReason::DeadlineExpired),
