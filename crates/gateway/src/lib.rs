@@ -17,7 +17,7 @@
 //!    Answer-shaped, sits at the question level in `dio-serve`.
 //! 2. `semantic` — *near*-duplicates (paraphrases) are served from an
 //!    embedding-similarity cache behind the exact caches, gated by a
-//!    cosine floor and the knowledge-generation atomic.
+//!    cosine floor and the copilot's knowledge generation.
 //! 3. `model` — what still reaches the model goes upstream as one call
 //!    per ask, the paper's pricing unit, and no call waits on another.
 //!    The front bills each call once, counts it, and fails a request

@@ -11,8 +11,9 @@
 //!
 //! Admission rule: a probe only hits when (a) the candidate was cached
 //! at the same evaluation timestamp, (b) under the *current* knowledge
-//! generation (the same atomic that invalidates the serve caches —
-//! stale-generation entries are dropped lazily on contact), and (c)
+//! generation (the caller's, read from the same knowledge snapshot that
+//! stamps the serve caches — stale-generation entries are dropped lazily
+//! on contact), and (c)
 //! cosine ≥ floor. A best-match below the floor is a **reject**, and a
 //! reject is never served — that near-miss discipline is what keeps EX
 //! parity intact. Hits, misses, and rejects are counted in

@@ -7,11 +7,12 @@
 //! * the **embedding cache**, keyed on the normalized question alone,
 //!   holding the question's embedding vector.
 //!
-//! Both are invalidated by the copilot's *knowledge generation*
-//! counter: every feedback-loop catalog update bumps the shared
-//! generation, and entries stamped with an older generation are
-//! treated as misses and dropped on next access (the catalog text,
-//! few-shot pool, and embedder fit all changed under them).
+//! Both are invalidated by the copilot's *knowledge generation*: every
+//! resolved issue publishes knowledge one generation on, each job stamps
+//! and probes with the generation of the knowledge it loaded, and
+//! entries stamped with another generation are treated as misses and
+//! dropped on next access (the catalog text, few-shot pool, and
+//! embedder fit all changed under them).
 //!
 //! Every cache event (hit, miss, eviction, generation invalidation) is
 //! counted in `dio_serve_cache_events_total` in the shared dio-obs

@@ -12,7 +12,7 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * `cache` — the knowledge-generation LRU behind both the answer
+//! * `cache` — the generation-stamped LRU behind both the answer
 //!   cache and the embedding cache;
 //! * `tenant` — per-tenant fair-share token buckets;
 //! * `admission` — the bounded earliest-deadline-first queue and the

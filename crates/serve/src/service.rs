@@ -2,9 +2,10 @@
 //!
 //! [`QueryService::spawn`] stamps out one pipeline instance per worker
 //! thread via [`DioCopilot::fork_with_model`]: every worker shares the
-//! prototype's read-only state (catalog, vector index, resident tsdb,
-//! few-shot pool) behind `Arc`s and owns only its per-request mutable
-//! state (model handle, sandbox audit log, cost meter, breaker).
+//! prototype's published expert knowledge (catalog, vector index,
+//! few-shot pool) and resident tsdb behind `Arc`s and owns only its
+//! per-request mutable state (model handle, sandbox audit log, cost
+//! meter, breaker).
 //!
 //! The request path:
 //!
@@ -13,13 +14,16 @@
 //!    `TenantThrottle` and a refill-derived `retry_after`. Admitted
 //!    requests enter the bounded earliest-deadline-first queue
 //!    ([`crate::AdmissionQueue`]); a full queue sheds with `QueueFull`.
-//! 2. **Caching** — a worker first consults the answer cache keyed on
+//! 2. **Caching** — a worker picking a job up first loads the latest
+//!    published knowledge ([`DioCopilot::load_knowledge`]); the job's
+//!    cache keys and stamps, its question embedding and its ask all
+//!    come from that one snapshot, so an answer is never cached under
+//!    a newer generation than the knowledge that computed it. The
+//!    worker then consults the answer cache keyed on
 //!    `(eval_ts, normalized question)`; a hit skips the pipeline
 //!    entirely. On a miss it consults the embedding cache for the
 //!    question vector before falling back to embedding, then runs
-//!    [`DioCopilot::ask_with`] with the shared vector. Both caches
-//!    are stamped with the copilot's knowledge generation so
-//!    feedback-loop catalog updates invalidate them atomically.
+//!    [`DioCopilot::ask_with`] with the shared vector.
 //! 3. **Reply** — every *accepted* request receives exactly one
 //!    [`ServeOutcome`] on its ticket, even if its deadline lapsed in
 //!    the queue (`DeadlineExpired`), the pipeline panicked
@@ -39,7 +43,6 @@ use dio_llm::{CostLedger, FoundationModel};
 use dio_obs::{Buckets, Budget, Counter, Gauge, Histogram, ObsHub, SpanContext, TraceStatus};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -342,7 +345,6 @@ struct Core {
     limiter: RateLimiter,
     answers: GenLru<CopilotResponse>,
     embeds: GenLru<Arc<dio_embed::Vector>>,
-    generation: Arc<AtomicU64>,
     metrics: Metrics,
     brownout: Mutex<BrownoutController>,
     config: ServeConfig,
@@ -386,8 +388,8 @@ impl QueryService {
     /// off `prototype` (each with a model from `make_model`) and start
     /// their worker threads. The prototype itself is not consumed and
     /// can keep serving as a sequential baseline or feedback-loop
-    /// writer; its knowledge-generation bumps invalidate this
-    /// service's caches.
+    /// writer: an issue it resolves is what this service's next job
+    /// reads, and the entries cached before it stop serving.
     pub fn spawn<F>(prototype: &DioCopilot, make_model: F, config: ServeConfig) -> Self
     where
         F: FnMut() -> Box<dyn FoundationModel>,
@@ -435,7 +437,6 @@ impl QueryService {
             limiter: RateLimiter::new(config.tenant),
             answers: GenLru::new(obs.registry(), "answer", config.answer_cache_capacity),
             embeds: GenLru::new(obs.registry(), "embed", EMBED_CACHE_CAPACITY),
-            generation: prototype.generation_handle(),
             metrics: Metrics::register(&obs),
             config: config.clone(),
             obs,
@@ -749,7 +750,7 @@ struct Pickup<'a> {
 impl Pickup<'_> {
     fn serve(&self, copilot: &mut DioCopilot) -> Result<ServedAnswer, Lapsed> {
         let (core, job) = (self.core, self.job);
-        let generation = core.generation.load(Ordering::Acquire);
+        let generation = copilot.load_knowledge();
         let tracer = core.obs.tracer();
         // The answer depends on both the question and the as-of timestamp.
         let answer_key = format!("{}\u{1f}{}", job.req.ts, job.key);
@@ -816,8 +817,8 @@ impl Pickup<'_> {
                 if gw.coalesce {
                     // Singleflight: identical normalized questions at the
                     // same (generation, ts) share one pipeline run. The
-                    // generation in the key means a knowledge bump opens a
-                    // fresh epoch rather than sharing a stale answer.
+                    // generation in the key means a resolved issue opens
+                    // a fresh epoch rather than sharing a stale answer.
                     let sf_key = format!("{}\u{1f}{}", generation, answer_key);
                     let mut rejoins = 0;
                     loop {

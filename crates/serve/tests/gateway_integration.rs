@@ -8,12 +8,12 @@ use dio_benchmark::{
     fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
 };
 use dio_copilot::{CopilotBuilder, DioCopilot};
+use dio_feedback::Contribution;
 use dio_llm::{
     Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile, Pricing,
     SimulatedModel,
 };
 use dio_serve::{GatewayConfig, QueryRequest, QueryService, ServeConfig, TenantPolicy};
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -208,17 +208,20 @@ fn generation_bump_invalidates_the_semantic_layer() {
     let s = setup();
     let question = &s.questions[1].text;
     let paraphrase = format!("{} ?", question.trim_end_matches('?'));
-    let proto = prototype();
-    let generation = proto.generation_handle();
+    let mut proto = prototype();
     let service =
         QueryService::spawn_gateway(&proto, upstream(), open_config(2), GatewayConfig::default());
-    service
-        .ask("t", question, s.world.eval_ts)
-        .answer()
-        .expect("original answered");
-    // Knowledge generation bump: the same atomic that invalidates the
-    // answer and embed caches must clear semantic neighbors too.
-    generation.fetch_add(1, Ordering::Release);
+    let original = service.ask("t", question, s.world.eval_ts);
+    let original = original.answer().expect("original answered");
+    // A resolved issue publishes the next knowledge generation: what
+    // invalidates the answer and embed caches must clear semantic
+    // neighbors too.
+    let issue = proto.request_expert_help(&original.response);
+    let note = Contribution::Note {
+        title: "update".into(),
+        text: "An expert note on this question.".into(),
+    };
+    proto.resolve_issue(issue, "expert:bob", note).unwrap();
     let served = service.ask("t", &paraphrase, s.world.eval_ts);
     let a = served.answer().expect("paraphrase answered");
     assert!(

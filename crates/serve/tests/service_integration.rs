@@ -7,6 +7,7 @@ use dio_benchmark::{
     fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
 };
 use dio_copilot::{CopilotBuilder, DioCopilot};
+use dio_feedback::Contribution;
 use dio_llm::{FoundationModel, ModelProfile, SimulatedModel};
 use dio_serve::{QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy};
 use std::sync::OnceLock;
@@ -108,25 +109,38 @@ fn warm_pass_is_served_from_the_answer_cache() {
     service.shutdown();
 }
 
+/// An issue resolved on the prototype while the service runs is what
+/// the workers answer from next; what they cached before stops serving.
 #[test]
 fn knowledge_generation_bump_invalidates_caches() {
-    let s = setup();
-    let proto = prototype();
-    let generation = proto.generation_handle();
+    let ts = setup().world.eval_ts;
+    let mut proto = prototype();
     let service = QueryService::spawn(&proto, || model(), open_config(2));
-    let q = &s.questions[0].text;
+    let q = "How do I inspect the frobnicator wobble index?";
+    let served = |service: &QueryService| service.ask("t", q, ts).answer().unwrap().clone();
+    let before = served(&service);
+    assert!(served(&service).answer_cache_hit);
 
-    assert!(service.ask("t", q, s.world.eval_ts).answer().is_some());
-    let first = service.ask("t", q, s.world.eval_ts);
-    assert!(first.answer().unwrap().answer_cache_hit);
+    // A feedback-loop catalog update publishes the next generation …
+    let issue = proto.request_expert_help(&before.response);
+    let note = Contribution::Note {
+        title: "frobnicator-wobble".into(),
+        text: "The frobnicator wobble index is tracked by amfcc_n2_paging_attempt.".into(),
+    };
+    proto.resolve_issue(issue, "expert:bob", note).unwrap();
+    let direct = proto.ask(q, ts);
+    assert_ne!(direct.query, before.response.query, "the note changes it");
 
-    // A feedback-loop catalog update bumps the shared generation …
-    generation.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-
-    // … so the next lookup must re-run the pipeline, not serve stale.
-    let after = service.ask("t", q, s.world.eval_ts);
-    assert!(!after.answer().unwrap().answer_cache_hit);
+    // … so the next lookup re-runs the pipeline on it, not serve stale …
+    let after = served(&service);
+    assert!(!after.answer_cache_hit);
     assert!(service.answer_cache_stats().invalidations >= 1);
+    assert_eq!(after.response.query, direct.query);
+    assert_eq!(after.response.numeric_answer, direct.numeric_answer);
+    // … and what it cached under the new generation is that answer.
+    let again = served(&service);
+    assert!(again.answer_cache_hit);
+    assert_eq!(again.response.query, direct.query);
     service.shutdown();
 }
 
