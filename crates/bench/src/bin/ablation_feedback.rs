@@ -1,87 +1,81 @@
-//! **Ablation: the expert-feedback loop** (§3.4 / §5.2). Runs the
-//! benchmark, files an issue for every miss, has experts resolve a
-//! budget of them by enriching the relevant metrics' documentation with
-//! the operators' phrasing, and re-runs — "fostering a system that
-//! improves with usage".
+//! **Ablation: the expert-feedback loop** (§3.4 / §5.2). On the tuning
+//! world and the held-out one: runs the benchmark, files an issue for
+//! every miss, has experts resolve a budget of them by enriching the
+//! relevant metric's documentation with the operators' phrasing, and
+//! re-runs — "fostering a system that improves with usage". Before and
+//! after are judged by the exact McNemar test pooled over both worlds.
 //!
 //! ```text
 //! cargo run --release -p dio-bench --bin ablation_feedback
 //! ```
 
-use dio_baselines::NlQuerySystem;
 use dio_bench::artifact::BenchArtifact;
-use dio_bench::Experiment;
+use dio_bench::{verdict, Experiment};
+use dio_benchmark::eval::QuestionOutcome;
 use dio_benchmark::evaluate;
 use dio_copilot::CopilotConfig;
 use dio_feedback::Contribution;
 
+/// Issues the experts resolve per world.
+const BUDGET: usize = 40;
+
 fn main() {
-    eprintln!("building world…");
-    let exp = Experiment::standard();
-    let config = CopilotConfig {
-        generate_dashboards: false,
-        ..CopilotConfig::default()
-    };
-    let mut dio = exp.copilot_with_config(Experiment::gpt4(), config);
+    println!("\nAblation — expert feedback loop (up to {BUDGET} issues resolved per world)\n");
+    println!(
+        "{:<9} | {:>6} | {:>13} | {:>12}",
+        "World", "issues", "before EX (%)", "after EX (%)"
+    );
+    println!("{:-<9}-+--------+---------------+-------------", "");
+    let mut artifact = BenchArtifact::new("ablation_feedback");
+    let (mut before_runs, mut after_runs) = (Vec::<QuestionOutcome>::new(), Vec::new());
+    for (world, exp) in Experiment::worlds() {
+        let config = CopilotConfig {
+            generate_dashboards: false,
+            ..CopilotConfig::default()
+        };
+        let mut dio = exp.copilot_with_config(Experiment::gpt4(), config);
+        let before = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
 
-    eprintln!("first pass…");
-    let before = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
-
-    // Operators raise their hands on failures; experts resolve a budget
-    // of issues by appending the operator phrasing to the vendor docs of
-    // the metrics the question actually needs.
-    let budget = 40usize;
-    let mut resolved = 0usize;
-    for outcome in before.outcomes.iter().filter(|o| !o.correct) {
-        if resolved >= budget {
-            break;
-        }
-        let q = &exp.questions[outcome.id];
-        let issue = dio.tracker().len() as u64;
-        let _ = issue;
-        let response = dio.ask(&q.text, exp.world.eval_ts);
-        let issue = dio.request_expert_help(&response);
-        for metric_name in &q.reference.metrics {
-            if let Some(def) = exp.world.catalog.get(metric_name) {
+        // Operators raise their hands on failures; experts resolve a
+        // budget of issues by appending the operator phrasing to the
+        // vendor doc of the first metric the question needs that the
+        // catalog knows (one contribution resolves an issue).
+        let mut resolved = 0usize;
+        for outcome in before.outcomes.iter().filter(|o| !o.correct).take(BUDGET) {
+            let q = &exp.questions[outcome.id];
+            let response = dio.ask(&q.text, exp.world.eval_ts);
+            let issue = dio.request_expert_help(&response);
+            let known = q.reference.metrics.iter();
+            if let Some(def) = known.filter_map(|m| exp.world.catalog.get(m)).next() {
                 let mut enriched = def.clone();
                 enriched.description = format!(
                     "{} Operators also ask about this as: {}",
                     def.description, q.text
                 );
-                // Re-filing per metric is allowed only once per issue;
-                // contribute the first metric through the issue and the
-                // rest directly as expert metrics.
-                let _ = dio.resolve_issue(
-                    issue,
-                    "expert:alice",
-                    Contribution::MetricDoc(enriched),
-                );
-                break;
+                dio.resolve_issue(issue, "expert:alice", Contribution::MetricDoc(enriched))
+                    .expect("a freshly raised issue resolves");
             }
+            resolved += 1;
         }
-        resolved += 1;
-        if resolved % 10 == 0 {
-            eprintln!("  resolved {resolved} issues…");
+
+        let after = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
+        println!(
+            "{:<9} | {:>6} | {:>13.1} | {:>12.1}",
+            world, resolved, before.ex_percent, after.ex_percent
+        );
+        artifact.push(&format!("{world}: before-feedback"), &before);
+        artifact.push(&format!("{world}: after-feedback"), &after);
+        if artifact.stage_latency_micros.is_empty() {
+            // Stage latencies from the tuning world.
+            artifact.set_stages(&dio.obs().registry().snapshot());
         }
+        before_runs.extend(before.outcomes);
+        after_runs.extend(after.outcomes);
     }
-
-    eprintln!("second pass…");
-    let after = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
-
-    println!("\nAblation — expert feedback loop ({} issues resolved)\n", resolved);
-    println!("{:<14} | {:>6}", "pass", "EX (%)");
-    println!("---------------+-------");
-    println!("{:<14} | {:>6.1}", "before", before.ex_percent);
-    println!("{:<14} | {:>6.1}", "after", after.ex_percent);
+    println!();
     println!(
-        "\nissues filed: {}, system: {}",
-        dio.tracker().len(),
-        dio.system_name()
+        "{}",
+        verdict("before feedback", &before_runs, "after", &after_runs)
     );
-
-    let mut artifact = BenchArtifact::new("ablation_feedback");
-    artifact.push("before-feedback", &before);
-    artifact.push("after-feedback", &after);
-    artifact.set_stages(&dio.obs().registry().snapshot());
     artifact.write();
 }
