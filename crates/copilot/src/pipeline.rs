@@ -108,7 +108,7 @@ impl CopilotBuilder {
 ///
 /// The expert knowledge — the domain DB, the embedded retrieval index
 /// with its rendered context lines, the few-shot pool and its rendered
-/// prompt pieces — is one immutable [`Knowledge`] value, published in a
+/// prompt pieces — is one immutable `Knowledge` value, published in a
 /// cell that [`DioCopilot::fork_with_model`] shares with every fork, so
 /// forks never re-run the offline embedding pass. The metric store is
 /// shared by handle inside the sandbox engine. Each copilot asks from
@@ -376,9 +376,12 @@ impl DioCopilot {
     /// A serving worker loads once per job, so everything the job reads
     /// or caches comes from one snapshot stamped with that generation.
     pub fn load_knowledge(&mut self) -> u64 {
-        let published = self.published.read();
-        let latest = Arc::clone(&published.unwrap_or_else(PoisonError::into_inner));
-        self.knowledge = latest;
+        // The guard ends with the block, before the snapshot this
+        // replaces (perhaps its last holder) is dropped.
+        self.knowledge = {
+            let published = self.published.read();
+            Arc::clone(&published.unwrap_or_else(PoisonError::into_inner))
+        };
         self.knowledge.generation
     }
 
@@ -1036,8 +1039,10 @@ impl DioCopilot {
             });
         }
         let next = Knowledge::build(published.generation + 1, db, exemplars, &self.config);
-        *published = Arc::new(next);
-        self.knowledge = Arc::clone(&published);
+        let next = Arc::new(next);
+        *published = Arc::clone(&next);
+        drop(published);
+        self.knowledge = next;
         Ok(())
     }
 }
@@ -1585,11 +1590,10 @@ mod tests {
 
     /// Compile-time Send/Sync audit for the shared serving state: a
     /// worker pool moves whole pipelines across threads (`Send`) and
-    /// shares the read-only retrieval/catalog/tsdb state by reference
-    /// (`Sync`), and the model gateway calls one shared upstream from
-    /// every worker at once (`Sync` models). A regression here (an
-    /// `Rc`, a `RefCell` in shared state) fails compilation, not
-    /// runtime.
+    /// shares the knowledge and the tsdb by reference (`Sync`), and the
+    /// model gateway calls one shared upstream from every worker at
+    /// once (`Sync` models). A regression here (an `Rc`, a `RefCell` in
+    /// shared state) fails compilation, not runtime.
     #[test]
     fn shared_pipeline_state_is_send_and_sync() {
         fn assert_send<T: Send>() {}
@@ -1597,12 +1601,9 @@ mod tests {
         assert_send::<DioCopilot>();
         assert_send_sync::<Box<dyn FoundationModel>>();
         assert_send::<CopilotResponse>();
-        assert_send_sync::<ContextExtractor>();
-        assert_send_sync::<DomainDb>();
+        assert_send_sync::<Knowledge>();
         assert_send_sync::<MetricStore>();
         assert_send_sync::<ObsHub>();
-        assert_send_sync::<dio_llm::FewShotExample>();
-        assert_send_sync::<std::sync::Arc<ContextExtractor>>();
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! at the same evaluation timestamp, (b) under the *current* knowledge
 //! generation (the caller's, read from the same knowledge snapshot that
 //! stamps the serve caches — stale-generation entries are dropped lazily
-//! on contact), and (c)
-//! cosine ≥ floor. A best-match below the floor is a **reject**, and a
-//! reject is never served — that near-miss discipline is what keeps EX
-//! parity intact. Hits, misses, and rejects are counted in
-//! `dio_gateway_semantic_cache_total{event}`.
+//! on contact), and (c) cosine ≥ floor. A best-match below the floor is
+//! a **reject**, and a reject is never served — that near-miss
+//! discipline is what keeps EX parity intact. Hits, misses, and rejects
+//! are counted in `dio_gateway_semantic_cache_total{event}`.
 
 use dio_embed::Vector;
 use dio_obs::{Buckets, Counter, Histogram, Registry};
