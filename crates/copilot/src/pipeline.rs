@@ -1251,6 +1251,28 @@ mod tests {
         assert_eq!(cp.tracker().len(), 1);
     }
 
+    #[test]
+    fn note_contribution_becomes_retrievable() {
+        let (mut cp, ts) = copilot();
+        let r = cp.ask("How do I inspect the frobnicator wobble index?", ts);
+        let issue = cp.request_expert_help(&r);
+        cp.resolve_issue(
+            issue,
+            "expert:bob",
+            Contribution::Note {
+                title: "frobnicator-wobble".into(),
+                text: "The frobnicator wobble index is tracked by amfcc_n2_paging_attempt \
+                       in this deployment."
+                    .into(),
+            },
+        )
+        .unwrap();
+        let hits = cp.extractor().retrieve("frobnicator wobble index", 5);
+        assert!(hits
+            .iter()
+            .any(|h| h.sample.name == "note:frobnicator-wobble"));
+    }
+
     /// Delegates to a simulated model but fails the first `n` calls
     /// with a transient error.
     struct FailFirstN {
@@ -1958,6 +1980,36 @@ mod tests {
             "<<ITEM>> aaa_wobble_ratio: The share of frobnicator wobbles that reset.\n",
         ] {
             assert!(after.contains(shown), "{shown:?} missing from\n{after}");
+        }
+    }
+
+    #[test]
+    fn forks_share_the_rendered_pieces() {
+        let (cp, _) = copilot();
+        let fork = cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
+        let (mine, theirs) = (&cp.knowledge, &fork.knowledge);
+        assert!(std::ptr::eq(
+            mine.example_pieces.as_ptr(),
+            theirs.example_pieces.as_ptr()
+        ));
+        assert!(std::ptr::eq(
+            mine.function_pieces.as_ptr(),
+            theirs.function_pieces.as_ptr()
+        ));
+        assert!(!mine.example_pieces.is_empty() && !mine.function_pieces.is_empty());
+        // Context lines live in the shared extractor: a fork's hit
+        // borrows the very line its parent's does.
+        let q = "How many initial registration attempts did the AMF handle?";
+        let (my_hits, their_hits) = (
+            cp.extractor().retrieve(q, 29),
+            fork.extractor().retrieve(q, 29),
+        );
+        assert_eq!(my_hits, their_hits);
+        for hit in &my_hits {
+            assert!(std::ptr::eq(
+                cp.extractor().line(hit),
+                fork.extractor().line(hit)
+            ));
         }
     }
 }
