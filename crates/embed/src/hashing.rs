@@ -144,10 +144,7 @@ mod tests {
         for i in 0..64_000 {
             counts[slot(&format!("tok{i}"), dims, 3).0] += 1;
         }
-        let (min, max) = (
-            *counts.iter().min().unwrap(),
-            *counts.iter().max().unwrap(),
-        );
+        let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
         // Expected 1000 per bucket; allow generous slack.
         assert!(min > 700 && max < 1300, "min={min} max={max}");
     }

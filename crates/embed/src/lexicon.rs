@@ -55,7 +55,10 @@ impl Lexicon {
             ("nas", &["non", "access", "stratum"]),
             ("ngap", &["ng", "application", "protocol"]),
             ("pfcp", &["packet", "forwarding", "control", "protocol"]),
-            ("nssai", &["slice", "selection", "assistance", "information"]),
+            (
+                "nssai",
+                &["slice", "selection", "assistance", "information"],
+            ),
             ("snssai", &["single", "slice", "selection", "assistance"]),
             ("dnn", &["data", "network", "name", "apn"]),
             ("qos", &["quality", "service"]),
@@ -216,7 +219,13 @@ mod tests {
     fn synonym_pairs_are_bidirectional_for_key_terms() {
         let lex = Lexicon::telecom();
         // success <-> successful
-        assert!(lex.expand("success").unwrap().contains(&"successful".to_string()));
-        assert!(lex.expand("successful").unwrap().contains(&"success".to_string()));
+        assert!(lex
+            .expand("success")
+            .unwrap()
+            .contains(&"successful".to_string()));
+        assert!(lex
+            .expand("successful")
+            .unwrap()
+            .contains(&"success".to_string()));
     }
 }

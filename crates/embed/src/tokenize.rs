@@ -23,9 +23,9 @@
 /// [`is_stopword`] matches exactly these; the list is its oracle.
 #[cfg(test)]
 const STOPWORDS: &[&str] = &[
-    "a", "an", "the", "of", "in", "on", "by", "to", "for", "is", "are", "was", "were", "be",
-    "and", "or", "as", "at", "it", "its", "this", "that", "with", "from", "which", "what",
-    "when", "how", "me", "my", "do", "does", "did", "please", "show", "tell", "give",
+    "a", "an", "the", "of", "in", "on", "by", "to", "for", "is", "are", "was", "were", "be", "and",
+    "or", "as", "at", "it", "its", "this", "that", "with", "from", "which", "what", "when", "how",
+    "me", "my", "do", "does", "did", "please", "show", "tell", "give",
 ];
 
 /// The lower-cased words of one or more texts, back to back in one
@@ -133,10 +133,42 @@ impl WordBuf {
 fn is_stopword(word: &str) -> bool {
     matches!(
         word,
-        "a" | "an" | "the" | "of" | "in" | "on" | "by" | "to" | "for" | "is" | "are" | "was"
-            | "were" | "be" | "and" | "or" | "as" | "at" | "it" | "its" | "this" | "that"
-            | "with" | "from" | "which" | "what" | "when" | "how" | "me" | "my" | "do" | "does"
-            | "did" | "please" | "show" | "tell" | "give"
+        "a" | "an"
+            | "the"
+            | "of"
+            | "in"
+            | "on"
+            | "by"
+            | "to"
+            | "for"
+            | "is"
+            | "are"
+            | "was"
+            | "were"
+            | "be"
+            | "and"
+            | "or"
+            | "as"
+            | "at"
+            | "it"
+            | "its"
+            | "this"
+            | "that"
+            | "with"
+            | "from"
+            | "which"
+            | "what"
+            | "when"
+            | "how"
+            | "me"
+            | "my"
+            | "do"
+            | "does"
+            | "did"
+            | "please"
+            | "show"
+            | "tell"
+            | "give"
     )
 }
 
@@ -314,7 +346,9 @@ mod tests {
     ];
 
     fn text(rng: &mut proptest::strategy::TestRng) -> String {
-        (0..rng.below(24)).map(|_| CHARS[rng.below(CHARS.len())]).collect()
+        (0..rng.below(24))
+            .map(|_| CHARS[rng.below(CHARS.len())])
+            .collect()
     }
 
     proptest::proptest! {
@@ -337,7 +371,14 @@ mod tests {
 
     #[test]
     fn ascii_path_keeps_the_unicode_cases() {
-        let texts = ["ΟΔΟΣ ΣΟΣ", "İstanbul5G x", "Straße", "\u{212a}elvin", "e\u{301}TÉ ٣5", "a\x0bB"];
+        let texts = [
+            "ΟΔΟΣ ΣΟΣ",
+            "İstanbul5G x",
+            "Straße",
+            "\u{212a}elvin",
+            "e\u{301}TÉ ٣5",
+            "a\x0bB",
+        ];
         for t in texts {
             let (mut fast, mut oracle) = (WordBuf::new(), WordBuf::new());
             assert_eq!(fast.push_text(t), oracle.push_text_chars(t), "{t:?}");
@@ -348,13 +389,23 @@ mod tests {
     fn stopwords_are_exactly_the_list() {
         for w in STOPWORDS {
             assert!(is_stopword(w), "{w}");
-            for near in [format!("{w}s"), format!("x{w}"), w[1..].to_string(), w.to_uppercase()] {
-                assert_eq!(is_stopword(&near), STOPWORDS.contains(&near.as_str()), "{near}");
+            for near in [
+                format!("{w}s"),
+                format!("x{w}"),
+                w[1..].to_string(),
+                w.to_uppercase(),
+            ] {
+                assert_eq!(
+                    is_stopword(&near),
+                    STOPWORDS.contains(&near.as_str()),
+                    "{near}"
+                );
             }
         }
         let mut rng = proptest::strategy::TestRng::new(7);
         for _ in 0..20_000 {
-            let letter = |rng: &mut proptest::strategy::TestRng| (b'a' + rng.below(26) as u8) as char;
+            let letter =
+                |rng: &mut proptest::strategy::TestRng| (b'a' + rng.below(26) as u8) as char;
             let w: String = (0..1 + rng.below(6)).map(|_| letter(&mut rng)).collect();
             assert_eq!(is_stopword(&w), STOPWORDS.contains(&w.as_str()), "{w}");
         }

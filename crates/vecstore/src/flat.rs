@@ -150,7 +150,11 @@ impl VectorIndex for FlatIndex {
         if id == self.stride {
             self.restride((2 * self.stride).max(8));
         }
-        for (column, x) in self.columns.chunks_exact_mut(self.stride).zip(vector.iter()) {
+        for (column, x) in self
+            .columns
+            .chunks_exact_mut(self.stride)
+            .zip(vector.iter())
+        {
             column[id] = *x;
         }
         self.norms.push(vector.norm());
@@ -236,7 +240,14 @@ mod tests {
     /// `dims`. Drawn as `(values, mask)`, both [`MAX_DIMS`] long.
     fn sparse(dims: usize, (values, mask): (Vec<f32>, Vec<usize>)) -> Vector {
         let component = |(x, m): (f32, usize)| [0.0, -0.0, x, x][m];
-        Vector(values.into_iter().zip(mask).map(component).take(dims).collect())
+        Vector(
+            values
+                .into_iter()
+                .zip(mask)
+                .map(component)
+                .take(dims)
+                .collect(),
+        )
     }
 
     fn id_and_bits(hits: &[SearchHit]) -> Vec<(usize, u32)> {
@@ -392,7 +403,10 @@ mod tests {
             r#"{"dims":1,"vectors":[[1e999]]}"#,
             r#"{"dims":2,"vectors":[[1,0],[0,1e39]]}"#,
         ] {
-            assert!(serde_json::from_str::<FlatIndex>(bad).is_err(), "{bad} loaded");
+            assert!(
+                serde_json::from_str::<FlatIndex>(bad).is_err(),
+                "{bad} loaded"
+            );
         }
     }
 
@@ -400,10 +414,18 @@ mod tests {
     fn snapshot_with_a_non_finite_row_names_the_row() {
         for (bad, row) in [
             (r#"{"dims":1,"vectors":[[1e999]]}"#, "vector 0"),
-            (r#"{"dims":2,"vectors":[[1,0],[0,1],[-1e39,0]]}"#, "vector 2"),
+            (
+                r#"{"dims":2,"vectors":[[1,0],[0,1],[-1e39,0]]}"#,
+                "vector 2",
+            ),
         ] {
-            let err = serde_json::from_str::<FlatIndex>(bad).unwrap_err().to_string();
-            assert!(err.contains(row) && err.contains("non-finite"), "{bad}: {err}");
+            let err = serde_json::from_str::<FlatIndex>(bad)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(row) && err.contains("non-finite"),
+                "{bad}: {err}"
+            );
         }
     }
 
