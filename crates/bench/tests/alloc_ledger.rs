@@ -90,9 +90,9 @@ fn counted<T>(into: &mut Tally, f: impl FnOnce() -> T) -> T {
 /// in allocations per ask: the larger pass's count + 2 %. Debug, release
 /// and one-core runs count the same.
 const LAYERS: [(&str, f64); 8] = [
-    ("copilot.ask", 401.17),
+    ("copilot.ask", 398.12),
     ("embed.question", 12.79),
-    ("copilot.retrieve_vec", 29.58),
+    ("copilot.retrieve_vec", 28.56),
     ("llm.prompt_build", 11.22),
     ("llm.complete", 124.57),
     ("promql.parse", 11.95),

@@ -51,8 +51,6 @@ mod vector;
 
 pub use embedder::{Embedder, EmbedderConfig};
 pub use lexicon::Lexicon;
-pub use similarity::{
-    cosine, cosine_of_dot, cosine_with_norms, dot, dot_columns, top_k_by, Scored,
-};
+pub use similarity::{cosine, cosine_with_norms, dot, top_k_by, Scored};
 pub use tokenize::{content_words, words, WordBuf};
 pub use vector::Vector;

@@ -31,90 +31,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// [`dot`] of `query` with every row of a dimension-major matrix:
-/// `out[d]` is bit-equal to `dot(query, row d)`, where component `j` of
-/// row `d` is `columns[j * stride + d]` and every stored component is
-/// finite.
-///
-/// Only the columns of `query`'s non-zero components are read. That is
-/// `dot`'s arithmetic lane for lane — each lane receives the same
-/// products in the same (ascending `j`) order, then the same pairwise
-/// reduction and the same scalar tail — because a skipped term is
-/// `0.0 × y = ±0` for every finite `y`, and adding `±0` leaves a
-/// round-to-nearest sum unchanged unless that sum is `-0.0`. None is: a
-/// lane starts at `+0.0`, `+0.0 + -0.0` is `+0.0` and a sum of
-/// non-zero terms that cancels exactly is `+0.0`, so no lane, no
-/// pairwise sum of lanes and no tail prefix is ever `-0.0`. (An
-/// infinite `y` would make the skipped term NaN; whoever owns the
-/// matrix keeps it finite.)
-///
-/// A lane's columns are folded into its running sums several at a
-/// time ([`fold_columns`]): each sum is loaded once, receives up to
-/// eight products in ascending `j`, and is stored once. The order in
-/// which the products reach a sum is the same as one column at a time,
-/// so grouping changes the number of loads and stores, not one bit.
-pub fn dot_columns(query: &[f32], columns: &[f32], stride: usize, out: &mut [f32]) {
-    let rows = out.len();
-    assert!(rows <= stride, "more rows than the column stride");
-    assert_eq!(columns.len(), query.len() * stride, "matrix shape mismatch");
-    if rows == 0 {
-        return;
-    }
-    let term = |j: usize| (query[j], &columns[j * stride..][..rows]);
-    // A lane at a time rather than a column at a time: the lanes are
-    // independent, and one lane's partial sums (4 bytes a row) stay in
-    // the first-level cache while its columns stream past them.
-    let body = query.len() - query.len() % LANES;
-    let mut acc = vec![0.0f32; LANES * rows];
-    for (lane, sums) in acc.chunks_exact_mut(rows).enumerate() {
-        fold_columns(sums, (lane..body).step_by(LANES).map(term));
-    }
-    let acc: [&[f32]; LANES] = std::array::from_fn(|lane| &acc[lane * rows..][..rows]);
-    for (d, sum) in out.iter_mut().enumerate() {
-        *sum = ((acc[0][d] + acc[4][d]) + (acc[2][d] + acc[6][d]))
-            + ((acc[1][d] + acc[5][d]) + (acc[3][d] + acc[7][d]));
-    }
-    fold_columns(out, (body..query.len()).map(term));
-}
-
-/// `sums += x · column` for every `(x, column)` with `x != 0`, in the
-/// order given: eight columns to a pass over `sums`, the rest four and
-/// then one to a pass. Each column is at least `sums.len()` long.
-fn fold_columns<'a>(sums: &mut [f32], terms: impl Iterator<Item = (f32, &'a [f32])>) {
-    let mut group = [(0.0, &[][..]); 8];
-    let mut len = 0;
-    for term in terms.filter(|(x, _)| *x != 0.0) {
-        group[len] = term;
-        len += 1;
-        if len == group.len() {
-            fold(sums, &group);
-            len = 0;
-        }
-    }
-    let (four, ones) = group[..len].split_at(if len >= 4 { 4 } else { 0 });
-    if let [a, b, c, d] = four {
-        fold(sums, &[*a, *b, *c, *d]);
-    }
-    for one in ones {
-        fold(sums, &[*one]);
-    }
-}
-
-/// One pass of [`fold_columns`]: `s = sums[d]; s += x0·c0[d]; …;
-/// sums[d] = s`, the terms added in order.
-fn fold<const N: usize>(sums: &mut [f32], terms: &[(f32, &[f32]); N]) {
-    let rows = sums.len();
-    let xs: [f32; N] = std::array::from_fn(|i| terms[i].0);
-    let columns: [&[f32]; N] = std::array::from_fn(|i| &terms[i].1[..rows]);
-    for (d, sum) in sums.iter_mut().enumerate() {
-        let mut s = *sum;
-        for i in 0..N {
-            s += xs[i] * columns[i][d];
-        }
-        *sum = s;
-    }
-}
-
 /// Euclidean (L2) norm.
 pub(crate) fn norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -128,12 +44,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// [`cosine`] for callers that cached `norm(a)` and `norm(b)`: the same
 /// arithmetic, so the result is bit-equal to `cosine(a, b)`.
 pub fn cosine_with_norms(a: &[f32], norm_a: f32, b: &[f32], norm_b: f32) -> f32 {
-    cosine_of_dot(dot(a, b), norm_a, norm_b)
-}
-
-/// The last step of [`cosine_with_norms`], for callers that hold the
-/// dot product already (a [`dot_columns`] scan).
-pub fn cosine_of_dot(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    let dot = dot(a, b);
     if norm_a == 0.0 || norm_b == 0.0 {
         return 0.0;
     }
@@ -312,43 +223,6 @@ mod tests {
             }
         }
 
-        /// The column kernel is `dot` row by row, bit for bit: dims
-        /// around one and two lane chunks and at the embedder's width,
-        /// a stride wider than the rows, and queries with zeros of
-        /// either sign, nothing but zeros, and nothing but tail
-        /// components.
-        #[test]
-        fn dot_columns_is_bit_equal_to_dot_on_every_row(
-            raw in prop::collection::vec(-1.0f32..1.0, 64..256),
-            mask in prop::collection::vec(0usize..4, 64..256),
-            rows in 0usize..40,
-            spare in 0usize..3,
-            query_shape in 0usize..4,
-        ) {
-            for dims in [1usize, 7, 8, 9, 16, 17, 384, 385] {
-                let sparse = |i: usize| [0.0, -0.0, raw[i % raw.len()], raw[i % raw.len()]][mask[i % mask.len()]];
-                let matrix: Vec<Vec<f32>> = (0..rows).map(|d| (0..dims).map(|j| sparse(d * dims + j + 1)).collect()).collect();
-                let mut query: Vec<f32> = (0..dims).map(|j| sparse(j * 31)).collect();
-                match query_shape {
-                    0 => query.iter_mut().for_each(|x| *x *= 0.0),
-                    1 => query[..dims - dims % LANES].iter_mut().for_each(|x| *x = 0.0),
-                    _ => {}
-                }
-                let stride = rows + spare;
-                let mut columns = vec![0.0f32; dims * stride];
-                for (d, row) in matrix.iter().enumerate() {
-                    for (j, x) in row.iter().enumerate() {
-                        columns[j * stride + d] = *x;
-                    }
-                }
-                let mut got = vec![f32::NAN; rows];
-                dot_columns(&query, &columns, stride, &mut got);
-                for (d, row) in matrix.iter().enumerate() {
-                    prop_assert_eq!(got[d].to_bits(), dot(&query, row).to_bits(), "dims {} row {}", dims, d);
-                }
-            }
-        }
-
         /// Cached norms change where the norms come from, not one bit
         /// of the result.
         #[test]
@@ -407,51 +281,6 @@ mod tests {
             });
             prop_assert_eq!(called, if k == 0 { vec![] } else { (0..n).collect::<Vec<_>>() });
             prop_assert_eq!(index_and_bits(&got), index_and_bits(&heap_top_k_by(n, k, |i| scores[i])));
-        }
-    }
-
-    /// Lanes holding exactly 0, 1, 3, 4, 5, 8, 12 and 13 non-zero
-    /// columns, and a tail with 5: every group size [`dot_columns`]
-    /// folds with (eight, four, one) and every mix of them, bit-equal
-    /// to [`dot`] on every row.
-    #[test]
-    fn dot_columns_folds_every_group_size_like_dot() {
-        let dims = 48 * LANES + 5;
-        let lane_counts = [3usize, 4, 8, 12, 13, 0, 1, 5];
-        let mut query = vec![0.0f32; dims];
-        for (lane, &count) in lane_counts.iter().enumerate() {
-            // Spread over the lane's 48 columns, a `-0.0` between.
-            for c in 0..count {
-                query[(c * 3 + lane % 3) * LANES + lane] = 0.1 + (lane * 16 + c) as f32 * 0.37;
-            }
-            query[(47 - lane) * LANES + lane] = -0.0;
-        }
-        let tail = dims - dims % LANES;
-        for (c, x) in query[tail..].iter_mut().enumerate() {
-            *x = -0.3 - c as f32 * 0.11;
-        }
-        let nonzero_in = |lane: usize| {
-            (lane..tail)
-                .step_by(LANES)
-                .filter(|&j| query[j] != 0.0)
-                .count()
-        };
-        assert_eq!((0..LANES).map(nonzero_in).collect::<Vec<_>>(), lane_counts);
-
-        let (rows, stride) = (37, 40);
-        let component =
-            |d: usize, j: usize| ((d * 7919 + j * 104_729) % 2_003) as f32 / 1_001.0 - 1.0;
-        let mut columns = vec![0.0f32; dims * stride];
-        for d in 0..rows {
-            for j in 0..dims {
-                columns[j * stride + d] = component(d, j);
-            }
-        }
-        let mut got = vec![f32::NAN; rows];
-        dot_columns(&query, &columns, stride, &mut got);
-        for (d, got) in got.iter().enumerate() {
-            let row: Vec<f32> = (0..dims).map(|j| component(d, j)).collect();
-            assert_eq!(got.to_bits(), dot(&query, &row).to_bits(), "row {d}");
         }
     }
 

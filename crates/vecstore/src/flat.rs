@@ -1,38 +1,63 @@
-//! Exact brute-force index (FAISS `IndexFlatIP` analogue).
+//! Exact brute-force index (FAISS `IndexFlatIP` analogue), scanned at
+//! half width and rescored exactly (`IndexRefineFlat` over a bf16
+//! `IndexScalarQuantizer`).
 
 use crate::index::{SearchHit, VectorIndex};
-use dio_embed::{cosine_of_dot, cosine_with_norms, dot_columns, top_k_by, Scored, Vector};
+use dio_embed::{cosine_with_norms, top_k_by, Scored, Vector};
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Stores every vector verbatim and scans all of them per query.
 /// Exact, simple, and fast enough for catalog-scale corpora (thousands
 /// of metric descriptions).
 ///
 /// The components are held twice, each row's norm beside them. The
-/// row-major matrix is what reads a row at a time: [`FlatIndex::row`]
-/// and `similarity` (MMR). The dimension-major copy is what the full
-/// scan of `search` runs over, reading only the columns of the query's
-/// non-zero components ([`dot_columns`]). Whole columns strided by
-/// capacity rather than tiles of documents: `add` writes one component
-/// per column either way, the full scan measured faster over whole
-/// columns than blocked by documents, and the price — the columns move
-/// when the capacity doubles — is amortised like a `Vec`'s.
+/// row-major matrix is the exact copy: what reads a row at a time
+/// ([`FlatIndex::row`], `similarity` for MMR) and `search`'s rescoring.
+/// The dimension-major copy holds each component's high 16 bits — a
+/// bf16 by truncation, half the bytes of an `f32` — and is what the
+/// full scan of `search` runs over, reading only the columns of the
+/// query's non-zero components. Whole columns strided by capacity
+/// rather than tiles of documents: `add` writes one component per
+/// column either way, the full scan measured faster over whole columns
+/// than blocked by documents, and the price — the columns move when the
+/// capacity doubles — is amortised like a `Vec`'s.
 ///
 /// Invariant: a search score is bit-equal to
-/// `dio_embed::cosine(query, row)`. The column scan holds it only over
-/// finite rows, so a non-finite row never enters the matrix.
+/// `dio_embed::cosine(query, row)`, and hits and order are those of a
+/// scan that scores every row so.
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     dims: usize,
     /// `len × dims`, row-major.
     data: Vec<f32>,
-    /// `dims × stride`, dimension-major: component `j` of row `id` is
-    /// `columns[j * stride + id]`.
-    columns: Vec<f32>,
+    /// `dims × stride`, dimension-major: the high 16 bits of component
+    /// `j` of row `id` are `columns[j * stride + id]`.
+    columns: Vec<u16>,
     /// Rows the columns have room for.
     stride: usize,
     /// `norm(row)`, computed once at `add`.
     norms: Vec<f32>,
+}
+
+/// Truncating an `f32` to its high 16 bits drops mantissa bits worth
+/// less than 2⁻⁷ of the leading one: `b = d(1 − τ)`, `0 ≤ τ < 2⁻⁷`,
+/// for every normal `d` (`δ` in [`FlatIndex::search`]).
+const TRUNCATION: f32 = 1.0 / 128.0;
+
+/// Norms, of a query and of a row, under which the prefilter's bound
+/// holds: their squares and products neither overflow nor come near
+/// the subnormals. A row outside is always rescored, a query outside
+/// scored exactly against every row.
+const NORMS: RangeInclusive<f32> = 1.0 / 4_294_967_296.0..=4_294_967_296.0;
+
+/// Widest rows the rounding slack of [`FlatIndex::search`] is derived
+/// for (`n·2⁻²⁴ ≤ 2⁻¹⁰`); wider indexes are scored exactly.
+const MAX_PREFILTER_DIMS: usize = 1 << 14;
+
+/// The `f32` whose high 16 bits are `high`, the low 16 zero.
+fn widen(high: u16) -> f32 {
+    f32::from_bits(u32::from(high) << 16)
 }
 
 /// The persisted shape, `{"dims": d, "vectors": [[..], ..]}`; norms and
@@ -108,7 +133,7 @@ impl FlatIndex {
     /// Move the columns apart to hold `stride` rows each.
     fn restride(&mut self, stride: usize) {
         let len = self.len();
-        let mut columns = vec![0.0; self.dims * stride];
+        let mut columns = vec![0; self.dims * stride];
         if len > 0 {
             for (new, old) in columns
                 .chunks_exact_mut(stride)
@@ -131,12 +156,86 @@ impl FlatIndex {
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.dims)
     }
+
+    /// The cosine of `query` with every row's truncated copy: the
+    /// columns of its non-zero components, each scaled by `1/‖q‖`,
+    /// folded eight at a time, then four, then one (one load and store
+    /// of a row's sum per group), and each sum divided by the row's
+    /// norm; NaN for a row whose norm is outside [`NORMS`].
+    fn approximate(&self, query: &[f32], query_norm: f32) -> Vec<f32> {
+        let mut sums = vec![0.0; self.len()];
+        let mut group = [(0.0, &[][..]); 8];
+        let mut len = 0;
+        for (j, &x) in query.iter().enumerate() {
+            if x != 0.0 {
+                group[len] = (x / query_norm, &self.columns[j * self.stride..]);
+                len += 1;
+                if len == group.len() {
+                    fold(&mut sums, &group);
+                    len = 0;
+                }
+            }
+        }
+        let (four, ones) = group[..len].split_at(if len >= 4 { 4 } else { 0 });
+        if let [a, b, c, d] = four {
+            fold(&mut sums, &[*a, *b, *c, *d]);
+        }
+        for one in ones {
+            fold(&mut sums, &[*one]);
+        }
+        for (sum, &norm) in sums.iter_mut().zip(&self.norms) {
+            *sum = if NORMS.contains(&norm) {
+                *sum / norm
+            } else {
+                f32::NAN
+            };
+        }
+        sums
+    }
+}
+
+/// `sums[d] += x₀·c₀[d] + …`, the terms added in order to one running
+/// sum per row, each column widened from its high 16 bits.
+fn fold<const N: usize>(sums: &mut [f32], terms: &[(f32, &[u16]); N]) {
+    let rows = sums.len();
+    let xs: [f32; N] = std::array::from_fn(|i| terms[i].0);
+    let columns: [&[u16]; N] = std::array::from_fn(|i| &terms[i].1[..rows]);
+    for (d, sum) in sums.iter_mut().enumerate() {
+        let mut s = *sum;
+        for i in 0..N {
+            s += xs[i] * widen(columns[i][d]);
+        }
+        *sum = s;
+    }
+}
+
+/// A floor under the `k`-th largest of the non-NaN `values`, each in
+/// `(−2, 2]`, from a histogram of 2⁻¹⁰-wide buckets (no sort, no
+/// allocation); `None` when fewer than `k` are not NaN.
+///
+/// A value's bucket is `b = round(fl(2 − v)·2¹⁰)`, read from the low
+/// mantissa bits of `fl(2 − v)·2¹⁰ + 2²³`, and is monotone in `v`. When
+/// the buckets up to `B` hold `k` values, each of them has
+/// `2 − v ≤ (B + ½)·2⁻¹⁰ + 2⁻²³` (the rounding of `2 − v`), so all `k`
+/// exceed `2 − (B + 1)·2⁻¹⁰`, which is exact in `f32`.
+fn kth_floor(values: &[f32], k: usize) -> Option<f32> {
+    const BUCKETS: usize = 4096;
+    let mut counts = [0u32; BUCKETS];
+    for v in values.iter().filter(|v| !v.is_nan()) {
+        let bits = ((2.0 - v) * 1024.0 + 8_388_608.0).to_bits();
+        counts[((bits & 0x7f_ffff) as usize).min(BUCKETS - 1)] += 1;
+    }
+    let mut seen = 0;
+    let bucket = counts.iter().position(|&count| {
+        seen += count as usize;
+        seen >= k
+    })?;
+    Some(2.0 - (bucket + 1) as f32 / 1024.0)
 }
 
 impl VectorIndex for FlatIndex {
     /// Panics when `vector` has other than the index's dims or a
-    /// non-finite component: the column scan's zero-skip is exact only
-    /// over finite rows.
+    /// non-finite component, which has no cosine to rank by.
     fn add(&mut self, vector: Vector) -> usize {
         assert_eq!(
             vector.dims(),
@@ -155,35 +254,87 @@ impl VectorIndex for FlatIndex {
             .chunks_exact_mut(self.stride)
             .zip(vector.iter())
         {
-            column[id] = *x;
+            column[id] = (x.to_bits() >> 16) as u16;
         }
         self.norms.push(vector.norm());
         self.data.extend_from_slice(&vector);
         id
     }
 
-    /// The full scan, over the columns of the query's non-zero
-    /// components; scores, ids and order are those of a row-at-a-time
-    /// cosine scan over every id. Neither half moves a bit:
-    /// [`dot_columns`] folds a lane's columns in groups but adds each
-    /// product in the same order as one column at a time, and
-    /// [`top_k_by`]'s packed keys order hits by score, then id, each
-    /// score returned with its own bits.
+    /// The full scan, in three steps, with the hits, order and score
+    /// bits of one that takes `cosine_with_norms` of every row:
+    ///
+    /// 1. Fold the query's non-zero columns over the truncated copy for
+    ///    approximate cosines `c̃` (`FlatIndex::approximate`).
+    /// 2. Take a floor `t′ < t` under `t`, the `k`-th best `c̃`
+    ///    (`kth_floor`).
+    /// 3. Rescore exactly every row with `c̃ ≥ t′ − w` and rank those
+    ///    with [`top_k_by`], every other row scoring NaN (dropped). `w` is
+    ///    δ (`TRUNCATION`) plus `(n + 3)·2⁻²⁰` for rounding, `n` the
+    ///    dims.
+    ///
+    /// Why no other row can rank. Write `n` for the dims, `u` for 2⁻²⁴,
+    /// `s` and `c̃` for a row's computed exact and approximate cosines,
+    /// and `S` and `C` for their values in real arithmetic.
+    ///
+    /// *Truncation.* With `q̂`, `d̂` the unit query and row,
+    /// `C − S = −Σ τⱼ q̂ⱼd̂ⱼ`. Truncation only shrinks a component, so
+    /// `−δP ≤ C − S ≤ δN`, where `P` and `N` sum the row's positive and
+    /// negative products `q̂ⱼd̂ⱼ`, and `P + N ≤ 1` by Cauchy–Schwarz. That
+    /// bounds one row's error by δ, which would ask for a window of 2δ.
+    /// But for two rows with `S_A − S_B = Δ`, `2(P_A + N_B) = (P_A + N_A)
+    /// + (P_B + N_B) + Δ ≤ 2 + Δ`, so `C_B − C_A ≤ δ − Δ(1 − δ/2)`: two
+    /// errors pull apart by the whole δ only where the scores already
+    /// stand apart, and `C_B − C_A ≤ δ + 2σ` whenever `Δ ≥ −2σ`.
+    ///
+    /// *Rounding.* A dot of `n` terms is within `γₙ·‖q‖‖d‖` of its real
+    /// value in any order of addition (`γₙ = nu/(1 − nu) ≤ 1.001nu` for
+    /// `n ≤ 2¹⁴`), a computed norm within `0.51γₙ + u` of the real one
+    /// (relative), and each product, division and query scaling adds
+    /// `u`. So `|s − S| ≤ 2.03nu + 4u` and `|c̃ − C| ≤ 2.03nu + 5u`, both
+    /// under `σ = (n + 2)·2⁻²²`; the clamp of `s` to `[−1, 1]` only
+    /// brings it closer. `NORMS` keeps every square, product and
+    /// partial sum clear of overflow and of the subnormals, so what
+    /// underflows (`n·2⁻¹⁵⁰` a dot, `√n·2⁻¹³³` from truncating subnormal
+    /// components) is below `n·2⁻⁸⁶` relative, inside σ's margin.
+    ///
+    /// *The cut.* Suppose an excluded row `A` ranked in the exact top
+    /// `k`. Of the `k` or more rows with `c̃ ≥ t`, some `B` would not, so
+    /// `s_B ≤ s_A`, `S_A − S_B ≥ −2σ` and `c̃_B − c̃_A ≤ δ + 4σ`. Yet
+    /// `c̃_A < fl(t′ − w) ≤ t − w + 2⁻²⁴ ≤ c̃_B − w + 2⁻²⁴`, with
+    /// `w = δ + 4σ + 2⁻²⁰ = δ + (n + 3)·2⁻²⁰`.
+    ///
+    /// A query whose norm is outside `NORMS`, an index wider than
+    /// `MAX_PREFILTER_DIMS` or `k ≥ len` is scored exactly against
+    /// every row, with no prefilter.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut dots = vec![0.0; self.len()];
-        dot_columns(query, &self.columns, self.stride, &mut dots);
         let query_norm = query.norm();
-        // The cosine is taken as the selection reads each dot, not in a
-        // pass of its own.
-        top_k_by(dots.len(), k, |id| {
-            cosine_of_dot(dots[id], query_norm, self.norms[id])
-        })
-        .into_iter()
-        .map(|Scored { index, score }| SearchHit { id: index, score })
-        .collect()
+        let exact = |id: usize| {
+            let row = &self.data[id * self.dims..][..self.dims];
+            cosine_with_norms(query, query_norm, row, self.norms[id])
+        };
+        let prefilter = (1..self.len()).contains(&k)
+            && self.dims <= MAX_PREFILTER_DIMS
+            && NORMS.contains(&query_norm);
+        let hits = if prefilter {
+            let approx = self.approximate(query, query_norm);
+            let window = TRUNCATION + (self.dims + 3) as f32 / (1 << 20) as f32;
+            // An out-of-range row is NaN: neither counted for `t′` nor
+            // ever cut.
+            let cut = kth_floor(&approx, k).map_or(f32::NEG_INFINITY, |floor| floor - window);
+            top_k_by(self.len(), k, |id| {
+                if approx[id] < cut {
+                    f32::NAN
+                } else {
+                    exact(id)
+                }
+            })
+        } else {
+            top_k_by(self.len(), k, exact)
+        };
+        hits.into_iter()
+            .map(|Scored { index, score }| SearchHit { id: index, score })
+            .collect()
     }
 
     /// From the cached norms, bit-equal to
@@ -217,7 +368,8 @@ mod tests {
     }
 
     /// The scan this index replaced: `cosine` against every stored
-    /// `Vector`, best first, ties by ascending id.
+    /// `Vector`, best first, ties by ascending id, NaN scores dropped
+    /// (as [`top_k_by`] drops them).
     fn per_vector_scan(vectors: &[Vector], query: &Vector, k: usize) -> Vec<SearchHit> {
         let mut hits: Vec<SearchHit> = vectors
             .iter()
@@ -226,6 +378,7 @@ mod tests {
                 id,
                 score: cosine(query, v),
             })
+            .filter(|hit| !hit.score.is_nan())
             .collect();
         hits.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
         hits.truncate(k);
@@ -360,6 +513,81 @@ mod tests {
                 id_and_bits(&idx.search(&query, k)),
                 id_and_bits(&per_vector_scan(&vectors, &query, k))
             );
+        }
+    }
+
+    /// The prefilter's window where truncation errs most. Every query
+    /// component has seven zero and then sixteen one bits of mantissa,
+    /// so it loses just under δ of itself. Copies of the query score
+    /// ≈ 1 exactly but ≈ 1 − δ approximately, while the rows they must
+    /// beat (a component or more short of the query, exact in bf16)
+    /// score up to 0.99994 both ways, in near-ties down across the
+    /// cut. Beside them: rows whose norms are zero, subnormal-scale,
+    /// ≈ 1e30 and just outside the prefilter's range either way, and a
+    /// zero, a NaN and a negated query. Every hit, its order and its
+    /// score bits are the per-vector scan's, at every `k`.
+    #[test]
+    fn worst_truncated_rows_and_out_of_range_norms_rank_exactly() {
+        const DIMS: usize = 384;
+        let mut rng = proptest::strategy::TestRng::new(0x6f70_5f64_6174);
+        let signs: Vec<u32> = (0..DIMS).map(|_| rng.below(2) as u32).collect();
+        let exps: Vec<u32> = (0..DIMS).map(|_| 124 + rng.below(4) as u32).collect();
+        let component =
+            |j: usize, mantissa: u32| f32::from_bits(signs[j] << 31 | exps[j] << 23 | mantissa);
+        let query = Vector((0..DIMS).map(|j| component(j, 0xFFFF)).collect());
+        let scaled = |by: f32| Vector(query.iter().map(|x| x * by).collect());
+        // Largest components first, so each more one dropped from the
+        // bf16-exact copy lowers its score further.
+        let mut by_size: Vec<usize> = (0..DIMS).collect();
+        by_size.sort_by(|&a, &b| exps[b].cmp(&exps[a]).then(a.cmp(&b)));
+        let short = |dropped: &[usize]| {
+            let mut row: Vec<f32> = (0..DIMS).map(|j| component(j, 1 << 16)).collect();
+            dropped.iter().for_each(|&j| row[j] = 0.0);
+            Vector(row)
+        };
+
+        let mut vectors = Vec::new();
+        for j in by_size.iter().rev().take(8) {
+            vectors.push(short(&[*j]));
+        }
+        for m in 1..=12 {
+            vectors.push(short(&by_size[..m]));
+        }
+        vectors.push(query.clone());
+        vectors.push(scaled(8.0));
+        vectors.push(short(&[by_size[DIMS - 1]]));
+        vectors.push(query.clone());
+        vectors.push(Vector::zeros(DIMS));
+        vectors.push(scaled(1e-41));
+        vectors.push(Vector(
+            signs
+                .iter()
+                .map(|&s| if s == 0 { 1e28 } else { -1e28 })
+                .collect(),
+        ));
+        vectors.push(scaled(2f32.powi(40)));
+        vectors.push(scaled(2f32.powi(-40)));
+        let idx = FlatIndex::from_vectors(DIMS, vectors.clone());
+        assert!(!NORMS.contains(&vectors[vectors.len() - 3].norm()));
+        assert!(!NORMS.contains(&vectors[vectors.len() - 2].norm()));
+        assert!(!NORMS.contains(&vectors[vectors.len() - 1].norm()));
+
+        let mut nan = query.clone();
+        nan.0[DIMS / 2] = f32::NAN;
+        let n = vectors.len();
+        for (name, q) in [
+            ("worst", query.clone()),
+            ("negated", Vector(query.iter().map(|x| -x).collect())),
+            ("zero", Vector::zeros(DIMS)),
+            ("nan", nan),
+        ] {
+            for k in (1..=12).chain([n - 1, n, n + 1]) {
+                assert_eq!(
+                    id_and_bits(&idx.search(&q, k)),
+                    id_and_bits(&per_vector_scan(&vectors, &q, k)),
+                    "{name} query, k = {k}"
+                );
+            }
         }
     }
 

@@ -8,9 +8,11 @@
 //! `IndexFlatIP`, an exact flat search; this crate provides it natively:
 //!
 //! * [`FlatIndex`] — exact brute-force cosine search (FAISS `IndexFlatIP`
-//!   over normalised vectors) and the only owner of rows (row-major for
-//!   whoever reads a row, dimension-major for the full scan) and their
-//!   cached norms,
+//!   over normalised vectors), scanned over a half-width copy and
+//!   rescored exactly (`IndexRefineFlat` over a bf16 scalar quantiser),
+//!   and the only owner of rows (row-major `f32` for whoever reads a row
+//!   and for rescoring, a dimension-major bf16 copy for the full scan)
+//!   and their cached norms,
 //! * [`DocIndex`] — an index paired with owned document payloads, the
 //!   form the copilot's context extractor actually uses.
 //!
