@@ -9,16 +9,50 @@
 use dio::benchmark::{fewshot_exemplars, OperatorWorld, WorldConfig};
 use dio::cluster::{Cluster, ClusterConfig};
 use dio::copilot::CopilotBuilder;
-use dio::llm::{FoundationModel, ModelProfile, SimulatedModel};
+use dio::llm::{
+    Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile, Pricing,
+    SimulatedModel,
+};
 use dio::sandbox::StoreResolver;
 use dio::serve::{
     QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn model() -> Box<dyn FoundationModel> {
     Box::new(SimulatedModel::new(ModelProfile::gpt4_sim()))
+}
+
+/// Open once, and every call waiting on it proceeds.
+type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+/// The simulated model, each call held until the gate opens: a worker
+/// that picks a job up stays on it, so a burst submitted before the
+/// gate opens overflows the queue however fast the workers are.
+struct Gated {
+    inner: Box<dyn FoundationModel>,
+    gate: Gate,
+}
+
+impl FoundationModel for Gated {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+
+    fn pricing(&self) -> Pricing {
+        self.inner.pricing()
+    }
+
+    fn complete(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
+        let (open, opened) = &*self.gate;
+        drop(opened.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        self.inner.complete(request)
+    }
 }
 
 #[test]
@@ -34,9 +68,15 @@ fn burst_at_3x_capacity_through_a_sharded_cluster_loses_nothing() {
         .build();
     prototype.attach_store_resolver(cluster.clone() as Arc<dyn StoreResolver>);
 
+    let gate: Gate = Arc::default();
     let service = QueryService::spawn(
         &prototype,
-        model,
+        || {
+            Box::new(Gated {
+                inner: model(),
+                gate: Arc::clone(&gate),
+            })
+        },
         ServeConfig {
             workers: 8,
             queue_depth: 16,
@@ -79,6 +119,8 @@ fn burst_at_3x_capacity_through_a_sharded_cluster_loses_nothing() {
             Err(_) => shed_sync += 1,
         }
     }
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
     let accepted = tickets.len();
     assert_eq!(accepted + shed_sync, burst + 4, "a submission went missing");
     assert!(shed_sync > 0, "a 3x-capacity burst must overload the queue");
