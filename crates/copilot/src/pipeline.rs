@@ -303,11 +303,6 @@ impl ExecResolution {
 }
 
 impl DioCopilot {
-    /// The domain database.
-    pub fn db(&self) -> &DomainDb {
-        &self.knowledge.db
-    }
-
     /// The issue tracker.
     pub fn tracker(&self) -> &IssueTracker {
         &self.tracker
@@ -1917,7 +1912,7 @@ mod tests {
             .examples(exemplars.take(cp.config.max_exemplars).cloned())
             .question(question)
             .task(TaskKind::GeneratePromql);
-        for f in cp.db().functions().take(4) {
+        for f in cp.knowledge.db.functions().take(4) {
             prompt = prompt.function(&f.name, first_sentence(&f.description));
         }
         let reserved = cp.config.max_output_tokens.min(window / 4);
@@ -1945,12 +1940,12 @@ mod tests {
 
         // A metric document, an exemplar and a function that sorts
         // first among the four the prompt shows.
-        let mut metric = cp.db().metrics().next().unwrap().clone();
+        let mut metric = cp.knowledge.db.metrics().next().unwrap().clone();
         metric.name = "amfcc_frobnicator_wobble_reset".into();
         metric.description = "The number of frobnicator wobble resets handled by AMF. \
                               Pegged once per reset."
             .into();
-        let mut function = cp.db().functions().next().unwrap().clone();
+        let mut function = cp.knowledge.db.functions().next().unwrap().clone();
         function.name = "aaa_wobble_ratio".into();
         function.description = "The share of frobnicator wobbles that reset. Percent.".into();
         let exemplar = Contribution::Exemplar {
