@@ -1,6 +1,5 @@
 //! Exact brute-force index (FAISS `IndexFlatIP` analogue), scanned at
-//! half width and rescored exactly (`IndexRefineFlat` over a bf16
-//! `IndexScalarQuantizer`).
+//! half width and rescored exactly (FAISS `IndexRefineFlat`).
 
 use crate::index::{SearchHit, VectorIndex};
 use dio_embed::{cosine_with_norms, top_k_by, Scored, Vector};
@@ -11,17 +10,12 @@ use std::ops::RangeInclusive;
 /// Exact, simple, and fast enough for catalog-scale corpora (thousands
 /// of metric descriptions).
 ///
-/// The components are held twice, each row's norm beside them. The
-/// row-major matrix is the exact copy: what reads a row at a time
-/// ([`FlatIndex::row`], `similarity` for MMR) and `search`'s rescoring.
-/// The dimension-major copy holds each component's high 16 bits — a
-/// bf16 by truncation, half the bytes of an `f32` — and is what the
-/// full scan of `search` runs over, reading only the columns of the
-/// query's non-zero components. Whole columns strided by capacity
-/// rather than tiles of documents: `add` writes one component per
-/// column either way, the full scan measured faster over whole columns
-/// than blocked by documents, and the price — the columns move when the
-/// capacity doubles — is amortised like a `Vec`'s.
+/// Each row is held twice, its norm beside it: row-major in `f32`, which
+/// [`FlatIndex::row`], `similarity` (MMR) and `search`'s rescoring read,
+/// and dimension-major as each component's high 16 bits (a bf16 by
+/// truncation), which `search`'s full scan reads a column at a time. The
+/// columns are strided by capacity and move when it doubles, amortised
+/// like a `Vec`'s.
 ///
 /// Invariant: a search score is bit-equal to
 /// `dio_embed::cosine(query, row)`, and hits and order are those of a
@@ -40,25 +34,16 @@ pub struct FlatIndex {
     norms: Vec<f32>,
 }
 
-/// Truncating an `f32` to its high 16 bits drops mantissa bits worth
-/// less than 2⁻⁷ of the leading one: `b = d(1 − τ)`, `0 ≤ τ < 2⁻⁷`,
-/// for every normal `d` (`δ` in [`FlatIndex::search`]).
+/// δ: a normal `f32` cut to its high 16 bits is `d(1 − τ)`, `0 ≤ τ < 2⁻⁷`.
 const TRUNCATION: f32 = 1.0 / 128.0;
 
-/// Norms, of a query and of a row, under which the prefilter's bound
-/// holds: their squares and products neither overflow nor come near
-/// the subnormals. A row outside is always rescored, a query outside
-/// scored exactly against every row.
+/// Norms, of a query or a row, whose squares and products stay clear of
+/// overflow and of the subnormals. Outside them `search` claims no bound:
+/// such a row is always rescored, and such a query scored exactly.
 const NORMS: RangeInclusive<f32> = 1.0 / 4_294_967_296.0..=4_294_967_296.0;
 
-/// Widest rows the rounding slack of [`FlatIndex::search`] is derived
-/// for (`n·2⁻²⁴ ≤ 2⁻¹⁰`); wider indexes are scored exactly.
+/// Widest rows the rounding bound of `search` is derived for.
 const MAX_PREFILTER_DIMS: usize = 1 << 14;
-
-/// The `f32` whose high 16 bits are `high`, the low 16 zero.
-fn widen(high: u16) -> f32 {
-    f32::from_bits(u32::from(high) << 16)
-}
 
 /// The persisted shape, `{"dims": d, "vectors": [[..], ..]}`; norms and
 /// columns are rebuilt on load.
@@ -157,34 +142,28 @@ impl FlatIndex {
         self.data.chunks_exact(self.dims)
     }
 
-    /// The cosine of `query` with every row's truncated copy: the
-    /// columns of its non-zero components, each scaled by `1/‖q‖`,
-    /// folded eight at a time, then four, then one (one load and store
-    /// of a row's sum per group), and each sum divided by the row's
-    /// norm; NaN for a row whose norm is outside [`NORMS`].
+    /// The cosine of `query` with every row's truncated copy, NaN for a
+    /// row whose norm is outside [`NORMS`]: the columns of its non-zero
+    /// components, scaled by `1/‖q‖`, folded eight to a pass (the last
+    /// group padded with zeros), each sum then divided by the row's norm.
     fn approximate(&self, query: &[f32], query_norm: f32) -> Vec<f32> {
         let mut sums = vec![0.0; self.len()];
-        let mut group = [(0.0, &[][..]); 8];
+        let mut group = [(0.0, &self.columns[..]); 8];
         let mut len = 0;
-        for (j, &x) in query.iter().enumerate() {
-            if x != 0.0 {
-                group[len] = (x / query_norm, &self.columns[j * self.stride..]);
-                len += 1;
-                if len == group.len() {
-                    fold(&mut sums, &group);
-                    len = 0;
-                }
+        for (j, &x) in query.iter().enumerate().filter(|(_, x)| **x != 0.0) {
+            group[len] = (x / query_norm, &self.columns[j * self.stride..]);
+            len += 1;
+            if len == group.len() {
+                fold(&mut sums, &group);
+                len = 0;
             }
         }
-        let (four, ones) = group[..len].split_at(if len >= 4 { 4 } else { 0 });
-        if let [a, b, c, d] = four {
-            fold(&mut sums, &[*a, *b, *c, *d]);
+        if len > 0 {
+            group[len..].iter_mut().for_each(|(x, _)| *x = 0.0);
+            fold(&mut sums, &group);
         }
-        for one in ones {
-            fold(&mut sums, &[*one]);
-        }
-        for (sum, &norm) in sums.iter_mut().zip(&self.norms) {
-            *sum = if NORMS.contains(&norm) {
+        for (sum, norm) in sums.iter_mut().zip(&self.norms) {
+            *sum = if NORMS.contains(norm) {
                 *sum / norm
             } else {
                 f32::NAN
@@ -194,36 +173,31 @@ impl FlatIndex {
     }
 }
 
-/// `sums[d] += x₀·c₀[d] + …`, the terms added in order to one running
-/// sum per row, each column widened from its high 16 bits.
-fn fold<const N: usize>(sums: &mut [f32], terms: &[(f32, &[u16]); N]) {
-    let rows = sums.len();
-    let xs: [f32; N] = std::array::from_fn(|i| terms[i].0);
-    let columns: [&[u16]; N] = std::array::from_fn(|i| &terms[i].1[..rows]);
+/// `sums[d] += x₀·c₀[d] + … + x₇·c₇[d]`, each column widened from its
+/// high 16 bits: one load and store of a row's sum per eight columns.
+fn fold(sums: &mut [f32], terms: &[(f32, &[u16]); 8]) {
+    let xs: [f32; 8] = std::array::from_fn(|i| terms[i].0);
+    let columns: [&[u16]; 8] = std::array::from_fn(|i| &terms[i].1[..sums.len()]);
     for (d, sum) in sums.iter_mut().enumerate() {
         let mut s = *sum;
-        for i in 0..N {
-            s += xs[i] * widen(columns[i][d]);
+        for i in 0..8 {
+            s += xs[i] * f32::from_bits(u32::from(columns[i][d]) << 16);
         }
         *sum = s;
     }
 }
 
 /// A floor under the `k`-th largest of the non-NaN `values`, each in
-/// `(−2, 2]`, from a histogram of 2⁻¹⁰-wide buckets (no sort, no
-/// allocation); `None` when fewer than `k` are not NaN.
-///
-/// A value's bucket is `b = round(fl(2 − v)·2¹⁰)`, read from the low
-/// mantissa bits of `fl(2 − v)·2¹⁰ + 2²³`, and is monotone in `v`. When
-/// the buckets up to `B` hold `k` values, each of them has
-/// `2 − v ≤ (B + ½)·2⁻¹⁰ + 2⁻²³` (the rounding of `2 − v`), so all `k`
-/// exceed `2 − (B + 1)·2⁻¹⁰`, which is exact in `f32`.
+/// `(−2, 2]`, from 4 096 buckets of 2⁻¹⁰ on the stack; `None` when fewer
+/// than `k` are not NaN. A value's bucket `b = round(fl(2 − v)·2¹⁰)` is
+/// the mantissa of `fl(2 − v)·2¹⁰ + 2²³`, monotone in `v`. When buckets
+/// up to `B` hold `k` values, each has `2 − v ≤ (B + ½)·2⁻¹⁰ + 2⁻²³`, so
+/// all `k` exceed `2 − (B + 1)·2⁻¹⁰`, which is exact.
 fn kth_floor(values: &[f32], k: usize) -> Option<f32> {
-    const BUCKETS: usize = 4096;
-    let mut counts = [0u32; BUCKETS];
+    let mut counts = [0u32; 4096];
     for v in values.iter().filter(|v| !v.is_nan()) {
         let bits = ((2.0 - v) * 1024.0 + 8_388_608.0).to_bits();
-        counts[((bits & 0x7f_ffff) as usize).min(BUCKETS - 1)] += 1;
+        counts[((bits & 0x7f_ffff) as usize).min(4095)] += 1;
     }
     let mut seen = 0;
     let bucket = counts.iter().position(|&count| {
@@ -261,67 +235,51 @@ impl VectorIndex for FlatIndex {
         id
     }
 
-    /// The full scan, in three steps, with the hits, order and score
-    /// bits of one that takes `cosine_with_norms` of every row:
+    /// The full scan, with the hits, order and score bits of one that
+    /// takes `cosine_with_norms` of every row. It folds the query's
+    /// non-zero columns over the truncated copy for approximate cosines
+    /// `c̃`, takes a floor `t′` under `t`, the `k`-th best `c̃`, rescores
+    /// exactly every row with `c̃ ≥ t′ − w` and ranks those, every other
+    /// row scoring NaN (dropped by [`top_k_by`]). With `n` the dims,
+    /// `w = δ + (n + 3)·2⁻²⁰`, δ = 2⁻⁷.
     ///
-    /// 1. Fold the query's non-zero columns over the truncated copy for
-    ///    approximate cosines `c̃` (`FlatIndex::approximate`).
-    /// 2. Take a floor `t′ < t` under `t`, the `k`-th best `c̃`
-    ///    (`kth_floor`).
-    /// 3. Rescore exactly every row with `c̃ ≥ t′ − w` and rank those
-    ///    with [`top_k_by`], every other row scoring NaN (dropped). `w` is
-    ///    δ (`TRUNCATION`) plus `(n + 3)·2⁻²⁰` for rounding, `n` the
-    ///    dims.
+    /// Why no other row can rank. Let `S` and `C` be a row's exact and
+    /// approximate cosines in real arithmetic, `s` and `c̃` as computed.
+    /// With `q̂`, `d̂` the unit query and row, `C − S = −Σ τⱼq̂ⱼd̂ⱼ`, and
+    /// truncation only shrinks a component, so `−δP ≤ C − S ≤ δN` where
+    /// `P` and `N` sum the row's positive and negative `q̂ⱼd̂ⱼ`, and
+    /// `P + N ≤ 1` (Cauchy–Schwarz). That bounds each row's error by δ,
+    /// and two rows' errors by 2δ — but for `S_A − S_B = Δ`,
+    /// `2(P_A + N_B) = (P_A + N_A) + (P_B + N_B) + Δ ≤ 2 + Δ`, so
+    /// `C_B − C_A ≤ δ − Δ(1 − δ/2)`: errors pull apart by δ only where
+    /// the scores already stand apart.
     ///
-    /// Why no other row can rank. Write `n` for the dims, `u` for 2⁻²⁴,
-    /// `s` and `c̃` for a row's computed exact and approximate cosines,
-    /// and `S` and `C` for their values in real arithmetic.
+    /// Rounding: a dot is within `γₙ‖q‖‖d‖` of its real value in any
+    /// order (`γₙ = nu/(1 − nu) ≤ 1.001nu`, `u = 2⁻²⁴`, `n ≤ 2¹⁴`), a
+    /// computed norm within `0.51γₙ + u` (relative), and each product,
+    /// division and query scaling adds `u`: `|s − S| ≤ 2.03nu + 4u` and
+    /// `|c̃ − C| ≤ 2.03nu + 5u`, both under `σ = (n + 2)·2⁻²²` (the clamp
+    /// of `s` only brings it closer). Within the norm range, underflow
+    /// (`n·2⁻¹⁵⁰` a dot, `√n·2⁻¹³³` from subnormal components) is below
+    /// `n·2⁻⁸⁶` relative, inside σ's margin.
     ///
-    /// *Truncation.* With `q̂`, `d̂` the unit query and row,
-    /// `C − S = −Σ τⱼ q̂ⱼd̂ⱼ`. Truncation only shrinks a component, so
-    /// `−δP ≤ C − S ≤ δN`, where `P` and `N` sum the row's positive and
-    /// negative products `q̂ⱼd̂ⱼ`, and `P + N ≤ 1` by Cauchy–Schwarz. That
-    /// bounds one row's error by δ, which would ask for a window of 2δ.
-    /// But for two rows with `S_A − S_B = Δ`, `2(P_A + N_B) = (P_A + N_A)
-    /// + (P_B + N_B) + Δ ≤ 2 + Δ`, so `C_B − C_A ≤ δ − Δ(1 − δ/2)`: two
-    /// errors pull apart by the whole δ only where the scores already
-    /// stand apart, and `C_B − C_A ≤ δ + 2σ` whenever `Δ ≥ −2σ`.
-    ///
-    /// *Rounding.* A dot of `n` terms is within `γₙ·‖q‖‖d‖` of its real
-    /// value in any order of addition (`γₙ = nu/(1 − nu) ≤ 1.001nu` for
-    /// `n ≤ 2¹⁴`), a computed norm within `0.51γₙ + u` of the real one
-    /// (relative), and each product, division and query scaling adds
-    /// `u`. So `|s − S| ≤ 2.03nu + 4u` and `|c̃ − C| ≤ 2.03nu + 5u`, both
-    /// under `σ = (n + 2)·2⁻²²`; the clamp of `s` to `[−1, 1]` only
-    /// brings it closer. `NORMS` keeps every square, product and
-    /// partial sum clear of overflow and of the subnormals, so what
-    /// underflows (`n·2⁻¹⁵⁰` a dot, `√n·2⁻¹³³` from truncating subnormal
-    /// components) is below `n·2⁻⁸⁶` relative, inside σ's margin.
-    ///
-    /// *The cut.* Suppose an excluded row `A` ranked in the exact top
-    /// `k`. Of the `k` or more rows with `c̃ ≥ t`, some `B` would not, so
-    /// `s_B ≤ s_A`, `S_A − S_B ≥ −2σ` and `c̃_B − c̃_A ≤ δ + 4σ`. Yet
-    /// `c̃_A < fl(t′ − w) ≤ t − w + 2⁻²⁴ ≤ c̃_B − w + 2⁻²⁴`, with
-    /// `w = δ + 4σ + 2⁻²⁰ = δ + (n + 3)·2⁻²⁰`.
-    ///
-    /// A query whose norm is outside `NORMS`, an index wider than
-    /// `MAX_PREFILTER_DIMS` or `k ≥ len` is scored exactly against
-    /// every row, with no prefilter.
+    /// So if an excluded `A` ranked in the exact top `k`, some `B` with
+    /// `c̃_B ≥ t` would not: `s_B ≤ s_A`, `Δ ≥ −2σ`, `c̃_B − c̃_A ≤ δ + 4σ`.
+    /// Yet `c̃_A < fl(t′ − w) ≤ c̃_B − w + 2⁻²⁴`, and `w = δ + 4σ + 2⁻²⁰`.
+    /// A query whose norm is out of range, `k ≥ len` or an index wider
+    /// than 2¹⁴ dims is scored exactly against every row.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
         let query_norm = query.norm();
-        let exact = |id: usize| {
-            let row = &self.data[id * self.dims..][..self.dims];
-            cosine_with_norms(query, query_norm, row, self.norms[id])
-        };
+        let row = |id: usize| &self.data[id * self.dims..][..self.dims];
+        let exact = |id: usize| cosine_with_norms(query, query_norm, row(id), self.norms[id]);
         let prefilter = (1..self.len()).contains(&k)
             && self.dims <= MAX_PREFILTER_DIMS
             && NORMS.contains(&query_norm);
         let hits = if prefilter {
+            // An out-of-range row is NaN: neither counted for `t′` nor cut.
             let approx = self.approximate(query, query_norm);
             let window = TRUNCATION + (self.dims + 3) as f32 / (1 << 20) as f32;
-            // An out-of-range row is NaN: neither counted for `t′` nor
-            // ever cut.
-            let cut = kth_floor(&approx, k).map_or(f32::NEG_INFINITY, |floor| floor - window);
+            let cut = kth_floor(&approx, k).map_or(f32::NEG_INFINITY, |t| t - window);
             top_k_by(self.len(), k, |id| {
                 if approx[id] < cut {
                     f32::NAN
