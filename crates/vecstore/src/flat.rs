@@ -472,6 +472,52 @@ mod tests {
                 id_and_bits(&per_vector_scan(&vectors, &query, k))
             );
         }
+
+        /// Near-ties where truncation errs most. Most query components
+        /// have the worst mantissa for truncation (seven zero, then
+        /// sixteen one bits). Rows are the query with a few components
+        /// dropped (≈ δ below their exact score), the query cut to bf16
+        /// with a few dropped (no error), or components of the query's
+        /// exponents with worst, bf16-exact or random mantissas and none,
+        /// some or all of its signs flipped. Hits, order and bits are the
+        /// per-vector scan's.
+        #[test]
+        fn near_ties_of_worst_truncated_rows_rank_like_the_per_vector_scan(
+            seed in any::<u64>(),
+            dims in prop::sample::select(vec![17usize, 64, 384]),
+            rows in 2usize..120,
+        ) {
+            let mut rng = proptest::strategy::TestRng::new(seed);
+            let signs: Vec<u32> = (0..dims).map(|_| rng.below(2) as u32).collect();
+            let exps: Vec<u32> = (0..dims).map(|_| 120 + rng.below(8) as u32).collect();
+            let component = |rng: &mut proptest::strategy::TestRng, j: usize, flip: bool| {
+                let mantissa = [0xFFFF, 0xFFFF, (rng.below(128) as u32) << 16, rng.below(1 << 23) as u32];
+                f32::from_bits((signs[j] ^ flip as u32) << 31 | exps[j] << 23 | mantissa[rng.below(4)])
+            };
+            let query = Vector((0..dims).map(|j| component(&mut rng, j, false)).collect());
+            let vectors: Vec<Vector> = (0..rows)
+                .map(|_| {
+                    let kind = rng.below(4);
+                    let flips_in_8 = [0, 1, 4, 8][rng.below(4)];
+                    Vector((0..dims).map(|j| {
+                        let flip = rng.below(8) < flips_in_8;
+                        match (kind, rng.below(16)) {
+                            (0 | 1, 0) => 0.0,
+                            (0, _) => query[j],
+                            (1, _) => f32::from_bits(query[j].to_bits() & 0xFFFF_0000),
+                            _ => component(&mut rng, j, flip),
+                        }
+                    }).collect())
+                })
+                .collect();
+            let idx = FlatIndex::from_vectors(dims, vectors.clone());
+            for k in [1, 3, 10, 40] {
+                prop_assert_eq!(
+                    id_and_bits(&idx.search(&query, k)),
+                    id_and_bits(&per_vector_scan(&vectors, &query, k))
+                );
+            }
+        }
     }
 
     /// The prefilter's window where truncation errs most. Every query
