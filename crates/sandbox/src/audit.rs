@@ -129,7 +129,9 @@ mod tests {
             let outcome = if i % 2 == 0 {
                 AuditOutcome::Executed
             } else {
-                AuditOutcome::Refused { reason: "no".into() }
+                AuditOutcome::Refused {
+                    reason: "no".into(),
+                }
             };
             assert_eq!(log.record(&format!("q{i}"), 0, outcome), i as u64);
         }

@@ -66,10 +66,9 @@ impl SandboxError {
                 PolicyViolation::ForbiddenFunction(name) => {
                     format!("remove the call to '{name}'; that function is not allowed")
                 }
-                PolicyViolation::RangeTooWide { max_ms, .. } => format!(
-                    "shrink the range selector to at most {}m",
-                    max_ms / 60_000
-                ),
+                PolicyViolation::RangeTooWide { max_ms, .. } => {
+                    format!("shrink the range selector to at most {}m", max_ms / 60_000)
+                }
                 PolicyViolation::OffsetTooFar { max_ms, .. } => {
                     format!("reduce the offset to at most {}m", max_ms / 60_000)
                 }
@@ -81,9 +80,9 @@ impl SandboxError {
                 }
             },
             SandboxError::Eval(m) => format!("rewrite the query to avoid: {m}"),
-            SandboxError::Storage(m) => format!(
-                "the data store failed transiently ({m}); retry the same query unchanged"
-            ),
+            SandboxError::Storage(m) => {
+                format!("the data store failed transiently ({m}); retry the same query unchanged")
+            }
         }
     }
 
@@ -390,7 +389,9 @@ mod tests {
             ..SafetyPolicy::default()
         };
         let mut sb = Sandbox::new(store(), policy);
-        let err = sb.execute("sum(rate(reqs_total[10m]))", 600_000).unwrap_err();
+        let err = sb
+            .execute("sum(rate(reqs_total[10m]))", 600_000)
+            .unwrap_err();
         assert!(matches!(err, SandboxError::Eval(_)));
         assert!(matches!(
             sb.audit().entries()[0].outcome,
@@ -446,7 +447,10 @@ mod tests {
             hint.contains("syntax") || hint.contains("cut short"),
             "unhelpful hint: {hint}"
         );
-        assert!(hint.contains(&pos.to_string()), "hint lacks position: {hint}");
+        assert!(
+            hint.contains(&pos.to_string()),
+            "hint lacks position: {hint}"
+        );
     }
 
     #[test]
@@ -523,7 +527,10 @@ mod tests {
         let mut sb = unreachable_sandbox();
         let err = sb.execute("sum(reqs_total)", 600_000).unwrap_err();
         assert!(err.is_storage_fault());
-        assert!(err.to_string().contains("shard 0 has no live copy"), "{err}");
+        assert!(
+            err.to_string().contains("shard 0 has no live copy"),
+            "{err}"
+        );
         assert!(err.repair_hint("sum(reqs_total)").contains("retry"));
         assert!(matches!(
             sb.audit().entries()[0].outcome,
@@ -545,7 +552,10 @@ mod tests {
         let storage = fam
             .series
             .iter()
-            .find(|s| s.labels.contains(&("outcome".into(), "storage_fault".into())))
+            .find(|s| {
+                s.labels
+                    .contains(&("outcome".into(), "storage_fault".into()))
+            })
             .expect("a storage_fault series");
         assert_eq!(storage.value, dio_obs::SeriesValue::Counter(1.0));
         assert_eq!(snap.total("dio_sandbox_executions_total"), 1.0);

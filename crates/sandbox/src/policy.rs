@@ -44,7 +44,10 @@ impl std::fmt::Display for PolicyViolation {
             PolicyViolation::RangeTooWide {
                 requested_ms,
                 max_ms,
-            } => write!(f, "range window {requested_ms}ms exceeds the {max_ms}ms ceiling"),
+            } => write!(
+                f,
+                "range window {requested_ms}ms exceeds the {max_ms}ms ceiling"
+            ),
             PolicyViolation::OffsetTooFar {
                 requested_ms,
                 max_ms,
@@ -84,14 +87,48 @@ impl Default for SafetyPolicy {
         SafetyPolicy {
             allowed_functions: Some(
                 [
-                    "rate", "irate", "increase", "delta", "idelta", "resets", "changes",
-                    "deriv", "predict_linear", "avg_over_time", "sum_over_time",
-                    "min_over_time", "max_over_time", "count_over_time", "last_over_time",
-                    "present_over_time", "stddev_over_time", "stdvar_over_time",
-                    "quantile_over_time", "abs", "ceil", "floor", "exp", "ln", "log2",
-                    "log10", "sqrt", "sgn", "round", "clamp", "clamp_min", "clamp_max",
-                    "scalar", "vector", "time", "timestamp", "sort", "sort_desc", "absent",
-                    "histogram_quantile", "label_replace", "label_join",
+                    "rate",
+                    "irate",
+                    "increase",
+                    "delta",
+                    "idelta",
+                    "resets",
+                    "changes",
+                    "deriv",
+                    "predict_linear",
+                    "avg_over_time",
+                    "sum_over_time",
+                    "min_over_time",
+                    "max_over_time",
+                    "count_over_time",
+                    "last_over_time",
+                    "present_over_time",
+                    "stddev_over_time",
+                    "stdvar_over_time",
+                    "quantile_over_time",
+                    "abs",
+                    "ceil",
+                    "floor",
+                    "exp",
+                    "ln",
+                    "log2",
+                    "log10",
+                    "sqrt",
+                    "sgn",
+                    "round",
+                    "clamp",
+                    "clamp_min",
+                    "clamp_max",
+                    "scalar",
+                    "vector",
+                    "time",
+                    "timestamp",
+                    "sort",
+                    "sort_desc",
+                    "absent",
+                    "histogram_quantile",
+                    "label_replace",
+                    "label_join",
                 ]
                 .into_iter()
                 .map(String::from)
