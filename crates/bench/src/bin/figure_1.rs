@@ -26,7 +26,7 @@ fn main() {
     println!("{}\n", direct.chat_response(question));
 
     // Figure 1b: DIO copilot.
-    let mut dio = exp.copilot(Experiment::gpt4());
+    let dio = exp.copilot(Experiment::gpt4());
     let response = dio.ask(question, exp.world.eval_ts);
     println!("===== Figure 1b — DIO copilot =====\n");
     println!("{}", response.render());

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 fn main() {
     eprintln!("building world…");
     let exp = Experiment::standard();
-    let mut dio = exp.copilot(Experiment::gpt4());
+    let dio = exp.copilot(Experiment::gpt4());
 
     // Durations are u64 micros end to end now (saturating), so the
     // report-side accumulator no longer silently mixes widths.

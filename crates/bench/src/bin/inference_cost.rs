@@ -34,16 +34,17 @@ fn main() {
             ] {
                 let mut dio = exp.copilot_with_config(model, config.clone());
                 let report = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
-                let meter = dio.meter();
-                let n = meter.queries() as f64;
+                // The copilot's model counts the tokens of every call.
+                let tokens = dio.obs().registry().snapshot();
+                let per_query = |name| tokens.total(name) / report.total as f64;
                 println!(
                     "{:<9} | {:<30} | {:<18} | {:>11.2} | {:>10.0} | {:>10.0} | {:>6.1}",
                     world,
                     row,
                     label,
-                    meter.mean_cents_per_query(),
-                    meter.usage().prompt_tokens as f64 / n,
-                    meter.usage().completion_tokens as f64 / n,
+                    report.mean_cost_cents,
+                    per_query("dio_llm_prompt_tokens_total"),
+                    per_query("dio_llm_completion_tokens_total"),
                     report.ex_percent,
                 );
             }

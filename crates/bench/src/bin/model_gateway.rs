@@ -231,11 +231,11 @@ fn main() -> ExitCode {
     // score identically either way.
     eprintln!("sequential probe ({uniques} uniques)…");
     let refs: Vec<f64> = exp.questions.iter().map(|q| q.reference.numeric).collect();
-    let mut lone = exp.copilot(Experiment::gpt4());
+    let lone = exp.copilot(Experiment::gpt4());
     let seq_started = Instant::now();
-    let original_ok = sequential(&mut lone, unique_qs, eval_ts, |_| {});
+    let original_ok = sequential(&lone, unique_qs, eval_ts, |_| {});
     let drill_deadline = deadline_for(seq_started.elapsed(), uniques).max(BURST_DEADLINE_FLOOR);
-    let mut calibrator = exp.copilot(Experiment::gpt4());
+    let calibrator = exp.copilot(Experiment::gpt4());
     let mut admitted: Vec<(usize, String)> = Vec::new();
     let mut candidates = 0usize;
     for (i, q) in unique_qs.iter().enumerate() {

@@ -145,8 +145,8 @@ fn main() -> ExitCode {
 
     // ---- Phase 1: EX parity with the ladder armed ------------------
     eprintln!("phase 1: parity — sequential baseline ({n} questions)…");
-    let mut baseline_copilot = exp.copilot(Experiment::gpt4());
-    let seq_correct = sequential(&mut baseline_copilot, &exp.questions, eval_ts, |_| {})
+    let baseline_copilot = exp.copilot(Experiment::gpt4());
+    let seq_correct = sequential(&baseline_copilot, &exp.questions, eval_ts, |_| {})
         .iter()
         .filter(|ok| **ok)
         .count();
@@ -199,7 +199,7 @@ fn main() -> ExitCode {
     // Time only the asks — cluster construction and the store copy
     // above are one-off costs the served requests never pay.
     let probe_started = Instant::now();
-    sequential(&mut probe, &exp.questions[..PROBE_ASKS], eval_ts, |_| {});
+    sequential(&probe, &exp.questions[..PROBE_ASKS], eval_ts, |_| {});
     let drill_deadline = deadline_for(probe_started.elapsed(), PROBE_ASKS);
     eprintln!("phase 2: calibrated deadline {drill_deadline:?}");
     eprintln!("phase 2: overload baseline (brownout disabled)…");

@@ -146,7 +146,7 @@ fn route_count(cluster: &Cluster, path: &str) -> u64 {
 /// aggregate breakdown for the sweep width.
 fn score(
     exp: &Experiment,
-    copilot: &mut dio_copilot::DioCopilot,
+    copilot: &dio_copilot::DioCopilot,
 ) -> (usize, f64, Vec<ShardTiming>) {
     let started = Instant::now();
     let mut breakdown: Vec<ShardTiming> = Vec::new();
@@ -185,8 +185,8 @@ fn main() -> ExitCode {
 
     // ---- Phase 1: single-node sequential baseline ------------------
     eprintln!("phase 1: single-node baseline over {n_questions} questions…");
-    let mut baseline = exp.copilot(Experiment::gpt4());
-    let (baseline_correct, baseline_wall, _) = score(&exp, &mut baseline);
+    let baseline = exp.copilot(Experiment::gpt4());
+    let (baseline_correct, baseline_wall, _) = score(&exp, &baseline);
     let baseline_qps = n_questions as f64 / baseline_wall.max(1e-9);
     eprintln!(
         "  baseline EX {baseline_correct}/{n_questions} in {baseline_wall:.2}s ({baseline_qps:.1} qps)"
@@ -201,7 +201,7 @@ fn main() -> ExitCode {
         cluster.load_from(&exp.world.store).expect("cluster load");
         let mut copilot = exp.copilot(Experiment::gpt4());
         copilot.attach_store_resolver(cluster.clone() as Arc<dyn StoreResolver>);
-        let (correct, wall, shard_breakdown) = score(&exp, &mut copilot);
+        let (correct, wall, shard_breakdown) = score(&exp, &copilot);
         let delta = correct as i64 - baseline_correct as i64;
         eprintln!(
             "  {shards} shard(s): EX {correct}/{n_questions} (Δ{delta:+}) in {wall:.2}s ({:.1} qps)",

@@ -210,7 +210,7 @@ pub fn scored(answer: Option<f64>, reference: f64) -> bool {
 /// The sequential baseline: one copilot asks every question in order.
 /// Returns whether each answer scored; `each` sees every response.
 pub fn sequential(
-    copilot: &mut DioCopilot,
+    copilot: &DioCopilot,
     questions: &[BenchmarkQuestion],
     eval_ts: i64,
     mut each: impl FnMut(&CopilotResponse),

@@ -109,7 +109,7 @@ fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShotExam
 
 /// Ask `meta` each `(question, instrument)` case as of `ts`, checking
 /// the answer against the instrument's total in `truth`.
-fn ask_about(meta: &mut DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i64) -> Vec<SelfQa> {
+fn ask_about(meta: &DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i64) -> Vec<SelfQa> {
     cases
         .iter()
         .map(|&(question, metric)| {
@@ -248,8 +248,8 @@ pub fn run_self_observation(n_questions: usize, fault_p: f64) -> SelfObserveOutc
         ),
         ("How many benchmark questions were evaluated?", dio_benchmark::eval::QUESTIONS_NAME),
     ];
-    let mut meta = meta_copilot(catalog, obs_store, self_exemplars());
-    let qa = ask_about(&mut meta, &snap, &cases, last_ts);
+    let meta = meta_copilot(catalog, obs_store, self_exemplars());
+    let qa = ask_about(&meta, &snap, &cases, last_ts);
 
     SelfObserveOutcome {
         chunk_reports,

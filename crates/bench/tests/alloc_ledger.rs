@@ -90,13 +90,13 @@ fn counted<T>(into: &mut Tally, f: impl FnOnce() -> T) -> T {
 /// in allocations per ask: the larger pass's count + 2 %. Debug, release
 /// and one-core runs count the same.
 const LAYERS: [(&str, f64); 8] = [
-    ("copilot.ask", 398.12),
+    ("copilot.ask", 397.07),
     ("embed.question", 12.79),
     ("copilot.retrieve_vec", 28.56),
     ("llm.prompt_build", 11.22),
     ("llm.complete", 124.57),
     ("promql.parse", 11.95),
-    ("sandbox.execute", 87.31),
+    ("sandbox.execute", 86.53),
     ("dashboard.generate", 20.17),
 ];
 
@@ -119,9 +119,9 @@ fn ask_path_allocations_stay_under_their_ceilings() {
     let ts = exp.world.eval_ts;
     let db = exp.world.domain_db();
     let config = CopilotConfig::default();
-    let mut copilot = exp.copilot(Experiment::gpt4());
+    let copilot = exp.copilot(Experiment::gpt4());
     let model = SimulatedModel::new(ModelProfile::gpt4_sim());
-    let mut sandbox = Sandbox::new(exp.world.store.clone(), SafetyPolicy::default());
+    let sandbox = Sandbox::new(exp.world.store.clone(), SafetyPolicy::default());
     let window = model.context_window();
     let reserved = config.max_output_tokens.min(window / 4);
     let exemplar_pieces: Vec<PromptPiece> =

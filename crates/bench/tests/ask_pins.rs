@@ -44,7 +44,7 @@ fn bill(
     model: Box<dyn FoundationModel>,
     config: CopilotConfig,
 ) -> (usize, usize, f64, usize) {
-    let mut copilot = exp.copilot_with_config(model, config);
+    let copilot = exp.copilot_with_config(model, config);
     let mut total = (0, 0, 0.0, 0);
     for q in &exp.questions {
         let r = copilot.ask(&q.text, exp.world.eval_ts);

@@ -64,7 +64,7 @@ impl Fnv {
 
 /// All 200 questions through a copilot; what the ask derives from the
 /// query (the dashboard is on by default) is part of what is pinned.
-fn dio(mut copilot: DioCopilot) -> u64 {
+fn dio(copilot: DioCopilot) -> u64 {
     let exp = exp();
     let mut h = Fnv::new();
     for q in &exp.questions {

@@ -28,7 +28,7 @@
 //! use dio_copilot::{CopilotBuilder, CopilotConfig};
 //! # let db = dio_catalog::DomainDb::standard();
 //! # let store = dio_tsdb::MetricStore::new();
-//! let mut copilot = CopilotBuilder::new(db, store).build();
+//! let copilot = CopilotBuilder::new(db, store).build();
 //! let response = copilot.ask("How many PDU sessions are currently active?", 0);
 //! println!("{}", response.render());
 //! ```
@@ -47,7 +47,7 @@ pub use answer::CopilotResponse;
 pub use config::CopilotConfig;
 pub use error::CopilotError;
 pub use extractor::{ContextExtractor, RetrievalMode};
-pub use pipeline::{AskRequest, CopilotBuilder, DioCopilot};
+pub use pipeline::{AskRequest, CopilotBuilder, DioCopilot, Knowledge};
 pub use recovery::{DegradationLevel, RecoveryPolicy};
 pub use session::ChatSession;
 pub use trace::ShardTiming;

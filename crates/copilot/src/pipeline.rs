@@ -11,13 +11,13 @@ use dio_catalog::DomainDb;
 use dio_dashboard::{generate_dashboard, PanelSpecHint, TimeRange};
 use dio_feedback::{Contribution, IssueId, IssueTracker, TrackerError};
 use dio_llm::{
-    CompletionRequest, CostMeter, FewShotExample, FoundationModel, ModelProfile, ObservedModel,
-    PromptBuilder, PromptPiece, SimulatedModel, TaskKind, TokenUsage,
+    CompletionRequest, FewShotExample, FoundationModel, ModelProfile, ObservedModel, PromptBuilder,
+    PromptPiece, SimulatedModel, TaskKind, TokenUsage,
 };
 use dio_obs::{Buckets, Budget, ObsHub, SpanContext, TraceStatus};
 use dio_sandbox::{SafetyPolicy, Sandbox};
 use dio_tsdb::MetricStore;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Builder for [`DioCopilot`].
@@ -84,62 +84,64 @@ impl CopilotBuilder {
         let inner = self
             .model
             .unwrap_or_else(|| Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
-        let model: Box<dyn FoundationModel> =
-            Box::new(ObservedModel::new(inner, self.obs.registry().clone()));
+        let model = ObservedModel::new(inner, self.obs.registry().clone());
         let mut sandbox = Sandbox::new(self.store, self.policy);
         sandbox.attach_obs(self.obs.registry().clone());
-        let breaker = CircuitBreaker::new(&self.config.recovery);
-        let knowledge = Arc::new(Knowledge::build(0, self.db, self.exemplars, &self.config));
+        let knowledge = Knowledge::build(0, self.db, self.exemplars, &self.config);
         DioCopilot {
-            published: Arc::new(RwLock::new(Arc::clone(&knowledge))),
-            knowledge,
+            published: Arc::new(RwLock::new(Published {
+                knowledge: Arc::new(knowledge),
+                tracker: IssueTracker::new(),
+            })),
+            breaker: Mutex::new(CircuitBreaker::new(&self.config.recovery)),
             sandbox,
             config: self.config,
-            model,
-            tracker: IssueTracker::new(),
-            meter: CostMeter::new(),
-            breaker,
+            model: Arc::new(model),
             obs: self.obs,
         }
     }
 }
 
-/// The assembled copilot.
+/// The assembled copilot, asked through `&self` from any number of
+/// threads at once.
 ///
 /// The expert knowledge — the domain DB, the embedded retrieval index
 /// with its rendered context lines, the few-shot pool and its rendered
-/// prompt pieces — is one immutable `Knowledge` value, published in a
-/// cell that [`DioCopilot::fork_with_model`] shares with every fork, so
-/// forks never re-run the offline embedding pass. The metric store is
-/// shared by handle inside the sandbox engine. Each copilot asks from
-/// its own snapshot of the knowledge, taking no lock;
-/// [`DioCopilot::resolve_issue`] publishes the next value and
-/// [`DioCopilot::load_knowledge`] picks up the latest. Per-request and
-/// per-worker mutable state (sandbox audit log, cost meter, circuit
-/// breaker, issue tracker) stays owned.
+/// prompt pieces — is one immutable [`Knowledge`] value, published in a
+/// cell beside the issue tracker. An ask reads one snapshot of it, taking
+/// the read lock only to clone the `Arc`; [`DioCopilot::resolve_issue`]
+/// publishes the next value under the write lock. Clones share that
+/// cell, the metric store, the model and the hub, so an issue raised
+/// through one resolves through any other. The circuit breaker is the
+/// one mutable state a copilot keeps for itself, behind a mutex held
+/// only to consult or update it, never across a model call.
 pub struct DioCopilot {
     config: CopilotConfig,
-    /// The knowledge this copilot's asks read.
-    knowledge: Arc<Knowledge>,
-    /// The latest knowledge, shared with the prototype and every fork.
-    published: Arc<RwLock<Arc<Knowledge>>>,
-    model: Box<dyn FoundationModel>,
+    /// The latest knowledge and the issues raised against it, shared
+    /// with every clone.
+    published: Arc<RwLock<Published>>,
+    model: Arc<dyn FoundationModel>,
     sandbox: Sandbox,
-    tracker: IssueTracker,
-    meter: CostMeter,
-    breaker: CircuitBreaker,
+    breaker: Mutex<CircuitBreaker>,
     obs: ObsHub,
+}
+
+/// The cell a copilot shares with its clones: the latest knowledge and
+/// the issue tracker, changed together under one lock.
+struct Published {
+    knowledge: Arc<Knowledge>,
+    tracker: IssueTracker,
 }
 
 /// What experts teach the copilot, as one value: replaced whole when an
 /// issue is resolved, never changed in place, so an ask that holds one
 /// reads a catalog, an index and prompt pieces that agree.
-struct Knowledge {
+pub struct Knowledge {
     /// Number of expert-knowledge updates this value is the result of.
     /// Serving-tier caches stamp their entries with it.
     generation: u64,
     db: DomainDb,
-    extractor: ContextExtractor,
+    extractor: Arc<ContextExtractor>,
     exemplars: Vec<FewShotExample>,
     /// One prompt block per exemplar and the lines of the first four
     /// expert functions, rendered and priced with the value, never
@@ -159,7 +161,7 @@ impl Knowledge {
         let (tuned, mode) = (config.domain_embedder, config.retrieval);
         Knowledge {
             generation,
-            extractor: ContextExtractor::build_with_mode(&db, tuned, mode),
+            extractor: Arc::new(ContextExtractor::build_with_mode(&db, tuned, mode)),
             example_pieces: exemplars.iter().map(PromptPiece::example).collect(),
             function_pieces: db
                 .functions()
@@ -170,6 +172,16 @@ impl Knowledge {
             exemplars,
         }
     }
+
+    /// Number of expert-knowledge updates this value is the result of.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The context extractor over this value's domain DB.
+    pub fn extractor(&self) -> &ContextExtractor {
+        &self.extractor
+    }
 }
 
 /// One ask: the question, when to evaluate it, and how much of the
@@ -177,15 +189,20 @@ impl Knowledge {
 /// [`AskRequest::new`] unchanged; a serving tier fills in the rest per
 /// request (its brownout ladder lowers the three fidelity fields under
 /// load). The copilot stores none of it.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AskRequest<'a> {
     /// The natural-language question.
     pub question: &'a str,
     /// Evaluation timestamp (ms) the question is asked as of.
     pub ts: i64,
+    /// The knowledge snapshot to ask from ([`DioCopilot::knowledge`]);
+    /// `None` asks from the latest published. A serving worker passes
+    /// the snapshot it keyed its caches with and embedded the question
+    /// by, so the three agree.
+    pub knowledge: Option<&'a Knowledge>,
     /// A precomputed question embedding, so retrieval skips
     /// re-embedding (the serving layer's embedding cache). It must come
-    /// from this pipeline's extractor
+    /// from the extractor of the knowledge asked from
     /// ([`ContextExtractor::embed_question`]).
     pub qvec: Option<&'a dio_embed::Vector>,
     /// A caller-owned trace: every pipeline stage span parents under
@@ -207,6 +224,10 @@ pub struct AskRequest<'a> {
     /// on the degraded direct-lookup fallback) while the real breaker
     /// — including any cooldown in flight — is left as it was.
     pub model: bool,
+    /// The model this ask calls; `None` calls the copilot's own. A
+    /// serving worker passes its own (its fault schedule, its gateway
+    /// handle), wrapped for observation once, when it is spawned.
+    pub llm: Option<&'a dyn FoundationModel>,
 }
 
 impl<'a> AskRequest<'a> {
@@ -217,28 +238,30 @@ impl<'a> AskRequest<'a> {
         AskRequest {
             question,
             ts,
+            knowledge: None,
             qvec: None,
             parent: None,
             budget: Budget::unbounded(),
             top_k_cap: usize::MAX,
             repair_round_cap: usize::MAX,
             model: true,
+            llm: None,
         }
     }
 }
 
 /// What one ask carries from stage to stage, so the stages take it
-/// instead of a dozen loose arguments: the request, where its spans
-/// go, and what it has spent so far.
+/// instead of a dozen loose arguments: the request, the knowledge and
+/// model it reads, where its spans go, and what it has spent so far.
 struct Ask<'a> {
     req: AskRequest<'a>,
+    knowledge: &'a Knowledge,
+    model: &'a dyn FoundationModel,
     obs: ObsHub,
     /// The span every stage parents under (the request's, or the root
     /// of the trace this ask opened).
     span: SpanContext,
     ask_start: Instant,
-    /// Breaker trips before this ask, to report the ones it caused.
-    trips_before: usize,
     usage: TokenUsage,
     stats: RecoveryStats,
     /// The model's context window and the completion room reserved in
@@ -302,15 +325,38 @@ impl ExecResolution {
     }
 }
 
+impl Clone for DioCopilot {
+    /// A second copilot over the same published knowledge and issue
+    /// tracker, metric store, model and hub. The breaker is copied, so
+    /// each copilot trips on its own.
+    fn clone(&self) -> Self {
+        DioCopilot {
+            config: self.config.clone(),
+            published: Arc::clone(&self.published),
+            model: Arc::clone(&self.model),
+            sandbox: self.sandbox.clone(),
+            breaker: Mutex::new(self.breaker().clone()),
+            obs: self.obs.clone(),
+        }
+    }
+}
+
 impl DioCopilot {
-    /// The issue tracker.
-    pub fn tracker(&self) -> &IssueTracker {
-        &self.tracker
+    /// The latest published knowledge: a snapshot that stays as it is
+    /// whatever is resolved after it was taken. Pass it as
+    /// [`AskRequest::knowledge`] to ask from it.
+    pub fn knowledge(&self) -> Arc<Knowledge> {
+        let published = self.published.read();
+        Arc::clone(&published.unwrap_or_else(PoisonError::into_inner).knowledge)
     }
 
-    /// Accumulated cost meter.
-    pub fn meter(&self) -> &CostMeter {
-        &self.meter
+    /// A copy of the issue tracker as it stands now.
+    pub fn tracker(&self) -> IssueTracker {
+        let published = self.published.read();
+        published
+            .unwrap_or_else(PoisonError::into_inner)
+            .tracker
+            .clone()
     }
 
     /// The query engine (for rendering dashboards etc.).
@@ -318,9 +364,9 @@ impl DioCopilot {
         self.sandbox.engine()
     }
 
-    /// The context extractor.
-    pub fn extractor(&self) -> &ContextExtractor {
-        &self.knowledge.extractor
+    /// The context extractor of the latest published knowledge.
+    pub fn extractor(&self) -> Arc<ContextExtractor> {
+        Arc::clone(&self.knowledge().extractor)
     }
 
     /// The model in use.
@@ -328,10 +374,18 @@ impl DioCopilot {
         self.model.name()
     }
 
-    /// The model-call circuit breaker (state persists across asks).
-    #[cfg(test)]
-    pub(crate) fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
+    /// The model-call circuit breaker (state persists across asks). A
+    /// panic while it was held left it whole: every update is one call.
+    fn breaker(&self) -> MutexGuard<'_, CircuitBreaker> {
+        self.breaker.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published cell, locked for writing. A panic mid-update leaves
+    /// the old value in place, so a poisoned lock still holds a whole one.
+    fn publish(&self) -> RwLockWriteGuard<'_, Published> {
+        self.published
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The observability hub: metrics registry + span tracer. Scrape
@@ -344,75 +398,23 @@ impl DioCopilot {
     /// Route the sandbox's store lookups through a
     /// [`dio_sandbox::StoreResolver`] — the hook a sharded data plane
     /// (cluster router) uses to serve this pipeline from many shard
-    /// stores instead of the resident one. Forks inherit the resolver,
+    /// stores instead of the resident one. Clones inherit the resolver,
     /// so a serving pool spawned from this copilot is cluster-backed
     /// end to end.
     pub fn attach_store_resolver(&mut self, resolver: Arc<dyn dio_sandbox::StoreResolver>) {
         self.sandbox.attach_store_resolver(resolver);
     }
 
-    /// Swap the foundation model without rebuilding the retrieval
-    /// index — e.g. to change a fault schedule between experiment runs.
-    /// The new model is wrapped for observation like the original.
-    pub fn replace_model(&mut self, model: Box<dyn FoundationModel>) {
-        self.model = Box::new(ObservedModel::new(model, self.obs.registry().clone()));
-    }
-
     /// Install a new recovery policy and reset the circuit breaker to
     /// its closed state.
     pub fn set_recovery(&mut self, policy: RecoveryPolicy) {
-        self.breaker = CircuitBreaker::new(&policy);
+        self.breaker = Mutex::new(CircuitBreaker::new(&policy));
         self.config.recovery = policy;
-    }
-
-    /// Switch this copilot's asks to the latest published knowledge —
-    /// [`DioCopilot::resolve_issue`] on it or on any copilot it was
-    /// forked from or forked — and return that knowledge's generation.
-    /// A serving worker loads once per job, so everything the job reads
-    /// or caches comes from one snapshot stamped with that generation.
-    pub fn load_knowledge(&mut self) -> u64 {
-        // The guard ends with the block, before the snapshot this
-        // replaces (perhaps its last holder) is dropped.
-        self.knowledge = {
-            let published = self.published.read();
-            Arc::clone(&published.unwrap_or_else(PoisonError::into_inner))
-        };
-        self.knowledge.generation
-    }
-
-    /// Stamp out an independent pipeline instance sharing this
-    /// copilot's knowledge (its snapshot and the published cell) and
-    /// the resident metric store by `Arc` handle, not by copy. The fork
-    /// gets its own model (wrapped for observation like the original),
-    /// sandbox (fresh audit log over the shared store), circuit
-    /// breaker, cost meter, and issue tracker, so forks never contend
-    /// on mutable state: this is the worker-pool constructor for the
-    /// serving layer.
-    pub fn fork_with_model(&self, model: Box<dyn FoundationModel>) -> DioCopilot {
-        let model: Box<dyn FoundationModel> =
-            Box::new(ObservedModel::new(model, self.obs.registry().clone()));
-        let mut sandbox =
-            Sandbox::new_shared(self.sandbox.store_arc(), self.sandbox.policy().clone());
-        sandbox.attach_obs(self.obs.registry().clone());
-        if let Some(resolver) = self.sandbox.store_resolver() {
-            sandbox.attach_store_resolver(resolver);
-        }
-        DioCopilot {
-            config: self.config.clone(),
-            knowledge: Arc::clone(&self.knowledge),
-            published: Arc::clone(&self.published),
-            model,
-            sandbox,
-            tracker: IssueTracker::new(),
-            meter: CostMeter::new(),
-            breaker: CircuitBreaker::new(&self.config.recovery),
-            obs: self.obs.clone(),
-        }
     }
 
     /// Answer a question, evaluating data at timestamp `ts`:
     /// [`DioCopilot::ask_with`] on the defaults of [`AskRequest::new`].
-    pub fn ask(&mut self, question: &str, ts: i64) -> CopilotResponse {
+    pub fn ask(&self, question: &str, ts: i64) -> CopilotResponse {
         self.ask_with(AskRequest::new(question, ts))
     }
 
@@ -439,17 +441,27 @@ impl DioCopilot {
     ///
     /// Nothing the request asks for is stored on the copilot: the next
     /// ask starts from the configured fidelity whatever this one did,
-    /// and however it ended.
-    pub fn ask_with(&mut self, req: AskRequest<'_>) -> CopilotResponse {
+    /// and however it ended. Only the circuit breaker carries over.
+    pub fn ask_with(&self, req: AskRequest<'_>) -> CopilotResponse {
         let obs = self.obs.clone();
         let span = req
             .parent
             .unwrap_or_else(|| obs.tracer().begin_trace(req.question));
-        let window = self.model.context_window();
+        let latest;
+        let knowledge = match req.knowledge {
+            Some(knowledge) => knowledge,
+            None => {
+                latest = self.knowledge();
+                &latest
+            }
+        };
+        let model = req.llm.unwrap_or(self.model.as_ref());
+        let window = model.context_window();
         let mut ask = Ask {
+            knowledge,
+            model,
             span,
             ask_start: Instant::now(),
-            trips_before: self.breaker.trips(),
             usage: TokenUsage::default(),
             stats: RecoveryStats::default(),
             window,
@@ -477,7 +489,7 @@ impl DioCopilot {
         // with it the degraded fallback) functional.
         let top_k = self.config.top_k.min(ask.req.top_k_cap.max(1));
         let (hits, retrieval) = ask.stage("retrieve", |ask, _| {
-            self.knowledge
+            ask.knowledge
                 .extractor
                 .retrieve_with_stats_vec(question, ask.req.qvec, top_k)
         });
@@ -542,7 +554,7 @@ impl DioCopilot {
         let relevant_metrics: Vec<RelevantMetric> = shown
             .iter()
             .filter_map(|n| {
-                self.knowledge.db.metric(n).map(|m| RelevantMetric {
+                knowledge.db.metric(n).map(|m| RelevantMetric {
                     name: m.name.clone(),
                     description: first_sentence(&m.description),
                 })
@@ -553,7 +565,7 @@ impl DioCopilot {
         let dashboard = if self.config.generate_dashboards {
             let hints: Vec<PanelSpecHint> = shown
                 .iter()
-                .filter_map(|n| self.knowledge.db.metric(n))
+                .filter_map(|n| knowledge.db.metric(n))
                 .map(|m| PanelSpecHint {
                     name: m.name.clone(),
                     title: format!("{} ({})", m.procedure_display, m.name),
@@ -610,12 +622,7 @@ impl DioCopilot {
     /// it opened as `status`. Under a serving tier the caller owns the
     /// root and stamps the status after its own bookkeeping (cache
     /// fill, reply).
-    fn wind_down(
-        &mut self,
-        mut ask: Ask<'_>,
-        status: TraceStatus,
-    ) -> (TokenUsage, f64, PipelineTrace) {
-        ask.stats.breaker_trips = self.breaker.trips().saturating_sub(ask.trips_before);
+    fn wind_down(&self, ask: Ask<'_>, status: TraceStatus) -> (TokenUsage, f64, PipelineTrace) {
         ask.obs
             .registry()
             .histogram(
@@ -624,8 +631,7 @@ impl DioCopilot {
                 &Buckets::latency_micros(),
             )
             .observe(dio_obs::micros_u64(ask.ask_start.elapsed()) as f64);
-        let cost_cents = self.model.pricing().cost_cents(ask.usage);
-        self.meter.record(ask.usage, self.model.pricing());
+        let cost_cents = ask.model.pricing().cost_cents(ask.usage);
         let trace =
             PipelineTrace::from_spans(&ask.obs.tracer().spans(ask.span.trace_id), ask.stats);
         if ask.req.parent.is_none() {
@@ -640,7 +646,7 @@ impl DioCopilot {
     /// trace as [`TraceStatus::DeadlineExceeded`], its own outcome
     /// class. No answer counter and no `answered` event: a deadline
     /// abort is not an answer.
-    fn deadline_abort(&mut self, ask: Ask<'_>, query: String, stage: &str) -> CopilotResponse {
+    fn deadline_abort(&self, ask: Ask<'_>, query: String, stage: &str) -> CopilotResponse {
         ask.obs
             .registry()
             .counter_with(
@@ -688,7 +694,7 @@ impl DioCopilot {
         hits: &[Retrieved],
         task: TaskKind,
     ) -> CompletionRequest {
-        let knowledge = &self.knowledge;
+        let knowledge = ask.knowledge;
         let examples = knowledge.example_pieces.iter();
         let prompt = PromptBuilder::new()
             .system(system)
@@ -708,7 +714,7 @@ impl DioCopilot {
     /// One `generate` stage: a model call under the recovery policy,
     /// yielding the trimmed query text.
     fn generate(
-        &mut self,
+        &self,
         ask: &mut Ask<'_>,
         request: &CompletionRequest,
     ) -> Result<String, CopilotError> {
@@ -726,7 +732,7 @@ impl DioCopilot {
     /// trace-clock offset, so a post-mortem can prove no call started
     /// after the deadline.
     fn call_model(
-        &mut self,
+        &self,
         ask: &mut Ask<'_>,
         request: &CompletionRequest,
     ) -> Result<String, CopilotError> {
@@ -740,9 +746,11 @@ impl DioCopilot {
             // A model-off ask is refused the way an open breaker
             // refuses, without consulting (or moving) the real one.
             let admitted = ask.req.model && {
-                let gate = self.breaker.state();
-                let admitted = self.breaker.allow();
-                note_breaker_transition(&ask.obs, &ask.span, gate, self.breaker.state());
+                let mut breaker = self.breaker();
+                let (gate, admitted) = (breaker.state(), breaker.allow());
+                let now = breaker.state();
+                drop(breaker);
+                note_breaker_transition(&ask.obs, &ask.span, gate, now);
                 admitted
             };
             if !admitted {
@@ -756,14 +764,17 @@ impl DioCopilot {
             ask.obs
                 .tracer()
                 .event(&ask.span, "model_call", &[("at_micros", &at)]);
-            let result = self.model.complete(request);
-            let before = self.breaker.state();
+            let result = ask.model.complete(request);
+            let mut breaker = self.breaker();
+            let before = breaker.state();
             if result.is_ok() {
-                self.breaker.record_success();
-            } else {
-                self.breaker.record_failure();
+                breaker.record_success();
+            } else if breaker.record_failure() {
+                ask.stats.breaker_trips += 1;
             }
-            note_breaker_transition(&ask.obs, &ask.span, before, self.breaker.state());
+            let now = breaker.state();
+            drop(breaker);
+            note_breaker_transition(&ask.obs, &ask.span, before, now);
             let e = match result {
                 Ok(c) => {
                     ask.usage.add(c.usage);
@@ -806,7 +817,7 @@ impl DioCopilot {
     /// sandbox rejection and falling back to a degraded direct metric
     /// lookup when recovery is exhausted (or generation itself failed).
     fn execute_with_repair(
-        &mut self,
+        &self,
         ask: &mut Ask<'_>,
         generated: Result<String, CopilotError>,
         hits: &[Retrieved],
@@ -949,7 +960,7 @@ impl DioCopilot {
     /// [`DegradationLevel::Degraded`] and carrying the error that
     /// forced the fallback.
     fn degraded_fallback(
-        &mut self,
+        &self,
         ask: &mut Ask<'_>,
         failed_query: String,
         error: CopilotError,
@@ -993,8 +1004,8 @@ impl DioCopilot {
     }
 
     /// File an expert-help issue for a response (the raise-hand button).
-    pub fn request_expert_help(&mut self, response: &CopilotResponse) -> IssueId {
-        self.tracker.raise_hand(
+    pub fn request_expert_help(&self, response: &CopilotResponse) -> IssueId {
+        self.publish().tracker.raise_hand(
             &response.question,
             response
                 .relevant_metrics
@@ -1009,23 +1020,22 @@ impl DioCopilot {
     /// merges into the domain DB (attributed), exemplars extend the
     /// few-shot pool, and the retrieval index (with its context lines)
     /// and the prompt pieces are rebuilt into the next knowledge value,
-    /// built from the published one. This copilot's next ask reads it,
-    /// and every copilot sharing the cell reads it from its next
-    /// [`DioCopilot::load_knowledge`].
+    /// built from the published one. The next ask of this copilot or of
+    /// any clone reads it; a snapshot taken before keeps the old value.
     pub fn resolve_issue(
-        &mut self,
+        &self,
         id: IssueId,
         expert_id: &str,
         contribution: Contribution,
     ) -> Result<(), TrackerError> {
         // Built under the write lock, so two writers cannot lose each
-        // other's update. A panic mid-build leaves the old value in
-        // place, so a poisoned lock still holds a whole one.
-        let published = self.published.write();
-        let mut published = published.unwrap_or_else(PoisonError::into_inner);
-        let mut db = published.db.clone();
-        let exemplar = self.tracker.resolve(id, expert_id, contribution, &mut db)?;
-        let mut exemplars = published.exemplars.clone();
+        // other's update.
+        let mut published = self.publish();
+        let mut db = published.knowledge.db.clone();
+        let exemplar = published
+            .tracker
+            .resolve(id, expert_id, contribution, &mut db)?;
+        let mut exemplars = published.knowledge.exemplars.clone();
         if let Some((question, metrics, promql)) = exemplar {
             exemplars.push(FewShotExample {
                 question,
@@ -1033,11 +1043,8 @@ impl DioCopilot {
                 promql,
             });
         }
-        let next = Knowledge::build(published.generation + 1, db, exemplars, &self.config);
-        let next = Arc::new(next);
-        *published = Arc::clone(&next);
-        drop(published);
-        self.knowledge = next;
+        let generation = published.knowledge.generation + 1;
+        published.knowledge = Arc::new(Knowledge::build(generation, db, exemplars, &self.config));
         Ok(())
     }
 }
@@ -1137,7 +1144,7 @@ mod tests {
 
     #[test]
     fn answers_count_question_numerically() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask(
             "How many initial registration attempts did the AMF handle?",
             ts,
@@ -1156,7 +1163,7 @@ mod tests {
 
     #[test]
     fn answers_success_rate_with_ratio_query() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask(
             "What is the initial registration procedure success rate at the AMF?",
             ts,
@@ -1172,7 +1179,7 @@ mod tests {
 
     #[test]
     fn response_lists_relevant_metrics_with_descriptions() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask("How many paging attempts were there?", ts);
         assert!(!r.relevant_metrics.is_empty());
         assert!(r.relevant_metrics[0].description.contains("The"));
@@ -1182,7 +1189,7 @@ mod tests {
 
     #[test]
     fn dashboard_is_generated_when_enabled() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask("How many authentication requests per second?", ts);
         let d = r.dashboard.expect("dashboard");
         assert!(!d.panels.is_empty());
@@ -1191,7 +1198,7 @@ mod tests {
     #[test]
     fn dashboards_can_be_disabled() {
         let (db, store, ts) = world();
-        let mut cp = CopilotBuilder::new(db, store)
+        let cp = CopilotBuilder::new(db, store)
             .config(CopilotConfig {
                 generate_dashboards: false,
                 ..CopilotConfig::default()
@@ -1204,8 +1211,8 @@ mod tests {
 
     #[test]
     fn asks_are_deterministic() {
-        let (mut cp1, ts) = copilot();
-        let (mut cp2, _) = copilot();
+        let (cp1, ts) = copilot();
+        let (cp2, _) = copilot();
         let q = "What is the service request success rate?";
         let a = cp1.ask(q, ts);
         let b = cp2.ask(q, ts);
@@ -1215,19 +1222,23 @@ mod tests {
 
     #[test]
     fn meter_accumulates_over_queries() {
-        let (mut cp, ts) = copilot();
-        cp.ask("How many paging attempts?", ts);
-        cp.ask("How many service requests?", ts);
-        assert_eq!(cp.meter().queries(), 2);
-        assert!(cp.meter().mean_cents_per_query() > 0.0);
+        // The observed model meters every call into the registry: its
+        // cost counter is the sum of what the responses were billed.
+        let (cp, ts) = copilot();
+        let billed = cp.ask("How many paging attempts?", ts).cost_cents
+            + cp.ask("How many service requests?", ts).cost_cents;
+        let snap = cp.obs().registry().snapshot();
+        assert_eq!(snap.total("dio_llm_model_calls_total"), 2.0);
+        assert!(billed > 0.0);
+        assert!((snap.total("dio_llm_cost_cents_total") - billed).abs() < 1e-9);
     }
 
     #[test]
     fn feedback_loop_grows_exemplars_and_reindexes() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask("What is the LCS NI-LR procedure success rate?", ts);
         let issue = cp.request_expert_help(&r);
-        let before = cp.knowledge.exemplars.len();
+        let before = cp.knowledge().exemplars.len();
         cp.resolve_issue(
             issue,
             "expert:alice",
@@ -1242,13 +1253,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(cp.knowledge.exemplars.len(), before + 1);
+        assert_eq!(cp.knowledge().exemplars.len(), before + 1);
         assert_eq!(cp.tracker().len(), 1);
     }
 
     #[test]
     fn note_contribution_becomes_retrievable() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask("How do I inspect the frobnicator wobble index?", ts);
         let issue = cp.request_expert_help(&r);
         cp.resolve_issue(
@@ -1342,7 +1353,7 @@ mod tests {
 
     #[test]
     fn transient_model_failure_is_retried_to_success() {
-        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+        let (cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(1),
         }));
@@ -1362,7 +1373,7 @@ mod tests {
 
     #[test]
     fn malformed_query_is_repaired_in_sandbox_loop() {
-        let (mut cp, ts) = copilot_with_model(Box::new(CorruptFirst {
+        let (cp, ts) = copilot_with_model(Box::new(CorruptFirst {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             corrupted: std::sync::Mutex::new(false),
         }));
@@ -1387,7 +1398,7 @@ mod tests {
 
     #[test]
     fn total_outage_degrades_to_top_metric_lookup() {
-        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+        let (cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(usize::MAX),
         }));
@@ -1412,7 +1423,7 @@ mod tests {
 
     #[test]
     fn open_breaker_skips_model_calls_on_subsequent_asks() {
-        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+        let (cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(usize::MAX),
         }));
@@ -1433,7 +1444,7 @@ mod tests {
     #[test]
     fn disabled_recovery_surfaces_failures_unrepaired() {
         let (db, store, ts) = world();
-        let mut cp = CopilotBuilder::new(db, store)
+        let cp = CopilotBuilder::new(db, store)
             .config(CopilotConfig {
                 recovery: crate::recovery::RecoveryPolicy::disabled(),
                 ..CopilotConfig::default()
@@ -1457,15 +1468,14 @@ mod tests {
     #[test]
     fn cost_is_in_the_papers_ballpark() {
         // §4.2.5: average 4.25 cents per query with GPT-4 pricing.
-        let (mut cp, ts) = copilot();
-        for q in [
+        let (cp, ts) = copilot();
+        let questions = [
             "How many initial registration attempts did the AMF handle?",
             "What is the paging success rate?",
             "How many authentication requests per second?",
-        ] {
-            cp.ask(q, ts);
-        }
-        let mean = cp.meter().mean_cents_per_query();
+        ];
+        let billed: f64 = questions.iter().map(|q| cp.ask(q, ts).cost_cents).sum();
+        let mean = billed / questions.len() as f64;
         assert!(
             (1.5..=8.0).contains(&mean),
             "mean cost {mean}¢ outside plausible band"
@@ -1474,7 +1484,7 @@ mod tests {
 
     #[test]
     fn registry_reflects_pipeline_activity() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         cp.ask("How many paging attempts?", ts);
         cp.ask("How many service requests?", ts);
         let snap = cp.obs().registry().snapshot();
@@ -1513,7 +1523,7 @@ mod tests {
 
     #[test]
     fn breaker_transitions_and_retries_are_counted() {
-        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+        let (cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(usize::MAX),
         }));
@@ -1568,7 +1578,7 @@ mod tests {
 
     #[test]
     fn default_config_keeps_answers_complete_and_chaos_free() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask("How many paging attempts?", ts);
         assert!(r.error.is_none(), "{:?}", r.error);
         assert!(r.numeric_answer.is_some());
@@ -1606,8 +1616,9 @@ mod tests {
     }
 
     /// Compile-time Send/Sync audit for the shared serving state: a
-    /// worker pool moves whole pipelines across threads (`Send`) and
-    /// shares the knowledge and the tsdb by reference (`Sync`), and the
+    /// worker pool shares one copilot behind an `Arc` (`Sync`, with the
+    /// published cell, the breaker and the sandbox inside it), every
+    /// worker asks from knowledge snapshots it holds by `Arc`, and the
     /// model gateway calls one shared upstream from every worker at
     /// once (`Sync` models). A regression here (an `Rc`, a `RefCell` in
     /// shared state) fails compilation, not runtime.
@@ -1615,49 +1626,58 @@ mod tests {
     fn shared_pipeline_state_is_send_and_sync() {
         fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send::<DioCopilot>();
-        assert_send_sync::<Box<dyn FoundationModel>>();
+        assert_send_sync::<Arc<DioCopilot>>();
+        assert_send_sync::<RwLock<Published>>();
+        assert_send_sync::<Mutex<CircuitBreaker>>();
+        assert_send_sync::<Sandbox>();
+        assert_send_sync::<Arc<Knowledge>>();
+        assert_send_sync::<Arc<dyn FoundationModel>>();
         assert_send::<CopilotResponse>();
-        assert_send_sync::<Knowledge>();
         assert_send_sync::<MetricStore>();
         assert_send_sync::<ObsHub>();
     }
 
+    /// Everything a response says but its timings, as text.
+    fn untimed(r: &CopilotResponse) -> String {
+        let mut r = r.clone();
+        let recovery = std::mem::take(&mut r.trace.recovery);
+        r.trace = PipelineTrace::default();
+        format!("{r:?} {recovery:?}")
+    }
+
     #[test]
-    fn forks_share_state_and_answer_identically() {
+    fn threads_sharing_one_copilot_answer_as_in_sequence() {
         let (cp, ts) = copilot();
-        let mut forks: Vec<DioCopilot> = (0..2)
-            .map(|_| cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim()))))
+        let questions = [
+            "How many initial registration attempts did the AMF handle?",
+            "What is the paging success rate at the AMF?",
+            "How many authentication requests per second?",
+            "How do I inspect the frobnicator wobble index?",
+        ];
+        let in_sequence: Vec<String> = questions.iter().map(|q| untimed(&cp.ask(q, ts))).collect();
+        let cp = Arc::new(cp);
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let cp = Arc::clone(&cp);
+                std::thread::spawn(move || {
+                    questions
+                        .iter()
+                        .map(|q| untimed(&cp.ask(q, ts)))
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
-        // Shared by handle, not by copy: catalog, index with its
-        // context lines, exemplars and the prompt pieces rendered ahead.
-        for f in &forks {
-            assert!(Arc::ptr_eq(&cp.knowledge, &f.knowledge));
+        for thread in threads {
+            assert_eq!(thread.join().unwrap(), in_sequence);
         }
-        assert!(!cp.knowledge.example_pieces.is_empty());
-        assert!(!cp.knowledge.function_pieces.is_empty());
-        let q = "How many initial registration attempts did the AMF handle?";
-        let mut cp = cp;
-        let reference = cp.ask(q, ts);
-        for f in &mut forks {
-            let r = f.ask(q, ts);
-            assert_eq!(r.query, reference.query);
-            assert_eq!(r.numeric_answer, reference.numeric_answer);
-        }
-        // Forks run on separate threads (the whole point).
-        let f = cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
-        let handle = std::thread::spawn(move || {
-            let mut f = f;
-            f.ask(q, ts).numeric_answer
-        });
-        assert_eq!(handle.join().unwrap(), reference.numeric_answer);
     }
 
     #[test]
     fn feedback_update_bumps_shared_generation_copy_on_write() {
-        let (mut cp, ts) = copilot();
-        let mut fork = cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
-        assert_eq!(cp.knowledge.generation, 0);
+        let (cp, ts) = copilot();
+        let clone = cp.clone();
+        let snapshot = cp.knowledge();
+        assert_eq!(snapshot.generation(), 0);
         let r = cp.ask("How do I inspect the frobnicator wobble index?", ts);
         let issue = cp.request_expert_help(&r);
         let note = |title: &str| Contribution::Note {
@@ -1666,30 +1686,38 @@ mod tests {
                    in this deployment."
                 .into(),
         };
-        cp.resolve_issue(issue, "expert:bob", note("frobnicator-wobble"))
+        // Raised through one copilot, resolved through its clone.
+        clone
+            .resolve_issue(issue, "expert:bob", note("frobnicator-wobble"))
             .unwrap();
-        // The update is a new value: the writer reads it at once …
-        assert_eq!(cp.knowledge.generation, 1);
-        let noted = |cp: &DioCopilot| {
-            let hits = cp.extractor().retrieve("frobnicator wobble index", 5);
+        // The update is a new value: both copilots read it at once …
+        let noted = |extractor: &ContextExtractor| {
+            let hits = extractor.retrieve("frobnicator wobble index", 5);
             hits.iter().any(|h| h.sample.name.contains("frobnicator"))
         };
-        assert!(noted(&cp));
-        // … and a fork keeps its snapshot until its next job loads the
-        // published value: then it reads the update.
-        assert!(!noted(&fork));
-        assert_eq!(fork.load_knowledge(), 1);
-        assert!(Arc::ptr_eq(&cp.knowledge, &fork.knowledge));
-        assert!(noted(&fork));
+        assert_eq!(cp.knowledge().generation(), 1);
+        assert!(Arc::ptr_eq(&cp.knowledge(), &clone.knowledge()));
+        assert!(noted(&cp.extractor()));
+        // … and a snapshot taken before keeps the old one, for the
+        // asks that were promised it.
+        assert_eq!(snapshot.generation(), 0);
+        assert!(!noted(snapshot.extractor()));
+        let q = "How do I inspect the frobnicator wobble index?";
+        let old = cp.ask_with(AskRequest {
+            knowledge: Some(&snapshot),
+            ..AskRequest::new(q, ts)
+        });
+        assert_eq!(old.query, r.query);
+        assert_ne!(cp.ask(q, ts).query, r.query, "the note changes it");
         // A resolution that fails publishes nothing.
         let again = cp.resolve_issue(issue, "expert:bob", note("again"));
         assert!(again.is_err());
-        assert_eq!(fork.load_knowledge(), 1);
+        assert_eq!(clone.knowledge().generation(), 1);
     }
 
     #[test]
     fn precomputed_question_vector_matches_default_path() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let q = "How many paging attempts were there?";
         let vec = cp.extractor().embed_question(q);
         let prepared = cp.ask_with(AskRequest {
@@ -1703,7 +1731,7 @@ mod tests {
 
     #[test]
     fn lapsed_budget_aborts_before_any_model_call() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask_with(AskRequest {
             budget: Budget::within(std::time::Duration::ZERO),
             ..AskRequest::new("How many paging attempts?", ts)
@@ -1729,7 +1757,7 @@ mod tests {
 
     #[test]
     fn brownout_ask_degrades_without_any_model_call() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let q = "How many paging attempts?";
         let breaker_before = cp.breaker().clone();
         let r = cp.ask_with(AskRequest {
@@ -1751,14 +1779,14 @@ mod tests {
         );
         // The real breaker was never consulted: the next plain ask runs
         // the full pipeline.
-        assert_eq!(cp.breaker(), &breaker_before);
+        assert_eq!(*cp.breaker(), breaker_before);
         let full = cp.ask(q, ts);
         assert_eq!(full.degradation, DegradationLevel::Full);
     }
 
     #[test]
     fn model_off_ask_leaves_an_open_breakers_cooldown_untouched() {
-        let (mut cp, ts) = copilot_with_model(Box::new(FailFirstN {
+        let (cp, ts) = copilot_with_model(Box::new(FailFirstN {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             remaining: std::sync::Mutex::new(usize::MAX),
         }));
@@ -1771,12 +1799,12 @@ mod tests {
         });
         assert_eq!(r.degradation, DegradationLevel::Degraded);
         // Not one cooldown tick spent, no transition counted.
-        assert_eq!(cp.breaker(), &open);
+        assert_eq!(*cp.breaker(), open);
     }
 
     #[test]
     fn request_fidelity_caps_apply_to_one_ask_only() {
-        let (mut cp, ts) = copilot_with_model(Box::new(CorruptFirst {
+        let (cp, ts) = copilot_with_model(Box::new(CorruptFirst {
             inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
             corrupted: std::sync::Mutex::new(false),
         }));
@@ -1809,7 +1837,7 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_like_a_lapsed_deadline() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let budget = Budget::unbounded();
         budget.cancel();
         let r = cp.ask_with(AskRequest {
@@ -1826,8 +1854,8 @@ mod tests {
 
     #[test]
     fn unbounded_budget_reproduces_the_plain_ask() {
-        let (mut cp1, ts) = copilot();
-        let (mut cp2, _) = copilot();
+        let (cp1, ts) = copilot();
+        let (cp2, _) = copilot();
         let q = "How many initial registration attempts did the AMF handle?";
         let a = cp1.ask(q, ts);
         let b = cp2.ask_with(AskRequest {
@@ -1842,7 +1870,7 @@ mod tests {
 
     #[test]
     fn generous_budget_caps_model_calls_without_changing_answers() {
-        let (mut cp, ts) = copilot();
+        let (cp, ts) = copilot();
         let r = cp.ask_with(AskRequest {
             budget: Budget::within(std::time::Duration::from_secs(3600)),
             ..AskRequest::new(
@@ -1899,9 +1927,10 @@ mod tests {
     /// prompts were assembled from pieces: every line formatted from the
     /// copilot's current catalog, retrieval and exemplars, per ask.
     fn rendered_per_ask(cp: &DioCopilot, question: &str) -> String {
-        let hits = cp.extractor().retrieve(question, cp.config.top_k);
+        let knowledge = cp.knowledge();
+        let hits = knowledge.extractor.retrieve(question, cp.config.top_k);
         let window = cp.model.context_window();
-        let exemplars = cp.knowledge.exemplars.iter();
+        let exemplars = knowledge.exemplars.iter();
         let mut prompt = PromptBuilder::new()
             .system(SYSTEM_PROMPT)
             .context(hits.iter().map(|h| dio_llm::ContextItem {
@@ -1912,7 +1941,7 @@ mod tests {
             .examples(exemplars.take(cp.config.max_exemplars).cloned())
             .question(question)
             .task(TaskKind::GeneratePromql);
-        for f in cp.knowledge.db.functions().take(4) {
+        for f in knowledge.db.functions().take(4) {
             prompt = prompt.function(&f.name, first_sentence(&f.description));
         }
         let reserved = cp.config.max_output_tokens.min(window / 4);
@@ -1923,7 +1952,7 @@ mod tests {
     fn knowledge_updates_reach_the_next_prompt_as_rendered_per_ask() {
         let (db, store, ts) = world();
         let prompts = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut cp = CopilotBuilder::new(db, store)
+        let cp = CopilotBuilder::new(db, store)
             .exemplars(exemplars())
             .model(Box::new(Recording {
                 inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
@@ -1931,21 +1960,21 @@ mod tests {
             }))
             .build();
         let q = "How many frobnicator wobble resets did the AMF handle?";
-        let sent = |cp: &mut DioCopilot| {
+        let sent = |cp: &DioCopilot| {
             prompts.lock().unwrap().clear();
             cp.ask(q, ts);
             prompts.lock().unwrap()[0].clone()
         };
-        assert_eq!(sent(&mut cp), rendered_per_ask(&cp, q));
+        assert_eq!(sent(&cp), rendered_per_ask(&cp, q));
 
         // A metric document, an exemplar and a function that sorts
         // first among the four the prompt shows.
-        let mut metric = cp.knowledge.db.metrics().next().unwrap().clone();
+        let mut metric = cp.knowledge().db.metrics().next().unwrap().clone();
         metric.name = "amfcc_frobnicator_wobble_reset".into();
         metric.description = "The number of frobnicator wobble resets handled by AMF. \
                               Pegged once per reset."
             .into();
-        let mut function = cp.knowledge.db.functions().next().unwrap().clone();
+        let mut function = cp.knowledge().db.functions().next().unwrap().clone();
         function.name = "aaa_wobble_ratio".into();
         function.description = "The share of frobnicator wobbles that reset. Percent.".into();
         let exemplar = Contribution::Exemplar {
@@ -1964,7 +1993,7 @@ mod tests {
                 .unwrap();
         }
 
-        let after = sent(&mut cp);
+        let after = sent(&cp);
         assert_eq!(after, rendered_per_ask(&cp, q));
         for shown in [
             "<<ITEM>> amfcc_frobnicator_wobble_reset: The number of frobnicator wobble resets \
@@ -1979,10 +2008,10 @@ mod tests {
     }
 
     #[test]
-    fn forks_share_the_rendered_pieces() {
+    fn clones_share_the_rendered_pieces() {
         let (cp, _) = copilot();
-        let fork = cp.fork_with_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
-        let (mine, theirs) = (&cp.knowledge, &fork.knowledge);
+        let clone = cp.clone();
+        let (mine, theirs) = (cp.knowledge(), clone.knowledge());
         assert!(std::ptr::eq(
             mine.example_pieces.as_ptr(),
             theirs.example_pieces.as_ptr()
@@ -1992,18 +2021,18 @@ mod tests {
             theirs.function_pieces.as_ptr()
         ));
         assert!(!mine.example_pieces.is_empty() && !mine.function_pieces.is_empty());
-        // Context lines live in the shared extractor: a fork's hit
-        // borrows the very line its parent's does.
+        // Context lines live in the shared extractor: a clone's hit
+        // borrows the very line the original's does.
         let q = "How many initial registration attempts did the AMF handle?";
         let (my_hits, their_hits) = (
-            cp.extractor().retrieve(q, 29),
-            fork.extractor().retrieve(q, 29),
+            mine.extractor.retrieve(q, 29),
+            theirs.extractor.retrieve(q, 29),
         );
         assert_eq!(my_hits, their_hits);
         for hit in &my_hits {
             assert!(std::ptr::eq(
-                cp.extractor().line(hit),
-                fork.extractor().line(hit)
+                mine.extractor.line(hit),
+                theirs.extractor.line(hit)
             ));
         }
     }

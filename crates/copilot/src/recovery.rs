@@ -92,7 +92,6 @@ pub(crate) struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: usize,
     cooldown_remaining: usize,
-    trips: usize,
     threshold: usize,
     cooldown: usize,
     /// The cooldown the next trip will impose. Starts at the policy
@@ -109,7 +108,6 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             cooldown_remaining: 0,
-            trips: 0,
             threshold: policy.breaker_threshold,
             cooldown: policy.breaker_cooldown,
             current_cooldown: policy.breaker_cooldown,
@@ -119,11 +117,6 @@ impl CircuitBreaker {
     /// Current state.
     pub(crate) fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// How many times the breaker has opened.
-    pub(crate) fn trips(&self) -> usize {
-        self.trips
     }
 
     /// Ask permission to place a model call. While open, each refusal
@@ -171,7 +164,6 @@ impl CircuitBreaker {
             }
             self.state = BreakerState::Open;
             self.cooldown_remaining = self.current_cooldown.max(1);
-            self.trips += 1;
         }
         should_open
     }
@@ -210,7 +202,7 @@ pub struct RecoveryStats {
     pub repairs: usize,
     /// Transient-failure retries.
     pub retries: usize,
-    /// Breaker openings during this ask.
+    /// Breaker openings this ask's own model failures caused.
     pub breaker_trips: usize,
     /// Whether the answer came from the degraded fallback.
     pub degraded: bool,
@@ -239,7 +231,6 @@ mod tests {
         assert!(!b.record_failure());
         assert!(b.record_failure()); // third one trips
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
     }
 
     #[test]
@@ -279,7 +270,6 @@ mod tests {
         assert!(b.allow()); // cooldown 1 → straight to half-open
         assert!(b.record_failure()); // failed probe re-opens (counts as a trip)
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
         // The failed probe doubled the cooldown (1 → 2): one refusal
         // before the next probe is admitted.
         assert!(!b.allow());

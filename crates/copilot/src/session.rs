@@ -24,7 +24,7 @@ pub struct Turn {
 
 /// A stateful conversation over one copilot.
 pub struct ChatSession<'a> {
-    copilot: &'a mut DioCopilot,
+    copilot: &'a DioCopilot,
     turns: Vec<Turn>,
 }
 
@@ -43,7 +43,7 @@ const NF_WORDS: &[&str] = &["amf", "smf", "nrf", "nssf", "n3iwf", "upf"];
 
 impl<'a> ChatSession<'a> {
     /// Start a session on a copilot.
-    pub fn new(copilot: &'a mut DioCopilot) -> Self {
+    pub fn new(copilot: &'a DioCopilot) -> Self {
         ChatSession {
             copilot,
             turns: Vec::new(),

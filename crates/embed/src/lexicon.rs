@@ -157,22 +157,6 @@ impl Lexicon {
     pub fn is_empty(&self) -> bool {
         self.expansions.is_empty()
     }
-
-    /// Expand a token list: each token is kept, and any expansions are
-    /// appended (deduplicated, order-stable).
-    pub fn expand_tokens(&self, tokens: &[String]) -> Vec<String> {
-        let mut out = tokens.to_vec();
-        for tok in tokens {
-            if let Some(exp) = self.expand(tok) {
-                for e in exp {
-                    if !out.contains(e) {
-                        out.push(e.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -193,19 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn expand_tokens_keeps_originals_and_dedupes() {
-        let lex = Lexicon::telecom();
-        let toks: Vec<String> = vec!["auth".into(), "authentication".into()];
-        let out = lex.expand_tokens(&toks);
-        assert_eq!(out.iter().filter(|t| *t == "auth").count(), 1);
-        assert_eq!(out.iter().filter(|t| *t == "authentication").count(), 1);
-    }
-
-    #[test]
     fn empty_lexicon_is_identity() {
         let lex = Lexicon::default();
-        let toks: Vec<String> = vec!["amf".into()];
-        assert_eq!(lex.expand_tokens(&toks), toks);
+        assert!(lex.is_empty());
+        assert!(lex.expand("amf").is_none());
     }
 
     #[test]

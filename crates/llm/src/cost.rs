@@ -93,10 +93,6 @@ pub struct CostLedger {
     completion_usd: f64,
 }
 
-/// The historical name for the per-query cost aggregator. The ledger
-/// is a strict superset, so the old name stays as an alias.
-pub type CostMeter = CostLedger;
-
 impl CostLedger {
     /// A fresh ledger.
     pub fn new() -> Self {
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn meter_accumulates_mean() {
-        let mut m = CostMeter::new();
+        let mut m = CostLedger::new();
         let usage = TokenUsage {
             prompt_tokens: 1000,
             completion_tokens: 0,
@@ -205,7 +201,7 @@ mod tests {
 
     #[test]
     fn empty_meter_mean_is_zero() {
-        assert_eq!(CostMeter::new().mean_cents_per_query(), 0.0);
+        assert_eq!(CostLedger::new().mean_cents_per_query(), 0.0);
     }
 
     #[test]

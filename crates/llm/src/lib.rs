@@ -40,7 +40,7 @@ mod sim;
 mod tokens;
 
 pub use batch::BatchExpander;
-pub use cost::{CostLedger, CostMeter, Pricing, TokenUsage};
+pub use cost::{CostLedger, Pricing, TokenUsage};
 pub use faults::{FaultConfig, FaultyModel};
 pub use model::{Completion, CompletionRequest, FoundationModel, ModelError, TaskKind};
 pub use obs::ObservedModel;

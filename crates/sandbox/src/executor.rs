@@ -1,6 +1,5 @@
 //! Vetted, resource-limited execution of untrusted queries.
 
-use crate::audit::{AuditLog, AuditOutcome};
 use crate::policy::{PolicyViolation, SafetyPolicy};
 use dio_promql::{parse, Engine, EngineOptions, ParseError, QueryStats, Value};
 use dio_tsdb::MetricStore;
@@ -152,12 +151,12 @@ pub trait StoreResolver: Send + Sync + std::fmt::Debug {
 const EXECUTIONS_NAME: &str = "dio_sandbox_executions_total";
 const EXECUTIONS_HELP: &str = "Untrusted queries the sandbox vetted and executed, by outcome.";
 
-/// The sandbox: engine + policy + audit log.
-#[derive(Debug)]
+/// The sandbox: engine + policy, counting every outcome. Clones share
+/// the store, the registry and the resolver by handle.
+#[derive(Debug, Clone)]
 pub struct Sandbox {
     engine: Engine,
     policy: SafetyPolicy,
-    audit: AuditLog,
     registry: Option<dio_obs::Registry>,
     resolver: Option<std::sync::Arc<dyn StoreResolver>>,
 }
@@ -168,15 +167,7 @@ impl Sandbox {
     /// copies no telemetry: store clones share their series until one
     /// side writes.
     pub fn new(store: MetricStore, policy: SafetyPolicy) -> Self {
-        Sandbox::new_shared(std::sync::Arc::new(store), policy)
-    }
-
-    /// Build a sandbox over an already-shared store handle: the serving
-    /// path, where N worker sandboxes read one tsdb concurrently. The
-    /// handle saves only the store clone's two `Arc` bumps, not a data
-    /// copy. Audit log and registry handle stay per-sandbox.
-    pub fn new_shared(store: std::sync::Arc<MetricStore>, policy: SafetyPolicy) -> Self {
-        let engine = Engine::with_options_shared(
+        let engine = Engine::with_options(
             store,
             EngineOptions {
                 max_samples: policy.max_samples,
@@ -186,7 +177,6 @@ impl Sandbox {
         Sandbox {
             engine,
             policy,
-            audit: AuditLog::new(),
             registry: None,
             resolver: None,
         }
@@ -194,20 +184,10 @@ impl Sandbox {
 
     /// Route every execution's store lookup through `resolver` instead
     /// of the resident engine store. The resident store stays in place
-    /// for [`Sandbox::store_arc`] / [`Sandbox::engine`] callers; only
-    /// query evaluation is redirected.
+    /// for [`Sandbox::engine`] callers; only query evaluation is
+    /// redirected.
     pub fn attach_store_resolver(&mut self, resolver: std::sync::Arc<dyn StoreResolver>) {
         self.resolver = Some(resolver);
-    }
-
-    /// The attached store resolver, if any (cheap handle clone).
-    pub fn store_resolver(&self) -> Option<std::sync::Arc<dyn StoreResolver>> {
-        self.resolver.clone()
-    }
-
-    /// The shared handle to the underlying store (cheap clone).
-    pub fn store_arc(&self) -> std::sync::Arc<MetricStore> {
-        self.engine.store_arc()
     }
 
     /// Count executions into `registry` as
@@ -232,18 +212,8 @@ impl Sandbox {
         &self.engine
     }
 
-    /// The audit log.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &SafetyPolicy {
-        &self.policy
-    }
-
     /// Vet and execute one untrusted query at `ts`.
-    pub fn execute(&mut self, query: &str, ts: i64) -> Result<ExecutionOutcome, SandboxError> {
+    pub fn execute(&self, query: &str, ts: i64) -> Result<ExecutionOutcome, SandboxError> {
         self.execute_traced(query, ts, None)
     }
 
@@ -251,7 +221,7 @@ impl Sandbox {
     /// rides into the store resolver so a sharded data plane can record
     /// per-shard child spans under the caller's execute span.
     pub fn execute_traced(
-        &mut self,
+        &self,
         query: &str,
         ts: i64,
         trace: Option<(&dio_obs::Tracer, &dio_obs::SpanContext)>,
@@ -259,25 +229,11 @@ impl Sandbox {
         let expr = match parse(query) {
             Ok(e) => e,
             Err(e) => {
-                self.audit.record(
-                    query,
-                    ts,
-                    AuditOutcome::ParseFailed {
-                        reason: e.to_string(),
-                    },
-                );
                 self.count_outcome("parse_failed");
                 return Err(SandboxError::Parse(e));
             }
         };
         if let Err(v) = self.policy.vet(&expr) {
-            self.audit.record(
-                query,
-                ts,
-                AuditOutcome::Refused {
-                    reason: v.to_string(),
-                },
-            );
             self.count_outcome("refused");
             return Err(SandboxError::Refused(v));
         }
@@ -299,13 +255,6 @@ impl Sandbox {
                     }
                     Err(reason) => {
                         let reason = format!("store resolution failed: {reason}");
-                        self.audit.record(
-                            query,
-                            ts,
-                            AuditOutcome::EvalFailed {
-                                reason: reason.clone(),
-                            },
-                        );
                         self.count_outcome("storage_fault");
                         return Err(SandboxError::Storage(reason));
                     }
@@ -315,7 +264,6 @@ impl Sandbox {
         };
         match evaluated {
             Ok((value, stats)) => {
-                self.audit.record(query, ts, AuditOutcome::Executed);
                 self.count_outcome("executed");
                 Ok(ExecutionOutcome {
                     value,
@@ -324,13 +272,6 @@ impl Sandbox {
                 })
             }
             Err(e) => {
-                self.audit.record(
-                    query,
-                    ts,
-                    AuditOutcome::EvalFailed {
-                        reason: e.to_string(),
-                    },
-                );
                 self.count_outcome("eval_failed");
                 Err(SandboxError::Eval(e.to_string()))
             }
@@ -353,33 +294,51 @@ mod tests {
         st
     }
 
+    /// `sb`, counting its executions into a fresh registry.
+    fn counted(mut sb: Sandbox) -> (Sandbox, dio_obs::Registry) {
+        let registry = dio_obs::Registry::new();
+        sb.attach_obs(registry.clone());
+        (sb, registry)
+    }
+
+    /// `dio_sandbox_executions_total{outcome}` in `registry`.
+    fn executions(registry: &dio_obs::Registry, outcome: &str) -> f64 {
+        let snap = registry.snapshot();
+        let fam = snap.family(EXECUTIONS_NAME).unwrap();
+        fam.series
+            .iter()
+            .find(|s| s.labels.contains(&("outcome".into(), outcome.into())))
+            .map(|s| match &s.value {
+                dio_obs::SeriesValue::Counter(v) => *v,
+                _ => panic!("not a counter"),
+            })
+            .unwrap_or(0.0)
+    }
+
     #[test]
     fn executes_safe_query() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let (sb, registry) = counted(Sandbox::new(store(), SafetyPolicy::default()));
         let out = sb.execute("sum(rate(reqs_total[5m]))", 600_000).unwrap();
         assert_eq!(out.value.as_scalar_like(), Some(1.0));
         assert!(out.stats.samples_visited > 0);
-        assert_eq!(sb.audit().executed_count(), 1);
+        assert_eq!(executions(&registry, "executed"), 1.0);
     }
 
     #[test]
     fn refuses_and_audits_policy_violation() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let (sb, registry) = counted(Sandbox::new(store(), SafetyPolicy::default()));
         let err = sb.execute("rate(reqs_total[7d])", 600_000).unwrap_err();
         assert!(matches!(err, SandboxError::Refused(_)));
-        assert_eq!(sb.audit().refused_count(), 1);
-        assert_eq!(sb.audit().executed_count(), 0);
+        assert_eq!(executions(&registry, "refused"), 1.0);
+        assert_eq!(executions(&registry, "executed"), 0.0);
     }
 
     #[test]
     fn parse_errors_are_audited() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let (sb, registry) = counted(Sandbox::new(store(), SafetyPolicy::default()));
         let err = sb.execute("sum((", 0).unwrap_err();
         assert!(matches!(err, SandboxError::Parse(_)));
-        assert!(matches!(
-            sb.audit().entries()[0].outcome,
-            AuditOutcome::ParseFailed { .. }
-        ));
+        assert_eq!(executions(&registry, "parse_failed"), 1.0);
     }
 
     #[test]
@@ -388,37 +347,21 @@ mod tests {
             max_samples: 3,
             ..SafetyPolicy::default()
         };
-        let mut sb = Sandbox::new(store(), policy);
+        let (sb, registry) = counted(Sandbox::new(store(), policy));
         let err = sb
             .execute("sum(rate(reqs_total[10m]))", 600_000)
             .unwrap_err();
         assert!(matches!(err, SandboxError::Eval(_)));
-        assert!(matches!(
-            sb.audit().entries()[0].outcome,
-            AuditOutcome::EvalFailed { .. }
-        ));
+        assert_eq!(executions(&registry, "eval_failed"), 1.0);
     }
 
     #[test]
     fn outcome_counters_track_audit_log() {
-        let registry = dio_obs::Registry::new();
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
-        sb.attach_obs(registry.clone());
+        let (sb, registry) = counted(Sandbox::new(store(), SafetyPolicy::default()));
         sb.execute("sum(reqs_total)", 600_000).unwrap();
         sb.execute("sum((", 0).unwrap_err(); // parse
         sb.execute("rate(reqs_total[7d])", 600_000).unwrap_err(); // refused
-        let snap = registry.snapshot();
-        let fam = snap.family("dio_sandbox_executions_total").unwrap();
-        let count_for = |outcome: &str| {
-            fam.series
-                .iter()
-                .find(|s| s.labels.contains(&("outcome".into(), outcome.into())))
-                .map(|s| match &s.value {
-                    dio_obs::SeriesValue::Counter(v) => *v,
-                    _ => panic!("not a counter"),
-                })
-                .unwrap_or(0.0)
-        };
+        let count_for = |outcome| executions(&registry, outcome);
         assert_eq!(count_for("executed"), 1.0);
         assert_eq!(count_for("parse_failed"), 1.0);
         assert_eq!(count_for("refused"), 1.0);
@@ -427,14 +370,14 @@ mod tests {
 
     #[test]
     fn canonical_query_is_reported() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let sb = Sandbox::new(store(), SafetyPolicy::default());
         let out = sb.execute("sum( reqs_total )", 600_000).unwrap();
         assert_eq!(out.canonical_query, "sum(reqs_total)");
     }
 
     #[test]
     fn parse_errors_carry_position_and_span_hint() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let sb = Sandbox::new(store(), SafetyPolicy::default());
         let q = "sum(reqs_total) )(";
         let err = sb.execute(q, 0).unwrap_err();
         let SandboxError::Parse(e) = &err else {
@@ -455,7 +398,7 @@ mod tests {
 
     #[test]
     fn refusal_hints_name_the_violated_rule() {
-        let mut sb = Sandbox::new(store(), SafetyPolicy::default());
+        let sb = Sandbox::new(store(), SafetyPolicy::default());
         let q = "rate(reqs_total[7d])";
         let err = sb.execute(q, 600_000).unwrap_err();
         assert!(matches!(
@@ -511,20 +454,21 @@ mod tests {
     fn healthy_executions_are_complete_without_chaos() {
         // Through a healthy resolver the query sees every sample the
         // resident store would: same value, same samples visited.
-        let mut resident = Sandbox::new(store(), SafetyPolicy::default());
-        let mut routed = Sandbox::new(MetricStore::new(), SafetyPolicy::default());
+        let resident = Sandbox::new(store(), SafetyPolicy::default());
+        let (mut routed, registry) =
+            counted(Sandbox::new(MetricStore::new(), SafetyPolicy::default()));
         routed.attach_store_resolver(std::sync::Arc::new(Healthy(std::sync::Arc::new(store()))));
         let q = "sum(rate(reqs_total[5m]))";
         let want = resident.execute(q, 600_000).unwrap();
         let got = routed.execute(q, 600_000).unwrap();
         assert_eq!(got.value, want.value);
         assert_eq!(got.stats.samples_visited, want.stats.samples_visited);
-        assert_eq!(routed.audit().executed_count(), 1);
+        assert_eq!(executions(&registry, "executed"), 1.0);
     }
 
     #[test]
     fn transient_store_fault_is_a_retryable_storage_error() {
-        let mut sb = unreachable_sandbox();
+        let (sb, registry) = counted(unreachable_sandbox());
         let err = sb.execute("sum(reqs_total)", 600_000).unwrap_err();
         assert!(err.is_storage_fault());
         assert!(
@@ -532,32 +476,17 @@ mod tests {
             "{err}"
         );
         assert!(err.repair_hint("sum(reqs_total)").contains("retry"));
-        assert!(matches!(
-            sb.audit().entries()[0].outcome,
-            AuditOutcome::EvalFailed { .. }
-        ));
         // A query the policy refuses never reaches the resolver.
         let refused = sb.execute("rate(reqs_total[7d])", 600_000).unwrap_err();
         assert!(matches!(refused, SandboxError::Refused(_)));
+        assert_eq!(executions(&registry, "storage_fault"), 1.0);
     }
 
     #[test]
     fn storage_faults_are_counted_by_outcome() {
-        let registry = dio_obs::Registry::new();
-        let mut sb = unreachable_sandbox();
-        sb.attach_obs(registry.clone());
+        let (sb, registry) = counted(unreachable_sandbox());
         let _ = sb.execute("sum(reqs_total)", 600_000);
-        let snap = registry.snapshot();
-        let fam = snap.family("dio_sandbox_executions_total").unwrap();
-        let storage = fam
-            .series
-            .iter()
-            .find(|s| {
-                s.labels
-                    .contains(&("outcome".into(), "storage_fault".into()))
-            })
-            .expect("a storage_fault series");
-        assert_eq!(storage.value, dio_obs::SeriesValue::Counter(1.0));
-        assert_eq!(snap.total("dio_sandbox_executions_total"), 1.0);
+        assert_eq!(executions(&registry, "storage_fault"), 1.0);
+        assert_eq!(registry.snapshot().total(EXECUTIONS_NAME), 1.0);
     }
 }

@@ -13,9 +13,8 @@
 //!   sensitive-metric deny patterns, expression-size bound;
 //! * **executes** with hard resource limits (per-query sample budget
 //!   enforced inside the engine);
-//! * **audits** every attempt, allowed or refused.
+//! * **counts** every attempt by outcome, allowed or refused.
 
-mod audit;
 mod executor;
 mod policy;
 

@@ -1,11 +1,11 @@
 //! The concurrent query service.
 //!
-//! [`QueryService::spawn`] stamps out one pipeline instance per worker
-//! thread via [`DioCopilot::fork_with_model`]: every worker shares the
-//! prototype's published expert knowledge (catalog, vector index,
-//! few-shot pool) and resident tsdb behind `Arc`s and owns only its
-//! per-request mutable state (model handle, sandbox audit log, cost
-//! meter, breaker).
+//! [`QueryService::spawn`] clones the prototype copilot once and shares
+//! that one copilot across every worker thread: its published expert
+//! knowledge (catalog, vector index, few-shot pool) and issue tracker,
+//! its resident tsdb and its circuit breaker, so a model outage opens
+//! the breaker for the whole service. A worker owns only its model,
+//! passed with each ask.
 //!
 //! The request path:
 //!
@@ -14,10 +14,10 @@
 //!    `TenantThrottle` and a refill-derived `retry_after`. Admitted
 //!    requests enter the bounded earliest-deadline-first queue
 //!    ([`crate::AdmissionQueue`]); a full queue sheds with `QueueFull`.
-//! 2. **Caching** — a worker picking a job up first loads the latest
-//!    published knowledge ([`DioCopilot::load_knowledge`]); the job's
-//!    cache keys and stamps, its question embedding and its ask all
-//!    come from that one snapshot, so an answer is never cached under
+//! 2. **Caching** — a worker picking a job up first takes a snapshot of
+//!    the latest published knowledge ([`DioCopilot::knowledge`]); the
+//!    job's cache keys and stamps, its question embedding and its ask
+//!    all come from that one snapshot, so an answer is never cached under
 //!    a newer generation than the knowledge that computed it. The
 //!    worker then consults the answer cache keyed on
 //!    `(eval_ts, normalized question)`; a hit skips the pipeline
@@ -34,12 +34,12 @@ use crate::admission::{AdmissionQueue, PushRefused, ShedReason};
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
 use crate::cache::{CacheStats, GenLru};
 use crate::tenant::{RateLimiter, TenantPolicy};
-use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot};
+use dio_copilot::{AskRequest, CopilotError, CopilotResponse, DioCopilot, Knowledge};
 use dio_gateway::{
     normalize_question, FlushRecord, FollowerOutcome, Join, ModelGateway, Probe, SemanticCache,
     SemanticConfig, SemanticStats, Singleflight,
 };
-use dio_llm::{CostLedger, FoundationModel};
+use dio_llm::{CostLedger, FoundationModel, ObservedModel};
 use dio_obs::{Buckets, Budget, Counter, Gauge, Histogram, ObsHub, SpanContext, TraceStatus};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -380,16 +380,19 @@ impl Core {
 /// The concurrent multi-tenant query service.
 pub struct QueryService {
     core: Arc<Core>,
+    copilot: Arc<DioCopilot>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl QueryService {
-    /// Launch the service: fork `config.workers` pipeline instances
-    /// off `prototype` (each with a model from `make_model`) and start
-    /// their worker threads. The prototype itself is not consumed and
-    /// can keep serving as a sequential baseline or feedback-loop
-    /// writer: an issue it resolves is what this service's next job
-    /// reads, and the entries cached before it stop serving.
+    /// Launch the service: clone `prototype` into the one copilot every
+    /// worker asks, and start `config.workers` worker threads, each
+    /// asking with a model from `make_model`. The prototype itself is
+    /// not consumed and can keep serving as a sequential baseline or
+    /// feedback-loop writer: it shares its published knowledge and
+    /// issue tracker with the service, so an issue it resolves is what
+    /// this service's next job reads, and the entries cached before it
+    /// stop serving.
     pub fn spawn<F>(prototype: &DioCopilot, make_model: F, config: ServeConfig) -> Self
     where
         F: FnMut() -> Box<dyn FoundationModel>,
@@ -442,17 +445,22 @@ impl QueryService {
             obs,
             gateway,
         });
+        let copilot = Arc::new(prototype.clone());
         let workers = (0..config.workers.max(1))
             .map(|idx| {
-                let copilot = prototype.fork_with_model(make_model());
-                let core = Arc::clone(&core);
+                let model = ObservedModel::new(make_model(), core.obs.registry().clone());
+                let (core, copilot) = (Arc::clone(&core), Arc::clone(&copilot));
                 std::thread::Builder::new()
                     .name(format!("dio-serve-{idx}"))
-                    .spawn(move || worker_loop(core, copilot, idx))
+                    .spawn(move || worker_loop(core, copilot, idx, model))
                     .expect("spawn dio-serve worker")
             })
             .collect();
-        QueryService { core, workers }
+        QueryService {
+            core,
+            copilot,
+            workers,
+        }
     }
 
     /// Submit with the default deadline.
@@ -542,6 +550,12 @@ impl QueryService {
         }
     }
 
+    /// The copilot every worker asks: an issue raised through it
+    /// resolves through the prototype, and the other way round.
+    pub fn copilot(&self) -> &DioCopilot {
+        &self.copilot
+    }
+
     /// The service configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.core.config
@@ -619,7 +633,7 @@ fn retry_hint(queue_len: usize, workers: usize, floor: Duration) -> Duration {
     floor.max(Duration::from_millis(backlog_ms.min(CAP_MS)))
 }
 
-fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
+fn worker_loop(core: Arc<Core>, copilot: Arc<DioCopilot>, worker: usize, model: ObservedModel) {
     while let Some((job, deadline)) = core.queue.pop() {
         core.metrics.queue_depth.set(core.queue.len() as f64);
         let picked_up = Instant::now();
@@ -669,11 +683,10 @@ fn worker_loop(core: Arc<Core>, mut copilot: DioCopilot, worker: usize) {
                 queue_wait,
                 picked_up,
                 worker,
+                model: &model,
                 level,
             };
-            Some(catch_unwind(AssertUnwindSafe(|| {
-                pickup.serve(&mut copilot)
-            })))
+            Some(catch_unwind(AssertUnwindSafe(|| pickup.serve(&copilot))))
         };
         let outcome = match served {
             None => ServeOutcome::Shed(core.refuse(
@@ -736,21 +749,24 @@ fn cache_attrs(cache: &str, hit: bool) -> Vec<(&'static str, String)> {
     vec![("cache", cache.into()), ("result", result.into())]
 }
 
-/// One job a worker picked up, and what the worker learned on the way:
-/// how long it queued and the brownout rung it is served at.
+/// One job a worker picked up, the model the worker asks with, and
+/// what the worker learned on the way: how long it queued and the
+/// brownout rung it is served at.
 struct Pickup<'a> {
     core: &'a Core,
     job: &'a Job,
     queue_wait: Duration,
     picked_up: Instant,
     worker: usize,
+    model: &'a dyn FoundationModel,
     level: BrownoutLevel,
 }
 
 impl Pickup<'_> {
-    fn serve(&self, copilot: &mut DioCopilot) -> Result<ServedAnswer, Lapsed> {
+    fn serve(&self, copilot: &DioCopilot) -> Result<ServedAnswer, Lapsed> {
         let (core, job) = (self.core, self.job);
-        let generation = copilot.load_knowledge();
+        let knowledge = copilot.knowledge();
+        let generation = knowledge.generation();
         let tracer = core.obs.tracer();
         // The answer depends on both the question and the as-of timestamp.
         let answer_key = format!("{}\u{1f}{}", job.req.ts, job.key);
@@ -771,7 +787,7 @@ impl Pickup<'_> {
             let cached = core.embeds.get(&job.key, generation);
             let attrs = cache_attrs("embed", cached.is_some());
             let qvec = cached.unwrap_or_else(|| {
-                let v = Arc::new(copilot.extractor().embed_question(&job.req.question));
+                let v = Arc::new(knowledge.extractor().embed_question(&job.req.question));
                 core.embeds
                     .insert(job.key.clone(), Arc::clone(&v), generation);
                 v
@@ -825,7 +841,7 @@ impl Pickup<'_> {
                         match gw.flights.join(&sf_key) {
                             Join::Leader(guard) => {
                                 gw.role_leader.inc();
-                                let response = self.run_pipeline(copilot, &qvec);
+                                let response = self.run_pipeline(copilot, &knowledge, &qvec);
                                 // Deadline-aborted answers are never
                                 // shared: dropping the guard abandons the
                                 // epoch and followers recompute with their
@@ -874,7 +890,10 @@ impl Pickup<'_> {
                     }
                 }
             }
-            (self.run_pipeline(copilot, &qvec), Source::Pipeline)
+            (
+                self.run_pipeline(copilot, &knowledge, &qvec),
+                Source::Pipeline,
+            )
         };
         // Browned-out and deadline-aborted responses stay out of the
         // answer cache: once pressure clears (or the client retries with
@@ -925,17 +944,24 @@ impl Pickup<'_> {
         }
     }
 
-    /// Run the pipeline at the fidelity the brownout rung allows: shrink
+    /// Run the pipeline on the job's knowledge snapshot with the
+    /// worker's model, at the fidelity the brownout rung allows: shrink
     /// retrieval, drop repair rounds, or skip the model entirely. The
-    /// rung rides in the request and the worker's copilot is never
-    /// written to, so however this ask ends — a panic included — the
-    /// next one starts at full fidelity. Shared by the solo path and the
-    /// singleflight leader path.
-    fn run_pipeline(&self, copilot: &mut DioCopilot, qvec: &dio_embed::Vector) -> CopilotResponse {
+    /// rung rides in the request and the copilot stores none of it, so
+    /// however this ask ends — a panic included — the next one starts
+    /// at full fidelity. Shared by the solo path and the singleflight
+    /// leader path.
+    fn run_pipeline(
+        &self,
+        copilot: &DioCopilot,
+        knowledge: &Knowledge,
+        qvec: &dio_embed::Vector,
+    ) -> CopilotResponse {
         let (job, level) = (self.job, self.level);
         copilot.ask_with(AskRequest {
             question: &job.req.question,
             ts: job.req.ts,
+            knowledge: Some(knowledge),
             qvec: Some(qvec),
             parent: Some(job.ctx),
             budget: job.budget.clone(),
@@ -950,6 +976,7 @@ impl Pickup<'_> {
                 usize::MAX
             },
             model: level < BrownoutLevel::CacheOnly,
+            llm: Some(self.model),
         })
     }
 }

@@ -78,7 +78,7 @@ impl FoundationModel for SlowModel {
 #[test]
 fn gateway_cold_pass_matches_the_sequential_pipeline() {
     let s = setup();
-    let mut sequential = prototype();
+    let sequential = prototype();
     let expected: Vec<_> = s
         .questions
         .iter()
@@ -208,7 +208,7 @@ fn generation_bump_invalidates_the_semantic_layer() {
     let s = setup();
     let question = &s.questions[1].text;
     let paraphrase = format!("{} ?", question.trim_end_matches('?'));
-    let mut proto = prototype();
+    let proto = prototype();
     let service =
         QueryService::spawn_gateway(&proto, upstream(), open_config(2), GatewayConfig::default());
     let original = service.ask("t", question, s.world.eval_ts);

@@ -6,11 +6,15 @@
 use dio_benchmark::{
     fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
 };
-use dio_copilot::{CopilotBuilder, DioCopilot};
-use dio_feedback::Contribution;
-use dio_llm::{FoundationModel, ModelProfile, SimulatedModel};
+use dio_copilot::{CopilotBuilder, DegradationLevel, DioCopilot, RecoveryPolicy};
+use dio_feedback::{Contribution, IssueState};
+use dio_llm::{
+    Completion, CompletionRequest, FoundationModel, ModelError, ModelProfile, Pricing,
+    SimulatedModel,
+};
 use dio_serve::{QueryRequest, QueryService, ServeConfig, ServeOutcome, ShedReason, TenantPolicy};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 struct Setup {
@@ -51,7 +55,7 @@ fn open_config(workers: usize) -> ServeConfig {
 #[test]
 fn concurrent_answers_match_sequential_pipeline() {
     let s = setup();
-    let mut sequential = prototype();
+    let sequential = prototype();
     let expected: Vec<_> = s
         .questions
         .iter()
@@ -114,7 +118,7 @@ fn warm_pass_is_served_from_the_answer_cache() {
 #[test]
 fn knowledge_generation_bump_invalidates_caches() {
     let ts = setup().world.eval_ts;
-    let mut proto = prototype();
+    let proto = prototype();
     let service = QueryService::spawn(&proto, || model(), open_config(2));
     let q = "How do I inspect the frobnicator wobble index?";
     let served = |service: &QueryService| service.ask("t", q, ts).answer().unwrap().clone();
@@ -141,6 +145,105 @@ fn knowledge_generation_bump_invalidates_caches() {
     let again = served(&service);
     assert!(again.answer_cache_hit);
     assert_eq!(again.response.query, direct.query);
+    service.shutdown();
+}
+
+/// An issue raised through the copilot the workers share is the
+/// prototype's to resolve, and the service answers from the resolution.
+#[test]
+fn an_issue_raised_through_the_service_resolves_through_the_prototype() {
+    let ts = setup().world.eval_ts;
+    let proto = prototype();
+    let service = QueryService::spawn(&proto, || model(), open_config(1));
+    let q = "How do I inspect the frobnicator wobble index?";
+    let before = service.ask("t", q, ts).answer().unwrap().clone();
+    let issue = service.copilot().request_expert_help(&before.response);
+    let note = Contribution::Note {
+        title: "frobnicator-wobble".into(),
+        text: "The frobnicator wobble index is tracked by amfcc_n2_paging_attempt.".into(),
+    };
+    proto.resolve_issue(issue, "expert:bob", note).unwrap();
+    let state = |copilot: &DioCopilot| copilot.tracker().get(issue).unwrap().state;
+    assert_eq!(state(service.copilot()), IssueState::Resolved);
+    assert_eq!(state(&proto), IssueState::Resolved);
+    let after = service.ask("t", q, ts).answer().unwrap().clone();
+    assert_ne!(
+        after.response.query, before.response.query,
+        "the note changes it"
+    );
+    assert_eq!(after.response.query, proto.ask(q, ts).query);
+    service.shutdown();
+}
+
+/// A simulated model that fails every call while `down` is set.
+struct Switched {
+    down: Arc<AtomicBool>,
+    inner: SimulatedModel,
+}
+
+impl FoundationModel for Switched {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+    fn pricing(&self) -> Pricing {
+        self.inner.pricing()
+    }
+    fn complete(&self, request: &CompletionRequest) -> Result<Completion, ModelError> {
+        if self.down.load(Ordering::SeqCst) {
+            return Err(ModelError::Unavailable("total outage".into()));
+        }
+        self.inner.complete(request)
+    }
+}
+
+/// The workers share one circuit breaker: an outage one worker sees
+/// opens it for the other, whose next ask degrades without a model call
+/// even though the model is back.
+#[test]
+fn an_outage_seen_through_one_worker_opens_the_breaker_for_the_other() {
+    let ts = setup().world.eval_ts;
+    let mut proto = prototype();
+    // A cooldown no run of this test outlasts: the breaker stays open.
+    proto.set_recovery(RecoveryPolicy {
+        breaker_cooldown: 1_000,
+        ..RecoveryPolicy::default()
+    });
+    let down = Arc::new(AtomicBool::new(true));
+    let models = || -> Box<dyn FoundationModel> {
+        Box::new(Switched {
+            down: Arc::clone(&down),
+            inner: SimulatedModel::new(ModelProfile::gpt4_sim()),
+        })
+    };
+    let config = ServeConfig {
+        answer_cache_capacity: 0,
+        ..open_config(2)
+    };
+    let service = QueryService::spawn(&proto, models, config);
+    let q = "How many paging attempts were there?";
+    let tripped = service.ask("t", q, ts).answer().unwrap().clone();
+    assert_eq!(tripped.response.trace.recovery.breaker_trips, 1);
+    down.store(false, Ordering::SeqCst);
+    // Bursts, so that both workers take jobs, until the other one has.
+    let mut others = 0;
+    for _ in 0..20 {
+        let tickets: Vec<_> = (0..16)
+            .map(|_| service.submit(QueryRequest::new("t", q, ts)).unwrap())
+            .collect();
+        for ticket in tickets {
+            let a = ticket.wait().answer().unwrap().clone();
+            assert_eq!(a.response.degradation, DegradationLevel::Degraded);
+            assert_eq!(a.response.trace.recovery.attempts, 0, "no model call");
+            others += usize::from(a.worker != tripped.worker);
+        }
+        if others > 0 {
+            break;
+        }
+    }
+    assert!(others > 0, "the other worker served none of 320 asks");
     service.shutdown();
 }
 

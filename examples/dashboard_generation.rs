@@ -13,7 +13,7 @@ use dio::dashboard::{render_ascii, Dashboard};
 fn main() {
     println!("building the operator world…\n");
     let world = OperatorWorld::build(WorldConfig::default());
-    let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();
 

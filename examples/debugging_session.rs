@@ -14,7 +14,7 @@ use dio::dashboard::render_ascii;
 fn main() {
     println!("building the operator world…\n");
     let world = OperatorWorld::build(WorldConfig::default());
-    let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();
     let now = world.eval_ts;
@@ -56,7 +56,7 @@ fn main() {
     // the previous turn (multi-turn sessions, dio_copilot::ChatSession).
     println!("──── step 4b: follow-up via chat session ─────────────────────\n");
     {
-        let mut chat = dio::copilot::ChatSession::new(&mut copilot);
+        let mut chat = dio::copilot::ChatSession::new(&copilot);
         chat.ask(
             "How many PDU session establishment procedure attempts did the SMF handle?",
             now,
@@ -75,9 +75,11 @@ fn main() {
         println!("\n(grafana-style JSON: {} bytes)", dash.to_json().len());
     }
 
+    // The copilot's registry counts every ask and what its model billed.
+    let billed = copilot.obs().registry().snapshot();
     println!(
         "\nsession cost: {:.2}¢ across {} questions",
-        copilot.meter().total_usd() * 100.0,
-        copilot.meter().queries()
+        billed.total("dio_llm_cost_cents_total"),
+        billed.total(dio::copilot::obs::ASKS_NAME)
     );
 }

@@ -15,7 +15,7 @@ use dio::feedback::{Contribution, IssueState};
 fn main() {
     println!("building the operator world…\n");
     let world = OperatorWorld::build(WorldConfig::default());
-    let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();
     let now = world.eval_ts;

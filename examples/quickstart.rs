@@ -23,24 +23,26 @@ fn main() {
     // 2. The copilot: domain DB + embedding index + simulated GPT-4 +
     //    sandboxed PromQL execution, with the 20 expert few-shot tuples.
     println!("assembling DIO copilot (offline embedding pass)…\n");
-    let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();
 
     // 3. Ask away.
+    let mut cents = Vec::new();
     for question in [
         "How many PDU sessions are currently active at the SMF?",
         "What is the initial registration procedure success rate at the AMF?",
         "How many bytes did the UPF forward downlink on the N3 interface?",
     ] {
         let response = copilot.ask(question, world.eval_ts);
+        cents.push(response.cost_cents);
         println!("{}", response.render());
         println!("{}", "=".repeat(72));
     }
 
     println!(
         "\ntotal inference: {} queries, mean {:.2}¢/query",
-        copilot.meter().queries(),
-        copilot.meter().mean_cents_per_query()
+        cents.len(),
+        cents.iter().sum::<f64>() / cents.len() as f64
     );
 }

@@ -77,7 +77,7 @@ fn copilot_survives_combined_model_and_data_plane_chaos() {
 #[test]
 fn default_copilot_reports_no_chaos_instruments_firing() {
     let world = OperatorWorld::build(WorldConfig::small());
-    let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())))
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();

@@ -26,7 +26,7 @@ fn sorted(mut v: Vec<f64>) -> Vec<f64> {
 fn sharded_copilot_matches_single_node_answers() {
     let world = OperatorWorld::build(WorldConfig::small());
     let questions = dio::benchmark::generate_benchmark(&world, 12, 0xc1a5_7e12);
-    let mut single = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let single = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .model(model())
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();

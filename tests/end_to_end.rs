@@ -20,7 +20,7 @@ fn count_questions_mostly_produce_the_reference_number() {
     // The simulated model is deliberately fallible (temperature-0
     // determinism with ~10% template noise), so assert over a panel of
     // count questions rather than any single one.
-    let (mut copilot, world) = small_copilot();
+    let (copilot, world) = small_copilot();
     let cases = [
         (
             "How many initial registration attempts were recorded at the AMF?",
@@ -61,7 +61,7 @@ fn count_questions_mostly_produce_the_reference_number() {
 
 #[test]
 fn success_rate_question_produces_percentage() {
-    let (mut copilot, world) = small_copilot();
+    let (copilot, world) = small_copilot();
     let r = copilot.ask(
         "What is the initial registration procedure success rate at the AMF?",
         world.eval_ts,
@@ -76,8 +76,8 @@ fn success_rate_question_produces_percentage() {
 
 #[test]
 fn answers_are_bit_identical_across_fresh_builds() {
-    let (mut a, world) = small_copilot();
-    let (mut b, _) = small_copilot();
+    let (a, world) = small_copilot();
+    let (b, _) = small_copilot();
     for q in [
         "How many NF discovery requests did the NRF receive?",
         "What percentage of initial register procedures completed successfully at the AMF?",
@@ -93,7 +93,7 @@ fn answers_are_bit_identical_across_fresh_builds() {
 
 #[test]
 fn dashboard_renders_end_to_end() {
-    let (mut copilot, world) = small_copilot();
+    let (copilot, world) = small_copilot();
     let r = copilot.ask(
         "How many authentication procedures per second is the AMF processing?",
         world.eval_ts,
@@ -121,7 +121,7 @@ fn sandbox_policy_holds_inside_the_copilot() {
             dio::tsdb::Sample::new(world.eval_ts, 42.0),
         )
         .unwrap();
-    let mut copilot = CopilotBuilder::new(world.domain_db(), store)
+    let copilot = CopilotBuilder::new(world.domain_db(), store)
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();
     let r = copilot.ask(
@@ -138,7 +138,7 @@ fn sandbox_policy_holds_inside_the_copilot() {
 
 #[test]
 fn feedback_loop_fixes_a_jargon_question() {
-    let (mut copilot, world) = small_copilot();
+    let (copilot, world) = small_copilot();
     let question = "What is the LCS NI-LR procedure success rate at the AMF?";
     let group = world
         .catalog
@@ -257,8 +257,8 @@ fn domain_db_and_tracker_persist_across_restart() {
 
 #[test]
 fn chat_session_resolves_followups() {
-    let (mut copilot, world) = small_copilot();
-    let mut session = dio::copilot::ChatSession::new(&mut copilot);
+    let (copilot, world) = small_copilot();
+    let mut session = dio::copilot::ChatSession::new(&copilot);
 
     let first = session
         .ask(
@@ -297,12 +297,11 @@ fn costs_scale_with_model_pricing() {
         Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())) as Box<dyn dio::llm::FoundationModel>,
         Box::new(SimulatedModel::new(ModelProfile::gpt35_turbo_sim())),
     ] {
-        let mut copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
+        let copilot = CopilotBuilder::new(world.domain_db(), world.store.clone())
             .model(model)
             .exemplars(exemplars.clone())
             .build();
-        copilot.ask("How many paging attempts were there?", world.eval_ts);
-        cents.push(copilot.meter().mean_cents_per_query());
+        cents.push(copilot.ask("How many paging attempts were there?", world.eval_ts).cost_cents);
     }
     assert!(
         cents[0] / cents[1] > 10.0,

@@ -48,7 +48,7 @@ fn near_duplicates_are_coalesced_and_semantically_served() {
         .build();
 
     // Ground truth: the sequential pipeline, without the gateway.
-    let mut sequential = CopilotBuilder::new(world.domain_db(), world.store.clone())
+    let sequential = CopilotBuilder::new(world.domain_db(), world.store.clone())
         .model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())))
         .exemplars(fewshot_exemplars(&world.catalog))
         .build();

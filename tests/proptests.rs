@@ -6,8 +6,8 @@
 //! arbitrary fault schedules injected into its foundation model.
 
 use dio::benchmark::{fewshot_exemplars, OperatorWorld, WorldConfig};
-use dio::copilot::{CopilotBuilder, DegradationLevel, DioCopilot, RecoveryPolicy};
-use dio::llm::{FaultConfig, FaultyModel, ModelProfile, SimulatedModel};
+use dio::copilot::{AskRequest, CopilotBuilder, DegradationLevel, DioCopilot, RecoveryPolicy};
+use dio::llm::{FaultConfig, FaultyModel, FoundationModel, ModelProfile, SimulatedModel};
 use dio::promql::{format_expr, parse};
 use dio::tsdb::{Labels, MetricStore, Sample, SeriesSpec, SynthConfig, Synthesizer};
 use proptest::prelude::*;
@@ -145,19 +145,19 @@ fn fault_world() -> &'static OperatorWorld {
 }
 
 thread_local! {
-    /// One copilot per test thread; cases swap the model and recovery
-    /// policy instead of re-embedding the catalog 64 times.
+    /// One copilot per test thread; cases pass their own model and swap
+    /// the recovery policy instead of re-embedding the catalog 64 times.
     static FAULT_COPILOT: std::cell::RefCell<Option<DioCopilot>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Run `f` against the shared copilot, re-armed with a fresh fault
-/// schedule and recovery policy.
+/// Run `f` against the shared copilot, re-armed with a fresh recovery
+/// policy, and a model on a fresh fault schedule to ask it through.
 fn with_faulty_copilot<T>(
     seed: u64,
     probability: f64,
     recovery: RecoveryPolicy,
-    f: impl FnOnce(&mut DioCopilot) -> T,
+    f: impl FnOnce(&DioCopilot, &dyn FoundationModel) -> T,
 ) -> T {
     FAULT_COPILOT.with(|cell| {
         let mut slot = cell.borrow_mut();
@@ -167,13 +167,18 @@ fn with_faulty_copilot<T>(
                 .exemplars(fewshot_exemplars(&world.catalog))
                 .build()
         });
-        copilot.replace_model(Box::new(FaultyModel::new(
+        copilot.set_recovery(recovery);
+        let model = FaultyModel::new(
             SimulatedModel::new(ModelProfile::gpt4_sim()),
             FaultConfig::with_probability(seed, probability),
-        )));
-        copilot.set_recovery(recovery);
-        f(copilot)
+        );
+        f(copilot, &model)
     })
+}
+
+/// `question`, asked of `copilot` through `model`.
+fn ask_through(copilot: &DioCopilot, model: &dyn FoundationModel, question: &str) -> dio::copilot::CopilotResponse {
+    copilot.ask_with(AskRequest { llm: Some(model), ..AskRequest::new(question, fault_world().eval_ts) })
 }
 
 proptest! {
@@ -198,8 +203,8 @@ proptest! {
             "How many initial registration attempts were recorded at the AMF?",
             "What is the paging success rate?",
         ];
-        let responses = with_faulty_copilot(seed, probability, policy.clone(), |copilot| {
-            questions.map(|q| copilot.ask(q, fault_world().eval_ts))
+        let responses = with_faulty_copilot(seed, probability, policy.clone(), |copilot, model| {
+            questions.map(|q| ask_through(copilot, model, q))
         });
         for (q, r) in questions.iter().zip(responses) {
             // Well-formed: an empty query is only acceptable alongside
@@ -238,14 +243,13 @@ proptest! {
         // The bare-model reference answer, computed once.
         static PLAIN: OnceLock<(String, Option<f64>, dio::llm::TokenUsage)> = OnceLock::new();
         let (query, numeric, usage) = PLAIN.get_or_init(|| {
-            let r = with_faulty_copilot(0, 0.0, RecoveryPolicy::default(), |copilot| {
-                copilot.replace_model(Box::new(SimulatedModel::new(ModelProfile::gpt4_sim())));
+            let r = with_faulty_copilot(0, 0.0, RecoveryPolicy::default(), |copilot, _| {
                 copilot.ask(q, fault_world().eval_ts)
             });
             (r.query, r.numeric_answer, r.usage)
         }).clone();
-        let b = with_faulty_copilot(seed, 0.0, RecoveryPolicy::default(), |copilot| {
-            copilot.ask(q, fault_world().eval_ts)
+        let b = with_faulty_copilot(seed, 0.0, RecoveryPolicy::default(), |copilot, model| {
+            ask_through(copilot, model, q)
         });
         prop_assert_eq!(query, b.query);
         prop_assert_eq!(numeric, b.numeric_answer);
