@@ -17,7 +17,7 @@ use dio_llm::{
 use dio_obs::{Buckets, Budget, ObsHub, SpanContext, TraceStatus};
 use dio_sandbox::{SafetyPolicy, Sandbox};
 use dio_tsdb::MetricStore;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Builder for [`DioCopilot`].
@@ -346,17 +346,12 @@ impl DioCopilot {
     /// whatever is resolved after it was taken. Pass it as
     /// [`AskRequest::knowledge`] to ask from it.
     pub fn knowledge(&self) -> Arc<Knowledge> {
-        let published = self.published.read();
-        Arc::clone(&published.unwrap_or_else(PoisonError::into_inner).knowledge)
+        Arc::clone(&self.published().knowledge)
     }
 
     /// A copy of the issue tracker as it stands now.
     pub fn tracker(&self) -> IssueTracker {
-        let published = self.published.read();
-        published
-            .unwrap_or_else(PoisonError::into_inner)
-            .tracker
-            .clone()
+        self.published().tracker.clone()
     }
 
     /// The query engine (for rendering dashboards etc.).
@@ -380,9 +375,16 @@ impl DioCopilot {
         self.breaker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The published cell, locked for writing. A panic mid-update leaves
-    /// the old value in place, so a poisoned lock still holds a whole one.
-    fn publish(&self) -> RwLockWriteGuard<'_, Published> {
+    /// The published cell. A panic under the write lock leaves the old
+    /// value in place, so a poisoned lock still holds a whole one.
+    fn published(&self) -> RwLockReadGuard<'_, Published> {
+        self.published
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published cell, locked for a writer.
+    fn published_mut(&self) -> RwLockWriteGuard<'_, Published> {
         self.published
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1005,7 +1007,7 @@ impl DioCopilot {
 
     /// File an expert-help issue for a response (the raise-hand button).
     pub fn request_expert_help(&self, response: &CopilotResponse) -> IssueId {
-        self.publish().tracker.raise_hand(
+        self.published_mut().tracker.raise_hand(
             &response.question,
             response
                 .relevant_metrics
@@ -1030,7 +1032,7 @@ impl DioCopilot {
     ) -> Result<(), TrackerError> {
         // Built under the write lock, so two writers cannot lose each
         // other's update.
-        let mut published = self.publish();
+        let mut published = self.published_mut();
         let mut db = published.knowledge.db.clone();
         let exemplar = published
             .tracker
