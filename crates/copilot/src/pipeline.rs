@@ -1675,6 +1675,22 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_while_the_breaker_is_held_does_not_wedge_it() {
+        let (cp, ts) = copilot();
+        let cp = Arc::new(cp);
+        let holder = Arc::clone(&cp);
+        let poisoned = std::thread::spawn(move || {
+            let _held = holder.breaker.lock().unwrap();
+            panic!("a worker panics while it holds the breaker");
+        })
+        .join();
+        assert!(poisoned.is_err() && cp.breaker.is_poisoned());
+        let r = cp.ask("How many paging attempts?", ts);
+        assert_eq!(r.degradation, DegradationLevel::Full);
+        assert_eq!(r.trace.recovery.attempts, 1);
+    }
+
+    #[test]
     fn feedback_update_bumps_shared_generation_copy_on_write() {
         let (cp, ts) = copilot();
         let clone = cp.clone();
