@@ -176,8 +176,7 @@ impl Chunk {
     /// wrote, which the world's payload pin hashes.
     /// [`Chunk::from_payload`] inverts it.
     pub fn payload(&self) -> Vec<u8> {
-        let mut payload =
-            Vec::with_capacity(12 + self.ts_bytes.len() + self.val_bytes.len());
+        let mut payload = Vec::with_capacity(12 + self.ts_bytes.len() + self.val_bytes.len());
         payload.extend_from_slice(&self.count.to_le_bytes());
         payload.extend_from_slice(&(self.ts_bytes.len() as u32).to_le_bytes());
         payload.extend_from_slice(&(self.val_bytes.len() as u32).to_le_bytes());

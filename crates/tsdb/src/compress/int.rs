@@ -105,7 +105,9 @@ pub(crate) fn decode_timestamps(
         return Ok(out);
     }
     let mut delta = read_varint(r).ok_or_else(|| fail(&out))?;
-    let second = first.checked_add(delta).ok_or(CodecError::TimestampOverflow)?;
+    let second = first
+        .checked_add(delta)
+        .ok_or(CodecError::TimestampOverflow)?;
     out.push(second);
     while out.len() < count {
         let dod = if !r.read_bit().ok_or_else(|| fail(&out))? {
@@ -123,9 +125,13 @@ pub(crate) fn decode_timestamps(
             let raw = r.read_bits(64).ok_or_else(|| fail(&out))?;
             unzigzag(raw)
         };
-        delta = delta.checked_add(dod).ok_or(CodecError::TimestampOverflow)?;
+        delta = delta
+            .checked_add(dod)
+            .ok_or(CodecError::TimestampOverflow)?;
         let last = *out.last().expect("non-empty");
-        let ts = last.checked_add(delta).ok_or(CodecError::TimestampOverflow)?;
+        let ts = last
+            .checked_add(delta)
+            .ok_or(CodecError::TimestampOverflow)?;
         out.push(ts);
     }
     Ok(out)

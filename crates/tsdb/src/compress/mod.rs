@@ -42,10 +42,9 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::UnexpectedEnd { decoded, expected } => write!(
-                f,
-                "bitstream ended after {decoded} of {expected} samples"
-            ),
+            CodecError::UnexpectedEnd { decoded, expected } => {
+                write!(f, "bitstream ended after {decoded} of {expected} samples")
+            }
             CodecError::BadControlBits { bit } => {
                 write!(f, "invalid control bits at bit offset {bit}")
             }

@@ -194,7 +194,12 @@ impl<'a> Iterator for Frames<'a> {
             self.pos = bytes.len();
             return Some(Frame::TornTail);
         }
-        let len = [bytes[pos + 2], bytes[pos + 3], bytes[pos + 4], bytes[pos + 5]];
+        let len = [
+            bytes[pos + 2],
+            bytes[pos + 3],
+            bytes[pos + 4],
+            bytes[pos + 5],
+        ];
         let frame_len = FRAME_HEADER_LEN + u32::from_le_bytes(len) as usize;
         if bytes.len() - pos < frame_len && !whole_frame_follows(bytes, pos + MAGIC.len()) {
             // The frame extends past the end and nothing whole follows
@@ -358,7 +363,11 @@ mod tests {
 
     #[test]
     fn pure_garbage_is_quarantined_not_panicked() {
-        let garbage: Vec<u8> = (0u8..=255).filter(|&b| b != 0xD1).cycle().take(300).collect();
+        let garbage: Vec<u8> = (0u8..=255)
+            .filter(|&b| b != 0xD1)
+            .cycle()
+            .take(300)
+            .collect();
         let r = decode_all(&garbage);
         assert!(r.records.is_empty());
         assert!(r.corrupt_frames() > 0 || r.truncated_tail);

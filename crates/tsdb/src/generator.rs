@@ -184,7 +184,8 @@ impl Synthesizer {
                     noise_frac,
                 } => {
                     if k > 0 {
-                        let diurnal = 1.0 + diurnal_frac * (2.0 * std::f64::consts::PI * t / DAY_MS).sin();
+                        let diurnal =
+                            1.0 + diurnal_frac * (2.0 * std::f64::consts::PI * t / DAY_MS).sin();
                         let noise = 1.0 + noise_frac * u;
                         let rate = base_rate_per_sec * diurnal.max(0.0) * noise.max(0.0);
                         counter_acc += rate * step_sec * spec.scale;

@@ -92,9 +92,12 @@ impl std::fmt::Display for Matcher {
 /// sequence of literal chars, `.` (any one char), `.*` (any run), and
 /// `.+` (non-empty run).
 pub fn pattern_match(pattern: &str, text: &str) -> bool {
-    pattern
-        .split('|')
-        .any(|branch| branch_match(&branch.chars().collect::<Vec<_>>(), &text.chars().collect::<Vec<_>>()))
+    pattern.split('|').any(|branch| {
+        branch_match(
+            &branch.chars().collect::<Vec<_>>(),
+            &text.chars().collect::<Vec<_>>(),
+        )
+    })
 }
 
 fn branch_match(pat: &[char], text: &[char]) -> bool {

@@ -166,7 +166,12 @@ impl Series {
         self.sample_at_with(ts, lookback_ms, Some(cache))
     }
 
-    fn sample_at_with(&self, ts: i64, lookback_ms: i64, cache: Option<&PageCache>) -> Option<Sample> {
+    fn sample_at_with(
+        &self,
+        ts: i64,
+        lookback_ms: i64,
+        cache: Option<&PageCache>,
+    ) -> Option<Sample> {
         // Head first: it is the newest tier.
         let idx = self.head.partition_point(|s| s.timestamp_ms <= ts);
         let s = if idx > 0 {

@@ -279,7 +279,9 @@ mod tests {
 
     #[test]
     fn select_unknown_name_is_empty() {
-        assert!(store().select(&[Matcher::eq(NAME_LABEL, "nope")]).is_empty());
+        assert!(store()
+            .select(&[Matcher::eq(NAME_LABEL, "nope")])
+            .is_empty());
     }
 
     #[test]
@@ -376,10 +378,7 @@ mod tests {
         let last = src.last_timestamp().unwrap();
         newer.append(Sample::new(last + 1, 42.0)).unwrap();
         assert_eq!(st.adopt_series(newer), 0);
-        assert_eq!(
-            st.series_for("adopted")[0].last_timestamp(),
-            Some(last + 1)
-        );
+        assert_eq!(st.series_for("adopted")[0].last_timestamp(), Some(last + 1));
     }
 
     /// Everything a reader sees of a store: counts, every series'

@@ -73,9 +73,9 @@ fn special_float(seed: u64) -> f64 {
         1 => f64::from_bits(0x7ff0_0000_0000_0001 | (seed >> 12)), // signalling-ish NaN
         2 => f64::INFINITY,
         3 => f64::NEG_INFINITY,
-        4 => f64::from_bits(seed >> 12),                           // subnormal territory
+        4 => f64::from_bits(seed >> 12), // subnormal territory
         5 => -0.0,
-        _ => f64::from_bits(seed),                                 // anything at all
+        _ => f64::from_bits(seed), // anything at all
     }
 }
 
