@@ -282,7 +282,12 @@ mod tests {
             .map(|id| BenchmarkQuestion {
                 id,
                 text: format!("question {id}"),
-                shape: if id % 2 == 0 { "TotalCount" } else { "RatePerSecond" }.into(),
+                shape: if id % 2 == 0 {
+                    "TotalCount"
+                } else {
+                    "RatePerSecond"
+                }
+                .into(),
                 phrasing: if id % 2 == 0 {
                     Phrasing::Plain
                 } else {

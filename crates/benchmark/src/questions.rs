@@ -19,7 +19,7 @@
 
 use crate::fewshot::is_fewshot_procedure;
 use crate::world::OperatorWorld;
-use dio_catalog::{FAILURE_CAUSES, ProcedureGroup};
+use dio_catalog::{ProcedureGroup, FAILURE_CAUSES};
 use dio_llm::TaskShape;
 use serde::{Deserialize, Serialize};
 
@@ -122,8 +122,7 @@ pub fn generate_benchmark(world: &OperatorWorld, n: usize, seed: u64) -> Vec<Ben
         .groups
         .iter()
         .filter(|g| {
-            g.service != "platform"
-                && !is_fewshot_procedure(g.nf, &g.service, &g.procedure)
+            g.service != "platform" && !is_fewshot_procedure(g.nf, &g.service, &g.procedure)
         })
         .collect();
 
@@ -288,7 +287,10 @@ fn build_candidate(
             let disp = &g.display;
             let text = match phrasing {
                 Phrasing::Plain => match variant % 2 {
-                    0 => format!("What is the {disp} procedure success rate at the {}?", nf_mention(g)),
+                    0 => format!(
+                        "What is the {disp} procedure success rate at the {}?",
+                        nf_mention(g)
+                    ),
                     _ => format!("What is the success rate of the {disp} procedure?"),
                 },
                 Phrasing::Paraphrase => {
@@ -317,12 +319,21 @@ fn build_candidate(
                 let disp = &g.display;
                 let text = match phrasing {
                     Phrasing::Plain => match variant % 2 {
-                        0 => format!("How many {disp} procedure attempts did the {} handle?", nf_mention(g)),
-                        _ => format!("How many {disp} attempts were recorded at the {}?", nf_mention(g)),
+                        0 => format!(
+                            "How many {disp} procedure attempts did the {} handle?",
+                            nf_mention(g)
+                        ),
+                        _ => format!(
+                            "How many {disp} attempts were recorded at the {}?",
+                            nf_mention(g)
+                        ),
                     },
                     Phrasing::Paraphrase => {
                         let p = paraphrase_phrase(disp);
-                        format!("How many times did UEs try the {p} procedure at the {}?", nf_mention(g))
+                        format!(
+                            "How many times did UEs try the {p} procedure at the {}?",
+                            nf_mention(g)
+                        )
                     }
                 };
                 Some(Candidate {
@@ -369,7 +380,11 @@ fn build_candidate(
                     ),
                     Phrasing::Paraphrase => format!(
                         "What is the {} traffic volume in {} on {iface} at the {}?",
-                        if dir == "uplink" { "upstream" } else { "downstream" },
+                        if dir == "uplink" {
+                            "upstream"
+                        } else {
+                            "downstream"
+                        },
                         if what == "bytes" { "octets" } else { &what },
                         nf_mention(g)
                     ),
@@ -389,12 +404,21 @@ fn build_candidate(
             let disp = &g.display;
             let text = match phrasing {
                 Phrasing::Plain => match variant % 2 {
-                    0 => format!("How many {disp} procedures per second is the {} handling?", nf_mention(g)),
-                    _ => format!("What is the rate of {disp} procedures at the {}?", nf_mention(g)),
+                    0 => format!(
+                        "How many {disp} procedures per second is the {} handling?",
+                        nf_mention(g)
+                    ),
+                    _ => format!(
+                        "What is the rate of {disp} procedures at the {}?",
+                        nf_mention(g)
+                    ),
                 },
                 Phrasing::Paraphrase => {
                     let p = paraphrase_phrase(disp);
-                    format!("What is the per-second frequency of {p} procedures at the {}?", nf_mention(g))
+                    format!(
+                        "What is the per-second frequency of {p} procedures at the {}?",
+                        nf_mention(g)
+                    )
                 }
             };
             Some(Candidate {
@@ -433,10 +457,16 @@ fn build_candidate(
         TaskShape::CurrentValue => {
             let (m, disp, g) = &gauges[index % gauges.len()];
             let text = match phrasing {
-                Phrasing::Plain => format!("How many {disp} are there currently at the {}?", nf_mention(g)),
+                Phrasing::Plain => format!(
+                    "How many {disp} are there currently at the {}?",
+                    nf_mention(g)
+                ),
                 Phrasing::Paraphrase => {
                     let p = paraphrase_phrase(disp);
-                    format!("What is the current number of {p} at the {}?", nf_mention(g))
+                    format!(
+                        "What is the current number of {p} at the {}?",
+                        nf_mention(g)
+                    )
                 }
             };
             Some(Candidate {
@@ -545,10 +575,7 @@ fn message_phrase(name: &str) -> String {
     }
     if segs
         .first()
-        .map(|s| {
-            s.len() <= 3 && (s.starts_with('n') || *s == "nwu")
-                || matches!(*s, "n11" | "nwu")
-        })
+        .map(|s| s.len() <= 3 && (s.starts_with('n') || *s == "nwu") || matches!(*s, "n11" | "nwu"))
         .unwrap_or(false)
     {
         segs.remove(0);
@@ -613,8 +640,7 @@ mod tests {
     fn covers_multiple_shapes_and_phrasings() {
         let w = world();
         let qs = generate_benchmark(&w, 60, 7);
-        let shapes: std::collections::HashSet<&str> =
-            qs.iter().map(|q| q.shape.as_str()).collect();
+        let shapes: std::collections::HashSet<&str> = qs.iter().map(|q| q.shape.as_str()).collect();
         assert!(shapes.len() >= 6, "shapes: {shapes:?}");
         let plain = qs.iter().filter(|q| q.phrasing == Phrasing::Plain).count();
         let para = qs.len() - plain;
@@ -660,6 +686,9 @@ mod tests {
             paraphrase_phrase("initial registration"),
             "initial register"
         );
-        assert_eq!(paraphrase_phrase("PDU session establishment"), "PDU session setup");
+        assert_eq!(
+            paraphrase_phrase("PDU session establishment"),
+            "PDU session setup"
+        );
     }
 }

@@ -33,7 +33,11 @@ pub fn format_shape_breakdown(report: &EvalReport) -> String {
             shape,
             c,
             t,
-            if *t == 0 { 0.0 } else { *c as f64 * 100.0 / *t as f64 }
+            if *t == 0 {
+                0.0
+            } else {
+                *c as f64 * 100.0 / *t as f64
+            }
         ));
     }
     let (pc, pt, qc, qt) = report.plain_vs_paraphrase;

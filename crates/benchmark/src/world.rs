@@ -1,6 +1,8 @@
 //! The evaluation world: catalog + synthesised operator data.
 
-use dio_catalog::{generate_catalog, Catalog, CatalogConfig, DomainDb, MetricRole, NetworkFunction};
+use dio_catalog::{
+    generate_catalog, Catalog, CatalogConfig, DomainDb, MetricRole, NetworkFunction,
+};
 use dio_promql::{Engine, EngineOptions};
 use dio_tsdb::{Labels, MetricStore, SeriesSpec, SynthConfig, Synthesizer};
 use serde::{Deserialize, Serialize};
