@@ -239,8 +239,12 @@ mod tests {
     #[test]
     fn series_synthesis_matches_the_per_sample_path() {
         // Oracle: every sample appended through the store, one index
-        // probe each, against `populate`'s whole-series adoption.
-        let config = WorldConfig::small();
+        // probe each, against `populate`'s whole-series adoption. The
+        // default axis's 721 steps seal two chunks a series.
+        let config = WorldConfig {
+            synth: SynthConfig::default(),
+            ..WorldConfig::small()
+        };
         let world = OperatorWorld::build(config.clone());
         let synth = Synthesizer::new(config.synth);
         let mut oracle = MetricStore::new();
@@ -254,6 +258,11 @@ mod tests {
         for (got, want) in world.store.iter().zip(oracle.iter()) {
             assert_eq!(got.labels(), want.labels());
             assert_eq!(got.chunks().len(), want.chunks().len(), "{}", got.labels());
+            assert_eq!(got.chunks().len(), 2, "{}", got.labels());
+            for (g, w) in got.chunks().iter().zip(want.chunks()) {
+                assert_eq!(g.payload(), w.payload(), "{}", got.labels());
+            }
+            assert_eq!(got.head().len(), want.head().len(), "{}", got.labels());
             let bits = |s: &dio_tsdb::Series| -> Vec<(i64, u64)> {
                 s.samples()
                     .iter()
@@ -301,6 +310,28 @@ mod tests {
             }
         }
         assert_eq!((hash, len), (0x7f2d_734c_34b2_0c13, 34_144_445));
+    }
+
+    #[test]
+    fn default_world_head_samples_are_pinned() {
+        // FNV-1a 64 over every unsealed head sample, as little-endian
+        // timestamp then value bits, in store order: what the payload pin
+        // above cannot see. Constants computed before `populate` built
+        // series from whole runs.
+        let world = OperatorWorld::build(WorldConfig::default());
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut len = 0usize;
+        for sample in world.store.iter().flat_map(|s| s.head()) {
+            len += 1;
+            let bytes = [
+                sample.timestamp_ms.to_le_bytes(),
+                sample.value.to_bits().to_le_bytes(),
+            ];
+            for &b in bytes.iter().flatten() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!((hash, len), (0xa697_cd53_394f_29ac, 1_887_270));
     }
 
     #[test]

@@ -85,15 +85,24 @@ where
         n.saturating_sub(1) <= u32::MAX as usize,
         "top_k_by ranks at most 2^32 scores"
     );
-    let mut keyed: Vec<(u64, f32)> = Vec::with_capacity(n);
+    let descending = |a: &(u64, f32), b: &(u64, f32)| b.0.cmp(&a.0);
+    // Room for `2k` pairs, not one per index: a caller that scores most
+    // indices NaN packs a few dozen. A full buffer keeps its `k` largest,
+    // the only ones that can still make the cut.
+    let room = n.min(k.saturating_mul(2));
+    let mut keyed: Vec<(u64, f32)> = Vec::with_capacity(room);
     for index in 0..n {
         let score = score_fn(index);
-        if !score.is_nan() {
-            let key = u64::from(order_key(score + 0.0)) << 32 | u64::from(!(index as u32));
-            keyed.push((key, score));
+        if score.is_nan() {
+            continue;
         }
+        if keyed.len() == room {
+            keyed.select_nth_unstable_by(k - 1, descending);
+            keyed.truncate(k);
+        }
+        let key = u64::from(order_key(score + 0.0)) << 32 | u64::from(!(index as u32));
+        keyed.push((key, score));
     }
-    let descending = |a: &(u64, f32), b: &(u64, f32)| b.0.cmp(&a.0);
     if keyed.len() > k {
         keyed.select_nth_unstable_by(k - 1, descending);
         keyed.truncate(k);

@@ -54,11 +54,6 @@ impl ObservedModel {
         registry.counter(COST_NAME, COST_HELP);
         ObservedModel { inner, registry }
     }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &dyn FoundationModel {
-        self.inner.as_ref()
-    }
 }
 
 impl FoundationModel for ObservedModel {

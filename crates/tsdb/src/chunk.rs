@@ -115,19 +115,22 @@ impl Chunk {
     /// On an empty run — callers seal only full or flushed non-empty
     /// heads.
     pub fn seal(samples: &[Sample]) -> Chunk {
-        assert!(!samples.is_empty(), "cannot seal an empty chunk");
-        let ts: Vec<i64> = samples.iter().map(|s| s.timestamp_ms).collect();
-        let vals: Vec<f64> = samples.iter().map(|s| s.value).collect();
-        let mut tw = BitWriter::new();
-        int::encode_timestamps(&ts, &mut tw);
-        let mut vw = BitWriter::new();
-        float::encode_values(&vals, &mut vw);
+        let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+            panic!("cannot seal an empty chunk");
+        };
+        // Each column is finished, and trimmed, before the next one
+        // reserves its bound.
+        let mut tw = BitWriter::with_capacity(int::max_bits(samples.len()));
+        int::encode_timestamps(samples, &mut tw);
+        let ts_bytes = tw.into_bytes();
+        let mut vw = BitWriter::with_capacity(float::max_bits(samples.len()));
+        float::encode_values(samples, &mut vw);
         Chunk {
             id: next_chunk_id(),
             count: samples.len() as u32,
-            min_ts: ts[0],
-            max_ts: *ts.last().expect("non-empty"),
-            ts_bytes: tw.into_bytes(),
+            min_ts: first.timestamp_ms,
+            max_ts: last.timestamp_ms,
+            ts_bytes,
             val_bytes: vw.into_bytes(),
         }
     }

@@ -18,19 +18,29 @@
 //! testing against the interpreter.
 
 use super::{BitSink, BitSource, CodecError};
+use crate::sample::Sample;
 
-/// Encode a value column.
-pub(crate) fn encode_values(vals: &[f64], w: &mut impl BitSink) {
-    if vals.is_empty() {
-        return;
+/// Most bits [`encode_values`] writes for `count` samples: the raw
+/// first value, then a fresh 64-bit window for every later sample.
+pub(crate) fn max_bits(count: usize) -> usize {
+    match count {
+        0 => 0,
+        n => 64 + (n - 1) * (2 + 6 + 6 + 64),
     }
-    let mut prev = vals[0].to_bits();
+}
+
+/// Encode the value column of a run of samples.
+pub(crate) fn encode_values(samples: &[Sample], w: &mut impl BitSink) {
+    let Some((first, rest)) = samples.split_first() else {
+        return;
+    };
+    let mut prev = first.value.to_bits();
     w.push_bits(prev, 64);
     // Sentinel forcing the first non-zero xor to emit a fresh window.
     let mut lead: u32 = 64;
     let mut sig: u32 = 0;
-    for &v in &vals[1..] {
-        let bits = v.to_bits();
+    for sample in rest {
+        let bits = sample.value.to_bits();
         let xor = prev ^ bits;
         prev = bits;
         if xor == 0 {
@@ -100,9 +110,14 @@ mod tests {
     use super::*;
     use crate::compress::{BitReader, BitWriter};
 
+    /// A run carrying `vals` (the timestamps play no part).
+    fn valued(vals: &[f64]) -> Vec<Sample> {
+        vals.iter().map(|&v| Sample::new(0, v)).collect()
+    }
+
     fn roundtrip(vals: &[f64]) {
-        let mut w = BitWriter::new();
-        encode_values(vals, &mut w);
+        let mut w = BitWriter::default();
+        encode_values(&valued(vals), &mut w);
         let bytes = w.into_bytes();
         let got = decode_values(&mut BitReader::new(&bytes), vals.len()).expect("decode");
         assert_eq!(got.len(), vals.len());
@@ -121,8 +136,8 @@ mod tests {
     #[test]
     fn constant_column_is_one_bit_per_sample() {
         let vals = vec![42.5; 500];
-        let mut w = BitWriter::new();
-        encode_values(&vals, &mut w);
+        let mut w = BitWriter::default();
+        encode_values(&valued(&vals), &mut w);
         assert!(w.bit_len() < 64 + vals.len(), "bits = {}", w.bit_len());
         let bytes = w.into_bytes();
         let got = decode_values(&mut BitReader::new(&bytes), vals.len()).unwrap();
@@ -164,8 +179,8 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let vals: Vec<f64> = (0..100).map(|i| (i as f64).sqrt()).collect();
-        let mut w = BitWriter::new();
-        encode_values(&vals, &mut w);
+        let mut w = BitWriter::default();
+        encode_values(&valued(&vals), &mut w);
         let bytes = w.into_bytes();
         let cut = &bytes[..bytes.len() / 3];
         let err = decode_values(&mut BitReader::new(cut), vals.len()).unwrap_err();

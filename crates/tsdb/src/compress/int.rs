@@ -18,6 +18,7 @@
 //! a fixed interval costs one bit per sample after the header.
 
 use super::{unzigzag, zigzag, BitSink, BitSource, CodecError};
+use crate::sample::Sample;
 
 /// Append a zigzag varint to the bit stream.
 fn push_varint(w: &mut impl BitSink, v: i64) {
@@ -52,20 +53,38 @@ fn read_varint(r: &mut impl BitSource) -> Option<i64> {
     }
 }
 
-/// Encode a sorted (strictly increasing) timestamp column.
-pub(crate) fn encode_timestamps(ts: &[i64], w: &mut impl BitSink) {
-    if ts.is_empty() {
-        return;
+/// Most bits a varint takes: 64 bits in ten groups of a continuation
+/// bit and seven payload bits.
+const VARINT_MAX_BITS: usize = 10 * 8;
+
+/// Most bits [`encode_timestamps`] writes for `count` samples: both
+/// header varints at full length, then the raw escape for every later
+/// sample.
+pub(crate) fn max_bits(count: usize) -> usize {
+    match count {
+        0 => 0,
+        1 => VARINT_MAX_BITS,
+        n => 2 * VARINT_MAX_BITS + (n - 2) * (4 + 64),
     }
-    push_varint(w, ts[0]);
-    if ts.len() == 1 {
+}
+
+/// Encode the timestamp column of a run of samples (strictly
+/// increasing timestamps).
+pub(crate) fn encode_timestamps(samples: &[Sample], w: &mut impl BitSink) {
+    let mut ts = samples.iter().map(|s| s.timestamp_ms);
+    let Some(first) = ts.next() else {
         return;
-    }
-    let mut prev_delta = ts[1] - ts[0];
+    };
+    push_varint(w, first);
+    let Some(mut prev) = ts.next() else {
+        return;
+    };
+    let mut prev_delta = prev - first;
     push_varint(w, prev_delta);
-    for win in ts[1..].windows(2) {
-        let delta = win[1] - win[0];
+    for t in ts {
+        let delta = t - prev;
         let dod = delta - prev_delta;
+        prev = t;
         prev_delta = delta;
         if dod == 0 {
             w.push_bit(false);
@@ -142,9 +161,14 @@ mod tests {
     use super::*;
     use crate::compress::{BitReader, BitWriter};
 
+    /// A run carrying `ts` (the values play no part).
+    fn stamped(ts: &[i64]) -> Vec<Sample> {
+        ts.iter().map(|&t| Sample::new(t, 0.0)).collect()
+    }
+
     fn roundtrip(ts: &[i64]) {
-        let mut w = BitWriter::new();
-        encode_timestamps(ts, &mut w);
+        let mut w = BitWriter::default();
+        encode_timestamps(&stamped(ts), &mut w);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let got = decode_timestamps(&mut r, ts.len()).expect("decode");
@@ -162,8 +186,8 @@ mod tests {
     #[test]
     fn regular_interval_is_one_bit_per_sample() {
         let ts: Vec<i64> = (0..256).map(|i| 1_700_000_000_000 + i * 15_000).collect();
-        let mut w = BitWriter::new();
-        encode_timestamps(&ts, &mut w);
+        let mut w = BitWriter::default();
+        encode_timestamps(&stamped(&ts), &mut w);
         // Header (two varints) plus ~1 bit per remaining sample.
         assert!(w.bit_len() < 128 + ts.len(), "bits = {}", w.bit_len());
         let bytes = w.into_bytes();
@@ -188,8 +212,8 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let ts: Vec<i64> = (0..100).map(|i| i * 1_000).collect();
-        let mut w = BitWriter::new();
-        encode_timestamps(&ts, &mut w);
+        let mut w = BitWriter::default();
+        encode_timestamps(&stamped(&ts), &mut w);
         let bytes = w.into_bytes();
         let cut = &bytes[..bytes.len() / 2];
         let err = decode_timestamps(&mut BitReader::new(cut), ts.len()).unwrap_err();

@@ -78,32 +78,38 @@ pub(crate) trait BitSource {
 }
 
 /// Append-only bit writer (MSB-first within each byte). Bits gather in
-/// a word-sized accumulator and leave it as whole bytes, up to 32 bits
-/// per step.
+/// a word-sized accumulator and leave it 32 at a time; the last
+/// partial word drains in [`BitWriter::into_bytes`].
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     /// Pending bits in the low `pending` bits, oldest highest.
     acc: u64,
-    /// Bits in `acc` not yet emitted; below 8 between calls.
+    /// Bits in `acc` not yet emitted; below 32 between calls.
     pending: u32,
 }
 
 impl BitWriter {
-    /// An empty writer.
-    pub(crate) fn new() -> Self {
-        BitWriter::default()
+    /// An empty writer with room for `bits` bits, so an encoder that
+    /// stays within that bound never grows the buffer.
+    pub(crate) fn with_capacity(bits: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            ..BitWriter::default()
+        }
     }
 
     /// Append the low `n <= 32` bits of `value`.
     #[inline]
     fn push_word(&mut self, value: u64, n: u8) {
         let n = u32::from(n);
+        // At most 31 pending bits plus 32 new ones: they fit the word.
         self.acc = (self.acc << n) | (value & ((1u64 << n) - 1));
         self.pending += n;
-        while self.pending >= 8 {
-            self.pending -= 8;
-            self.bytes.push((self.acc >> self.pending) as u8);
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -115,10 +121,12 @@ impl BitWriter {
 
     /// Finish, returning the byte stream with its last byte zero-padded
     /// and trimmed to its length: a sealed column lives as long as its
-    /// chunk, so it does not keep the push loop's doubling slack.
+    /// chunk, so it does not keep the reserved bound's slack.
     pub(crate) fn into_bytes(mut self) -> Vec<u8> {
         if self.pending > 0 {
-            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+            let tail = (self.acc << (64 - self.pending)).to_be_bytes();
+            let used = self.pending.div_ceil(8) as usize;
+            self.bytes.extend_from_slice(&tail[..used]);
         }
         self.bytes.shrink_to_fit();
         self.bytes
@@ -306,6 +314,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{RefBitReader, RefBitWriter};
     use super::*;
+    use crate::sample::Sample;
     use proptest::prelude::*;
 
     proptest! {
@@ -317,7 +326,7 @@ mod tests {
             values in prop::collection::vec(any::<u64>(), 0..300),
             widths in prop::collection::vec(0u8..66, 300..301),
         ) {
-            let (mut w, mut oracle) = (BitWriter::new(), RefBitWriter::default());
+            let (mut w, mut oracle) = (BitWriter::default(), RefBitWriter::default());
             for (&value, &n) in values.iter().zip(&widths) {
                 // Width 65 stands for a single `push_bit`.
                 if n == 65 {
@@ -330,6 +339,36 @@ mod tests {
                 prop_assert_eq!(w.bit_len(), oracle.bit_len());
             }
             prop_assert_eq!(w.into_bytes(), oracle.into_bytes());
+        }
+
+        /// Streams of `push_bits(value, 0..=64)` padded to every length
+        /// modulo 32, so each word boundary and every partial tail (1 to
+        /// 31 bits, whole bytes or not) is drained against the reference
+        /// writer, from an empty buffer and from a reserved one.
+        #[test]
+        fn every_tail_length_matches_the_reference(
+            values in prop::collection::vec(any::<u64>(), 0..40),
+            widths in prop::collection::vec(0u8..65, 40..41),
+            reserve in 0usize..2_700,
+        ) {
+            for tail in 0..32 {
+                let mut w = if tail % 2 == 0 {
+                    BitWriter::default()
+                } else {
+                    BitWriter::with_capacity(reserve)
+                };
+                let mut oracle = RefBitWriter::default();
+                for (&value, &n) in values.iter().zip(&widths) {
+                    w.push_bits(value, n);
+                    oracle.push_bits(value, n);
+                }
+                let pad = ((tail + 32 - oracle.bit_len() % 32) % 32) as u8;
+                w.push_bits(u64::MAX, pad);
+                oracle.push_bits(u64::MAX, pad);
+                prop_assert_eq!(oracle.bit_len() % 32, tail);
+                prop_assert_eq!(w.bit_len(), oracle.bit_len());
+                prop_assert_eq!(w.into_bytes(), oracle.into_bytes(), "tail {}", tail);
+            }
         }
 
         /// Any byte slice read with any width sequence gives the
@@ -366,20 +405,26 @@ mod tests {
         ) {
             let ts = timestamp_column(&seeds);
             let vals: Vec<f64> = seeds.iter().map(|&s| value_from(s)).collect();
+            let samples: Vec<Sample> =
+                ts.iter().zip(&vals).map(|(&t, &v)| Sample::new(t, v)).collect();
+            let n = samples.len();
 
-            let (mut tw, mut tw_ref) = (BitWriter::new(), RefBitWriter::default());
-            int::encode_timestamps(&ts, &mut tw);
-            int::encode_timestamps(&ts, &mut tw_ref);
+            let mut tw = BitWriter::with_capacity(int::max_bits(n));
+            let mut tw_ref = RefBitWriter::default();
+            int::encode_timestamps(&samples, &mut tw);
+            int::encode_timestamps(&samples, &mut tw_ref);
+            prop_assert!(tw.bit_len() <= int::max_bits(n));
             let ts_bytes = tw.into_bytes();
             prop_assert_eq!(&ts_bytes, &tw_ref.into_bytes());
 
-            let (mut vw, mut vw_ref) = (BitWriter::new(), RefBitWriter::default());
-            float::encode_values(&vals, &mut vw);
-            float::encode_values(&vals, &mut vw_ref);
+            let mut vw = BitWriter::with_capacity(float::max_bits(n));
+            let mut vw_ref = RefBitWriter::default();
+            float::encode_values(&samples, &mut vw);
+            float::encode_values(&samples, &mut vw_ref);
+            prop_assert!(vw.bit_len() <= float::max_bits(n));
             let val_bytes = vw.into_bytes();
             prop_assert_eq!(&val_bytes, &vw_ref.into_bytes());
 
-            let n = ts.len();
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let (want_ts, want_vals) = (Ok(ts), Ok(bits(vals)));
             let got = int::decode_timestamps(&mut BitReader::new(&ts_bytes), n);
@@ -440,7 +485,7 @@ mod tests {
 
     #[test]
     fn bit_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.push_bit(true);
         w.push_bits(0b1011, 4);
         w.push_bits(u64::MAX, 64);

@@ -18,7 +18,7 @@ use crate::storage::MetricStore;
 use serde::{Deserialize, Serialize};
 
 /// Milliseconds in one day, the diurnal period.
-const DAY_MS: f64 = 24.0 * 3600.0 * 1000.0;
+const DAY_MS: i64 = 24 * 3600 * 1000;
 
 /// The temporal shape of one synthetic series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,62 +168,116 @@ impl Synthesizer {
 
     /// Generate all samples for one spec.
     pub fn synthesize(&self, spec: &SeriesSpec) -> Vec<Sample> {
+        let waves = Waves::new(&self.config, std::slice::from_ref(spec));
+        let mut out = Vec::with_capacity(self.config.steps());
+        self.fill(spec, &waves, &mut out);
+        out
+    }
+
+    /// Replace `out` with every sample of one spec, its wave read from
+    /// `waves` by step index.
+    fn fill(&self, spec: &SeriesSpec, waves: &Waves, out: &mut Vec<Sample>) {
         let cfg = &self.config;
-        let steps = cfg.steps();
-        let mut out = Vec::with_capacity(steps);
-        let step_sec = cfg.step_ms as f64 / 1000.0;
-        let mut counter_acc = 0.0f64;
-        for k in 0..steps {
-            let ts = cfg.start_ms + k as i64 * cfg.step_ms;
-            let t = ts as f64;
-            let u = hash_noise(spec.seed, k as u64);
-            let value = match &spec.shape {
-                SeriesShape::Counter {
-                    base_rate_per_sec,
-                    diurnal_frac,
-                    noise_frac,
-                } => {
+        out.clear();
+        let steps = waves
+            .get(spec.shape.period_ms())
+            .iter()
+            .enumerate()
+            .map(|(k, &sine)| {
+                let ts = cfg.start_ms + k as i64 * cfg.step_ms;
+                (ts, sine, hash_noise(spec.seed, k as u64))
+            });
+        match spec.shape {
+            SeriesShape::Counter {
+                base_rate_per_sec,
+                diurnal_frac,
+                noise_frac,
+            } => {
+                let step_sec = cfg.step_ms as f64 / 1000.0;
+                let mut counter_acc = 0.0f64;
+                for (k, (ts, sine, u)) in steps.enumerate() {
                     if k > 0 {
-                        let diurnal =
-                            1.0 + diurnal_frac * (2.0 * std::f64::consts::PI * t / DAY_MS).sin();
+                        let diurnal = 1.0 + diurnal_frac * sine;
                         let noise = 1.0 + noise_frac * u;
                         let rate = base_rate_per_sec * diurnal.max(0.0) * noise.max(0.0);
                         counter_acc += rate * step_sec * spec.scale;
                     }
-                    counter_acc
+                    out.push(Sample::new(ts, counter_acc));
                 }
-                SeriesShape::Gauge {
-                    base,
-                    amplitude,
-                    period_ms,
-                    noise_frac,
-                } => {
-                    let phase = 2.0 * std::f64::consts::PI * t / (*period_ms as f64);
-                    (base * (1.0 + amplitude * phase.sin()) + base * noise_frac * u) * spec.scale
-                }
-            };
-            out.push(Sample::new(ts, value));
+            }
+            SeriesShape::Gauge {
+                base,
+                amplitude,
+                noise_frac,
+                ..
+            } => out.extend(steps.map(|(ts, sine, u)| {
+                let value = (base * (1.0 + amplitude * sine) + base * noise_frac * u) * spec.scale;
+                Sample::new(ts, value)
+            })),
         }
-        out
     }
 
-    /// Synthesise every spec into `store`, in spec order. Each series
-    /// is built whole and handed over with one index write, so even a
-    /// zero-step config registers it.
+    /// Synthesise every spec into `store`, in spec order. Each wave is
+    /// computed once per step for all specs, each spec is generated
+    /// into one reused buffer, and each series is built from its whole
+    /// run and handed over with one index write, so even a zero-step
+    /// config registers it.
     ///
     /// # Panics
     /// When two specs share a label set (on a non-empty time axis).
     pub fn populate(&self, specs: &[SeriesSpec], store: &mut MetricStore) {
+        let waves = Waves::new(&self.config, specs);
+        let mut run = Vec::with_capacity(self.config.steps());
         for spec in specs {
-            let mut series = Series::new(spec.labels.clone());
-            for s in self.synthesize(spec) {
-                series
-                    .append(s)
-                    .expect("synthesizer emits strictly increasing timestamps");
-            }
-            let skipped = store.adopt_series(series);
+            self.fill(spec, &waves, &mut run);
+            let skipped = store.adopt_series(Series::from_run(spec.labels.clone(), &run));
             assert_eq!(skipped, 0, "duplicate series spec {}", spec.labels);
         }
+    }
+}
+
+impl SeriesShape {
+    /// The period of the shape's sine wave: a day for counters.
+    fn period_ms(&self) -> i64 {
+        match self {
+            SeriesShape::Counter { .. } => DAY_MS,
+            SeriesShape::Gauge { period_ms, .. } => *period_ms,
+        }
+    }
+}
+
+/// `sin(2πt / period)` at every step of the time axis, one table per
+/// period the specs use: every counter shares the day's and every
+/// gauge its period's, so a world computes a few hundred sines, not
+/// one per sample.
+struct Waves {
+    tables: Vec<(i64, Vec<f64>)>,
+}
+
+impl Waves {
+    fn new(config: &SynthConfig, specs: &[SeriesSpec]) -> Self {
+        let mut tables: Vec<(i64, Vec<f64>)> = Vec::new();
+        for period_ms in specs.iter().map(|spec| spec.shape.period_ms()) {
+            if tables.iter().any(|(p, _)| *p == period_ms) {
+                continue;
+            }
+            let wave = (0..config.steps())
+                .map(|k| {
+                    let t = (config.start_ms + k as i64 * config.step_ms) as f64;
+                    (2.0 * std::f64::consts::PI * t / period_ms as f64).sin()
+                })
+                .collect();
+            tables.push((period_ms, wave));
+        }
+        Waves { tables }
+    }
+
+    fn get(&self, period_ms: i64) -> &[f64] {
+        self.tables
+            .iter()
+            .find(|(p, _)| *p == period_ms)
+            .map(|(_, wave)| wave.as_slice())
+            .expect("a wave for every spec's period")
     }
 }
 
@@ -338,6 +392,86 @@ mod tests {
         let synth = Synthesizer::new(cfg());
         let spec = SeriesSpec::counter(labels("a"), 1.0, 1);
         synth.populate(&[spec.clone(), spec], &mut MetricStore::new());
+    }
+
+    /// The sine-per-sample synthesis the shared waves replaced, kept
+    /// as the oracle for their bits.
+    fn per_sample(cfg: &SynthConfig, spec: &SeriesSpec) -> Vec<(i64, u64)> {
+        let step_sec = cfg.step_ms as f64 / 1000.0;
+        let mut counter_acc = 0.0f64;
+        (0..cfg.steps())
+            .map(|k| {
+                let ts = cfg.start_ms + k as i64 * cfg.step_ms;
+                let t = ts as f64;
+                let u = hash_noise(spec.seed, k as u64);
+                let value = match &spec.shape {
+                    SeriesShape::Counter {
+                        base_rate_per_sec,
+                        diurnal_frac,
+                        noise_frac,
+                    } => {
+                        if k > 0 {
+                            let day = 24.0 * 3600.0 * 1000.0;
+                            let diurnal =
+                                1.0 + diurnal_frac * (2.0 * std::f64::consts::PI * t / day).sin();
+                            let noise = 1.0 + noise_frac * u;
+                            let rate = base_rate_per_sec * diurnal.max(0.0) * noise.max(0.0);
+                            counter_acc += rate * step_sec * spec.scale;
+                        }
+                        counter_acc
+                    }
+                    SeriesShape::Gauge {
+                        base,
+                        amplitude,
+                        period_ms,
+                        noise_frac,
+                    } => {
+                        let phase = 2.0 * std::f64::consts::PI * t / (*period_ms as f64);
+                        (base * (1.0 + amplitude * phase.sin()) + base * noise_frac * u)
+                            * spec.scale
+                    }
+                };
+                (ts, value.to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_waves_give_the_per_sample_bits() {
+        // Three periods, a derived counter and a day-long gauge that
+        // shares the counters' wave, over an axis that seals chunks.
+        let cfg = SynthConfig {
+            start_ms: 1_698_796_800_000,
+            end_ms: 1_698_796_800_000 + 12 * 3600 * 1000,
+            step_ms: 60_000,
+        };
+        let counter = SeriesSpec::counter(labels("c"), 5.0, 11);
+        let mut day_gauge = SeriesSpec::gauge(labels("g_day"), 40.0, 12);
+        if let SeriesShape::Gauge { period_ms, .. } = &mut day_gauge.shape {
+            *period_ms = DAY_MS;
+        }
+        let specs = vec![
+            SeriesSpec::gauge(labels("g"), 100.0, 13),
+            counter.derived(labels("c_ok"), 0.9),
+            day_gauge,
+            counter,
+        ];
+        let synth = Synthesizer::new(cfg);
+        let mut store = MetricStore::new();
+        synth.populate(&specs, &mut store);
+        let bits = |samples: Vec<Sample>| -> Vec<(i64, u64)> {
+            samples
+                .iter()
+                .map(|s| (s.timestamp_ms, s.value.to_bits()))
+                .collect()
+        };
+        for (spec, series) in specs.iter().zip(store.iter()) {
+            let want = per_sample(&cfg, spec);
+            assert_eq!(want.len(), 721);
+            assert_eq!(bits(synth.synthesize(spec)), want, "{}", spec.labels);
+            assert_eq!(series.labels(), &spec.labels);
+            assert_eq!(bits(series.samples()), want, "{}", spec.labels);
+        }
     }
 
     #[test]

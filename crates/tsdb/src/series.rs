@@ -43,6 +43,32 @@ impl Series {
         }
     }
 
+    /// The series `append` leaves after taking `run` one sample at a
+    /// time (strictly increasing timestamps), built in one step: every
+    /// full [`CHUNK_SIZE`] slice seals and the rest becomes the head,
+    /// with the capacity appends would have grown it to — a full
+    /// chunk's once one has sealed, else the next power of two from 4.
+    pub(crate) fn from_run(labels: Labels, run: &[Sample]) -> Self {
+        debug_assert!(run
+            .windows(2)
+            .all(|w| w[0].timestamp_ms < w[1].timestamp_ms));
+        let full = run.len() - run.len() % CHUNK_SIZE;
+        let (sealed, rest) = run.split_at(full);
+        let chunks: Vec<Chunk> = sealed.chunks_exact(CHUNK_SIZE).map(Chunk::seal).collect();
+        let capacity = match (chunks.is_empty(), rest.len()) {
+            (false, _) => CHUNK_SIZE,
+            (true, 0) => 0,
+            (true, n) => n.max(4).next_power_of_two(),
+        };
+        let mut head = Vec::with_capacity(capacity);
+        head.extend_from_slice(rest);
+        Series {
+            labels,
+            chunks,
+            head,
+        }
+    }
+
     /// The series identity.
     pub fn labels(&self) -> &Labels {
         &self.labels
@@ -373,6 +399,22 @@ mod tests {
             all.push(smp);
         }
         (s, all)
+    }
+
+    #[test]
+    fn a_run_builds_the_series_appends_leave() {
+        for n in [0, 1, 5, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 721] {
+            let (appended, run) = long_series(n);
+            let built = Series::from_run(appended.labels().clone(), &run);
+            assert_eq!(built.head(), appended.head(), "n={n}");
+            assert_eq!(built.head.capacity(), appended.head.capacity(), "n={n}");
+            assert_eq!(built.chunks().len(), appended.chunks().len(), "n={n}");
+            for (b, a) in built.chunks().iter().zip(appended.chunks()) {
+                assert_eq!(b.payload(), a.payload(), "n={n}");
+                assert_eq!((b.min_ts(), b.max_ts()), (a.min_ts(), a.max_ts()), "n={n}");
+            }
+            assert_eq!(built.samples(), run, "n={n}");
+        }
     }
 
     #[test]
