@@ -248,8 +248,8 @@ impl SeriesShape {
 
 /// `sin(2πt / period)` at every step of the time axis, one table per
 /// period the specs use: every counter shares the day's and every
-/// gauge its period's, so a world computes a few hundred sines, not
-/// one per sample.
+/// gauge its period's, so a world computes one sine per step and
+/// period, not one per sample.
 struct Waves {
     tables: Vec<(i64, Vec<f64>)>,
 }

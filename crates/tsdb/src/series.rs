@@ -52,9 +52,9 @@ impl Series {
         debug_assert!(run
             .windows(2)
             .all(|w| w[0].timestamp_ms < w[1].timestamp_ms));
-        let full = run.len() - run.len() % CHUNK_SIZE;
-        let (sealed, rest) = run.split_at(full);
-        let chunks: Vec<Chunk> = sealed.chunks_exact(CHUNK_SIZE).map(Chunk::seal).collect();
+        let full = run.chunks_exact(CHUNK_SIZE);
+        let rest = full.remainder();
+        let chunks: Vec<Chunk> = full.map(Chunk::seal).collect();
         let capacity = match (chunks.is_empty(), rest.len()) {
             (false, _) => CHUNK_SIZE,
             (true, 0) => 0,
