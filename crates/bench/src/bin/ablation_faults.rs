@@ -50,7 +50,11 @@ fn main() {
             };
             let mut dio = exp.copilot_with_config(model, config);
             let report = evaluate(&mut dio, &exp.questions, exp.world.eval_ts);
-            cells.push((report.ex_percent, report.repairs_total, report.degraded_count));
+            cells.push((
+                report.ex_percent,
+                report.repairs_total,
+                report.degraded_count,
+            ));
             artifact.push(&format!("p={p:.1} {label}"), &report);
             artifact.set_stages(&dio.obs().registry().snapshot());
         }

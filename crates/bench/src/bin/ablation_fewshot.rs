@@ -18,7 +18,10 @@ fn main() {
     let exp = Experiment::standard();
 
     println!("\nAblation — few-shot exemplars in the prompt (paper setting: 20)\n");
-    println!("{:>9} | {:>6} | {:>11}", "exemplars", "EX (%)", "cents/query");
+    println!(
+        "{:>9} | {:>6} | {:>11}",
+        "exemplars", "EX (%)", "cents/query"
+    );
     println!("----------+--------+------------");
     let mut artifact = BenchArtifact::new("ablation_fewshot");
     for n in [0usize, 1, 5, 10, 20] {

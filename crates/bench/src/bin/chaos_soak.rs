@@ -185,7 +185,10 @@ fn main() -> ExitCode {
     let mut drill = Drill::from_args("chaos_soak", 0xc4a0_5017);
     let exp = drill.experiment(40);
 
-    eprintln!("baseline run ({} questions, fault-free)…", exp.questions.len());
+    eprintln!(
+        "baseline run ({} questions, fault-free)…",
+        exp.questions.len()
+    );
     let baseline = baseline(&exp);
     eprintln!(
         "baseline EX {:.1}% — chaos run (p={FAULT_P} model faults and node crashes)…",
@@ -219,7 +222,11 @@ fn main() -> ExitCode {
     drill.gate(
         "every_question_answered",
         chaos.total == exp.questions.len(),
-        format!("chaos run answered {}/{} questions", chaos.total, exp.questions.len()),
+        format!(
+            "chaos run answered {}/{} questions",
+            chaos.total,
+            exp.questions.len()
+        ),
     );
 
     drill.finish(&ChaosSoakArtifact {

@@ -29,7 +29,10 @@ fn main() {
         }
     }
 
-    println!("\nFigure 2 — pipeline stage timing over {} questions\n", sample.len());
+    println!(
+        "\nFigure 2 — pipeline stage timing over {} questions\n",
+        sample.len()
+    );
     println!("{:<12} | {:>12} | {:>8}", "stage", "mean (µs)", "calls");
     println!("{:-<12}-+-{:-<12}-+---------", "", "");
     let mut total_mean = 0.0;

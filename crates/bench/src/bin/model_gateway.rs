@@ -39,8 +39,8 @@
 //! Writes `results/BENCH_gateway.json`.
 
 use dio_bench::drill::{
-    audit_traces, deadline_for, requests, scored, sequential, Burst, Drill, Tally,
-    TraceAudit, AUDIT_GRACE, TENANTS,
+    audit_traces, deadline_for, requests, scored, sequential, Burst, Drill, Tally, TraceAudit,
+    AUDIT_GRACE, TENANTS,
 };
 use dio_bench::Experiment;
 use dio_gateway::SemanticStats;
@@ -81,7 +81,11 @@ struct Entry {
 }
 
 fn entry(text: impl Into<String>, unique: usize, class: &'static str) -> Entry {
-    Entry { text: text.into(), unique, class }
+    Entry {
+        text: text.into(),
+        unique,
+        class,
+    }
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -214,7 +218,10 @@ fn main() -> ExitCode {
     } else {
         (60usize, 8usize, 40usize, 200usize)
     };
-    eprintln!("building world ({})…", if drill.quick { "quick" } else { "full" });
+    eprintln!(
+        "building world ({})…",
+        if drill.quick { "quick" } else { "full" }
+    );
     let exp = Experiment::with_config(drill.world(), uniques + extras + drill_n);
     let eval_ts = exp.world.eval_ts;
     let unique_qs = &exp.questions[..uniques];
@@ -242,7 +249,10 @@ fn main() -> ExitCode {
         for suffix in PARAPHRASE_SUFFIXES {
             let text = format!("{}{}", q.text.trim_end_matches('?').trim_end(), suffix);
             candidates += 1;
-            let ok = scored(calibrator.ask(&text, eval_ts).numeric_answer, q.reference.numeric);
+            let ok = scored(
+                calibrator.ask(&text, eval_ts).numeric_answer,
+                q.reference.numeric,
+            );
             if ok == original_ok[i] {
                 admitted.push((i, text));
             }
@@ -255,8 +265,11 @@ fn main() -> ExitCode {
     // paraphrases, and a concurrent-identical burst on the held-out
     // extras (wave 2).
     let mut rng = ChaCha8Rng::seed_from_u64(drill.seed);
-    let mut schedule: Vec<Entry> =
-        unique_qs.iter().enumerate().map(|(i, q)| entry(&q.text, i, "unique")).collect();
+    let mut schedule: Vec<Entry> = unique_qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| entry(&q.text, i, "unique"))
+        .collect();
     // Duplicate budget: everything between the unique wave and the
     // coalescing burst. Paraphrases get at most two thirds of it so
     // exact and noisy-cased repeats (answer-cache traffic) stay in the
@@ -290,7 +303,10 @@ fn main() -> ExitCode {
     for e in &schedule {
         *schedule_mix.entry(e.class.to_string()).or_default() += 1;
     }
-    eprintln!("schedule: {n} requests over {} uniques {schedule_mix:?}", uniques + extras);
+    eprintln!(
+        "schedule: {n} requests over {} uniques {schedule_mix:?}",
+        uniques + extras
+    );
 
     // Phase 2: the plain serving tier.
     eprintln!("baseline pass ({WORKERS} workers)…");
@@ -299,11 +315,21 @@ fn main() -> ExitCode {
         Experiment::gpt4,
         open_config(WORKERS, n.max(64)),
     );
-    let baseline = run_schedule(&baseline_service, &schedule, uniques, &refs, eval_ts, "baseline");
+    let baseline = run_schedule(
+        &baseline_service,
+        &schedule,
+        uniques,
+        &refs,
+        eval_ts,
+        "baseline",
+    );
     baseline_service.shutdown();
     eprintln!(
         "  baseline: EX {}/{n}, {:.0} model calls, {:.2}¢, {:.2}s",
-        baseline.tally.correct, baseline.model_calls, baseline.cost_cents, baseline.tally.wall_seconds
+        baseline.tally.correct,
+        baseline.model_calls,
+        baseline.cost_cents,
+        baseline.tally.wall_seconds
     );
 
     // Phase 3: the same schedule through the gateway at its defaults.
@@ -314,7 +340,14 @@ fn main() -> ExitCode {
         open_config(WORKERS, n.max(64)),
         GatewayConfig::default(),
     );
-    let gateway = run_schedule(&gateway_service, &schedule, uniques, &refs, eval_ts, "gateway");
+    let gateway = run_schedule(
+        &gateway_service,
+        &schedule,
+        uniques,
+        &refs,
+        eval_ts,
+        "gateway",
+    );
     let stats = gateway_service
         .gateway_stats()
         .expect("gateway plane present");
@@ -349,7 +382,8 @@ fn main() -> ExitCode {
             answered_degraded += 1;
         } else {
             answered_ok += 1;
-            late_healthy += usize::from(a.queue_wait + a.service_time > drill_deadline + AUDIT_GRACE);
+            late_healthy +=
+                usize::from(a.queue_wait + a.service_time > drill_deadline + AUDIT_GRACE);
         }
     });
     let deadline = DeadlinePanel {
@@ -364,7 +398,11 @@ fn main() -> ExitCode {
             .registry()
             .snapshot()
             .total("dio_gateway_queue_lapsed_total"),
-        flush_log_entries: drill_service.gateway_stats().expect("gateway stats").flush_log.len(),
+        flush_log_entries: drill_service
+            .gateway_stats()
+            .expect("gateway stats")
+            .flush_log
+            .len(),
     };
     drill_service.shutdown();
     eprintln!(
@@ -378,12 +416,18 @@ fn main() -> ExitCode {
     drill.gate(
         "ex_delta_zero",
         ex_delta == 0,
-        format!("baseline {} vs gateway {} of {n}", baseline.tally.correct, gateway.tally.correct),
+        format!(
+            "baseline {} vs gateway {} of {n}",
+            baseline.tally.correct, gateway.tally.correct
+        ),
     );
     drill.gate(
         "open_passes_shed_nothing",
         baseline.tally.shed_total() + gateway.tally.shed_total() == 0,
-        format!("baseline shed {:?}, gateway shed {:?}", baseline.tally.shed, gateway.tally.shed),
+        format!(
+            "baseline shed {:?}, gateway shed {:?}",
+            baseline.tally.shed, gateway.tally.shed
+        ),
     );
     drill.gate(
         "a_duplicate_was_served_semantically",
@@ -398,7 +442,8 @@ fn main() -> ExitCode {
     let (t, a) = (&deadline.tally, &deadline.audit);
     drill.gate(
         "drill:sheds_are_deadline_or_queue_full",
-        t.shed_total() == t.shed_for(ShedReason::DeadlineExpired) + t.shed_for(ShedReason::QueueFull),
+        t.shed_total()
+            == t.shed_for(ShedReason::DeadlineExpired) + t.shed_for(ShedReason::QueueFull),
         format!("shed {:?}", t.shed),
     );
     drill.gate(
@@ -426,7 +471,10 @@ fn main() -> ExitCode {
             timeouts: stats.timeouts,
         },
         semantic: stats.semantic.expect("semantic layer on by default"),
-        semantic_floor: GatewayConfig::default().semantic.expect("default floor").floor,
+        semantic_floor: GatewayConfig::default()
+            .semantic
+            .expect("default floor")
+            .floor,
         deadline,
         model_call_reduction: call_reduction,
         cost_per_answer_reduction: cost_reduction,

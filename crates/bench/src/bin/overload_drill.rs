@@ -20,7 +20,9 @@
 //!
 //! Writes `results/BENCH_overload_drill.json`.
 
-use dio_bench::drill::{audit_traces, deadline_for, requests, sequential, Burst, Drill, Tally, TraceAudit};
+use dio_bench::drill::{
+    audit_traces, deadline_for, requests, sequential, Burst, Drill, Tally, TraceAudit,
+};
 use dio_bench::Experiment;
 use dio_cluster::{Cluster, ClusterConfig};
 use dio_llm::{FaultConfig, FaultyModel, FoundationModel, ModelProfile, SimulatedModel};
@@ -73,7 +75,11 @@ fn faulty_model(seed: u64) -> Box<dyn FoundationModel> {
 }
 
 fn ladder_transitions(service: &QueryService) -> f64 {
-    service.obs().registry().snapshot().total("dio_serve_brownout_transitions_total")
+    service
+        .obs()
+        .registry()
+        .snapshot()
+        .total("dio_serve_brownout_transitions_total")
 }
 
 /// The overload pipeline's data plane: three shards.
@@ -111,7 +117,11 @@ fn overload_pass(
     );
     let target = 3 * service.config().queue_depth * service.config().workers;
     let mut burst = Burst::start();
-    burst.saturate(&service, requests(&exp.questions, exp.world.eval_ts).cycle(), target);
+    burst.saturate(
+        &service,
+        requests(&exp.questions, exp.world.eval_ts).cycle(),
+        target,
+    );
     let tally = burst.finish();
     let audit = audit_traces(service.obs().tracer(), deadline);
     let result = OverloadPass {
@@ -181,12 +191,18 @@ fn main() -> ExitCode {
     drill.gate(
         "ex_parity",
         parity.ex_delta.abs() <= 1,
-        format!("sequential {seq_correct}, serve {} of {n} (±1 allowed)", parity.serve_correct),
+        format!(
+            "sequential {seq_correct}, serve {} of {n} (±1 allowed)",
+            parity.serve_correct
+        ),
     );
     drill.gate(
         "ladder_idle_at_normal_load",
         parity.brownout_transitions == 0.0,
-        format!("{} transitions on a healthy, uncontended service", parity.brownout_transitions),
+        format!(
+            "{} transitions on a healthy, uncontended service",
+            parity.brownout_transitions
+        ),
     );
 
     // ---- Phase 2: overload, binary shedding vs the ladder ----------
@@ -203,7 +219,13 @@ fn main() -> ExitCode {
     let drill_deadline = deadline_for(probe_started.elapsed(), PROBE_ASKS);
     eprintln!("phase 2: calibrated deadline {drill_deadline:?}");
     eprintln!("phase 2: overload baseline (brownout disabled)…");
-    let baseline = overload_pass(&exp, seed, BrownoutConfig::disabled(), drill_deadline, "overload_baseline");
+    let baseline = overload_pass(
+        &exp,
+        seed,
+        BrownoutConfig::disabled(),
+        drill_deadline,
+        "overload_baseline",
+    );
     eprintln!("phase 2: overload with the brownout ladder…");
     let browned = overload_pass(
         &exp,
@@ -219,26 +241,38 @@ fn main() -> ExitCode {
     drill.gate(
         "baseline_drove_a_lapse",
         baseline.audit.lapsed_traces > 0,
-        format!("{} deadline-exceeded traces in the baseline pass", baseline.audit.lapsed_traces),
+        format!(
+            "{} deadline-exceeded traces in the baseline pass",
+            baseline.audit.lapsed_traces
+        ),
     );
     for p in [&baseline, &browned] {
         let (pass, t, a) = (&p.pass, &p.tally, &p.audit);
         drill.gate(
             &format!("{pass}:all_tickets_resolved"),
             t.shed_for(ShedReason::WorkerPanic) == 0,
-            format!("{} accepted, {} answered, shed {:?}", t.accepted, t.answered, t.shed),
+            format!(
+                "{} accepted, {} answered, shed {:?}",
+                t.accepted, t.answered, t.shed
+            ),
         );
         drill.gate_deadline_audit(pass, t, a);
     }
     drill.gate(
         "disabled_ladder_never_moves",
         baseline.brownout_transitions == 0.0,
-        format!("{} transitions with brownout disabled", baseline.brownout_transitions),
+        format!(
+            "{} transitions with brownout disabled",
+            baseline.brownout_transitions
+        ),
     );
     drill.gate(
         "sustained_overload_engages_the_ladder",
         browned.brownout_transitions >= 1.0,
-        format!("{} transitions, final level {}", browned.brownout_transitions, browned.final_brownout_level),
+        format!(
+            "{} transitions, final level {}",
+            browned.brownout_transitions, browned.final_brownout_level
+        ),
     );
     // Goodput is answers that are not deadline aborts: a request that
     // is picked up just inside its deadline and gives up part-way is
@@ -247,7 +281,11 @@ fn main() -> ExitCode {
     drill.gate(
         "brownout_goodput_not_below_baseline",
         goodput_gain >= 0,
-        format!("goodput {} with the ladder vs {} binary shedding", browned.tally.goodput(), baseline.tally.goodput()),
+        format!(
+            "goodput {} with the ladder vs {} binary shedding",
+            browned.tally.goodput(),
+            baseline.tally.goodput()
+        ),
     );
 
     drill.finish(&DrillArtifact {

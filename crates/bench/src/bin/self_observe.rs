@@ -61,14 +61,20 @@ fn main() -> ExitCode {
     drill.gate(
         "every_instrument_documented",
         outcome.undocumented.is_empty(),
-        format!("exported instruments without catalog descriptions: {:?}", outcome.undocumented),
+        format!(
+            "exported instruments without catalog descriptions: {:?}",
+            outcome.undocumented
+        ),
     );
 
     let correct = print_qa(&outcome.qa);
     drill.gate(
         "three_self_directed_answers_verify",
         correct >= 3,
-        format!("{correct} of {} answers match the registry", outcome.qa.len()),
+        format!(
+            "{correct} of {} answers match the registry",
+            outcome.qa.len()
+        ),
     );
 
     drill.finish(&SelfObserveArtifact {

@@ -37,7 +37,7 @@ use dio_faults::{ChaosConfig, CrashSchedule, NodeFault};
 use dio_obs::SeriesValue;
 use dio_sandbox::StoreResolver;
 use dio_serve::{QueryService, ServeConfig, ShedReason, TenantPolicy};
-use dio_tsdb::{Labels, NAME_LABEL, Sample};
+use dio_tsdb::{Labels, Sample, NAME_LABEL};
 use serde::Serialize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -144,10 +144,7 @@ fn route_count(cluster: &Cluster, path: &str) -> u64 {
 /// Ask every question through `copilot`, counting EX-correct answers
 /// and folding each response's per-shard span timings into one
 /// aggregate breakdown for the sweep width.
-fn score(
-    exp: &Experiment,
-    copilot: &dio_copilot::DioCopilot,
-) -> (usize, f64, Vec<ShardTiming>) {
+fn score(exp: &Experiment, copilot: &dio_copilot::DioCopilot) -> (usize, f64, Vec<ShardTiming>) {
     let started = Instant::now();
     let mut breakdown: Vec<ShardTiming> = Vec::new();
     let correct = sequential(copilot, &exp.questions, exp.world.eval_ts, |r| {
@@ -171,10 +168,11 @@ fn score(
 
 /// Whether `family`'s series in `store` hold a sample `(ts, value)`.
 fn holds(store: &dio_tsdb::MetricStore, family: &str, ts: i64, value: f64) -> bool {
-    store
-        .series_for(family)
-        .iter()
-        .any(|s| s.samples().iter().any(|p| p.timestamp_ms == ts && p.value == value))
+    store.series_for(family).iter().any(|s| {
+        s.samples()
+            .iter()
+            .any(|p| p.timestamp_ms == ts && p.value == value)
+    })
 }
 
 fn main() -> ExitCode {
@@ -238,8 +236,13 @@ fn main() -> ExitCode {
     )));
     cluster.load_from(&exp.world.store).expect("cluster load");
     let base_ts = exp.world.store.max_timestamp().unwrap_or(0);
-    let mut families: Vec<String> =
-        exp.world.store.metric_names().into_iter().map(str::to_string).collect();
+    let mut families: Vec<String> = exp
+        .world
+        .store
+        .metric_names()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
     families.sort();
     families.truncate(24);
     let mut schedule = CrashSchedule::new(seed, 0.05, drill_nodes);
@@ -264,7 +267,8 @@ fn main() -> ExitCode {
         }
         let ts = base_ts + 1_000 * (round as i64 + 1);
         for family in &families {
-            let labels = Labels::from_pairs([(NAME_LABEL, family.as_str()), ("instance", "drill-0")]);
+            let labels =
+                Labels::from_pairs([(NAME_LABEL, family.as_str()), ("instance", "drill-0")]);
             attempted += 1;
             match cluster.append(labels, Sample::new(ts, round as f64)) {
                 Ok(_) => acked.push((family.clone(), ts, round as f64)),
@@ -294,7 +298,10 @@ fn main() -> ExitCode {
     drill.gate(
         "zero_acked_writes_lost",
         lost == 0,
-        format!("{verified} of {} acknowledged writes readable after the chaos", acked.len()),
+        format!(
+            "{verified} of {} acknowledged writes readable after the chaos",
+            acked.len()
+        ),
     );
     let write_drill = WriteDrill {
         nodes: drill_nodes,
@@ -316,7 +323,9 @@ fn main() -> ExitCode {
     // ---- Phase 4: query drill (kill a primary mid-burst, drain) ----
     let qnodes = 3;
     let burst_len = (n_questions * 2).min(48);
-    eprintln!("phase 4: query drill — {burst_len}-request burst on {qnodes} nodes, kill mid-burst…");
+    eprintln!(
+        "phase 4: query drill — {burst_len}-request burst on {qnodes} nodes, kill mid-burst…"
+    );
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(qnodes)));
     cluster.load_from(&exp.world.store).expect("cluster load");
     let mut prototype = exp.copilot(Experiment::gpt4());
@@ -333,12 +342,16 @@ fn main() -> ExitCode {
     );
     let mut burst = Burst::start();
     // The primary dies a third of the way into the burst.
-    let killing = requests(&exp.questions, exp.world.eval_ts).cycle().take(burst_len).enumerate().map(|(i, r)| {
-        if i == burst_len / 3 + 1 {
-            cluster.kill_node(0);
-        }
-        r
-    });
+    let killing = requests(&exp.questions, exp.world.eval_ts)
+        .cycle()
+        .take(burst_len)
+        .enumerate()
+        .map(|(i, r)| {
+            if i == burst_len / 3 + 1 {
+                cluster.kill_node(0);
+            }
+            r
+        });
     burst.submit_all(&service, killing);
     let drill_obs = service.obs().clone();
     service.shutdown(); // drain-not-drop: every accepted ticket resolves
@@ -350,14 +363,25 @@ fn main() -> ExitCode {
     drill.gate(
         "drain_resolves_every_accepted_ticket",
         tally.shed_for(ShedReason::WorkerPanic) == 0,
-        format!("{} accepted, {} answered, shed {:?}", tally.accepted, tally.answered, tally.shed),
+        format!(
+            "{} accepted, {} answered, shed {:?}",
+            tally.accepted, tally.answered, tally.shed
+        ),
     );
-    drill.gate("burst_produced_an_answer", tally.answered > 0, format!("{} answered", tally.answered));
+    drill.gate(
+        "burst_produced_an_answer",
+        tally.answered > 0,
+        format!("{} answered", tally.answered),
+    );
     // Every trace the drill finished must assemble into one rooted
     // tree, and the request that paid for the mid-burst promotion must
     // be among the trees the flight recorder keeps of the burst.
     let orphan_spans = audit_traces(drill_obs.tracer(), Duration::MAX).orphan_spans;
-    drill.gate("no_orphan_spans", orphan_spans == 0, format!("{orphan_spans} spans unreachable from their root"));
+    drill.gate(
+        "no_orphan_spans",
+        orphan_spans == 0,
+        format!("{orphan_spans} spans unreachable from their root"),
+    );
     let mut recorder = FlightRecorder::new();
     for trace in drill_obs.tracer().recent(usize::MAX) {
         recorder.offer(&trace);
@@ -389,7 +413,11 @@ fn main() -> ExitCode {
     let shard = cluster.shard_for(&family);
     let old_primary = cluster.primary_of(shard);
     let killed = cluster.kill_node(old_primary);
-    drill.gate("rejoin:old_primary_killed", killed, format!("node {old_primary}"));
+    drill.gate(
+        "rejoin:old_primary_killed",
+        killed,
+        format!("node {old_primary}"),
+    );
     let writes_while_down = if quick { 16 } else { 64 };
     let mut rejoin_acked = Vec::new();
     for i in 0..writes_while_down {
@@ -410,7 +438,10 @@ fn main() -> ExitCode {
     drill.gate(
         "rejoin:caught_up_the_writes_it_missed",
         report.caught_up_records >= writes_while_down,
-        format!("caught up {} records of {writes_while_down} written while down", report.caught_up_records),
+        format!(
+            "caught up {} records of {writes_while_down} written while down",
+            report.caught_up_records
+        ),
     );
     // Fail back: kill the promoted successor; the rejoined node must
     // serve the shard with every write intact.
@@ -421,11 +452,17 @@ fn main() -> ExitCode {
         format!("primary {old_primary} -> {successor}"),
     );
     let killed = cluster.kill_node(successor);
-    drill.gate("rejoin:successor_killed", killed, format!("node {successor}"));
+    drill.gate(
+        "rejoin:successor_killed",
+        killed,
+        format!("node {successor}"),
+    );
     let store = cluster
         .resolve(std::slice::from_ref(&family), false)
         .expect("fail-back resolve");
-    let failback_verified = rejoin_acked.iter().all(|(ts, value)| holds(&store, &family, *ts, *value));
+    let failback_verified = rejoin_acked
+        .iter()
+        .all(|(ts, value)| holds(&store, &family, *ts, *value));
     drill.gate(
         "rejoin:fail_back_kept_every_write",
         failback_verified,
@@ -460,7 +497,10 @@ fn main() -> ExitCode {
     drill.gate(
         "takeover_p99_under_100ms",
         failover_latency.micros.p99 < TAKEOVER_P99_LIMIT_MICROS,
-        format!("p99 {:.0}µs, limit {TAKEOVER_P99_LIMIT_MICROS:.0}µs", failover_latency.micros.p99),
+        format!(
+            "p99 {:.0}µs, limit {TAKEOVER_P99_LIMIT_MICROS:.0}µs",
+            failover_latency.micros.p99
+        ),
     );
 
     drill.finish(&ShardFailoverArtifact {

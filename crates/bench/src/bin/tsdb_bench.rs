@@ -275,10 +275,17 @@ fn main() -> ExitCode {
     drill.gate(
         "every_append_stored",
         samples == series_count * steps,
-        format!("{samples} samples stored of {} appended", series_count * steps),
+        format!(
+            "{samples} samples stored of {} appended",
+            series_count * steps
+        ),
     );
     if !quick {
-        drill.gate("full_mode_ingests_1m_samples", samples >= 1_000_000, format!("{samples} samples"));
+        drill.gate(
+            "full_mode_ingests_1m_samples",
+            samples >= 1_000_000,
+            format!("{samples} samples"),
+        );
     }
     let compressed = store.compressed_bytes();
     let sealed: usize = store
@@ -323,7 +330,12 @@ fn main() -> ExitCode {
         "bench_metric_6",
         "bench_metric_7{zone=\"east\"}",
     ];
-    let proto = Protocol { start, end, step, reps };
+    let proto = Protocol {
+        start,
+        end,
+        step,
+        reps,
+    };
     let n_steps = ((end - start) / step) as usize + 1;
     let engines = (&interp, &vectorized);
     let range = |engine: &Engine, query: &str| time_range(engine, query, proto);
@@ -349,13 +361,25 @@ fn main() -> ExitCode {
         time_instant(engine, query, end, iters)
     });
 
-    for (panel, result) in [("range_scan", &range_scan), ("aggregation", &aggregation), ("instant", &instant)] {
-        let diverged: Vec<&str> =
-            result.per_query.iter().filter(|q| !q.identical).map(|q| q.query.as_str()).collect();
+    for (panel, result) in [
+        ("range_scan", &range_scan),
+        ("aggregation", &aggregation),
+        ("instant", &instant),
+    ] {
+        let diverged: Vec<&str> = result
+            .per_query
+            .iter()
+            .filter(|q| !q.identical)
+            .map(|q| q.query.as_str())
+            .collect();
         drill.gate(
             &format!("{panel}:byte_identical_on_every_query"),
             diverged.is_empty(),
-            format!("{} of {} queries diverged {diverged:?}", diverged.len(), result.queries),
+            format!(
+                "{} of {} queries diverged {diverged:?}",
+                diverged.len(),
+                result.queries
+            ),
         );
     }
     // Floors: CI runs --quick on shared hardware, so the quick gates

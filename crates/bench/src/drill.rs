@@ -65,7 +65,10 @@ pub struct Drill {
 
 /// `--quick` and `--seed=N` out of a command line; anything else is an
 /// error, not silently a default.
-fn parse_args(args: impl Iterator<Item = String>, default_seed: u64) -> Result<(bool, u64), String> {
+fn parse_args(
+    args: impl Iterator<Item = String>,
+    default_seed: u64,
+) -> Result<(bool, u64), String> {
     let (mut quick, mut seed) = (false, default_seed);
     for arg in args {
         if arg == "--quick" {
@@ -116,7 +119,11 @@ impl Drill {
     pub fn experiment(&self, quick_questions: usize) -> Experiment {
         let size = if self.quick { "quick" } else { "full" };
         eprintln!("building world ({size})…");
-        let n = if self.quick { quick_questions } else { BENCHMARK_SIZE };
+        let n = if self.quick {
+            quick_questions
+        } else {
+            BENCHMARK_SIZE
+        };
         Experiment::with_config(self.world(), n)
     }
 
@@ -126,7 +133,11 @@ impl Drill {
         if !ok {
             eprintln!("  gate {name} FAILED: {detail}");
         }
-        self.gates.push(Gate { name: name.to_string(), ok, detail });
+        self.gates.push(Gate {
+            name: name.to_string(),
+            ok,
+            detail,
+        });
     }
 
     /// The gates every deadline audit ends in: the audit saw every
@@ -139,22 +150,34 @@ impl Drill {
         self.gate(
             &format!("{scope}:audit_covers_every_accepted_request"),
             a.picked_up == accepted,
-            format!("audited {} of {accepted} accepted ({} finished traces)", a.picked_up, a.finished),
+            format!(
+                "audited {} of {accepted} accepted ({} finished traces)",
+                a.picked_up, a.finished
+            ),
         );
         self.gate(
             &format!("{scope}:audit_saw_a_model_call"),
             a.traces_with_model_call >= 1,
-            format!("{} audited traces hold a model_call", a.traces_with_model_call),
+            format!(
+                "{} audited traces hold a model_call",
+                a.traces_with_model_call
+            ),
         );
         self.gate(
             &format!("{scope}:no_model_call_after_lapse"),
             a.model_calls_after_lapse == 0,
-            format!("{} model calls recorded after a deadline_exceeded event", a.model_calls_after_lapse),
+            format!(
+                "{} model calls recorded after a deadline_exceeded event",
+                a.model_calls_after_lapse
+            ),
         );
         self.gate(
             &format!("{scope}:no_model_call_past_budget"),
             a.model_calls_past_budget == 0,
-            format!("{} model calls stamped past budget + grace", a.model_calls_past_budget),
+            format!(
+                "{} model calls stamped past budget + grace",
+                a.model_calls_past_budget
+            ),
         );
     }
 
@@ -178,13 +201,28 @@ impl Drill {
             ("available_parallelism".to_string(), cores.to_value()),
             ("git_rev".to_string(), git_rev().to_value()),
         ];
-        let Value::Obj(body) = body.to_value() else { panic!("a drill's body is a struct") };
+        let Value::Obj(body) = body.to_value() else {
+            panic!("a drill's body is a struct")
+        };
         fields.extend(body);
         fields.push(("gates".to_string(), self.gates.to_value()));
         write_artifact(&self.dir, &self.name, &Value::Obj(fields));
-        let failed: Vec<&str> = self.gates.iter().filter(|g| !g.ok).map(|g| g.name.as_str()).collect();
-        eprintln!("{}: {} gates, failed: {failed:?}", self.name, self.gates.len());
-        if failed.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
+        let failed: Vec<&str> = self
+            .gates
+            .iter()
+            .filter(|g| !g.ok)
+            .map(|g| g.name.as_str())
+            .collect();
+        eprintln!(
+            "{}: {} gates, failed: {failed:?}",
+            self.name,
+            self.gates.len()
+        );
+        if failed.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -259,7 +297,10 @@ pub fn requests(
 ) -> impl Iterator<Item = (QueryRequest, f64)> + Clone + '_ {
     questions.iter().enumerate().map(move |(i, q)| {
         let tenant = TENANTS[i % TENANTS.len()];
-        (QueryRequest::new(tenant, &q.text, eval_ts), q.reference.numeric)
+        (
+            QueryRequest::new(tenant, &q.text, eval_ts),
+            q.reference.numeric,
+        )
     })
 }
 
@@ -336,7 +377,11 @@ impl Burst {
         }
     }
 
-    fn submit(&mut self, service: &QueryService, (request, reference): (QueryRequest, f64)) -> bool {
+    fn submit(
+        &mut self,
+        service: &QueryService,
+        (request, reference): (QueryRequest, f64),
+    ) -> bool {
         match service.submit(request) {
             Ok(ticket) => {
                 self.tally.accepted += 1;
@@ -345,7 +390,11 @@ impl Burst {
             }
             Err(shed) => {
                 self.tally.refused_at_submit += 1;
-                *self.tally.shed.entry(shed.reason.label().to_string()).or_default() += 1;
+                *self
+                    .tally
+                    .shed
+                    .entry(shed.reason.label().to_string())
+                    .or_default() += 1;
                 false
             }
         }
@@ -384,7 +433,9 @@ impl Burst {
                 pause();
                 continue;
             }
-            let Some(request) = requests.next() else { break };
+            let Some(request) = requests.next() else {
+                break;
+            };
             room = if self.submit(service, request) {
                 service.config().queue_depth
             } else {
@@ -402,19 +453,27 @@ impl Burst {
                     let t = &mut self.tally;
                     t.answered += 1;
                     t.correct += usize::from(scored(a.response.numeric_answer, reference));
-                    let aborted = matches!(a.response.error, Some(CopilotError::DeadlineExceeded { .. }));
+                    let aborted = matches!(
+                        a.response.error,
+                        Some(CopilotError::DeadlineExceeded { .. })
+                    );
                     t.deadline_aborted += usize::from(aborted);
                     t.answer_cache_hits += usize::from(a.answer_cache_hit);
                     t.semantic_hits += usize::from(a.semantic_cache_hit);
                     t.coalesced += usize::from(a.coalesced);
                     let (wait, service) = (a.queue_wait, a.service_time);
-                    for (samples, d) in self.samples.iter_mut().zip([wait, service, wait + service]) {
+                    for (samples, d) in self.samples.iter_mut().zip([wait, service, wait + service])
+                    {
                         samples.push(d.as_micros() as f64);
                     }
                     each(&a);
                 }
                 ServeOutcome::Shed(s) => {
-                    *self.tally.shed.entry(s.reason.label().to_string()).or_default() += 1;
+                    *self
+                        .tally
+                        .shed
+                        .entry(s.reason.label().to_string())
+                        .or_default() += 1;
                 }
             }
         }
@@ -525,8 +584,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let quick = Drill::new("t", true, 1, &dir);
         let full = Drill::new("t", false, 1, &dir);
-        assert_eq!(quick.world().instances_per_nf, WorldConfig::small().instances_per_nf);
-        assert_eq!(full.world().instances_per_nf, WorldConfig::default().instances_per_nf);
+        assert_eq!(
+            quick.world().instances_per_nf,
+            WorldConfig::small().instances_per_nf
+        );
+        assert_eq!(
+            full.world().instances_per_nf,
+            WorldConfig::default().instances_per_nf
+        );
         assert_eq!(quick.experiment(7).questions.len(), 7);
     }
 
@@ -544,7 +609,10 @@ mod tests {
             (10.0, f64::INFINITY),
         ];
         for (answer, reference) in cases {
-            assert_eq!(scored(Some(answer), reference), numeric_match(answer, reference));
+            assert_eq!(
+                scored(Some(answer), reference),
+                numeric_match(answer, reference)
+            );
             assert!(!scored(None, reference));
         }
         assert!(!scored(Some(10.0), f64::INFINITY));
@@ -554,7 +622,14 @@ mod tests {
     #[test]
     fn latency_reads_percentile_on_empty_one_and_many() {
         assert_eq!(Latency::of(vec![]), Latency::default());
-        assert_eq!(Latency::of(vec![3.0]), Latency { p50: 3.0, p95: 3.0, p99: 3.0 });
+        assert_eq!(
+            Latency::of(vec![3.0]),
+            Latency {
+                p50: 3.0,
+                p95: 3.0,
+                p99: 3.0
+            }
+        );
         let many: Vec<f64> = (1..=200).rev().map(f64::from).collect();
         let mut sorted = many.clone();
         sorted.sort_by(f64::total_cmp);
@@ -606,7 +681,10 @@ mod tests {
                 lapsed_traces: 1,
             }
         );
-        assert_eq!(deadline_for(Duration::from_millis(40), 4), Duration::from_millis(30));
+        assert_eq!(
+            deadline_for(Duration::from_millis(40), 4),
+            Duration::from_millis(30)
+        );
         assert_eq!(deadline_for(Duration::from_micros(400), 4), DEADLINE_FLOOR);
     }
 
@@ -627,10 +705,18 @@ mod tests {
         assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
         assert_eq!(doc.get("seed"), Some(&Value::Int(9)));
         assert!(doc.get("available_parallelism").is_some());
-        assert!(matches!(doc.get("git_rev"), Some(Value::Str(rev)) if !rev.is_empty()), "{json}");
+        assert!(
+            matches!(doc.get("git_rev"), Some(Value::Str(rev)) if !rev.is_empty()),
+            "{json}"
+        );
         assert_eq!(doc.get("answered"), Some(&Value::Int(2)));
-        let Some(Value::Arr(gates)) = doc.get("gates") else { panic!("no gate list: {json}") };
-        let verdicts: Vec<_> = gates.iter().map(|g| (g.get("name").cloned(), g.get("ok").cloned())).collect();
+        let Some(Value::Arr(gates)) = doc.get("gates") else {
+            panic!("no gate list: {json}")
+        };
+        let verdicts: Vec<_> = gates
+            .iter()
+            .map(|g| (g.get("name").cloned(), g.get("ok").cloned()))
+            .collect();
         assert_eq!(
             verdicts,
             [

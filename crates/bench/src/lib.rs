@@ -19,7 +19,9 @@ pub mod selfobs;
 
 use dio_baselines::{sample_schema, DinSqlBaseline, DirectModelBaseline};
 use dio_benchmark::eval::{compare, QuestionOutcome};
-use dio_benchmark::{fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig};
+use dio_benchmark::{
+    fewshot_exemplars, generate_benchmark, BenchmarkQuestion, OperatorWorld, WorldConfig,
+};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
 use dio_llm::{FewShotExample, FoundationModel, ModelProfile, SimulatedModel};
 

@@ -19,9 +19,7 @@
 use dio_benchmark::{evaluate_observed, EvalReport, WorldConfig};
 use dio_catalog::{Catalog, DomainDb};
 use dio_copilot::{CopilotBuilder, CopilotConfig, DioCopilot};
-use dio_llm::{
-    FaultConfig, FaultyModel, FewShotExample, ModelProfile, SimulatedModel,
-};
+use dio_llm::{FaultConfig, FaultyModel, FewShotExample, ModelProfile, SimulatedModel};
 use dio_obs::{parse_exposition, to_prometheus, ObsHub, ObsScraper, Snapshot};
 use dio_tsdb::MetricStore;
 use serde::Serialize;
@@ -96,7 +94,11 @@ impl SelfObserveOutcome {
 
 /// A copilot over scraped telemetry: `catalog` (derived by the
 /// scraper) is its domain DB, `store` the scraped samples.
-fn meta_copilot(catalog: Catalog, store: MetricStore, exemplars: Vec<FewShotExample>) -> DioCopilot {
+fn meta_copilot(
+    catalog: Catalog,
+    store: MetricStore,
+    exemplars: Vec<FewShotExample>,
+) -> DioCopilot {
     CopilotBuilder::new(DomainDb::from_catalog(catalog), store)
         .model(Experiment::gpt4())
         .config(CopilotConfig {
@@ -129,19 +131,26 @@ fn ask_about(meta: &DioCopilot, truth: &Snapshot, cases: &[(&str, &str)], ts: i6
 
 /// Print the question / answer / truth table; returns how many verified.
 pub fn print_qa(qa: &[SelfQa]) -> usize {
-    println!("\n{:<72} | {:>12} | {:>12} | ok", "question", "answer", "truth");
+    println!(
+        "\n{:<72} | {:>12} | {:>12} | ok",
+        "question", "answer", "truth"
+    );
     println!("{}", "-".repeat(110));
     for qa in qa {
         println!(
             "{:<72} | {:>12} | {:>12.2} | {}",
             qa.question,
-            qa.answered.map_or_else(|| "—".into(), |v| format!("{v:.2}")),
+            qa.answered
+                .map_or_else(|| "—".into(), |v| format!("{v:.2}")),
             qa.expected,
             if qa.correct { "yes" } else { "NO" },
         );
     }
     let correct = qa.iter().filter(|q| q.correct).count();
-    println!("\n{correct}/{} self-directed questions verified against the registry", qa.len());
+    println!(
+        "\n{correct}/{} self-directed questions verified against the registry",
+        qa.len()
+    );
     correct
 }
 
@@ -233,7 +242,10 @@ pub fn run_self_observation(n_questions: usize, fault_p: f64) -> SelfObserveOutc
     // questions about the first one, checked against the registry.
     let snap = hub.registry().snapshot();
     let cases = [
-        ("How many repair rounds did the copilot run?", dio_copilot::obs::REPAIRS_NAME),
+        (
+            "How many repair rounds did the copilot run?",
+            dio_copilot::obs::REPAIRS_NAME,
+        ),
         (
             "How many completion calls did the copilot issue to the foundation model?",
             "dio_llm_model_calls_total",
@@ -246,7 +258,10 @@ pub fn run_self_observation(n_questions: usize, fault_p: f64) -> SelfObserveOutc
             "How many retries of transient foundation model failures were there?",
             dio_copilot::obs::RETRIES_NAME,
         ),
-        ("How many benchmark questions were evaluated?", dio_benchmark::eval::QUESTIONS_NAME),
+        (
+            "How many benchmark questions were evaluated?",
+            dio_benchmark::eval::QUESTIONS_NAME,
+        ),
     ];
     let meta = meta_copilot(catalog, obs_store, self_exemplars());
     let qa = ask_about(&meta, &snap, &cases, last_ts);
