@@ -29,10 +29,10 @@ use std::time::{Duration, Instant};
 pub use crate::recorder::{FlightRecorder, RecorderConfig};
 
 /// Where artifacts go, relative to the working directory.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 
 /// The one writer of `<dir>/BENCH_<name>.json`.
-pub fn write_artifact(dir: &Path, name: &str, body: &impl Serialize) {
+pub(crate) fn write_artifact(dir: &Path, name: &str, body: &impl Serialize) {
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::create_dir_all(dir).expect("create results dir");
     let json = serde_json::to_string_pretty(body).expect("serialise artifact");
@@ -229,7 +229,7 @@ impl Drill {
 /// `git rev-parse --short HEAD` of the working directory, so an
 /// artifact names the revision that wrote it; `"unknown"` without git
 /// or outside a checkout.
-pub fn git_rev() -> String {
+pub(crate) fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()

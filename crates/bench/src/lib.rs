@@ -1,11 +1,11 @@
 //! # dio-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (`table_3a`, `table_3b`, `inference_cost`, `figure_*`, `ablation_*`,
-//! `dataset_export`; see DESIGN.md's experiment index) and the six
-//! gated drills CI runs with `--quick` (`chaos_soak`, `model_gateway`,
-//! `overload_drill`, `shard_failover`, `tsdb_bench`, and
-//! `self_observe`). Performance is measured by `perf/`, not here.
+//! The experiment harness: `paper`, one binary for every result table
+//! and ablation on both worlds, `figure_1` and `dataset_export` (see
+//! DESIGN.md's experiment index), and the six gated drills CI runs with
+//! `--quick` (`chaos_soak`, `model_gateway`, `overload_drill`,
+//! `shard_failover`, `tsdb_bench`, and `self_observe`). Performance is
+//! measured by `perf/`, not here.
 //!
 //! This library crate holds the shared experiment setup
 //! ([`Experiment`]), the drill harness ([`drill`]: sizing, scoring,
@@ -48,8 +48,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// The two rows the result tables print, labelled: the default
-/// configuration, then [`paper_config`].
+/// The two configurations Tables 3a and 3b print, labelled: the
+/// default, then [`paper_config`].
 pub fn operating_points() -> [(String, CopilotConfig); 2] {
     let (default, paper) = (CopilotConfig::default(), paper_config());
     [

@@ -64,8 +64,6 @@ pub struct FlightRecorder {
     retained: Vec<RetainedTrace>,
     bytes_used: usize,
     durations: RollingQuantile,
-    offered: u64,
-    rejected_partial: u64,
 }
 
 impl Default for FlightRecorder {
@@ -87,8 +85,6 @@ impl FlightRecorder {
             cfg,
             retained: Vec::new(),
             bytes_used: 0,
-            offered: 0,
-            rejected_partial: 0,
         }
     }
 
@@ -99,12 +95,10 @@ impl FlightRecorder {
     /// retained or not — the slow threshold must track the whole
     /// population, not just the survivors.
     pub fn offer(&mut self, record: &TraceRecord) -> Option<&'static str> {
-        self.offered += 1;
         // Partial trees are never retained and never counted: an
         // unfinished trace has no meaningful total duration, and an
         // orphaned one has no trustworthy structure.
         if !record.is_complete() {
-            self.rejected_partial += 1;
             return None;
         }
         let p99 = self.rolling_p99();
@@ -171,11 +165,6 @@ impl FlightRecorder {
             return None;
         }
         self.durations.quantile(0.99)
-    }
-
-    /// (offered, rejected-as-partial) counters since construction.
-    pub fn offer_stats(&self) -> (u64, u64) {
-        (self.offered, self.rejected_partial)
     }
 
     /// Write the retained traces to `path` as one JSON document (array
@@ -261,8 +250,12 @@ mod tests {
         tracer.finish_trace(&orphaned, TraceStatus::Error);
 
         let mut rec = FlightRecorder::new();
-        for trace in tracer.recent(usize::MAX) {
-            rec.offer(&trace);
+        let traces = tracer.recent(usize::MAX);
+        let partial = traces.iter().filter(|t| !t.is_complete()).count();
+        assert_eq!((traces.len(), partial), (7, 2));
+        for trace in &traces {
+            let kept = rec.offer(trace);
+            assert!(trace.is_complete() || kept.is_none(), "{trace:?}");
         }
         let reasons: Vec<&str> = rec.retained().iter().map(|r| r.reason).collect();
         assert_eq!(
@@ -270,7 +263,6 @@ mod tests {
             ["failed_over", "error", "shed", "deadline_exceeded"]
         );
         assert!(rec.retained().iter().all(|r| r.record.is_complete()));
-        assert_eq!(rec.offer_stats(), (7, 2));
     }
 
     #[test]
@@ -325,7 +317,6 @@ mod tests {
         });
         assert!(rec.offer(&orphaned).is_none());
         assert!(rec.retained().is_empty());
-        assert_eq!(rec.offer_stats(), (2, 2));
     }
 
     #[test]

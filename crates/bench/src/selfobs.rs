@@ -85,11 +85,6 @@ impl SelfObserveOutcome {
             correct as f64 * 100.0 / total as f64
         }
     }
-
-    /// How many self-directed questions were answered correctly.
-    pub fn qa_correct(&self) -> usize {
-        self.qa.iter().filter(|q| q.correct).count()
-    }
 }
 
 /// A copilot over scraped telemetry: `catalog` (derived by the

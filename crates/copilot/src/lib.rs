@@ -46,7 +46,7 @@ mod trace;
 pub use answer::CopilotResponse;
 pub use config::CopilotConfig;
 pub use error::CopilotError;
-pub use extractor::{ContextExtractor, RetrievalMode};
+pub use extractor::RetrievalMode;
 pub use pipeline::{AskRequest, CopilotBuilder, DioCopilot, Knowledge};
 pub use recovery::{DegradationLevel, RecoveryPolicy};
 pub use session::ChatSession;

@@ -71,26 +71,11 @@ impl Pricing {
     }
 }
 
-/// Accumulates usage and cost over many queries, keeping the prompt
-/// and completion sides of the bill separate.
-///
-/// The original meter folded everything into one lump `cost_usd`; the
-/// ledger splits the running total into `prompt_usd` /
-/// `completion_usd` (their sum is the old `cost_usd`, kept as a field
-/// so serialized meters stay backward-compatible).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Accumulates the cost of many queries.
+#[derive(Debug, Clone, Default)]
 pub struct CostLedger {
-    usage: TokenUsage,
     queries: usize,
-    /// Lump-sum total, maintained as `prompt_usd + completion_usd` for
-    /// backward compatibility with consumers of the serialized form.
     cost_usd: f64,
-    /// Prompt-side spend in USD.
-    #[serde(default)]
-    prompt_usd: f64,
-    /// Completion-side spend in USD.
-    #[serde(default)]
-    completion_usd: f64,
 }
 
 impl CostLedger {
@@ -101,13 +86,8 @@ impl CostLedger {
 
     /// Record one query's usage at a pricing.
     pub fn record(&mut self, usage: TokenUsage, pricing: Pricing) {
-        self.usage.add(usage);
         self.queries += 1;
-        let prompt = usage.prompt_tokens as f64 / 1000.0 * pricing.prompt_per_1k;
-        let completion = usage.completion_tokens as f64 / 1000.0 * pricing.completion_per_1k;
-        self.prompt_usd += prompt;
-        self.completion_usd += completion;
-        self.cost_usd += prompt + completion;
+        self.cost_usd += pricing.cost_usd(usage);
     }
 
     /// Number of queries recorded.
@@ -115,32 +95,9 @@ impl CostLedger {
         self.queries
     }
 
-    /// Accumulated usage.
-    pub fn usage(&self) -> TokenUsage {
-        self.usage
-    }
-
     /// Total cost in USD.
     pub fn total_usd(&self) -> f64 {
         self.cost_usd
-    }
-
-    /// Prompt-side spend in USD.
-    pub fn prompt_usd(&self) -> f64 {
-        self.prompt_usd
-    }
-
-    /// Completion-side spend in USD.
-    pub fn completion_usd(&self) -> f64 {
-        self.completion_usd
-    }
-
-    /// Mean cost per query in US cents — the §4.2.5 metric.
-    pub fn mean_cents_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.cost_usd * 100.0 / self.queries as f64
     }
 }
 
@@ -196,43 +153,13 @@ mod tests {
         m.record(usage, Pricing::gpt4());
         assert_eq!(m.queries(), 2);
         assert!((m.total_usd() - 0.06).abs() < 1e-12);
-        assert!((m.mean_cents_per_query() - 3.0).abs() < 1e-9);
+        let mean_cents = m.total_usd() * 100.0 / m.queries() as f64;
+        assert!((mean_cents - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_meter_mean_is_zero() {
-        assert_eq!(CostLedger::new().mean_cents_per_query(), 0.0);
-    }
-
-    #[test]
-    fn ledger_splits_prompt_and_completion_spend() {
-        let mut l = CostLedger::new();
-        l.record(
-            TokenUsage {
-                prompt_tokens: 1000,
-                completion_tokens: 500,
-            },
-            Pricing::gpt4(),
-        );
-        assert!((l.prompt_usd() - 0.03).abs() < 1e-12);
-        assert!((l.completion_usd() - 0.03).abs() < 1e-12);
-        // The lump sum stays the sum of the two sides.
-        assert!((l.total_usd() - (l.prompt_usd() + l.completion_usd())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_serialization_keeps_cost_usd() {
-        let mut l = CostLedger::new();
-        l.record(
-            TokenUsage {
-                prompt_tokens: 1000,
-                completion_tokens: 0,
-            },
-            Pricing::gpt4(),
-        );
-        let json = serde_json::to_string(&l).unwrap();
-        assert!(json.contains("\"cost_usd\""), "{json}");
-        let back: CostLedger = serde_json::from_str(&json).unwrap();
-        assert!((back.total_usd() - l.total_usd()).abs() < 1e-12);
+        let m = CostLedger::new();
+        assert_eq!((m.queries(), m.total_usd()), (0, 0.0));
     }
 }

@@ -1,7 +1,7 @@
 //! Run a compact version of the §4 evaluation: a reduced operator
 //! world, a 60-question benchmark, and execution-accuracy comparison of
-//! DIO copilot against both baselines (a faster version of the
-//! `table_3a` bench binary).
+//! DIO copilot against both baselines (a faster version of Table 3a
+//! in the `paper` bench binary).
 //!
 //! ```text
 //! cargo run --release --example benchmark_eval
